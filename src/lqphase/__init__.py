@@ -66,7 +66,6 @@ from .signals import (
 from .solver import (
     IrlsOptions,
     SolverResult,
-    solve,
     solve_affine_lq_oracle,
     solve_irls,
     solve_oracle_noiseless,

@@ -10,6 +10,17 @@ The strong variant additionally ranges over all row subsets I of A holding
 at least half the measurements; because the defining inequalities are
 universal over the sparse vector, the min/max over I commute with that
 quantifier and exhaustive enumeration over (I, S) pairs is exact.
+
+Supports are enumerated in batches.  One kernel, _support_bases, takes a
+chunk of supports (lexicographic order, at most linalg.STACK_ELEMS elements
+per stack), runs one batched SVD of the (C, n, k) column stack and groups
+the slices by numerical rank; each group then needs one batched matrix
+product and one batched eigen-bounds call.  Exhaustive, sampled and
+half-subset constants all use it.  Unlike the oracle's objectives, the
+isometry constants carry no tie rule: a batched eigenvalue agrees with the
+per-support one to rounding (on the test corpus, exactly), so the batched
+values are the constants, and the first maximal support in lexicographic order
+names the witness, which is recomputed for that support alone.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, ResourceBudgetError
 from .frames import TightFrame
-from .linalg import RANK_RTOL, batch_sym_eig_bounds, numerical_rank, sym_eig_bounds
+from .linalg import RANK_RTOL, STACK_ELEMS, batch_sym_eig_bounds, combination_blocks
 
 SUPPORT_BUDGET = 10**6
 SDRIP_MAX_M = 14
@@ -61,14 +72,45 @@ def drip_order_for_t(t: float, k: int) -> int:
     return int(ceil(tk))
 
 
+def _support_bases(D: np.ndarray, supports: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Orthonormal bases of col(D_S) for a (C, k) stack of supports, by rank.
+
+    One batched SVD of the (C, n, k) column stack; returns (rows, Q) per
+    numerical rank r >= 1, with Q the (len(rows), n, r) bases of those rows.
+    Supports whose columns vanish appear in no group.
+    """
+    u, s, _ = np.linalg.svd(np.swapaxes(D[:, supports], 0, 1), full_matrices=False)
+    ranks = np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1)
+    groups = []
+    for r in np.flatnonzero(np.bincount(ranks)).tolist():  # np.unique would import numpy.ma
+        if r:
+            rows = np.flatnonzero(ranks == r)
+            groups.append((rows, u[rows, :, :r]))
+    return groups
+
+
 def _support_basis(D: np.ndarray, S: tuple[int, ...]) -> np.ndarray | None:
     """Orthonormal basis of col(D_S), or None when the columns vanish."""
-    Ds = D[:, list(S)]
-    u, s, _ = np.linalg.svd(Ds, full_matrices=False)
-    r = numerical_rank(s, RANK_RTOL)
-    if r == 0:
-        return None
-    return u[:, :r]
+    groups = _support_bases(D, np.array([S], dtype=np.intp))
+    return groups[0][1][0] if groups else None
+
+
+def _support_extremes(D: np.ndarray, G: np.ndarray,
+                      supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extreme quotients y^T G y / y^T y over col(D_S) for each support row;
+    NaN where the columns vanish."""
+    lo = np.full(len(supports), np.nan)
+    hi = np.full(len(supports), np.nan)
+    step = max(1, STACK_ELEMS // (D.shape[0] * supports.shape[1]))
+    for start in range(0, len(supports), step):
+        for rows, Q in _support_bases(D, supports[start:start + step]):
+            M = np.swapaxes(Q, 1, 2) @ G @ Q
+            lo[start + rows], hi[start + rows] = batch_sym_eig_bounds(M)
+    return lo, hi
+
+
+def _side(lo: float, hi: float) -> str:
+    return "upper" if hi - 1.0 >= 1.0 - lo else "lower"
 
 
 def _check_problem(A: np.ndarray, F: TightFrame) -> np.ndarray:
@@ -103,21 +145,20 @@ def drip_constant(
             "use the sampled estimator"
         )
     G = A.T @ A
-    best: tuple[float, tuple[int, ...], str, float] | None = None
-    for S in combinations(range(F.N), order):
-        Q = _support_basis(F.D, S)
-        if Q is None:
+    best: tuple[float, tuple[int, ...], str] | None = None
+    for supports in combination_blocks(F.N, order, max(1, STACK_ELEMS // (F.n * order))):
+        lo, hi = _support_extremes(F.D, G, supports)
+        dev = np.fmax(hi - 1.0, 1.0 - lo)  # NaN only where the columns vanish
+        if np.all(np.isnan(dev)):
             continue
-        lo, hi = sym_eig_bounds(Q.T @ G @ Q)
-        dev = _deviation(lo, hi)
-        if best is None or dev > best[0]:
-            side = "upper" if hi - 1.0 >= 1.0 - lo else "lower"
-            best = (dev, S, side, hi if side == "upper" else lo)
+        i = int(np.nanargmax(dev))  # first maximum, as in support order
+        if best is None or dev[i] > best[0]:
+            best = (float(dev[i]), tuple(supports[i].tolist()), _side(lo[i], hi[i]))
     if best is None:
         raise ParameterError("every candidate support has vanishing frame columns")
-    dev, S, side, quot = best
+    dev, S, side = best
     witness = _witness_for_support(A, F, S, side)
-    return float(dev), witness
+    return dev, witness
 
 
 def _witness_for_support(A: np.ndarray, F: TightFrame, S: tuple[int, ...], side: str) -> DripWitness:
@@ -160,32 +201,24 @@ def drip_constant_sampled(
     draws = np.argsort(rng.random((budget, F.N)), axis=1)[:, :order]
     draws.sort(axis=1)
     visited, counts = np.unique(draws, axis=0, return_counts=True)
-    best_dev = -np.inf
-    best: tuple[tuple[int, ...], str] | None = None
-    for row, cnt in zip(visited, counts):
-        S = tuple(int(i) for i in row)
-        if refine:
-            Q = _support_basis(F.D, S)
-            if Q is None:
-                continue
-            lo, hi = sym_eig_bounds(Q.T @ G @ Q)
-        else:
-            Ds = F.D[:, list(S)]
-            Y = Ds @ rng.standard_normal((order, int(cnt)))
+    if refine:
+        lo, hi = _support_extremes(F.D, G, visited)
+    else:
+        lo = np.full(len(visited), np.nan)
+        hi = np.full(len(visited), np.nan)
+        for i, (row, cnt) in enumerate(zip(visited, counts)):
+            Y = F.D[:, row] @ rng.standard_normal((order, int(cnt)))
             norms = np.sum(Y * Y, axis=0)
             keep = norms > 0.0
-            if not np.any(keep):
-                continue
-            quots = np.sum(Y[:, keep] * (G @ Y[:, keep]), axis=0) / norms[keep]
-            lo, hi = float(np.min(quots)), float(np.max(quots))
-        dev = _deviation(lo, hi)
-        if dev > best_dev:
-            best_dev = dev
-            best = (S, "upper" if hi - 1.0 >= 1.0 - lo else "lower")
-    if best is None:
+            if np.any(keep):
+                quots = np.sum(Y[:, keep] * (G @ Y[:, keep]), axis=0) / norms[keep]
+                lo[i], hi[i] = np.min(quots), np.max(quots)
+    dev = np.fmax(hi - 1.0, 1.0 - lo)
+    if np.all(np.isnan(dev)):
         raise ParameterError("sampling never hit a support with nonvanishing frame columns")
-    witness = _witness_for_support(A, F, best[0], best[1])
-    return float(best_dev), witness
+    i = int(np.nanargmax(dev))
+    witness = _witness_for_support(A, F, tuple(visited[i].tolist()), _side(lo[i], hi[i]))
+    return float(dev[i]), witness
 
 
 def _half_subsets(m: int, half_rule: str) -> list[tuple[int, ...]]:
@@ -233,21 +266,16 @@ def sdrip_constants(
 
     theta_minus = np.inf
     theta_plus = -np.inf
-    for S in combinations(range(F.N), order):
-        Q = _support_basis(F.D, S)
-        if Q is None:
-            continue
-        B = A @ Q  # (m, d); row i contributes outer(B_i, B_i) when i in I
-        d = B.shape[1]
-        row_grams = np.einsum("ip,iq->ipq", B, B).reshape(m, d * d)
-        Ms = (masks @ row_grams).reshape(len(subsets), d, d)
-        if d <= 2:
+    rows = max(1, STACK_ELEMS // (len(subsets) * order * order))
+    for supports in combination_blocks(F.N, order, rows):
+        for _, Q in _support_bases(F.D, supports):
+            B = A @ Q  # (c, m, d); row i contributes outer(B_i, B_i) when i in I
+            c, _, d = B.shape
+            row_grams = np.einsum("cip,ciq->cipq", B, B).reshape(c, m, d * d)
+            Ms = (masks @ row_grams).reshape(c * len(subsets), d, d)
             lows, highs = batch_sym_eig_bounds(Ms)
-        else:
-            w = np.linalg.eigvalsh(Ms)
-            lows, highs = w[:, 0], w[:, -1]
-        theta_minus = min(theta_minus, float(np.min(lows)))
-        theta_plus = max(theta_plus, float(np.max(highs)))
+            theta_minus = min(theta_minus, float(np.min(lows)))
+            theta_plus = max(theta_plus, float(np.max(highs)))
     if not np.isfinite(theta_minus):
         raise ParameterError("every candidate support has vanishing frame columns")
     delta, _ = drip_constant(A, F, order, support_budget=support_budget)
@@ -288,7 +316,8 @@ def sdrip_constants_sampled(
         size = int(rng.integers(min_size, m + 1))
         I = np.sort(rng.choice(m, size=size, replace=False))
         B = A[I] @ Q
-        lo, hi = sym_eig_bounds(B.T @ B)
+        w = np.linalg.eigvalsh(B.T @ B)
+        lo, hi = float(w[0]), float(w[-1])
         theta_minus = min(theta_minus, lo)
         theta_plus = max(theta_plus, hi)
         if size == m:

@@ -17,7 +17,9 @@ from .measurement import PhaselessProblem
 from .nsp import ComplexNspWitness, NspWitness
 from .rip import RipReport
 from .signals import DictionarySparseSignal, SparseCoefficients
-from .solver import SolverResult
+from .solver import ORACLE_COUNTERS, SolverResult
+
+_ORACLE_DIAGNOSTICS = (*ORACLE_COUNTERS, "margin")
 
 
 def save_json(obj: dict, path: str) -> str:
@@ -195,6 +197,7 @@ def solver_result_to_dict(r: SolverResult) -> dict:
             "signs": list(r.certificate["signs"]),
             "zero_set": None if r.certificate["zero_set"] is None else list(r.certificate["zero_set"]),
             "minimum_norm_fallback": r.certificate["minimum_norm_fallback"],
+            **{k: r.certificate[k] for k in _ORACLE_DIAGNOSTICS if k in r.certificate},
         }
     return {
         "x_hat": [float(v) for v in r.x_hat],
@@ -213,6 +216,7 @@ def solver_result_from_dict(data: dict) -> SolverResult:
             "signs": tuple(float(s) for s in cert["signs"]),
             "zero_set": None if cert["zero_set"] is None else tuple(int(i) for i in cert["zero_set"]),
             "minimum_norm_fallback": bool(cert["minimum_norm_fallback"]),
+            **{k: cert[k] for k in _ORACLE_DIAGNOSTICS if k in cert},
         }
     return SolverResult(
         x_hat=np.asarray(data["x_hat"], dtype=float),

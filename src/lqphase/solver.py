@@ -9,12 +9,41 @@ zero patterns are enumerated, with a minimum-norm fallback guarding
 rank-degenerate cells.  A practical iteratively reweighted least-squares
 scheme with an alternating sign step handles sizes beyond the oracle guard;
 it carries no optimality certificate.
+
+The oracle enumerates in two passes.  A batched pass selects candidates: the
+system M_Z = [A; D_Z^T] does not depend on the sign pattern, so each chunk
+of zero patterns is solved against every sign in one stacked
+np.linalg.solve, feasibility and finiteness are screened on the (zero
+pattern, sign) arrays, and the minimum-norm points come from one
+pseudo-inverse product; overdetermined systems screen every sign and solve
+the survivors in one least-squares call.  An exact pass decides: every
+candidate that can reach the minimum is re-solved with scalar calls
+(np.linalg.solve of the stacked system, lstsq for the minimum-norm point,
+lq_quasinorm), in (sign, zero set) order with the 1e-15 and 1e-12 tie rules.
+So the certified point, objective, signs and zero set never depend on the
+batched arithmetic.
+
+Re-check window.  Batched and scalar solutions x of one system are assumed
+to differ by at most delta = RECHECK_RHO * ||x||.  Frame columns have norm at
+most 1, so each y_i = |d_i^T x| moves by at most delta; t -> t^q is
+subadditive and concave, so its term moves by at most
+min(delta^q, q (y_i - delta)^(q-1) delta).  The sum E of these bounds puts
+the scalar objective within [V - E, V + E] of the batched one V, and a
+candidate is re-checked when V - E <= min(V + E) + TIE_SLACK.  At an
+analysis zero the bound is delta^q: about 1e-9 ||x|| at q = 1, 3e-5 ||x||^q
+at q = 0.5 and 0.13 ||x||^q at q = 0.1.  That is the rounding residue the
+scalar objective itself carries at its zeros, which is why the window widens
+as q falls.  Inside the exact pass a sign or zero set whose lower bound
+V - E cannot beat the running best by the tie tolerance is skipped.  If a
+system is conditioned beyond RECHECK_RHO's assumption and its candidate is
+left out, the certified objective exceeds the excluded one by less than
+that candidate's own batched-versus-scalar discrepancy plus 1e-12.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -26,12 +55,29 @@ from .errors import (
     ResourceBudgetError,
 )
 from .frames import TightFrame
-from .linalg import numerical_rank
+from .linalg import STACK_ELEMS, combination_blocks, numerical_rank
 from .measurement import PhaselessProblem
 from .signals import _check_q, lq_quasinorm
 
 ORACLE_MAX_M = 10
 FEAS_RTOL = 1e-8
+# Relative accuracy assumed of every solved system, batched or scalar:
+# ||x_batched - x_scalar|| <= RECHECK_RHO * ||x||.  LU and least squares are
+# backward stable, so this holds while cond(M_Z) * n * eps stays below it,
+# i.e. for condition numbers up to about 1e5.
+RECHECK_RHO = 2.0**-30
+# Absolute slack of the re-check window; covers the 1e-12 minimum-norm tie
+# rule and the 1e-15 zero-pattern and sign tie rules with room to spare.
+TIE_SLACK = 1e-11
+# A batched residual counts as surely feasible below FEAS_RTOL / FEAS_BAND
+# and as possibly feasible below FEAS_RTOL * FEAS_BAND; the scalar re-check
+# applies the exact FEAS_RTOL test.
+FEAS_BAND = 2.0**10
+# Enumeration counters of the oracle certificate: sign patterns enumerated and
+# screened out by the projection residual (m > n); zero patterns solved and
+# found singular (each M_Z serves every sign); candidates re-solved exactly.
+ORACLE_COUNTERS = ("sign_patterns", "screened_out", "zero_patterns",
+                   "singular_systems", "rechecked")
 
 
 @dataclass(frozen=True)
@@ -59,6 +105,143 @@ class IrlsOptions:
             raise ParameterError("irls options must be positive")
         if not (0.0 < self.decay < 1.0):
             raise ParameterError("decay must lie in (0, 1)")
+
+
+def _objectives(D: np.ndarray, X: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Objectives V = sum_i |d_i^T x|^q of the columns x of X (..., n, K), and the
+    bound E on |V - scalar objective| derived in the module docstring."""
+    Y = np.abs(D.T @ X)
+    delta = RECHECK_RHO * np.linalg.norm(X, axis=-2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope = q * np.maximum(Y - delta, 0.0) ** (q - 1.0) * delta
+        return np.sum(Y**q, axis=-2), np.sum(np.fmin(delta**q, slope), axis=-2)
+
+
+def _exact_affine(
+    A: np.ndarray,
+    c: np.ndarray,
+    D: np.ndarray,
+    q: float,
+    zero_sets: np.ndarray,
+    lower: np.ndarray,
+    counts: dict,
+) -> tuple[np.ndarray, float, tuple[int, ...] | None]:
+    """The scalar zero-pattern enumeration for one right-hand side, over the given
+    zero sets in order, with its 1e-15 and 1e-12 tie rules.  A zero set whose lower
+    bound cannot beat the running best by the tie tolerance is skipped: it could
+    not have replaced the best."""
+    free = zero_sets.shape[1]
+    best_x = None
+    best_obj = np.inf
+    best_Z: tuple[int, ...] | None = None
+    rhs = np.concatenate([c, np.zeros(free)])
+    c_scale = max(1.0, float(np.linalg.norm(c)))
+    for Z, lb in zip(zero_sets.tolist(), lower.tolist()):
+        if lb >= best_obj - 1e-15:
+            continue
+        counts["rechecked"] += 1
+        M = np.vstack([A, D[:, Z].T])
+        try:
+            x = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(x)):
+            continue
+        if np.linalg.norm(A @ x - c) > FEAS_RTOL * c_scale:
+            continue
+        obj = lq_quasinorm(D.T @ x, q)
+        if obj < best_obj - 1e-15:
+            best_x, best_obj, best_Z = x, obj, tuple(Z)
+    # minimum-norm fallback guards rank-degenerate cells; zero-pattern
+    # candidates win ties so the certificate stays informative
+    counts["rechecked"] += 1
+    x_mn, *_ = np.linalg.lstsq(A, c, rcond=None)
+    mn_obj = lq_quasinorm(D.T @ x_mn, q)
+    if best_x is None or mn_obj < best_obj - 1e-12:
+        best_x, best_obj, best_Z = x_mn, mn_obj, None
+    return best_x, best_obj, best_Z
+
+
+def _zero_pattern_search(A: np.ndarray, A_pinv: np.ndarray, C: np.ndarray, D: np.ndarray,
+                         q: float, counts: dict) -> tuple:
+    """Certified minimum over the affine sets {Ax = C[:, j]} of a full-row-rank
+    A with pseudo-inverse A_pinv.
+
+    Returns (j, x, objective, zero_set, margin) of the winning column: columns
+    are taken in order and a later one wins only by more than 1e-15.  margin is
+    the gap to the second-best column (exact where that column was re-checked,
+    batched otherwise), None for a single column.
+    """
+    m, n = A.shape
+    N = D.shape[1]
+    K = C.shape[1]
+    free = n - m
+    # minimum-norm points are always admissible, so they give the first bound
+    v_mn, e_mn = _objectives(D, A_pinv @ C, q)
+    col_best = v_mn.copy()
+    ref = float(np.min(v_mn + e_mn)) + TIE_SLACK  # no exact winner lies above this
+    kept_cols: list[np.ndarray] = []
+    kept_zsets: list[np.ndarray] = []
+    kept_lower: list[np.ndarray] = []
+    if free:
+        c_scale = max(1.0, float(np.linalg.norm(C[:, 0])))
+        rhs = np.concatenate([C, np.zeros((free, K))])
+        eye = np.eye(n)
+        for Zs in combination_blocks(N, free, max(1, STACK_ELEMS // (N * K))):
+            counts["zero_patterns"] += len(Zs)
+            M = np.empty((len(Zs), n, n))
+            M[:, :m] = A
+            M[:, m:] = D.T[Zs]
+            try:
+                X = np.linalg.solve(M, rhs)
+                singular = np.zeros(len(Zs), dtype=bool)
+            except np.linalg.LinAlgError:
+                # the scalar solve fails on exactly these slices: slogdet runs
+                # the same LU factorization and reports its zero pivot as sign 0
+                singular = np.linalg.slogdet(M)[0] == 0.0
+                M[singular] = eye
+                X = np.linalg.solve(M, rhs)
+            counts["singular_systems"] += int(singular.sum())
+            resid = np.linalg.norm(A @ X - C, axis=1)
+            V, E = _objectives(D, X, q)
+            ok = np.isfinite(V) & np.isfinite(E) & ~singular[:, None]
+            sure = ok & (resid <= FEAS_RTOL * c_scale / FEAS_BAND)
+            maybe = ok & (resid <= FEAS_RTOL * c_scale * FEAS_BAND)
+            if sure.any():
+                ref = min(ref, float(np.min((V + E)[sure])) + TIE_SLACK)
+                np.minimum(col_best, np.where(sure, V, np.inf).min(axis=0), out=col_best)
+            zi, cols = np.nonzero(maybe & (V - E <= ref))
+            kept_cols.append(cols)
+            kept_zsets.append(Zs[zi])
+            kept_lower.append((V - E)[zi, cols])
+    cols = np.concatenate(kept_cols) if kept_cols else np.zeros(0, dtype=np.intp)
+    zsets = np.concatenate(kept_zsets) if kept_zsets else np.zeros((0, free), dtype=np.intp)
+    lower = np.concatenate(kept_lower) if kept_lower else np.zeros(0)
+    inside = lower <= ref
+    cols, zsets, lower = cols[inside], zsets[inside], lower[inside]
+    col_lower = v_mn - e_mn
+    np.minimum.at(col_lower, cols, lower)
+    candidates = np.flatnonzero(col_lower <= ref)
+
+    # exact re-check, in (column, zero set) order
+    best: tuple[int, np.ndarray, float, tuple[int, ...] | None] | None = None
+    exact = col_best.copy()
+    for j in candidates.tolist():
+        if best is not None and col_lower[j] >= best[2] - 1e-15:
+            continue
+        rows = np.flatnonzero(cols == j)  # zero sets of a column stay in order
+        c = np.ascontiguousarray(C[:, j])
+        x, obj, Z = _exact_affine(A, c, D, q, zsets[rows], lower[rows], counts)
+        exact[j] = obj
+        if best is None or obj < best[2] - 1e-15:
+            best = (j, x, obj, Z)
+    # the column whose minimum-norm point set ref is a candidate, and a
+    # minimum-norm point is always admissible
+    assert best is not None
+    j, x, obj, Z = best
+    exact[j] = np.inf
+    margin = float(exact.min() - obj) if K > 1 else None
+    return j, x, obj, Z, margin
 
 
 def solve_affine_lq_oracle(
@@ -90,40 +273,77 @@ def solve_affine_lq_oracle(
         return x_ls, lq_quasinorm(F.D.T @ x_ls, q), None
     if rank < m:
         raise DegenerateProblemError("A must have full row rank")
-
-    free = n - m
-    x_mn, *_ = np.linalg.lstsq(A, c, rcond=None)
-    if free == 0:
+    if n == m:
+        x_mn, *_ = np.linalg.lstsq(A, c, rcond=None)
         return x_mn, lq_quasinorm(F.D.T @ x_mn, q), None
+    _check_budget(F.N, n - m, support_budget)
+    _, x, obj, Z, _ = _zero_pattern_search(A, np.linalg.pinv(A), c[:, None], F.D, q,
+                                           _new_counts())
+    return x, obj, Z
 
-    if comb(F.N, free) > support_budget:
+
+def _check_budget(N: int, free: int, support_budget: int) -> None:
+    if comb(N, free) > support_budget:
         raise ResourceBudgetError(
-            f"C({F.N},{free}) zero patterns exceed the budget {support_budget}"
+            f"C({N},{free}) zero patterns exceed the budget {support_budget}"
         )
-    best_x = None
-    best_obj = np.inf
-    best_Z: tuple[int, ...] | None = None
-    rhs = np.concatenate([c, np.zeros(free)])
-    c_scale = max(1.0, float(np.linalg.norm(c)))
-    for Z in combinations(range(F.N), free):
-        M = np.vstack([A, F.D[:, list(Z)].T])
+
+
+def _new_counts() -> dict:
+    return dict.fromkeys(ORACLE_COUNTERS, 0)
+
+
+@lru_cache(maxsize=16)
+def _sign_patterns(m: int) -> np.ndarray:
+    """Read-only (2^(m-1), m) sign patterns with first entry +1, in the order of
+    product((1, -1), repeat=m-1) on the remaining entries."""
+    bits = (np.arange(2 ** (m - 1))[:, None] >> np.arange(m - 2, -1, -1)) & 1
+    signs = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
+    signs.flags.writeable = False
+    return signs
+
+
+def _tall_search(A: np.ndarray, b: np.ndarray, signs: np.ndarray, F: TightFrame, q: float,
+                 support_budget: int, counts: dict) -> tuple | None:
+    """Sign enumeration for m > n: screen by projection residual, take every
+    surviving sign's least-squares point in one call, re-check the near-winners
+    with the scalar screen and solve_affine_lq_oracle.  Returns what
+    _zero_pattern_search returns, or None when no sign pattern is feasible."""
+    m, n = A.shape
+    Qa, _ = np.linalg.qr(A)
+    b_scale = max(np.linalg.norm(b), 1e-30)
+    C = (signs * b).T
+    resid = np.linalg.norm(C - Qa @ (Qa.T @ C), axis=0)
+    kept = np.flatnonzero(resid <= FEAS_RTOL * b_scale * FEAS_BAND)
+    counts["screened_out"] = len(signs) - len(kept)
+    if not len(kept) or numerical_rank(np.linalg.svd(A, compute_uv=False)) < n:
+        return None  # every sign fails the screen, the feasibility test or the rank test
+    X, *_ = np.linalg.lstsq(A, C[:, kept], rcond=None)
+    V, E = _objectives(F.D, X, q)
+    sure = resid[kept] <= FEAS_RTOL * b_scale / FEAS_BAND
+    ref = float(np.min((V + E)[sure])) + TIE_SLACK if sure.any() else np.inf
+    lower = V - E
+    best = None
+    values = dict(zip(kept[sure].tolist(), V[sure].tolist()))  # margin: exact where re-checked
+    for j, lb in zip(kept.tolist(), lower.tolist()):
+        if lb > ref or (best is not None and lb >= best[2] - 1e-15):
+            continue
+        values.pop(j, None)
+        cv = signs[j] * b
+        counts["rechecked"] += 1
+        if np.linalg.norm(cv - Qa @ (Qa.T @ cv)) > FEAS_RTOL * b_scale:
+            continue
         try:
-            x = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:
+            x, obj, Z = solve_affine_lq_oracle(A, cv, F, q, support_budget)
+        except (InfeasibleProblemError, DegenerateProblemError):
             continue
-        if not np.all(np.isfinite(x)):
-            continue
-        if np.linalg.norm(A @ x - c) > FEAS_RTOL * c_scale:
-            continue
-        obj = lq_quasinorm(F.D.T @ x, q)
-        if obj < best_obj - 1e-15:
-            best_x, best_obj, best_Z = x, obj, Z
-    # minimum-norm fallback guards rank-degenerate cells; zero-pattern
-    # candidates win ties so the certificate stays informative
-    mn_obj = lq_quasinorm(F.D.T @ x_mn, q)
-    if best_x is None or mn_obj < best_obj - 1e-12:
-        best_x, best_obj, best_Z = x_mn, mn_obj, None
-    return best_x, best_obj, best_Z
+        values[j] = obj
+        if best is None or obj < best[2] - 1e-15:
+            best = (j, x, obj, Z)
+    if best is None:
+        return None
+    others = [v for j, v in values.items() if j != best[0]]
+    return (*best, min(others) - best[2] if others else None)
 
 
 def solve_oracle_noiseless(
@@ -135,7 +355,9 @@ def solve_oracle_noiseless(
 
     Sign patterns fix the first component to +1 (global sign ambiguity);
     infeasible patterns of overdetermined systems are screened by projection
-    residual before the inner oracle runs.
+    residual before the inner oracle runs.  The certificate carries the
+    winning signs and zero set, the enumeration counters and the margin to
+    the second-best sign pattern.
     """
     if P.eps > 1e-12:
         raise ParameterError("the certified oracle only handles the noiseless model (eps = 0)")
@@ -143,35 +365,31 @@ def solve_oracle_noiseless(
     m, n = A.shape
     if m > max_m:
         raise ResourceBudgetError(f"m={m} exceeds the sign enumeration guard ({max_m})")
-
-    screen = None
+    _check_q(P.q)
+    signs = _sign_patterns(m)
+    counts = _new_counts()
+    counts["sign_patterns"] = len(signs)
     if m > n:
-        Qa, _ = np.linalg.qr(A)
-        b_scale = max(np.linalg.norm(b), 1e-30)
-
-        def screen(cv: np.ndarray) -> bool:
-            return np.linalg.norm(cv - Qa @ (Qa.T @ cv)) > FEAS_RTOL * b_scale
-
-    best: tuple[float, np.ndarray, tuple[float, ...], tuple[int, ...] | None] | None = None
-    for tail in product((1.0, -1.0), repeat=m - 1):
-        s = np.array((1.0,) + tail)
-        cv = s * b
-        if screen is not None and screen(cv):
-            continue
-        try:
-            x, obj, Z = solve_affine_lq_oracle(A, cv, F, P.q, support_budget)
-        except (InfeasibleProblemError, DegenerateProblemError):
-            continue
-        if best is None or obj < best[0] - 1e-15:
-            best = (obj, x, tuple(s), Z)
-    if best is None:
+        found = _tall_search(A, b, signs, F, P.q, support_budget, counts)
+    else:
+        u, sv, vh = np.linalg.svd(A, full_matrices=False)
+        if numerical_rank(sv) < m:
+            found = None  # solve_affine_lq_oracle rejects every sign as degenerate
+        else:
+            if n > m:
+                _check_budget(F.N, n - m, support_budget)
+            A_pinv = (vh.T / sv) @ u.T
+            found = _zero_pattern_search(A, A_pinv, (signs * b).T, F.D, P.q, counts)
+    if found is None:
         raise InfeasibleProblemError("no sign pattern admits a solution; measurements corrupted?")
-    obj, x, s, Z = best
+    j, x, obj, Z, margin = found
     feas = float(np.linalg.norm(np.abs(A @ x) - b))
     cert = {
-        "signs": s,
+        "signs": tuple(signs[j].tolist()),
         "zero_set": Z,
         "minimum_norm_fallback": bool(Z is None and n > m),
+        **counts,
+        "margin": margin,
     }
     return SolverResult(x_hat=x, objective=obj, feasibility=feas, method="oracle",
                         certificate=cert, iterations=0)
@@ -321,11 +539,3 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
         method="irls",
         iterations=best_iters,
     )
-
-
-def solve(P: PhaselessProblem, method: str = "oracle", **kwargs) -> SolverResult:
-    if method == "oracle":
-        return solve_oracle_noiseless(P, **kwargs)
-    if method == "irls":
-        return solve_irls(P, **kwargs)
-    raise ParameterError(f"unknown method {method!r}; choose 'oracle' or 'irls'")

@@ -1,0 +1,453 @@
+"""The batched oracle and isometry kernels against the per-pattern loops they replace.
+
+The reference loops below are the scalar implementations the kernels
+replaced, kept verbatim apart from what they return: the oracle loop its
+certified tuple, the DRIP loop its constant, witness support, side and every
+support's deviation.  The oracle must reproduce them bit for bit (point,
+objective, signs, zero set, fallback flag); the isometry constant must agree
+to 1e-12 relative, with the same witness support wherever the top two
+supports do not tie.
+"""
+
+from itertools import combinations, product
+from math import comb
+
+import numpy as np
+import pytest
+
+from lqphase import rip, serialize, solver
+from lqphase.errors import (
+    DegenerateProblemError,
+    InfeasibleProblemError,
+    ParameterError,
+    ResourceBudgetError,
+)
+from lqphase.frames import build_named_frame, build_parseval_random
+from lqphase.linalg import RANK_RTOL, numerical_rank
+from lqphase.measurement import PhaselessProblem, build_problem
+from lqphase.rip import drip_constant, drip_constant_sampled, sdrip_constants
+from lqphase.signals import _check_q, lq_quasinorm, sample_dictionary_sparse
+from lqphase.solver import FEAS_RTOL, solve_affine_lq_oracle, solve_oracle_noiseless
+
+# ---------------------------------------------------------------- reference loops
+
+
+def loop_affine_lq_oracle(A, c, F, q, support_budget=10**6):
+    _check_q(q)
+    A = np.asarray(A, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = A.shape
+    if c.shape != (m,):
+        raise ParameterError(f"c must have length {m}, got {c.shape}")
+    rank = numerical_rank(np.linalg.svd(A, compute_uv=False))
+
+    if m > n:
+        x_ls, *_ = np.linalg.lstsq(A, c, rcond=None)
+        if np.linalg.norm(A @ x_ls - c) > FEAS_RTOL * max(1.0, np.linalg.norm(c)):
+            raise InfeasibleProblemError("c is not in the range of the tall matrix A")
+        if rank < n:
+            raise DegenerateProblemError("tall system is rank-deficient")
+        return x_ls, lq_quasinorm(F.D.T @ x_ls, q), None
+    if rank < m:
+        raise DegenerateProblemError("A must have full row rank")
+
+    free = n - m
+    x_mn, *_ = np.linalg.lstsq(A, c, rcond=None)
+    if free == 0:
+        return x_mn, lq_quasinorm(F.D.T @ x_mn, q), None
+
+    if comb(F.N, free) > support_budget:
+        raise ResourceBudgetError(
+            f"C({F.N},{free}) zero patterns exceed the budget {support_budget}"
+        )
+    best_x = None
+    best_obj = np.inf
+    best_Z = None
+    rhs = np.concatenate([c, np.zeros(free)])
+    c_scale = max(1.0, float(np.linalg.norm(c)))
+    for Z in combinations(range(F.N), free):
+        M = np.vstack([A, F.D[:, list(Z)].T])
+        try:
+            x = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(x)):
+            continue
+        if np.linalg.norm(A @ x - c) > FEAS_RTOL * c_scale:
+            continue
+        obj = lq_quasinorm(F.D.T @ x, q)
+        if obj < best_obj - 1e-15:
+            best_x, best_obj, best_Z = x, obj, Z
+    # minimum-norm fallback guards rank-degenerate cells; zero-pattern
+    # candidates win ties so the certificate stays informative
+    mn_obj = lq_quasinorm(F.D.T @ x_mn, q)
+    if best_x is None or mn_obj < best_obj - 1e-12:
+        best_x, best_obj, best_Z = x_mn, mn_obj, None
+    return best_x, best_obj, best_Z
+
+
+def loop_oracle_noiseless(P, max_m=10, support_budget=10**6):
+    """Returns (x, objective, signs, zero_set, minimum_norm_fallback)."""
+    A, b, F = P.A, P.b, P.frame
+    m, n = A.shape
+    if m > max_m:
+        raise ResourceBudgetError(f"m={m} exceeds the sign enumeration guard ({max_m})")
+
+    screen = None
+    if m > n:
+        Qa, _ = np.linalg.qr(A)
+        b_scale = max(np.linalg.norm(b), 1e-30)
+
+        def screen(cv):
+            return np.linalg.norm(cv - Qa @ (Qa.T @ cv)) > FEAS_RTOL * b_scale
+
+    best = None
+    for tail in product((1.0, -1.0), repeat=m - 1):
+        s = np.array((1.0,) + tail)
+        cv = s * b
+        if screen is not None and screen(cv):
+            continue
+        try:
+            x, obj, Z = loop_affine_lq_oracle(A, cv, F, P.q, support_budget)
+        except (InfeasibleProblemError, DegenerateProblemError):
+            continue
+        if best is None or obj < best[0] - 1e-15:
+            best = (obj, x, tuple(s), Z)
+    if best is None:
+        raise InfeasibleProblemError("no sign pattern admits a solution; measurements corrupted?")
+    obj, x, s, Z = best
+    return x, obj, s, Z, bool(Z is None and n > m)
+
+
+def loop_sym_eig_bounds(M):
+    d = M.shape[0]
+    if d == 1:
+        v = float(M[0, 0])
+        return v, v
+    if d == 2:
+        tr = float(M[0, 0] + M[1, 1])
+        # discriminant (a-c)^2 + 4b^2 is nonnegative by construction
+        disc = float((M[0, 0] - M[1, 1]) ** 2 + 4.0 * M[0, 1] ** 2)
+        root = np.sqrt(disc)
+        return 0.5 * (tr - root), 0.5 * (tr + root)
+    w = np.linalg.eigvalsh(M)
+    return float(w[0]), float(w[-1])
+
+
+def loop_support_basis(D, S):
+    Ds = D[:, list(S)]
+    u, s, _ = np.linalg.svd(Ds, full_matrices=False)
+    r = numerical_rank(s, RANK_RTOL)
+    if r == 0:
+        return None
+    return u[:, :r]
+
+
+def loop_drip_constant(A, F, order):
+    """Returns (delta, support, side, every support's deviation)."""
+    G = A.T @ A
+    best = None
+    devs = []
+    for S in combinations(range(F.N), order):
+        Q = loop_support_basis(F.D, S)
+        if Q is None:
+            continue
+        lo, hi = loop_sym_eig_bounds(Q.T @ G @ Q)
+        dev = max(hi - 1.0, 1.0 - lo)
+        devs.append(dev)
+        if best is None or dev > best[0]:
+            side = "upper" if hi - 1.0 >= 1.0 - lo else "lower"
+            best = (dev, S, side)
+    return (*best, devs)
+
+
+# ---------------------------------------------------------------- corpus
+
+
+def _frame(n, N, seed):
+    if N == 2 * n and seed % 2 == 0:
+        return build_named_frame("duplicated_identity", n)
+    return build_parseval_random(n, N, seed)
+
+
+def oracle_corpus(q):
+    """Phaseless problems with m < n, m = n and m > n on random and duplicated frames."""
+    out = []
+    for seed in range(4):
+        for n, N in ((4, 6), (4, 8), (6, 9)):
+            F = _frame(n, N, seed)
+            truth = sample_dictionary_sparse(F, 1 + seed % 2, seed + 11)
+            for m in range(1, n + 3):
+                A = np.random.default_rng(1000 * seed + 10 * n + m).standard_normal((m, n))
+                out.append(build_problem(A, F, truth, q=q))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InfeasibleProblemError as exc:
+        return type(exc)
+
+
+def _batched(P):
+    res = _outcome(solve_oracle_noiseless, P)
+    if isinstance(res, type):
+        return res
+    cert = res.certificate
+    return res.x_hat, res.objective, cert["signs"], cert["zero_set"], cert["minimum_norm_fallback"]
+
+
+def assert_bit_identical(got, ref):
+    if isinstance(ref, type) or isinstance(got, type):
+        assert got is ref
+        return
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert got[1:] == ref[1:]
+    assert type(got[1]) is type(ref[1])
+
+
+# ---------------------------------------------------------------- oracle
+
+
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 1.0])
+def test_oracle_matches_reference_loop_bit_for_bit(q):
+    corpus = oracle_corpus(q)
+    for P in corpus:
+        assert_bit_identical(_batched(P), _outcome(loop_oracle_noiseless, P))
+    # the corpus reaches all three regimes and singular zero-pattern systems
+    shapes = {np.sign(P.A.shape[0] - P.A.shape[1]) for P in corpus}
+    assert shapes == {-1, 0, 1}
+    singular = [solve_oracle_noiseless(P).certificate["singular_systems"] for P in corpus
+                if P.frame.label.startswith("duplicated") and P.A.shape[0] < P.A.shape[1]]
+    assert max(singular) > 0
+
+
+@pytest.mark.parametrize("q", [0.3, 1.0])
+def test_affine_oracle_matches_reference_loop(q):
+    rng = np.random.default_rng(3)
+    for n, N in ((3, 5), (4, 8), (5, 8)):
+        for trial in range(6):
+            F = _frame(n, N, trial)
+            for m in range(1, n + 2):
+                A = rng.standard_normal((m, n))
+                c = A @ rng.standard_normal(n) if m > n else rng.standard_normal(m)
+                got = _outcome(solve_affine_lq_oracle, A, c, F, q)
+                ref = _outcome(loop_affine_lq_oracle, A, c, F, q)
+                assert got[0].tobytes() == ref[0].tobytes() and got[1:] == ref[1:]
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0])
+def test_oracle_rank_deficient_A_matches_loop(q):
+    F = build_parseval_random(4, 7, seed=2)
+    truth = sample_dictionary_sparse(F, 1, seed=3)
+    rng = np.random.default_rng(4)
+    for m in (2, 3, 4, 6):
+        A = rng.standard_normal((m, 4))
+        A[-1] = A[0]  # duplicated row: rank < m
+        if m > 4:
+            A[:, -1] = A[:, 0]  # duplicated column: rank < n for the tall matrices
+        P = build_problem(A, F, truth, q=q)
+        assert_bit_identical(_batched(P), _outcome(loop_oracle_noiseless, P))
+        assert _batched(P) is InfeasibleProblemError
+
+
+@pytest.mark.parametrize("m", [2, 4, 5, 7])
+def test_oracle_zero_measurements_match_loop(m):
+    F = build_named_frame("duplicated_identity", 4)
+    A = np.random.default_rng(m).standard_normal((m, 4))
+    P = PhaselessProblem(A=A, frame=F, b=np.zeros(m), eps=0.0, q=0.5)
+    assert_bit_identical(_batched(P), _outcome(loop_oracle_noiseless, P))
+    assert solve_oracle_noiseless(P).objective == 0.0
+
+
+@pytest.mark.parametrize("q", [0.3, 1.0])
+def test_oracle_chunked_equals_unchunked(q, monkeypatch):
+    corpus = [P for P in oracle_corpus(q) if P.A.shape[0] < P.A.shape[1]]
+    whole = [solve_oracle_noiseless(P) for P in corpus]
+    for P, ref in zip(corpus, whole):
+        N, K = P.frame.N, 2 ** (P.A.shape[0] - 1)
+        monkeypatch.setattr(solver, "STACK_ELEMS", 3 * N * K)  # three zero patterns a chunk
+        assert comb(N, P.A.shape[1] - P.A.shape[0]) > 3
+        got = solve_oracle_noiseless(P)
+        assert got.x_hat.tobytes() == ref.x_hat.tobytes()
+        assert got.objective == ref.objective
+        assert got.certificate == ref.certificate
+
+
+def test_oracle_counters_add_up_overdetermined():
+    # m = 3 > n = 2: four sign patterns, of which the projection screen keeps
+    # exactly the consistent ones
+    F = build_named_frame("identity", 2)
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    b = np.abs(A @ np.array([1.0, -2.0]))
+    P = PhaselessProblem(A=A, frame=F, b=b, eps=0.0, q=1.0)
+    cert = solve_oracle_noiseless(P).certificate
+    Qa, _ = np.linalg.qr(A)
+    kept = sum(
+        np.linalg.norm(s * b - Qa @ (Qa.T @ (s * b))) <= FEAS_RTOL * np.linalg.norm(b)
+        for s in (np.array((1.0,) + t) for t in product((1.0, -1.0), repeat=2))
+    )
+    assert kept == 1
+    assert cert["sign_patterns"] == 4
+    assert cert["screened_out"] + kept == cert["sign_patterns"]
+    assert cert["zero_patterns"] == 0 and cert["singular_systems"] == 0
+    assert cert["rechecked"] == kept
+    assert cert["margin"] is None  # a single feasible sign pattern
+
+
+def test_oracle_counters_add_up_underdetermined():
+    # duplicated identity, n = 3, N = 6, m = 1: M_Z stacks a and two frame
+    # columns, and is singular when the columns are parallel (i and i + 3) or
+    # span a = e_0 + 2 e_1; elimination then ends on an exact zero pivot
+    F = build_named_frame("duplicated_identity", 3)
+    A = np.array([[1.0, 2.0, 0.0]])
+    b = np.array([3.0])
+    P = PhaselessProblem(A=A, frame=F, b=b, eps=0.0, q=1.0)
+    cert = solve_oracle_noiseless(P).certificate
+    Zs = list(combinations(range(6), 2))
+    singular = sum(np.linalg.matrix_rank(np.vstack([A, F.D[:, list(Z)].T])) < 3 for Z in Zs)
+    assert cert["sign_patterns"] == 1 and cert["screened_out"] == 0
+    assert cert["zero_patterns"] == len(Zs) == 15
+    assert cert["singular_systems"] == singular > 0
+    # at least the winning zero set and the minimum-norm fallback
+    assert 2 <= cert["rechecked"] <= len(Zs) - singular + 1
+
+
+def test_oracle_margin_is_the_second_best_sign_objective():
+    for seed in range(6):
+        F = build_parseval_random(5, 8, seed)
+        truth = sample_dictionary_sparse(F, 2, seed + 1)
+        for m in (3, 5, 7):
+            A = np.random.default_rng(seed + m).standard_normal((m, 5))
+            P = build_problem(A, F, truth, q=0.5)
+            res = solve_oracle_noiseless(P)
+            per_sign = []
+            for tail in product((1.0, -1.0), repeat=m - 1):
+                cv = np.array((1.0,) + tail) * P.b
+                try:
+                    per_sign.append(loop_affine_lq_oracle(A, cv, F, 0.5)[1])
+                except (InfeasibleProblemError, DegenerateProblemError):
+                    pass
+            per_sign.sort()
+            assert res.objective == per_sign[0]
+            if len(per_sign) == 1:
+                assert res.certificate["margin"] is None
+            else:
+                assert res.certificate["margin"] == pytest.approx(per_sign[1] - per_sign[0],
+                                                                  rel=1e-6, abs=1e-9)
+
+
+def test_oracle_certificate_survives_json():
+    F = build_parseval_random(4, 6, seed=1)
+    truth = sample_dictionary_sparse(F, 1, seed=2)
+    A = np.random.default_rng(3).standard_normal((3, 4))
+    res = solve_oracle_noiseless(build_problem(A, F, truth, q=1.0))
+    back = serialize.solver_result_from_dict(serialize.solver_result_to_dict(res))
+    assert back.certificate == res.certificate
+    assert set(solver.ORACLE_COUNTERS) | {"margin"} <= set(back.certificate)
+
+
+def test_oracle_budget_raises_before_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(solver, "combination_blocks", refuse)
+    F = build_parseval_random(6, 12, seed=0)
+    A = np.random.default_rng(0).standard_normal((2, 6))
+    P = PhaselessProblem(A=A, frame=F, b=np.abs(A @ np.ones(6)), eps=0.0, q=1.0)
+    with pytest.raises(ResourceBudgetError):
+        solve_oracle_noiseless(P, support_budget=comb(12, 4) - 1)
+    with pytest.raises(ResourceBudgetError):
+        solve_affine_lq_oracle(A, P.b, F, 1.0, support_budget=comb(12, 4) - 1)
+
+
+def test_oracle_l1_equals_linear_programs_over_sign_patterns():
+    # q = 1: for each sign pattern, min ||D^T x||_1 s.t. Ax = s*b is a linear
+    # program in (x, t) with -t <= D^T x <= t
+    optimize = pytest.importorskip("scipy.optimize")
+    for seed in range(8):
+        n, N = (4, 7) if seed % 2 else (5, 9)
+        F = build_parseval_random(n, N, seed)
+        truth = sample_dictionary_sparse(F, 1 + seed % 2, seed + 5)
+        m = 2 + seed % 3
+        A = np.random.default_rng(seed + 40).standard_normal((m, n))
+        P = build_problem(A, F, truth, q=1.0)
+        Dt = F.D.T
+        cost = np.concatenate([np.zeros(n), np.ones(N)])
+        A_ub = np.block([[Dt, -np.eye(N)], [-Dt, -np.eye(N)]])
+        A_eq = np.hstack([A, np.zeros((m, N))])
+        bounds = [(None, None)] * n + [(0, None)] * N
+        best = np.inf
+        for tail in product((1.0, -1.0), repeat=m - 1):
+            lp = optimize.linprog(cost, A_ub=A_ub, b_ub=np.zeros(2 * N), A_eq=A_eq,
+                                  b_eq=np.array((1.0,) + tail) * P.b, bounds=bounds,
+                                  method="highs")
+            assert lp.status == 0
+            best = min(best, lp.fun)
+        assert solve_oracle_noiseless(P).objective == pytest.approx(best, rel=1e-9, abs=1e-12)
+
+
+# ---------------------------------------------------------------- isometry constants
+
+
+def drip_corpus():
+    for seed in range(6):
+        for n, N in ((3, 6), (4, 8), (6, 9), (4, 14)):
+            F = _frame(n, N, seed)
+            for m in (3, 7):
+                A = np.random.default_rng(100 * seed + m).standard_normal((m, n)) / np.sqrt(m)
+                for order in range(1, min(4, N) + 1):
+                    yield A, F, order
+
+
+def test_drip_matches_reference_loop():
+    ties = 0
+    for A, F, order in drip_corpus():
+        ref, S, side, devs = loop_drip_constant(A, F, order)
+        delta, witness = drip_constant(A, F, order)
+        assert delta == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        top = sorted(devs)[-2:]
+        if len(top) == 2 and top[1] - top[0] <= 1e-12 * abs(top[1]):
+            ties += 1
+            continue
+        assert witness.support == tuple(S) and witness.side == side
+    assert ties > 0  # the duplicated frames tie; those cases must still agree on delta
+
+
+def test_drip_chunked_equals_unchunked(monkeypatch):
+    cases = [(A, F, order) for A, F, order in drip_corpus() if comb(F.N, order) > 5]
+    whole = [drip_constant(A, F, order) for A, F, order in cases]
+    monkeypatch.setattr(rip, "STACK_ELEMS", 5 * 6 * 4)  # at most 5 supports per chunk
+    for (A, F, order), (delta, witness) in zip(cases, whole):
+        got, w = drip_constant(A, F, order)
+        assert got == pytest.approx(delta, rel=1e-14, abs=1e-15)
+        assert w.support == witness.support and w.side == witness.side
+
+
+def test_sampled_refine_matches_reference_loop_on_visited_supports():
+    for A, F, order in list(drip_corpus())[:40]:
+        delta, witness = drip_constant_sampled(A, F, order, budget=30, seed=order, refine=True)
+        rng = np.random.default_rng(order)
+        draws = np.argsort(rng.random((30, F.N)), axis=1)[:, :order]
+        draws.sort(axis=1)
+        G = A.T @ A
+        devs = []
+        for row in np.unique(draws, axis=0):
+            Q = loop_support_basis(F.D, tuple(row))
+            if Q is not None:
+                lo, hi = loop_sym_eig_bounds(Q.T @ G @ Q)
+                devs.append(max(hi - 1.0, 1.0 - lo))
+        assert delta == pytest.approx(max(devs), rel=1e-12, abs=1e-15)
+        assert tuple(witness.support) in {tuple(r) for r in draws}
+
+
+def test_sdrip_chunked_equals_unchunked(monkeypatch):
+    F = build_parseval_random(4, 8, seed=3)
+    A = np.random.default_rng(5).standard_normal((6, 4)) / np.sqrt(6)
+    whole = sdrip_constants(A, F, 2)
+    monkeypatch.setattr(rip, "STACK_ELEMS", 1)  # one support per chunk
+    got = sdrip_constants(A, F, 2)
+    assert got.theta_minus == pytest.approx(whole.theta_minus, rel=1e-14)
+    assert got.theta_plus == pytest.approx(whole.theta_plus, rel=1e-14)
+    assert got.delta == pytest.approx(whole.delta, rel=1e-14)
