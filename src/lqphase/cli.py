@@ -26,6 +26,7 @@ from .harness import (
 from .nsp import nsp_real_falsify
 from .records import ExperimentConfig, emit_results
 from .rip import (
+    RipReport,
     drip_constant,
     drip_constant_sampled,
     sdrip_constants,
@@ -71,7 +72,6 @@ def _cmd_rip_estimate(args) -> int:
         else:
             delta, witness = drip_constant_sampled(P.A, P.frame, args.order,
                                                    budget=args.budget, seed=args.seed)
-            from .rip import RipReport
             report = RipReport(order=args.order, delta=delta, exhaustive=False,
                                details={"budget": args.budget, "seed": args.seed,
                                         "witness_support": list(witness.support)})
@@ -79,7 +79,6 @@ def _cmd_rip_estimate(args) -> int:
         report = sdrip_constants(P.A, P.frame, args.order, half_rule=args.half_rule)
     else:
         delta, witness = drip_constant(P.A, P.frame, args.order)
-        from .rip import RipReport
         report = RipReport(order=args.order, delta=delta, exhaustive=True,
                            details={"witness_support": list(witness.support)})
     _emit(serialize.rip_report_to_dict(report), args.out)

@@ -34,11 +34,6 @@ class TightFrame:
     D_perp: np.ndarray
     label: str = field(default="frame")
 
-    @property
-    def analysis(self) -> np.ndarray:
-        """The analysis operator D^T (N x n)."""
-        return self.D.T
-
 
 @dataclass(frozen=True)
 class FrameValidation:

@@ -93,19 +93,10 @@ def sample_measurement_matrix(ensemble: str, m: int, n: int, jitter: float, seed
 def _build_frame(cfg: ExperimentConfig, n: int, N: int, seed: int) -> TightFrame:
     if cfg.frame_kind == "random":
         return build_parseval_random(n, N, seed)
-    if cfg.frame_kind == "identity":
-        if N != n:
-            raise ConfigurationError("identity frame needs N == n")
-        return build_named_frame("identity", n)
-    if cfg.frame_kind == "duplicated_identity":
-        if N != 2 * n:
-            raise ConfigurationError("duplicated_identity frame needs N == 2n")
-        return build_named_frame("duplicated_identity", n)
-    if cfg.frame_kind == "mercedes":
-        if (n, N) != (2, 3):
-            raise ConfigurationError("mercedes frame is fixed at n=2, N=3")
-        return build_named_frame("mercedes")
-    raise ConfigurationError(f"unknown frame kind {cfg.frame_kind!r}")
+    frame = build_named_frame(cfg.frame_kind, n)  # checks n and the name
+    if frame.N != N:
+        raise ConfigurationError(f"{cfg.frame_kind} frame at n={n} has N={frame.N}, not {N}")
+    return frame
 
 
 def _bound_cells(cfg: ExperimentConfig) -> list[dict]:

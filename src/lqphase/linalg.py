@@ -2,8 +2,15 @@
 
 The enumeration kernels take the k-subsets of range(N) as index arrays from
 combination_blocks, in the lexicographic order of itertools.combinations.
-Rank decisions use a relative singular-value cutoff (default 1e-10 times
-the largest singular value), matching the frame-validation tolerance.
+Rank decisions use a relative singular-value cutoff (1e-10 times the largest
+singular value), matching the frame-validation tolerance.
+
+support_bases is the package's only kernel for an orthonormal basis of
+col(D_S): one batched SVD per stack of supports, slices grouped by numerical
+rank.  The isometry constants (rip: DRIP, S-DRIP, their sampled variants and
+the DRIP witness) and the null-space diagnostics (nsp: the real falsifier's
+projections and dictionary_sparse_distance) all take their bases from it;
+the callers cut the support axis into chunks of at most STACK_ELEMS elements.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ def numerical_rank(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
     return int(np.count_nonzero(s > rtol * smax))
 
 
-def null_space(M: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def null_space(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of {z : Mz = 0} for a dense p x n matrix.
 
     An empty matrix (p = 0) has the full space as its null space.
@@ -42,18 +49,26 @@ def null_space(M: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     if M.shape[0] == 0:
         return np.eye(n, dtype=float if not np.iscomplexobj(M) else complex)
     _, s, vh = np.linalg.svd(M)
-    r = numerical_rank(s, rtol)
+    r = numerical_rank(s)
     return vh[r:].conj().T
 
 
-def column_space(M: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of M."""
-    M = np.asarray(M)
-    if M.shape[1] == 0:
-        return np.zeros((M.shape[0], 0), dtype=M.dtype)
-    u, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = numerical_rank(s, rtol)
-    return u[:, :r]
+def support_bases(D: np.ndarray, supports: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Orthonormal bases of col(D_S) for a (C, k) stack of supports, by rank.
+
+    One batched SVD of the (C, n, k) column stack, real or complex; returns
+    (rows, Q) per numerical rank r >= 1, with Q the (len(rows), n, r) bases of
+    those rows.  Supports whose columns vanish (and empty supports) appear in
+    no group.
+    """
+    u, s, _ = np.linalg.svd(np.swapaxes(D[:, supports], 0, 1), full_matrices=False)
+    ranks = np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1)
+    groups = []
+    for r in np.flatnonzero(np.bincount(ranks)).tolist():  # np.unique would import numpy.ma
+        if r:
+            rows = np.flatnonzero(ranks == r)
+            groups.append((rows, u[rows, :, :r]))
+    return groups
 
 
 def batch_sym_eig_bounds(Ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,6 @@ from .errors import DimensionError, ParameterError
 from .frames import TightFrame
 from .signals import DictionarySparseSignal
 
-NoiseSpec = "str | tuple[str, float]"
-
 
 @dataclass(frozen=True)
 class PhaselessProblem:

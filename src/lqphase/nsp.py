@@ -8,6 +8,11 @@ The falsifier searches for witnesses of failure; because the condition
 quantifies over a continuum, absence of a counterexample is evidence, not
 proof, and results always carry the search budget and mode.
 
+Bases of col(D_S) come from linalg.support_bases, the kernel the isometry
+constants use: the falsifier computes every support's basis once per call,
+before it scans the row subsets, and dictionary_sparse_distance takes them a
+chunk of supports at a time, for real and complex D alike.
+
 Complex case: only witness evaluation is provided (block partitions of the
 rows with per-block unimodular constants); the combinatorics of a search are
 out of scope.
@@ -23,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidWitnessError, ParameterError, ResourceBudgetError
 from .frames import TightFrame
-from .linalg import column_space, null_space
+from .linalg import STACK_ELEMS, combination_blocks, null_space, support_bases
 from .signals import _check_q, lq_quasinorm
 
 STRICTNESS_TOL = 1e-12
@@ -67,16 +72,21 @@ class ComplexNspWitness:
 def dictionary_sparse_distance(x: np.ndarray, D: np.ndarray, k: int,
                                support_budget: int = 10**6) -> float:
     """Distance from x to the set of dictionary-k-sparse vectors, by
-    exhaustive support search."""
+    exhaustive support search; inf when k > N (there is no support).
+
+    An empty support, or one whose columns vanish, spans {0} and gives ||x||.
+    """
     x = np.asarray(x)
-    N = D.shape[1]
+    n, N = D.shape
     if comb(N, k) > support_budget:
         raise ResourceBudgetError(f"C({N},{k}) supports exceed the budget {support_budget}")
-    best = np.inf
-    for S in combinations(range(N), k):
-        Q = column_space(D[:, list(S)])
-        resid = x - Q @ (Q.conj().T @ x)
-        best = min(best, float(np.linalg.norm(resid)))
+    best = float(np.linalg.norm(x)) if k <= N else np.inf
+    if k == 0:
+        return best
+    for supports in combination_blocks(N, k, max(1, STACK_ELEMS // (n * k))):
+        for _, Q in support_bases(D, supports):
+            proj = np.einsum("cir,cr->ci", Q, np.einsum("cir,i->cr", Q.conj(), x))
+            best = min(best, float(np.min(np.linalg.norm(x - proj, axis=1))))
         if best == 0.0:
             break
     return best
@@ -187,7 +197,12 @@ def nsp_real_falsify(
     if budget < 1:
         raise ParameterError("budget must be >= 1")
     lambdas = _lambda_list(m, k, lambda_mode)
-    supports = list(combinations(range(F.N), k))
+    supports = np.array(list(combinations(range(F.N), k)), dtype=np.intp).reshape(comb(F.N, k), k)
+    # projections onto col(D_S)^perp; a support whose columns vanish keeps I
+    P_outs = [np.eye(n)] * len(supports)
+    for rows, Q in support_bases(F.D, supports):
+        for i, Qi in zip(rows.tolist(), Q):
+            P_outs[i] = np.eye(n) - Qi @ Qi.T
     null_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def nullsp(T: tuple[int, ...]) -> np.ndarray:
@@ -205,10 +220,8 @@ def nsp_real_falsify(
         if du == 0 or dv == 0:
             cell_index += len(supports)
             continue
-        for S in supports:
+        for P_out in P_outs:
             cell_index += 1
-            Q = column_space(F.D[:, list(S)])
-            P_out = np.eye(n) - Q @ Q.T
             # (a, b) must satisfy (I - P_S)(Ua + Vb) = 0
             K = np.hstack([P_out @ U, P_out @ V])
             W = null_space(K)

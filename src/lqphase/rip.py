@@ -11,12 +11,17 @@ at least half the measurements; because the defining inequalities are
 universal over the sparse vector, the min/max over I commute with that
 quantifier and exhaustive enumeration over (I, S) pairs is exact.
 
-Supports are enumerated in batches.  One kernel, _support_bases, takes a
-chunk of supports (lexicographic order, at most linalg.STACK_ELEMS elements
+The full-row subset I = [m] is one of those subsets, so sdrip_constants
+reads delta off its own enumeration: the extremes on I = [m] are the DRIP
+extremes, up to the order in which A^T A is summed.
+
+Supports are enumerated in batches.  The basis kernel, linalg.support_bases,
+takes a chunk of supports (lexicographic order, at most STACK_ELEMS elements
 per stack), runs one batched SVD of the (C, n, k) column stack and groups
 the slices by numerical rank; each group then needs one batched matrix
 product and one batched eigen-bounds call.  Exhaustive, sampled and
-half-subset constants all use it.  Unlike the oracle's objectives, the
+half-subset constants and the DRIP witness all use it, the single-support
+callers with a one-row stack.  Unlike the oracle's objectives, the
 isometry constants carry no tie rule: a batched eigenvalue agrees with the
 per-support one to rounding (on the test corpus, exactly), so the batched
 values are the constants, and the first maximal support in lexicographic order
@@ -33,7 +38,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, ResourceBudgetError
 from .frames import TightFrame
-from .linalg import RANK_RTOL, STACK_ELEMS, batch_sym_eig_bounds, combination_blocks
+from .linalg import STACK_ELEMS, batch_sym_eig_bounds, combination_blocks, support_bases
 
 SUPPORT_BUDGET = 10**6
 SDRIP_MAX_M = 14
@@ -72,29 +77,6 @@ def drip_order_for_t(t: float, k: int) -> int:
     return int(ceil(tk))
 
 
-def _support_bases(D: np.ndarray, supports: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Orthonormal bases of col(D_S) for a (C, k) stack of supports, by rank.
-
-    One batched SVD of the (C, n, k) column stack; returns (rows, Q) per
-    numerical rank r >= 1, with Q the (len(rows), n, r) bases of those rows.
-    Supports whose columns vanish appear in no group.
-    """
-    u, s, _ = np.linalg.svd(np.swapaxes(D[:, supports], 0, 1), full_matrices=False)
-    ranks = np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1)
-    groups = []
-    for r in np.flatnonzero(np.bincount(ranks)).tolist():  # np.unique would import numpy.ma
-        if r:
-            rows = np.flatnonzero(ranks == r)
-            groups.append((rows, u[rows, :, :r]))
-    return groups
-
-
-def _support_basis(D: np.ndarray, S: tuple[int, ...]) -> np.ndarray | None:
-    """Orthonormal basis of col(D_S), or None when the columns vanish."""
-    groups = _support_bases(D, np.array([S], dtype=np.intp))
-    return groups[0][1][0] if groups else None
-
-
 def _support_extremes(D: np.ndarray, G: np.ndarray,
                       supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extreme quotients y^T G y / y^T y over col(D_S) for each support row;
@@ -103,7 +85,7 @@ def _support_extremes(D: np.ndarray, G: np.ndarray,
     hi = np.full(len(supports), np.nan)
     step = max(1, STACK_ELEMS // (D.shape[0] * supports.shape[1]))
     for start in range(0, len(supports), step):
-        for rows, Q in _support_bases(D, supports[start:start + step]):
+        for rows, Q in support_bases(D, supports[start:start + step]):
             M = np.swapaxes(Q, 1, 2) @ G @ Q
             lo[start + rows], hi[start + rows] = batch_sym_eig_bounds(M)
     return lo, hi
@@ -162,7 +144,7 @@ def drip_constant(
 
 
 def _witness_for_support(A: np.ndarray, F: TightFrame, S: tuple[int, ...], side: str) -> DripWitness:
-    Q = _support_basis(F.D, S)
+    Q = support_bases(F.D, np.array([S], dtype=np.intp))[0][1][0]
     M = Q.T @ (A.T @ A) @ Q
     w, V = np.linalg.eigh(M)
     idx = -1 if side == "upper" else 0
@@ -246,9 +228,12 @@ def sdrip_constants(
 
     theta_minus = min over subsets I (|I| >= m/2) and supports S of the
     smallest quotient ||A_I y||^2 / ||y||^2 over col(D_S); theta_plus is the
-    corresponding max of the largest quotient.
+    corresponding max of the largest quotient.  delta is the DRIP constant,
+    taken from the full-row subset of the same enumeration.
     """
     A = _check_problem(A, F)
+    if not (1 <= order <= F.N):
+        raise ParameterError(f"order must lie in [1, {F.N}], got {order}")
     m = A.shape[0]
     if m > max_m:
         raise ResourceBudgetError(
@@ -259,26 +244,27 @@ def sdrip_constants(
         raise ResourceBudgetError(
             f"C({F.N},{order}) = {n_supports} supports exceed the budget {support_budget}"
         )
-    subsets = _half_subsets(m, half_rule)
+    subsets = _half_subsets(m, half_rule)  # ends with the full-row subset
     masks = np.zeros((len(subsets), m))
     for i, I in enumerate(subsets):
         masks[i, list(I)] = 1.0
 
     theta_minus = np.inf
     theta_plus = -np.inf
+    delta = 0.0
     rows = max(1, STACK_ELEMS // (len(subsets) * order * order))
     for supports in combination_blocks(F.N, order, rows):
-        for _, Q in _support_bases(F.D, supports):
+        for _, Q in support_bases(F.D, supports):
             B = A @ Q  # (c, m, d); row i contributes outer(B_i, B_i) when i in I
             c, _, d = B.shape
             row_grams = np.einsum("cip,ciq->cipq", B, B).reshape(c, m, d * d)
             Ms = (masks @ row_grams).reshape(c * len(subsets), d, d)
-            lows, highs = batch_sym_eig_bounds(Ms)
+            lows, highs = (v.reshape(c, len(subsets)) for v in batch_sym_eig_bounds(Ms))
             theta_minus = min(theta_minus, float(np.min(lows)))
             theta_plus = max(theta_plus, float(np.max(highs)))
+            delta = max(delta, float(np.max(np.fmax(highs[:, -1] - 1.0, 1.0 - lows[:, -1]))))
     if not np.isfinite(theta_minus):
         raise ParameterError("every candidate support has vanishing frame columns")
-    delta, _ = drip_constant(A, F, order, support_budget=support_budget)
     return RipReport(
         order=order,
         delta=delta,
@@ -304,15 +290,16 @@ def sdrip_constants_sampled(
     m = A.shape[0]
     min_size = ceil(m / 2) if half_rule == "ceil" else max(1, floor(m / 2))
     rng = np.random.default_rng(seed)
-    G_rows = None
+    hits = 0
     theta_minus = np.inf
     theta_plus = -np.inf
     delta_lb = 0.0
     for _ in range(budget):
-        S = tuple(int(i) for i in np.sort(rng.choice(F.N, size=order, replace=False)))
-        Q = _support_basis(F.D, S)
-        if Q is None:
+        S = np.sort(rng.choice(F.N, size=order, replace=False))
+        groups = support_bases(F.D, S[None])
+        if not groups:
             continue
+        Q = groups[0][1][0]
         size = int(rng.integers(min_size, m + 1))
         I = np.sort(rng.choice(m, size=size, replace=False))
         B = A[I] @ Q
@@ -322,8 +309,8 @@ def sdrip_constants_sampled(
         theta_plus = max(theta_plus, hi)
         if size == m:
             delta_lb = max(delta_lb, _deviation(lo, hi))
-        G_rows = True
-    if G_rows is None:
+        hits += 1
+    if hits == 0:
         raise ParameterError("sampling never hit a support with nonvanishing frame columns")
     return RipReport(
         order=order,

@@ -11,10 +11,10 @@ import json
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DimensionError, DomainError
 from .frames import FRAME_TOL, TightFrame, validate_frame
 from .measurement import PhaselessProblem
-from .nsp import ComplexNspWitness, NspWitness
+from .nsp import NspWitness
 from .rip import RipReport
 from .signals import DictionarySparseSignal, SparseCoefficients
 from .solver import ORACLE_COUNTERS, SolverResult
@@ -95,14 +95,22 @@ def problem_to_dict(P: PhaselessProblem) -> dict:
 
 
 def problem_from_dict(data: dict) -> PhaselessProblem:
+    """Decode a problem, checking A, b and eps before any solver sees them."""
     try:
         frame = frame_from_dict(data["frame"])
         A = np.asarray(data["A"], dtype=float)
         b = np.asarray(data["b"], dtype=float)
     except KeyError as exc:
         raise ConfigurationError(f"problem payload missing key {exc}") from exc
+    if A.ndim != 2 or A.shape[1] != frame.n or b.shape != A.shape[:1]:
+        raise DimensionError(f"A is {A.shape} and b is {b.shape}; need (m, {frame.n}) and (m,)")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise DomainError("A and b must have finite entries")
+    eps = float(data.get("eps", 0.0))
+    if not (np.isfinite(eps) and eps >= 0.0):
+        raise DomainError(f"eps must be finite and nonnegative, got {eps}")
     truth = truth_from_dict(data["truth"]) if data.get("truth") else None
-    return PhaselessProblem(A=A, frame=frame, b=b, eps=float(data.get("eps", 0.0)),
+    return PhaselessProblem(A=A, frame=frame, b=b, eps=eps,
                             q=float(data.get("q", 1.0)), truth=truth)
 
 
@@ -149,40 +157,6 @@ def witness_from_dict(data: dict) -> NspWitness:
         u=np.asarray(data["u"], dtype=float),
         v=np.asarray(data["v"], dtype=float),
         q=float(data["q"]),
-        k=int(data["k"]),
-        lhs=data.get("lhs"),
-        rhs=data.get("rhs"),
-        violated=data.get("violated"),
-    )
-
-
-def _complex_to_pair(z: np.ndarray) -> dict:
-    return {"re": [float(v) for v in np.real(z)], "im": [float(v) for v in np.imag(z)]}
-
-
-def _pair_to_complex(data: dict) -> np.ndarray:
-    return np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-
-
-def complex_witness_to_dict(w: ComplexNspWitness) -> dict:
-    return {
-        "Omega": [list(block) for block in w.Omega],
-        "phis": [_complex_to_pair(phi) for phi in w.phis],
-        "ds": _complex_to_pair(w.ds),
-        "pair": list(w.pair),
-        "k": w.k,
-        "lhs": w.lhs,
-        "rhs": w.rhs,
-        "violated": w.violated,
-    }
-
-
-def complex_witness_from_dict(data: dict) -> ComplexNspWitness:
-    return ComplexNspWitness(
-        Omega=tuple(tuple(int(i) for i in block) for block in data["Omega"]),
-        phis=tuple(_pair_to_complex(p) for p in data["phis"]),
-        ds=_pair_to_complex(data["ds"]),
-        pair=(int(data["pair"][0]), int(data["pair"][1])),
         k=int(data["k"]),
         lhs=data.get("lhs"),
         rhs=data.get("rhs"),

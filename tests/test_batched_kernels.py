@@ -1,4 +1,4 @@
-"""The batched oracle and isometry kernels against the per-pattern loops they replace.
+"""The batched oracle, isometry and null-space kernels against the loops they replace.
 
 The reference loops below are the scalar implementations the kernels
 replaced, kept verbatim apart from what they return: the oracle loop its
@@ -6,7 +6,9 @@ certified tuple, the DRIP loop its constant, witness support, side and every
 support's deviation.  The oracle must reproduce them bit for bit (point,
 objective, signs, zero set, fallback flag); the isometry constant must agree
 to 1e-12 relative, with the same witness support wherever the top two
-supports do not tie.
+supports do not tie.  The NSP falsifier, which now computes each support's
+basis once per call, must return bit-identical witnesses; the chunked
+dictionary-sparse distance must agree with the per-support loop to rounding.
 """
 
 from itertools import combinations, product
@@ -15,16 +17,27 @@ from math import comb
 import numpy as np
 import pytest
 
-from lqphase import rip, serialize, solver
+from lqphase import nsp, rip, serialize, solver
 from lqphase.errors import (
     DegenerateProblemError,
     InfeasibleProblemError,
     ParameterError,
     ResourceBudgetError,
 )
-from lqphase.frames import build_named_frame, build_parseval_random
+from lqphase.frames import TightFrame, build_named_frame, build_parseval_random
 from lqphase.linalg import RANK_RTOL, numerical_rank
+from lqphase.linalg import null_space
 from lqphase.measurement import PhaselessProblem, build_problem
+from lqphase.nsp import (
+    STRICTNESS_TOL,
+    NspWitness,
+    _coordinate_ascent,
+    _lambda_list,
+    _rows,
+    dictionary_sparse_distance,
+    nsp_real_evaluate,
+    nsp_real_falsify,
+)
 from lqphase.rip import drip_constant, drip_constant_sampled, sdrip_constants
 from lqphase.signals import _check_q, lq_quasinorm, sample_dictionary_sparse
 from lqphase.solver import FEAS_RTOL, solve_affine_lq_oracle, solve_oracle_noiseless
@@ -159,6 +172,98 @@ def loop_drip_constant(A, F, order):
             side = "upper" if hi - 1.0 >= 1.0 - lo else "lower"
             best = (dev, S, side)
     return (*best, devs)
+
+
+def loop_column_space(M, rtol=RANK_RTOL):
+    """Orthonormal basis (columns) of the column space of M."""
+    M = np.asarray(M)
+    if M.shape[1] == 0:
+        return np.zeros((M.shape[0], 0), dtype=M.dtype)
+    u, s, _ = np.linalg.svd(M, full_matrices=False)
+    r = numerical_rank(s, rtol)
+    return u[:, :r]
+
+
+def loop_dictionary_sparse_distance(x, D, k, support_budget=10**6):
+    x = np.asarray(x)
+    N = D.shape[1]
+    if comb(N, k) > support_budget:
+        raise ResourceBudgetError(f"C({N},{k}) supports exceed the budget {support_budget}")
+    best = np.inf
+    for S in combinations(range(N), k):
+        Q = loop_column_space(D[:, list(S)])
+        resid = x - Q @ (Q.conj().T @ x)
+        best = min(best, float(np.linalg.norm(resid)))
+        if best == 0.0:
+            break
+    return best
+
+
+def loop_nsp_real_falsify(A, F, k, q, budget=10**4, seed=0, lambda_mode="card_at_most_k"):
+    A = np.asarray(A, dtype=float)
+    q = _check_q(q)
+    m, n = A.shape
+    if budget < 1:
+        raise ParameterError("budget must be >= 1")
+    lambdas = _lambda_list(m, k, lambda_mode)
+    supports = list(combinations(range(F.N), k))
+    null_cache = {}
+
+    def nullsp(T):
+        if T not in null_cache:
+            null_cache[T] = null_space(_rows(A, T))
+        return null_cache[T]
+
+    restarts = max(1, budget // max(1, len(lambdas) * len(supports)))
+    cell_index = 0
+    for Lam in lambdas:
+        comp = tuple(i for i in range(m) if i not in set(Lam))
+        U = nullsp(Lam)
+        V = nullsp(comp)
+        du, dv = U.shape[1], V.shape[1]
+        if du == 0 or dv == 0:
+            cell_index += len(supports)
+            continue
+        for S in supports:
+            cell_index += 1
+            Q = loop_column_space(F.D[:, list(S)])
+            P_out = np.eye(n) - Q @ Q.T
+            # (a, b) must satisfy (I - P_S)(Ua + Vb) = 0
+            K = np.hstack([P_out @ U, P_out @ V])
+            W = null_space(K)
+            if W.shape[1] == 0:
+                continue
+            Mu = U @ W[:du, :]
+            Mv = V @ W[du:, :]
+            Lp = F.D.T @ (Mu + Mv)
+            Lm = F.D.T @ (Mu - Mv)
+
+            def gap(c):
+                return float(np.sum(np.abs(Lp @ c) ** q) - np.sum(np.abs(Lm @ c) ** q))
+
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, cell_index)))
+            for _ in range(restarts):
+                c0 = rng.standard_normal(W.shape[1])
+                if np.linalg.norm(c0) == 0.0:
+                    continue
+                c, fc = _coordinate_ascent(gap, c0)
+                if fc < -STRICTNESS_TOL:
+                    continue
+                a = W[:du, :] @ c
+                b = W[du:, :] @ c
+                # null bases are orthonormal, so ||u|| = ||a|| and ||v|| = ||b||
+                if np.linalg.norm(a) <= 1e-9 or np.linalg.norm(b) <= 1e-9:
+                    continue
+                u = Mu @ c
+                v = Mv @ c
+                ns = np.linalg.norm(u + v)
+                if ns > 1e-12:
+                    u, v = u / ns, v / ns
+                witness = NspWitness(Lambda=Lam, u=u, v=v, q=q, k=k)
+                checked = nsp_real_evaluate(A, F, witness)
+                if checked.violated:
+                    return checked
+    return None
 
 
 # ---------------------------------------------------------------- corpus
@@ -451,3 +556,82 @@ def test_sdrip_chunked_equals_unchunked(monkeypatch):
     assert got.theta_minus == pytest.approx(whole.theta_minus, rel=1e-14)
     assert got.theta_plus == pytest.approx(whole.theta_plus, rel=1e-14)
     assert got.delta == pytest.approx(whole.delta, rel=1e-14)
+
+
+def _zero_column_frame(n):
+    """Parseval frame [I_n, 0]: the last column vanishes."""
+    D = np.hstack([np.eye(n), np.zeros((n, 1))])
+    D_perp = np.zeros((1, n + 1))
+    D_perp[0, n] = 1.0
+    return TightFrame(n=n, N=n + 1, D=D, D_perp=D_perp, label="zero_column")
+
+
+@pytest.mark.parametrize("half_rule", ["ceil", "floor"])
+def test_sdrip_delta_comes_from_its_own_full_row_subset(half_rule, monkeypatch):
+    cases = [(A, F, order) for A, F, order in drip_corpus() if comb(F.N, order) <= 210]
+    cases += [(np.random.default_rng(order).standard_normal((5, 3)) / np.sqrt(5),
+               _zero_column_frame(3), order) for order in (1, 2, 3)]
+    refs = [drip_constant(A, F, order)[0] for A, F, order in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sdrip_constants ran a separate DRIP pass")
+
+    monkeypatch.setattr(rip, "drip_constant", refuse)
+    for (A, F, order), ref in zip(cases, refs):
+        got = sdrip_constants(A, F, order, half_rule=half_rule)
+        assert got.delta == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert max(1.0 - got.theta_minus, got.theta_plus - 1.0) >= got.delta
+    assert any(F.label.startswith("duplicated") for _, F, _ in cases)  # rank-deficient supports
+
+
+# ---------------------------------------------------------------- null-space diagnostics
+
+
+def nsp_corpus():
+    for seed in range(2):
+        for n, N in ((3, 5), (3, 6), (4, 6)):
+            F = _frame(n, N, seed)
+            for m in range(2, n + 3):
+                A = np.random.default_rng(100 * seed + m).standard_normal((m, n))
+                yield A, F, 0.5 if (seed + m) % 2 else 1.0, seed
+
+
+@pytest.mark.parametrize("lambda_mode", ["card_at_most_k", "all_subsets"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_nsp_falsifier_matches_reference_loop_bit_for_bit(k, lambda_mode):
+    outcomes = set()
+    for A, F, q, seed in nsp_corpus():
+        got = nsp_real_falsify(A, F, k, q, budget=100, seed=seed, lambda_mode=lambda_mode)
+        ref = loop_nsp_real_falsify(A, F, k, q, budget=100, seed=seed, lambda_mode=lambda_mode)
+        outcomes.add(ref is None)
+        if ref is None:
+            assert got is None
+            continue
+        assert got.Lambda == ref.Lambda and got.q == ref.q and got.k == ref.k
+        assert got.u.tobytes() == ref.u.tobytes() and got.v.tobytes() == ref.v.tobytes()
+        assert (got.lhs, got.rhs, got.violated) == (ref.lhs, ref.rhs, ref.violated)
+    assert outcomes == {True, False}  # the corpus has witnesses and budgets run out
+
+
+def test_dictionary_sparse_distance_matches_reference_loop(monkeypatch):
+    rng = np.random.default_rng(8)
+    Fr = build_parseval_random(4, 7, seed=1)
+    Qc, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    dictionaries = [Fr.D, build_named_frame("duplicated_identity", 3).D,
+                    _zero_column_frame(4).D, np.ascontiguousarray(Qc[:3, :]), np.zeros((2, 3))]
+    for elems in (nsp.STACK_ELEMS, 1):  # 1: one support per chunk
+        monkeypatch.setattr(nsp, "STACK_ELEMS", elems)
+        for D in dictionaries:
+            n, N = D.shape
+            for k in range(N + 2):
+                S = rng.choice(N, size=min(k, N), replace=False)
+                noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                for x in (noise if D.dtype == complex else noise.real,
+                          D[:, S] @ rng.standard_normal(len(S))):
+                    ref = loop_dictionary_sparse_distance(x, D, k)
+                    got = dictionary_sparse_distance(x, D, k)
+                    assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
+                    if k > N:
+                        assert got == np.inf
+                    elif k == 0 or not D.any():  # only supports that span {0}
+                        assert got == np.linalg.norm(x)

@@ -146,6 +146,16 @@ def test_exit_codes(tmp_path, problem_file):
                  "--out", str(tmp_path / "no" / "dir" / "f.json")]) == 3
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_solve_rejects_non_finite_measurements(tmp_path, problem_file, capsys, bad):
+    path, _, _ = problem_file
+    data = json.loads(path.read_text())
+    data["b"][0] = bad
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--problem", str(path), "--method", "oracle"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_console_script_is_installed(tmp_path):
     exe = shutil.which("lqphase")
     if exe is None:

@@ -71,6 +71,15 @@ def test_guarded_cells_are_skipped_with_reason():
     assert all(r.status == "skipped" for r in recs)
 
 
+@pytest.mark.parametrize("kind, N", [("identity", 3), ("duplicated_identity", 3),
+                                     ("mercedes", 4), ("no_such_frame", 3)])
+def test_named_frame_with_wrong_N_is_skipped(kind, N):
+    recs = run_bound_experiment(small_config(n_values=[2], N_values=[N], m_values=[3],
+                                             frame_kind=kind, trials=1))
+    assert [r.status for r in recs] == ["skipped"]
+    assert recs[0].reason.startswith("ConfigurationError")
+
+
 def test_noisy_cells_use_irls_and_record_realized_noise():
     cfg = small_config(solver="irls", eps_values=[0.05], trials=2,
                        solver_options={"restarts": 6, "max_iters": 200})
