@@ -21,6 +21,7 @@ from .harness import (
     run_bound_experiment,
     run_phase_transition,
     selfcheck_lemmas,
+    transition_cells,
     transition_to_csv,
 )
 from .nsp import nsp_real_falsify
@@ -140,6 +141,9 @@ def _cmd_experiment_transition(args) -> int:
     out = args.out or "transition_results.csv"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(transition_to_csv(cells))
+    total = len(transition_cells(cfg))
+    if len(cells) < total:
+        sys.stderr.write(f"deadline: {total - len(cells)} of {total} transition cells not run\n")
     return 0
 
 

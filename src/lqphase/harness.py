@@ -161,25 +161,25 @@ def _run_bound_trial(cfg: ExperimentConfig, cell: dict, trial: int) -> TrialReco
                    wall_time_s=time.perf_counter() - t0)
 
 
-def _execute(tasks, worker, threads: int, max_seconds: float | None):
-    """Run tasks preserving canonical order; stop launching on deadline."""
+def _execute(tasks: list[tuple], worker, threads: int, max_seconds: float | None, on_deadline):
+    """Run worker(*args) for each task, in the given (canonical) order.  A task
+    that starts once max_seconds have passed gives on_deadline(*args) instead."""
     start = time.perf_counter()
-    results = {}
+
+    def run(args):
+        if max_seconds is not None and time.perf_counter() - start >= max_seconds:
+            return on_deadline(*args)
+        return worker(*args)
+
     if threads <= 1:
-        for key, args in tasks:
-            if max_seconds is not None and time.perf_counter() - start > max_seconds:
-                break
-            results[key] = worker(*args)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {}
-            for key, args in tasks:
-                if max_seconds is not None and time.perf_counter() - start > max_seconds:
-                    break
-                futures[key] = pool.submit(worker, *args)
-            for key, fut in futures.items():
-                results[key] = fut.result()
-    return [results[key] for key in sorted(results)]
+        return [run(args) for args in tasks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, tasks))
+
+
+def _deadline_skip(cfg: ExperimentConfig, cell: dict, trial: int) -> TrialRecord:
+    fseed = derive_trial_seeds(cfg.master_seed, cell["cell_index"], trial)[0]
+    return _skipped(cell, trial, fseed, "deadline")
 
 
 def run_bound_experiment(
@@ -187,11 +187,11 @@ def run_bound_experiment(
     threads: int = 1,
     max_seconds: float | None = None,
 ) -> list[TrialRecord]:
-    """One record per (cell, trial); guarded cells are skipped with a reason."""
+    """One record per (cell, trial); guarded cells, and trials that would start
+    after max_seconds, are skipped with a reason."""
     cfg.validate()
-    cells = _bound_cells(cfg)
-    tasks = [((c["cell_index"], ti), (cfg, c, ti)) for c in cells for ti in range(cfg.trials)]
-    return _execute(tasks, _run_bound_trial, threads, max_seconds)
+    tasks = [(cfg, c, ti) for c in _bound_cells(cfg) for ti in range(cfg.trials)]
+    return _execute(tasks, _run_bound_trial, threads, max_seconds, _deadline_skip)
 
 
 def _run_transition_cell(cfg: ExperimentConfig, cell: dict) -> TransitionCell:
@@ -218,20 +218,25 @@ def _run_transition_cell(cfg: ExperimentConfig, cell: dict) -> TransitionCell:
                           trials=cfg.trials, successes=successes)
 
 
+def transition_cells(cfg: ExperimentConfig) -> list[dict]:
+    """The (n, N, m, k, q) cells of a phase-transition sweep, in canonical order."""
+    return [dict(cell_index=idx, n=n, N=N, m=m, k=k, q=q)
+            for idx, (n, N, m, k, q) in enumerate(
+                product(cfg.n_values, cfg.N_values, cfg.m_values, cfg.k_values, cfg.q_values))]
+
+
 def run_phase_transition(
     cfg: ExperimentConfig,
     threads: int = 1,
     max_seconds: float | None = None,
 ) -> list[TransitionCell]:
-    """Success fraction per (n, N, m, k, q) cell for noiseless recovery."""
+    """Success fraction per (n, N, m, k, q) cell for noiseless recovery.  Cells
+    that would start after max_seconds are left out; callers compare the count
+    with transition_cells(cfg)."""
     cfg.validate()
-    cells = []
-    for idx, (n, N, m, k, q) in enumerate(
-        product(cfg.n_values, cfg.N_values, cfg.m_values, cfg.k_values, cfg.q_values)
-    ):
-        cells.append(dict(cell_index=idx, n=n, N=N, m=m, k=k, q=q))
-    tasks = [((c["cell_index"],), (cfg, c)) for c in cells]
-    return _execute(tasks, _run_transition_cell, threads, max_seconds)
+    tasks = [(cfg, c) for c in transition_cells(cfg)]
+    cells = _execute(tasks, _run_transition_cell, threads, max_seconds, lambda *args: None)
+    return [c for c in cells if c is not None]
 
 
 def selfcheck_lemmas(seed: int = 0) -> tuple[bool, list[str]]:

@@ -203,15 +203,18 @@ def drip_constant_sampled(
     return float(dev[i]), witness
 
 
-def _half_subsets(m: int, half_rule: str) -> list[tuple[int, ...]]:
+def _min_subset_size(m: int, half_rule: str) -> int:
+    """Smallest row-subset size |I| of the half-subset constants."""
     if half_rule == "ceil":
-        min_size = ceil(m / 2)
-    elif half_rule == "floor":
-        min_size = max(1, floor(m / 2))
-    else:
-        raise ParameterError(f"half_rule must be 'ceil' or 'floor', got {half_rule!r}")
+        return ceil(m / 2)
+    if half_rule == "floor":
+        return max(1, floor(m / 2))
+    raise ParameterError(f"half_rule must be 'ceil' or 'floor', got {half_rule!r}")
+
+
+def _half_subsets(m: int, half_rule: str) -> list[tuple[int, ...]]:
     subsets: list[tuple[int, ...]] = []
-    for size in range(min_size, m + 1):
+    for size in range(_min_subset_size(m, half_rule), m + 1):
         subsets.extend(combinations(range(m), size))
     return subsets
 
@@ -288,7 +291,7 @@ def sdrip_constants_sampled(
     true minimum, theta_plus a lower bound on the true maximum."""
     A = _check_problem(A, F)
     m = A.shape[0]
-    min_size = ceil(m / 2) if half_rule == "ceil" else max(1, floor(m / 2))
+    min_size = _min_subset_size(m, half_rule)
     rng = np.random.default_rng(seed)
     hits = 0
     theta_minus = np.inf

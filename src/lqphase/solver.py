@@ -4,24 +4,27 @@ Two routes are provided.  A certified global oracle for the noiseless model
 enumerates measurement sign patterns (the global sign is quotiented out by
 fixing the first sign) and, for each consistent linear system, exploits the
 concavity of t -> t^q on [0, inf): on an affine set the objective attains its
-minimum where n - m coordinates of the analysis vector vanish, so all such
+minimum where max(n - m, 0) analysis coefficients vanish, so all such
 zero patterns are enumerated, with a minimum-norm fallback guarding
 rank-degenerate cells.  A practical iteratively reweighted least-squares
 scheme with an alternating sign step handles sizes beyond the oracle guard;
 it carries no optimality certificate.
 
-The oracle enumerates in two passes.  A batched pass selects candidates: the
-system M_Z = [A; D_Z^T] does not depend on the sign pattern, so each chunk
-of zero patterns is solved against every sign in one stacked
-np.linalg.solve, feasibility and finiteness are screened on the (zero
-pattern, sign) arrays, and the minimum-norm points come from one
-pseudo-inverse product; overdetermined systems screen every sign and solve
-the survivors in one least-squares call.  An exact pass decides: every
-candidate that can reach the minimum is re-solved with scalar calls
-(np.linalg.solve of the stacked system, lstsq for the minimum-norm point,
-lq_quasinorm), in (sign, zero set) order with the 1e-15 and 1e-12 tie rules.
-So the certified point, objective, signs and zero set never depend on the
-batched arithmetic.
+The oracle runs one zero-pattern search for every shape of A, with
+free = max(n - m, 0) analysis zeros per pattern; m >= n is the free = 0 case.
+A batched pass selects candidates.  The least-squares points A_pinv @ C of
+all right-hand sides come from one product and are screened by their
+residual in FEAS_BAND bands around FEAS_RTOL ||c||: all pass for a
+full-row-rank A, and for m > n the screen drops inconsistent sign patterns.
+M_Z = [A; D_Z^T] does not depend on the sign pattern, so each chunk of zero
+patterns is solved against every sign in one stacked np.linalg.solve, and
+feasibility (to FEAS_RTOL max(1, ||c||)) and finiteness are screened on the
+(zero pattern, sign) arrays.  An exact pass decides: every candidate that can
+reach the minimum is re-solved with scalar calls (np.linalg.solve of the
+stacked system, lstsq for the least-squares point, which counts only when
+||A x - c|| <= FEAS_RTOL ||c||, and lq_quasinorm), in (sign, zero set) order
+with the 1e-15 and 1e-12 tie rules.  So the certified point, objective, signs
+and zero set never depend on the batched arithmetic.
 
 Re-check window.  Batched and scalar solutions x of one system are assumed
 to differ by at most delta = RECHECK_RHO * ||x||.  Frame columns have norm at
@@ -73,9 +76,10 @@ TIE_SLACK = 1e-11
 # and as possibly feasible below FEAS_RTOL * FEAS_BAND; the scalar re-check
 # applies the exact FEAS_RTOL test.
 FEAS_BAND = 2.0**10
-# Enumeration counters of the oracle certificate: sign patterns enumerated and
-# screened out by the projection residual (m > n); zero patterns solved and
-# found singular (each M_Z serves every sign); candidates re-solved exactly.
+# Enumeration counters of the oracle certificate: sign patterns enumerated;
+# least-squares points screened out by their residual band (0 for a
+# full-row-rank A); zero patterns solved and found singular (each M_Z serves
+# every sign); candidates re-solved exactly.
 ORACLE_COUNTERS = ("sign_patterns", "screened_out", "zero_patterns",
                    "singular_systems", "rechecked")
 
@@ -125,11 +129,13 @@ def _exact_affine(
     zero_sets: np.ndarray,
     lower: np.ndarray,
     counts: dict,
-) -> tuple[np.ndarray, float, tuple[int, ...] | None]:
+) -> tuple[np.ndarray | None, float, tuple[int, ...] | None]:
     """The scalar zero-pattern enumeration for one right-hand side, over the given
     zero sets in order, with its 1e-15 and 1e-12 tie rules.  A zero set whose lower
     bound cannot beat the running best by the tie tolerance is skipped: it could
-    not have replaced the best."""
+    not have replaced the best.  The minimum-norm least-squares point is feasible
+    when ||A x - c|| <= FEAS_RTOL ||c||.  Returns (None, inf, None) when no point
+    is feasible."""
     free = zero_sets.shape[1]
     best_x = None
     best_obj = np.inf
@@ -156,30 +162,38 @@ def _exact_affine(
     # candidates win ties so the certificate stays informative
     counts["rechecked"] += 1
     x_mn, *_ = np.linalg.lstsq(A, c, rcond=None)
-    mn_obj = lq_quasinorm(D.T @ x_mn, q)
-    if best_x is None or mn_obj < best_obj - 1e-12:
-        best_x, best_obj, best_Z = x_mn, mn_obj, None
+    if np.linalg.norm(A @ x_mn - c) <= FEAS_RTOL * np.linalg.norm(c):
+        mn_obj = lq_quasinorm(D.T @ x_mn, q)
+        if best_x is None or mn_obj < best_obj - 1e-12:
+            best_x, best_obj, best_Z = x_mn, mn_obj, None
     return best_x, best_obj, best_Z
 
 
 def _zero_pattern_search(A: np.ndarray, A_pinv: np.ndarray, C: np.ndarray, D: np.ndarray,
-                         q: float, counts: dict) -> tuple:
-    """Certified minimum over the affine sets {Ax = C[:, j]} of a full-row-rank
-    A with pseudo-inverse A_pinv.
+                         q: float, counts: dict) -> tuple | None:
+    """Certified minimum over the affine sets {Ax = C[:, j]} of an A of full rank
+    min(m, n) with pseudo-inverse A_pinv.
 
-    Returns (j, x, objective, zero_set, margin) of the winning column: columns
-    are taken in order and a later one wins only by more than 1e-15.  margin is
-    the gap to the second-best column (exact where that column was re-checked,
-    batched otherwise), None for a single column.
+    Returns (j, x, objective, zero_set, margin) of the winning column, or None
+    when no column is feasible: columns are taken in order and a later one wins
+    only by more than 1e-15.  margin is the gap to the second-best feasible
+    column (exact where that column was re-checked, batched otherwise), None
+    when there is no second one.
     """
     m, n = A.shape
     N = D.shape[1]
     K = C.shape[1]
-    free = n - m
-    # minimum-norm points are always admissible, so they give the first bound
-    v_mn, e_mn = _objectives(D, A_pinv @ C, q)
-    col_best = v_mn.copy()
-    ref = float(np.min(v_mn + e_mn)) + TIE_SLACK  # no exact winner lies above this
+    free = max(n - m, 0)
+    # least-squares points, screened by their residual relative to ||c||; a
+    # full-row-rank A passes every one, and only sure ones give a bound
+    X_ls = A_pinv @ C
+    v_ls, e_ls = _objectives(D, X_ls, q)
+    tol = FEAS_RTOL * np.linalg.norm(C, axis=0)
+    resid = np.linalg.norm(A @ X_ls - C, axis=0)
+    maybe_ls = resid <= tol * FEAS_BAND
+    counts["screened_out"] += K - int(maybe_ls.sum())
+    col_best = np.where(resid <= tol / FEAS_BAND, v_ls, np.inf)
+    ref = float(np.min(col_best + e_ls)) + TIE_SLACK  # no exact winner lies above this
     kept_cols: list[np.ndarray] = []
     kept_zsets: list[np.ndarray] = []
     kept_lower: list[np.ndarray] = []
@@ -219,13 +233,13 @@ def _zero_pattern_search(A: np.ndarray, A_pinv: np.ndarray, C: np.ndarray, D: np
     lower = np.concatenate(kept_lower) if kept_lower else np.zeros(0)
     inside = lower <= ref
     cols, zsets, lower = cols[inside], zsets[inside], lower[inside]
-    col_lower = v_mn - e_mn
+    col_lower = np.where(maybe_ls, v_ls - e_ls, np.inf)
     np.minimum.at(col_lower, cols, lower)
     candidates = np.flatnonzero(col_lower <= ref)
 
     # exact re-check, in (column, zero set) order
     best: tuple[int, np.ndarray, float, tuple[int, ...] | None] | None = None
-    exact = col_best.copy()
+    exact = col_best  # batched values, replaced by exact ones where re-checked
     for j in candidates.tolist():
         if best is not None and col_lower[j] >= best[2] - 1e-15:
             continue
@@ -233,15 +247,22 @@ def _zero_pattern_search(A: np.ndarray, A_pinv: np.ndarray, C: np.ndarray, D: np
         c = np.ascontiguousarray(C[:, j])
         x, obj, Z = _exact_affine(A, c, D, q, zsets[rows], lower[rows], counts)
         exact[j] = obj
-        if best is None or obj < best[2] - 1e-15:
+        if x is not None and (best is None or obj < best[2] - 1e-15):
             best = (j, x, obj, Z)
-    # the column whose minimum-norm point set ref is a candidate, and a
-    # minimum-norm point is always admissible
-    assert best is not None
+    if best is None:
+        return None
     j, x, obj, Z = best
     exact[j] = np.inf
-    margin = float(exact.min() - obj) if K > 1 else None
-    return j, x, obj, Z, margin
+    second = float(exact.min())
+    return j, x, obj, Z, (second - obj if second < np.inf else None)
+
+
+def _full_rank_pinv(A: np.ndarray) -> np.ndarray | None:
+    """Pseudo-inverse of A, or None when its numerical rank is below min(m, n)."""
+    u, sv, vh = np.linalg.svd(A, full_matrices=False)
+    if numerical_rank(sv) < min(A.shape):
+        return None
+    return (vh.T / sv) @ u.T
 
 
 def solve_affine_lq_oracle(
@@ -262,23 +283,14 @@ def solve_affine_lq_oracle(
     m, n = A.shape
     if c.shape != (m,):
         raise ParameterError(f"c must have length {m}, got {c.shape}")
-    rank = numerical_rank(np.linalg.svd(A, compute_uv=False))
-
-    if m > n:
-        x_ls, *_ = np.linalg.lstsq(A, c, rcond=None)
-        if np.linalg.norm(A @ x_ls - c) > FEAS_RTOL * max(1.0, np.linalg.norm(c)):
-            raise InfeasibleProblemError("c is not in the range of the tall matrix A")
-        if rank < n:
-            raise DegenerateProblemError("tall system is rank-deficient")
-        return x_ls, lq_quasinorm(F.D.T @ x_ls, q), None
-    if rank < m:
-        raise DegenerateProblemError("A must have full row rank")
-    if n == m:
-        x_mn, *_ = np.linalg.lstsq(A, c, rcond=None)
-        return x_mn, lq_quasinorm(F.D.T @ x_mn, q), None
-    _check_budget(F.N, n - m, support_budget)
-    _, x, obj, Z, _ = _zero_pattern_search(A, np.linalg.pinv(A), c[:, None], F.D, q,
-                                           _new_counts())
+    A_pinv = _full_rank_pinv(A)
+    if A_pinv is None:
+        raise DegenerateProblemError(f"A must have full rank {min(m, n)}")
+    _check_budget(F.N, max(n - m, 0), support_budget)
+    found = _zero_pattern_search(A, A_pinv, c[:, None], F.D, q, _new_counts())
+    if found is None:
+        raise InfeasibleProblemError("c is not in the range of A")
+    _, x, obj, Z, _ = found
     return x, obj, Z
 
 
@@ -303,49 +315,6 @@ def _sign_patterns(m: int) -> np.ndarray:
     return signs
 
 
-def _tall_search(A: np.ndarray, b: np.ndarray, signs: np.ndarray, F: TightFrame, q: float,
-                 support_budget: int, counts: dict) -> tuple | None:
-    """Sign enumeration for m > n: screen by projection residual, take every
-    surviving sign's least-squares point in one call, re-check the near-winners
-    with the scalar screen and solve_affine_lq_oracle.  Returns what
-    _zero_pattern_search returns, or None when no sign pattern is feasible."""
-    m, n = A.shape
-    Qa, _ = np.linalg.qr(A)
-    b_scale = max(np.linalg.norm(b), 1e-30)
-    C = (signs * b).T
-    resid = np.linalg.norm(C - Qa @ (Qa.T @ C), axis=0)
-    kept = np.flatnonzero(resid <= FEAS_RTOL * b_scale * FEAS_BAND)
-    counts["screened_out"] = len(signs) - len(kept)
-    if not len(kept) or numerical_rank(np.linalg.svd(A, compute_uv=False)) < n:
-        return None  # every sign fails the screen, the feasibility test or the rank test
-    X, *_ = np.linalg.lstsq(A, C[:, kept], rcond=None)
-    V, E = _objectives(F.D, X, q)
-    sure = resid[kept] <= FEAS_RTOL * b_scale / FEAS_BAND
-    ref = float(np.min((V + E)[sure])) + TIE_SLACK if sure.any() else np.inf
-    lower = V - E
-    best = None
-    values = dict(zip(kept[sure].tolist(), V[sure].tolist()))  # margin: exact where re-checked
-    for j, lb in zip(kept.tolist(), lower.tolist()):
-        if lb > ref or (best is not None and lb >= best[2] - 1e-15):
-            continue
-        values.pop(j, None)
-        cv = signs[j] * b
-        counts["rechecked"] += 1
-        if np.linalg.norm(cv - Qa @ (Qa.T @ cv)) > FEAS_RTOL * b_scale:
-            continue
-        try:
-            x, obj, Z = solve_affine_lq_oracle(A, cv, F, q, support_budget)
-        except (InfeasibleProblemError, DegenerateProblemError):
-            continue
-        values[j] = obj
-        if best is None or obj < best[2] - 1e-15:
-            best = (j, x, obj, Z)
-    if best is None:
-        return None
-    others = [v for j, v in values.items() if j != best[0]]
-    return (*best, min(others) - best[2] if others else None)
-
-
 def solve_oracle_noiseless(
     P: PhaselessProblem,
     max_m: int = ORACLE_MAX_M,
@@ -353,11 +322,10 @@ def solve_oracle_noiseless(
 ) -> SolverResult:
     """Certified global solution of the noiseless model by sign enumeration.
 
-    Sign patterns fix the first component to +1 (global sign ambiguity);
-    infeasible patterns of overdetermined systems are screened by projection
-    residual before the inner oracle runs.  The certificate carries the
-    winning signs and zero set, the enumeration counters and the margin to
-    the second-best sign pattern.
+    Sign patterns fix the first component to +1 (global sign ambiguity); one
+    zero-pattern search takes them all as right-hand sides, for every shape
+    of A.  The certificate carries the winning signs and zero set, the
+    enumeration counters and the margin to the second-best sign pattern.
     """
     if P.eps > 1e-12:
         raise ParameterError("the certified oracle only handles the noiseless model (eps = 0)")
@@ -369,17 +337,11 @@ def solve_oracle_noiseless(
     signs = _sign_patterns(m)
     counts = _new_counts()
     counts["sign_patterns"] = len(signs)
-    if m > n:
-        found = _tall_search(A, b, signs, F, P.q, support_budget, counts)
-    else:
-        u, sv, vh = np.linalg.svd(A, full_matrices=False)
-        if numerical_rank(sv) < m:
-            found = None  # solve_affine_lq_oracle rejects every sign as degenerate
-        else:
-            if n > m:
-                _check_budget(F.N, n - m, support_budget)
-            A_pinv = (vh.T / sv) @ u.T
-            found = _zero_pattern_search(A, A_pinv, (signs * b).T, F.D, P.q, counts)
+    A_pinv = _full_rank_pinv(A)
+    found = None  # a rank-deficient A leaves every sign pattern degenerate
+    if A_pinv is not None:
+        _check_budget(F.N, max(n - m, 0), support_budget)
+        found = _zero_pattern_search(A, A_pinv, (signs * b).T, F.D, P.q, counts)
     if found is None:
         raise InfeasibleProblemError("no sign pattern admits a solution; measurements corrupted?")
     j, x, obj, Z, margin = found
@@ -464,10 +426,10 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
     Each outer iteration sets p = sign(Ax) (zeros map to +1), then solves the
     strictly convex weighted problem; the smoothing and the regularization
     decay geometrically together so the fixed point approaches a stationary
-    point of the unsmoothed objective.  Restarts combine the spectral
-    direction, perturbations of it, fresh random directions and random sign
-    patterns; restarts that stall at an infeasible sign pattern get one
-    round of 1-opt sign-flip descent.  Among all iterates of all restarts the
+    point of the unsmoothed objective.  Restart 0 starts at the spectral
+    direction, every later one at a fresh random direction scaled to ||b||;
+    restarts that stall at an infeasible sign pattern get one round of 1-opt
+    sign-flip descent.  Among all iterates of all restarts the
     returned one minimizes (constraint violation, objective) lexicographically,
     so it is never less feasible than the best iterate seen.
     """
@@ -475,19 +437,18 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
     opts.validate()
     _check_q(P.q)
     A, b, D = P.A, P.b, P.frame.D
-    m, n = A.shape
-    if np.linalg.norm(b) == 0.0:
+    n = A.shape[1]
+    scale = float(np.linalg.norm(b))
+    if scale == 0.0:
         return SolverResult(x_hat=np.zeros(n), objective=0.0, feasibility=0.0,
                             method="irls", iterations=0)
     lam0 = opts.reg if opts.reg is not None else 1e-3 * float(b @ b)
-    spectral = A.T @ ((b**2)[:, None] * A)
-    _, V = np.linalg.eigh(spectral)
-    x_spec = float(np.linalg.norm(b)) * V[:, -1]
+    _, V = np.linalg.eigh(A.T @ ((b**2)[:, None] * A))
+    x_spec = scale * V[:, -1]
 
     best_key: tuple[float, float] | None = None
     best_x = None
     best_iters = 0
-    scale = float(np.linalg.norm(b))
 
     def converge(x: np.ndarray) -> np.ndarray:
         nonlocal best_key, best_x, best_iters
@@ -511,17 +472,11 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
 
     for j in range(opts.restarts):
         if j == 0:
-            x = x_spec.copy()
-        else:
+            x = x_spec
+        else:  # a fresh random direction; breaks bad sign-pattern basins
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(opts.seed, j)))
-            if j % 3 == 1:  # perturbed spectral direction
-                x = x_spec + (0.5 + j / opts.restarts) * np.linalg.norm(x_spec) * rng.standard_normal(n)
-            elif j % 3 == 2:  # fresh random direction; breaks bad sign-pattern basins
-                g = rng.standard_normal(n)
-                x = scale * g / np.linalg.norm(g)
-            else:  # least-squares fit of a random sign pattern
-                p0 = rng.integers(0, 2, size=m) * 2.0 - 1.0
-                x, *_ = np.linalg.lstsq(A, p0 * b, rcond=None)
+            g = rng.standard_normal(n)
+            x = scale * g / np.linalg.norm(g)
         x = converge(x)
         feas = float(np.linalg.norm(np.abs(A @ x) - b))
         if feas > max(P.eps, 1e-7 * scale):

@@ -16,6 +16,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqphase import nsp, rip, serialize, solver
 from lqphase.errors import (
@@ -364,6 +366,110 @@ def test_oracle_zero_measurements_match_loop(m):
     P = PhaselessProblem(A=A, frame=F, b=np.zeros(m), eps=0.0, q=0.5)
     assert_bit_identical(_batched(P), _outcome(loop_oracle_noiseless, P))
     assert solve_oracle_noiseless(P).objective == 0.0
+
+
+@st.composite
+def oracle_instances(draw):
+    """(A, F, b, q, full_rank, x1): m on both sides of n, duplicated rows, b = 0
+    or |A x0| scaled by 1e-12 to 1e3, A of full rank min(m, n) or below it, and
+    a point x1 whose image A x1 is in the range of A."""
+    n = draw(st.integers(2, 5))
+    m = max(1, n + draw(st.sampled_from([1, -1, 2, -2, 0, -3])))
+    F = _frame(n, draw(st.sampled_from([n, n + 2, 2 * n])), draw(st.integers(0, 99)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = min(m, n) - draw(st.sampled_from([0, 0, 1]))
+    A = rng.standard_normal((m, max(rank, 1))) @ rng.standard_normal((max(rank, 1), n))
+    if rank == 0:
+        A[:] = 0.0
+    if m > 1 and draw(st.booleans()):
+        A[-1] = A[0]  # duplicated row
+    full_rank = numerical_rank(np.linalg.svd(A, compute_uv=False)) == min(m, n)
+    scale = draw(st.sampled_from([1.0, 1e-12, 1e3, 1e-6, 0.0, 1e-3]))
+    b = scale * np.abs(A @ rng.standard_normal(n))
+    return A, F, b, draw(st.sampled_from([0.1, 0.5, 1.0])), full_rank, scale * rng.standard_normal(n)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(oracle_instances())
+def test_one_search_matches_reference_loops_for_every_shape(instance):
+    A, F, b, q, full_rank, x1 = instance
+    P = PhaselessProblem(A=A, frame=F, b=b, eps=0.0, q=q)
+    assert_bit_identical(_batched(P), _outcome(loop_oracle_noiseless, P))
+    if not full_rank:
+        return
+    flipped = np.where(np.arange(len(b)) % 2, -b, b)  # one sign pattern's right-hand side
+    for c in (A @ x1, flipped):
+        got = _outcome(solve_affine_lq_oracle, A, c, F, q)
+        x_ls, *_ = np.linalg.lstsq(A, c, rcond=None)
+        if np.linalg.norm(A @ x_ls - c) > FEAS_RTOL * np.linalg.norm(c):
+            # c outside the range of a tall A is refused relative to ||c||; the
+            # reference loop's max(1, ||c||) scale accepted it when ||c|| < 1
+            assert got is InfeasibleProblemError
+            continue
+        ref = _outcome(loop_affine_lq_oracle, A, c, F, q)
+        assert (got is ref) if isinstance(ref, type) else (
+            got[0].tobytes() == ref[0].tobytes() and got[1:] == ref[1:])
+
+
+def test_tall_A_and_c_outside_its_range():
+    # the two departures from the reference loop: a rank-deficient tall A now
+    # fails the rank check first, and a c outside the range of a full-rank tall
+    # A is refused relative to ||c|| where the loop's max(1, ||c||) accepted it
+    F = build_parseval_random(3, 5, seed=1)
+    A = np.random.default_rng(2).standard_normal((5, 3))
+    c = np.random.default_rng(3).standard_normal(5)
+    with pytest.raises(InfeasibleProblemError):
+        loop_affine_lq_oracle(A, c, F, 1.0)
+    with pytest.raises(InfeasibleProblemError):
+        solve_affine_lq_oracle(A, c, F, 1.0)
+    tiny = 1e-12 * c
+    x_loop, *_ = loop_affine_lq_oracle(A, tiny, F, 1.0)
+    assert np.linalg.norm(A @ x_loop - tiny) > 0.1 * np.linalg.norm(tiny)
+    with pytest.raises(InfeasibleProblemError):
+        solve_affine_lq_oracle(A, tiny, F, 1.0)
+    A[:, 2] = A[:, 0]
+    with pytest.raises(InfeasibleProblemError):
+        loop_affine_lq_oracle(A, c, F, 1.0)
+    with pytest.raises(DegenerateProblemError):
+        solve_affine_lq_oracle(A, c, F, 1.0)
+
+
+def test_tall_oracle_never_calls_the_affine_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_affine_lq_oracle called")
+
+    corpus = [P for P in oracle_corpus(0.5) if P.A.shape[0] > P.A.shape[1]]
+    refs = [_outcome(loop_oracle_noiseless, P) for P in corpus]
+    monkeypatch.setattr(solver, "solve_affine_lq_oracle", refuse)
+    for P, ref in zip(corpus, refs):
+        assert_bit_identical(_batched(P), ref)
+
+
+def test_ill_conditioned_wide_A_refuses_an_infeasible_least_squares_point():
+    # cond(A) of 1e8 to 1e9.9 passes the rank check, yet the minimum-norm point's
+    # residual can exceed FEAS_RTOL ||c||; the reference loop returned it
+    # untested, the search refuses it and keeps a feasible zero set or none
+    outcomes = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        V, _ = np.linalg.qr(rng.standard_normal((4, 2)))
+        A = (U * np.array([1.0, 10.0 ** -rng.uniform(8, 9.9)])) @ V.T
+        c = rng.standard_normal(2)
+        x_mn, *_ = np.linalg.lstsq(A, c, rcond=None)
+        if np.linalg.norm(A @ x_mn - c) <= FEAS_RTOL * np.linalg.norm(c):
+            continue
+        F = build_parseval_random(4, 6, seed)
+        if loop_affine_lq_oracle(A, c, F, 1.0)[2] is not None:
+            continue
+        got = _outcome(solve_affine_lq_oracle, A, c, F, 1.0)
+        if got is InfeasibleProblemError:
+            outcomes.add("infeasible")
+        else:
+            assert got[2] is not None
+            assert np.linalg.norm(A @ got[0] - c) <= FEAS_RTOL * max(1.0, np.linalg.norm(c))
+            outcomes.add("zero set")
+    assert outcomes == {"infeasible", "zero set"}
 
 
 @pytest.mark.parametrize("q", [0.3, 1.0])

@@ -120,6 +120,20 @@ def test_experiment_transition_cli(tmp_path):
     assert lines[0].startswith("cell_index,") and len(lines) == 3
 
 
+def test_experiment_transition_reports_cells_cut_by_the_deadline(tmp_path, capsys):
+    cfg = {
+        "n_values": [3], "N_values": [4], "m_values": [5], "k_values": [0, 1],
+        "q_values": [1.0], "trials": 3, "master_seed": 1,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "t.csv"
+    assert main(["experiment", "transition", "--config", str(cfg_path), "--out", str(out),
+                 "--max-seconds", "0"]) == 0
+    assert out.read_text().splitlines() == ["cell_index,n,N,m,k,q,trials,successes,rate"]
+    assert capsys.readouterr().err == "deadline: 2 of 2 transition cells not run\n"
+
+
 def test_selfcheck_exit_code():
     assert main(["selfcheck", "lemmas"]) == 0
 

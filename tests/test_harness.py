@@ -48,6 +48,20 @@ def test_thread_count_does_not_change_output():
     assert one == eight
 
 
+@pytest.mark.parametrize("threads", [1, 8])
+def test_deadline_skips_trials_instead_of_dropping_them(threads):
+    cfg = small_config(m_values=[6, 8], trials=3)
+    recs = run_bound_experiment(cfg, threads=threads, max_seconds=0.0)
+    assert [(r.cell_index, r.trial_index) for r in recs] == [(c, t) for c in (0, 1) for t in range(3)]
+    assert all(r.status == "skipped" and r.reason == "deadline" for r in recs)
+    assert [r.seed for r in recs] == [derive_trial_seeds(42, r.cell_index, r.trial_index)[0]
+                                      for r in recs]
+    assert len(records_to_csv(recs).splitlines()) == 1 + len(recs)
+    # a deadline that is never reached changes nothing
+    assert (records_to_csv(run_bound_experiment(cfg, threads=threads, max_seconds=1e9))
+            == records_to_csv(run_bound_experiment(cfg)))
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(ConfigurationError):
         small_config(q_values=[]).validate()

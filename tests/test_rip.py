@@ -170,6 +170,19 @@ def test_sdrip_half_rule_on_odd_m():
     assert floor_rep.theta_plus >= ceil_rep.theta_plus - 1e-12
 
 
+@pytest.mark.parametrize("half_rule", ["bogus", "Ceil", ""])
+def test_sdrip_estimators_reject_an_unknown_half_rule(half_rule):
+    F = build_parseval_random(2, 4, seed=8)
+    A = np.random.default_rng(6).standard_normal((5, 2))
+    with pytest.raises(ParameterError):
+        sdrip_constants(A, F, 1, half_rule=half_rule)
+    with pytest.raises(ParameterError):
+        sdrip_constants_sampled(A, F, 1, budget=10, half_rule=half_rule)
+    for rule in ("ceil", "floor"):  # both estimators share the smallest subset size
+        assert (sdrip_constants_sampled(A, F, 1, budget=10, half_rule=rule).min_subset_size
+                == sdrip_constants(A, F, 1, half_rule=rule).min_subset_size)
+
+
 def test_sdrip_sampled_bounds_are_one_sided():
     rng = np.random.default_rng(31)
     F = build_parseval_random(3, 6, seed=4)
