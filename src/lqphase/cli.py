@@ -19,9 +19,8 @@ from .errors import ResourceBudgetError
 from .frames import build_parseval_random
 from .harness import (
     run_bound_experiment,
-    run_phase_transition,
     selfcheck_lemmas,
-    transition_cells,
+    transition_sweep,
     transition_to_csv,
 )
 from .nsp import nsp_real_falsify
@@ -137,13 +136,14 @@ def _cmd_experiment_bound(args) -> int:
 
 def _cmd_experiment_transition(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
-    cells = run_phase_transition(cfg, threads=args.threads, max_seconds=args.max_seconds)
+    cells, not_run = transition_sweep(cfg, threads=args.threads, max_seconds=args.max_seconds)
     out = args.out or "transition_results.csv"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(transition_to_csv(cells))
-    total = len(transition_cells(cfg))
-    if len(cells) < total:
-        sys.stderr.write(f"deadline: {total - len(cells)} of {total} transition cells not run\n")
+    if not_run:
+        why = "; ".join(dict.fromkeys(not_run.values()))
+        total = len(cells) + len(not_run)
+        sys.stderr.write(f"{why}: {len(not_run)} of {total} transition cells not run\n")
     return 0
 
 

@@ -194,14 +194,19 @@ def run_bound_experiment(
     return _execute(tasks, _run_bound_trial, threads, max_seconds, _deadline_skip)
 
 
-def _run_transition_cell(cfg: ExperimentConfig, cell: dict) -> TransitionCell:
+def _run_transition_cell(cfg: ExperimentConfig, cell: dict) -> TransitionCell | str:
+    """The cell's success count, or why it cannot be run: a frame or measurement
+    ensemble that does not exist at the cell's dimensions."""
     n, N, m, k, q = cell["n"], cell["N"], cell["m"], cell["k"], cell["q"]
     successes = 0
     for trial in range(cfg.trials):
         fseed, sseed, mseed, xseed = derive_trial_seeds(cfg.master_seed, cell["cell_index"], trial)
-        frame = _build_frame(cfg, n, N, fseed)
+        try:
+            frame = _build_frame(cfg, n, N, fseed)
+            A = sample_measurement_matrix(cfg.matrix_ensemble, m, n, cfg.jitter, mseed)
+        except ConfigurationError as exc:
+            return f"bad configuration ({exc})"
         truth = sample_dictionary_sparse(frame, k, sseed, cfg.magnitude_law)
-        A = sample_measurement_matrix(cfg.matrix_ensemble, m, n, cfg.jitter, mseed)
         problem = build_problem(A, frame, truth, q, noise="none")
         try:
             if m <= cfg.oracle_max_m:
@@ -225,18 +230,30 @@ def transition_cells(cfg: ExperimentConfig) -> list[dict]:
                 product(cfg.n_values, cfg.N_values, cfg.m_values, cfg.k_values, cfg.q_values))]
 
 
+def transition_sweep(
+    cfg: ExperimentConfig,
+    threads: int = 1,
+    max_seconds: float | None = None,
+) -> tuple[list[TransitionCell], dict[int, str]]:
+    """Success fraction per (n, N, m, k, q) cell for noiseless recovery, and the
+    reason, by cell index, for every cell left out: one that cannot be built, or
+    one that would start after max_seconds ("deadline")."""
+    cfg.validate()
+    tasks = [(cfg, c) for c in transition_cells(cfg)]
+    outcomes = _execute(tasks, _run_transition_cell, threads, max_seconds,
+                        lambda *args: "deadline")
+    cells = [c for c in outcomes if isinstance(c, TransitionCell)]
+    not_run = {i: c for i, c in enumerate(outcomes) if isinstance(c, str)}
+    return cells, not_run
+
+
 def run_phase_transition(
     cfg: ExperimentConfig,
     threads: int = 1,
     max_seconds: float | None = None,
 ) -> list[TransitionCell]:
-    """Success fraction per (n, N, m, k, q) cell for noiseless recovery.  Cells
-    that would start after max_seconds are left out; callers compare the count
-    with transition_cells(cfg)."""
-    cfg.validate()
-    tasks = [(cfg, c) for c in transition_cells(cfg)]
-    cells = _execute(tasks, _run_transition_cell, threads, max_seconds, lambda *args: None)
-    return [c for c in cells if c is not None]
+    """The cells of transition_sweep that were run."""
+    return transition_sweep(cfg, threads, max_seconds)[0]
 
 
 def selfcheck_lemmas(seed: int = 0) -> tuple[bool, list[str]]:

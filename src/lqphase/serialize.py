@@ -180,6 +180,7 @@ def solver_result_to_dict(r: SolverResult) -> dict:
         "method": r.method,
         "certificate": cert,
         "iterations": r.iterations,
+        "steps": r.steps,
     }
 
 
@@ -199,4 +200,5 @@ def solver_result_from_dict(data: dict) -> SolverResult:
         method=str(data["method"]),
         certificate=cert,
         iterations=int(data.get("iterations", 0)),
+        steps=int(data.get("steps", 0)),
     )

@@ -91,7 +91,8 @@ class SolverResult:
     feasibility: float  # || |A x_hat| - b ||_2
     method: str
     certificate: dict | None = None
-    iterations: int = 0
+    iterations: int = 0  # IRLS: the winning iterate's index within its run
+    steps: int = 0  # IRLS: weighted steps over all restarts and follow-ups
 
 
 @dataclass(frozen=True)
@@ -357,6 +358,18 @@ def solve_oracle_noiseless(
                         certificate=cert, iterations=0)
 
 
+def _mv(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ x for every row x of X (R, k), one BLAS matrix-vector product per row,
+    so each row is bit for bit the product M @ x (X @ M.T and einsum are not)."""
+    return (M @ X[:, :, None])[..., 0]
+
+
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """||v|| of every row v of V, bit for bit as np.linalg.norm(v) computes it
+    (norm(V, axis=1) is not)."""
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+
 def irls_weighted_step(
     A: np.ndarray,
     D: np.ndarray,
@@ -367,10 +380,16 @@ def irls_weighted_step(
     eps_s: float,
     lam: float,
 ) -> np.ndarray:
-    """One reweighted least-squares update for fixed signs and smoothing."""
-    w = ((D.T @ x) ** 2 + eps_s**2) ** (q / 2.0 - 1.0)
-    H = A.T @ A + lam * (D * w[None, :]) @ D.T
-    return np.linalg.solve(H, A.T @ (p * b))
+    """One reweighted least-squares update for fixed signs and smoothing.
+
+    Takes one iterate x (n,) with signs p (m,), or a stack x (R, n) with signs
+    p (R, m); each row of a stack is updated exactly as it would be alone.
+    """
+    X, S = np.atleast_2d(x), np.atleast_2d(p)
+    W = (_mv(D.T, X) ** 2 + eps_s**2) ** (q / 2.0 - 1.0)
+    H = A.T @ A + lam * (D * W[:, None, :]) @ D.T
+    X_new = np.linalg.solve(H, _mv(A.T, S * b)[:, :, None])[..., 0]
+    return X_new if np.ndim(x) == 2 else X_new[0]
 
 
 def irls_surrogate(
@@ -390,34 +409,83 @@ def irls_surrogate(
     return float(resid @ resid + lam * (2.0 / q) * smooth)
 
 
-def _sign_flip_descent(A: np.ndarray, b: np.ndarray, p: np.ndarray,
+def _sign_flip_descent(A: np.ndarray, b: np.ndarray, patterns: np.ndarray,
                        max_sweeps: int = 8) -> np.ndarray:
-    """1-opt descent on the least-squares residual over sign patterns.
+    """1-opt descent on the least-squares residual over sign patterns, for every
+    row of patterns (R, m) at once.
 
     Escapes alternating fixed points whose sign pattern is locally wrong;
-    deterministic (first improving flip wins within a sweep).
+    deterministic (first improving flip wins within a sweep).  A row leaves the
+    batch after a sweep that does not improve it.
     """
-    Qa, Ra = np.linalg.qr(A)
+    Qa, _ = np.linalg.qr(A)
 
-    def resid(pattern: np.ndarray) -> float:
-        cv = pattern * b
-        return float(np.linalg.norm(cv - Qa @ (Qa.T @ cv)))
+    def resid(S: np.ndarray) -> np.ndarray:
+        CV = S * b
+        return _row_norms(CV - _mv(Qa, _mv(Qa.T, CV)))
 
-    best = resid(p)
-    p = p.copy()
+    S = patterns.copy()
+    best = resid(S)
+    live = np.arange(len(S))
     for _ in range(max_sweeps):
-        improved = False
-        for i in range(A.shape[0]):
-            p[i] = -p[i]
-            r = resid(p)
-            if r < best - 1e-14:
-                best = r
-                improved = True
-            else:
-                p[i] = -p[i]
-        if not improved:
+        if not len(live):
             break
-    return p
+        improved = np.zeros(len(live), dtype=bool)
+        for i in range(S.shape[1]):
+            S[live, i] = -S[live, i]
+            r = resid(S[live])
+            gain = r < best[live] - 1e-14
+            best[live[gain]] = r[gain]
+            improved |= gain
+            S[live[~gain], i] = -S[live[~gain], i]
+        live = live[improved]
+    return S
+
+
+def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
+                   lam0: float) -> tuple:
+    """Run the continuation from every row of X (R, n) as one batched state.
+
+    Every row follows the same eps/lam schedule, so iteration t updates all
+    live rows with one stacked weighted step; a row leaves at its exit test.
+    Returns, per row: the last iterate; the best iterate by (violation,
+    objective), the earliest one winning a tie, with that key and its 1-based
+    iteration; and the number of weighted steps taken.
+    """
+    A, b, D, q = P.A, P.b, P.frame.D, P.q
+    last = np.empty_like(X)
+    best_x = np.empty_like(X)
+    best_v = np.empty(len(X))
+    best_o = np.empty(len(X))
+    best_t = np.zeros(len(X), dtype=int)
+    steps = np.full(len(X), opts.max_iters)
+    live = np.arange(len(X))
+    AX = _mv(A, X)
+    eps_s = opts.eps0
+    for t in range(opts.max_iters):
+        # lam * w stays O(lam0) at analysis zeros and vanishes elsewhere,
+        # so the data term is asymptotically unbiased
+        lam = lam0 * (eps_s / opts.eps0) ** (2.0 - q)
+        X_new = irls_weighted_step(A, D, np.where(AX >= 0.0, 1.0, -1.0), b, X, q, eps_s, lam)
+        AX = _mv(A, X_new)
+        excess = _row_norms(np.abs(AX) - b) - P.eps
+        v = np.where(excess > 0.0, excess, 0.0)  # the violation, max(0, excess)
+        o = np.sum(np.abs(_mv(D.T, X_new)) ** q, axis=1)
+        bv, bo = best_v[live], best_o[live]
+        better = (v < bv) | ((v == bv) & (o < bo)) | (t == 0)
+        rows = live[better]
+        best_x[rows], best_v[rows], best_o[rows], best_t[rows] = X_new[better], v[better], o[better], t + 1
+        # exit only once the continuation has reached its floor
+        if eps_s <= opts.tol * (1.0 + 1e-9):
+            done = _row_norms(X_new - X) <= opts.tol
+            last[live[done]], steps[live[done]] = X_new[done], t + 1
+            live, X_new, AX = live[~done], X_new[~done], AX[~done]
+        X = X_new
+        if not len(live):
+            break
+        eps_s = max(eps_s * opts.decay, opts.tol)
+    last[live] = X
+    return last, best_x, best_v, best_o, best_t, steps
 
 
 def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverResult:
@@ -429,9 +497,29 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
     point of the unsmoothed objective.  Restart 0 starts at the spectral
     direction, every later one at a fresh random direction scaled to ||b||;
     restarts that stall at an infeasible sign pattern get one round of 1-opt
-    sign-flip descent.  Among all iterates of all restarts the
-    returned one minimizes (constraint violation, objective) lexicographically,
-    so it is never less feasible than the best iterate seen.
+    sign-flip descent and a follow-up run from the least-squares point of the
+    better pattern.  Among all iterates of all restarts the returned one
+    minimizes (constraint violation, objective) lexicographically, so it is
+    never less feasible than the best iterate seen.
+
+    All restarts run as one batched (R, n) state: they share the eps/lam
+    schedule, so iteration t is one stacked weighted step over the restarts
+    still live.  The stalled ones then go through the sign-flip descent as
+    one batch, and their follow-ups converge as a second batch.  The result
+    equals that of running the restarts one after another, bit for bit:
+    iterates are visited in the order restart j, then its follow-up, then
+    iteration t, and the first strict minimum wins.  Each run keeps its best
+    iterate under a strict comparison, and a lexsort over (violation,
+    objective, rank), with rank 2j for restart j and 2j + 1 for its
+    follow-up, picks the winner.  Bit-identity also fixes the arithmetic:
+    stacked products are (M @ X[:, :, None])[..., 0] and norms the stacked
+    dot product, which run the same BLAS kernels per row as the 1-D calls
+    (X @ M.T, einsum and norm(axis=1) round differently), and every
+    follow-up start is its own lstsq, since one multi-RHS lstsq does not
+    reproduce the single solves.
+
+    `iterations` is the winning iterate's index within its run, `steps` the
+    weighted steps taken over all runs.
     """
     opts = opts or IrlsOptions()
     opts.validate()
@@ -444,53 +532,31 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
                             method="irls", iterations=0)
     lam0 = opts.reg if opts.reg is not None else 1e-3 * float(b @ b)
     _, V = np.linalg.eigh(A.T @ ((b**2)[:, None] * A))
-    x_spec = scale * V[:, -1]
+    starts = [scale * V[:, -1]]
+    for j in range(1, opts.restarts):  # fresh random directions break bad sign-pattern basins
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(opts.seed, j)))
+        g = rng.standard_normal(n)
+        starts.append(scale * g / np.linalg.norm(g))
+    runs = [_irls_converge(P, np.array(starts), opts, lam0)]
+    ranks = [2 * np.arange(opts.restarts)]
 
-    best_key: tuple[float, float] | None = None
-    best_x = None
-    best_iters = 0
-
-    def converge(x: np.ndarray) -> np.ndarray:
-        nonlocal best_key, best_x, best_iters
-        eps_s = opts.eps0
-        for t in range(opts.max_iters):
-            # lam * w stays O(lam0) at analysis zeros and vanishes elsewhere,
-            # so the data term is asymptotically unbiased
-            lam = lam0 * (eps_s / opts.eps0) ** (2.0 - P.q)
-            p = np.where(A @ x >= 0.0, 1.0, -1.0)
-            x_new = irls_weighted_step(A, D, p, b, x, P.q, eps_s, lam)
-            feas = float(np.linalg.norm(np.abs(A @ x_new) - b))
-            key = (max(0.0, feas - P.eps), lq_quasinorm(D.T @ x_new, P.q))
-            if best_key is None or key < best_key:
-                best_key, best_x, best_iters = key, x_new, t + 1
-            # exit only once the continuation has reached its floor
-            if np.linalg.norm(x_new - x) <= opts.tol and eps_s <= opts.tol * (1.0 + 1e-9):
-                return x_new
-            x = x_new
-            eps_s = max(eps_s * opts.decay, opts.tol)
-        return x
-
-    for j in range(opts.restarts):
-        if j == 0:
-            x = x_spec
-        else:  # a fresh random direction; breaks bad sign-pattern basins
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(opts.seed, j)))
-            g = rng.standard_normal(n)
-            x = scale * g / np.linalg.norm(g)
-        x = converge(x)
-        feas = float(np.linalg.norm(np.abs(A @ x) - b))
-        if feas > max(P.eps, 1e-7 * scale):
-            p = np.where(A @ x >= 0.0, 1.0, -1.0)
-            p_better = _sign_flip_descent(A, b, p)
-            if not np.array_equal(p_better, p):
-                x0, *_ = np.linalg.lstsq(A, p_better * b, rcond=None)
-                converge(x0)
-    assert best_x is not None
-    feas = float(np.linalg.norm(np.abs(A @ best_x) - b))
+    AX = _mv(A, runs[0][0])
+    stalled = np.flatnonzero(_row_norms(np.abs(AX) - b) > max(P.eps, 1e-7 * scale))
+    signs = np.where(AX[stalled] >= 0.0, 1.0, -1.0)
+    flipped = _sign_flip_descent(A, b, signs)
+    moved = np.any(flipped != signs, axis=1)
+    if moved.any():
+        X0 = np.array([np.linalg.lstsq(A, p * b, rcond=None)[0] for p in flipped[moved]])
+        runs.append(_irls_converge(P, X0, opts, lam0))
+        ranks.append(2 * stalled[moved] + 1)
+    _, best_x, best_v, best_o, best_t, steps = map(np.concatenate, zip(*runs))
+    w = int(np.lexsort((np.concatenate(ranks), best_o, best_v))[0])
+    x_hat = best_x[w].copy()
     return SolverResult(
-        x_hat=best_x,
-        objective=lq_quasinorm(D.T @ best_x, P.q),
-        feasibility=feas,
+        x_hat=x_hat,
+        objective=lq_quasinorm(D.T @ x_hat, P.q),
+        feasibility=float(np.linalg.norm(np.abs(A @ x_hat) - b)),
         method="irls",
-        iterations=best_iters,
+        iterations=int(best_t[w]),
+        steps=int(steps.sum()),
     )

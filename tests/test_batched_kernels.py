@@ -9,6 +9,10 @@ to 1e-12 relative, with the same witness support wherever the top two
 supports do not tie.  The NSP falsifier, which now computes each support's
 basis once per call, must return bit-identical witnesses; the chunked
 dictionary-sparse distance must agree with the per-support loop to rounding.
+The batched IRLS solver must reproduce the restart loop bit for bit (point,
+objective, feasibility, winning iteration), the batched sign-flip descent the
+scalar one row by row, and the sampled DRIP estimator its old row-wise
+np.unique pass.
 """
 
 from itertools import combinations, product
@@ -40,9 +44,17 @@ from lqphase.nsp import (
     nsp_real_evaluate,
     nsp_real_falsify,
 )
-from lqphase.rip import drip_constant, drip_constant_sampled, sdrip_constants
+from lqphase.harness import sample_measurement_matrix
+from lqphase.rip import DripWitness, drip_constant, drip_constant_sampled, sdrip_constants
 from lqphase.signals import _check_q, lq_quasinorm, sample_dictionary_sparse
-from lqphase.solver import FEAS_RTOL, solve_affine_lq_oracle, solve_oracle_noiseless
+from lqphase.solver import (
+    FEAS_RTOL,
+    IrlsOptions,
+    SolverResult,
+    solve_affine_lq_oracle,
+    solve_irls,
+    solve_oracle_noiseless,
+)
 
 # ---------------------------------------------------------------- reference loops
 
@@ -266,6 +278,175 @@ def loop_nsp_real_falsify(A, F, k, q, budget=10**4, seed=0, lambda_mode="card_at
                 if checked.violated:
                     return checked
     return None
+
+
+def loop_weighted_step(
+    A: np.ndarray,
+    D: np.ndarray,
+    p: np.ndarray,
+    b: np.ndarray,
+    x: np.ndarray,
+    q: float,
+    eps_s: float,
+    lam: float,
+) -> np.ndarray:
+    """One reweighted least-squares update for fixed signs and smoothing."""
+    w = ((D.T @ x) ** 2 + eps_s**2) ** (q / 2.0 - 1.0)
+    H = A.T @ A + lam * (D * w[None, :]) @ D.T
+    return np.linalg.solve(H, A.T @ (p * b))
+
+
+def loop_sign_flip_descent(A: np.ndarray, b: np.ndarray, p: np.ndarray,
+                           max_sweeps: int = 8) -> np.ndarray:
+    """1-opt descent on the least-squares residual over sign patterns.
+
+    Escapes alternating fixed points whose sign pattern is locally wrong;
+    deterministic (first improving flip wins within a sweep).
+    """
+    Qa, Ra = np.linalg.qr(A)
+
+    def resid(pattern: np.ndarray) -> float:
+        cv = pattern * b
+        return float(np.linalg.norm(cv - Qa @ (Qa.T @ cv)))
+
+    best = resid(p)
+    p = p.copy()
+    for _ in range(max_sweeps):
+        improved = False
+        for i in range(A.shape[0]):
+            p[i] = -p[i]
+            r = resid(p)
+            if r < best - 1e-14:
+                best = r
+                improved = True
+            else:
+                p[i] = -p[i]
+        if not improved:
+            break
+    return p
+
+
+def loop_solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverResult:
+    """Alternating sign / reweighted least-squares solver.
+
+    Each outer iteration sets p = sign(Ax) (zeros map to +1), then solves the
+    strictly convex weighted problem; the smoothing and the regularization
+    decay geometrically together so the fixed point approaches a stationary
+    point of the unsmoothed objective.  Restart 0 starts at the spectral
+    direction, every later one at a fresh random direction scaled to ||b||;
+    restarts that stall at an infeasible sign pattern get one round of 1-opt
+    sign-flip descent.  Among all iterates of all restarts the
+    returned one minimizes (constraint violation, objective) lexicographically,
+    so it is never less feasible than the best iterate seen.
+    """
+    opts = opts or IrlsOptions()
+    opts.validate()
+    _check_q(P.q)
+    A, b, D = P.A, P.b, P.frame.D
+    n = A.shape[1]
+    scale = float(np.linalg.norm(b))
+    if scale == 0.0:
+        return SolverResult(x_hat=np.zeros(n), objective=0.0, feasibility=0.0,
+                            method="irls", iterations=0)
+    lam0 = opts.reg if opts.reg is not None else 1e-3 * float(b @ b)
+    _, V = np.linalg.eigh(A.T @ ((b**2)[:, None] * A))
+    x_spec = scale * V[:, -1]
+
+    best_key: tuple[float, float] | None = None
+    best_x = None
+    best_iters = 0
+
+    def converge(x: np.ndarray) -> np.ndarray:
+        nonlocal best_key, best_x, best_iters
+        eps_s = opts.eps0
+        for t in range(opts.max_iters):
+            # lam * w stays O(lam0) at analysis zeros and vanishes elsewhere,
+            # so the data term is asymptotically unbiased
+            lam = lam0 * (eps_s / opts.eps0) ** (2.0 - P.q)
+            p = np.where(A @ x >= 0.0, 1.0, -1.0)
+            x_new = loop_weighted_step(A, D, p, b, x, P.q, eps_s, lam)
+            feas = float(np.linalg.norm(np.abs(A @ x_new) - b))
+            key = (max(0.0, feas - P.eps), lq_quasinorm(D.T @ x_new, P.q))
+            if best_key is None or key < best_key:
+                best_key, best_x, best_iters = key, x_new, t + 1
+            # exit only once the continuation has reached its floor
+            if np.linalg.norm(x_new - x) <= opts.tol and eps_s <= opts.tol * (1.0 + 1e-9):
+                return x_new
+            x = x_new
+            eps_s = max(eps_s * opts.decay, opts.tol)
+        return x
+
+    for j in range(opts.restarts):
+        if j == 0:
+            x = x_spec
+        else:  # a fresh random direction; breaks bad sign-pattern basins
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(opts.seed, j)))
+            g = rng.standard_normal(n)
+            x = scale * g / np.linalg.norm(g)
+        x = converge(x)
+        feas = float(np.linalg.norm(np.abs(A @ x) - b))
+        if feas > max(P.eps, 1e-7 * scale):
+            p = np.where(A @ x >= 0.0, 1.0, -1.0)
+            p_better = loop_sign_flip_descent(A, b, p)
+            if not np.array_equal(p_better, p):
+                x0, *_ = np.linalg.lstsq(A, p_better * b, rcond=None)
+                converge(x0)
+    assert best_x is not None
+    feas = float(np.linalg.norm(np.abs(A @ best_x) - b))
+    return SolverResult(
+        x_hat=best_x,
+        objective=lq_quasinorm(D.T @ best_x, P.q),
+        feasibility=feas,
+        method="irls",
+        iterations=best_iters,
+    )
+
+
+def loop_drip_constant_sampled(
+    A: np.ndarray,
+    F: TightFrame,
+    order: int,
+    budget: int = 10**5,
+    seed: int = 0,
+    refine: bool = True,
+) -> tuple[float, DripWitness]:
+    """Random-quotient lower bound on the isometry defect.
+
+    Draws `budget` random supports; without refinement, each distinct support
+    contributes random-coefficient Rayleigh quotients, one per draw.  With
+    refine=True the extremes of every visited support are computed exactly, so
+    the gap to the exhaustive constant vanishes once all supports have been
+    seen.  The returned value never exceeds the exhaustive one.
+    """
+    A = rip._check_problem(A, F)
+    if not (1 <= order <= F.N):
+        raise ParameterError(f"order must lie in [1, {F.N}], got {order}")
+    if budget < 1:
+        raise ParameterError("budget must be >= 1")
+    rng = np.random.default_rng(seed)
+    G = A.T @ A
+    # vectorized uniform k-subsets: order statistics of i.i.d. uniforms
+    draws = np.argsort(rng.random((budget, F.N)), axis=1)[:, :order]
+    draws.sort(axis=1)
+    visited, counts = np.unique(draws, axis=0, return_counts=True)
+    if refine:
+        lo, hi = rip._support_extremes(F.D, G, visited)
+    else:
+        lo = np.full(len(visited), np.nan)
+        hi = np.full(len(visited), np.nan)
+        for i, (row, cnt) in enumerate(zip(visited, counts)):
+            Y = F.D[:, row] @ rng.standard_normal((order, int(cnt)))
+            norms = np.sum(Y * Y, axis=0)
+            keep = norms > 0.0
+            if np.any(keep):
+                quots = np.sum(Y[:, keep] * (G @ Y[:, keep]), axis=0) / norms[keep]
+                lo[i], hi[i] = np.min(quots), np.max(quots)
+    dev = np.fmax(hi - 1.0, 1.0 - lo)
+    if np.all(np.isnan(dev)):
+        raise ParameterError("sampling never hit a support with nonvanishing frame columns")
+    i = int(np.nanargmax(dev))
+    witness = rip._witness_for_support(A, F, tuple(visited[i].tolist()), rip._side(lo[i], hi[i]))
+    return float(dev[i]), witness
 
 
 # ---------------------------------------------------------------- corpus
@@ -741,3 +922,92 @@ def test_dictionary_sparse_distance_matches_reference_loop(monkeypatch):
                         assert got == np.inf
                     elif k == 0 or not D.any():  # only supports that span {0}
                         assert got == np.linalg.norm(x)
+
+
+# ---------------------------------------------------------------- IRLS
+
+
+def irls_corpus():
+    """Problems shaped like the irls-sweep workload (n = 8, N = 12, m in {16, 24},
+    q in {0.5, 1}, eps = 0.01, near-isometric A), and wide Gaussian ones at eps = 0."""
+    for seed in range(2):
+        for m, q in product((16, 24), (0.5, 1.0)):
+            F = build_parseval_random(8, 12, seed)
+            truth = sample_dictionary_sparse(F, 2, seed + 20)
+            A = sample_measurement_matrix("near_isometric", m, 8, 0.05, seed + 40)
+            yield build_problem(A, F, truth, q, noise=("bounded", 0.01), seed=seed + 60)
+        F = build_parseval_random(6, 9, seed)
+        truth = sample_dictionary_sparse(F, 1, seed + 30)
+        A = np.random.default_rng(seed + 50).standard_normal((4, 6)) / 2.0
+        yield build_problem(A, F, truth, 0.5 + 0.5 * seed)
+
+
+def _irls_outcome(solve, P, opts):
+    try:
+        res = solve(P, opts)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+    return res.x_hat.tobytes(), res.objective, res.feasibility, res.iterations
+
+
+@pytest.mark.parametrize("opts", [
+    IrlsOptions(seed=3),
+    IrlsOptions(restarts=1),
+    IrlsOptions(max_iters=5, seed=4),  # every run stops at the iteration cap
+    IrlsOptions(max_iters=55, restarts=4, seed=5),  # most runs pass their exit test first
+    IrlsOptions(reg=0.02, restarts=4, seed=6),
+    # lam * w below rounding: iterates repeat exactly, so keys tie within a run
+    IrlsOptions(reg=1e-18, restarts=4, seed=7),
+    # the start's last bits reach the first weights, so follow-up starts must
+    # be the single-right-hand-side least-squares points
+    IrlsOptions(eps0=1e-2, seed=9),
+], ids=["default", "one-restart", "cap-5", "cap-55", "reg", "tiny-reg", "small-eps0"])
+def test_irls_matches_reference_loop_bit_for_bit(opts, monkeypatch):
+    runs = []
+    converge = solver._irls_converge
+
+    def counting(P, X, *args):
+        runs.append(len(X))
+        return converge(P, X, *args)
+
+    monkeypatch.setattr(solver, "_irls_converge", counting)
+    problems = list(irls_corpus())
+    for P in problems:
+        assert _irls_outcome(solve_irls, P, opts) == _irls_outcome(loop_solve_irls, P, opts)
+    if opts.restarts > 1:  # the corpus reaches the follow-up runs
+        assert len(runs) > len(problems)
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 8])
+def test_sign_flip_descent_matches_scalar_loop_row_by_row(max_sweeps):
+    rng = np.random.default_rng(11)
+    for m, n in ((16, 8), (24, 8), (5, 3)):
+        A = rng.standard_normal((m, n)) / np.sqrt(m)
+        x = rng.standard_normal(n)
+        b = np.abs(A @ x)
+        exact = np.where(A @ x >= 0.0, 1.0, -1.0)  # zero residual: never improves
+        patterns = np.vstack([exact, -exact, np.where(rng.random((6, m)) < 0.5, 1.0, -1.0)])
+        got = solver._sign_flip_descent(A, b, patterns, max_sweeps)
+        assert got.tobytes() != patterns.tobytes()
+        assert np.array_equal(got[:2], patterns[:2])
+        for row, p in zip(got, patterns):
+            assert row.tobytes() == loop_sign_flip_descent(A, b, p, max_sweeps).tobytes()
+
+
+# ---------------------------------------------------------------- sampled DRIP
+
+
+@pytest.mark.parametrize("N, order, budget", [
+    (12, 3, 20000), (9, 1, 50), (14, 5, 3000), (6, 6, 10),
+    (32, 12, 300),  # base-N keys up to 2^60
+    (40, 12, 300),  # 40^12 > 2^63: row-wise unique
+])
+@pytest.mark.parametrize("refine", [True, False])
+def test_sampled_drip_matches_row_wise_unique(N, order, budget, refine):
+    F = build_parseval_random(4, N, seed=N)
+    A = np.random.default_rng(order).standard_normal((7, 4)) / np.sqrt(7)
+    delta, w = drip_constant_sampled(A, F, order, budget=budget, seed=budget, refine=refine)
+    ref, rw = loop_drip_constant_sampled(A, F, order, budget=budget, seed=budget, refine=refine)
+    assert delta == ref  # refine=False draws quotients per visited support, in order
+    assert (w.support, w.side, w.quotient, w.z.tobytes()) == (rw.support, rw.side, rw.quotient,
+                                                              rw.z.tobytes())

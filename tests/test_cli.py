@@ -134,6 +134,31 @@ def test_experiment_transition_reports_cells_cut_by_the_deadline(tmp_path, capsy
     assert capsys.readouterr().err == "deadline: 2 of 2 transition cells not run\n"
 
 
+def test_experiment_transition_reports_cells_that_cannot_be_built(tmp_path, capsys):
+    cfg = {
+        "n_values": [4], "N_values": [8, 5], "m_values": [4, 12], "k_values": [1],
+        "q_values": [1.0], "trials": 2, "frame_kind": "duplicated_identity",
+        "matrix_ensemble": "orthonormal",
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "t.csv"
+    assert main(["experiment", "transition", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert [line.split(",")[:4] for line in out.read_text().splitlines()[1:]] == [
+        ["0", "4", "8", "4"], ["1", "4", "8", "12"]]
+    assert capsys.readouterr().err == (
+        "bad configuration (duplicated_identity frame at n=4 has N=8, not 5): "
+        "2 of 4 transition cells not run\n")
+
+
+def test_solve_irls_reports_weighted_steps(tmp_path, problem_file):
+    path, _, _ = problem_file
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--problem", str(path), "--method", "irls", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["steps"] >= data["iterations"] >= 1
+
+
 def test_selfcheck_exit_code():
     assert main(["selfcheck", "lemmas"]) == 0
 

@@ -10,6 +10,7 @@ from lqphase.harness import (
     run_phase_transition,
     sample_measurement_matrix,
     selfcheck_lemmas,
+    transition_sweep,
     transition_to_csv,
 )
 from lqphase.records import (
@@ -209,3 +210,18 @@ def test_selfcheck_lemmas_passes():
     ok, lines = selfcheck_lemmas(seed=0)
     assert ok and len(lines) == 3
     assert all("OK" in line for line in lines)
+
+
+def test_transition_leaves_out_cells_that_cannot_be_built():
+    # a duplicated_identity frame at n = 4 has N = 8, so the N = 5 cells are not
+    # run; the N = 8 cells still are
+    cfg = ExperimentConfig(n_values=[4], N_values=[8, 5], m_values=[4, 12], k_values=[1],
+                           q_values=[1.0], trials=2, frame_kind="duplicated_identity",
+                           matrix_ensemble="orthonormal")
+    cells = run_phase_transition(cfg)
+    assert [(c.cell_index, c.N, c.m) for c in cells] == [(0, 8, 4), (1, 8, 12)]
+    cells_again, not_run = transition_sweep(cfg)
+    assert cells_again == cells
+    assert not_run == dict.fromkeys(
+        [2, 3], "bad configuration (duplicated_identity frame at n=4 has N=8, not 5)")
+    assert transition_to_csv(cells).splitlines()[0] == "cell_index,n,N,m,k,q,trials,successes,rate"

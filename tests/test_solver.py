@@ -1,8 +1,10 @@
+import json
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from lqphase import serialize, solver
 from lqphase.errors import (
     DegenerateProblemError,
     InfeasibleProblemError,
@@ -246,6 +248,30 @@ def test_irls_feasibility_tracking_noiseless():
     res = solve_irls(P, IrlsOptions(restarts=10, seed=0))
     assert res.feasibility <= 1e-6 * np.linalg.norm(P.b)
     assert res.iterations >= 1
+
+
+def test_irls_steps_count_every_weighted_step(monkeypatch):
+    # steps is the number of iterates over all restarts and follow-ups;
+    # iterations is the winning iterate's index within its own run
+    rows = []
+    step = solver.irls_weighted_step
+
+    def counting(A, D, p, b, x, *args):
+        rows.append(len(np.atleast_2d(x)))
+        return step(A, D, p, b, x, *args)
+
+    monkeypatch.setattr(solver, "irls_weighted_step", counting)
+    F = build_parseval_random(4, 6, seed=12)
+    truth = sample_dictionary_sparse(F, 1, seed=13)
+    A = np.random.default_rng(14).standard_normal((8, 4)) / np.sqrt(8)
+    P = build_problem(A, F, truth, q=0.5)
+    res = solve_irls(P, IrlsOptions(restarts=6, seed=2))
+    assert res.steps == sum(rows) >= res.iterations >= 1
+    assert len(rows) < res.steps  # one call advances every live restart
+    back = serialize.solver_result_from_dict(
+        json.loads(json.dumps(serialize.solver_result_to_dict(res))))
+    assert (back.steps, back.iterations) == (res.steps, res.iterations)
+    assert solve_oracle_noiseless(P).steps == 0
 
 
 def test_irls_options_validation():
