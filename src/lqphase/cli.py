@@ -42,11 +42,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--max-seconds", type=float, default=None)
-    p.add_argument("--out", type=str, default=None)
+_SHARED_OPTIONS = {
+    "--seed": dict(type=int, default=0),
+    "--threads": dict(type=int, default=1),
+    "--max-seconds": dict(type=float, default=None),
+    "--out": dict(type=str, default=None),
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the shared options a subcommand reads, and no others: a flag it
+    would ignore is then a usage error."""
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -144,6 +152,11 @@ def _cmd_experiment_transition(args) -> int:
         why = "; ".join(dict.fromkeys(not_run.values()))
         total = len(cells) + len(not_run)
         sys.stderr.write(f"{why}: {len(not_run)} of {total} transition cells not run\n")
+    errors = [e for c in cells for e in c.errors]
+    if errors:
+        kinds = ", ".join(dict.fromkeys(errors))
+        sys.stderr.write(f"{kinds}: {len(errors)} of {len(cells) * cfg.trials} transition "
+                         "trials raised and count as failures\n")
     return 0
 
 
@@ -162,7 +175,7 @@ def build_parser() -> _Parser:
     gen = frame.add_parser("gen")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--N", type=int, required=True)
-    _add_common(gen)
+    _add_shared(gen, "--seed", "--out")
     gen.set_defaults(func=_cmd_frame_gen)
 
     rip = sub.add_parser("rip").add_subparsers(dest="action", required=True)
@@ -173,7 +186,7 @@ def build_parser() -> _Parser:
     est.add_argument("--sampled", action="store_true")
     est.add_argument("--budget", type=int, default=10**4)
     est.add_argument("--half-rule", choices=("ceil", "floor"), default="ceil")
-    _add_common(est)
+    _add_shared(est, "--seed", "--out")
     est.set_defaults(func=_cmd_rip_estimate)
 
     nsp = sub.add_parser("nsp").add_subparsers(dest="action", required=True)
@@ -184,14 +197,14 @@ def build_parser() -> _Parser:
     fal.add_argument("--budget", type=int, default=10**4)
     fal.add_argument("--lambda-mode", choices=("card_at_most_k", "all_subsets"),
                      default="card_at_most_k")
-    _add_common(fal)
+    _add_shared(fal, "--seed", "--out")
     fal.set_defaults(func=_cmd_nsp_falsify)
 
     solve_p = sub.add_parser("solve")
     solve_p.add_argument("--problem", required=True)
     solve_p.add_argument("--method", choices=("oracle", "irls"), default="oracle")
     solve_p.add_argument("--config", default=None)
-    _add_common(solve_p)
+    _add_shared(solve_p, "--seed", "--out")
     solve_p.set_defaults(func=_cmd_solve)
 
     bound = sub.add_parser("bound").add_subparsers(dest="action", required=True)
@@ -199,11 +212,11 @@ def build_parser() -> _Parser:
     check.add_argument("--q", type=float, required=True)
     check.add_argument("--t", type=float, required=True)
     check.add_argument("--delta", type=float, required=True)
-    _add_common(check)
+    _add_shared(check, "--out")
     check.set_defaults(func=_cmd_bound_check)
     verify = bound.add_parser("verify")
     verify.add_argument("--trial", required=True)
-    _add_common(verify)
+    _add_shared(verify, "--out")
     verify.set_defaults(func=_cmd_bound_verify)
 
     exp = sub.add_parser("experiment").add_subparsers(dest="action", required=True)
@@ -213,16 +226,16 @@ def build_parser() -> _Parser:
         "--format", choices=("csv", "json"), default="csv",
         help="csv writes the fixed records.CSV_COLUMNS schema; json carries every "
              "TrialRecord field, including wall_time_s and theta_window_ok")
-    _add_common(expb)
+    _add_shared(expb, "--threads", "--max-seconds", "--out")
     expb.set_defaults(func=_cmd_experiment_bound)
     expt = exp.add_parser("transition")
     expt.add_argument("--config", required=True)
-    _add_common(expt)
+    _add_shared(expt, "--threads", "--max-seconds", "--out")
     expt.set_defaults(func=_cmd_experiment_transition)
 
     selfcheck = sub.add_parser("selfcheck").add_subparsers(dest="action", required=True)
     lem = selfcheck.add_parser("lemmas")
-    _add_common(lem)
+    _add_shared(lem, "--seed")
     lem.set_defaults(func=_cmd_selfcheck_lemmas)
 
     return parser

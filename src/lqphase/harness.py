@@ -48,6 +48,9 @@ class TransitionCell:
     q: float
     trials: int
     successes: int
+    # exception type of each trial whose solver raised (counted as no success);
+    # not a CSV column
+    errors: tuple[str, ...] = ()
 
     @property
     def rate(self) -> float:
@@ -195,10 +198,11 @@ def run_bound_experiment(
 
 
 def _run_transition_cell(cfg: ExperimentConfig, cell: dict) -> TransitionCell | str:
-    """The cell's success count, or why it cannot be run: a frame or measurement
-    ensemble that does not exist at the cell's dimensions."""
+    """The cell's success count and solver errors, or why it cannot be run: a
+    frame or measurement ensemble that does not exist at the cell's dimensions."""
     n, N, m, k, q = cell["n"], cell["N"], cell["m"], cell["k"], cell["q"]
     successes = 0
+    errors = []
     for trial in range(cfg.trials):
         fseed, sseed, mseed, xseed = derive_trial_seeds(cfg.master_seed, cell["cell_index"], trial)
         try:
@@ -214,13 +218,14 @@ def _run_transition_cell(cfg: ExperimentConfig, cell: dict) -> TransitionCell | 
                                                 support_budget=cfg.support_budget)
             else:
                 result = solve_irls(problem, IrlsOptions(**{**cfg.solver_options, "seed": xseed}))
-        except (ResourceBudgetError, InfeasibleProblemError, DegenerateProblemError):
+        except (ResourceBudgetError, InfeasibleProblemError, DegenerateProblemError) as exc:
+            errors.append(type(exc).__name__)
             continue
         dist = phase_distance(result.x_hat, truth.x, field="real")
         if dist <= cfg.success_tol * np.linalg.norm(truth.x) + 1e-15:
             successes += 1
     return TransitionCell(cell_index=cell["cell_index"], n=n, N=N, m=m, k=k, q=q,
-                          trials=cfg.trials, successes=successes)
+                          trials=cfg.trials, successes=successes, errors=tuple(errors))
 
 
 def transition_cells(cfg: ExperimentConfig) -> list[dict]:

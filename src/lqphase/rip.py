@@ -6,14 +6,19 @@ column space are eigenvalue bounds of Q^T A^T A Q for any orthonormal basis
 Q of col(D_S).  Rank-deficient supports (dependent frame columns) are
 handled by restricting to the numerically nonzero singular directions.
 
-The strong variant additionally ranges over all row subsets I of A holding
-at least half the measurements; because the defining inequalities are
-universal over the sparse vector, the min/max over I commute with that
-quantifier and exhaustive enumeration over (I, S) pairs is exact.
-
-The full-row subset I = [m] is one of those subsets, so sdrip_constants
-reads delta off its own enumeration: the extremes on I = [m] are the DRIP
-extremes, up to the order in which A^T A is summed.
+The strong variant (S-DRIP) additionally ranges over all row subsets I of
+A holding at least h = min_subset_size rows; because the defining
+inequalities are universal over the sparse vector, the min/max over I
+commute with that quantifier.  Only two row layers can attain them: for
+I within J, A_J^T A_J - A_I^T A_I is a sum of outer products b_i b_i^T and so
+positive semidefinite, and by Weyl monotonicity both extreme eigenvalues on
+col(D_S) can only grow as rows are added.  Every subset with more than h
+rows contains one with exactly h, so theta_minus is attained on a size-h
+subset, and theta_plus on I = [m].  sdrip_constants therefore evaluates
+C(m, h) + 1 row masks per support instead of all subsets of size >= h, and
+reads delta off I = [m] as well: the extremes there are the DRIP extremes,
+up to the order in which A^T A is summed.  The sampled estimator draws a
+support with one size-h subset and evaluates the same two layers.
 
 Supports are enumerated in batches.  The basis kernel, linalg.support_bases,
 takes a chunk of supports (lexicographic order, at most STACK_ELEMS elements
@@ -21,17 +26,18 @@ per stack), runs one batched SVD of the (C, n, k) column stack and groups
 the slices by numerical rank; each group then needs one batched matrix
 product and one batched eigen-bounds call.  Exhaustive, sampled and
 half-subset constants and the DRIP witness all use it, the single-support
-callers with a one-row stack.  Unlike the oracle's objectives, the
-isometry constants carry no tie rule: a batched eigenvalue agrees with the
-per-support one to rounding (on the test corpus, exactly), so the batched
-values are the constants, and the first maximal support in lexicographic order
-names the witness, which is recomputed for that support alone.
+callers with a one-row stack.  Both half-subset estimators then take their
+masked row Grams from one kernel, _subset_extremes.  Unlike the oracle's
+objectives, the isometry constants carry no tie rule: a batched eigenvalue
+agrees with the per-support one to rounding (on the test corpus, exactly),
+so the batched values are the constants, and the first maximal support in
+lexicographic order names the witness, which is recomputed for that
+support alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb, ceil, floor
 
 import numpy as np
@@ -100,10 +106,6 @@ def _check_problem(A: np.ndarray, F: TightFrame) -> np.ndarray:
     if A.ndim != 2 or A.shape[1] != F.n:
         raise DimensionError(f"A has shape {A.shape}; frame dimension is {F.n}")
     return A
-
-
-def _deviation(lo: float, hi: float) -> float:
-    return max(hi - 1.0, 1.0 - lo)
 
 
 def drip_constant(
@@ -220,11 +222,27 @@ def _min_subset_size(m: int, half_rule: str) -> int:
     raise ParameterError(f"half_rule must be 'ceil' or 'floor', got {half_rule!r}")
 
 
-def _half_subsets(m: int, half_rule: str) -> list[tuple[int, ...]]:
-    subsets: list[tuple[int, ...]] = []
-    for size in range(_min_subset_size(m, half_rule), m + 1):
-        subsets.extend(combinations(range(m), size))
-    return subsets
+def _subset_extremes(A: np.ndarray, Q: np.ndarray, masks: np.ndarray) -> tuple[float, float, float]:
+    """Smallest and largest quotient ||A_I y||^2 / ||y||^2 over col(Q) for a
+    (c, n, d) stack of bases and 0/1 row masks I, shared (M, m) or one set per
+    basis (c, M, m), and the largest DRIP deviation on the last mask, I = [m]."""
+    B = A @ Q  # (c, m, d); row i contributes outer(B_i, B_i) when i is in I
+    c, m, d = B.shape
+    row_grams = np.einsum("cip,ciq->cipq", B, B).reshape(c, m, d * d)
+    lows, highs = (v.reshape(c, -1) for v in
+                   batch_sym_eig_bounds((masks @ row_grams).reshape(-1, d, d)))
+    dev = np.fmax(highs[:, -1] - 1.0, 1.0 - lows[:, -1])
+    return float(np.min(lows)), float(np.max(highs)), float(np.max(dev))
+
+
+def _report(extremes: list[tuple[float, float, float]], order: int, h: int, exhaustive: bool,
+            details: dict) -> RipReport:
+    """An S-DRIP report from the extremes of every evaluated stack of supports."""
+    if not extremes:
+        raise ParameterError("every evaluated support has vanishing frame columns")
+    lows, highs, devs = zip(*extremes)
+    return RipReport(order=order, delta=max(devs), theta_minus=min(lows), theta_plus=max(highs),
+                     min_subset_size=h, exhaustive=exhaustive, details=details)
 
 
 def sdrip_constants(
@@ -237,10 +255,13 @@ def sdrip_constants(
 ) -> RipReport:
     """Exhaustive half-subset isometry extremes (theta_minus, theta_plus).
 
-    theta_minus = min over subsets I (|I| >= m/2) and supports S of the
-    smallest quotient ||A_I y||^2 / ||y||^2 over col(D_S); theta_plus is the
-    corresponding max of the largest quotient.  delta is the DRIP constant,
-    taken from the full-row subset of the same enumeration.
+    theta_minus = min over subsets I (|I| >= h = min_subset_size) and
+    supports S of the smallest quotient ||A_I y||^2 / ||y||^2 over col(D_S);
+    theta_plus is the corresponding max of the largest quotient.  By the
+    two-layer argument (module docstring) each support is evaluated on the
+    C(m, h) size-h subsets, in lexicographic order, and on I = [m] only;
+    delta is the DRIP constant, taken from I = [m].  details["n_subsets"]
+    still counts all subsets with |I| >= h.
     """
     A = _check_problem(A, F)
     if not (1 <= order <= F.N):
@@ -255,36 +276,17 @@ def sdrip_constants(
         raise ResourceBudgetError(
             f"C({F.N},{order}) = {n_supports} supports exceed the budget {support_budget}"
         )
-    subsets = _half_subsets(m, half_rule)  # ends with the full-row subset
-    masks = np.zeros((len(subsets), m))
-    for i, I in enumerate(subsets):
-        masks[i, list(I)] = 1.0
-
-    theta_minus = np.inf
-    theta_plus = -np.inf
-    delta = 0.0
-    rows = max(1, STACK_ELEMS // (len(subsets) * order * order))
-    for supports in combination_blocks(F.N, order, rows):
-        for _, Q in support_bases(F.D, supports):
-            B = A @ Q  # (c, m, d); row i contributes outer(B_i, B_i) when i in I
-            c, _, d = B.shape
-            row_grams = np.einsum("cip,ciq->cipq", B, B).reshape(c, m, d * d)
-            Ms = (masks @ row_grams).reshape(c * len(subsets), d, d)
-            lows, highs = (v.reshape(c, len(subsets)) for v in batch_sym_eig_bounds(Ms))
-            theta_minus = min(theta_minus, float(np.min(lows)))
-            theta_plus = max(theta_plus, float(np.max(highs)))
-            delta = max(delta, float(np.max(np.fmax(highs[:, -1] - 1.0, 1.0 - lows[:, -1]))))
-    if not np.isfinite(theta_minus):
-        raise ParameterError("every candidate support has vanishing frame columns")
-    return RipReport(
-        order=order,
-        delta=delta,
-        theta_minus=theta_minus,
-        theta_plus=theta_plus,
-        min_subset_size=min(len(s) for s in subsets),
-        exhaustive=True,
-        details={"half_rule": half_rule, "n_subsets": len(subsets), "n_supports": n_supports},
-    )
+    h = _min_subset_size(m, half_rule)
+    masks = np.zeros((comb(m, h) + 1, m))  # the size-h layer, then I = [m]
+    np.put_along_axis(masks[:-1], next(combination_blocks(m, h, comb(m, h))), 1.0, axis=1)
+    masks[-1] = 1.0
+    rows = max(1, STACK_ELEMS // (len(masks) * order * order))
+    extremes = [_subset_extremes(A, Q, masks)
+                for supports in combination_blocks(F.N, order, rows)
+                for _, Q in support_bases(F.D, supports)]
+    return _report(extremes, order, h, exhaustive=True, details={
+        "half_rule": half_rule, "n_subsets": sum(comb(m, s) for s in range(h, m + 1)),
+        "n_supports": n_supports})
 
 
 def sdrip_constants_sampled(
@@ -296,39 +298,30 @@ def sdrip_constants_sampled(
     half_rule: str = "ceil",
 ) -> RipReport:
     """One-sided sampled bounds: reported theta_minus is an upper bound on the
-    true minimum, theta_plus a lower bound on the true maximum."""
+    true minimum, theta_plus and delta lower bounds on the true maxima.
+
+    Each of the `budget` draws is a uniform support S with a uniform row
+    subset of size h = min_subset_size, and evaluates the two layers that
+    attain the exhaustive constants: that subset (theta_minus) and I = [m]
+    (theta_plus and delta).  Once every support has been drawn, theta_plus
+    and delta therefore equal the exhaustive ones.
+    """
     A = _check_problem(A, F)
+    if not (1 <= order <= F.N):
+        raise ParameterError(f"order must lie in [1, {F.N}], got {order}")
+    if budget < 1:
+        raise ParameterError("budget must be >= 1")
     m = A.shape[0]
-    min_size = _min_subset_size(m, half_rule)
+    h = _min_subset_size(m, half_rule)
     rng = np.random.default_rng(seed)
-    hits = 0
-    theta_minus = np.inf
-    theta_plus = -np.inf
-    delta_lb = 0.0
-    for _ in range(budget):
-        S = np.sort(rng.choice(F.N, size=order, replace=False))
-        groups = support_bases(F.D, S[None])
-        if not groups:
-            continue
-        Q = groups[0][1][0]
-        size = int(rng.integers(min_size, m + 1))
-        I = np.sort(rng.choice(m, size=size, replace=False))
-        B = A[I] @ Q
-        w = np.linalg.eigvalsh(B.T @ B)
-        lo, hi = float(w[0]), float(w[-1])
-        theta_minus = min(theta_minus, lo)
-        theta_plus = max(theta_plus, hi)
-        if size == m:
-            delta_lb = max(delta_lb, _deviation(lo, hi))
-        hits += 1
-    if hits == 0:
-        raise ParameterError("sampling never hit a support with nonvanishing frame columns")
-    return RipReport(
-        order=order,
-        delta=float(delta_lb),
-        theta_minus=float(theta_minus),
-        theta_plus=float(theta_plus),
-        min_subset_size=min_size,
-        exhaustive=False,
-        details={"half_rule": half_rule, "budget": budget, "seed": seed},
-    )
+    # uniform subsets as order statistics of i.i.d. uniforms, as in drip_constant_sampled
+    supports = np.sort(np.argsort(rng.random((budget, F.N)), axis=1)[:, :order], axis=1)
+    masks = np.zeros((budget, 2, m))  # per draw: its size-h subset, then I = [m]
+    np.put_along_axis(masks[:, 0], np.argsort(rng.random((budget, m)), axis=1)[:, :h], 1.0, axis=1)
+    masks[:, 1] = 1.0
+    step = max(1, STACK_ELEMS // (m * order * order))
+    extremes = [_subset_extremes(A, Q, masks[start + rows])
+                for start in range(0, budget, step)
+                for rows, Q in support_bases(F.D, supports[start:start + step])]
+    return _report(extremes, order, h, exhaustive=False,
+                   details={"half_rule": half_rule, "budget": budget, "seed": seed})

@@ -1,4 +1,4 @@
-"""JSON encoding/decoding for frames, problems, reports and witnesses.
+"""JSON encoding/decoding for frames, problems and reports, and encoding of witnesses.
 
 Matrices inside frame payloads are flat row-major lists (shape is implied by
 n and N); measurement matrices are nested lists of rows.  Problems embed
@@ -149,19 +149,6 @@ def witness_to_dict(w: NspWitness) -> dict:
         "rhs": w.rhs,
         "violated": w.violated,
     }
-
-
-def witness_from_dict(data: dict) -> NspWitness:
-    return NspWitness(
-        Lambda=tuple(int(i) for i in data["Lambda"]),
-        u=np.asarray(data["u"], dtype=float),
-        v=np.asarray(data["v"], dtype=float),
-        q=float(data["q"]),
-        k=int(data["k"]),
-        lhs=data.get("lhs"),
-        rhs=data.get("rhs"),
-        violated=data.get("violated"),
-    )
 
 
 def solver_result_to_dict(r: SolverResult) -> dict:

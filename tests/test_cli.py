@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lqphase import serialize
-from lqphase.cli import main
+from lqphase.cli import build_parser, main
 from lqphase.frames import build_parseval_random, validate_frame
 from lqphase.measurement import build_problem, phase_distance
 from lqphase.signals import sample_dictionary_sparse
@@ -149,6 +149,47 @@ def test_experiment_transition_reports_cells_that_cannot_be_built(tmp_path, caps
     assert capsys.readouterr().err == (
         "bad configuration (duplicated_identity frame at n=4 has N=8, not 5): "
         "2 of 4 transition cells not run\n")
+
+
+def test_experiment_transition_reports_trials_whose_solver_raised(tmp_path, capsys):
+    cfg = {
+        "n_values": [4], "N_values": [6], "m_values": [2, 5], "k_values": [1],
+        "q_values": [1.0], "trials": 3, "support_budget": 1,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "t.csv"
+    assert main(["experiment", "transition", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "0,4,6,2,1,1,3,0,0"
+    assert capsys.readouterr().err == (
+        "ResourceBudgetError: 3 of 6 transition trials raised and count as failures\n")
+
+
+SHARED_FLAGS = {"--seed": "4", "--threads": "2", "--max-seconds": "1.5", "--out": "o.json"}
+SUBCOMMANDS = [
+    (["frame", "gen", "--n", "2", "--N", "3"], {"--seed", "--out"}),
+    (["rip", "estimate", "--problem", "p.json", "--order", "1"], {"--seed", "--out"}),
+    (["nsp", "falsify", "--problem", "p.json", "--k", "1", "--q", "1"], {"--seed", "--out"}),
+    (["solve", "--problem", "p.json"], {"--seed", "--out"}),
+    (["bound", "check", "--q", "1", "--t", "1", "--delta", "0.1"], {"--out"}),
+    (["bound", "verify", "--trial", "t.json"], {"--out"}),
+    (["experiment", "bound", "--config", "c.json"], {"--threads", "--max-seconds", "--out"}),
+    (["experiment", "transition", "--config", "c.json"], {"--threads", "--max-seconds", "--out"}),
+    (["selfcheck", "lemmas"], {"--seed"}),
+]
+
+
+@pytest.mark.parametrize("argv,reads", SUBCOMMANDS,
+                         ids=[" ".join(w for w in argv[:2] if w[0] != "-") for argv, _ in SUBCOMMANDS])
+def test_subcommands_accept_only_the_shared_flags_they_read(argv, reads, capsys):
+    # a flag the subcommand would ignore is a usage error, not a silent no-op
+    for flag, value in SHARED_FLAGS.items():
+        if flag in reads:
+            args = build_parser().parse_args(argv + [flag, value])
+            assert str(getattr(args, flag[2:].replace("-", "_"))) == value
+        else:
+            assert main(argv + [flag, value]) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_solve_irls_reports_weighted_steps(tmp_path, problem_file):

@@ -225,3 +225,15 @@ def test_transition_leaves_out_cells_that_cannot_be_built():
     assert not_run == dict.fromkeys(
         [2, 3], "bad configuration (duplicated_identity frame at n=4 has N=8, not 5)")
     assert transition_to_csv(cells).splitlines()[0] == "cell_index,n,N,m,k,q,trials,successes,rate"
+
+
+def test_transition_counts_trials_whose_solver_raised():
+    # m = 2 < n = 4 needs C(6, 2) zero patterns, over the support budget of 1,
+    # so every trial of cell 0 raises; the overdetermined cell 1 needs none
+    cfg = ExperimentConfig(n_values=[4], N_values=[6], m_values=[2, 5], k_values=[1],
+                           q_values=[1.0], trials=3, support_budget=1)
+    cells = run_phase_transition(cfg)
+    assert [c.errors for c in cells] == [("ResourceBudgetError",) * 3, ()]
+    assert [c.successes for c in cells] == [0, 3]
+    assert transition_to_csv(cells).splitlines() == [
+        "cell_index,n,N,m,k,q,trials,successes,rate", "0,4,6,2,1,1,3,0,0", "1,4,6,5,1,1,3,3,1"]

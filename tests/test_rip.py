@@ -1,11 +1,13 @@
 from itertools import combinations
-from math import ceil
+from math import ceil, comb
 
 import numpy as np
 import pytest
 
+from lqphase import rip
 from lqphase.errors import ParameterError, ResourceBudgetError
-from lqphase.frames import build_named_frame, build_parseval_random
+from lqphase.frames import TightFrame, build_named_frame, build_parseval_random
+from lqphase.linalg import batch_sym_eig_bounds, null_space
 from lqphase.rip import (
     drip_constant,
     drip_constant_sampled,
@@ -212,3 +214,80 @@ def test_budget_guards():
     A_big = np.random.default_rng(1).standard_normal((16, 8))
     with pytest.raises(ResourceBudgetError):
         sdrip_constants(A_big, F, 1)
+
+
+def _zero_column_frame(n, N, seed):
+    """A random Parseval frame with one extra, vanishing column."""
+    D = np.hstack([build_parseval_random(n, N - 1, seed).D, np.zeros((n, 1))])
+    return TightFrame(n=n, N=N, D=D, D_perp=null_space(D).T)
+
+
+@pytest.mark.parametrize("half_rule", ["ceil", "floor"])
+@pytest.mark.parametrize("m", range(1, 10))
+def test_sdrip_matches_brute_force_over_every_layer(m, half_rule):
+    # m = 1 and m = 2 (ceil) give h = m: the size-h layer is I = [m] itself
+    rng = np.random.default_rng(100 + m)
+    frames = [build_parseval_random(3, 5, seed=m), build_named_frame("duplicated_identity", 3),
+              _zero_column_frame(3, 5, seed=m)]
+    matrices = [rng.standard_normal((m, 3)) / np.sqrt(m),
+                np.outer(rng.standard_normal(m), rng.standard_normal(3))]  # rank one
+    for F in frames:
+        for A in matrices:
+            for k in (1, 2):
+                rep = sdrip_constants(A, F, k, half_rule=half_rule)
+                lo, hi = brute_subset_extremes(A, F, k, rep.min_subset_size)
+                lo_full, hi_full = brute_subset_extremes(A, F, k, m)
+                assert rep.theta_minus == pytest.approx(lo, abs=1e-12)
+                assert rep.theta_plus == pytest.approx(hi, abs=1e-12)
+                assert rep.delta == pytest.approx(max(hi_full - 1.0, 1.0 - lo_full), abs=1e-12)
+                assert rep.details["n_subsets"] == sum(
+                    comb(m, s) for s in range(rep.min_subset_size, m + 1))
+
+
+@pytest.mark.parametrize("half_rule,h", [("ceil", 4), ("floor", 3)])
+def test_sdrip_evaluates_the_size_h_layer_and_the_full_rows_only(monkeypatch, half_rule, h):
+    counted = []
+
+    def counting(Ms):
+        counted.append(len(Ms))
+        return batch_sym_eig_bounds(Ms)
+
+    monkeypatch.setattr(rip, "batch_sym_eig_bounds", counting)
+    F = _zero_column_frame(3, 6, seed=2)  # order 1: five of the six supports are usable
+    A = np.random.default_rng(8).standard_normal((7, 3))
+    for order, usable in ((1, 5), (2, 15)):
+        counted.clear()
+        sdrip_constants(A, F, order, half_rule=half_rule)
+        assert sum(counted) == usable * (comb(7, h) + 1)
+
+
+def test_sdrip_sampled_reaches_the_exhaustive_maxima_once_every_support_is_drawn():
+    # 60 draws visit all C(5, 2) supports at each seed; a draw that evaluated
+    # a random subset size would reach I = [6] on only a quarter of them
+    F = build_parseval_random(3, 5, seed=3)
+    A = np.random.default_rng(4).standard_normal((6, 3)) / np.sqrt(6)
+    full = sdrip_constants(A, F, 2)
+    for seed in range(4):
+        sampled = sdrip_constants_sampled(A, F, 2, budget=60, seed=seed)
+        assert sampled.theta_plus == pytest.approx(full.theta_plus, abs=1e-12)
+        assert sampled.delta == pytest.approx(full.delta, abs=1e-12)
+        assert sampled.theta_minus >= full.theta_minus - 1e-12
+
+
+def test_sdrip_sampled_chunked_equals_unchunked(monkeypatch):
+    F = _zero_column_frame(3, 7, seed=5)
+    A = np.random.default_rng(9).standard_normal((6, 3)) / np.sqrt(6)
+    whole = [sdrip_constants_sampled(A, F, k, budget=40, seed=k) for k in (1, 2, 3)]
+    monkeypatch.setattr(rip, "STACK_ELEMS", 1)  # one draw per chunk
+    for k, rep in zip((1, 2, 3), whole):
+        got = sdrip_constants_sampled(A, F, k, budget=40, seed=k)
+        assert (got.theta_minus, got.theta_plus, got.delta) == pytest.approx(
+            (rep.theta_minus, rep.theta_plus, rep.delta), rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("order,budget", [(0, 10), (7, 10), (2, 0), (2, -3)])
+def test_sdrip_sampled_rejects_an_order_or_budget_out_of_range(order, budget):
+    F = build_parseval_random(3, 6, seed=1)
+    A = np.random.default_rng(1).standard_normal((5, 3))
+    with pytest.raises(ParameterError, match=r"^(order|budget) must"):
+        sdrip_constants_sampled(A, F, order, budget=budget)
