@@ -57,6 +57,15 @@ def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
+def _reject(args, why: str, *flags: str) -> None:
+    """Exit with a usage error naming the first of flags that was passed,
+    for a subcommand mode that does not read them (their default is None)."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            sys.stderr.write(f"error: argument {flag}: has no effect {why}\n")
+            raise SystemExit(1)
+
+
 def _emit(payload: dict, out: str | None) -> None:
     if out:
         serialize.save_json(payload, out)
@@ -72,19 +81,26 @@ def _cmd_frame_gen(args) -> int:
 
 
 def _cmd_rip_estimate(args) -> int:
+    if not args.sampled:
+        _reject(args, "without --sampled", "--budget", "--seed")
+    if not args.sdrip:
+        _reject(args, "without --sdrip", "--half-rule")
+    budget = 10**4 if args.budget is None else args.budget
+    seed = args.seed or 0
+    half_rule = args.half_rule or "ceil"
     P = serialize.problem_from_dict(serialize.load_json(args.problem))
     if args.sampled:
         if args.sdrip:
-            report = sdrip_constants_sampled(P.A, P.frame, args.order, budget=args.budget,
-                                             seed=args.seed, half_rule=args.half_rule)
+            report = sdrip_constants_sampled(P.A, P.frame, args.order, budget=budget,
+                                             seed=seed, half_rule=half_rule)
         else:
             delta, witness = drip_constant_sampled(P.A, P.frame, args.order,
-                                                   budget=args.budget, seed=args.seed)
+                                                   budget=budget, seed=seed)
             report = RipReport(order=args.order, delta=delta, exhaustive=False,
-                               details={"budget": args.budget, "seed": args.seed,
+                               details={"budget": budget, "seed": seed,
                                         "witness_support": list(witness.support)})
     elif args.sdrip:
-        report = sdrip_constants(P.A, P.frame, args.order, half_rule=args.half_rule)
+        report = sdrip_constants(P.A, P.frame, args.order, half_rule=half_rule)
     else:
         delta, witness = drip_constant(P.A, P.frame, args.order)
         report = RipReport(order=args.order, delta=delta, exhaustive=True,
@@ -108,12 +124,16 @@ def _cmd_nsp_falsify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.method == "oracle":
+        _reject(args, "with --method oracle", "--seed", "--config")
+    elif args.config:
+        _reject(args, "with --config", "--seed")
     P = serialize.problem_from_dict(serialize.load_json(args.problem))
     if args.method == "oracle":
         result = solve_oracle_noiseless(P)
     else:
-        opts = IrlsOptions(**serialize.load_json(args.config)) if args.config else IrlsOptions(seed=args.seed)
-        result = solve_irls(P, opts)
+        config = serialize.load_json(args.config) if args.config else {"seed": args.seed or 0}
+        result = solve_irls(P, IrlsOptions(**config))
     _emit(serialize.solver_result_to_dict(result), args.out)
     return 0
 
@@ -184,10 +204,12 @@ def build_parser() -> _Parser:
     est.add_argument("--order", type=int, required=True)
     est.add_argument("--sdrip", action="store_true")
     est.add_argument("--sampled", action="store_true")
-    est.add_argument("--budget", type=int, default=10**4)
-    est.add_argument("--half-rule", choices=("ceil", "floor"), default="ceil")
+    # --budget and --seed default to 10**4 and 0 with --sampled, --half-rule to
+    # ceil with --sdrip; None lets the modes that do not read them reject them
+    est.add_argument("--budget", type=int, default=None)
+    est.add_argument("--half-rule", choices=("ceil", "floor"), default=None)
     _add_shared(est, "--seed", "--out")
-    est.set_defaults(func=_cmd_rip_estimate)
+    est.set_defaults(func=_cmd_rip_estimate, seed=None)
 
     nsp = sub.add_parser("nsp").add_subparsers(dest="action", required=True)
     fal = nsp.add_parser("falsify")
@@ -205,7 +227,7 @@ def build_parser() -> _Parser:
     solve_p.add_argument("--method", choices=("oracle", "irls"), default="oracle")
     solve_p.add_argument("--config", default=None)
     _add_shared(solve_p, "--seed", "--out")
-    solve_p.set_defaults(func=_cmd_solve)
+    solve_p.set_defaults(func=_cmd_solve, seed=None)  # 0 for irls without --config
 
     bound = sub.add_parser("bound").add_subparsers(dest="action", required=True)
     check = bound.add_parser("check")

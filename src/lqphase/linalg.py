@@ -11,6 +11,12 @@ rank.  The isometry constants (rip: DRIP, S-DRIP, their sampled variants and
 the DRIP witness) and the null-space diagnostics (nsp: the real falsifier's
 projections and dictionary_sparse_distance) all take their bases from it;
 the callers cut the support axis into chunks of at most STACK_ELEMS elements.
+
+null_spaces is its counterpart for null spaces: one batched SVD per (C, p, n)
+stack and the same rank rule per slice.  null_space is its one-slice case
+(frames complete their rows with it); the real NSP falsifier takes the null
+spaces of its row subsets and of its (row subset, support) systems from it,
+a stack at a time.
 """
 
 from __future__ import annotations
@@ -29,28 +35,33 @@ RANK_RTOL = 1e-10
 STACK_ELEMS = 2**16
 
 
-def numerical_rank(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Rank from a singular-value array."""
-    if s.size == 0:
-        return 0
-    smax = float(s[0])
-    if smax <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > rtol * smax))
+def numerical_rank(s: np.ndarray, rtol: float = RANK_RTOL):
+    """Rank from singular values sorted in descending order along the last
+    axis: an int for one array, an int array for a stack of them.  The rank
+    is 0 when there are no singular values or the largest is 0."""
+    if s.shape[-1] == 0:
+        return 0 if s.ndim == 1 else np.zeros(s.shape[:-1], dtype=np.intp)
+    ranks = np.count_nonzero(s > rtol * s[..., :1], axis=-1)
+    return int(ranks) if s.ndim == 1 else ranks
+
+
+def null_spaces(Ms: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal bases (columns) of {z : M_i z = 0} for a (C, p, n) stack.
+
+    One batched SVD, the rank of each slice by numerical_rank; a stack of
+    empty matrices (p = 0) has the full space as every null space.
+    """
+    Ms = np.asarray(Ms)
+    C, p, n = Ms.shape
+    if p == 0:
+        return [np.eye(n, dtype=complex if np.iscomplexobj(Ms) else float) for _ in range(C)]
+    _, s, vh = np.linalg.svd(Ms)
+    return [vh_i[r:].conj().T for vh_i, r in zip(vh, numerical_rank(s).tolist())]
 
 
 def null_space(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of {z : Mz = 0} for a dense p x n matrix.
-
-    An empty matrix (p = 0) has the full space as its null space.
-    """
-    M = np.asarray(M)
-    n = M.shape[1]
-    if M.shape[0] == 0:
-        return np.eye(n, dtype=float if not np.iscomplexobj(M) else complex)
-    _, s, vh = np.linalg.svd(M)
-    r = numerical_rank(s)
-    return vh[r:].conj().T
+    """Orthonormal basis (columns) of {z : Mz = 0} for a dense p x n matrix."""
+    return null_spaces(np.asarray(M)[None])[0]
 
 
 def support_bases(D: np.ndarray, supports: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -62,7 +73,7 @@ def support_bases(D: np.ndarray, supports: np.ndarray) -> list[tuple[np.ndarray,
     no group.
     """
     u, s, _ = np.linalg.svd(np.swapaxes(D[:, supports], 0, 1), full_matrices=False)
-    ranks = np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1)
+    ranks = numerical_rank(s)
     groups = []
     for r in np.flatnonzero(np.bincount(ranks)).tolist():  # np.unique would import numpy.ma
         if r:
@@ -95,7 +106,7 @@ def _combination_array(N: int, k: int) -> np.ndarray:
     flat = np.fromiter(chain.from_iterable(combinations(range(N), k)), dtype=np.intp,
                        count=comb(N, k) * k)
     flat.flags.writeable = False
-    return flat.reshape(-1, k)
+    return flat.reshape(comb(N, k), k)
 
 
 def combination_blocks(N: int, k: int, rows: int):

@@ -4,14 +4,19 @@ Real case: recovery of every dictionary-k-sparse signal up to sign is
 equivalent to strict domination ||D^T(u+v)||_q^q < ||D^T(u-v)||_q^q for all
 admissible splittings, where u lies in the null space of a row subset of A,
 v in the null space of the complementary rows, and u+v is dictionary-sparse.
-The falsifier searches for witnesses of failure; because the condition
-quantifies over a continuum, absence of a counterexample is evidence, not
-proof, and results always carry the search budget and mode.
+The falsifier searches for witnesses of failure cell by cell, a cell being a
+row subset Lambda and a size-k support S; its splittings form a solution
+space W.  Cells are batched by row-subset layer: the null spaces of the
+(Lambda, S) systems come from linalg.null_spaces, one stacked SVD per chunk
+of consecutive row subsets of equal null-space dimensions.  A cell with
+dim W <= 1 is decided exactly, by at most one evaluation of a witness; only
+cells with dim W >= 2 are searched, so there the absence of a counterexample
+is evidence, not proof, and results always carry the search budget and mode.
 
 Bases of col(D_S) come from linalg.support_bases, the kernel the isometry
-constants use: the falsifier computes every support's basis once per call,
-before it scans the row subsets, and dictionary_sparse_distance takes them a
-chunk of supports at a time, for real and complex D alike.
+constants use: the falsifier computes every support's projection once per
+call, before it scans the row subsets, and dictionary_sparse_distance takes
+them a chunk of supports at a time, for real and complex D alike.
 
 Complex case: only witness evaluation is provided (block partitions of the
 rows with per-block unimodular constants); the combinatorics of a search are
@@ -21,14 +26,14 @@ out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 
 import numpy as np
 
 from .errors import InvalidWitnessError, ParameterError, ResourceBudgetError
 from .frames import TightFrame
-from .linalg import STACK_ELEMS, combination_blocks, null_space, support_bases
+from .linalg import STACK_ELEMS, combination_blocks, null_spaces, support_bases
 from .signals import _check_q, lq_quasinorm
 
 STRICTNESS_TOL = 1e-12
@@ -172,6 +177,30 @@ def _coordinate_ascent(f, c0: np.ndarray, max_sweeps: int = 40) -> tuple[np.ndar
     return c, fc
 
 
+def _search(gap, dim: int, restarts: int, entropy: tuple[int, int]):
+    """The points c of the unit sphere in R^dim that the seeded restarts reach
+    with gap(c) >= -STRICTNESS_TOL, in restart order.
+
+    For dim = 1 the sphere is {1, -1}: c0/|c0| is +-1 exactly, every ascent
+    candidate normalises back to its start, and gap(-c) equals gap(c) bit for
+    bit.  Every restart therefore reaches the same verdict, and one evaluation
+    decides the cell; the point is the sign of the first nonzero draw.
+    """
+    if dim == 1 and gap(np.ones(1)) < -STRICTNESS_TOL:
+        return
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy))
+    for _ in range(restarts):
+        c0 = rng.standard_normal(dim)
+        if np.linalg.norm(c0) == 0.0:
+            continue
+        if dim == 1:
+            yield np.sign(c0)
+            return
+        c, fc = _coordinate_ascent(gap, c0)
+        if fc >= -STRICTNESS_TOL:
+            yield c
+
+
 def nsp_real_falsify(
     A: np.ndarray,
     F: TightFrame,
@@ -183,13 +212,18 @@ def nsp_real_falsify(
 ) -> NspWitness | None:
     """Search for a witness violating the strict splitting condition.
 
-    For each row subset and each size-k support, witnesses are parametrized
-    by null-space bases subject to the linear constraint that u+v lies in the
-    span of the chosen frame columns; the quasi-norm gap is maximized on the
-    unit sphere of that solution space by seeded restarts plus coordinate
-    ascent.  Cells are scanned in a fixed order, so the first returned
-    witness is deterministic for a given seed.  None means the budget was
-    exhausted without finding a violation.
+    For each row subset Lambda and each size-k support S, witnesses are
+    parametrized by the solution space W of (I - P_S)(Ua + Vb) = 0, with U, V
+    orthonormal null-space bases of the Lambda rows and of the complement
+    rows.  Cells are batched by row-subset layer: one stacked SVD per subset
+    size for U and V, and one per chunk of consecutive row subsets with the
+    same (dim U, dim V) for W, which for a generic A is one chunk per layer.
+    A cell with dim W <= 1 is decided exactly, by at most one evaluation of a
+    witness; only cells with dim W >= 2 are searched, by seeded restarts plus
+    coordinate ascent of the quasi-norm gap on the unit sphere of W, so their
+    lack of a witness is evidence, not proof.  Cells are scanned in a fixed
+    order, so the first returned witness is deterministic for a given seed.
+    None means the budget was exhausted without finding a violation.
     """
     A = np.asarray(A, dtype=float)
     q = _check_q(q)
@@ -198,65 +232,61 @@ def nsp_real_falsify(
         raise ParameterError("budget must be >= 1")
     lambdas = _lambda_list(m, k, lambda_mode)
     supports = np.array(list(combinations(range(F.N), k)), dtype=np.intp).reshape(comb(F.N, k), k)
+    n_supports = len(supports)
     # projections onto col(D_S)^perp; a support whose columns vanish keeps I
-    P_outs = [np.eye(n)] * len(supports)
+    P = np.repeat(np.eye(n)[None], n_supports, axis=0)
     for rows, Q in support_bases(F.D, supports):
-        for i, Qi in zip(rows.tolist(), Q):
-            P_outs[i] = np.eye(n) - Qi @ Qi.T
-    null_cache: dict[tuple[int, ...], np.ndarray] = {}
+        P[rows] = np.eye(n) - Q @ np.swapaxes(Q, 1, 2)
+    # null spaces of every row subset and its complement, a stack per size
+    basis: dict[tuple[int, ...], np.ndarray] = {}
+    for size in {len(Lam) for Lam in lambdas} | {m - len(Lam) for Lam in lambdas}:
+        for block in combination_blocks(m, size, max(1, STACK_ELEMS // max(1, size * n))):
+            basis.update(zip(map(tuple, block.tolist()), null_spaces(A[block])))
+    UV = {Lam: (basis[Lam], basis[tuple(sorted(set(range(m)).difference(Lam)))]) for Lam in lambdas}
+    dims = {Lam: (U.shape[1], V.shape[1]) for Lam, (U, V) in UV.items()}
 
-    def nullsp(T: tuple[int, ...]) -> np.ndarray:
-        if T not in null_cache:
-            null_cache[T] = null_space(_rows(A, T))
-        return null_cache[T]
-
-    restarts = max(1, budget // max(1, len(lambdas) * len(supports)))
+    restarts = max(1, budget // max(1, len(lambdas) * n_supports))
     cell_index = 0
-    for Lam in lambdas:
-        comp = tuple(i for i in range(m) if i not in set(Lam))
-        U = nullsp(Lam)
-        V = nullsp(comp)
-        du, dv = U.shape[1], V.shape[1]
+    for (du, dv), run in groupby(lambdas, key=dims.get):
+        run = list(run)
         if du == 0 or dv == 0:
-            cell_index += len(supports)
+            cell_index += len(run) * n_supports
             continue
-        for P_out in P_outs:
-            cell_index += 1
+        per_chunk = max(1, STACK_ELEMS // max(1, n_supports * n * (du + dv)))
+        for start in range(0, len(run), per_chunk):
+            chunk = run[start:start + per_chunk]
             # (a, b) must satisfy (I - P_S)(Ua + Vb) = 0
-            K = np.hstack([P_out @ U, P_out @ V])
-            W = null_space(K)
-            if W.shape[1] == 0:
-                continue
-            Mu = U @ W[:du, :]
-            Mv = V @ W[du:, :]
-            Lp = F.D.T @ (Mu + Mv)
-            Lm = F.D.T @ (Mu - Mv)
+            K = np.concatenate([np.concatenate([P @ U, P @ V], axis=2)
+                                for U, V in map(UV.get, chunk)])
+            for j, W in enumerate(null_spaces(K)):
+                cell_index += 1
+                if W.shape[1] == 0:
+                    continue
+                Lam = chunk[j // n_supports]
+                U, V = UV[Lam]
+                Mu = U @ W[:du, :]
+                Mv = V @ W[du:, :]
+                Lp = F.D.T @ (Mu + Mv)
+                Lm = F.D.T @ (Mu - Mv)
 
-            def gap(c: np.ndarray) -> float:
-                return float(np.sum(np.abs(Lp @ c) ** q) - np.sum(np.abs(Lm @ c) ** q))
+                def gap(c: np.ndarray) -> float:
+                    return float(np.sum(np.abs(Lp @ c) ** q) - np.sum(np.abs(Lm @ c) ** q))
 
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, cell_index)))
-            for _ in range(restarts):
-                c0 = rng.standard_normal(W.shape[1])
-                if np.linalg.norm(c0) == 0.0:
-                    continue
-                c, fc = _coordinate_ascent(gap, c0)
-                if fc < -STRICTNESS_TOL:
-                    continue
-                a = W[:du, :] @ c
-                b = W[du:, :] @ c
-                # null bases are orthonormal, so ||u|| = ||a|| and ||v|| = ||b||
-                if np.linalg.norm(a) <= 1e-9 or np.linalg.norm(b) <= 1e-9:
-                    continue
-                u = Mu @ c
-                v = Mv @ c
-                ns = np.linalg.norm(u + v)
-                if ns > 1e-12:
-                    u, v = u / ns, v / ns
-                witness = NspWitness(Lambda=Lam, u=u, v=v, q=q, k=k)
-                checked = nsp_real_evaluate(A, F, witness)
-                if checked.violated:
-                    return checked
+                for c in _search(gap, W.shape[1], restarts, (seed, cell_index)):
+                    a = W[:du, :] @ c
+                    b = W[du:, :] @ c
+                    # null bases are orthonormal, so ||u|| = ||a|| and ||v|| = ||b||
+                    if np.linalg.norm(a) <= 1e-9 or np.linalg.norm(b) <= 1e-9:
+                        continue
+                    u = Mu @ c
+                    v = Mv @ c
+                    ns = np.linalg.norm(u + v)
+                    if ns > 1e-12:
+                        u, v = u / ns, v / ns
+                    witness = NspWitness(Lambda=Lam, u=u, v=v, q=q, k=k)
+                    checked = nsp_real_evaluate(A, F, witness)
+                    if checked.violated:
+                        return checked
     return None
 
 

@@ -6,9 +6,11 @@ certified tuple, the DRIP loop its constant, witness support, side and every
 support's deviation.  The oracle must reproduce them bit for bit (point,
 objective, signs, zero set, fallback flag); the isometry constant must agree
 to 1e-12 relative, with the same witness support wherever the top two
-supports do not tie.  The NSP falsifier, which now computes each support's
-basis once per call, must return bit-identical witnesses; the chunked
-dictionary-sparse distance must agree with the per-support loop to rounding.
+supports do not tie.  The NSP falsifier, which now stacks its null spaces and
+decides each cell with a one-dimensional solution space by one evaluation,
+must return bit-identical witnesses, and the stacked null-space kernel the
+per-slice one's bases; the chunked dictionary-sparse distance must agree with
+the per-support loop to rounding.
 The batched IRLS solver must reproduce the restart loop bit for bit (point,
 objective, feasibility, winning iteration), the batched sign-flip descent the
 scalar one row by row, and the sampled DRIP estimator its old row-wise
@@ -31,8 +33,7 @@ from lqphase.errors import (
     ResourceBudgetError,
 )
 from lqphase.frames import TightFrame, build_named_frame, build_parseval_random
-from lqphase.linalg import RANK_RTOL, numerical_rank
-from lqphase.linalg import null_space
+from lqphase.linalg import RANK_RTOL, STACK_ELEMS, null_space, null_spaces, numerical_rank
 from lqphase.measurement import PhaselessProblem, build_problem
 from lqphase.nsp import (
     STRICTNESS_TOL,
@@ -898,6 +899,97 @@ def test_nsp_falsifier_matches_reference_loop_bit_for_bit(k, lambda_mode):
         assert got.u.tobytes() == ref.u.tobytes() and got.v.tobytes() == ref.v.tobytes()
         assert (got.lhs, got.rhs, got.violated) == (ref.lhs, ref.rhs, ref.violated)
     assert outcomes == {True, False}  # the corpus has witnesses and budgets run out
+
+
+def nsp_wide_corpus():
+    """Budget 10**4 (so dim-W-1 cells have restarts >= 2), k = 3 at m = n + 1
+    (dim W = 2, the ascent), duplicated rows (dim U, dim V vary inside a size
+    layer), rows with a common zero coordinate (dim-W-1 cells whose point has
+    v = 0 and so end without a witness), q = 0.3, and k = 1 at m > n (dim W = 0)."""
+    for seed in range(2):
+        q = 0.3 if seed else 0.5
+        for (n, N, m), k, mode in (((4, 7, 5), 2, "card_at_most_k"), ((3, 5, 2), 1, "card_at_most_k"),
+                                   ((3, 5, 4), 1, "all_subsets"), ((4, 6, 5), 3, "card_at_most_k")):
+            A = np.random.default_rng(200 + 10 * seed + m).standard_normal((m, n))
+            yield A, _frame(n, N, seed), k, q, 10**4, seed, mode
+        for (n, N, m), k in (((3, 5, 4), 2), ((4, 6, 5), 2), ((3, 6, 3), 2), ((4, 6, 4), 3)):
+            A = np.random.default_rng(300 + 10 * seed + m).standard_normal((m, n))
+            A[-1] = A[0]
+            yield A, _frame(n, N, seed), k, q, 100, seed, "all_subsets"
+    A = np.random.default_rng(3).standard_normal((4, 3))
+    A[:2, 0] = 0.0
+    yield A, build_named_frame("duplicated_identity", 3), 2, 1.0, 10**4, 3, "all_subsets"
+
+
+def test_nsp_falsifier_matches_reference_loop_on_the_wide_corpus(monkeypatch):
+    searched = []  # [dim W, restarts, points reached] per cell the falsifier searched
+    search = nsp._search
+
+    def spy(gap, dim, restarts, entropy):
+        searched.append(cell := [dim, restarts, 0])
+        for c in search(gap, dim, restarts, entropy):
+            cell[2] += 1
+            yield c
+
+    monkeypatch.setattr(nsp, "_search", spy)
+    dims, ended_without_witness = set(), 0
+    for A, F, k, q, budget, seed, mode in nsp_wide_corpus():
+        ref = loop_nsp_real_falsify(A, F, k, q, budget=budget, seed=seed, lambda_mode=mode)
+        for elems in (nsp.STACK_ELEMS, 1):  # 1: one row subset per stack
+            monkeypatch.setattr(nsp, "STACK_ELEMS", elems)
+            searched.clear()
+            got = nsp_real_falsify(A, F, k, q, budget=budget, seed=seed, lambda_mode=mode)
+            if ref is None:
+                assert got is None
+            else:
+                assert got.Lambda == ref.Lambda and got.q == ref.q and got.k == ref.k
+                assert got.u.tobytes() == ref.u.tobytes() and got.v.tobytes() == ref.v.tobytes()
+                assert (got.lhs, got.rhs, got.violated) == (ref.lhs, ref.rhs, ref.violated)
+        monkeypatch.setattr(nsp, "STACK_ELEMS", STACK_ELEMS)
+        assert all(points <= 1 for dim, _, points in searched if dim == 1)  # one evaluation
+        dims.update(min(dim, 2) for dim, _, _ in searched)
+        ended_without_witness += sum(dim == 1 and restarts >= 2 and points
+                                     for dim, restarts, points in searched[:-1 if got else None])
+        if got is None:  # every cell was scanned: some had dim U, dim V >= 1 but dim W = 0
+            pairs = [(null_space(_rows(A, L)).shape[1], null_space(_rows(A, [i for i in range(len(A))
+                                                                              if i not in L])).shape[1])
+                     for L in _lambda_list(len(A), k, mode)]
+            if sum(du > 0 and dv > 0 for du, dv in pairs) * comb(F.N, k) > len(searched):
+                dims.add(0)
+    assert dims == {0, 1, 2}
+    assert ended_without_witness > 0
+
+
+def loop_null_space(M):
+    M = np.asarray(M)
+    n = M.shape[1]
+    if M.shape[0] == 0:
+        return np.eye(n, dtype=float if not np.iscomplexobj(M) else complex)
+    _, s, vh = np.linalg.svd(M)
+    r = numerical_rank(s)
+    return vh[r:].conj().T
+
+
+def test_null_spaces_match_the_per_slice_kernel_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for p, n in ((2, 5), (4, 4), (6, 3), (3, 1)):
+        full = rng.standard_normal((3, p, n))
+        low = rng.standard_normal((3, p, 1)) @ rng.standard_normal((3, 1, n))  # rank 1
+        tiny = 1e-13 * rng.standard_normal((1, p, n)) + low[:1]  # rank 1 by the relative cutoff
+        stack = np.concatenate([full, np.zeros((2, p, n)), low, tiny])[rng.permutation(9)]
+        for Ms in (stack, stack * np.exp(1j * rng.uniform(0, 6, 9))[:, None, None]):
+            got = null_spaces(Ms)
+            assert len(got) == len(Ms)
+            for M, W in zip(Ms, got):
+                ref = loop_null_space(M)
+                assert W.shape == ref.shape and W.dtype == ref.dtype
+                assert W.tobytes() == ref.tobytes() and W.strides == ref.strides
+                assert null_space(M).tobytes() == ref.tobytes()
+                assert np.linalg.norm(M @ W) <= 1e-9 * max(1.0, np.linalg.norm(M))
+            assert {W.shape[1] for W in got} == {n - min(p, n), n - 1, n}
+    for Ms in (np.zeros((4, 0, 3)), np.zeros((1, 0, 2), dtype=complex)):
+        for W in null_spaces(Ms):
+            assert W.tobytes() == loop_null_space(Ms[0]).tobytes() and W.dtype == Ms.dtype
 
 
 def test_dictionary_sparse_distance_matches_reference_loop(monkeypatch):

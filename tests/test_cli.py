@@ -192,6 +192,46 @@ def test_subcommands_accept_only_the_shared_flags_they_read(argv, reads, capsys)
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
+IGNORED_FLAGS = [
+    (["rip", "estimate", "--order", "1"], ["--budget", "5"]),
+    (["rip", "estimate", "--order", "1"], ["--seed", "9"]),
+    (["rip", "estimate", "--order", "1", "--sdrip"], ["--seed", "0"]),
+    (["rip", "estimate", "--order", "1"], ["--half-rule", "floor"]),
+    (["rip", "estimate", "--order", "1", "--sampled"], ["--half-rule", "ceil"]),
+    (["solve", "--method", "oracle"], ["--seed", "5"]),
+    (["solve", "--method", "oracle"], ["--config", "c.json"]),
+    (["solve", "--method", "irls", "--config", "c.json"], ["--seed", "5"]),
+]
+
+
+@pytest.mark.parametrize("argv,flag", IGNORED_FLAGS,
+                         ids=[" ".join(argv + flag[:1]) for argv, flag in IGNORED_FLAGS])
+def test_flags_a_mode_does_not_read_are_usage_errors(tmp_path, problem_file, capsys, argv, flag):
+    path, _, _ = problem_file
+    (tmp_path / "c.json").write_text(json.dumps({"restarts": 2, "seed": 3}))
+    out = tmp_path / "o.json"
+    argv = [w.replace("c.json", str(tmp_path / "c.json")) for w in argv + flag]
+    assert main(argv + ["--problem", str(path), "--out", str(out)]) == 1
+    assert f"argument {flag[0]}: has no effect" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flags_a_mode_reads_keep_their_defaults(tmp_path, problem_file):
+    path, _, _ = problem_file
+    out = tmp_path / "o.json"
+    rip = ["rip", "estimate", "--problem", str(path), "--order", "1", "--out", str(out)]
+    assert main(rip + ["--sampled", "--sdrip", "--budget", "50", "--seed", "9",
+                       "--half-rule", "floor"]) == 0
+    assert main(rip + ["--sampled"]) == 0
+    assert json.loads(out.read_text())["details"]["budget"] == 10**4
+    assert json.loads(out.read_text())["details"]["seed"] == 0
+    solve = ["solve", "--problem", str(path), "--method", "irls", "--out", str(out)]
+    assert main(solve + ["--seed", "5"]) == 0
+    assert main(solve) == 0
+    unseeded = out.read_text()
+    assert main(solve + ["--seed", "0"]) == 0 and out.read_text() == unseeded
+
+
 def test_solve_irls_reports_weighted_steps(tmp_path, problem_file):
     path, _, _ = problem_file
     out = tmp_path / "sol.json"

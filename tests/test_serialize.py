@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqphase import serialize
 from lqphase.errors import DimensionError, DomainError
-from lqphase.frames import build_parseval_random
-from lqphase.measurement import build_problem
+from lqphase.frames import build_named_frame, build_parseval_random
+from lqphase.measurement import PhaselessProblem, build_problem
 from lqphase.signals import sample_dictionary_sparse
 
 
@@ -58,3 +60,58 @@ def test_problem_with_bad_eps_raises_domain_error(eps):
     data["eps"] = eps
     with pytest.raises(DomainError, match="eps"):
         serialize.problem_from_dict(data)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def frames(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        return build_parseval_random(n, n + draw(st.integers(0, 4)), draw(st.integers(0, 2**32 - 1)))
+    name = draw(st.sampled_from(["identity", "duplicated_identity", "mercedes"]))
+    return build_named_frame(name, None if name == "mercedes" else draw(st.integers(1, 4)))
+
+
+@st.composite
+def problems(draw):
+    F = draw(frames())
+    m = draw(st.integers(1, 5))
+    A = np.array(draw(st.lists(FINITE, min_size=m * F.n, max_size=m * F.n))).reshape(m, F.n)
+    b = np.array(draw(st.lists(FINITE, min_size=m, max_size=m)))  # any sign: b = |Ax| + e
+    eps = draw(st.floats(0.0, 1e300))
+    q = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return PhaselessProblem(A=A, frame=F, b=b, eps=eps, q=q)
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(problems())
+def test_problem_json_round_trip_is_bit_for_bit(P):
+    Q = serialize.problem_from_dict(json.loads(json.dumps(serialize.problem_to_dict(P))))
+    for name in ("A", "b", "eps", "q"):
+        assert _bits(getattr(Q, name)) == _bits(getattr(P, name)), name
+    assert _bits(Q.frame.D) == _bits(P.frame.D)
+    assert _bits(Q.frame.D_perp) == _bits(P.frame.D_perp)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(frames())
+def test_frame_json_round_trip_is_bit_for_bit(F):
+    G = serialize.frame_from_dict(json.loads(json.dumps(serialize.frame_to_dict(F))))
+    assert (G.n, G.N, G.label) == (F.n, F.N, F.label)
+    assert _bits(G.D) == _bits(F.D) and _bits(G.D_perp) == _bits(F.D_perp)
+
+
+def test_zero_and_negative_measurements_load_unchanged():
+    # under bounded noise b = |Ax| + e may be 0 or negative; loading keeps it as given
+    data = _payload()
+    data["b"] = [0.0, -0.0, -1e-3, -5e-324]
+    data["eps"] = 0.01
+    P = serialize.problem_from_dict(json.loads(json.dumps(data)))
+    assert P.b.tobytes() == np.array([0.0, -0.0, -1e-3, -5e-324]).tobytes()
