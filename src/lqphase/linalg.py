@@ -3,7 +3,8 @@
 The enumeration kernels take the k-subsets of range(N) as index arrays from
 combination_blocks, in the lexicographic order of itertools.combinations.
 Rank decisions use a relative singular-value cutoff (1e-10 times the largest
-singular value), matching the frame-validation tolerance.
+singular value, or times a scale the caller knows), matching the
+frame-validation tolerance.
 
 support_bases is the package's only kernel for an orthonormal basis of
 col(D_S): one batched SVD per stack of supports, slices grouped by numerical
@@ -16,7 +17,7 @@ null_spaces is its counterpart for null spaces: one batched SVD per (C, p, n)
 stack and the same rank rule per slice.  null_space is its one-slice case
 (frames complete their rows with it); the real NSP falsifier takes the null
 spaces of its row subsets and of its (row subset, support) systems from it,
-a stack at a time.
+a stack at a time, the latter with the cutoff relative to their unit scale.
 """
 
 from __future__ import annotations
@@ -35,28 +36,32 @@ RANK_RTOL = 1e-10
 STACK_ELEMS = 2**16
 
 
-def numerical_rank(s: np.ndarray, rtol: float = RANK_RTOL):
+def numerical_rank(s: np.ndarray, rtol: float = RANK_RTOL, scale: float | None = None):
     """Rank from singular values sorted in descending order along the last
-    axis: an int for one array, an int array for a stack of them.  The rank
-    is 0 when there are no singular values or the largest is 0."""
+    axis: an int for one array, an int array for a stack of them.
+
+    The cutoff is rtol times scale, by default the largest singular value; a
+    caller whose matrices have a known unit scale passes scale=1.0, so that a
+    matrix of rounding residue has rank 0.  The rank is 0 when there are no
+    singular values or the largest is 0."""
     if s.shape[-1] == 0:
         return 0 if s.ndim == 1 else np.zeros(s.shape[:-1], dtype=np.intp)
-    ranks = np.count_nonzero(s > rtol * s[..., :1], axis=-1)
+    ranks = np.count_nonzero(s > rtol * (s[..., :1] if scale is None else scale), axis=-1)
     return int(ranks) if s.ndim == 1 else ranks
 
 
-def null_spaces(Ms: np.ndarray) -> list[np.ndarray]:
+def null_spaces(Ms: np.ndarray, scale: float | None = None) -> list[np.ndarray]:
     """Orthonormal bases (columns) of {z : M_i z = 0} for a (C, p, n) stack.
 
-    One batched SVD, the rank of each slice by numerical_rank; a stack of
-    empty matrices (p = 0) has the full space as every null space.
+    One batched SVD, the rank of each slice by numerical_rank with its scale;
+    a stack of empty matrices (p = 0) has the full space as every null space.
     """
     Ms = np.asarray(Ms)
     C, p, n = Ms.shape
     if p == 0:
         return [np.eye(n, dtype=complex if np.iscomplexobj(Ms) else float) for _ in range(C)]
     _, s, vh = np.linalg.svd(Ms)
-    return [vh_i[r:].conj().T for vh_i, r in zip(vh, numerical_rank(s).tolist())]
+    return [vh_i[r:].conj().T for vh_i, r in zip(vh, numerical_rank(s, scale=scale).tolist())]
 
 
 def null_space(M: np.ndarray) -> np.ndarray:

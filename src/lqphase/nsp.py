@@ -6,12 +6,25 @@ admissible splittings, where u lies in the null space of a row subset of A,
 v in the null space of the complementary rows, and u+v is dictionary-sparse.
 The falsifier searches for witnesses of failure cell by cell, a cell being a
 row subset Lambda and a size-k support S; its splittings form a solution
-space W.  Cells are batched by row-subset layer: the null spaces of the
-(Lambda, S) systems come from linalg.null_spaces, one stacked SVD per chunk
-of consecutive row subsets of equal null-space dimensions.  A cell with
-dim W <= 1 is decided exactly, by at most one evaluation of a witness; only
-cells with dim W >= 2 are searched, so there the absence of a counterexample
-is evidence, not proof, and results always carry the search budget and mode.
+space W, the null space of K = (I - P_S)[U V], with P_S the projection onto
+col(D_S) and U, V null-space bases of the two row sets.  Cells are batched by
+row-subset layer, a chunk of consecutive row subsets of equal null-space
+dimensions at a time, and most are decided without decomposing K:
+
+- when dim U + dim V exceeds rank(I - P_S) = n - rank(D_S), K cannot have
+  full column rank, so the cell goes to the SVD;
+- otherwise a Gram determinant certifies full rank, hence W = {0}, for a
+  whole chunk at once (_full_rank_certified, whose docstring gives the
+  margin argument);
+- every cell not certified is decomposed by linalg.null_spaces, with the
+  rank cutoff relative to the unit scale of [U V], in pieces that double as
+  the scan reaches them, so a scan that stops at a witness decomposes fewer
+  than twice the cells it scanned.
+
+A cell with dim W <= 1 is decided exactly, by at most one evaluation of a
+witness; only cells with dim W >= 2 are searched, so there the absence of a
+counterexample is evidence, not proof, and results always carry the search
+budget and mode.
 
 Bases of col(D_S) come from linalg.support_bases, the kernel the isometry
 constants use: the falsifier computes every support's projection once per
@@ -40,6 +53,10 @@ STRICTNESS_TOL = 1e-12
 MEMBERSHIP_RTOL = 1e-8
 NULLSPACE_TOL = 1e-9
 ALL_SUBSETS_MAX_M = 14
+# det(K^T K) that certifies a (row subset, support) system of full rank
+# without an SVD: it gives s_min(K) > 6e-4, far above the rank cutoff 1e-10
+# (see _full_rank_certified); derived from the cutoff, not tuned.
+FULL_RANK_TAU = 1e-6
 
 
 @dataclass(frozen=True)
@@ -201,6 +218,76 @@ def _search(gap, dim: int, restarts: int, entropy: tuple[int, int]):
             yield c
 
 
+def _full_rank_certified(B: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """(L, C) mask of the systems K = P_c B_l that certainly have full column
+    rank, for B (L, n, d) stacking [U V] (U, V with orthonormal columns) and
+    P (C, n, n) orthogonal projections.
+
+    G = B^T P B = K^T K.  Every eigenvalue of G is at most ||B||^2 <= 2, so
+    s_max(K) <= sqrt(2), and det(G) >= FULL_RANK_TAU gives
+    s_min(K) >= sqrt(FULL_RANK_TAU / 2^(d-1)).  The trace gives more: the
+    columns of B are unit vectors and P is a contraction, so tr G <= d, and
+    by AM-GM the d - 1 largest eigenvalues multiply to at most
+    (d / (d-1))^(d-1) < e.  So det(G) >= FULL_RANK_TAU = 1e-6 gives
+    lambda_min(G) > 1e-6 / e and s_min(K) > 6e-4 for every d.  The Gram, the
+    LU of det and the SVD each err by O(d eps), so a certified slice has every
+    singular value far above the 1e-10 rank cutoff of null_spaces: the SVD
+    would find its null space {0}.  A slice that fails, or whose determinant
+    is NaN, is left to the SVD.
+    """
+    G = np.swapaxes(B, 1, 2)[:, None] @ (P @ B[:, None])
+    return np.linalg.det(G) >= FULL_RANK_TAU
+
+
+def _systems(P: np.ndarray, chunk: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]],
+             cells: np.ndarray, n_supports: int) -> np.ndarray:
+    """The stack of K = (I - P_S)[U V] for the flat (row subset, support)
+    indices cells of a chunk of (Lambda, U, V), with P[S] = I - P_S.
+
+    A slice is P[S] @ U and P[S] @ V side by side, the same products (and
+    bits) as in any other stack; P[S] @ hstack([U, V]) would not be
+    bit-identical.
+    """
+    rows, cols = np.divmod(cells, n_supports)
+    Ks = []
+    for row in dict.fromkeys(rows.tolist()):
+        _, U, V = chunk[row]
+        Ps = P[cols[rows == row]]
+        Ks.append(np.concatenate([Ps @ U, Ps @ V], axis=2))
+    return np.concatenate(Ks)
+
+
+def _cell_witness(A: np.ndarray, F: TightFrame, Lam: tuple[int, ...], U: np.ndarray,
+                  V: np.ndarray, W: np.ndarray, k: int, q: float, restarts: int,
+                  entropy: tuple[int, int]) -> NspWitness | None:
+    """The first violated witness that _search reaches in the cell (Lam, S)
+    whose solution space W of (a, b) is nonzero, or None."""
+    du = U.shape[1]
+    Mu = U @ W[:du, :]
+    Mv = V @ W[du:, :]
+    Lp = F.D.T @ (Mu + Mv)
+    Lm = F.D.T @ (Mu - Mv)
+
+    def gap(c: np.ndarray) -> float:
+        return float(np.sum(np.abs(Lp @ c) ** q) - np.sum(np.abs(Lm @ c) ** q))
+
+    for c in _search(gap, W.shape[1], restarts, entropy):
+        a = W[:du, :] @ c
+        b = W[du:, :] @ c
+        # null bases are orthonormal, so ||u|| = ||a|| and ||v|| = ||b||
+        if np.linalg.norm(a) <= 1e-9 or np.linalg.norm(b) <= 1e-9:
+            continue
+        u = Mu @ c
+        v = Mv @ c
+        ns = np.linalg.norm(u + v)
+        if ns > 1e-12:
+            u, v = u / ns, v / ns
+        checked = nsp_real_evaluate(A, F, NspWitness(Lambda=Lam, u=u, v=v, q=q, k=k))
+        if checked.violated:
+            return checked
+    return None
+
+
 def nsp_real_falsify(
     A: np.ndarray,
     F: TightFrame,
@@ -215,9 +302,24 @@ def nsp_real_falsify(
     For each row subset Lambda and each size-k support S, witnesses are
     parametrized by the solution space W of (I - P_S)(Ua + Vb) = 0, with U, V
     orthonormal null-space bases of the Lambda rows and of the complement
-    rows.  Cells are batched by row-subset layer: one stacked SVD per subset
-    size for U and V, and one per chunk of consecutive row subsets with the
-    same (dim U, dim V) for W, which for a generic A is one chunk per layer.
+    rows and P_S the projection onto col(D_S).  W is the null space of
+    K = (I - P_S)[U V], with the rank cutoff taken relative to the unit scale
+    of [U V] (so K = 0 up to rounding, as when D_S spans R^n, has W = R^d).
+    Row-subset null spaces come one stacked SVD per subset size, each size
+    when the scan first needs it.  Cells are batched per chunk of consecutive
+    row subsets with the same (dim U, dim V) = (du, dv), d = du + dv, and
+    decided without an SVD where that is exact:
+
+    - a cell with d > n - rank(D_S) = rank(I - P_S) >= rank(K) has
+      dim W >= 1 and goes straight to the SVD;
+    - every other cell goes through _full_rank_certified, one stacked Gram
+      and one batched determinant per chunk, and a certified cell has
+      dim W = 0 under the SVD's rank rule, so it is skipped as before;
+    - the rest are decomposed lazily, in pieces of consecutive cells in scan
+      order, each piece one more than the slices decomposed so far in the
+      call (1, 2, 4, ...), so a scan that stops at a witness has decomposed
+      fewer than twice the cells it needed.
+
     A cell with dim W <= 1 is decided exactly, by at most one evaluation of a
     witness; only cells with dim W >= 2 are searched, by seeded restarts plus
     coordinate ascent of the quasi-norm gap on the unit sphere of W, so their
@@ -233,60 +335,63 @@ def nsp_real_falsify(
     lambdas = _lambda_list(m, k, lambda_mode)
     supports = np.array(list(combinations(range(F.N), k)), dtype=np.intp).reshape(comb(F.N, k), k)
     n_supports = len(supports)
-    # projections onto col(D_S)^perp; a support whose columns vanish keeps I
+    # projections onto col(D_S)^perp and their ranks; a support whose columns
+    # vanish keeps I
     P = np.repeat(np.eye(n)[None], n_supports, axis=0)
+    perp = np.full(n_supports, n)
     for rows, Q in support_bases(F.D, supports):
         P[rows] = np.eye(n) - Q @ np.swapaxes(Q, 1, 2)
-    # null spaces of every row subset and its complement, a stack per size
-    basis: dict[tuple[int, ...], np.ndarray] = {}
-    for size in {len(Lam) for Lam in lambdas} | {m - len(Lam) for Lam in lambdas}:
-        for block in combination_blocks(m, size, max(1, STACK_ELEMS // max(1, size * n))):
-            basis.update(zip(map(tuple, block.tolist()), null_spaces(A[block])))
-    UV = {Lam: (basis[Lam], basis[tuple(sorted(set(range(m)).difference(Lam)))]) for Lam in lambdas}
-    dims = {Lam: (U.shape[1], V.shape[1]) for Lam, (U, V) in UV.items()}
+        perp[rows] = n - Q.shape[2]
+    # null spaces of the row subsets, a stack per size when the scan reaches it
+    layers: dict[int, list[np.ndarray]] = {}
+
+    def layer(size: int) -> list[np.ndarray]:
+        if size not in layers:
+            blocks = combination_blocks(m, size, max(1, STACK_ELEMS // max(1, size * n)))
+            layers[size] = [W for block in blocks for W in null_spaces(A[block])]
+        return layers[size]
 
     restarts = max(1, budget // max(1, len(lambdas) * n_supports))
     cell_index = 0
-    for (du, dv), run in groupby(lambdas, key=dims.get):
-        run = list(run)
-        if du == 0 or dv == 0:
-            cell_index += len(run) * n_supports
-            continue
-        per_chunk = max(1, STACK_ELEMS // max(1, n_supports * n * (du + dv)))
-        for start in range(0, len(run), per_chunk):
-            chunk = run[start:start + per_chunk]
-            # (a, b) must satisfy (I - P_S)(Ua + Vb) = 0
-            K = np.concatenate([np.concatenate([P @ U, P @ V], axis=2)
-                                for U, V in map(UV.get, chunk)])
-            for j, W in enumerate(null_spaces(K)):
-                cell_index += 1
-                if W.shape[1] == 0:
-                    continue
-                Lam = chunk[j // n_supports]
-                U, V = UV[Lam]
-                Mu = U @ W[:du, :]
-                Mv = V @ W[du:, :]
-                Lp = F.D.T @ (Mu + Mv)
-                Lm = F.D.T @ (Mu - Mv)
-
-                def gap(c: np.ndarray) -> float:
-                    return float(np.sum(np.abs(Lp @ c) ** q) - np.sum(np.abs(Lm @ c) ** q))
-
-                for c in _search(gap, W.shape[1], restarts, (seed, cell_index)):
-                    a = W[:du, :] @ c
-                    b = W[du:, :] @ c
-                    # null bases are orthonormal, so ||u|| = ||a|| and ||v|| = ||b||
-                    if np.linalg.norm(a) <= 1e-9 or np.linalg.norm(b) <= 1e-9:
-                        continue
-                    u = Mu @ c
-                    v = Mv @ c
-                    ns = np.linalg.norm(u + v)
-                    if ns > 1e-12:
-                        u, v = u / ns, v / ns
-                    witness = NspWitness(Lambda=Lam, u=u, v=v, q=q, k=k)
-                    checked = nsp_real_evaluate(A, F, witness)
-                    if checked.violated:
-                        return checked
+    decomposed = 0
+    for size, lams in groupby(lambdas, key=len):
+        # the complements of the size-s subsets, in lexicographic order, are
+        # the size-(m - s) subsets in reverse lexicographic order
+        trios = zip(lams, layer(size), reversed(layer(m - size)))
+        for (du, dv), run in groupby(trios, key=lambda t: (t[1].shape[1], t[2].shape[1])):
+            run = list(run)
+            if du == 0 or dv == 0:
+                cell_index += len(run) * n_supports
+                continue
+            screened = np.flatnonzero(du + dv <= perp)
+            P_screened = P[screened]
+            per_chunk = max(1, STACK_ELEMS // max(1, n_supports * n * (du + dv)))
+            for start in range(0, len(run), per_chunk):
+                chunk = run[start:start + per_chunk]
+                open_cells = np.ones((len(chunk), n_supports), dtype=bool)
+                if screened.size:
+                    B = np.concatenate([np.stack([U for _, U, _ in chunk]),
+                                        np.stack([V for _, _, V in chunk])], axis=2)
+                    open_cells[:, screened] = ~_full_rank_certified(B, P_screened)
+                # row subset * n_supports + support, in scan order
+                cells = np.flatnonzero(open_cells)
+                first = cell_index
+                cell_index += open_cells.size
+                pos = 0
+                while pos < len(cells):
+                    piece = cells[pos:pos + decomposed + 1]
+                    pos += len(piece)
+                    decomposed += len(piece)
+                    # (a, b) must satisfy (I - P_S)(Ua + Vb) = 0
+                    Ws = null_spaces(_systems(P, chunk, piece, n_supports), scale=1.0)
+                    for j, W in zip(piece.tolist(), Ws):
+                        if W.shape[1] == 0:
+                            continue
+                        Lam, U, V = chunk[j // n_supports]
+                        entropy = (seed, first + j + 1)
+                        witness = _cell_witness(A, F, Lam, U, V, W, k, q, restarts, entropy)
+                        if witness is not None:
+                            return witness
     return None
 
 

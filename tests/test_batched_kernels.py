@@ -8,9 +8,11 @@ objective, signs, zero set, fallback flag); the isometry constant must agree
 to 1e-12 relative, with the same witness support wherever the top two
 supports do not tie.  The NSP falsifier, which now stacks its null spaces and
 decides each cell with a one-dimensional solution space by one evaluation,
-must return bit-identical witnesses, and the stacked null-space kernel the
-per-slice one's bases; the chunked dictionary-sparse distance must agree with
-the per-support loop to rounding.
+must return bit-identical witnesses, also on near-degenerate A, whose
+systems the full-rank screen cannot certify and leaves to the SVD; the screen
+must certify only systems of full rank, and the stacked null-space kernel
+must return the per-slice one's bases.  The chunked dictionary-sparse
+distance must agree with the per-support loop to rounding.
 The batched IRLS solver must reproduce the restart loop bit for bit (point,
 objective, feasibility, winning iteration), the batched sign-flip descent the
 scalar one row by row, and the sampled DRIP estimator its old row-wise
@@ -33,7 +35,14 @@ from lqphase.errors import (
     ResourceBudgetError,
 )
 from lqphase.frames import TightFrame, build_named_frame, build_parseval_random
-from lqphase.linalg import RANK_RTOL, STACK_ELEMS, null_space, null_spaces, numerical_rank
+from lqphase.linalg import (
+    RANK_RTOL,
+    STACK_ELEMS,
+    null_space,
+    null_spaces,
+    numerical_rank,
+    support_bases,
+)
 from lqphase.measurement import PhaselessProblem, build_problem
 from lqphase.nsp import (
     STRICTNESS_TOL,
@@ -958,6 +967,147 @@ def test_nsp_falsifier_matches_reference_loop_on_the_wide_corpus(monkeypatch):
                 dims.add(0)
     assert dims == {0, 1, 2}
     assert ended_without_witness > 0
+
+
+def nsp_near_degenerate_corpus():
+    """m = n + 1, k = 1, and a last row of A within 1e-7 of the first.  Then
+    for a row subset that splits the two rows, the row spaces of the subset
+    and of its complement meet in a line within 1e-7 of a_0, so K = P_S [U V]
+    is within 1e-7 of rank deficiency when a_0 is orthogonal to col(D_S): the
+    second instance of each pair makes a_0 orthogonal to d_0 up to 1e-7.
+    Those systems are too close to deficiency for the full-rank screen, so
+    they reach the SVD, which finds them of full rank."""
+    for seed in range(2):
+        for (n, N), q in (((3, 5), 0.3), ((4, 6), 1.0), ((5, 7), 0.5)):
+            rng = np.random.default_rng(500 + 10 * seed + n)
+            F = _frame(n, N, seed)
+            d = F.D[:, 0] / np.linalg.norm(F.D[:, 0])
+            for orthogonal in (False, True):
+                A = rng.standard_normal((n + 1, n))
+                if orthogonal:
+                    A[0] += 1e-7 * rng.standard_normal(n) - (A[0] @ d) * d
+                A[-1] = A[0] + 1e-7 * rng.standard_normal(n)
+                yield A, F, 1, q, seed
+
+
+def test_nsp_falsifier_matches_reference_loop_on_near_degenerate_A(monkeypatch):
+    certify, null_spaces_ = nsp._full_rank_certified, nsp.null_spaces
+    count = {"rejected": 0, "decomposed": 0}
+
+    def certify_spy(B, P):
+        certified = certify(B, P)
+        count["rejected"] += int(np.count_nonzero(~certified))
+        return certified
+
+    def null_spaces_spy(Ms, scale=None):
+        if scale is not None:  # the (Lambda, S) systems, not the row subsets
+            count["decomposed"] += len(Ms)
+        return null_spaces_(Ms, scale=scale)
+
+    monkeypatch.setattr(nsp, "_full_rank_certified", certify_spy)
+    monkeypatch.setattr(nsp, "null_spaces", null_spaces_spy)
+    rejected_and_decomposed = 0
+    for A, F, k, q, seed in nsp_near_degenerate_corpus():
+        ref = loop_nsp_real_falsify(A, F, k, q, budget=100, seed=seed, lambda_mode="all_subsets")
+        for elems in (nsp.STACK_ELEMS, 1):  # 1: one row subset per stack
+            monkeypatch.setattr(nsp, "STACK_ELEMS", elems)
+            count.update(rejected=0, decomposed=0)
+            got = nsp_real_falsify(A, F, k, q, budget=100, seed=seed, lambda_mode="all_subsets")
+            if ref is None:
+                assert got is None
+                # every cell was scanned, so every slice the screen left was decomposed
+                assert count["decomposed"] >= count["rejected"]
+                rejected_and_decomposed += count["rejected"]
+            else:
+                assert got.Lambda == ref.Lambda and got.q == ref.q and got.k == ref.k
+                assert got.u.tobytes() == ref.u.tobytes() and got.v.tobytes() == ref.v.tobytes()
+                assert (got.lhs, got.rhs, got.violated) == (ref.lhs, ref.rhs, ref.violated)
+        monkeypatch.setattr(nsp, "STACK_ELEMS", STACK_ELEMS)
+    assert rejected_and_decomposed > 0
+
+
+def _orthonormal_pair_stack(rng, n, angles):
+    """(len(angles), n, 4) stacks of B = [U V], U and V with orthonormal
+    columns, whose first columns meet at the given angle: s_min(B)/s_max(B)
+    is tan(angle / 2)."""
+    Bs = []
+    for t in angles:
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        V = np.stack([np.cos(t) * Q[:, 0] + np.sin(t) * Q[:, 2], Q[:, 3]], axis=1)
+        Bs.append(np.concatenate([Q[:, :2], V], axis=1))
+    return np.stack(Bs)
+
+
+def test_full_rank_screen_certifies_only_full_rank_systems():
+    """Every system K = P B the screen certifies has full column rank under the
+    rank rule of its SVD, on stacks whose s_min/s_max runs from 1e-2 down to
+    1e-14, with zero slices (P = 0, or D_S spanning R^n), rank-deficient
+    supports (duplicated frame columns) and duplicated rows of A."""
+    rng = np.random.default_rng(12)
+    n = 6
+    Ps = [np.zeros((1, n, n)), np.eye(n)[None]]
+    frames = ((build_parseval_random(n, 8, 0), 1), (build_parseval_random(n, 8, 1), 2),
+              (build_named_frame("duplicated_identity", n), 2), (build_parseval_random(n, 8, 2), n))
+    for F, k in frames:
+        supports = np.array(list(combinations(range(F.N), k))[:12])
+        for _, Q in support_bases(F.D, supports):
+            Ps.append(np.eye(n) - Q @ np.swapaxes(Q, 1, 2))
+    P = np.concatenate(Ps)
+    stacks = [_orthonormal_pair_stack(rng, n, np.concatenate([np.logspace(-1, -14, 53), [0.0]]))]
+    A = rng.standard_normal((n + 1, n))
+    A[3] = A[0]
+    A[5] = A[1] + 1e-9 * rng.standard_normal(n)
+    by_d = {}
+    for size in range(1, n + 1):
+        for L in combinations(range(n + 1), size):
+            comp = [i for i in range(n + 1) if i not in L]
+            B = np.concatenate([null_space(A[list(L)]), null_space(A[comp])], axis=1)
+            by_d.setdefault(B.shape[1], []).append(B)
+    stacks.extend(np.stack(Bs) for d, Bs in sorted(by_d.items()) if d)
+    certified_ratios, ratios = [], []
+    for B in stacks:
+        d = B.shape[2]
+        certified = nsp._full_rank_certified(B, P)
+        assert certified.shape == (len(B), len(P))
+        s = np.linalg.svd(P[None] @ B[:, None], compute_uv=False)
+        ratio = s[..., -1] / np.where(s[..., 0] > 0, s[..., 0], 1.0)
+        ratios.extend(ratio[s[..., 0] > 0].ravel())
+        certified_ratios.extend(ratio[certified])
+        assert np.all(numerical_rank(s, scale=1.0)[certified] == d)
+        assert np.all(numerical_rank(s)[certified] == d)
+    assert min(ratios) <= 1e-14 and max(ratios) >= 1e-2
+    assert len(certified_ratios) > 0 and min(certified_ratios) < 1e-2  # not vacuous
+
+
+def test_nsp_falsifier_decomposes_only_the_systems_it_needs(monkeypatch):
+    null_spaces_, search = nsp.null_spaces, nsp._search
+    decomposed, scanned = [], []
+
+    def null_spaces_spy(Ms, scale=None):
+        if scale is not None:  # the (Lambda, S) systems, not the row subsets
+            decomposed.append(len(Ms))
+        return null_spaces_(Ms, scale=scale)
+
+    def search_spy(gap, dim, restarts, entropy):
+        scanned.append(entropy[1])  # the cell index
+        return search(gap, dim, restarts, entropy)
+
+    monkeypatch.setattr(nsp, "null_spaces", null_spaces_spy)
+    monkeypatch.setattr(nsp, "_search", search_spy)
+    # m = n + 1, k = 1: every cell has dim W = 0, and the screen certifies them all
+    A = np.random.default_rng(20).standard_normal((5, 4))
+    F = build_parseval_random(4, 6, 0)
+    assert nsp_real_falsify(A, F, 1, 1.0, lambda_mode="all_subsets") is None
+    assert decomposed == [] and scanned == []
+    # k = 2 stops at its first witness, having decomposed fewer than twice the cells it scanned
+    for seed in range(3):
+        decomposed.clear()
+        A = np.random.default_rng(30 + seed).standard_normal((7, 6))
+        F = build_parseval_random(6, 8, seed)
+        w = nsp_real_falsify(A, F, 2, 1.0, seed=seed, lambda_mode="all_subsets")
+        assert w is not None
+        assert 0 < sum(decomposed) <= 2 * scanned[-1] + 1
+        assert scanned[-1] < len(_lambda_list(7, 2, "all_subsets")) * comb(8, 2) // 4
 
 
 def loop_null_space(M):

@@ -3,6 +3,7 @@ import pytest
 
 from lqphase.errors import InvalidWitnessError, ResourceBudgetError
 from lqphase.frames import build_named_frame, build_parseval_random
+from lqphase.linalg import null_space
 from lqphase.measurement import build_problem, phase_distance
 from lqphase.nsp import (
     ComplexNspWitness,
@@ -118,6 +119,24 @@ def test_falsify_none_on_generic_gaussian_and_oracle_recovers():
         P = build_problem(A, F, truth, q=0.5)
         res = solve_oracle_noiseless(P)
         assert phase_distance(res.x_hat, truth.x) < 1e-8 * np.linalg.norm(truth.x)
+
+
+def test_falsify_finds_witness_when_the_support_spans_the_space():
+    # k = n: every D_S spans R^3, so P_S = I - QQ^T is rounding residue and
+    # every splitting of a cell is admissible.  A rank cutoff relative to the
+    # largest singular value of K = [P_S U, P_S V] reads that residue as full
+    # rank and skips the cell; the falsifier's cutoff is relative to the unit
+    # scale of [U V] instead.
+    F = build_parseval_random(3, 5, 0)
+    A = np.random.default_rng(10).standard_normal((3, 3))
+    u, v = null_space(A[:1])[:, 0], -null_space(A[1:])[:, 0]
+    known = nsp_real_evaluate(A, F, NspWitness(Lambda=(0,), u=u, v=v, q=1.0, k=3))
+    assert known.violated
+    assert known.lhs == pytest.approx(2.7883, abs=1e-4)
+    assert known.rhs == pytest.approx(2.6444, abs=1e-4)
+    w = nsp_real_falsify(A, F, k=3, q=1.0, lambda_mode="all_subsets")
+    assert w is not None and w.violated and w.Lambda == (0,)
+    assert nsp_real_evaluate(A, F, w).violated
 
 
 def test_falsify_all_subsets_guard():
