@@ -78,7 +78,7 @@ def constants_c1_c2(q: float, t: float, delta: float) -> BoundConstants:
     """
     q = _check_q(q)
     t = _check_t(t)
-    if delta < 0.0:
+    if not delta >= 0.0:  # also rejects NaN
         raise ParameterError(f"delta must be nonnegative, got {delta}")
     qL = np.longdouble(q)
     tL = np.longdouble(t)
@@ -102,7 +102,7 @@ def constants_c1_c2(q: float, t: float, delta: float) -> BoundConstants:
 def constants_c3_c4(t: float, delta: float) -> tuple[float, float]:
     """Specialized constants for the q = 1 model against the identity dictionary."""
     t = _check_t(t)
-    if delta < 0.0:
+    if not delta >= 0.0:  # also rejects NaN
         raise ParameterError(f"delta must be nonnegative, got {delta}")
     tL = np.longdouble(t)
     dL = np.longdouble(delta)

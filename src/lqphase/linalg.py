@@ -1,7 +1,9 @@
 """Small dense linear-algebra helpers used across the package.
 
-The enumeration kernels take the k-subsets of range(N) as index arrays from
-combination_blocks, in the lexicographic order of itertools.combinations.
+The enumeration kernels take the k-subsets of range(N) as index arrays, in
+the lexicographic order of itertools.combinations: all of them at once from
+combination_array, which caches the read-only array, or a chunk at a time
+from combination_blocks.
 Rank decisions use a relative singular-value cutoff (1e-10 times the largest
 singular value, or times a scale the caller knows), matching the
 frame-validation tolerance.
@@ -11,7 +13,8 @@ col(D_S): one batched SVD per stack of supports, slices grouped by numerical
 rank.  The isometry constants (rip: DRIP, S-DRIP, their sampled variants and
 the DRIP witness) and the null-space diagnostics (nsp: the real falsifier's
 projections and dictionary_sparse_distance) all take their bases from it;
-the callers cut the support axis into chunks of at most STACK_ELEMS elements.
+the callers cut the support axis into chunks of at most STACK_ELEMS elements
+(in rip, its one kernel does).
 
 null_spaces is its counterpart for null spaces: one batched SVD per (C, p, n)
 stack and the same rank rule per slice.  null_space is its one-slice case
@@ -107,7 +110,9 @@ def batch_sym_eig_bounds(Ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=16)
-def _combination_array(N: int, k: int) -> np.ndarray:
+def combination_array(N: int, k: int) -> np.ndarray:
+    """All k-subsets of range(N) in lexicographic order, as one read-only
+    (C(N, k), k) index array, cached since sweeps ask for it repeatedly."""
     flat = np.fromiter(chain.from_iterable(combinations(range(N), k)), dtype=np.intp,
                        count=comb(N, k) * k)
     flat.flags.writeable = False
@@ -116,9 +121,9 @@ def _combination_array(N: int, k: int) -> np.ndarray:
 
 def combination_blocks(N: int, k: int, rows: int):
     """The k-subsets of range(N) in lexicographic order, as read-only (<= rows, k)
-    index arrays; a single block is cached, since sweeps ask for it repeatedly."""
+    index arrays; a single block is combination_array's cached one."""
     if comb(N, k) <= rows:
-        yield _combination_array(N, k)
+        yield combination_array(N, k)
         return
     it = combinations(range(N), k)
     while block := list(islice(it, rows)):

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import InvalidWitnessError, ParameterError, ResourceBudgetError
 from .frames import TightFrame
-from .linalg import STACK_ELEMS, combination_blocks, null_spaces, support_bases
+from .linalg import STACK_ELEMS, combination_array, combination_blocks, null_spaces, support_bases
 from .signals import _check_q, lq_quasinorm
 
 STRICTNESS_TOL = 1e-12
@@ -333,7 +333,7 @@ def nsp_real_falsify(
     if budget < 1:
         raise ParameterError("budget must be >= 1")
     lambdas = _lambda_list(m, k, lambda_mode)
-    supports = np.array(list(combinations(range(F.N), k)), dtype=np.intp).reshape(comb(F.N, k), k)
+    supports = combination_array(F.N, k)
     n_supports = len(supports)
     # projections onto col(D_S)^perp and their ranks; a support whose columns
     # vanish keeps I

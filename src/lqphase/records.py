@@ -145,6 +145,11 @@ class ExperimentConfig:
             vals = getattr(self, name)
             if not vals:
                 raise ConfigurationError(f"{name} must be nonempty")
+        for name in ("n_values", "N_values", "m_values"):
+            if any(v < 1 for v in getattr(self, name)):
+                raise ConfigurationError(f"every value of {name} must be >= 1")
+        if any(k < 0 for k in self.k_values):
+            raise ConfigurationError("every value of k_values must be >= 0")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if any(not (0.0 < q <= 1.0) for q in self.q_values):

@@ -1,10 +1,11 @@
 """Exact and sampled isometry constants of A against dictionary-sparse vectors.
 
 For a support S the admissible directions are the nonzero elements of
-col(D_S); the extreme Rayleigh quotients of ||A y||^2 / ||y||^2 over that
-column space are eigenvalue bounds of Q^T A^T A Q for any orthonormal basis
-Q of col(D_S).  Rank-deficient supports (dependent frame columns) are
-handled by restricting to the numerically nonzero singular directions.
+col(D_S); the extreme Rayleigh quotients of ||A_I y||^2 / ||y||^2 over that
+column space are the extreme eigenvalues of B_I^T B_I, with B = A Q for any
+orthonormal basis Q of col(D_S) and B_I its rows in I.  DRIP takes them at
+I = [m].  Rank-deficient supports (dependent frame columns) are handled by
+restricting to the numerically nonzero singular directions.
 
 The strong variant (S-DRIP) additionally ranges over all row subsets I of
 A holding at least h = min_subset_size rows; because the defining
@@ -15,24 +16,24 @@ positive semidefinite, and by Weyl monotonicity both extreme eigenvalues on
 col(D_S) can only grow as rows are added.  Every subset with more than h
 rows contains one with exactly h, so theta_minus is attained on a size-h
 subset, and theta_plus on I = [m].  sdrip_constants therefore evaluates
-C(m, h) + 1 row masks per support instead of all subsets of size >= h, and
-reads delta off I = [m] as well: the extremes there are the DRIP extremes,
-up to the order in which A^T A is summed.  The sampled estimator draws a
+I = [m] and the C(m, h) size-h subsets per support instead of all subsets
+of size >= h, and reads delta off I = [m].  The sampled estimator draws a
 support with one size-h subset and evaluates the same two layers.
 
-Supports are enumerated in batches.  The basis kernel, linalg.support_bases,
-takes a chunk of supports (lexicographic order, at most STACK_ELEMS elements
-per stack), runs one batched SVD of the (C, n, k) column stack and groups
-the slices by numerical rank; each group then needs one batched matrix
-product and one batched eigen-bounds call.  Exhaustive, sampled and
-half-subset constants and the DRIP witness all use it, the single-support
-callers with a one-row stack.  Both half-subset estimators then take their
-masked row Grams from one kernel, _subset_extremes.  Unlike the oracle's
-objectives, the isometry constants carry no tie rule: a batched eigenvalue
-agrees with the per-support one to rounding (on the test corpus, exactly),
-so the batched values are the constants, and the first maximal support in
-lexicographic order names the witness, which is recomputed for that
-support alone.
+One kernel, _extremes, computes every constant.  It takes a stack of
+supports and a possibly empty layer of 0/1 row masks, cuts the supports into
+chunks of at most STACK_ELEMS elements per array, and takes each chunk's
+bases from linalg.support_bases, which runs one batched SVD of the (C, n, k)
+column stack and groups the slices by numerical rank.  Per group it
+evaluates I = [m] as B^T B and the mask layer through masked sums of the
+row Grams outer(B_i, B_i), each with one batched eigen-bounds call.  DRIP
+and its sampled estimator are the kernel with an empty layer, S-DRIP and
+its sampled estimator the kernel with the size-h layer; so S-DRIP's delta is
+DRIP's, bit for bit.  Unlike the oracle's objectives, the isometry
+constants carry no tie rule: a batched eigenvalue agrees with the
+per-support one to rounding, so the batched values are the constants, and
+the first maximal support in lexicographic order names the DRIP witness,
+which is recomputed for that support alone.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, ResourceBudgetError
 from .frames import TightFrame
-from .linalg import STACK_ELEMS, batch_sym_eig_bounds, combination_blocks, support_bases
+from .linalg import STACK_ELEMS, batch_sym_eig_bounds, combination_array, support_bases
 
 SUPPORT_BUDGET = 10**6
 SDRIP_MAX_M = 14
@@ -83,22 +84,48 @@ def drip_order_for_t(t: float, k: int) -> int:
     return int(ceil(tk))
 
 
-def _support_extremes(D: np.ndarray, G: np.ndarray,
-                      supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extreme quotients y^T G y / y^T y over col(D_S) for each support row;
-    NaN where the columns vanish."""
-    lo = np.full(len(supports), np.nan)
-    hi = np.full(len(supports), np.nan)
-    step = max(1, STACK_ELEMS // (D.shape[0] * supports.shape[1]))
-    for start in range(0, len(supports), step):
-        for rows, Q in support_bases(D, supports[start:start + step]):
-            M = np.swapaxes(Q, 1, 2) @ G @ Q
-            lo[start + rows], hi[start + rows] = batch_sym_eig_bounds(M)
-    return lo, hi
-
-
 def _side(lo: float, hi: float) -> str:
     return "upper" if hi - 1.0 >= 1.0 - lo else "lower"
+
+
+def _extremes(A: np.ndarray, D: np.ndarray, supports: np.ndarray,
+              masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extreme quotients ||A_I y||^2 / ||y||^2 over col(D_S) for each row S
+    of a (C, k) stack of supports.
+
+    I ranges over [m] and a layer of 0/1 row masks, shared (M, m) or one set
+    per support (C, M, m), possibly empty (M = 0).  Returns the smallest and
+    the largest quotient over all of them and the DRIP deviation
+    max(hi - 1, 1 - lo) on I = [m] alone, each of length C, NaN where the
+    columns of D_S vanish.
+    """
+    (C, k), (m, n), M = supports.shape, A.shape, masks.shape[-2]
+    lo, hi, dev = np.full((3, C), np.nan)
+    # float64 elements per support in a chunk's largest arrays: the column
+    # stack and B, and with a layer the row Grams and their masked sums
+    step = max(1, STACK_ELEMS // (k * max(n, m, (m + M) * k if M else 0)))
+    for start in range(0, C, step):
+        for rows, Q in support_bases(D, supports[start:start + step]):
+            rows = start + rows
+            B = A @ Q  # (c, m, d)
+            low, high = batch_sym_eig_bounds(np.swapaxes(B, 1, 2) @ B)
+            dev[rows] = np.fmax(high - 1.0, 1.0 - low)
+            if M:  # row i adds outer(B_i, B_i) to the Gram of every I holding it
+                c, _, d = B.shape
+                row_grams = np.einsum("cip,ciq->cipq", B, B).reshape(c, m, d * d)
+                layer = masks if masks.ndim == 2 else masks[rows]
+                layer_lo, layer_hi = (v.reshape(c, M) for v in
+                                      batch_sym_eig_bounds((layer @ row_grams).reshape(-1, d, d)))
+                low = np.minimum(low, layer_lo.min(axis=1))
+                high = np.maximum(high, layer_hi.max(axis=1))
+            lo[rows], hi[rows] = low, high
+    return lo, hi, dev
+
+
+def _uniform_subsets(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
+    """`count` uniform k-subsets of range(n) as sorted rows: the positions of
+    the k smallest of n i.i.d. uniforms."""
+    return np.sort(np.argsort(rng.random((count, n)), axis=1)[:, :k], axis=1)
 
 
 def _check_problem(A: np.ndarray, F: TightFrame) -> np.ndarray:
@@ -128,27 +155,24 @@ def drip_constant(
             f"C({F.N},{order}) = {n_supports} supports exceed the budget {support_budget}; "
             "use the sampled estimator"
         )
-    G = A.T @ A
-    best: tuple[float, tuple[int, ...], str] | None = None
-    for supports in combination_blocks(F.N, order, max(1, STACK_ELEMS // (F.n * order))):
-        lo, hi = _support_extremes(F.D, G, supports)
-        dev = np.fmax(hi - 1.0, 1.0 - lo)  # NaN only where the columns vanish
-        if np.all(np.isnan(dev)):
-            continue
-        i = int(np.nanargmax(dev))  # first maximum, as in support order
-        if best is None or dev[i] > best[0]:
-            best = (float(dev[i]), tuple(supports[i].tolist()), _side(lo[i], hi[i]))
-    if best is None:
-        raise ParameterError("every candidate support has vanishing frame columns")
-    dev, S, side = best
-    witness = _witness_for_support(A, F, S, side)
-    return dev, witness
+    return _drip(A, F, combination_array(F.N, order))
+
+
+def _drip(A: np.ndarray, F: TightFrame, supports: np.ndarray) -> tuple[float, DripWitness]:
+    """The largest DRIP deviation over a stack of supports, with the witness
+    of the first support that attains it."""
+    lo, hi, dev = _extremes(A, F.D, supports, np.zeros((0, A.shape[0])))
+    if np.all(np.isnan(dev)):
+        raise ParameterError("every evaluated support has vanishing frame columns")
+    i = int(np.nanargmax(dev))  # first maximum, in support order
+    return float(dev[i]), _witness_for_support(A, F, tuple(supports[i].tolist()),
+                                               _side(lo[i], hi[i]))
 
 
 def _witness_for_support(A: np.ndarray, F: TightFrame, S: tuple[int, ...], side: str) -> DripWitness:
     Q = support_bases(F.D, np.array([S], dtype=np.intp))[0][1][0]
-    M = Q.T @ (A.T @ A) @ Q
-    w, V = np.linalg.eigh(M)
+    B = A @ Q
+    w, V = np.linalg.eigh(B.T @ B)
     idx = -1 if side == "upper" else 0
     y = Q @ V[:, idx]
     # lift the direction back to coefficients supported on S
@@ -164,53 +188,28 @@ def drip_constant_sampled(
     order: int,
     budget: int = 10**5,
     seed: int = 0,
-    refine: bool = True,
 ) -> tuple[float, DripWitness]:
-    """Random-quotient lower bound on the isometry defect.
+    """Sampled lower bound on the isometry defect.
 
-    Draws `budget` random supports; without refinement, each distinct support
-    contributes random-coefficient Rayleigh quotients, one per draw.  With
-    refine=True the extremes of every visited support are computed exactly, so
-    the gap to the exhaustive constant vanishes once all supports have been
-    seen.  The returned value never exceeds the exhaustive one.
+    Draws `budget` uniform supports and computes the exact extremes of every
+    distinct one, so the returned value never exceeds the exhaustive constant
+    and equals it once every support has been drawn.
     """
     A = _check_problem(A, F)
     if not (1 <= order <= F.N):
         raise ParameterError(f"order must lie in [1, {F.N}], got {order}")
     if budget < 1:
         raise ParameterError("budget must be >= 1")
-    rng = np.random.default_rng(seed)
-    G = A.T @ A
-    # vectorized uniform k-subsets: order statistics of i.i.d. uniforms
-    draws = np.argsort(rng.random((budget, F.N)), axis=1)[:, :order]
-    draws.sort(axis=1)
+    draws = _uniform_subsets(np.random.default_rng(seed), budget, F.N, order)
     # distinct supports in lexicographic order (the witness is the first
     # maximal one), through their base-N keys while those fit in int64; the
     # row-wise unique sorts structured rows and is about 10x slower
     if F.N**order <= 2**63:
-        keys = draws @ F.N ** np.arange(order - 1, -1, -1)
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        _, first = np.unique(draws @ F.N ** np.arange(order - 1, -1, -1), return_index=True)
         visited = draws[first]
     else:
-        visited, counts = np.unique(draws, axis=0, return_counts=True)
-    if refine:
-        lo, hi = _support_extremes(F.D, G, visited)
-    else:
-        lo = np.full(len(visited), np.nan)
-        hi = np.full(len(visited), np.nan)
-        for i, (row, cnt) in enumerate(zip(visited, counts)):
-            Y = F.D[:, row] @ rng.standard_normal((order, int(cnt)))
-            norms = np.sum(Y * Y, axis=0)
-            keep = norms > 0.0
-            if np.any(keep):
-                quots = np.sum(Y[:, keep] * (G @ Y[:, keep]), axis=0) / norms[keep]
-                lo[i], hi[i] = np.min(quots), np.max(quots)
-    dev = np.fmax(hi - 1.0, 1.0 - lo)
-    if np.all(np.isnan(dev)):
-        raise ParameterError("sampling never hit a support with nonvanishing frame columns")
-    i = int(np.nanargmax(dev))
-    witness = _witness_for_support(A, F, tuple(visited[i].tolist()), _side(lo[i], hi[i]))
-    return float(dev[i]), witness
+        visited = np.unique(draws, axis=0)
+    return _drip(A, F, visited)
 
 
 def _min_subset_size(m: int, half_rule: str) -> int:
@@ -222,27 +221,14 @@ def _min_subset_size(m: int, half_rule: str) -> int:
     raise ParameterError(f"half_rule must be 'ceil' or 'floor', got {half_rule!r}")
 
 
-def _subset_extremes(A: np.ndarray, Q: np.ndarray, masks: np.ndarray) -> tuple[float, float, float]:
-    """Smallest and largest quotient ||A_I y||^2 / ||y||^2 over col(Q) for a
-    (c, n, d) stack of bases and 0/1 row masks I, shared (M, m) or one set per
-    basis (c, M, m), and the largest DRIP deviation on the last mask, I = [m]."""
-    B = A @ Q  # (c, m, d); row i contributes outer(B_i, B_i) when i is in I
-    c, m, d = B.shape
-    row_grams = np.einsum("cip,ciq->cipq", B, B).reshape(c, m, d * d)
-    lows, highs = (v.reshape(c, -1) for v in
-                   batch_sym_eig_bounds((masks @ row_grams).reshape(-1, d, d)))
-    dev = np.fmax(highs[:, -1] - 1.0, 1.0 - lows[:, -1])
-    return float(np.min(lows)), float(np.max(highs)), float(np.max(dev))
-
-
-def _report(extremes: list[tuple[float, float, float]], order: int, h: int, exhaustive: bool,
-            details: dict) -> RipReport:
-    """An S-DRIP report from the extremes of every evaluated stack of supports."""
-    if not extremes:
+def _report(lo: np.ndarray, hi: np.ndarray, dev: np.ndarray, order: int, h: int,
+            exhaustive: bool, details: dict) -> RipReport:
+    """An S-DRIP report from the kernel's per-support extremes."""
+    if np.all(np.isnan(dev)):
         raise ParameterError("every evaluated support has vanishing frame columns")
-    lows, highs, devs = zip(*extremes)
-    return RipReport(order=order, delta=max(devs), theta_minus=min(lows), theta_plus=max(highs),
-                     min_subset_size=h, exhaustive=exhaustive, details=details)
+    return RipReport(order=order, delta=float(np.nanmax(dev)), theta_minus=float(np.nanmin(lo)),
+                     theta_plus=float(np.nanmax(hi)), min_subset_size=h, exhaustive=exhaustive,
+                     details=details)
 
 
 def sdrip_constants(
@@ -258,10 +244,10 @@ def sdrip_constants(
     theta_minus = min over subsets I (|I| >= h = min_subset_size) and
     supports S of the smallest quotient ||A_I y||^2 / ||y||^2 over col(D_S);
     theta_plus is the corresponding max of the largest quotient.  By the
-    two-layer argument (module docstring) each support is evaluated on the
-    C(m, h) size-h subsets, in lexicographic order, and on I = [m] only;
-    delta is the DRIP constant, taken from I = [m].  details["n_subsets"]
-    still counts all subsets with |I| >= h.
+    two-layer argument (module docstring) each support is evaluated on
+    I = [m] and on the C(m, h) size-h subsets only; delta is the DRIP
+    constant, taken from I = [m].  details["n_subsets"] still counts all
+    subsets with |I| >= h.
     """
     A = _check_problem(A, F)
     if not (1 <= order <= F.N):
@@ -277,14 +263,10 @@ def sdrip_constants(
             f"C({F.N},{order}) = {n_supports} supports exceed the budget {support_budget}"
         )
     h = _min_subset_size(m, half_rule)
-    masks = np.zeros((comb(m, h) + 1, m))  # the size-h layer, then I = [m]
-    np.put_along_axis(masks[:-1], next(combination_blocks(m, h, comb(m, h))), 1.0, axis=1)
-    masks[-1] = 1.0
-    rows = max(1, STACK_ELEMS // (len(masks) * order * order))
-    extremes = [_subset_extremes(A, Q, masks)
-                for supports in combination_blocks(F.N, order, rows)
-                for _, Q in support_bases(F.D, supports)]
-    return _report(extremes, order, h, exhaustive=True, details={
+    masks = np.zeros((comb(m, h), m))
+    np.put_along_axis(masks, combination_array(m, h), 1.0, axis=1)
+    lo, hi, dev = _extremes(A, F.D, combination_array(F.N, order), masks)
+    return _report(lo, hi, dev, order, h, exhaustive=True, details={
         "half_rule": half_rule, "n_subsets": sum(comb(m, s) for s in range(h, m + 1)),
         "n_supports": n_supports})
 
@@ -314,14 +296,9 @@ def sdrip_constants_sampled(
     m = A.shape[0]
     h = _min_subset_size(m, half_rule)
     rng = np.random.default_rng(seed)
-    # uniform subsets as order statistics of i.i.d. uniforms, as in drip_constant_sampled
-    supports = np.sort(np.argsort(rng.random((budget, F.N)), axis=1)[:, :order], axis=1)
-    masks = np.zeros((budget, 2, m))  # per draw: its size-h subset, then I = [m]
-    np.put_along_axis(masks[:, 0], np.argsort(rng.random((budget, m)), axis=1)[:, :h], 1.0, axis=1)
-    masks[:, 1] = 1.0
-    step = max(1, STACK_ELEMS // (m * order * order))
-    extremes = [_subset_extremes(A, Q, masks[start + rows])
-                for start in range(0, budget, step)
-                for rows, Q in support_bases(F.D, supports[start:start + step])]
-    return _report(extremes, order, h, exhaustive=False,
+    supports = _uniform_subsets(rng, budget, F.N, order)
+    masks = np.zeros((budget, 1, m))  # per draw: its size-h subset
+    np.put_along_axis(masks[:, 0], _uniform_subsets(rng, budget, m, h), 1.0, axis=1)
+    lo, hi, dev = _extremes(A, F.D, supports, masks)
+    return _report(lo, hi, dev, order, h, exhaustive=False,
                    details={"half_rule": half_rule, "budget": budget, "seed": seed})

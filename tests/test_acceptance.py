@@ -118,7 +118,7 @@ def test_criterion_3_drip_oracle_equivalence():
     for i in range(50):
         F, A, k = _instance(300 + i)
         exact, _ = drip_constant(A, F, k)
-        sampled, _ = drip_constant_sampled(A, F, k, budget=10**5, seed=i, refine=True)
+        sampled, _ = drip_constant_sampled(A, F, k, budget=10**5, seed=i)
         ok &= sampled <= exact + 1e-12
         ok &= (exact - sampled) < 1e-4
         if k + 1 <= F.N:

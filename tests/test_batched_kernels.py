@@ -4,10 +4,12 @@ The reference loops below are the scalar implementations the kernels
 replaced, kept verbatim apart from what they return: the oracle loop its
 certified tuple, the DRIP loop its constant, witness support, side and every
 support's deviation.  The oracle must reproduce them bit for bit (point,
-objective, signs, zero set, fallback flag); the isometry constant must agree
+objective, signs, zero set, fallback flag); the isometry constant, which
+rip's one kernel computes for DRIP, S-DRIP and both samplers, must agree
 to 1e-12 relative, with the same witness support wherever the top two
-supports do not tie.  The NSP falsifier, which now stacks its null spaces and
-decides each cell with a one-dimensional solution space by one evaluation,
+supports do not tie, and S-DRIP's delta must be DRIP's bit for bit.  The
+NSP falsifier, which now stacks its null spaces and decides each cell with
+a one-dimensional solution space by one evaluation,
 must return bit-identical witnesses, also on near-degenerate A, whose
 systems the full-rank screen cannot certify and leaves to the SVD; the screen
 must certify only systems of full rank, and the stacked null-space kernel
@@ -15,8 +17,8 @@ must return the per-slice one's bases.  The chunked dictionary-sparse
 distance must agree with the per-support loop to rounding.
 The batched IRLS solver must reproduce the restart loop bit for bit (point,
 objective, feasibility, winning iteration), the batched sign-flip descent the
-scalar one row by row, and the sampled DRIP estimator its old row-wise
-np.unique pass.
+scalar one row by row, and the sampled DRIP estimator, which dedupes its
+draws through int64 keys, a row-wise np.unique pass over the same kernel.
 """
 
 from itertools import combinations, product
@@ -418,15 +420,13 @@ def loop_drip_constant_sampled(
     order: int,
     budget: int = 10**5,
     seed: int = 0,
-    refine: bool = True,
 ) -> tuple[float, DripWitness]:
-    """Random-quotient lower bound on the isometry defect.
+    """Sampled lower bound on the isometry defect.
 
-    Draws `budget` random supports; without refinement, each distinct support
-    contributes random-coefficient Rayleigh quotients, one per draw.  With
-    refine=True the extremes of every visited support are computed exactly, so
-    the gap to the exhaustive constant vanishes once all supports have been
-    seen.  The returned value never exceeds the exhaustive one.
+    Draws `budget` random supports and computes the extremes of every
+    visited support exactly, so the gap to the exhaustive constant vanishes
+    once all supports have been seen.  The returned value never exceeds the
+    exhaustive one.
     """
     A = rip._check_problem(A, F)
     if not (1 <= order <= F.N):
@@ -434,23 +434,11 @@ def loop_drip_constant_sampled(
     if budget < 1:
         raise ParameterError("budget must be >= 1")
     rng = np.random.default_rng(seed)
-    G = A.T @ A
     # vectorized uniform k-subsets: order statistics of i.i.d. uniforms
     draws = np.argsort(rng.random((budget, F.N)), axis=1)[:, :order]
     draws.sort(axis=1)
-    visited, counts = np.unique(draws, axis=0, return_counts=True)
-    if refine:
-        lo, hi = rip._support_extremes(F.D, G, visited)
-    else:
-        lo = np.full(len(visited), np.nan)
-        hi = np.full(len(visited), np.nan)
-        for i, (row, cnt) in enumerate(zip(visited, counts)):
-            Y = F.D[:, row] @ rng.standard_normal((order, int(cnt)))
-            norms = np.sum(Y * Y, axis=0)
-            keep = norms > 0.0
-            if np.any(keep):
-                quots = np.sum(Y[:, keep] * (G @ Y[:, keep]), axis=0) / norms[keep]
-                lo[i], hi[i] = np.min(quots), np.max(quots)
+    visited = np.unique(draws, axis=0)
+    lo, hi, _ = rip._extremes(A, F.D, visited, np.zeros((0, A.shape[0])))
     dev = np.fmax(hi - 1.0, 1.0 - lo)
     if np.all(np.isnan(dev)):
         raise ParameterError("sampling never hit a support with nonvanishing frame columns")
@@ -829,7 +817,7 @@ def test_drip_chunked_equals_unchunked(monkeypatch):
 
 def test_sampled_refine_matches_reference_loop_on_visited_supports():
     for A, F, order in list(drip_corpus())[:40]:
-        delta, witness = drip_constant_sampled(A, F, order, budget=30, seed=order, refine=True)
+        delta, witness = drip_constant_sampled(A, F, order, budget=30, seed=order)
         rng = np.random.default_rng(order)
         draws = np.argsort(rng.random((30, F.N)), axis=1)[:, :order]
         draws.sort(axis=1)
@@ -879,6 +867,15 @@ def test_sdrip_delta_comes_from_its_own_full_row_subset(half_rule, monkeypatch):
         assert got.delta == pytest.approx(ref, rel=1e-12, abs=1e-15)
         assert max(1.0 - got.theta_minus, got.theta_plus - 1.0) >= got.delta
     assert any(F.label.startswith("duplicated") for _, F, _ in cases)  # rank-deficient supports
+
+
+def test_sdrip_delta_is_the_drip_constant_bit_for_bit():
+    # both read B^T B on the same support slices, whatever the chunking
+    cases = list(drip_corpus())
+    cases += [(np.random.default_rng(order).standard_normal((5, 3)) / np.sqrt(5),
+               _zero_column_frame(3), order) for order in (1, 2, 3)]
+    for A, F, order in cases:
+        assert sdrip_constants(A, F, order).delta == drip_constant(A, F, order)[0]
 
 
 # ---------------------------------------------------------------- null-space diagnostics
@@ -1244,12 +1241,11 @@ def test_sign_flip_descent_matches_scalar_loop_row_by_row(max_sweeps):
     (32, 12, 300),  # base-N keys up to 2^60
     (40, 12, 300),  # 40^12 > 2^63: row-wise unique
 ])
-@pytest.mark.parametrize("refine", [True, False])
-def test_sampled_drip_matches_row_wise_unique(N, order, budget, refine):
+def test_sampled_drip_matches_row_wise_unique(N, order, budget):
     F = build_parseval_random(4, N, seed=N)
     A = np.random.default_rng(order).standard_normal((7, 4)) / np.sqrt(7)
-    delta, w = drip_constant_sampled(A, F, order, budget=budget, seed=budget, refine=refine)
-    ref, rw = loop_drip_constant_sampled(A, F, order, budget=budget, seed=budget, refine=refine)
-    assert delta == ref  # refine=False draws quotients per visited support, in order
+    delta, w = drip_constant_sampled(A, F, order, budget=budget, seed=budget)
+    ref, rw = loop_drip_constant_sampled(A, F, order, budget=budget, seed=budget)
+    assert delta == ref
     assert (w.support, w.side, w.quotient, w.z.tobytes()) == (rw.support, rw.side, rw.quotient,
                                                               rw.z.tobytes())

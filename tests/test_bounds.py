@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from lqphase import serialize
 from lqphase.bounds import (
     admissibility_check,
     bound_rhs,
@@ -9,6 +10,7 @@ from lqphase.bounds import (
     constants_c3_c4,
     verify_recovery_bound,
 )
+from lqphase.cli import main
 from lqphase.errors import ConfigurationError, DomainError, ParameterError
 from lqphase.frames import build_parseval_random
 from lqphase.measurement import build_problem
@@ -80,6 +82,29 @@ def test_constants_parameter_errors():
     # defects at or above the threshold (in particular >= 1) are reported, not raised
     big = constants_c1_c2(1.0, 1.0, 1.3)
     assert not big.admissible and big.c1 is None
+
+
+def test_nan_defect_is_rejected(tmp_path, capsys):
+    assert not constants_c1_c2(0.5, 1.0, float("inf")).admissible  # inf stays inadmissible
+    with pytest.raises(ParameterError, match="delta"):
+        constants_c1_c2(0.5, 1.0, float("nan"))
+    with pytest.raises(ParameterError, match="delta"):
+        constants_c3_c4(1.0, float("nan"))
+    assert main(["bound", "check", "--q", "0.5", "--t", "1.0", "--delta", "nan"]) == 1
+    assert capsys.readouterr().err.startswith("error: delta")
+    # a trial whose report carries delta = NaN is an error, not a failed bound
+    F = build_parseval_random(3, 5, seed=1)
+    truth = sample_dictionary_sparse(F, 1, seed=2)
+    A = np.random.default_rng(3).standard_normal((5, 3))
+    P = build_problem(A, F, truth, q=1.0)
+    trial = {"problem": serialize.problem_to_dict(P),
+             "result": serialize.solver_result_to_dict(solve_oracle_noiseless(P)),
+             "rip": serialize.rip_report_to_dict(RipReport(order=1, delta=float("nan"))),
+             "t": 1.0}
+    path = tmp_path / "trial.json"
+    serialize.save_json(trial, str(path))
+    assert main(["bound", "verify", "--trial", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: delta")
 
 
 def test_specialization_q_one_equals_c3_c4():

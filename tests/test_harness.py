@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lqphase.cli import main
 from lqphase.errors import ConfigurationError, ParameterError
 from lqphase.harness import (
     derive_trial_seeds,
@@ -76,6 +77,21 @@ def test_invalid_configs_rejected():
         small_config(n_values=[8]).validate()  # n > N
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_json_dict({"bogus_key": 1})
+
+
+@pytest.mark.parametrize("field, values", [("n_values", [0]), ("N_values", [0]),
+                                           ("m_values", [0]), ("m_values", [3, -1]),
+                                           ("k_values", [-1])])
+def test_dimensions_out_of_range_are_rejected_at_load(tmp_path, capsys, field, values):
+    data = small_config(**{field: values}).to_json_dict()
+    with pytest.raises(ConfigurationError, match=field):
+        ExperimentConfig.from_json_dict(data)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    for mode in ("bound", "transition"):
+        assert main(["experiment", mode, "--config", str(path),
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_guarded_cells_are_skipped_with_reason():

@@ -89,10 +89,8 @@ def test_sampled_never_exceeds_exhaustive():
         F = build_parseval_random(4, 8, seed=trial + 50)
         A = rng.standard_normal((6, 4)) / np.sqrt(6)
         exact, _ = drip_constant(A, F, 2)
-        refined, _ = drip_constant_sampled(A, F, 2, budget=10**4, seed=trial, refine=True)
-        raw, _ = drip_constant_sampled(A, F, 2, budget=2000, seed=trial, refine=False)
+        refined, _ = drip_constant_sampled(A, F, 2, budget=10**4, seed=trial)
         assert refined <= exact + 1e-12
-        assert raw <= exact + 1e-12
         assert exact - refined < 1e-6  # all supports visited, then solved exactly
 
 
