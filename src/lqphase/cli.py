@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from . import serialize
@@ -70,8 +69,7 @@ def _emit(payload: dict, out: str | None) -> None:
     if out:
         serialize.save_json(payload, out)
     else:
-        json.dump(payload, sys.stdout, indent=1)
-        sys.stdout.write("\n")
+        sys.stdout.write(serialize.json_text(payload) + "\n")
 
 
 def _cmd_frame_gen(args) -> int:
@@ -133,7 +131,7 @@ def _cmd_solve(args) -> int:
         result = solve_oracle_noiseless(P)
     else:
         config = serialize.load_json(args.config) if args.config else {"seed": args.seed or 0}
-        result = solve_irls(P, IrlsOptions(**config))
+        result = solve_irls(P, IrlsOptions.from_dict(config))
     _emit(serialize.solver_result_to_dict(result), args.out)
     return 0
 

@@ -152,7 +152,7 @@ def _run_bound_trial(cfg: ExperimentConfig, cell: dict, trial: int) -> TrialReco
             result = solve_oracle_noiseless(problem, max_m=cfg.oracle_max_m,
                                             support_budget=cfg.support_budget)
         else:
-            opts = IrlsOptions(**{**cfg.solver_options, "seed": xseed})
+            opts = IrlsOptions.from_dict({**cfg.solver_options, "seed": xseed})
             result = solve_irls(problem, opts)
         record = verify_recovery_bound(problem, result, rip, t)
     except (ResourceBudgetError, ConfigurationError,
@@ -217,7 +217,8 @@ def _run_transition_cell(cfg: ExperimentConfig, cell: dict) -> TransitionCell | 
                 result = solve_oracle_noiseless(problem, max_m=cfg.oracle_max_m,
                                                 support_budget=cfg.support_budget)
             else:
-                result = solve_irls(problem, IrlsOptions(**{**cfg.solver_options, "seed": xseed}))
+                opts = IrlsOptions.from_dict({**cfg.solver_options, "seed": xseed})
+                result = solve_irls(problem, opts)
         except (ResourceBudgetError, InfeasibleProblemError, DegenerateProblemError) as exc:
             errors.append(type(exc).__name__)
             continue

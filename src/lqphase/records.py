@@ -17,6 +17,8 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigurationError, ParameterError
+from .serialize import json_text
+from .solver import IrlsOptions
 
 CSV_COLUMNS = (
     "cell_index", "trial_index", "n", "N", "m", "k", "q", "t", "eps", "seed",
@@ -92,7 +94,7 @@ def emit_results(records: list[TrialRecord], format: str, path: str) -> str:
     if format == "csv":
         payload = records_to_csv(records)
     elif format == "json":
-        payload = json.dumps([asdict(r) for r in records], indent=1)
+        payload = json_text([asdict(r) for r in records])
     else:
         raise ParameterError(f"format must be 'csv' or 'json', got {format!r}")
     try:
@@ -107,7 +109,10 @@ def records_from_json(path: str) -> list[TrialRecord]:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     names = {f.name for f in fields(TrialRecord)}
-    return [TrialRecord(**{k: v for k, v in item.items() if k in names}) for item in raw]
+    floats = {f.name for f in fields(TrialRecord) if "float" in f.type}
+    # json_text writes a non-finite float as "inf", "-inf" or "nan"
+    return [TrialRecord(**{k: float(v) if k in floats and isinstance(v, str) else v
+                           for k, v in item.items() if k in names}) for item in raw]
 
 
 @dataclass
@@ -160,6 +165,9 @@ class ExperimentConfig:
             raise ConfigurationError("noise levels must be nonnegative")
         if self.solver not in ("oracle", "irls"):
             raise ConfigurationError(f"unknown solver {self.solver!r}")
+        # IRLS reads these options in irls sweeps and in transition cells
+        # above the oracle guard
+        IrlsOptions.from_dict(self.solver_options)
         if self.matrix_ensemble not in ("gaussian", "orthonormal", "near_isometric"):
             raise ConfigurationError(f"unknown matrix ensemble {self.matrix_ensemble!r}")
         if any(n > N for n in self.n_values for N in self.N_values):

@@ -3,11 +3,17 @@
 Matrices inside frame payloads are flat row-major lists (shape is implied by
 n and N); measurement matrices are nested lists of rows.  Problems embed
 their frame so files are self-contained; frame_id is kept as a label.
+
+Every JSON file and CLI payload is written by json_text, which is strict
+JSON: a non-finite float is written as the string "inf", "-inf" or "nan",
+which float() reads back, never as the Infinity or NaN tokens that strict
+parsers reject.
 """
 
 from __future__ import annotations
 
 import json
+from math import isfinite
 
 import numpy as np
 
@@ -22,10 +28,25 @@ from .solver import ORACLE_COUNTERS, SolverResult
 _ORACLE_DIAGNOSTICS = (*ORACLE_COUNTERS, "margin")
 
 
+def _strict(v):
+    if isinstance(v, dict):
+        return {k: _strict(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict(x) for x in v]
+    if isinstance(v, float) and not isfinite(v):
+        return str(float(v))  # "inf", "-inf" or "nan"
+    return v
+
+
+def json_text(obj) -> str:
+    """obj as strict JSON text, one-space indented, with every non-finite
+    float written as the string "inf", "-inf" or "nan"."""
+    return json.dumps(_strict(obj), indent=1, allow_nan=False)
+
+
 def save_json(obj: dict, path: str) -> str:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(json_text(obj) + "\n")
     return path
 
 
@@ -168,6 +189,7 @@ def solver_result_to_dict(r: SolverResult) -> dict:
         "certificate": cert,
         "iterations": r.iterations,
         "steps": r.steps,
+        "exits": dict(r.exits),
     }
 
 
@@ -188,4 +210,5 @@ def solver_result_from_dict(data: dict) -> SolverResult:
         certificate=cert,
         iterations=int(data.get("iterations", 0)),
         steps=int(data.get("steps", 0)),
+        exits={str(k): int(v) for k, v in data.get("exits", {}).items()},
     )

@@ -10,6 +10,20 @@ rank-degenerate cells.  A practical iteratively reweighted least-squares
 scheme with an alternating sign step handles sizes beyond the oracle guard;
 it carries no optimality certificate.
 
+An IRLS run stops as soon as it can no longer change the answer, which is
+the best iterate by (violation, objective).  By the discrepancy principle
+(Morozov) a run ends at its first iterate inside the noise band
+|| |Ax| - b || <= eps: no later iterate has a smaller violation.  A run ends
+as stalled once its sign pattern p = sign(Ax) has held for STALL_STEPS steps
+and the pattern's least-squares residual ||(I - Q Q^T)(p o b)|| (Q from
+A = QR) exceeds max(eps, 1e-7 ||b||), the same threshold as the stalled test
+that sends a run to the sign-flip descent.  That exit is sound: for every x
+with pattern p, || |Ax| - b || = ||Ax - p o b|| >= ||(I - Q Q^T)(p o b)||,
+so no iterate is feasible while the pattern holds, and the run is one the
+stalled test sends to the descent anyway; the exit only skips the rest of
+the eps-continuation schedule (Daubechies, DeVore, Fornasier and Gunturk)
+spent at an infeasible pattern.
+
 The oracle runs one zero-pattern search for every shape of A, with
 free = max(n - m, 0) analysis zeros per pattern; m >= n is the free = 0 case.
 A batched pass selects candidates.  The least-squares points A_pinv @ C of
@@ -45,13 +59,15 @@ that candidate's own batched-versus-scalar discrepancy plus 1e-12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import (
+    ConfigurationError,
     DegenerateProblemError,
     InfeasibleProblemError,
     ParameterError,
@@ -82,6 +98,10 @@ FEAS_BAND = 2.0**10
 # every sign); candidates re-solved exactly.
 ORACLE_COUNTERS = ("sign_patterns", "screened_out", "zero_patterns",
                    "singular_systems", "rechecked")
+# An IRLS run ends by the first of these rules that holds (see _irls_converge).
+EXIT_RULES = ("discrepancy", "stall", "converged", "max_iters")
+# Steps a sign pattern must hold before the stall rule tests its residual.
+STALL_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -93,6 +113,7 @@ class SolverResult:
     certificate: dict | None = None
     iterations: int = 0  # IRLS: the winning iterate's index within its run
     steps: int = 0  # IRLS: weighted steps over all restarts and follow-ups
+    exits: dict = field(default_factory=dict)  # IRLS: runs ended by each of EXIT_RULES
 
 
 @dataclass(frozen=True)
@@ -105,11 +126,34 @@ class IrlsOptions:
     seed: int = 0
     tol: float = 1e-8
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "IrlsOptions":
+        """Validated options from a mapping of field names, such as a config's
+        solver_options: an unknown key raises ConfigurationError, a bad value
+        ParameterError."""
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"irls options must be a mapping, got {type(data).__name__}")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigurationError(f"unknown irls options: {sorted(unknown)}")
+        opts = cls(**data)
+        opts.validate()
+        return opts
+
     def validate(self) -> None:
-        if min(self.max_iters, self.restarts) < 1 or min(self.eps0, self.tol) <= 0:
-            raise ParameterError("irls options must be positive")
+        for name in ("max_iters", "restarts", "seed", "eps0", "decay", "tol", "reg"):
+            v = getattr(self, name)
+            kind = Integral if name in ("max_iters", "restarts", "seed") else Real
+            if isinstance(v, bool) or not (isinstance(v, kind) or (name == "reg" and v is None)):
+                raise ParameterError(f"{name} must be {kind.__name__.lower()}, got {v!r}")
+        if min(self.max_iters, self.restarts) < 1 or self.seed < 0:
+            raise ParameterError("max_iters and restarts must be positive, seed nonnegative")
+        if not all(isfinite(v) and v > 0.0 for v in (self.eps0, self.tol)):
+            raise ParameterError("eps0 and tol must be positive and finite")
         if not (0.0 < self.decay < 1.0):
             raise ParameterError("decay must lie in (0, 1)")
+        if self.reg is not None and not (isfinite(self.reg) and self.reg >= 0.0):
+            raise ParameterError(f"reg must be finite and nonnegative, got {self.reg}")
 
 
 def _objectives(D: np.ndarray, X: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -409,65 +453,110 @@ def irls_surrogate(
     return float(resid @ resid + lam * (2.0 / q) * smooth)
 
 
+def _pattern_residuals(Q: np.ndarray, b: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Least-squares residual ||(I - Q Q^T)(p o b)|| = min_x ||A x - p o b|| of
+    every row p of S, where Q is the orthonormal factor of A's QR."""
+    CV = S * b
+    return _row_norms(CV - _mv(Q, _mv(Q.T, CV)))
+
+
 def _sign_flip_descent(A: np.ndarray, b: np.ndarray, patterns: np.ndarray,
-                       max_sweeps: int = 8) -> np.ndarray:
+                       max_sweeps: int = 8, Q: np.ndarray | None = None) -> np.ndarray:
     """1-opt descent on the least-squares residual over sign patterns, for every
-    row of patterns (R, m) at once.
+    row of patterns (R, m) at once; Q is A's orthonormal QR factor, computed
+    when not given.
 
     Escapes alternating fixed points whose sign pattern is locally wrong;
     deterministic (first improving flip wins within a sweep).  A row leaves the
-    batch after a sweep that does not improve it.
+    batch after a sweep that does not improve it.  Each pass scores every
+    remaining single flip of every live row in one stacked call, takes each
+    row's first improving flip and resumes after it, so every row follows the
+    sequential first-improvement rule exactly.
     """
-    Qa, _ = np.linalg.qr(A)
-
-    def resid(S: np.ndarray) -> np.ndarray:
-        CV = S * b
-        return _row_norms(CV - _mv(Qa, _mv(Qa.T, CV)))
-
+    if Q is None:
+        Q, _ = np.linalg.qr(A)
     S = patterns.copy()
-    best = resid(S)
-    live = np.arange(len(S))
-    for _ in range(max_sweeps):
-        if not len(live):
-            break
-        improved = np.zeros(len(live), dtype=bool)
-        for i in range(S.shape[1]):
-            S[live, i] = -S[live, i]
-            r = resid(S[live])
-            gain = r < best[live] - 1e-14
-            best[live[gain]] = r[gain]
-            improved |= gain
-            S[live[~gain], i] = -S[live[~gain], i]
-        live = live[improved]
+    R, m = S.shape
+    best = _pattern_residuals(Q, b, S)
+    start = np.zeros(R, dtype=int)  # the next entry to flip in the row's sweep
+    sweeps = np.zeros(R, dtype=int)
+    improved = np.zeros(R, dtype=bool)
+    active = np.full(R, max_sweeps > 0)
+    while active.any():
+        live = np.flatnonzero(active)
+        li, flip = np.nonzero(np.arange(m) >= start[live, None])
+        C = S[live[li]]
+        k = np.arange(len(li))
+        C[k, flip] = -C[k, flip]
+        res = np.full((len(live), m), np.inf)
+        res[li, flip] = _pattern_residuals(Q, b, C)
+        gain = res < best[live, None] - 1e-14
+        first = np.argmax(gain, axis=1)  # the row's first improving flip, if any
+        took = gain[np.arange(len(live)), first]
+        rows, cols = live[took], first[took]
+        S[rows, cols] = -S[rows, cols]
+        best[rows] = res[took, cols]
+        improved[rows] = True
+        start[rows] = cols + 1
+        # a sweep ends at a pass without a gain or after the row's last entry
+        ended = live[~took | (start[live] == m)]
+        sweeps[ended] += 1
+        active[ended] = improved[ended] & (sweeps[ended] < max_sweeps)
+        start[ended], improved[ended] = 0, False
     return S
 
 
+def _stall_threshold(eps: float, scale: float) -> float:
+    """Residual above which a run counts as stalled: max(eps, 1e-7 ||b||)."""
+    return max(eps, 1e-7 * scale)
+
+
 def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
-                   lam0: float) -> tuple:
-    """Run the continuation from every row of X (R, n) as one batched state.
+                   lam0: float, Q: np.ndarray) -> tuple:
+    """Run the continuation from every row of X (R, n) as one batched state;
+    Q is A's orthonormal QR factor.
 
     Every row follows the same eps/lam schedule, so iteration t updates all
-    live rows with one stacked weighted step; a row leaves at its exit test.
+    live rows with one stacked weighted step.  A row leaves the batch at the
+    first step where one of its exit rules holds, tested in this order:
+
+    - discrepancy: the iterate lies inside the noise band (violation 0), so
+      no later iterate can beat it on the first key of (violation, objective);
+    - stall: the sign pattern p = sign(A x) has held for STALL_STEPS steps and
+      its least-squares residual ||(I - Q Q^T)(p o b)|| exceeds the stalled
+      threshold max(eps, 1e-7 ||b||).  Every x with that pattern has
+      || |A x| - b || = ||A x - p o b||, which is at least that residual, so
+      no iterate is feasible while the pattern holds, and the last iterate
+      is one that solve_irls's stalled test sends to the sign-flip descent;
+    - converged: the continuation has reached its floor and the step moved x
+      by at most tol;
+    - max_iters: the iteration cap.
+
     Returns, per row: the last iterate; the best iterate by (violation,
     objective), the earliest one winning a tie, with that key and its 1-based
-    iteration; and the number of weighted steps taken.
+    iteration; the number of weighted steps taken; and its exit rule, an
+    index into EXIT_RULES.
     """
     A, b, D, q = P.A, P.b, P.frame.D, P.q
+    threshold = _stall_threshold(P.eps, float(np.linalg.norm(b)))
     last = np.empty_like(X)
     best_x = np.empty_like(X)
     best_v = np.empty(len(X))
     best_o = np.empty(len(X))
     best_t = np.zeros(len(X), dtype=int)
     steps = np.full(len(X), opts.max_iters)
+    rule = np.full(len(X), EXIT_RULES.index("max_iters"))
+    held = np.zeros(len(X), dtype=int)  # steps the current sign pattern has held
     live = np.arange(len(X))
-    AX = _mv(A, X)
+    S = np.where(_mv(A, X) >= 0.0, 1.0, -1.0)
     eps_s = opts.eps0
     for t in range(opts.max_iters):
         # lam * w stays O(lam0) at analysis zeros and vanishes elsewhere,
         # so the data term is asymptotically unbiased
         lam = lam0 * (eps_s / opts.eps0) ** (2.0 - q)
-        X_new = irls_weighted_step(A, D, np.where(AX >= 0.0, 1.0, -1.0), b, X, q, eps_s, lam)
+        X_new = irls_weighted_step(A, D, S, b, X, q, eps_s, lam)
         AX = _mv(A, X_new)
+        S_new = np.where(AX >= 0.0, 1.0, -1.0)
         excess = _row_norms(np.abs(AX) - b) - P.eps
         v = np.where(excess > 0.0, excess, 0.0)  # the violation, max(0, excess)
         o = np.sum(np.abs(_mv(D.T, X_new)) ** q, axis=1)
@@ -475,17 +564,25 @@ def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
         better = (v < bv) | ((v == bv) & (o < bo)) | (t == 0)
         rows = live[better]
         best_x[rows], best_v[rows], best_o[rows], best_t[rows] = X_new[better], v[better], o[better], t + 1
-        # exit only once the continuation has reached its floor
+        held = np.where(np.all(S_new == S, axis=1), held + 1, 0)
+        ended = np.where(v == 0.0, EXIT_RULES.index("discrepancy"), -1)
+        # a pattern's residual does not change while it holds: test it once
+        check = np.flatnonzero((ended < 0) & (held == STALL_STEPS))
+        if len(check):
+            stalled = check[_pattern_residuals(Q, b, S_new[check]) > threshold]
+            ended[stalled] = EXIT_RULES.index("stall")
+        # convergence counts only once the continuation has reached its floor
         if eps_s <= opts.tol * (1.0 + 1e-9):
-            done = _row_norms(X_new - X) <= opts.tol
-            last[live[done]], steps[live[done]] = X_new[done], t + 1
-            live, X_new, AX = live[~done], X_new[~done], AX[~done]
-        X = X_new
+            ended[(ended < 0) & (_row_norms(X_new - X) <= opts.tol)] = EXIT_RULES.index("converged")
+        done = ended >= 0
+        out = live[done]
+        last[out], steps[out], rule[out] = X_new[done], t + 1, ended[done]
+        live, X, S, held = live[~done], X_new[~done], S_new[~done], held[~done]
         if not len(live):
             break
         eps_s = max(eps_s * opts.decay, opts.tol)
     last[live] = X
-    return last, best_x, best_v, best_o, best_t, steps
+    return last, best_x, best_v, best_o, best_t, steps, rule
 
 
 def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverResult:
@@ -496,11 +593,22 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
     decay geometrically together so the fixed point approaches a stationary
     point of the unsmoothed objective.  Restart 0 starts at the spectral
     direction, every later one at a fresh random direction scaled to ||b||;
-    restarts that stall at an infeasible sign pattern get one round of 1-opt
-    sign-flip descent and a follow-up run from the least-squares point of the
-    better pattern.  Among all iterates of all restarts the returned one
-    minimizes (constraint violation, objective) lexicographically, so it is
-    never less feasible than the best iterate seen.
+    restarts that stall at an infeasible sign pattern (residual above
+    max(eps, 1e-7 ||b||)) get one round of 1-opt sign-flip descent and a
+    follow-up run from the least-squares point of the better pattern.  Among
+    all iterates of all runs the returned one minimizes (constraint
+    violation, objective) lexicographically, so it is never less feasible
+    than the best iterate seen.
+
+    A run stops as soon as it can no longer change the answer.  Its first
+    iterate inside the noise band ends it (discrepancy principle): no later
+    iterate has a smaller violation, and the earliest one wins ties.  A run
+    whose sign pattern has held for STALL_STEPS steps at a pattern whose
+    least-squares residual exceeds the stalled threshold ends too: while the
+    pattern holds no iterate is feasible, and the run is one the stalled test
+    would send to the follow-up.  Otherwise it runs until its continuation
+    converges or the iteration cap.  `exits` counts the runs that ended by
+    each rule; they add up to the restarts plus the follow-ups.
 
     All restarts run as one batched (R, n) state: they share the eps/lam
     schedule, so iteration t is one stacked weighted step over the restarts
@@ -516,7 +624,8 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
     dot product, which run the same BLAS kernels per row as the 1-D calls
     (X @ M.T, einsum and norm(axis=1) round differently), and every
     follow-up start is its own lstsq, since one multi-RHS lstsq does not
-    reproduce the single solves.
+    reproduce the single solves.  One QR of A serves the stall rule and the
+    sign-flip descent.
 
     `iterations` is the winning iterate's index within its run, `steps` the
     weighted steps taken over all runs.
@@ -529,7 +638,7 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
     scale = float(np.linalg.norm(b))
     if scale == 0.0:
         return SolverResult(x_hat=np.zeros(n), objective=0.0, feasibility=0.0,
-                            method="irls", iterations=0)
+                            method="irls", iterations=0, exits=dict.fromkeys(EXIT_RULES, 0))
     lam0 = opts.reg if opts.reg is not None else 1e-3 * float(b @ b)
     _, V = np.linalg.eigh(A.T @ ((b**2)[:, None] * A))
     starts = [scale * V[:, -1]]
@@ -537,19 +646,20 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(opts.seed, j)))
         g = rng.standard_normal(n)
         starts.append(scale * g / np.linalg.norm(g))
-    runs = [_irls_converge(P, np.array(starts), opts, lam0)]
+    Q, _ = np.linalg.qr(A)
+    runs = [_irls_converge(P, np.array(starts), opts, lam0, Q)]
     ranks = [2 * np.arange(opts.restarts)]
 
     AX = _mv(A, runs[0][0])
-    stalled = np.flatnonzero(_row_norms(np.abs(AX) - b) > max(P.eps, 1e-7 * scale))
+    stalled = np.flatnonzero(_row_norms(np.abs(AX) - b) > _stall_threshold(P.eps, scale))
     signs = np.where(AX[stalled] >= 0.0, 1.0, -1.0)
-    flipped = _sign_flip_descent(A, b, signs)
+    flipped = _sign_flip_descent(A, b, signs, 8, Q)
     moved = np.any(flipped != signs, axis=1)
     if moved.any():
         X0 = np.array([np.linalg.lstsq(A, p * b, rcond=None)[0] for p in flipped[moved]])
-        runs.append(_irls_converge(P, X0, opts, lam0))
+        runs.append(_irls_converge(P, X0, opts, lam0, Q))
         ranks.append(2 * stalled[moved] + 1)
-    _, best_x, best_v, best_o, best_t, steps = map(np.concatenate, zip(*runs))
+    _, best_x, best_v, best_o, best_t, steps, rules = map(np.concatenate, zip(*runs))
     w = int(np.lexsort((np.concatenate(ranks), best_o, best_v))[0])
     x_hat = best_x[w].copy()
     return SolverResult(
@@ -559,4 +669,5 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
         method="irls",
         iterations=int(best_t[w]),
         steps=int(steps.sum()),
+        exits=dict(zip(EXIT_RULES, np.bincount(rules, minlength=len(EXIT_RULES)).tolist())),
     )

@@ -9,6 +9,7 @@ from lqphase import serialize
 from lqphase.cli import build_parser, main
 from lqphase.frames import build_parseval_random, validate_frame
 from lqphase.measurement import build_problem, phase_distance
+from lqphase.records import TrialRecord, emit_results, records_from_json
 from lqphase.signals import sample_dictionary_sparse
 
 
@@ -285,3 +286,45 @@ def test_console_script_is_installed(tmp_path):
                            "--seed", "1", "--out", str(out)],
                           capture_output=True, text=True)
     assert proc.returncode == 0 and out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"restart": 3}, "unknown irls options"),
+    ({"max_iters": 2.5}, "max_iters"),
+    ({"eps0": float("inf")}, "eps0"),
+])
+def test_solve_irls_rejects_bad_options(tmp_path, problem_file, capsys, config, message):
+    path, _, _ = problem_file
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["solve", "--problem", str(path), "--method", "irls", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_solve_irls_reports_how_its_runs_ended(tmp_path, problem_file):
+    path, _, _ = problem_file
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--problem", str(path), "--method", "irls", "--out", str(out)]) == 0
+    exits = json.loads(out.read_text())["exits"]
+    assert set(exits) == {"discrepancy", "stall", "converged", "max_iters"}
+    assert sum(exits.values()) >= 10  # the default restarts, then any follow-ups
+
+
+def _strict_loads(text: str):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_output_is_strict(tmp_path, capsys):
+    assert main(["bound", "check", "--q", "0.5", "--t", "1.0", "--delta", "inf"]) == 0
+    consts = _strict_loads(capsys.readouterr().out)
+    assert (consts["delta"], consts["denominator"]) == ("inf", "-inf")
+    path = tmp_path / "payload.json"
+    serialize.save_json({"v": [float("inf"), -np.inf, np.float64("nan"), 0.5]}, str(path))
+    assert _strict_loads(path.read_text()) == {"v": ["inf", "-inf", "nan", 0.5]}
+    record = TrialRecord(delta=float("inf"), lhs=float("nan"), rhs=0.5, reason="nan")
+    emit_results([record], "json", str(path))
+    assert _strict_loads(path.read_text())[0]["delta"] == "inf"
+    back = records_from_json(str(path))[0]
+    assert back.delta == np.inf and np.isnan(back.lhs) and (back.rhs, back.reason) == (0.5, "nan")

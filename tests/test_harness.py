@@ -253,3 +253,18 @@ def test_transition_counts_trials_whose_solver_raised():
     assert [c.successes for c in cells] == [0, 3]
     assert transition_to_csv(cells).splitlines() == [
         "cell_index,n,N,m,k,q,trials,successes,rate", "0,4,6,2,1,1,3,0,0", "1,4,6,5,1,1,3,3,1"]
+
+
+@pytest.mark.parametrize("options, error", [
+    ({"restart": 3}, ConfigurationError),
+    ({"tol": float("nan")}, ParameterError),
+    ({"reg": -1.0}, ParameterError),
+    ({"max_iters": 2.5}, ParameterError),
+])
+def test_irls_options_are_checked_at_load(options, error):
+    # irls sweeps read solver_options, and so do transition cells above the
+    # oracle guard, so a bad option fails at load instead of in a trial
+    for solver in ("irls", "oracle"):
+        data = small_config(solver=solver, solver_options=options).to_json_dict()
+        with pytest.raises(error):
+            ExperimentConfig.from_json_dict(data)

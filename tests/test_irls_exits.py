@@ -1,0 +1,140 @@
+"""IRLS exit rules: every run ends by discrepancy, stall, convergence or the cap.
+
+A spy records each run's iterates, so the tests check the rules against
+independent computations: a discrepancy exit only at the first iterate
+inside the noise band, a stall exit only after the sign pattern held for
+STALL_STEPS steps at a pattern whose least-squares residual (from lstsq, not
+the solver's QR) exceeds the stalled threshold.  The exits must cut the work
+on the irls-sweep-shaped corpus to under a third of what the full schedule
+took, and keep the hit rate against the certified oracle on a harder
+noiseless corpus.
+"""
+
+import json
+
+import numpy as np
+from test_batched_kernels import irls_corpus
+
+from lqphase import serialize, solver
+from lqphase.frames import build_parseval_random
+from lqphase.measurement import build_problem
+from lqphase.signals import sample_dictionary_sparse
+from lqphase.solver import (
+    EXIT_RULES,
+    STALL_STEPS,
+    IrlsOptions,
+    solve_irls,
+    solve_oracle_noiseless,
+)
+
+# Weighted steps over irls_corpus() at default options when every run went
+# through the whole continuation schedule.
+FULL_SCHEDULE_STEPS = 9375
+
+
+def _spy_runs(monkeypatch) -> list[dict]:
+    """Record every _irls_converge call: its problem, starts, the stacked
+    iterates of each weighted step and its return value."""
+    runs = []
+    converge, step = solver._irls_converge, solver.irls_weighted_step
+
+    def spy_step(A, D, p, b, x, *args):
+        x_new = step(A, D, p, b, x, *args)
+        runs[-1]["iterates"].append(x_new)
+        return x_new
+
+    def spy_converge(P, X, *args):
+        runs.append({"P": P, "starts": X.copy(), "iterates": []})
+        runs[-1]["out"] = converge(P, X, *args)
+        return runs[-1]["out"]
+
+    monkeypatch.setattr(solver, "irls_weighted_step", spy_step)
+    monkeypatch.setattr(solver, "_irls_converge", spy_converge)
+    return runs
+
+
+def _trajectories(run: dict) -> list[list[np.ndarray]]:
+    """Each row's start and iterates.  Rows leave the batch in place, so at
+    step t row r sits at its rank among the rows still live."""
+    steps = run["out"][5]
+    paths = [[x] for x in run["starts"]]
+    for t, X in enumerate(run["iterates"]):
+        live = np.flatnonzero(steps > t)
+        assert len(live) == len(X)
+        for pos, r in enumerate(live):
+            paths[r].append(X[pos])
+    return paths
+
+
+def _violation(P, x) -> float:
+    return float(np.linalg.norm(np.abs(P.A @ x) - P.b)) - P.eps
+
+
+def test_exits_follow_their_rules(monkeypatch):
+    runs = _spy_runs(monkeypatch)
+    for P in irls_corpus():
+        solve_irls(P)
+    seen = dict.fromkeys(EXIT_RULES, 0)
+    for run in runs:
+        P = run["P"]
+        last, steps, rule = run["out"][0], run["out"][5], run["out"][6]
+        threshold = max(P.eps, 1e-7 * np.linalg.norm(P.b))
+        for r, path in enumerate(_trajectories(run)):
+            name = EXIT_RULES[rule[r]]
+            seen[name] += 1
+            assert len(path) == steps[r] + 1
+            assert last[r].tobytes() == path[-1].tobytes()
+            # no iterate before the last lies inside the noise band
+            assert all(_violation(P, x) > 0.0 for x in path[1:-1])
+            assert (_violation(P, path[-1]) <= 0.0) == (name == "discrepancy")
+            if name == "stall":
+                held = {tuple(np.where(P.A @ x >= 0.0, 1.0, -1.0)) for x in path[-STALL_STEPS - 1:]}
+                assert len(held) == 1 and len(path) > STALL_STEPS
+                p = np.array(held.pop())
+                x_ls = np.linalg.lstsq(P.A, p * P.b, rcond=None)[0]
+                assert np.linalg.norm(P.A @ x_ls - p * P.b) > threshold
+            elif name == "max_iters":
+                assert steps[r] == IrlsOptions().max_iters
+    assert seen["discrepancy"] and seen["stall"]  # the corpus reaches both rules
+
+
+def test_exit_counts_add_up_to_the_runs(monkeypatch):
+    runs = _spy_runs(monkeypatch)
+    for P in irls_corpus():
+        del runs[:]
+        res = solve_irls(P, IrlsOptions(restarts=6))
+        assert set(res.exits) == set(EXIT_RULES)
+        assert sum(res.exits.values()) == sum(len(run["starts"]) for run in runs)
+        assert len(runs[0]["starts"]) == 6
+        back = serialize.solver_result_from_dict(
+            json.loads(serialize.json_text(serialize.solver_result_to_dict(res))))
+        assert back.exits == res.exits
+    assert solve_oracle_noiseless(P).exits == {}
+
+
+def test_exits_cut_the_corpus_steps_below_a_third():
+    steps = sum(solve_irls(P).steps for P in irls_corpus())
+    assert steps < FULL_SCHEDULE_STEPS / 3
+
+
+def harder_corpus():
+    """Noiseless n = 6, N = 9, k = 2 problems at m = 6..10, 40 trials each,
+    q alternating 0.5 / 1, Gaussian A / sqrt(m)."""
+    for m in range(6, 11):
+        for trial in range(40):
+            i = 40 * (m - 6) + trial
+            F = build_parseval_random(6, 9, seed=5000 + i)
+            truth = sample_dictionary_sparse(F, 2, seed=6000 + i)
+            A = np.random.default_rng(7000 + i).standard_normal((m, 6)) / np.sqrt(m)
+            yield trial, build_problem(A, F, truth, q=0.5 if trial % 2 == 0 else 1.0)
+
+
+def test_harder_corpus_keeps_its_oracle_hits():
+    # a hit: the IRLS objective within 1e-6 relative of the certified oracle's;
+    # the full schedule, before the exit rules, hit 157 of these 200
+    hits = 0
+    for trial, P in harder_corpus():
+        oracle = solve_oracle_noiseless(P).objective
+        irls = solve_irls(P, IrlsOptions(seed=trial)).objective
+        hits += abs(irls - oracle) <= 1e-6 * oracle
+    assert hits >= 157, f"only {hits}/200 reached the oracle objective"

@@ -6,6 +6,7 @@ import pytest
 
 from lqphase import serialize, solver
 from lqphase.errors import (
+    ConfigurationError,
     DegenerateProblemError,
     InfeasibleProblemError,
     ParameterError,
@@ -279,3 +280,23 @@ def test_irls_options_validation():
         IrlsOptions(decay=1.5).validate()
     with pytest.raises(ParameterError):
         IrlsOptions(max_iters=0).validate()
+
+
+@pytest.mark.parametrize("bad", [
+    dict(tol=float("nan")), dict(tol=float("inf")), dict(eps0=float("nan")),
+    dict(eps0=float("inf")), dict(reg=-1e-3), dict(reg=float("nan")), dict(reg=float("inf")),
+    dict(max_iters=2.5), dict(restarts=3.0), dict(seed=-1), dict(tol="1e-8"),
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_irls_options_reject_bad_values(bad):
+    with pytest.raises(ParameterError):
+        IrlsOptions(**bad).validate()
+    with pytest.raises(ParameterError):
+        IrlsOptions.from_dict(bad)
+
+
+def test_irls_options_from_dict_rejects_unknown_keys():
+    with pytest.raises(ConfigurationError, match="restart"):
+        IrlsOptions.from_dict({"restart": 3})
+    with pytest.raises(ConfigurationError):
+        IrlsOptions.from_dict([("restarts", 3)])
+    assert IrlsOptions.from_dict({"restarts": 3, "reg": 0.0}) == IrlsOptions(restarts=3, reg=0.0)
