@@ -1233,6 +1233,60 @@ def test_sign_flip_descent_matches_scalar_loop_row_by_row(max_sweeps):
             assert row.tobytes() == loop_sign_flip_descent(A, b, p, max_sweeps).tobytes()
 
 
+def descent_tie_corpus():
+    """(A, b, patterns) with exact ties and exact zeros: b with zero entries,
+    duplicated rows of A (flipping either copy scores the same), exactly
+    feasible patterns and their negations, and random patterns; m = 3..24."""
+    rng = np.random.default_rng(23)
+    for m in range(3, 25):
+        n = max(1, m // 3)
+        A = rng.standard_normal((m, n)) / np.sqrt(m)
+        A[m // 2:m // 2 + m // 4] = A[:m // 4]  # duplicated rows
+        x = rng.standard_normal(n)
+        exact = np.where(A @ x >= 0.0, 1.0, -1.0)
+        random = np.where(rng.random((4, m)) < 0.5, 1.0, -1.0)
+        b = np.abs(A @ x)  # exactly feasible: exact and -exact never move
+        yield A, b, np.vstack([exact, -exact, random])
+        b = np.abs(A @ x + 0.3 * rng.standard_normal(m))
+        b[rng.random(m) < 0.3] = 0.0
+        b[m // 2:m // 2 + m // 4] = b[:m // 4]  # duplicated measurements
+        yield A, b, np.vstack([exact, -exact, random])
+
+
+@pytest.mark.parametrize("max_sweeps", [0, 1, 2, 3, 8])
+def test_sign_flip_descent_matches_scalar_loop_on_ties(max_sweeps):
+    for A, b, patterns in descent_tie_corpus():
+        got = solver._sign_flip_descent(A, b, patterns, max_sweeps)
+        for row, p in zip(got, patterns):
+            assert row.tobytes() == loop_sign_flip_descent(A, b, p, max_sweeps).tobytes()
+
+
+def test_sign_flip_descent_of_an_empty_stack():
+    A = np.random.default_rng(2).standard_normal((6, 3))
+    got = solver._sign_flip_descent(A, np.ones(6), np.zeros((0, 6)))
+    assert got.shape == (0, 6)
+
+
+def test_sign_flip_descent_decides_in_the_band_from_exact_residuals(monkeypatch):
+    # an infinite band sends every decision to the exact residuals
+    calls = []
+    residuals = solver._pattern_residuals
+
+    def counting(Q, b, S):
+        calls.append(len(S))
+        return residuals(Q, b, S)
+
+    monkeypatch.setattr(solver, "_pattern_residuals", counting)
+    cases = list(descent_tie_corpus())
+    screened = [solver._sign_flip_descent(A, b, S, 8) for A, b, S in cases]
+    exact_calls = len(calls)  # the stops at exactly feasible patterns
+    del calls[:]
+    monkeypatch.setattr(solver, "FLIP_BAND", np.inf)
+    for (A, b, S), want in zip(cases, screened):
+        assert solver._sign_flip_descent(A, b, S, 8).tobytes() == want.tobytes()
+    assert len(calls) > 10 * exact_calls > 0
+
+
 # ---------------------------------------------------------------- sampled DRIP
 
 

@@ -306,7 +306,7 @@ def test_solve_irls_reports_how_its_runs_ended(tmp_path, problem_file):
     out = tmp_path / "sol.json"
     assert main(["solve", "--problem", str(path), "--method", "irls", "--out", str(out)]) == 0
     exits = json.loads(out.read_text())["exits"]
-    assert set(exits) == {"discrepancy", "stall", "converged", "max_iters"}
+    assert set(exits) == {"discrepancy", "stall", "cycle", "converged", "max_iters"}
     assert sum(exits.values()) >= 10  # the default restarts, then any follow-ups
 
 

@@ -1,10 +1,14 @@
-"""IRLS exit rules: every run ends by discrepancy, stall, convergence or the cap.
+"""IRLS exit rules: every run ends by discrepancy, stall, cycle, convergence
+or the cap.
 
 A spy records each run's iterates, so the tests check the rules against
 independent computations: a discrepancy exit only at the first iterate
 inside the noise band, a stall exit only after the sign pattern held for
 STALL_STEPS steps at a pattern whose least-squares residual (from lstsq, not
-the solver's QR) exceeds the stalled threshold.  The exits must cut the work
+the solver's QR) exceeds the stalled threshold, and a cycle exit only after
+the pattern alternated between two such patterns for 2 * STALL_STEPS steps.
+The irls-sweep trials at benchmark seed 1 whose runs alternate reach the
+cycle rule instead of the iteration cap.  The exits must cut the work
 on the irls-sweep-shaped corpus to under a third of what the full schedule
 took, and keep the hit rate against the certified oracle on a harder
 noiseless corpus.
@@ -17,6 +21,7 @@ from test_batched_kernels import irls_corpus
 
 from lqphase import serialize, solver
 from lqphase.frames import build_parseval_random
+from lqphase.harness import derive_trial_seeds, sample_measurement_matrix
 from lqphase.measurement import build_problem
 from lqphase.signals import sample_dictionary_sparse
 from lqphase.solver import (
@@ -96,6 +101,69 @@ def test_exits_follow_their_rules(monkeypatch):
             elif name == "max_iters":
                 assert steps[r] == IrlsOptions().max_iters
     assert seen["discrepancy"] and seen["stall"]  # the corpus reaches both rules
+
+
+def _pattern(P, x) -> tuple:
+    return tuple(np.where(P.A @ x >= 0.0, 1.0, -1.0))
+
+
+def _lstsq_residual(P, p) -> float:
+    c = np.array(p) * P.b
+    return float(np.linalg.norm(P.A @ np.linalg.lstsq(P.A, c, rcond=None)[0] - c))
+
+
+def irls_sweep_trial(master_seed: int, cell: int, trial: int):
+    """The problem and options of an irls-sweep trial (n = 8, N = 12, k = 2,
+    eps = 0.01, near-isometric A with jitter 0.05; cells (m, q) = (16, 0.5),
+    (16, 1), (24, 0.5), (24, 1)), from the harness's seed derivation."""
+    m, q = [(16, 0.5), (16, 1.0), (24, 0.5), (24, 1.0)][cell]
+    fseed, sseed, mseed, xseed = derive_trial_seeds(master_seed, cell, trial)
+    F = build_parseval_random(8, 12, fseed)
+    truth = sample_dictionary_sparse(F, 2, sseed)
+    A = sample_measurement_matrix("near_isometric", m, 8, 0.05, mseed)
+    P = build_problem(A, F, truth, q, noise=("bounded", 0.01), seed=xseed)
+    return P, IrlsOptions(seed=xseed)
+
+
+# irls-sweep trials (cell, trial) at seed 1 with runs whose sign pattern
+# alternates between two infeasible patterns from the first steps on
+CYCLING_TRIALS = ((0, 2), (2, 17), (2, 20), (3, 2))
+
+
+def test_cycle_exits_follow_their_rule(monkeypatch):
+    runs = _spy_runs(monkeypatch)
+    for cell, trial in CYCLING_TRIALS:
+        solve_irls(*irls_sweep_trial(1, cell, trial))
+    cycles = 0
+    for run in runs:
+        P = run["P"]
+        steps, rule = run["out"][5], run["out"][6]
+        threshold = max(P.eps, 1e-7 * np.linalg.norm(P.b))
+        for r, path in enumerate(_trajectories(run)):
+            if EXIT_RULES[rule[r]] != "cycle":
+                continue
+            cycles += 1
+            # S_t = S_(t-2) != S_(t-1) for the last 2 * STALL_STEPS steps
+            pats = [_pattern(P, x) for x in path[-2 * STALL_STEPS - 2:]]
+            assert len(pats) == 2 * STALL_STEPS + 2
+            assert all(pats[t] == pats[t - 2] != pats[t - 1] for t in range(2, len(pats)))
+            # the steps before them do not already make such a cycle
+            if len(path) > 2 * STALL_STEPS + 2:
+                early = _pattern(P, path[-2 * STALL_STEPS - 3])
+                assert not (pats[1] == early != pats[0])
+            assert min(_lstsq_residual(P, pats[-1]), _lstsq_residual(P, pats[-2])) > threshold
+            assert steps[r] < IrlsOptions().max_iters
+    assert cycles == 6  # the runs that otherwise reach the 500-step cap
+
+
+def test_cycling_trial_ends_before_the_cap():
+    # seed 1, cell 0, trial 2 of irls-sweep: a run alternates between two
+    # infeasible patterns from step 1 on and, without the cycle rule, takes
+    # the whole 500-step schedule
+    res = solve_irls(*irls_sweep_trial(1, 0, 2))
+    assert res.exits["max_iters"] == 0
+    assert res.exits["cycle"] >= 1
+    assert res.feasibility <= 0.01 * (1.0 + 1e-9)
 
 
 def test_exit_counts_add_up_to_the_runs(monkeypatch):
