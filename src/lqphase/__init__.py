@@ -24,8 +24,8 @@ from .frames import (
 from .harness import (
     TransitionCell,
     run_bound_experiment,
-    run_phase_transition,
     selfcheck_lemmas,
+    transition_sweep,
 )
 from .lemmas import (
     ConvexDecomposition,

@@ -6,6 +6,13 @@ SeedSequence(entropy=(master_seed, cell_index, trial_index)), so any single
 trial can be re-run in isolation.  Records are collected in canonical
 (cell, trial) order regardless of scheduling, which makes the emitted CSV
 byte-identical across runs and thread counts.
+
+Both sweeps share one pipeline: `_grid` enumerates the cells, `_instance`
+builds a trial's problem (frame, truth, A, b) from its seeds and raises
+ConfigurationError for a cell that cannot exist, and `_solve` dispatches to
+the certified oracle or to IRLS.  A bound trial runs the oracle when the
+config's solver is "oracle"; a transition cell runs it up to the oracle guard
+m <= oracle_max_m and IRLS above it.
 """
 
 from __future__ import annotations
@@ -25,17 +32,17 @@ from .errors import (
     InfeasibleProblemError,
     ResourceBudgetError,
 )
-from .frames import TightFrame, build_named_frame, build_parseval_random
+from .frames import build_named_frame, build_parseval_random
 from .lemmas import (
     sparse_convex_decomposition,
     subset_sum_identities,
     tail_power_bound_check,
 )
-from .measurement import build_problem, phase_distance
+from .measurement import PhaselessProblem, build_problem, phase_distance
 from .records import ExperimentConfig, TrialRecord
 from .rip import RipReport, drip_constant, drip_order_for_t, sdrip_constants
 from .signals import lq_quasinorm, sample_dictionary_sparse
-from .solver import IrlsOptions, solve_irls, solve_oracle_noiseless
+from .solver import IrlsOptions, SolverResult, solve_irls, solve_oracle_noiseless
 
 
 @dataclass(frozen=True)
@@ -93,37 +100,60 @@ def sample_measurement_matrix(ensemble: str, m: int, n: int, jitter: float, seed
     raise ConfigurationError(f"unknown matrix ensemble {ensemble!r}")
 
 
-def _build_frame(cfg: ExperimentConfig, n: int, N: int, seed: int) -> TightFrame:
-    if cfg.frame_kind == "random":
-        return build_parseval_random(n, N, seed)
-    frame = build_named_frame(cfg.frame_kind, n)  # checks n and the name
-    if frame.N != N:
-        raise ConfigurationError(f"{cfg.frame_kind} frame at n={n} has N={frame.N}, not {N}")
-    return frame
+def _grid(cfg: ExperimentConfig, axes: tuple[str, ...]) -> list[dict]:
+    """The cells of the grid over cfg.<axis>_values, in canonical (product) order."""
+    return [dict(cell_index=idx, **dict(zip(axes, values)))
+            for idx, values in enumerate(product(*(getattr(cfg, f"{a}_values") for a in axes)))]
 
 
 def _bound_cells(cfg: ExperimentConfig) -> list[dict]:
-    cells = []
-    for idx, (n, N, m, k, q, t, eps) in enumerate(
-        product(cfg.n_values, cfg.N_values, cfg.m_values, cfg.k_values,
-                cfg.q_values, cfg.t_values, cfg.eps_values)
-    ):
-        cells.append(dict(cell_index=idx, n=n, N=N, m=m, k=k, q=q, t=t, eps=eps))
-    return cells
+    return _grid(cfg, ("n", "N", "m", "k", "q", "t", "eps"))
+
+
+def transition_cells(cfg: ExperimentConfig) -> list[dict]:
+    """The (n, N, m, k, q) cells of a phase-transition sweep, in canonical order."""
+    return _grid(cfg, ("n", "N", "m", "k", "q"))
+
+
+def _instance(cfg: ExperimentConfig, cell: dict, seeds: tuple[int, int, int, int]) -> PhaselessProblem:
+    """The trial's problem (frame, truth, A, b) built from its seeds; a cell
+    without eps is noiseless.  Raises ConfigurationError if no instance of the
+    cell can exist: k > N, a named frame of another N, or a matrix ensemble
+    that does not exist at (m, n)."""
+    fseed, sseed, mseed, xseed = seeds
+    n, N, k = cell["n"], cell["N"], cell["k"]
+    if k > N:
+        raise ConfigurationError(f"sparsity k={k} exceeds N={N}")
+    if cfg.frame_kind == "random":
+        frame = build_parseval_random(n, N, fseed)
+    else:
+        frame = build_named_frame(cfg.frame_kind, n)  # checks n and the name
+        if frame.N != N:
+            raise ConfigurationError(f"{cfg.frame_kind} frame at n={n} has N={frame.N}, not {N}")
+    truth = sample_dictionary_sparse(frame, k, sseed, cfg.magnitude_law)
+    A = sample_measurement_matrix(cfg.matrix_ensemble, cell["m"], n, cfg.jitter, mseed)
+    eps = cell.get("eps", 0.0)
+    noise = ("bounded", eps) if eps > 0.0 else "none"
+    return build_problem(A, frame, truth, cell["q"], noise=noise, seed=xseed)
+
+
+def _solve(cfg: ExperimentConfig, problem: PhaselessProblem, oracle: bool, seed: int) -> SolverResult:
+    """The certified oracle under the config's guards, or IRLS seeded by the trial."""
+    if oracle:
+        return solve_oracle_noiseless(problem, max_m=cfg.oracle_max_m,
+                                      support_budget=cfg.support_budget)
+    return solve_irls(problem, IrlsOptions.from_dict({**cfg.solver_options, "seed": seed}))
 
 
 def _skipped(cell: dict, trial: int, seed: int, reason: str) -> TrialRecord:
-    return TrialRecord(cell_index=cell["cell_index"], trial_index=trial,
-                       n=cell["n"], N=cell["N"], m=cell["m"], k=cell["k"],
-                       q=cell["q"], t=cell["t"], eps=cell["eps"], seed=seed,
-                       status="skipped", reason=reason)
+    return TrialRecord(**cell, trial_index=trial, seed=seed, status="skipped", reason=reason)
 
 
 def _run_bound_trial(cfg: ExperimentConfig, cell: dict, trial: int) -> TrialRecord:
     t0 = time.perf_counter()
-    fseed, sseed, mseed, xseed = derive_trial_seeds(cfg.master_seed, cell["cell_index"], trial)
-    n, N, m, k = cell["n"], cell["N"], cell["m"], cell["k"]
-    q, t, eps = cell["q"], cell["t"], cell["eps"]
+    seeds = derive_trial_seeds(cfg.master_seed, cell["cell_index"], trial)
+    fseed = seeds[0]
+    N, m, k, t, eps = cell["N"], cell["m"], cell["k"], cell["t"], cell["eps"]
     if k < 1:
         return _skipped(cell, trial, fseed, "bound experiment needs k >= 1")
     order = drip_order_for_t(t, k)
@@ -136,11 +166,8 @@ def _run_bound_trial(cfg: ExperimentConfig, cell: dict, trial: int) -> TrialReco
     if cfg.solver == "oracle" and m > cfg.oracle_max_m:
         return _skipped(cell, trial, fseed, f"oracle guard m <= {cfg.oracle_max_m}")
     try:
-        frame = _build_frame(cfg, n, N, fseed)
-        truth = sample_dictionary_sparse(frame, k, sseed, cfg.magnitude_law)
-        A = sample_measurement_matrix(cfg.matrix_ensemble, m, n, cfg.jitter, mseed)
-        noise = ("bounded", eps) if eps > 0.0 else "none"
-        problem = build_problem(A, frame, truth, q, noise=noise, seed=xseed)
+        problem = _instance(cfg, cell, seeds)
+        A, frame = problem.A, problem.frame
         if cfg.compute_sdrip and m <= cfg.sdrip_max_m:
             rip = sdrip_constants(A, frame, order, half_rule=cfg.half_rule,
                                   support_budget=cfg.support_budget,
@@ -148,17 +175,12 @@ def _run_bound_trial(cfg: ExperimentConfig, cell: dict, trial: int) -> TrialReco
         else:
             delta, _ = drip_constant(A, frame, order, support_budget=cfg.support_budget)
             rip = RipReport(order=order, delta=delta, exhaustive=True)
-        if cfg.solver == "oracle":
-            result = solve_oracle_noiseless(problem, max_m=cfg.oracle_max_m,
-                                            support_budget=cfg.support_budget)
-        else:
-            opts = IrlsOptions.from_dict({**cfg.solver_options, "seed": xseed})
-            result = solve_irls(problem, opts)
+        result = _solve(cfg, problem, cfg.solver == "oracle", seeds[3])
         record = verify_recovery_bound(problem, result, rip, t)
     except (ResourceBudgetError, ConfigurationError,
             DegenerateProblemError, InfeasibleProblemError) as exc:
         return _skipped(cell, trial, fseed, f"{type(exc).__name__}: {exc}")
-    eps_realized = float(np.linalg.norm(problem.b - np.abs(A @ truth.x)))
+    eps_realized = float(np.linalg.norm(problem.b - np.abs(A @ problem.truth.x)))
     return replace(record, cell_index=cell["cell_index"], trial_index=trial,
                    seed=fseed, eps_realized=eps_realized,
                    wall_time_s=time.perf_counter() - t0)
@@ -198,42 +220,24 @@ def run_bound_experiment(
 
 
 def _run_transition_cell(cfg: ExperimentConfig, cell: dict) -> TransitionCell | str:
-    """The cell's success count and solver errors, or why it cannot be run: a
-    frame or measurement ensemble that does not exist at the cell's dimensions."""
-    n, N, m, k, q = cell["n"], cell["N"], cell["m"], cell["k"], cell["q"]
+    """The cell's success count and solver errors, or why it cannot be run."""
     successes = 0
     errors = []
     for trial in range(cfg.trials):
-        fseed, sseed, mseed, xseed = derive_trial_seeds(cfg.master_seed, cell["cell_index"], trial)
+        seeds = derive_trial_seeds(cfg.master_seed, cell["cell_index"], trial)
         try:
-            frame = _build_frame(cfg, n, N, fseed)
-            A = sample_measurement_matrix(cfg.matrix_ensemble, m, n, cfg.jitter, mseed)
+            problem = _instance(cfg, cell, seeds)
         except ConfigurationError as exc:
             return f"bad configuration ({exc})"
-        truth = sample_dictionary_sparse(frame, k, sseed, cfg.magnitude_law)
-        problem = build_problem(A, frame, truth, q, noise="none")
         try:
-            if m <= cfg.oracle_max_m:
-                result = solve_oracle_noiseless(problem, max_m=cfg.oracle_max_m,
-                                                support_budget=cfg.support_budget)
-            else:
-                opts = IrlsOptions.from_dict({**cfg.solver_options, "seed": xseed})
-                result = solve_irls(problem, opts)
+            result = _solve(cfg, problem, cell["m"] <= cfg.oracle_max_m, seeds[3])
         except (ResourceBudgetError, InfeasibleProblemError, DegenerateProblemError) as exc:
             errors.append(type(exc).__name__)
             continue
-        dist = phase_distance(result.x_hat, truth.x, field="real")
-        if dist <= cfg.success_tol * np.linalg.norm(truth.x) + 1e-15:
+        x = problem.truth.x
+        if phase_distance(result.x_hat, x, field="real") <= cfg.success_tol * np.linalg.norm(x) + 1e-15:
             successes += 1
-    return TransitionCell(cell_index=cell["cell_index"], n=n, N=N, m=m, k=k, q=q,
-                          trials=cfg.trials, successes=successes, errors=tuple(errors))
-
-
-def transition_cells(cfg: ExperimentConfig) -> list[dict]:
-    """The (n, N, m, k, q) cells of a phase-transition sweep, in canonical order."""
-    return [dict(cell_index=idx, n=n, N=N, m=m, k=k, q=q)
-            for idx, (n, N, m, k, q) in enumerate(
-                product(cfg.n_values, cfg.N_values, cfg.m_values, cfg.k_values, cfg.q_values))]
+    return TransitionCell(**cell, trials=cfg.trials, successes=successes, errors=tuple(errors))
 
 
 def transition_sweep(
@@ -251,15 +255,6 @@ def transition_sweep(
     cells = [c for c in outcomes if isinstance(c, TransitionCell)]
     not_run = {i: c for i, c in enumerate(outcomes) if isinstance(c, str)}
     return cells, not_run
-
-
-def run_phase_transition(
-    cfg: ExperimentConfig,
-    threads: int = 1,
-    max_seconds: float | None = None,
-) -> list[TransitionCell]:
-    """The cells of transition_sweep that were run."""
-    return transition_sweep(cfg, threads, max_seconds)[0]
 
 
 def selfcheck_lemmas(seed: int = 0) -> tuple[bool, list[str]]:

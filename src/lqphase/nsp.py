@@ -47,6 +47,7 @@ import numpy as np
 from .errors import InvalidWitnessError, ParameterError, ResourceBudgetError
 from .frames import TightFrame
 from .linalg import STACK_ELEMS, combination_array, combination_blocks, null_spaces, support_bases
+from .rip import SUPPORT_BUDGET
 from .signals import _check_q, lq_quasinorm
 
 STRICTNESS_TOL = 1e-12
@@ -92,7 +93,7 @@ class ComplexNspWitness:
 
 
 def dictionary_sparse_distance(x: np.ndarray, D: np.ndarray, k: int,
-                               support_budget: int = 10**6) -> float:
+                               support_budget: int = SUPPORT_BUDGET) -> float:
     """Distance from x to the set of dictionary-k-sparse vectors, by
     exhaustive support search; inf when k > N (there is no support).
 

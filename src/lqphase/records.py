@@ -17,8 +17,10 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigurationError, ParameterError
+from .rip import SDRIP_MAX_M, SUPPORT_BUDGET, _min_subset_size
 from .serialize import json_text
-from .solver import IrlsOptions
+from .signals import MAGNITUDE_LAWS
+from .solver import ORACLE_MAX_M, IrlsOptions
 
 CSV_COLUMNS = (
     "cell_index", "trial_index", "n", "N", "m", "k", "q", "t", "eps", "seed",
@@ -136,9 +138,9 @@ class ExperimentConfig:
     magnitude_law: str = "gaussian"
     compute_sdrip: bool = False
     half_rule: str = "ceil"
-    support_budget: int = 10**6
-    oracle_max_m: int = 10
-    sdrip_max_m: int = 14
+    support_budget: int = SUPPORT_BUDGET
+    oracle_max_m: int = ORACLE_MAX_M
+    sdrip_max_m: int = SDRIP_MAX_M
     success_tol: float = 1e-6
     version: int = 1
 
@@ -170,6 +172,12 @@ class ExperimentConfig:
         IrlsOptions.from_dict(self.solver_options)
         if self.matrix_ensemble not in ("gaussian", "orthonormal", "near_isometric"):
             raise ConfigurationError(f"unknown matrix ensemble {self.matrix_ensemble!r}")
+        if self.magnitude_law not in MAGNITUDE_LAWS:
+            raise ConfigurationError(f"unknown magnitude law {self.magnitude_law!r}")
+        try:
+            _min_subset_size(1, self.half_rule)
+        except ParameterError as exc:
+            raise ConfigurationError(str(exc)) from None
         if any(n > N for n in self.n_values for N in self.N_values):
             raise ConfigurationError("every n must be <= every N in the grid")
 

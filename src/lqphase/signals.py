@@ -64,6 +64,13 @@ def best_k_term_error(z: np.ndarray, k: int, q: float) -> float:
     return float(power ** (1.0 / q))
 
 
+# Laws of the nonzero values of sample_dictionary_sparse: name -> sampler(rng, k).
+MAGNITUDE_LAWS = {
+    "gaussian": lambda rng, k: rng.standard_normal(k),
+    "rademacher": lambda rng, k: rng.integers(0, 2, size=k) * 2.0 - 1.0,
+}
+
+
 def sample_dictionary_sparse(
     F: TightFrame,
     k: int,
@@ -75,14 +82,10 @@ def sample_dictionary_sparse(
         raise ParameterError(f"sparsity k must lie in [0, {F.N}], got {k}")
     rng = np.random.default_rng(seed)
     support = np.sort(rng.choice(F.N, size=k, replace=False)) if k > 0 else np.array([], dtype=int)
-    if magnitude_law == "gaussian":
-        vals = rng.standard_normal(k)
-    elif magnitude_law == "rademacher":
-        vals = rng.integers(0, 2, size=k) * 2.0 - 1.0
-    else:
+    if magnitude_law not in MAGNITUDE_LAWS:
         raise ParameterError(f"unknown magnitude law {magnitude_law!r}")
     z = np.zeros(F.N)
-    z[support] = vals
+    z[support] = MAGNITUDE_LAWS[magnitude_law](rng, k)
     x = F.D @ z
     coeffs = SparseCoefficients(z=z, support=tuple(int(i) for i in support), k=k)
     return DictionarySparseSignal(x=x, z=coeffs, frame_id=F.label)

@@ -90,6 +90,7 @@ from .errors import (
 from .frames import TightFrame
 from .linalg import STACK_ELEMS, combination_blocks, numerical_rank
 from .measurement import PhaselessProblem
+from .rip import SUPPORT_BUDGET
 from .signals import _check_q, lq_quasinorm
 
 ORACLE_MAX_M = 10
@@ -338,7 +339,7 @@ def solve_affine_lq_oracle(
     c: np.ndarray,
     F: TightFrame,
     q: float,
-    support_budget: int = 10**6,
+    support_budget: int = SUPPORT_BUDGET,
 ) -> tuple[np.ndarray, float, tuple[int, ...] | None]:
     """Global minimum of the analysis quasi-norm over the affine set {Ax = c}.
 
@@ -386,7 +387,7 @@ def _sign_patterns(m: int) -> np.ndarray:
 def solve_oracle_noiseless(
     P: PhaselessProblem,
     max_m: int = ORACLE_MAX_M,
-    support_budget: int = 10**6,
+    support_budget: int = SUPPORT_BUDGET,
 ) -> SolverResult:
     """Certified global solution of the noiseless model by sign enumeration.
 

@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from lqphase import harness
 from lqphase.cli import main
 from lqphase.errors import ConfigurationError, ParameterError
 from lqphase.harness import (
     derive_trial_seeds,
     run_bound_experiment,
-    run_phase_transition,
     sample_measurement_matrix,
     selfcheck_lemmas,
     transition_sweep,
@@ -197,7 +197,7 @@ def test_config_json_round_trip(tmp_path):
 def test_transition_zero_sparsity_always_succeeds():
     cfg = ExperimentConfig(n_values=[3], N_values=[4], m_values=[4], k_values=[0],
                            q_values=[1.0], trials=6, master_seed=1)
-    cells = run_phase_transition(cfg)
+    cells = transition_sweep(cfg)[0]
     assert all(c.rate == 1.0 for c in cells)
 
 
@@ -206,7 +206,7 @@ def test_transition_identity_instance_k1():
     cfg = ExperimentConfig(n_values=[3], N_values=[3], m_values=[3], k_values=[1],
                            q_values=[0.5], trials=8, master_seed=2,
                            frame_kind="identity", matrix_ensemble="orthonormal")
-    cells = run_phase_transition(cfg)
+    cells = transition_sweep(cfg)[0]
     assert cells[0].rate == 1.0
 
 
@@ -215,7 +215,7 @@ def test_transition_rate_improves_with_measurements():
     # that the most-measured cell does at least as well as the least-measured
     cfg = ExperimentConfig(n_values=[3], N_values=[5], m_values=[3, 8], k_values=[1],
                            q_values=[1.0], trials=10, master_seed=3)
-    cells = run_phase_transition(cfg)
+    cells = transition_sweep(cfg)[0]
     csv = transition_to_csv(cells)
     assert csv.splitlines()[0] == "cell_index,n,N,m,k,q,trials,successes,rate"
     rates = {c.m: c.rate for c in cells}
@@ -234,7 +234,7 @@ def test_transition_leaves_out_cells_that_cannot_be_built():
     cfg = ExperimentConfig(n_values=[4], N_values=[8, 5], m_values=[4, 12], k_values=[1],
                            q_values=[1.0], trials=2, frame_kind="duplicated_identity",
                            matrix_ensemble="orthonormal")
-    cells = run_phase_transition(cfg)
+    cells = transition_sweep(cfg)[0]
     assert [(c.cell_index, c.N, c.m) for c in cells] == [(0, 8, 4), (1, 8, 12)]
     cells_again, not_run = transition_sweep(cfg)
     assert cells_again == cells
@@ -248,7 +248,7 @@ def test_transition_counts_trials_whose_solver_raised():
     # so every trial of cell 0 raises; the overdetermined cell 1 needs none
     cfg = ExperimentConfig(n_values=[4], N_values=[6], m_values=[2, 5], k_values=[1],
                            q_values=[1.0], trials=3, support_budget=1)
-    cells = run_phase_transition(cfg)
+    cells = transition_sweep(cfg)[0]
     assert [c.errors for c in cells] == [("ResourceBudgetError",) * 3, ()]
     assert [c.successes for c in cells] == [0, 3]
     assert transition_to_csv(cells).splitlines() == [
@@ -268,3 +268,61 @@ def test_irls_options_are_checked_at_load(options, error):
         data = small_config(solver=solver, solver_options=options).to_json_dict()
         with pytest.raises(error):
             ExperimentConfig.from_json_dict(data)
+
+
+def test_bound_sweep_skips_a_cell_with_k_above_N():
+    # t = 0.1 keeps the DRIP order ceil(t * k) = 1 <= N, so the k = 7 > N = 6
+    # cell reaches the instance builder, which rejects it
+    recs = run_bound_experiment(small_config(k_values=[1, 7], t_values=[0.1], trials=2))
+    assert [(r.cell_index, r.status) for r in recs] == [(0, "ok"), (0, "ok"),
+                                                       (1, "skipped"), (1, "skipped")]
+    assert all(r.reason == "ConfigurationError: sparsity k=7 exceeds N=6" for r in recs[2:])
+
+
+def test_transition_leaves_out_a_cell_with_k_above_N():
+    cfg = ExperimentConfig(n_values=[3], N_values=[4], m_values=[6], k_values=[1, 5],
+                           q_values=[1.0], trials=2)
+    cells, not_run = transition_sweep(cfg)
+    assert [(c.cell_index, c.k, c.trials) for c in cells] == [(0, 1, 2)]
+    assert not_run == {1: "bad configuration (sparsity k=5 exceeds N=4)"}
+
+
+@pytest.mark.parametrize("field, value", [("magnitude_law", "laplace"), ("half_rule", "round")])
+def test_sampling_rules_are_checked_at_load(field, value):
+    data = small_config(**{field: value}).to_json_dict()
+    with pytest.raises(ConfigurationError, match=repr(value)):
+        ExperimentConfig.from_json_dict(data)
+
+
+def test_transition_thread_count_does_not_change_output():
+    # N = 5 cells are left out (a duplicated_identity frame at n = 4 has N = 8);
+    # the m = 2 trials raise ResourceBudgetError (C(8, 2) zero patterns > 1)
+    cfg = ExperimentConfig(n_values=[4], N_values=[8, 5], m_values=[2, 5], k_values=[1],
+                           q_values=[1.0], trials=3, frame_kind="duplicated_identity",
+                           support_budget=1)
+    one = transition_sweep(cfg, threads=1)
+    assert sorted(one[1]) == [2, 3]
+    assert one[0][0].errors == ("ResourceBudgetError",) * 3
+    assert transition_sweep(cfg, threads=8) == one
+
+
+def test_both_sweeps_build_the_same_instances(monkeypatch):
+    # with one t and eps = 0 the two grids have the same cell indices, so a
+    # (cell, trial) of either sweep must be the same problem
+    original = harness._instance
+    built = []
+
+    def spy(cfg, cell, seeds):
+        problem = original(cfg, cell, seeds)
+        built[-1][(cell["cell_index"], seeds)] = tuple(
+            a.tobytes() for a in (problem.A, problem.b, problem.truth.x))
+        return problem
+
+    monkeypatch.setattr(harness, "_instance", spy)
+    cfg = small_config(m_values=[3, 8], k_values=[1, 2], q_values=[0.5, 1.0], trials=2)
+    built.append({})
+    assert all(r.status == "ok" for r in run_bound_experiment(cfg))
+    built.append({})
+    transition_sweep(cfg)
+    bound, transition = built
+    assert len(bound) == 16 and bound == transition
