@@ -48,7 +48,6 @@ from .nsp import (
 )
 from .records import ExperimentConfig, TrialRecord, emit_results
 from .rip import (
-    DripWitness,
     RipReport,
     drip_constant,
     drip_constant_sampled,

@@ -25,7 +25,6 @@ from .harness import (
 from .nsp import nsp_real_falsify
 from .records import ExperimentConfig, emit_results
 from .rip import (
-    RipReport,
     drip_constant,
     drip_constant_sampled,
     sdrip_constants,
@@ -87,22 +86,15 @@ def _cmd_rip_estimate(args) -> int:
     seed = args.seed or 0
     half_rule = args.half_rule or "ceil"
     P = serialize.problem_from_dict(serialize.load_json(args.problem))
-    if args.sampled:
-        if args.sdrip:
-            report = sdrip_constants_sampled(P.A, P.frame, args.order, budget=budget,
-                                             seed=seed, half_rule=half_rule)
-        else:
-            delta, witness = drip_constant_sampled(P.A, P.frame, args.order,
-                                                   budget=budget, seed=seed)
-            report = RipReport(order=args.order, delta=delta, exhaustive=False,
-                               details={"budget": budget, "seed": seed,
-                                        "witness_support": list(witness.support)})
+    if args.sampled and args.sdrip:
+        report = sdrip_constants_sampled(P.A, P.frame, args.order, budget=budget, seed=seed,
+                                         half_rule=half_rule)
+    elif args.sampled:
+        report = drip_constant_sampled(P.A, P.frame, args.order, budget=budget, seed=seed)
     elif args.sdrip:
         report = sdrip_constants(P.A, P.frame, args.order, half_rule=half_rule)
     else:
-        delta, witness = drip_constant(P.A, P.frame, args.order)
-        report = RipReport(order=args.order, delta=delta, exhaustive=True,
-                           details={"witness_support": list(witness.support)})
+        report = drip_constant(P.A, P.frame, args.order)
     _emit(serialize.rip_report_to_dict(report), args.out)
     return 0
 

@@ -40,7 +40,7 @@ from .lemmas import (
 )
 from .measurement import PhaselessProblem, build_problem, phase_distance
 from .records import ExperimentConfig, TrialRecord
-from .rip import RipReport, drip_constant, drip_order_for_t, sdrip_constants
+from .rip import drip_constant, drip_order_for_t, sdrip_constants
 from .signals import lq_quasinorm, sample_dictionary_sparse
 from .solver import IrlsOptions, SolverResult, solve_irls, solve_oracle_noiseless
 
@@ -173,8 +173,7 @@ def _run_bound_trial(cfg: ExperimentConfig, cell: dict, trial: int) -> TrialReco
                                   support_budget=cfg.support_budget,
                                   max_m=cfg.sdrip_max_m)
         else:
-            delta, _ = drip_constant(A, frame, order, support_budget=cfg.support_budget)
-            rip = RipReport(order=order, delta=delta, exhaustive=True)
+            rip = drip_constant(A, frame, order, support_budget=cfg.support_budget)
         result = _solve(cfg, problem, cfg.solver == "oracle", seeds[3])
         record = verify_recovery_bound(problem, result, rip, t)
     except (ResourceBudgetError, ConfigurationError,

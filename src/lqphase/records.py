@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from math import inf
+from numbers import Integral
 
 from .errors import ConfigurationError, ParameterError
 from .rip import SDRIP_MAX_M, SUPPORT_BUDGET, _min_subset_size
@@ -117,6 +119,11 @@ def records_from_json(path: str) -> list[TrialRecord]:
                            for k, v in item.items() if k in names}) for item in raw]
 
 
+def _is_int(v) -> bool:
+    """True for Python and numpy integers, but not for bools."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Grid definition for bound-verification and phase-transition sweeps."""
@@ -152,19 +159,28 @@ class ExperimentConfig:
             vals = getattr(self, name)
             if not vals:
                 raise ConfigurationError(f"{name} must be nonempty")
+        for name in ("n_values", "N_values", "m_values", "k_values"):
+            if not all(_is_int(v) for v in getattr(self, name)):
+                raise ConfigurationError(f"every value of {name} must be an integer")
         for name in ("n_values", "N_values", "m_values"):
             if any(v < 1 for v in getattr(self, name)):
                 raise ConfigurationError(f"every value of {name} must be >= 1")
         if any(k < 0 for k in self.k_values):
             raise ConfigurationError("every value of k_values must be >= 0")
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ConfigurationError("trials must be an integer >= 1")
+        if not _is_int(self.master_seed) or self.master_seed < 0:
+            raise ConfigurationError("master_seed must be an integer >= 0")
         if any(not (0.0 < q <= 1.0) for q in self.q_values):
             raise ConfigurationError("every q must lie in (0, 1]")
         if any(not (0.0 < t < 4.0 / 3.0) for t in self.t_values):
             raise ConfigurationError("every t must lie in (0, 4/3)")
-        if any(e < 0.0 for e in self.eps_values):
-            raise ConfigurationError("noise levels must be nonnegative")
+        if any(not (0.0 <= e < inf) for e in self.eps_values):
+            raise ConfigurationError("every value of eps_values must be finite and >= 0")
+        if not (0.0 <= self.jitter < inf):
+            raise ConfigurationError("jitter must be finite and >= 0")
+        if not (0.0 < self.success_tol < inf):
+            raise ConfigurationError("success_tol must be finite and > 0")
         if self.solver not in ("oracle", "irls"):
             raise ConfigurationError(f"unknown solver {self.solver!r}")
         # IRLS reads these options in irls sweeps and in transition cells

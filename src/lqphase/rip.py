@@ -31,9 +31,9 @@ and its sampled estimator are the kernel with an empty layer, S-DRIP and
 its sampled estimator the kernel with the size-h layer; so S-DRIP's delta is
 DRIP's, bit for bit.  Unlike the oracle's objectives, the isometry
 constants carry no tie rule: a batched eigenvalue agrees with the
-per-support one to rounding, so the batched values are the constants, and
-the first maximal support in lexicographic order names the DRIP witness,
-which is recomputed for that support alone.
+per-support one to rounding, so the batched values are the constants.  All
+four entry points return a RipReport; a DRIP report names the first maximal
+support, in lexicographic order, in details["witness_support"].
 """
 
 from __future__ import annotations
@@ -49,16 +49,6 @@ from .linalg import STACK_ELEMS, batch_sym_eig_bounds, combination_array, suppor
 
 SUPPORT_BUDGET = 10**6
 SDRIP_MAX_M = 14
-
-
-@dataclass(frozen=True)
-class DripWitness:
-    """Support and coefficient vector attaining the extremal quotient."""
-
-    support: tuple[int, ...]
-    z: np.ndarray
-    quotient: float
-    side: str  # "upper" (lambda_max) or "lower" (lambda_min)
 
 
 @dataclass(frozen=True)
@@ -82,10 +72,6 @@ def drip_order_for_t(t: float, k: int) -> int:
     if abs(tk - nearest) < 1e-9:
         return int(nearest)
     return int(ceil(tk))
-
-
-def _side(lo: float, hi: float) -> str:
-    return "upper" if hi - 1.0 >= 1.0 - lo else "lower"
 
 
 def _extremes(A: np.ndarray, D: np.ndarray, supports: np.ndarray,
@@ -128,11 +114,24 @@ def _uniform_subsets(rng: np.random.Generator, count: int, n: int, k: int) -> np
     return np.sort(np.argsort(rng.random((count, n)), axis=1)[:, :k], axis=1)
 
 
-def _check_problem(A: np.ndarray, F: TightFrame) -> np.ndarray:
+def _check_problem(A: np.ndarray, F: TightFrame, order: int, budget: int = 1) -> np.ndarray:
+    """A as a float array, once it matches the frame, order lies in [1, N]
+    and the number of draws is at least 1."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != F.n:
         raise DimensionError(f"A has shape {A.shape}; frame dimension is {F.n}")
+    if not (1 <= order <= F.N):
+        raise ParameterError(f"order must lie in [1, {F.N}], got {order}")
+    if budget < 1:
+        raise ParameterError("budget must be >= 1")
     return A
+
+
+def _first_max(dev: np.ndarray) -> int:
+    """Index of the first largest DRIP deviation, in support order."""
+    if np.all(np.isnan(dev)):
+        raise ParameterError("every evaluated support has vanishing frame columns")
+    return int(np.nanargmax(dev))
 
 
 def drip_constant(
@@ -140,46 +139,30 @@ def drip_constant(
     F: TightFrame,
     order: int,
     support_budget: int = SUPPORT_BUDGET,
-) -> tuple[float, DripWitness]:
-    """Exact isometry defect at the given sparsity order, with witness.
+) -> RipReport:
+    """Exact isometry defect at the given sparsity order.
 
     delta = max over supports |S| = order of max(lambda_max - 1, 1 - lambda_min)
     where lambda are the extreme quotients on col(D_S).
     """
-    A = _check_problem(A, F)
-    if not (1 <= order <= F.N):
-        raise ParameterError(f"order must lie in [1, {F.N}], got {order}")
+    A = _check_problem(A, F, order)
     n_supports = comb(F.N, order)
     if n_supports > support_budget:
         raise ResourceBudgetError(
             f"C({F.N},{order}) = {n_supports} supports exceed the budget {support_budget}; "
             "use the sampled estimator"
         )
-    return _drip(A, F, combination_array(F.N, order))
+    return _drip(A, F, order, combination_array(F.N, order), exhaustive=True, details={})
 
 
-def _drip(A: np.ndarray, F: TightFrame, supports: np.ndarray) -> tuple[float, DripWitness]:
-    """The largest DRIP deviation over a stack of supports, with the witness
-    of the first support that attains it."""
-    lo, hi, dev = _extremes(A, F.D, supports, np.zeros((0, A.shape[0])))
-    if np.all(np.isnan(dev)):
-        raise ParameterError("every evaluated support has vanishing frame columns")
-    i = int(np.nanargmax(dev))  # first maximum, in support order
-    return float(dev[i]), _witness_for_support(A, F, tuple(supports[i].tolist()),
-                                               _side(lo[i], hi[i]))
-
-
-def _witness_for_support(A: np.ndarray, F: TightFrame, S: tuple[int, ...], side: str) -> DripWitness:
-    Q = support_bases(F.D, np.array([S], dtype=np.intp))[0][1][0]
-    B = A @ Q
-    w, V = np.linalg.eigh(B.T @ B)
-    idx = -1 if side == "upper" else 0
-    y = Q @ V[:, idx]
-    # lift the direction back to coefficients supported on S
-    zs, *_ = np.linalg.lstsq(F.D[:, list(S)], y, rcond=None)
-    z = np.zeros(F.N)
-    z[list(S)] = zs
-    return DripWitness(support=tuple(S), z=z, quotient=float(w[idx]), side=side)
+def _drip(A: np.ndarray, F: TightFrame, order: int, supports: np.ndarray,
+          exhaustive: bool, details: dict) -> RipReport:
+    """The DRIP report of a stack of supports: the largest deviation, and the
+    first support that attains it as details["witness_support"]."""
+    *_, dev = _extremes(A, F.D, supports, np.zeros((0, A.shape[0])))
+    i = _first_max(dev)
+    return RipReport(order=order, delta=float(dev[i]), exhaustive=exhaustive,
+                     details={**details, "witness_support": supports[i].tolist()})
 
 
 def drip_constant_sampled(
@@ -188,18 +171,14 @@ def drip_constant_sampled(
     order: int,
     budget: int = 10**5,
     seed: int = 0,
-) -> tuple[float, DripWitness]:
+) -> RipReport:
     """Sampled lower bound on the isometry defect.
 
     Draws `budget` uniform supports and computes the exact extremes of every
     distinct one, so the returned value never exceeds the exhaustive constant
     and equals it once every support has been drawn.
     """
-    A = _check_problem(A, F)
-    if not (1 <= order <= F.N):
-        raise ParameterError(f"order must lie in [1, {F.N}], got {order}")
-    if budget < 1:
-        raise ParameterError("budget must be >= 1")
+    A = _check_problem(A, F, order, budget)
     draws = _uniform_subsets(np.random.default_rng(seed), budget, F.N, order)
     # distinct supports in lexicographic order (the witness is the first
     # maximal one), through their base-N keys while those fit in int64; the
@@ -209,7 +188,7 @@ def drip_constant_sampled(
         visited = draws[first]
     else:
         visited = np.unique(draws, axis=0)
-    return _drip(A, F, visited)
+    return _drip(A, F, order, visited, exhaustive=False, details={"budget": budget, "seed": seed})
 
 
 def _min_subset_size(m: int, half_rule: str) -> int:
@@ -224,11 +203,9 @@ def _min_subset_size(m: int, half_rule: str) -> int:
 def _report(lo: np.ndarray, hi: np.ndarray, dev: np.ndarray, order: int, h: int,
             exhaustive: bool, details: dict) -> RipReport:
     """An S-DRIP report from the kernel's per-support extremes."""
-    if np.all(np.isnan(dev)):
-        raise ParameterError("every evaluated support has vanishing frame columns")
-    return RipReport(order=order, delta=float(np.nanmax(dev)), theta_minus=float(np.nanmin(lo)),
-                     theta_plus=float(np.nanmax(hi)), min_subset_size=h, exhaustive=exhaustive,
-                     details=details)
+    return RipReport(order=order, delta=float(dev[_first_max(dev)]),
+                     theta_minus=float(np.nanmin(lo)), theta_plus=float(np.nanmax(hi)),
+                     min_subset_size=h, exhaustive=exhaustive, details=details)
 
 
 def sdrip_constants(
@@ -249,9 +226,7 @@ def sdrip_constants(
     constant, taken from I = [m].  details["n_subsets"] still counts all
     subsets with |I| >= h.
     """
-    A = _check_problem(A, F)
-    if not (1 <= order <= F.N):
-        raise ParameterError(f"order must lie in [1, {F.N}], got {order}")
+    A = _check_problem(A, F, order)
     m = A.shape[0]
     if m > max_m:
         raise ResourceBudgetError(
@@ -288,11 +263,7 @@ def sdrip_constants_sampled(
     (theta_plus and delta).  Once every support has been drawn, theta_plus
     and delta therefore equal the exhaustive ones.
     """
-    A = _check_problem(A, F)
-    if not (1 <= order <= F.N):
-        raise ParameterError(f"order must lie in [1, {F.N}], got {order}")
-    if budget < 1:
-        raise ParameterError("budget must be >= 1")
+    A = _check_problem(A, F, order, budget)
     m = A.shape[0]
     h = _min_subset_size(m, half_rule)
     rng = np.random.default_rng(seed)

@@ -117,12 +117,12 @@ def test_criterion_3_drip_oracle_equivalence():
     ok = True
     for i in range(50):
         F, A, k = _instance(300 + i)
-        exact, _ = drip_constant(A, F, k)
-        sampled, _ = drip_constant_sampled(A, F, k, budget=10**5, seed=i)
+        exact = drip_constant(A, F, k).delta
+        sampled = drip_constant_sampled(A, F, k, budget=10**5, seed=i).delta
         ok &= sampled <= exact + 1e-12
         ok &= (exact - sampled) < 1e-4
         if k + 1 <= F.N:
-            bigger, _ = drip_constant(A, F, k + 1)
+            bigger = drip_constant(A, F, k + 1).delta
             ok &= exact <= bigger + 1e-12
     _report(3, "exhaustive defect vs 1e5-sample refined bound, monotone in order",
             ok, time.perf_counter() - start, 60.0)
@@ -140,7 +140,7 @@ def test_criterion_4_sdrip_consistency():
         F = build_parseval_random(n, N, seed=401 + i)
         A = rng.standard_normal((m, n)) / np.sqrt(m)
         rep = sdrip_constants(A, F, k)
-        delta, _ = drip_constant(A, F, k)
+        delta = drip_constant(A, F, k).delta
         # full-subset extremes per support (the half-subset range includes I = [1:m])
         lo_full, hi_full = np.inf, -np.inf
         G = A.T @ A
@@ -215,7 +215,7 @@ def _bound_trial(seed: int, q: float, t: float, n: int, N: int, m: int, ensemble
     A = sample_measurement_matrix(ensemble, m, n, jitter, seed=seed + 2 * 10**6)
     P = build_problem(A, F, truth, q=q)
     order = drip_order_for_t(t, 1)
-    delta, _ = drip_constant(A, F, order)
+    delta = drip_constant(A, F, order).delta
     consts = constants_c1_c2(q, t, delta)
     if not consts.admissible:
         return None

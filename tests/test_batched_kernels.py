@@ -57,7 +57,7 @@ from lqphase.nsp import (
     nsp_real_falsify,
 )
 from lqphase.harness import sample_measurement_matrix
-from lqphase.rip import DripWitness, drip_constant, drip_constant_sampled, sdrip_constants
+from lqphase.rip import drip_constant, drip_constant_sampled, sdrip_constants
 from lqphase.signals import _check_q, lq_quasinorm, sample_dictionary_sparse
 from lqphase.solver import (
     FEAS_RTOL,
@@ -183,7 +183,7 @@ def loop_support_basis(D, S):
 
 
 def loop_drip_constant(A, F, order):
-    """Returns (delta, support, side, every support's deviation)."""
+    """Returns (delta, support, every support's deviation)."""
     G = A.T @ A
     best = None
     devs = []
@@ -195,8 +195,7 @@ def loop_drip_constant(A, F, order):
         dev = max(hi - 1.0, 1.0 - lo)
         devs.append(dev)
         if best is None or dev > best[0]:
-            side = "upper" if hi - 1.0 >= 1.0 - lo else "lower"
-            best = (dev, S, side)
+            best = (dev, S)
     return (*best, devs)
 
 
@@ -420,19 +419,15 @@ def loop_drip_constant_sampled(
     order: int,
     budget: int = 10**5,
     seed: int = 0,
-) -> tuple[float, DripWitness]:
-    """Sampled lower bound on the isometry defect.
+) -> tuple[float, tuple[int, ...]]:
+    """Sampled lower bound on the isometry defect, with its witness support.
 
     Draws `budget` random supports and computes the extremes of every
     visited support exactly, so the gap to the exhaustive constant vanishes
     once all supports have been seen.  The returned value never exceeds the
     exhaustive one.
     """
-    A = rip._check_problem(A, F)
-    if not (1 <= order <= F.N):
-        raise ParameterError(f"order must lie in [1, {F.N}], got {order}")
-    if budget < 1:
-        raise ParameterError("budget must be >= 1")
+    A = rip._check_problem(A, F, order, budget)
     rng = np.random.default_rng(seed)
     # vectorized uniform k-subsets: order statistics of i.i.d. uniforms
     draws = np.argsort(rng.random((budget, F.N)), axis=1)[:, :order]
@@ -443,8 +438,7 @@ def loop_drip_constant_sampled(
     if np.all(np.isnan(dev)):
         raise ParameterError("sampling never hit a support with nonvanishing frame columns")
     i = int(np.nanargmax(dev))
-    witness = rip._witness_for_support(A, F, tuple(visited[i].tolist()), rip._side(lo[i], hi[i]))
-    return float(dev[i]), witness
+    return float(dev[i]), tuple(visited[i].tolist())
 
 
 # ---------------------------------------------------------------- corpus
@@ -794,14 +788,14 @@ def drip_corpus():
 def test_drip_matches_reference_loop():
     ties = 0
     for A, F, order in drip_corpus():
-        ref, S, side, devs = loop_drip_constant(A, F, order)
-        delta, witness = drip_constant(A, F, order)
-        assert delta == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        ref, S, devs = loop_drip_constant(A, F, order)
+        report = drip_constant(A, F, order)
+        assert report.delta == pytest.approx(ref, rel=1e-12, abs=1e-15)
         top = sorted(devs)[-2:]
         if len(top) == 2 and top[1] - top[0] <= 1e-12 * abs(top[1]):
             ties += 1
             continue
-        assert witness.support == tuple(S) and witness.side == side
+        assert report.details["witness_support"] == list(S)
     assert ties > 0  # the duplicated frames tie; those cases must still agree on delta
 
 
@@ -809,15 +803,15 @@ def test_drip_chunked_equals_unchunked(monkeypatch):
     cases = [(A, F, order) for A, F, order in drip_corpus() if comb(F.N, order) > 5]
     whole = [drip_constant(A, F, order) for A, F, order in cases]
     monkeypatch.setattr(rip, "STACK_ELEMS", 5 * 6 * 4)  # at most 5 supports per chunk
-    for (A, F, order), (delta, witness) in zip(cases, whole):
-        got, w = drip_constant(A, F, order)
-        assert got == pytest.approx(delta, rel=1e-14, abs=1e-15)
-        assert w.support == witness.support and w.side == witness.side
+    for (A, F, order), report in zip(cases, whole):
+        got = drip_constant(A, F, order)
+        assert got.delta == pytest.approx(report.delta, rel=1e-14, abs=1e-15)
+        assert got.details == report.details
 
 
 def test_sampled_refine_matches_reference_loop_on_visited_supports():
     for A, F, order in list(drip_corpus())[:40]:
-        delta, witness = drip_constant_sampled(A, F, order, budget=30, seed=order)
+        report = drip_constant_sampled(A, F, order, budget=30, seed=order)
         rng = np.random.default_rng(order)
         draws = np.argsort(rng.random((30, F.N)), axis=1)[:, :order]
         draws.sort(axis=1)
@@ -828,8 +822,8 @@ def test_sampled_refine_matches_reference_loop_on_visited_supports():
             if Q is not None:
                 lo, hi = loop_sym_eig_bounds(Q.T @ G @ Q)
                 devs.append(max(hi - 1.0, 1.0 - lo))
-        assert delta == pytest.approx(max(devs), rel=1e-12, abs=1e-15)
-        assert tuple(witness.support) in {tuple(r) for r in draws}
+        assert report.delta == pytest.approx(max(devs), rel=1e-12, abs=1e-15)
+        assert tuple(report.details["witness_support"]) in {tuple(r) for r in draws}
 
 
 def test_sdrip_chunked_equals_unchunked(monkeypatch):
@@ -856,7 +850,7 @@ def test_sdrip_delta_comes_from_its_own_full_row_subset(half_rule, monkeypatch):
     cases = [(A, F, order) for A, F, order in drip_corpus() if comb(F.N, order) <= 210]
     cases += [(np.random.default_rng(order).standard_normal((5, 3)) / np.sqrt(5),
                _zero_column_frame(3), order) for order in (1, 2, 3)]
-    refs = [drip_constant(A, F, order)[0] for A, F, order in cases]
+    refs = [drip_constant(A, F, order).delta for A, F, order in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("sdrip_constants ran a separate DRIP pass")
@@ -875,7 +869,7 @@ def test_sdrip_delta_is_the_drip_constant_bit_for_bit():
     cases += [(np.random.default_rng(order).standard_normal((5, 3)) / np.sqrt(5),
                _zero_column_frame(3), order) for order in (1, 2, 3)]
     for A, F, order in cases:
-        assert sdrip_constants(A, F, order).delta == drip_constant(A, F, order)[0]
+        assert sdrip_constants(A, F, order).delta == drip_constant(A, F, order).delta
 
 
 # ---------------------------------------------------------------- null-space diagnostics
@@ -1298,8 +1292,7 @@ def test_sign_flip_descent_decides_in_the_band_from_exact_residuals(monkeypatch)
 def test_sampled_drip_matches_row_wise_unique(N, order, budget):
     F = build_parseval_random(4, N, seed=N)
     A = np.random.default_rng(order).standard_normal((7, 4)) / np.sqrt(7)
-    delta, w = drip_constant_sampled(A, F, order, budget=budget, seed=budget)
-    ref, rw = loop_drip_constant_sampled(A, F, order, budget=budget, seed=budget)
-    assert delta == ref
-    assert (w.support, w.side, w.quotient, w.z.tobytes()) == (rw.support, rw.side, rw.quotient,
-                                                              rw.z.tobytes())
+    report = drip_constant_sampled(A, F, order, budget=budget, seed=budget)
+    ref, support = loop_drip_constant_sampled(A, F, order, budget=budget, seed=budget)
+    assert report.delta == ref
+    assert tuple(report.details["witness_support"]) == support

@@ -204,7 +204,7 @@ def _oracle_trial(seed, t=1.0, q=1.0, n=4, N=4, m=8):
     A = Q * np.sign(np.diag(R))  # orthonormal columns: zero defect
     P = build_problem(A, F, truth, q=q)
     order = drip_order_for_t(t, 1)
-    delta, _ = drip_constant(A, F, order)
+    delta = drip_constant(A, F, order).delta
     rip = RipReport(order=order, delta=delta, exhaustive=True)
     result = solve_oracle_noiseless(P)
     return P, result, rip

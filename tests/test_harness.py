@@ -94,6 +94,26 @@ def test_dimensions_out_of_range_are_rejected_at_load(tmp_path, capsys, field, v
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("jitter", float("nan")), ("jitter", float("inf")), ("jitter", -0.1),
+    ("success_tol", -1.0), ("success_tol", 0.0), ("success_tol", float("nan")),
+    ("eps_values", [float("nan")]), ("eps_values", [0.0, float("inf")]),
+    ("trials", 1.5), ("trials", True), ("n_values", [3.5]), ("N_values", [6.0]),
+    ("m_values", [True]), ("k_values", [1.0]), ("master_seed", -1), ("master_seed", 0.5),
+])
+def test_numbers_out_of_range_are_rejected_at_load(tmp_path, capsys, field, value):
+    # jitter feeds the near_isometric ensemble, success_tol the transition rate
+    data = small_config(matrix_ensemble="near_isometric", **{field: value}).to_json_dict()
+    with pytest.raises(ConfigurationError, match=field):
+        ExperimentConfig.from_json_dict(data)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))  # NaN and Infinity tokens, which json.load reads back
+    for mode in ("bound", "transition"):
+        assert main(["experiment", mode, "--config", str(path),
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_guarded_cells_are_skipped_with_reason():
     recs = run_bound_experiment(small_config(m_values=[12]))  # oracle guard is 10
     assert all(r.status == "skipped" for r in recs)

@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 from math import ceil, comb
 
@@ -7,7 +8,7 @@ import pytest
 from lqphase import rip
 from lqphase.errors import ParameterError, ResourceBudgetError
 from lqphase.frames import TightFrame, build_named_frame, build_parseval_random
-from lqphase.linalg import batch_sym_eig_bounds, null_space
+from lqphase.linalg import batch_sym_eig_bounds, null_space, support_bases
 from lqphase.rip import (
     drip_constant,
     drip_constant_sampled,
@@ -40,28 +41,68 @@ def brute_subset_extremes(A, F, k, min_size):
 def test_identity_measurement_has_zero_defect():
     F = build_named_frame("identity", 3)
     for k in (1, 2, 3):
-        delta, _ = drip_constant(np.eye(3), F, k)
+        delta = drip_constant(np.eye(3), F, k).delta
         assert delta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_degenerate_diagonal():
     F = build_named_frame("identity", 2)
     A = np.diag([np.sqrt(2.0), 0.0])
-    delta, witness = drip_constant(A, F, 1)
-    assert delta == pytest.approx(1.0, abs=1e-12)
+    rep = drip_constant(A, F, 1)
+    assert rep.delta == pytest.approx(1.0, abs=1e-12)
     # both supports attain deviation 1 (quotients 2 and 0)
-    assert min(abs(witness.quotient - 2.0), abs(witness.quotient)) < 1e-12
+    assert rep.details["witness_support"] in ([0], [1])
+
+
+def support_deviation(A, F, S):
+    """max(lambda_max - 1, 1 - lambda_min) of ||Ay||^2 / ||y||^2 on col(D_S),
+    from a dense SVD and eigensolve of that one support."""
+    u, s, _ = np.linalg.svd(F.D[:, list(S)], full_matrices=False)
+    B = A @ u[:, :int(np.sum(s > 1e-10 * s[0]))]
+    w = np.linalg.eigvalsh(B.T @ B)
+    return max(w[-1] - 1.0, 1.0 - w[0])
 
 
 def test_witness_attains_the_quotient():
     rng = np.random.default_rng(3)
+    for seed in range(5):
+        F = build_parseval_random(4, 7, seed=seed)
+        A = rng.standard_normal((6, 4)) / np.sqrt(6)
+        for order in (1, 2, 3):
+            for rep in (drip_constant(A, F, order),
+                        drip_constant_sampled(A, F, order, budget=20, seed=seed)):
+                S = rep.details["witness_support"]
+                assert len(S) == order and S == sorted(S)
+                assert support_deviation(A, F, S) == pytest.approx(rep.delta, rel=1e-9)
+
+
+def test_drip_reports_name_their_details_in_cli_order():
+    F = build_parseval_random(3, 6, seed=2)
+    A = np.random.default_rng(2).standard_normal((5, 3))
+    rep = drip_constant(A, F, 2)
+    assert (rep.order, rep.exhaustive, rep.theta_minus, rep.theta_plus,
+            rep.min_subset_size) == (2, True, None, None, None)
+    assert list(rep.details) == ["witness_support"]
+    rep = drip_constant_sampled(A, F, 2, budget=9, seed=4)
+    assert (rep.order, rep.exhaustive, rep.theta_minus, rep.theta_plus,
+            rep.min_subset_size) == (2, False, None, None, None)
+    assert list(rep.details) == ["budget", "seed", "witness_support"]
+    assert (rep.details["budget"], rep.details["seed"]) == (9, 4)
+
+
+def test_drip_takes_support_bases_only_inside_the_kernel(monkeypatch):
+    callers = []
+
+    def spy(D, supports):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return support_bases(D, supports)
+
+    monkeypatch.setattr(rip, "support_bases", spy)
     F = build_parseval_random(4, 7, seed=1)
-    A = rng.standard_normal((6, 4)) / np.sqrt(6)
-    delta, w = drip_constant(A, F, 2)
-    y = F.D @ w.z
-    quot = np.linalg.norm(A @ y) ** 2 / np.linalg.norm(y) ** 2
-    assert quot == pytest.approx(w.quotient, rel=1e-9)
-    assert max(quot - 1.0, 1.0 - quot) == pytest.approx(delta, rel=1e-9)
+    A = np.random.default_rng(3).standard_normal((6, 4))
+    drip_constant(A, F, 2)
+    drip_constant_sampled(A, F, 2, budget=10)
+    assert callers and set(callers) == {"_extremes"}
 
 
 def test_monotone_in_order():
@@ -69,7 +110,7 @@ def test_monotone_in_order():
     for trial in range(10):
         F = build_parseval_random(3, 6, seed=trial)
         A = rng.standard_normal((5, 3)) / np.sqrt(5)
-        deltas = [drip_constant(A, F, k)[0] for k in range(1, 5)]
+        deltas = [drip_constant(A, F, k).delta for k in range(1, 5)]
         assert all(a <= b + 1e-12 for a, b in zip(deltas, deltas[1:]))
 
 
@@ -78,8 +119,8 @@ def test_rank_deficient_supports_are_restricted():
     F = build_named_frame("duplicated_identity", 2)
     rng = np.random.default_rng(1)
     A = rng.standard_normal((4, 2))
-    d1, _ = drip_constant(A, F, 1)
-    d2, _ = drip_constant(A, F, 2)
+    d1 = drip_constant(A, F, 1).delta
+    d2 = drip_constant(A, F, 2).delta
     assert np.isfinite(d1) and np.isfinite(d2) and d1 <= d2 + 1e-12
 
 
@@ -88,8 +129,8 @@ def test_sampled_never_exceeds_exhaustive():
     for trial in range(5):
         F = build_parseval_random(4, 8, seed=trial + 50)
         A = rng.standard_normal((6, 4)) / np.sqrt(6)
-        exact, _ = drip_constant(A, F, 2)
-        refined, _ = drip_constant_sampled(A, F, 2, budget=10**4, seed=trial)
+        exact = drip_constant(A, F, 2).delta
+        refined = drip_constant_sampled(A, F, 2, budget=10**4, seed=trial).delta
         assert refined <= exact + 1e-12
         assert exact - refined < 1e-6  # all supports visited, then solved exactly
 
@@ -99,7 +140,7 @@ def test_isometry_consequence_on_coefficients():
     F = build_parseval_random(3, 6, seed=9)
     A = np.random.default_rng(2).standard_normal((7, 3)) / np.sqrt(7)
     k = 2
-    delta, _ = drip_constant(A, F, k)
+    delta = drip_constant(A, F, k).delta
     rng = np.random.default_rng(11)
     for _ in range(1000):
         z = np.zeros(6)
@@ -151,7 +192,7 @@ def test_sdrip_sandwich_against_full_subset():
     A = rng.standard_normal((6, 3)) / np.sqrt(6)
     k = 1
     rep = sdrip_constants(A, F, k)
-    delta, _ = drip_constant(A, F, k)
+    delta = drip_constant(A, F, k).delta
     lo_full, hi_full = brute_subset_extremes(A, F, k, A.shape[0])  # full subset only
     assert rep.theta_minus <= lo_full + 1e-12
     assert rep.theta_plus >= hi_full - 1e-12
@@ -281,6 +322,23 @@ def test_sdrip_sampled_chunked_equals_unchunked(monkeypatch):
         got = sdrip_constants_sampled(A, F, k, budget=40, seed=k)
         assert (got.theta_minus, got.theta_plus, got.delta) == pytest.approx(
             (rep.theta_minus, rep.theta_plus, rep.delta), rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("estimate", [drip_constant, sdrip_constants])
+@pytest.mark.parametrize("order", [0, 7])
+def test_exhaustive_constants_reject_an_order_out_of_range(estimate, order):
+    F = build_parseval_random(3, 6, seed=1)
+    A = np.random.default_rng(1).standard_normal((5, 3))
+    with pytest.raises(ParameterError, match=r"^order must"):
+        estimate(A, F, order)
+
+
+@pytest.mark.parametrize("order,budget", [(0, 10), (7, 10), (2, 0), (2, -3)])
+def test_drip_sampled_rejects_an_order_or_budget_out_of_range(order, budget):
+    F = build_parseval_random(3, 6, seed=1)
+    A = np.random.default_rng(1).standard_normal((5, 3))
+    with pytest.raises(ParameterError, match=r"^(order|budget) must"):
+        drip_constant_sampled(A, F, order, budget=budget)
 
 
 @pytest.mark.parametrize("order,budget", [(0, 10), (7, 10), (2, 0), (2, -3)])
