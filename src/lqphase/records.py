@@ -14,7 +14,7 @@ already carries.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from math import inf
 from numbers import Integral
 
@@ -171,6 +171,10 @@ class ExperimentConfig:
             raise ConfigurationError("trials must be an integer >= 1")
         if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ConfigurationError("master_seed must be an integer >= 0")
+        # a NaN guard would switch its guard off: every comparison with it is false
+        for name in ("support_budget", "oracle_max_m", "sdrip_max_m"):
+            if not _is_int(getattr(self, name)) or getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1")
         if any(not (0.0 < q <= 1.0) for q in self.q_values):
             raise ConfigurationError("every q must lie in (0, 1]")
         if any(not (0.0 < t < 4.0 / 3.0) for t in self.t_values):
@@ -206,6 +210,10 @@ class ExperimentConfig:
         unknown = set(data) - names
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        missing = {f.name for f in fields(cls)
+                   if f.default is MISSING and f.default_factory is MISSING} - set(data)
+        if missing:
+            raise ConfigurationError(f"missing config keys: {sorted(missing)}")
         cfg = cls(**data)
         cfg.validate()
         return cfg

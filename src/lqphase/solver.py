@@ -6,27 +6,24 @@ fixing the first sign) and, for each consistent linear system, exploits the
 concavity of t -> t^q on [0, inf): on an affine set the objective attains its
 minimum where max(n - m, 0) analysis coefficients vanish, so all such
 zero patterns are enumerated, with a minimum-norm fallback guarding
-rank-degenerate cells.  A practical iteratively reweighted least-squares
-scheme with an alternating sign step handles sizes beyond the oracle guard;
-it carries no optimality certificate.
+rank-degenerate cells.  Beyond the oracle guard a practical iteratively
+reweighted least-squares (IRLS) solver runs in three steps, with no
+optimality certificate.  A sign stage of error-reduction alternating
+projections (Gerchberg-Saxton, Fienup), x <- A_pinv (p o b), p <- sign(Ax),
+takes each start to a fixed sign pattern or a two-pattern cycle.  A start
+whose least-squares point is stalled, its residual || |Ax| - b || above
+max(eps, 1e-7 ||b||), goes through a 1-opt sign-flip descent.  Last, one
+eps-continuation run (Daubechies, DeVore, Fornasier and Gunturk) per start
+polishes the least-squares point of its pattern.
 
-An IRLS run stops as soon as it can no longer change the answer, which is
-the best iterate by (violation, objective).  By the discrepancy principle
-(Morozov) a run ends at its first iterate inside the noise band
-|| |Ax| - b || <= eps: no later iterate has a smaller violation.  A run ends
-as stalled once its sign pattern p = sign(Ax) has held for STALL_STEPS steps
-and the pattern's least-squares residual ||(I - Q Q^T)(p o b)|| (Q from
-A = QR) exceeds max(eps, 1e-7 ||b||), the same threshold as the stalled test
-that sends a run to the sign-flip descent.  That exit is sound: for every x
-with pattern p, || |Ax| - b || = ||Ax - p o b|| >= ||(I - Q Q^T)(p o b)||,
-so no iterate is feasible while the pattern holds, and the run is one the
-stalled test sends to the descent anyway; the exit only skips the rest of
-the eps-continuation schedule (Daubechies, DeVore, Fornasier and Gunturk)
-spent at an infeasible pattern.  A run whose pattern alternates between two
-patterns (S_t = S_(t-2) != S_(t-1)) for 2 STALL_STEPS steps ends by the
-cycle rule when the smaller of the two least-squares residuals exceeds the
-same threshold, by the same argument: an entry of Ax near 0 can flip at
-every step, and such a run would otherwise take the whole schedule.
+A polish run stops as soon as it can no longer change the answer, which is
+the best iterate by (violation, objective): at its first iterate inside the
+noise band || |Ax| - b || <= eps, since no later iterate has a smaller
+violation (the discrepancy principle, Morozov), or once its sign pattern has
+held, or alternated between two patterns, at patterns whose least-squares
+residual ||(I - Q Q^T)(p o b)|| (Q from A = QR) exceeds the stalled
+threshold, since no iterate is feasible while they hold (the stall and cycle
+rules of _irls_converge, which give the argument).
 
 The sign-flip descent scores single flips in closed form.  With
 P = I - Q Q^T, c = p o b and g = P c, flipping entry j changes the squared
@@ -135,9 +132,9 @@ class SolverResult:
     feasibility: float  # || |A x_hat| - b ||_2
     method: str
     certificate: dict | None = None
-    iterations: int = 0  # IRLS: the winning iterate's index within its run
-    steps: int = 0  # IRLS: weighted steps over all restarts and follow-ups
-    exits: dict = field(default_factory=dict)  # IRLS: runs ended by each of EXIT_RULES
+    iterations: int = 0  # IRLS: the winning iterate's index within its polish run
+    steps: int = 0  # IRLS: weighted steps over all polish runs, one per restart
+    exits: dict = field(default_factory=dict)  # IRLS: polish runs ended by each of EXIT_RULES
 
 
 @dataclass(frozen=True)
@@ -597,8 +594,8 @@ def _stall_threshold(eps: float, scale: float) -> float:
 
 def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
                    lam0: float, Q: np.ndarray) -> tuple:
-    """Run the continuation from every row of X (R, n) as one batched state;
-    Q is A's orthonormal QR factor.
+    """Polish every row of X (R, n), one least-squares point per start, by one
+    continuation run each, as one batched state; Q is A's orthonormal QR factor.
 
     Every row follows the same eps/lam schedule, so iteration t updates all
     live rows with one stacked weighted step.  A row leaves the batch at the
@@ -610,8 +607,7 @@ def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
       its least-squares residual ||(I - Q Q^T)(p o b)|| exceeds the stalled
       threshold max(eps, 1e-7 ||b||).  Every x with that pattern has
       || |A x| - b || = ||A x - p o b||, which is at least that residual, so
-      no iterate is feasible while the pattern holds, and the last iterate
-      is one that solve_irls's stalled test sends to the sign-flip descent;
+      no iterate is feasible while the pattern holds;
     - cycle: the pattern has equalled the one two steps back and differed
       from the one just before (S_t = S_(t-2) != S_(t-1)) for 2 STALL_STEPS
       steps, and the smaller least-squares residual of the two patterns
@@ -685,54 +681,56 @@ def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
     return last, best_x, best_v, best_o, best_t, steps, rule
 
 
+def _sign_stage(A: np.ndarray, A_pinv: np.ndarray, b: np.ndarray, S: np.ndarray,
+                max_iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Error-reduction alternating projections x <- A_pinv (p o b), p <- sign(A x)
+    from every row p of the sign patterns S (R, m), as one batched state.
+
+    A row stops once its new pattern equals its current one (a fixed pattern)
+    or the one two projections back (a two-pattern cycle), or after max_iters
+    projections.  With x the least-squares point of p and p' = sign(A x),
+    min_y ||A y - p' o b|| <= || |A x| - b || <= ||A x - p o b||, so the pattern
+    residual never increases along a row.  Returns each row's last projected
+    pattern and its least-squares point.
+    """
+    S_out, X_out = np.empty_like(S), np.empty((len(S), A.shape[1]))
+    live = np.arange(len(S))
+    S_old = np.zeros_like(S)  # the pattern before S; no pattern equals it at the start
+    for t in range(1, max_iters + 1):
+        X = _mv(A_pinv, S * b)
+        S_new = np.where(_mv(A, X) >= 0.0, 1.0, -1.0)
+        done = np.all(S_new == S, axis=1) | np.all(S_new == S_old, axis=1) | (t == max_iters)
+        out = live[done]
+        S_out[out], X_out[out] = S[done], X[done]
+        keep = ~done
+        live, S, S_old = live[keep], S_new[keep], S[keep]
+        if not len(live):
+            break
+    return S_out, X_out
+
+
 def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverResult:
-    """Alternating sign / reweighted least-squares solver.
+    """Sign stage, sign-flip descent and one reweighted least-squares polish.
 
-    Each outer iteration sets p = sign(Ax) (zeros map to +1), then solves the
-    strictly convex weighted problem; the smoothing and the regularization
-    decay geometrically together so the fixed point approaches a stationary
-    point of the unsmoothed objective.  Restart 0 starts at the spectral
-    direction, every later one at a fresh random direction scaled to ||b||;
-    restarts that stall at an infeasible sign pattern (residual above
-    max(eps, 1e-7 ||b||)) get one round of 1-opt sign-flip descent and a
-    follow-up run from the least-squares point of the better pattern.  Among
-    all iterates of all runs the returned one minimizes (constraint
-    violation, objective) lexicographically, so it is never less feasible
-    than the best iterate seen.
+    Restart 0 starts at the spectral direction, every later one at a fresh
+    random direction scaled to ||b||; a start's first pattern is sign(Ax),
+    zeros mapping to +1.  Each polish run is the continuation: every outer
+    iteration sets p = sign(Ax), then solves the strictly convex weighted
+    problem, and the smoothing and the regularization decay geometrically
+    together so the fixed point approaches a stationary point of the
+    unsmoothed objective.  Among all iterates of all runs the returned one
+    minimizes (constraint violation, objective) lexicographically, the lowest
+    start winning a tie.
 
-    A run stops as soon as it can no longer change the answer.  Its first
-    iterate inside the noise band ends it (discrepancy principle): no later
-    iterate has a smaller violation, and the earliest one wins ties.  A run
-    whose sign pattern has held for STALL_STEPS steps at a pattern whose
-    least-squares residual exceeds the stalled threshold ends too: while the
-    pattern holds no iterate is feasible, and the run is one the stalled test
-    would send to the follow-up.  So does a run whose pattern has alternated
-    between two patterns for 2 STALL_STEPS steps when both residuals exceed
-    the threshold (the cycle rule).  Otherwise it runs until its continuation
-    converges or the iteration cap.  The rules are tested in the order of
-    EXIT_RULES: discrepancy, stall, cycle, converged, max_iters.  `exits`
-    counts the runs that ended by each rule; they add up to the restarts
-    plus the follow-ups.
+    Each step is batched over the starts and equals running them one after
+    another bit for bit: stacked products are _mv's and norms _row_norms',
+    which run the same BLAS kernels per row as the 1-D calls.  One QR of A
+    serves the stall rule and the descent, one pseudo-inverse the sign stage
+    and the polish starts.
 
-    All restarts run as one batched (R, n) state: they share the eps/lam
-    schedule, so iteration t is one stacked weighted step over the restarts
-    still live.  The stalled ones then go through the sign-flip descent as
-    one batch, and their follow-ups converge as a second batch.  The result
-    equals that of running the restarts one after another, bit for bit:
-    iterates are visited in the order restart j, then its follow-up, then
-    iteration t, and the first strict minimum wins.  Each run keeps its best
-    iterate under a strict comparison, and a lexsort over (violation,
-    objective, rank), with rank 2j for restart j and 2j + 1 for its
-    follow-up, picks the winner.  Bit-identity also fixes the arithmetic:
-    stacked products are (M @ X[:, :, None])[..., 0] and norms the stacked
-    dot product, which run the same BLAS kernels per row as the 1-D calls
-    (X @ M.T, einsum and norm(axis=1) round differently), and every
-    follow-up start is its own lstsq, since one multi-RHS lstsq does not
-    reproduce the single solves.  One QR of A serves the stall rule and the
-    sign-flip descent.
-
-    `iterations` is the winning iterate's index within its run, `steps` the
-    weighted steps taken over all runs.
+    `iterations` is the winning iterate's index within its polish run, `steps`
+    the weighted steps of all polish runs, and `exits` counts the polish runs
+    that ended by each of EXIT_RULES; they add up to the restarts.
     """
     opts = opts or IrlsOptions()
     opts.validate()
@@ -751,20 +749,14 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
         g = rng.standard_normal(n)
         starts.append(scale * g / np.linalg.norm(g))
     Q, _ = np.linalg.qr(A)
-    runs = [_irls_converge(P, np.array(starts), opts, lam0, Q)]
-    ranks = [2 * np.arange(opts.restarts)]
-
-    AX = _mv(A, runs[0][0])
-    stalled = np.flatnonzero(_row_norms(np.abs(AX) - b) > _stall_threshold(P.eps, scale))
-    signs = np.where(AX[stalled] >= 0.0, 1.0, -1.0)
-    flipped = _sign_flip_descent(A, b, signs, 8, Q)
-    moved = np.any(flipped != signs, axis=1)
-    if moved.any():
-        X0 = np.array([np.linalg.lstsq(A, p * b, rcond=None)[0] for p in flipped[moved]])
-        runs.append(_irls_converge(P, X0, opts, lam0, Q))
-        ranks.append(2 * stalled[moved] + 1)
-    _, best_x, best_v, best_o, best_t, steps, rules = map(np.concatenate, zip(*runs))
-    w = int(np.lexsort((np.concatenate(ranks), best_o, best_v))[0])
+    A_pinv = np.linalg.pinv(A)
+    S0 = np.where(_mv(A, np.array(starts)) >= 0.0, 1.0, -1.0)
+    S, X0 = _sign_stage(A, A_pinv, b, S0, opts.max_iters)
+    stalled = np.flatnonzero(_row_norms(np.abs(_mv(A, X0)) - b) > _stall_threshold(P.eps, scale))
+    S[stalled] = _sign_flip_descent(A, b, S[stalled], 8, Q)
+    X0[stalled] = _mv(A_pinv, S[stalled] * b)
+    _, best_x, best_v, best_o, best_t, steps, rules = _irls_converge(P, X0, opts, lam0, Q)
+    w = int(np.lexsort((np.arange(opts.restarts), best_o, best_v))[0])
     x_hat = best_x[w].copy()
     return SolverResult(
         x_hat=x_hat,

@@ -86,12 +86,18 @@ def test_dimensions_out_of_range_are_rejected_at_load(tmp_path, capsys, field, v
     data = small_config(**{field: values}).to_json_dict()
     with pytest.raises(ConfigurationError, match=field):
         ExperimentConfig.from_json_dict(data)
+    _assert_both_modes_reject(tmp_path, capsys, data)
+
+
+def _assert_both_modes_reject(tmp_path, capsys, data) -> None:
+    """Both experiment modes exit 1 on the config, with one `error:` line."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data))  # NaN and Infinity tokens, which json.load reads back
     for mode in ("bound", "transition"):
         assert main(["experiment", mode, "--config", str(path),
                      "--out", str(tmp_path / "out.csv")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("field, value", [
@@ -100,18 +106,28 @@ def test_dimensions_out_of_range_are_rejected_at_load(tmp_path, capsys, field, v
     ("eps_values", [float("nan")]), ("eps_values", [0.0, float("inf")]),
     ("trials", 1.5), ("trials", True), ("n_values", [3.5]), ("N_values", [6.0]),
     ("m_values", [True]), ("k_values", [1.0]), ("master_seed", -1), ("master_seed", 0.5),
+    # a NaN guard would let every cell through
+    *[(guard, value) for guard in ("oracle_max_m", "sdrip_max_m", "support_budget")
+      for value in (float("nan"), -3, 0.5, True)],
 ])
 def test_numbers_out_of_range_are_rejected_at_load(tmp_path, capsys, field, value):
     # jitter feeds the near_isometric ensemble, success_tol the transition rate
     data = small_config(matrix_ensemble="near_isometric", **{field: value}).to_json_dict()
     with pytest.raises(ConfigurationError, match=field):
         ExperimentConfig.from_json_dict(data)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(data))  # NaN and Infinity tokens, which json.load reads back
-    for mode in ("bound", "transition"):
-        assert main(["experiment", mode, "--config", str(path),
-                     "--out", str(tmp_path / "out.csv")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+    _assert_both_modes_reject(tmp_path, capsys, data)
+
+
+@pytest.mark.parametrize("dropped", [["q_values"], ["n_values", "m_values"]])
+def test_missing_config_keys_are_named_at_load(tmp_path, capsys, dropped):
+    data = small_config().to_json_dict()
+    for key in dropped:
+        del data[key]
+    message = f"missing config keys: {sorted(dropped)}"
+    with pytest.raises(ConfigurationError) as info:
+        ExperimentConfig.from_json_dict(data)
+    assert str(info.value) == message
+    _assert_both_modes_reject(tmp_path, capsys, data)
 
 
 def test_guarded_cells_are_skipped_with_reason():
