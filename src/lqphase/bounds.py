@@ -29,7 +29,7 @@ from .measurement import PhaselessProblem, phase_distance
 from .records import TrialRecord
 from .rip import RipReport, drip_order_for_t
 from .signals import _check_q, best_k_term_error
-from .solver import SolverResult
+from .solver import FEAS_RTOL, SolverResult
 
 MARGINAL_TOL = 1e-6
 BOUND_TOL = 1e-9
@@ -174,7 +174,10 @@ def verify_recovery_bound(
     The defect fed into the constants is the exhaustively computed one at
     order ceil(t*k); when half-subset extremes are present in the report, the
     implied bound max(1-theta_minus, theta_plus-1) is recorded alongside.
-    Inadmissible instances yield bound_status = "not_applicable".
+    Inadmissible instances yield bound_status = "not_applicable".  An
+    admissible trial whose uncertified x_hat lies outside the constraint set,
+    || |A x_hat| - b || > eps + FEAS_RTOL max(1, ||b||), fails, and its reason
+    names the violation.
     """
     if P.truth is None:
         raise ConfigurationError("bound verification needs the ground-truth signal")
@@ -200,10 +203,18 @@ def verify_recovery_bound(
     if consts.admissible:
         rhs = bound_rhs(consts, P.eps, sigma, k)
         status = "pass" if lhs <= rhs + BOUND_TOL else "fail"
-        if status == "fail" and result.method != "oracle":
-            # without an optimality certificate a violation indicts the
-            # solver, not the bound
-            reason = "uncertified solver; violation indicates suboptimality"
+        if result.method != "oracle":
+            # the oracle certifies feasibility itself; an uncertified x_hat
+            # outside the constraint set is no solution of the model, whatever
+            # its error, and without an optimality certificate a violation of
+            # the bound indicts the solver, not the bound
+            limit = P.eps + FEAS_RTOL * max(1.0, float(np.linalg.norm(P.b)))
+            if result.feasibility > limit:
+                status = "fail"
+                reason = (f"infeasible x_hat: || |A x_hat| - b || = {result.feasibility:.6g} "
+                          f"exceeds eps + FEAS_RTOL max(1, ||b||) = {limit:.6g}")
+            elif status == "fail":
+                reason = "uncertified solver; violation indicates suboptimality"
     else:
         rhs = None
         status = "not_applicable"

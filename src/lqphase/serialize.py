@@ -190,6 +190,8 @@ def solver_result_to_dict(r: SolverResult) -> dict:
         "iterations": r.iterations,
         "steps": r.steps,
         "exits": dict(r.exits),
+        "feasible_classes": r.feasible_classes,
+        "tree_nodes": r.tree_nodes,
     }
 
 
@@ -211,4 +213,6 @@ def solver_result_from_dict(data: dict) -> SolverResult:
         iterations=int(data.get("iterations", 0)),
         steps=int(data.get("steps", 0)),
         exits={str(k): int(v) for k, v in data.get("exits", {}).items()},
+        feasible_classes=int(data.get("feasible_classes", 0)),
+        tree_nodes=int(data.get("tree_nodes", 0)),
     )

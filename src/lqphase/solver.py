@@ -7,14 +7,40 @@ concavity of t -> t^q on [0, inf): on an affine set the objective attains its
 minimum where max(n - m, 0) analysis coefficients vanish, so all such
 zero patterns are enumerated, with a minimum-norm fallback guarding
 rank-degenerate cells.  Beyond the oracle guard a practical iteratively
-reweighted least-squares (IRLS) solver runs in three steps, with no
-optimality certificate.  A sign stage of error-reduction alternating
-projections (Gerchberg-Saxton, Fienup), x <- A_pinv (p o b), p <- sign(Ax),
-takes each start to a fixed sign pattern or a two-pattern cycle.  A start
-whose least-squares point is stalled, its residual || |Ax| - b || above
-max(eps, 1e-7 ||b||), goes through a 1-opt sign-flip descent.  Last, one
-eps-continuation run (Daubechies, DeVore, Fornasier and Gunturk) per start
-polishes the least-squares point of its pattern.
+reweighted least-squares (IRLS) solver polishes the sign patterns that can
+hold a feasible point, with no optimality certificate.
+
+Sign tree.  For b >= 0 the feasible set {x : || |Ax| - b || <= eps} is the
+union over sign patterns p of the pieces {x : ||Ax - p o b|| <= eps}, since
+||a| - b_i| <= |a - p_i b_i| with equality at p_i = sign(a).  A piece is
+non-empty exactly when the pattern's least-squares residual
+||(I - Q Q^T)(p o b)|| (Q from A = QR) is at most eps.  A negative b_i, which
+noise can give, keeps the equality but not the inequality, so every feasible
+x still lies in the piece of its own pattern sign(Ax): the patterns with a
+non-empty piece cover the feasible set, though some may then hold no
+feasible point.  The residual of a prefix of the rows bounds that of every
+completion, so a tree over the rows that prunes on the partial residual
+lists exactly these patterns (sphere decoding over sign vectors: Fincke and
+Pohst; Agrell, Eriksson, Vardy and Zeger).  For a full-column-rank A with
+m >= n, _sign_tree starts from the 2^(n-1) patterns of n pivoted basis rows,
+adds one row per layer by a least-squares update that depends on A alone,
+prunes at the stalled threshold max(eps, 1e-7 ||b||) plus the rounding
+margin TREE_ROUNDING m kappa ||b||, and keeps a leaf only when its exact
+residual is within the threshold; one pattern per class {p, -p}.  One
+eps-continuation run (Daubechies, DeVore, Fornasier and Gunturk) per kept
+pattern then polishes its least-squares point, in one batch.
+
+Restart pipeline.  Where the tree does not run (m < n, where a full-row-rank
+A gives every pattern residual 0; a rank-deficient A; a tree of more than
+TREE_MAX_NODES nodes; a tree that keeps no pattern, when eps is below every
+pattern's residual and nothing is feasible; or one that keeps more than
+TREE_MAX_CLASSES, where polishing them all costs more than the restarts),
+_irls_restarts searches for patterns instead.  A sign stage of
+error-reduction alternating projections (Gerchberg-Saxton, Fienup),
+x <- A_pinv (p o b), p <- sign(Ax), takes each start to a fixed sign pattern
+or a two-pattern cycle.  A start whose least-squares point is stalled, its
+residual || |Ax| - b || above the threshold, goes through a 1-opt sign-flip
+descent.  Last, one polish run per start.
 
 A polish run stops as soon as it can no longer change the answer, which is
 the best iterate by (violation, objective): at its first iterate inside the
@@ -123,6 +149,23 @@ STALL_STEPS = 3
 # inside that band the exact residuals decide.
 FLIP_GAIN = 1e-14
 FLIP_BAND = 1e-10
+# Nodes the sign tree may visit (basis patterns plus evaluated children); a
+# larger tree leaves the problem to the restart pipeline.
+TREE_MAX_NODES = 2**16
+# Sign classes one polish batch may take from the tree; more leave the
+# problem to the restart pipeline.  Many classes are kept only when m is near
+# n (at m = n all 2^(n-1)).  On square near-isometric A with n = 8, 10, 12 at
+# eps = 0.01 and 0.05 (2-CPU VM, one BLAS thread), polishing 128 classes took
+# 0.40-0.80 ms, below the pipeline on the same A (0.70-1.21 ms), and 256 took
+# 1.22-1.71 ms, above it.  At eps = 0 the pipeline was cheaper from 16-32
+# classes, but there every m > n instance kept one class.  Where more than
+# 128 were kept (84 instances, m = n to n + 3, eps = 0 to 0.1) the pipeline's
+# x_hat was feasible in all.
+TREE_MAX_CLASSES = 2**7
+# The tree prunes at the stalled threshold plus
+# TREE_ROUNDING * m * kappa * ||b||, kappa = ||A||_F / sigma_min(A_I), which
+# covers the rounding of its prefix residuals (see _sign_tree).
+TREE_ROUNDING = 2.0**-47
 
 
 @dataclass(frozen=True)
@@ -133,8 +176,10 @@ class SolverResult:
     method: str
     certificate: dict | None = None
     iterations: int = 0  # IRLS: the winning iterate's index within its polish run
-    steps: int = 0  # IRLS: weighted steps over all polish runs, one per restart
+    steps: int = 0  # IRLS: weighted steps over all polish runs
     exits: dict = field(default_factory=dict)  # IRLS: polish runs ended by each of EXIT_RULES
+    feasible_classes: int = 0  # IRLS: sign classes the tree kept and polished; 0 on the fallback
+    tree_nodes: int = 0  # IRLS: nodes the sign tree visited; 0 on the fallback
 
 
 @dataclass(frozen=True)
@@ -143,8 +188,8 @@ class IrlsOptions:
     eps0: float = 1.0
     decay: float = 0.7
     reg: float | None = None  # default 1e-3 * ||b||^2, decays with the smoothing
-    restarts: int = 10
-    seed: int = 0
+    restarts: int = 10  # restart pipeline only (see solve_irls)
+    seed: int = 0  # restart pipeline only
     tol: float = 1e-8
 
     @classmethod
@@ -594,7 +639,7 @@ def _stall_threshold(eps: float, scale: float) -> float:
 
 def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
                    lam0: float, Q: np.ndarray) -> tuple:
-    """Polish every row of X (R, n), one least-squares point per start, by one
+    """Polish every row of X (R, n), one least-squares point per pattern, by one
     continuation run each, as one batched state; Q is A's orthonormal QR factor.
 
     Every row follows the same eps/lam schedule, so iteration t updates all
@@ -617,14 +662,12 @@ def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
       by at most tol;
     - max_iters: the iteration cap.
 
-    Returns, per row: the last iterate; the best iterate by (violation,
-    objective), the earliest one winning a tie, with that key and its 1-based
-    iteration; the number of weighted steps taken; and its exit rule, an
-    index into EXIT_RULES.
+    Returns, per row: the best iterate by (violation, objective), the earliest
+    one winning a tie, with that key and its 1-based iteration; the number of
+    weighted steps taken; and its exit rule, an index into EXIT_RULES.
     """
     A, b, D, q = P.A, P.b, P.frame.D, P.q
     threshold = _stall_threshold(P.eps, float(np.linalg.norm(b)))
-    last = np.empty_like(X)
     best_x = np.empty_like(X)
     best_v = np.empty(len(X))
     best_o = np.empty(len(X))
@@ -670,15 +713,14 @@ def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
             ended[(ended < 0) & (_row_norms(X_new - X) <= opts.tol)] = EXIT_RULES.index("converged")
         done = ended >= 0
         out = live[done]
-        last[out], steps[out], rule[out] = X_new[done], t + 1, ended[done]
+        steps[out], rule[out] = t + 1, ended[done]
         keep = ~done
         live, X, S, S_old = live[keep], X_new[keep], S_new[keep], S[keep]
         held, cycled = held[keep], cycled[keep]
         if not len(live):
             break
         eps_s = max(eps_s * opts.decay, opts.tol)
-    last[live] = X
-    return last, best_x, best_v, best_o, best_t, steps, rule
+    return best_x, best_v, best_o, best_t, steps, rule
 
 
 def _sign_stage(A: np.ndarray, A_pinv: np.ndarray, b: np.ndarray, S: np.ndarray,
@@ -709,39 +751,134 @@ def _sign_stage(A: np.ndarray, A_pinv: np.ndarray, b: np.ndarray, S: np.ndarray,
     return S_out, X_out
 
 
-def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverResult:
-    """Sign stage, sign-flip descent and one reweighted least-squares polish.
+def _basis_rows(A: np.ndarray) -> list[int]:
+    """n rows of a full-column-rank A (m, n), by Gram-Schmidt on the rows with
+    pivoting: each step takes the row with the largest component orthogonal to
+    the rows already taken."""
+    V = A.copy()
+    rows = []
+    for _ in range(A.shape[1]):
+        w = np.einsum("ij,ij->i", V, V)
+        i = int(np.argmax(w))
+        rows.append(i)
+        u = V[i] / sqrt(w[i])
+        V -= np.outer(V @ u, u)
+    return rows
+
+
+def _sign_tree(A: np.ndarray, b: np.ndarray, threshold: float,
+               Q: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """Every sign pattern p, one per class {p, -p}, whose least-squares residual
+    _pattern_residuals(Q, b, p) is at most threshold, for a full-column-rank A
+    with m >= n; Q is A's orthonormal QR factor.
+
+    Returns the patterns (K, m), in the order the tree emits them, and the
+    nodes visited, or None when the tree would visit more than TREE_MAX_NODES.
+
+    The tree takes the n rows I of _basis_rows first: A_I is invertible, so
+    each of their patterns has one exact solution and residual 0.  It then
+    adds the other rows in index order, each row k splitting a node into its
+    two signs, + before -.  Adding row k to a prefix with least-squares point x
+    adds e^2 / d to the squared residual, where e = c_k - a_k^T x is the
+    recursive least-squares innovation of the target c = p o b and
+    d = 1 + a_k^T G a_k its denominator, G the inverse Gram matrix of the
+    prefix.  e / sqrt(d) = u_k^T c is linear in c, and the u_k are the
+    Gram-Schmidt orthonormalization, in tree order, of the left null vectors
+    (-A_I^-T a_k on I, 1 at row k) of A: u_k is supported on the prefix up to
+    row k.  One QR of that (m, m - n) stack gives every u_k, so a layer costs
+    one product of the nodes' partial patterns with u_k o b.  The prefix
+    residual bounds every completion's from below, so a node is pruned once
+    it exceeds threshold + TREE_ROUNDING m kappa ||b||, with
+    kappa = ||A||_F / sigma_min(A_I), which bounds the condition number of
+    every prefix; on random A with kappa from 1 to 1e9 the computed residuals
+    stayed within m kappa u ||b|| / 4 of _pattern_residuals (u = 2^-53), so
+    the margin covers their rounding 256-fold.  A leaf is kept only when its
+    exact _pattern_residuals is at most threshold.
+
+    The global sign is fixed at the first row in tree order with b_i != 0,
+    which takes +1; a row with b_i = 0 takes +1 only, its sign being
+    immaterial.  Nodes visited count the basis patterns and every child
+    evaluated.
+    """
+    m, n = A.shape
+    I = _basis_rows(A)
+    order = I + sorted(set(range(m)) - set(I))
+    bt = b[order]
+    nz = np.flatnonzero(bt[:n])  # nz[0] carries the global sign
+    nodes = 2 ** max(len(nz) - 1, 0)
+    if nodes > TREE_MAX_NODES:
+        return None
+    S = np.ones((nodes, m))  # patterns in tree order; entries past a node's prefix unset
+    if len(nz):
+        S[:, nz] = _sign_patterns(len(nz))
+    A_I = A[I]
+    U, _ = np.linalg.qr(np.vstack([-np.linalg.solve(A_I.T, A[order[n:]].T), np.eye(m - n)]))
+    U *= bt[:, None]
+    kappa = np.linalg.norm(A) / np.linalg.svd(A_I, compute_uv=False)[-1]
+    cut2 = (threshold + TREE_ROUNDING * m * kappa * float(np.linalg.norm(b))) ** 2
+    r2 = np.zeros(nodes)
+    fixed = len(nz) > 0
+    both, plus = np.array([1.0, -1.0]), np.ones(1)
+    for k in range(n, m):
+        signs = both if fixed and bt[k] != 0.0 else plus
+        fixed = fixed or bt[k] != 0.0
+        nodes += len(S) * len(signs)
+        if nodes > TREE_MAX_NODES:
+            return None
+        Z = (S[:, :k] @ U[:k, k - n])[:, None] + signs * U[k, k - n]
+        R2 = r2[:, None] + Z * Z
+        parent, side = np.nonzero(R2 <= cut2)  # parent-major, + before -
+        r2 = R2[parent, side]
+        S = S[parent]
+        S[:, k] = signs[side]
+        if not len(S):
+            break
+    S[:, order] = S.copy()
+    return S[_pattern_residuals(Q, b, S) <= threshold], nodes
+
+
+def _polish(P: PhaselessProblem, X0: np.ndarray, opts: IrlsOptions, Q: np.ndarray,
+            feasible_classes: int = 0, tree_nodes: int = 0) -> SolverResult:
+    """One _irls_converge batch from the starts X0 (R, n); the winner minimizes
+    (violation, objective, start index) over every iterate of every run."""
+    A, b, D = P.A, P.b, P.frame.D
+    lam0 = opts.reg if opts.reg is not None else 1e-3 * float(b @ b)
+    best_x, best_v, best_o, best_t, steps, rules = _irls_converge(P, X0, opts, lam0, Q)
+    w = int(np.lexsort((np.arange(len(X0)), best_o, best_v))[0])
+    x_hat = best_x[w].copy()
+    return SolverResult(
+        x_hat=x_hat,
+        objective=lq_quasinorm(D.T @ x_hat, P.q),
+        feasibility=float(np.linalg.norm(np.abs(A @ x_hat) - b)),
+        method="irls",
+        iterations=int(best_t[w]),
+        steps=int(steps.sum()),
+        exits=dict(zip(EXIT_RULES, np.bincount(rules, minlength=len(EXIT_RULES)).tolist())),
+        feasible_classes=feasible_classes,
+        tree_nodes=tree_nodes,
+    )
+
+
+def _irls_restarts(P: PhaselessProblem, opts: IrlsOptions) -> SolverResult:
+    """The restart pipeline: sign stage, sign-flip descent and one polish
+    batch, one run per restart.  solve_irls falls back to it where the sign
+    tree does not run.
 
     Restart 0 starts at the spectral direction, every later one at a fresh
     random direction scaled to ||b||; a start's first pattern is sign(Ax),
-    zeros mapping to +1.  Each polish run is the continuation: every outer
-    iteration sets p = sign(Ax), then solves the strictly convex weighted
-    problem, and the smoothing and the regularization decay geometrically
-    together so the fixed point approaches a stationary point of the
-    unsmoothed objective.  Among all iterates of all runs the returned one
-    minimizes (constraint violation, objective) lexicographically, the lowest
-    start winning a tie.
+    zeros mapping to +1.  A start whose sign-stage least-squares point is
+    stalled goes through the descent.  Each polish run starts at the
+    least-squares point of its start's pattern.
 
     Each step is batched over the starts and equals running them one after
     another bit for bit: stacked products are _mv's and norms _row_norms',
     which run the same BLAS kernels per row as the 1-D calls.  One QR of A
     serves the stall rule and the descent, one pseudo-inverse the sign stage
     and the polish starts.
-
-    `iterations` is the winning iterate's index within its polish run, `steps`
-    the weighted steps of all polish runs, and `exits` counts the polish runs
-    that ended by each of EXIT_RULES; they add up to the restarts.
     """
-    opts = opts or IrlsOptions()
-    opts.validate()
-    _check_q(P.q)
-    A, b, D = P.A, P.b, P.frame.D
+    A, b = P.A, P.b
     n = A.shape[1]
     scale = float(np.linalg.norm(b))
-    if scale == 0.0:
-        return SolverResult(x_hat=np.zeros(n), objective=0.0, feasibility=0.0,
-                            method="irls", iterations=0, exits=dict.fromkeys(EXIT_RULES, 0))
-    lam0 = opts.reg if opts.reg is not None else 1e-3 * float(b @ b)
     _, V = np.linalg.eigh(A.T @ ((b**2)[:, None] * A))
     starts = [scale * V[:, -1]]
     for j in range(1, opts.restarts):  # fresh random directions break bad sign-pattern basins
@@ -755,15 +892,50 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
     stalled = np.flatnonzero(_row_norms(np.abs(_mv(A, X0)) - b) > _stall_threshold(P.eps, scale))
     S[stalled] = _sign_flip_descent(A, b, S[stalled], 8, Q)
     X0[stalled] = _mv(A_pinv, S[stalled] * b)
-    _, best_x, best_v, best_o, best_t, steps, rules = _irls_converge(P, X0, opts, lam0, Q)
-    w = int(np.lexsort((np.arange(opts.restarts), best_o, best_v))[0])
-    x_hat = best_x[w].copy()
-    return SolverResult(
-        x_hat=x_hat,
-        objective=lq_quasinorm(D.T @ x_hat, P.q),
-        feasibility=float(np.linalg.norm(np.abs(A @ x_hat) - b)),
-        method="irls",
-        iterations=int(best_t[w]),
-        steps=int(steps.sum()),
-        exits=dict(zip(EXIT_RULES, np.bincount(rules, minlength=len(EXIT_RULES)).tolist())),
-    )
+    return _polish(P, X0, opts, Q)
+
+
+def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverResult:
+    """Reweighted least-squares polish of the sign patterns the sign tree keeps.
+
+    For a full-column-rank A with m >= n, _sign_tree lists one pattern per
+    class {p, -p} whose least-squares residual is at most the stalled
+    threshold max(eps, 1e-7 ||b||), and one polish run starts at each one's
+    least-squares point A_pinv (p o b).  The restart pipeline (_irls_restarts)
+    runs instead when m < n, when A is rank-deficient, when the tree would
+    visit more than TREE_MAX_NODES nodes, or when it keeps no pattern (eps
+    below every pattern's residual) or more than TREE_MAX_CLASSES; restarts
+    and seed act only there.
+
+    Each polish run is the continuation: every outer iteration sets
+    p = sign(Ax), then solves the strictly convex weighted problem, and the
+    smoothing and the regularization decay geometrically together so the
+    fixed point approaches a stationary point of the unsmoothed objective.
+    Among all iterates of all runs the returned one minimizes (constraint
+    violation, objective) lexicographically, the lowest pattern rank (the
+    tree's emission order, or the restart index) winning a tie.
+
+    `iterations` is the winning iterate's index within its polish run, `steps`
+    the weighted steps of all polish runs, and `exits` counts the polish runs
+    that ended by each of EXIT_RULES; they add up to `feasible_classes` on
+    the tree path and to the restarts on the fallback, where
+    `feasible_classes` and `tree_nodes` read 0.
+    """
+    opts = opts or IrlsOptions()
+    opts.validate()
+    _check_q(P.q)
+    A, b = P.A, P.b
+    m, n = A.shape
+    scale = float(np.linalg.norm(b))
+    if scale == 0.0:
+        return SolverResult(x_hat=np.zeros(n), objective=0.0, feasibility=0.0,
+                            method="irls", iterations=0, exits=dict.fromkeys(EXIT_RULES, 0))
+    A_pinv = _full_rank_pinv(A) if m >= n else None
+    if A_pinv is None:
+        return _irls_restarts(P, opts)
+    Q, _ = np.linalg.qr(A)
+    tree = _sign_tree(A, b, _stall_threshold(P.eps, scale), Q)
+    if tree is None or not 0 < len(tree[0]) <= TREE_MAX_CLASSES:
+        return _irls_restarts(P, opts)
+    S, nodes = tree
+    return _polish(P, _mv(A_pinv, S * b), opts, Q, feasible_classes=len(S), tree_nodes=nodes)

@@ -15,8 +15,9 @@ systems the full-rank screen cannot certify and leaves to the SVD; the screen
 must certify only systems of full rank, and the stacked null-space kernel
 must return the per-slice one's bases.  The chunked dictionary-sparse
 distance must agree with the per-support loop to rounding.
-The batched IRLS solver must reproduce the restart loop bit for bit (point,
-objective, feasibility, winning iteration), the batched sign-flip descent the
+The batched IRLS restart pipeline, solve_irls's fallback where the sign tree
+does not run, must reproduce the restart loop bit for bit (point, objective,
+feasibility, winning iteration), the batched sign-flip descent the
 scalar one row by row, and the sampled DRIP estimator, which dedupes its
 draws through int64 keys, a row-wise np.unique pass over the same kernel.
 """
@@ -65,7 +66,6 @@ from lqphase.solver import (
     IrlsOptions,
     SolverResult,
     solve_affine_lq_oracle,
-    solve_irls,
     solve_oracle_noiseless,
 )
 
@@ -1235,7 +1235,9 @@ def test_irls_matches_reference_loop_bit_for_bit(opts, monkeypatch):
     monkeypatch.setattr(solver, "_sign_flip_descent", counting)
     problems = list(irls_corpus())
     for P in problems:
-        assert _irls_outcome(solve_irls, P, opts) == _irls_outcome(loop_solve_irls, P, opts)
+        # every corpus problem but the wide ones takes the sign tree in
+        # solve_irls, so the restart pipeline is called directly
+        assert _irls_outcome(solver._irls_restarts, P, opts) == _irls_outcome(loop_solve_irls, P, opts)
     # the corpus reaches both paths: starts that go through the sign-flip
     # descent and starts polished from the sign stage's pattern
     assert 0 < sum(descended) < opts.restarts * len(problems)

@@ -16,7 +16,7 @@ from lqphase.frames import build_parseval_random
 from lqphase.measurement import build_problem
 from lqphase.rip import RipReport, drip_constant, drip_order_for_t
 from lqphase.signals import sample_dictionary_sparse
-from lqphase.solver import solve_oracle_noiseless
+from lqphase.solver import SolverResult, solve_oracle_noiseless
 
 
 def sympy_constants(q, t, delta):
@@ -243,3 +243,24 @@ def test_verify_records_theta_bound_when_present():
     assert rec.delta_theta_bound == pytest.approx(
         max(1.0 - rip.theta_minus, rip.theta_plus - 1.0)
     )
+
+
+def test_infeasible_uncertified_x_hat_fails_the_bound():
+    # x_hat = (1 + s) x0 with s ||x0|| = 0.08: within the bound's right-hand
+    # side 2 eps = 0.1 (delta = 0, sigma = 0), but || |A x_hat| - b || = 0.08
+    # breaks the constraint || |A x| - b || <= eps = 0.05
+    from dataclasses import replace
+    P, oracle, rip = _oracle_trial(3)
+    P = replace(P, eps=0.05)
+    x_hat = P.truth.x * (1.0 + 0.08 / np.linalg.norm(P.truth.x))
+    feas = float(np.linalg.norm(np.abs(P.A @ x_hat) - P.b))
+    result = SolverResult(x_hat=x_hat, objective=oracle.objective, feasibility=feas, method="irls")
+    rec = verify_recovery_bound(P, result, rip, 1.0)
+    assert feas == pytest.approx(0.08) and rec.lhs <= rec.rhs
+    assert rec.bound_status == "fail"
+    assert rec.reason.startswith("infeasible x_hat") and f"{feas:.6g}" in rec.reason
+    # inside the noise band the same error passes
+    inside = replace(result, feasibility=0.05)
+    assert verify_recovery_bound(P, inside, rip, 1.0).bound_status == "pass"
+    # the certified oracle's records are left as they were
+    assert verify_recovery_bound(P, replace(result, method="oracle"), rip, 1.0).bound_status == "pass"

@@ -302,12 +302,15 @@ def test_solve_irls_rejects_bad_options(tmp_path, problem_file, capsys, config, 
 
 
 def test_solve_irls_reports_how_its_runs_ended(tmp_path, problem_file):
-    path, _, _ = problem_file
+    path, P, _ = problem_file
     out = tmp_path / "sol.json"
     assert main(["solve", "--problem", str(path), "--method", "irls", "--out", str(out)]) == 0
-    exits = json.loads(out.read_text())["exits"]
+    data = json.loads(out.read_text())
+    exits = data["exits"]
     assert set(exits) == {"discrepancy", "stall", "cycle", "converged", "max_iters"}
-    assert sum(exits.values()) >= 10  # the default restarts, then any follow-ups
+    # one polish run per sign class the tree keeps
+    assert sum(exits.values()) == data["feasible_classes"] >= 1
+    assert data["tree_nodes"] >= 2 ** (P.n - 1)
 
 
 def _strict_loads(text: str):

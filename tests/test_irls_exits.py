@@ -7,11 +7,11 @@ inside the noise band, a stall exit only after the sign pattern held for
 STALL_STEPS steps at a pattern whose least-squares residual (from lstsq, not
 the solver's QR) exceeds the stalled threshold, and a cycle exit only after
 the pattern alternated between two such patterns for 2 * STALL_STEPS steps.
-The irls-sweep trials at benchmark seed 1 whose runs alternate reach the
-cycle rule instead of the iteration cap.  The exits must cut the work
-on the irls-sweep-shaped corpus to under a third of what the full schedule
-took, and keep the hit rate against the certified oracle on a harder
-noiseless corpus.
+The irls-sweep trial at benchmark seed 1 whose restart pipeline has a run
+that alternates reaches the cycle rule instead of the iteration cap.  The
+exits must cut the work on the irls-sweep-shaped corpus to under a third of
+what the full schedule took, and keep the hit rate against the certified
+oracle on a harder noiseless corpus.
 """
 
 import json
@@ -39,7 +39,8 @@ FULL_SCHEDULE_STEPS = 9375
 
 def _spy_runs(monkeypatch) -> list[dict]:
     """Record every _irls_converge call: its problem, starts, the stacked
-    iterates of each weighted step and its return value."""
+    iterates of each weighted step and its return value; a row's last
+    iterate is the last one recorded for it."""
     runs = []
     converge, step = solver._irls_converge, solver.irls_weighted_step
 
@@ -61,7 +62,7 @@ def _spy_runs(monkeypatch) -> list[dict]:
 def _trajectories(run: dict) -> list[list[np.ndarray]]:
     """Each row's start and iterates.  Rows leave the batch in place, so at
     step t row r sits at its rank among the rows still live."""
-    steps = run["out"][5]
+    steps = run["out"][4]
     paths = [[x] for x in run["starts"]]
     for t, X in enumerate(run["iterates"]):
         live = np.flatnonzero(steps > t)
@@ -78,17 +79,19 @@ def _violation(P, x) -> float:
 def test_exits_follow_their_rules(monkeypatch):
     runs = _spy_runs(monkeypatch)
     for P in irls_corpus():
+        # the tree path's runs start at feasible patterns and do not stall;
+        # the restart pipeline's do
         solve_irls(P)
+        solver._irls_restarts(P, IrlsOptions())
     seen = dict.fromkeys(EXIT_RULES, 0)
     for run in runs:
         P = run["P"]
-        last, steps, rule = run["out"][0], run["out"][5], run["out"][6]
+        steps, rule = run["out"][4], run["out"][5]
         threshold = max(P.eps, 1e-7 * np.linalg.norm(P.b))
         for r, path in enumerate(_trajectories(run)):
             name = EXIT_RULES[rule[r]]
             seen[name] += 1
             assert len(path) == steps[r] + 1
-            assert last[r].tobytes() == path[-1].tobytes()
             # no iterate before the last lies inside the noise band
             assert all(_violation(P, x) > 0.0 for x in path[1:-1])
             assert (_violation(P, path[-1]) <= 0.0) == (name == "discrepancy")
@@ -125,19 +128,22 @@ def irls_sweep_trial(master_seed: int, cell: int, trial: int):
     return P, IrlsOptions(seed=xseed)
 
 
-# irls-sweep trials (cell, trial) at seed 1 with runs whose sign pattern
-# alternates between two infeasible patterns from the first steps on
+# irls-sweep trials (cell, trial) at seed 1 whose restart pipeline once had
+# runs alternating between two infeasible patterns from the first steps on;
+# since the sign stage only (0, 2) still has one.  solve_irls polishes these
+# trials from the sign tree's feasible patterns, so the tests below call the
+# restart pipeline itself.
 CYCLING_TRIALS = ((0, 2), (2, 17), (2, 20), (3, 2))
 
 
 def test_cycle_exits_follow_their_rule(monkeypatch):
     runs = _spy_runs(monkeypatch)
     for cell, trial in CYCLING_TRIALS:
-        solve_irls(*irls_sweep_trial(1, cell, trial))
+        solver._irls_restarts(*irls_sweep_trial(1, cell, trial))
     cycles = 0
     for run in runs:
         P = run["P"]
-        steps, rule = run["out"][5], run["out"][6]
+        steps, rule = run["out"][4], run["out"][5]
         threshold = max(P.eps, 1e-7 * np.linalg.norm(P.b))
         for r, path in enumerate(_trajectories(run)):
             if EXIT_RULES[rule[r]] != "cycle":
@@ -160,7 +166,7 @@ def test_cycling_trial_ends_before_the_cap():
     # seed 1, cell 0, trial 2 of irls-sweep: a run alternates between two
     # infeasible patterns from step 1 on and, without the cycle rule, takes
     # the whole 500-step schedule
-    res = solve_irls(*irls_sweep_trial(1, 0, 2))
+    res = solver._irls_restarts(*irls_sweep_trial(1, 0, 2))
     assert res.exits["max_iters"] == 0
     assert res.exits["cycle"] >= 1
     assert res.feasibility <= 0.01 * (1.0 + 1e-9)
@@ -170,7 +176,7 @@ def test_exit_counts_add_up_to_the_runs(monkeypatch):
     runs = _spy_runs(monkeypatch)
     for P in irls_corpus():
         del runs[:]
-        res = solve_irls(P, IrlsOptions(restarts=6))
+        res = solver._irls_restarts(P, IrlsOptions(restarts=6))
         assert set(res.exits) == set(EXIT_RULES)
         assert sum(res.exits.values()) == sum(len(run["starts"]) for run in runs)
         assert len(runs[0]["starts"]) == 6

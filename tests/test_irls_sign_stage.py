@@ -79,7 +79,8 @@ def test_the_stage_ends_at_a_fixed_pattern_or_a_cycle_long_before_the_cap(monkey
 
     monkeypatch.setattr(solver, "_sign_stage", spy)
     for seed, cell, trial in product((0, 1), range(4), range(26)):
-        solve_irls(*irls_sweep_trial(seed, cell, trial))
+        # solve_irls takes these trials through the sign tree
+        solver._irls_restarts(*irls_sweep_trial(seed, cell, trial))
     kinds = {"fixed": 0, "cycle": 0}
     for A, A_pinv, b, S0, max_iters in calls:
         assert max_iters == IrlsOptions().max_iters

@@ -10,6 +10,7 @@ from lqphase.errors import DimensionError, DomainError
 from lqphase.frames import build_named_frame, build_parseval_random
 from lqphase.measurement import PhaselessProblem, build_problem
 from lqphase.signals import sample_dictionary_sparse
+from lqphase.solver import SolverResult
 
 
 def _payload():
@@ -115,3 +116,16 @@ def test_zero_and_negative_measurements_load_unchanged():
     data["eps"] = 0.01
     P = serialize.problem_from_dict(json.loads(json.dumps(data)))
     assert P.b.tobytes() == np.array([0.0, -0.0, -1e-3, -5e-324]).tobytes()
+
+
+def test_solver_result_carries_the_sign_tree_counters():
+    res = SolverResult(x_hat=np.array([0.5, -1.0]), objective=1.5, feasibility=0.01,
+                       method="irls", iterations=3, steps=9, feasible_classes=4, tree_nodes=700)
+    data = json.loads(serialize.json_text(serialize.solver_result_to_dict(res)))
+    assert (data["feasible_classes"], data["tree_nodes"]) == (4, 700)
+    back = serialize.solver_result_from_dict(data)
+    assert (back.feasible_classes, back.tree_nodes, back.steps) == (4, 700, 9)
+    # JSON written before the counters existed reads them as 0
+    del data["feasible_classes"], data["tree_nodes"]
+    old = serialize.solver_result_from_dict(data)
+    assert (old.feasible_classes, old.tree_nodes) == (0, 0)
