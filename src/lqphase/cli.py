@@ -42,7 +42,6 @@ class _Parser(argparse.ArgumentParser):
 
 _SHARED_OPTIONS = {
     "--seed": dict(type=int, default=0),
-    "--threads": dict(type=int, default=1),
     "--max-seconds": dict(type=float, default=None),
     "--out": dict(type=str, default=None),
 }
@@ -146,7 +145,7 @@ def _cmd_bound_verify(args) -> int:
 
 def _cmd_experiment_bound(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
-    records = run_bound_experiment(cfg, threads=args.threads, max_seconds=args.max_seconds)
+    records = run_bound_experiment(cfg, max_seconds=args.max_seconds)
     out = args.out or "bound_results.csv"
     emit_results(records, args.format, out)
     return 0
@@ -154,7 +153,7 @@ def _cmd_experiment_bound(args) -> int:
 
 def _cmd_experiment_transition(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
-    cells, not_run = transition_sweep(cfg, threads=args.threads, max_seconds=args.max_seconds)
+    cells, not_run = transition_sweep(cfg, max_seconds=args.max_seconds)
     out = args.out or "transition_results.csv"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(transition_to_csv(cells))
@@ -238,11 +237,11 @@ def build_parser() -> _Parser:
         "--format", choices=("csv", "json"), default="csv",
         help="csv writes the fixed records.CSV_COLUMNS schema; json carries every "
              "TrialRecord field, including wall_time_s and theta_window_ok")
-    _add_shared(expb, "--threads", "--max-seconds", "--out")
+    _add_shared(expb, "--max-seconds", "--out")
     expb.set_defaults(func=_cmd_experiment_bound)
     expt = exp.add_parser("transition")
     expt.add_argument("--config", required=True)
-    _add_shared(expt, "--threads", "--max-seconds", "--out")
+    _add_shared(expt, "--max-seconds", "--out")
     expt.set_defaults(func=_cmd_experiment_transition)
 
     selfcheck = sub.add_parser("selfcheck").add_subparsers(dest="action", required=True)

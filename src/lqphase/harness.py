@@ -3,9 +3,8 @@
 Every trial is a pure function of (config, master seed, cell index, trial
 index); component seeds are the first four 32-bit words of
 SeedSequence(entropy=(master_seed, cell_index, trial_index)), so any single
-trial can be re-run in isolation.  Records are collected in canonical
-(cell, trial) order regardless of scheduling, which makes the emitted CSV
-byte-identical across runs and thread counts.
+trial can be re-run in isolation.  Tasks run serially in canonical
+(cell, trial) order, which makes the emitted CSV byte-identical across runs.
 
 Both sweeps share one pipeline: `_grid` enumerates the cells, `_instance`
 builds a trial's problem (frame, truth, A, b) from its seeds and raises
@@ -18,10 +17,9 @@ m <= oracle_max_m and IRLS above it.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -30,6 +28,7 @@ from .errors import (
     ConfigurationError,
     DegenerateProblemError,
     InfeasibleProblemError,
+    ParameterError,
     ResourceBudgetError,
 )
 from .frames import build_named_frame, build_parseval_random
@@ -185,20 +184,15 @@ def _run_bound_trial(cfg: ExperimentConfig, cell: dict, trial: int) -> TrialReco
                    wall_time_s=time.perf_counter() - t0)
 
 
-def _execute(tasks: list[tuple], worker, threads: int, max_seconds: float | None, on_deadline):
+def _execute(tasks: list[tuple], worker, max_seconds: float | None, on_deadline):
     """Run worker(*args) for each task, in the given (canonical) order.  A task
     that starts once max_seconds have passed gives on_deadline(*args) instead."""
-    start = time.perf_counter()
-
-    def run(args):
-        if max_seconds is not None and time.perf_counter() - start >= max_seconds:
-            return on_deadline(*args)
-        return worker(*args)
-
-    if threads <= 1:
-        return [run(args) for args in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, tasks))
+    # a NaN deadline would never be reached: every comparison with it is false
+    if max_seconds is not None and not max_seconds >= 0.0:
+        raise ParameterError(f"max_seconds must be None or a number >= 0, got {max_seconds}")
+    deadline = time.perf_counter() + (inf if max_seconds is None else max_seconds)
+    return [worker(*args) if time.perf_counter() < deadline else on_deadline(*args)
+            for args in tasks]
 
 
 def _deadline_skip(cfg: ExperimentConfig, cell: dict, trial: int) -> TrialRecord:
@@ -212,10 +206,13 @@ def run_bound_experiment(
     max_seconds: float | None = None,
 ) -> list[TrialRecord]:
     """One record per (cell, trial); guarded cells, and trials that would start
-    after max_seconds, are skipped with a reason."""
+    after max_seconds, are skipped with a reason.  threads accepts only the
+    benchmark's threads=1 and goes with its revision (ROADMAP item 2)."""
+    if threads != 1:
+        raise ParameterError(f"sweeps run serially; threads must be 1, got {threads}")
     cfg.validate()
     tasks = [(cfg, c, ti) for c in _bound_cells(cfg) for ti in range(cfg.trials)]
-    return _execute(tasks, _run_bound_trial, threads, max_seconds, _deadline_skip)
+    return _execute(tasks, _run_bound_trial, max_seconds, _deadline_skip)
 
 
 def _run_transition_cell(cfg: ExperimentConfig, cell: dict) -> TransitionCell | str:
@@ -241,7 +238,6 @@ def _run_transition_cell(cfg: ExperimentConfig, cell: dict) -> TransitionCell | 
 
 def transition_sweep(
     cfg: ExperimentConfig,
-    threads: int = 1,
     max_seconds: float | None = None,
 ) -> tuple[list[TransitionCell], dict[int, str]]:
     """Success fraction per (n, N, m, k, q) cell for noiseless recovery, and the
@@ -249,8 +245,7 @@ def transition_sweep(
     one that would start after max_seconds ("deadline")."""
     cfg.validate()
     tasks = [(cfg, c) for c in transition_cells(cfg)]
-    outcomes = _execute(tasks, _run_transition_cell, threads, max_seconds,
-                        lambda *args: "deadline")
+    outcomes = _execute(tasks, _run_transition_cell, max_seconds, lambda *args: "deadline")
     cells = [c for c in outcomes if isinstance(c, TransitionCell)]
     not_run = {i: c for i, c in enumerate(outcomes) if isinstance(c, str)}
     return cells, not_run

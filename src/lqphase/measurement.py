@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, DomainError, ParameterError
 from .frames import TightFrame
 from .signals import DictionarySparseSignal
 
@@ -30,6 +30,11 @@ class PhaselessProblem:
     eps: float
     q: float
     truth: DictionarySparseSignal | None = None
+
+    def __post_init__(self):
+        # a NaN eps would switch the fidelity constraint off in every solver
+        if not (np.isfinite(self.eps) and self.eps >= 0.0):
+            raise DomainError(f"eps must be finite and nonnegative, got {self.eps}")
 
     @property
     def m(self) -> int:

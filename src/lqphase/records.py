@@ -2,8 +2,8 @@
 
 The CSV schema is fixed: CSV_COLUMNS is the golden-tested column list, pinned
 by ``test_emit_csv_golden_header_and_format``.  Output is byte-identical for
-identical (config, seed) regardless of machine or thread count, and floats are
-serialized with 17 significant digits.
+identical (config, seed) regardless of machine, and floats are serialized with
+17 significant digits.
 
 TrialRecord fields outside CSV_COLUMNS are JSON-only: ``wall_time_s`` because
 timings would break byte-stable output, and ``theta_window_ok`` because it is
@@ -188,8 +188,10 @@ class ExperimentConfig:
         if self.solver not in ("oracle", "irls"):
             raise ConfigurationError(f"unknown solver {self.solver!r}")
         # IRLS reads these options in irls sweeps and in transition cells
-        # above the oracle guard
+        # above the oracle guard, with each trial's derived seed
         IrlsOptions.from_dict(self.solver_options)
+        if "seed" in self.solver_options:
+            raise ConfigurationError("solver_options cannot set 'seed': each trial derives its own")
         if self.matrix_ensemble not in ("gaussian", "orthonormal", "near_isometric"):
             raise ConfigurationError(f"unknown matrix ensemble {self.matrix_ensemble!r}")
         if self.magnitude_law not in MAGNITUDE_LAWS:

@@ -127,11 +127,8 @@ def problem_from_dict(data: dict) -> PhaselessProblem:
         raise DimensionError(f"A is {A.shape} and b is {b.shape}; need (m, {frame.n}) and (m,)")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise DomainError("A and b must have finite entries")
-    eps = float(data.get("eps", 0.0))
-    if not (np.isfinite(eps) and eps >= 0.0):
-        raise DomainError(f"eps must be finite and nonnegative, got {eps}")
     truth = truth_from_dict(data["truth"]) if data.get("truth") else None
-    return PhaselessProblem(A=A, frame=frame, b=b, eps=eps,
+    return PhaselessProblem(A=A, frame=frame, b=b, eps=float(data.get("eps", 0.0)),
                             q=float(data.get("q", 1.0)), truth=truth)
 
 

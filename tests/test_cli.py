@@ -103,8 +103,7 @@ def test_experiment_bound_cli_determinism(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["experiment", "bound", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert main(["experiment", "bound", "--config", str(cfg_path), "--out", str(out2),
-                 "--threads", "4"]) == 0
+    assert main(["experiment", "bound", "--config", str(cfg_path), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -166,7 +165,7 @@ def test_experiment_transition_reports_trials_whose_solver_raised(tmp_path, caps
         "ResourceBudgetError: 3 of 6 transition trials raised and count as failures\n")
 
 
-SHARED_FLAGS = {"--seed": "4", "--threads": "2", "--max-seconds": "1.5", "--out": "o.json"}
+SHARED_FLAGS = {"--seed": "4", "--max-seconds": "1.5", "--out": "o.json"}
 SUBCOMMANDS = [
     (["frame", "gen", "--n", "2", "--N", "3"], {"--seed", "--out"}),
     (["rip", "estimate", "--problem", "p.json", "--order", "1"], {"--seed", "--out"}),
@@ -174,8 +173,8 @@ SUBCOMMANDS = [
     (["solve", "--problem", "p.json"], {"--seed", "--out"}),
     (["bound", "check", "--q", "1", "--t", "1", "--delta", "0.1"], {"--out"}),
     (["bound", "verify", "--trial", "t.json"], {"--out"}),
-    (["experiment", "bound", "--config", "c.json"], {"--threads", "--max-seconds", "--out"}),
-    (["experiment", "transition", "--config", "c.json"], {"--threads", "--max-seconds", "--out"}),
+    (["experiment", "bound", "--config", "c.json"], {"--max-seconds", "--out"}),
+    (["experiment", "transition", "--config", "c.json"], {"--max-seconds", "--out"}),
     (["selfcheck", "lemmas"], {"--seed"}),
 ]
 
@@ -191,6 +190,24 @@ def test_subcommands_accept_only_the_shared_flags_they_read(argv, reads, capsys)
         else:
             assert main(argv + [flag, value]) == 1
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["bound", "transition"])
+@pytest.mark.parametrize("extra, message", [
+    # sweeps run serially, so --threads is gone
+    (["--threads", "1"], "unrecognized arguments: --threads 1"),
+    # a NaN deadline is never reached and a negative one skips every trial
+    (["--max-seconds", "nan"], "error: max_seconds must be None or a number >= 0, got nan"),
+    (["--max-seconds", "-1"], "error: max_seconds must be None or a number >= 0, got -1.0"),
+], ids=["threads", "nan-deadline", "negative-deadline"])
+def test_experiments_reject_threads_and_a_bad_deadline(tmp_path, capsys, mode, extra, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "n_values": [3], "N_values": [4], "m_values": [5], "k_values": [1], "q_values": [1.0]}))
+    assert main(["experiment", mode, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o.csv"), *extra]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 IGNORED_FLAGS = [

@@ -43,25 +43,35 @@ def test_single_cell_records():
     assert records_to_csv(recs) == records_to_csv(again)
 
 
-def test_thread_count_does_not_change_output():
-    cfg = small_config(trials=4)
-    one = records_to_csv(run_bound_experiment(cfg, threads=1))
-    eight = records_to_csv(run_bound_experiment(cfg, threads=8))
-    assert one == eight
+def test_bound_sweep_accepts_only_threads_1():
+    # the keyword stays for the benchmark's call; sweeps run serially
+    cfg = small_config(trials=2)
+    assert (records_to_csv(run_bound_experiment(cfg, threads=1))
+            == records_to_csv(run_bound_experiment(cfg)))
+    with pytest.raises(ParameterError, match="threads"):
+        run_bound_experiment(cfg, threads=2)
 
 
-@pytest.mark.parametrize("threads", [1, 8])
-def test_deadline_skips_trials_instead_of_dropping_them(threads):
+def test_deadline_skips_trials_instead_of_dropping_them():
     cfg = small_config(m_values=[6, 8], trials=3)
-    recs = run_bound_experiment(cfg, threads=threads, max_seconds=0.0)
+    recs = run_bound_experiment(cfg, max_seconds=0.0)
     assert [(r.cell_index, r.trial_index) for r in recs] == [(c, t) for c in (0, 1) for t in range(3)]
     assert all(r.status == "skipped" and r.reason == "deadline" for r in recs)
     assert [r.seed for r in recs] == [derive_trial_seeds(42, r.cell_index, r.trial_index)[0]
                                       for r in recs]
     assert len(records_to_csv(recs).splitlines()) == 1 + len(recs)
     # a deadline that is never reached changes nothing
-    assert (records_to_csv(run_bound_experiment(cfg, threads=threads, max_seconds=1e9))
+    assert (records_to_csv(run_bound_experiment(cfg, max_seconds=1e9))
             == records_to_csv(run_bound_experiment(cfg)))
+
+
+@pytest.mark.parametrize("sweep", [run_bound_experiment, transition_sweep])
+@pytest.mark.parametrize("seconds", [float("nan"), -1.0, -1e-300])
+def test_a_deadline_that_is_not_a_number_at_least_0_is_rejected(sweep, seconds):
+    # elapsed >= NaN is never true, so a NaN deadline would switch itself off,
+    # and a negative one would skip every trial
+    with pytest.raises(ParameterError, match="max_seconds"):
+        sweep(small_config(), max_seconds=seconds)
 
 
 def test_invalid_configs_rejected():
@@ -306,6 +316,15 @@ def test_irls_options_are_checked_at_load(options, error):
             ExperimentConfig.from_json_dict(data)
 
 
+def test_solver_options_cannot_set_the_seed(tmp_path, capsys):
+    # each trial solves with its own derived seed, which would overwrite this one
+    for solver in ("irls", "oracle"):
+        data = small_config(solver=solver, solver_options={"restarts": 2, "seed": 7}).to_json_dict()
+        with pytest.raises(ConfigurationError, match="'seed'"):
+            ExperimentConfig.from_json_dict(data)
+    _assert_both_modes_reject(tmp_path, capsys, data)
+
+
 def test_bound_sweep_skips_a_cell_with_k_above_N():
     # t = 0.1 keeps the DRIP order ceil(t * k) = 1 <= N, so the k = 7 > N = 6
     # cell reaches the instance builder, which rejects it
@@ -330,16 +349,15 @@ def test_sampling_rules_are_checked_at_load(field, value):
         ExperimentConfig.from_json_dict(data)
 
 
-def test_transition_thread_count_does_not_change_output():
+def test_transition_reports_left_out_cells_beside_solver_errors():
     # N = 5 cells are left out (a duplicated_identity frame at n = 4 has N = 8);
     # the m = 2 trials raise ResourceBudgetError (C(8, 2) zero patterns > 1)
     cfg = ExperimentConfig(n_values=[4], N_values=[8, 5], m_values=[2, 5], k_values=[1],
                            q_values=[1.0], trials=3, frame_kind="duplicated_identity",
                            support_budget=1)
-    one = transition_sweep(cfg, threads=1)
-    assert sorted(one[1]) == [2, 3]
-    assert one[0][0].errors == ("ResourceBudgetError",) * 3
-    assert transition_sweep(cfg, threads=8) == one
+    cells, not_run = transition_sweep(cfg)
+    assert sorted(not_run) == [2, 3]
+    assert cells[0].errors == ("ResourceBudgetError",) * 3
 
 
 def test_both_sweeps_build_the_same_instances(monkeypatch):

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lqphase.errors import DimensionError, ParameterError
+from lqphase.errors import DimensionError, DomainError, ParameterError
 from lqphase.frames import build_parseval_random
 from lqphase.measurement import (
+    PhaselessProblem,
     build_problem,
     forward_phaseless,
     phase_distance,
@@ -102,3 +105,16 @@ def test_build_problem_eps_semantics():
 
     gauss = build_problem(A, F, truth, q=0.5, noise=("gaussian", 0.1), seed=1)
     assert gauss.eps == pytest.approx(np.linalg.norm(gauss.b - np.abs(A @ truth.x)))
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-3])
+def test_a_problem_with_bad_eps_cannot_be_made(eps):
+    # a NaN eps would turn the IRLS constraint off and make the oracle treat
+    # the problem as noiseless, so no solver may see one
+    F = build_parseval_random(3, 5, 0)
+    P = build_problem(np.eye(3), F, sample_dictionary_sparse(F, 1, 0), q=0.5)
+    with pytest.raises(DomainError, match=f"eps must be finite and nonnegative, got {eps}"):
+        replace(P, eps=eps)
+    with pytest.raises(DomainError, match="eps"):
+        PhaselessProblem(A=P.A, frame=F, b=P.b, eps=eps, q=0.5)
+    assert replace(P, eps=-0.0).eps == 0.0
