@@ -51,7 +51,7 @@ def _parse_noise(noise) -> tuple[str, float]:
     if isinstance(noise, (tuple, list)) and len(noise) == 2:
         kind, level = noise
         level = float(level)
-        if kind in ("gaussian", "bounded") and level >= 0.0:
+        if kind in ("gaussian", "bounded") and 0.0 <= level < np.inf:
             return kind, level
     raise ParameterError(f"noise must be 'none', ('gaussian', sigma) or ('bounded', eps); got {noise!r}")
 

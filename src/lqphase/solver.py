@@ -40,7 +40,8 @@ error-reduction alternating projections (Gerchberg-Saxton, Fienup),
 x <- A_pinv (p o b), p <- sign(Ax), takes each start to a fixed sign pattern
 or a two-pattern cycle.  A start whose least-squares point is stalled, its
 residual || |Ax| - b || above the threshold, goes through a 1-opt sign-flip
-descent.  Last, one polish run per start.
+descent, which serves only this pipeline and decides every flip by comparing
+exact least-squares residuals.  Last, one polish run per start.
 
 A polish run stops as soon as it can no longer change the answer, which is
 the best iterate by (violation, objective): at its first iterate inside the
@@ -50,16 +51,6 @@ held, or alternated between two patterns, at patterns whose least-squares
 residual ||(I - Q Q^T)(p o b)|| (Q from A = QR) exceeds the stalled
 threshold, since no iterate is feasible while they hold (the stall and cycle
 rules of _irls_converge, which give the argument).
-
-The sign-flip descent scores single flips in closed form.  With
-P = I - Q Q^T, c = p o b and g = P c, flipping entry j changes the squared
-residual ||P c||^2 by 4 c_j (c_j P_jj - g_j), an O(1) score, and taking it
-updates g in O(m).  Each pattern is a scalar scan in entry order, since the
-first-improvement rule is sequential; stacked passes over every remaining
-flip took about three times as long per call on irls-sweep.  A score is trusted
-only when it clears the test's threshold by FLIP_BAND ||b||^2, far above its
-rounding bound; inside the band the exact residuals decide, so the descent's
-decisions are those of comparing the residuals themselves.
 
 The oracle runs one zero-pattern search for every shape of A, with
 free = max(n - m, 0) analysis zeros per pattern; m >= n is the free = 0 case.
@@ -142,13 +133,9 @@ EXIT_RULES = ("discrepancy", "stall", "cycle", "converged", "max_iters")
 # two-pattern cycle must hold for 2 * STALL_STEPS steps before the cycle rule
 # tests its residuals.
 STALL_STEPS = 3
-# The sign-flip descent takes a flip when it lowers the pattern's
-# least-squares residual by more than FLIP_GAIN.  Its closed-form screen
-# decides a flip alone when the score clears the threshold by more than
-# FLIP_BAND ||b||^2, far above its rounding bound (see _sign_flip_descent);
-# inside that band the exact residuals decide.
+# The sign-flip descent of the restart pipeline takes a flip when it lowers
+# the pattern's exact least-squares residual by more than FLIP_GAIN.
 FLIP_GAIN = 1e-14
-FLIP_BAND = 1e-10
 # Nodes the sign tree may visit (basis patterns plus evaluated children); a
 # larger tree leaves the problem to the restart pipeline.
 TREE_MAX_NODES = 2**16
@@ -536,100 +523,31 @@ def _sign_flip_descent(A: np.ndarray, b: np.ndarray, patterns: np.ndarray,
     deterministic (first improving flip wins within a sweep).  A sweep visits
     the entries in order and takes every flip j with r_j < r - FLIP_GAIN, where
     r and r_j are the _pattern_residuals of the current and the flipped
-    pattern; a row stops after a sweep without a flip, after max_sweeps
-    sweeps, or once r <= FLIP_GAIN, when no flip can pass the test.
-
-    Closed form.  With P = I - Q Q^T, c = p o b and g = P c, flipping entry j
-    changes the squared residual by Delta_j = 4 c_j (c_j P_jj - g_j), and taking
-    it updates g <- g - 2 c_j P[:, j].  While r > h (h = FLIP_GAIN), the test
-    r_j < r - h reads Delta_j < T = h^2 - 2 h r.  Each row is a scalar scan:
-    one O(1) score per entry and one O(m) update per flip.  An entry with
-    c_j = 0 is skipped: its flip leaves _pattern_residuals bit for bit as it
-    was, so it never passes.
-
-    Rounding bound.  Let u = 2^-53, B = ||b|| = ||c||, and R, R_j the residuals
-    in exact arithmetic with the computed Q.  The floating residuals differ
-    from R, R_j by at most (m + n + 4) u B (dot products of length m and n).
-    P carries n-term rounding, and Q^T Q - I is O(m u), so P^2 = P, which the
-    closed form uses, holds to that order.  g is recomputed at the start of
-    every sweep and takes at most m updates within it.  Hence the scores
-    Delta_j, T and the screened r^2 = g^T g lie within 8 (m + n^2) u B^2 of
-    their exact values.  A decision is certified when |Delta_j - T| > tau and
-    r^2 > h^2 + tau, with tau = FLIP_BAND * B^2: then R > h, and R_j - (R - h)
-    keeps its sign by more than the floating residuals can move it, as long
-    as (16 (m + n^2) + 4 (m + n) + 18) u < FLIP_BAND, i.e. m + n^2 up to about
-    4 * 10^4 (irls-sweep has m <= 24, n = 8).  Every other decision, and
-    the stop at r <= h, is made from the exact _pattern_residuals of both
-    patterns, so the result equals the reference loop's comparisons bit for
-    bit.
-
-    Why a scalar scan.  The first-improvement rule is sequential: a flip
-    changes every later score.  Stacked passes, each rescoring every
-    remaining flip of every live row and taking each row's first improving
-    one, need about 17 passes per irls-sweep call, whether they re-project
-    the flipped patterns through Q or use the closed form.  On the 208
-    descent calls of irls-sweep at seeds 0 and 1 (about 9.5 rows of m = 16 or
-    24 each; 2-CPU Xeon VM, numpy 2.4) that took 1.0 ms per call re-projected
-    and 0.8 ms in closed form; this scan takes about 0.35-0.4 ms.
+    pattern; a row stops after a sweep without a flip or after max_sweeps
+    sweeps.  Each step scores every remaining flip of the row with one
+    _pattern_residuals call on the stacked flipped patterns, takes the first
+    that passes and resumes after it, so the decisions are those of the
+    entry-by-entry loop, made from the same exact residuals.
     """
     if Q is None:
         Q, _ = np.linalg.qr(A)
     S = patterns.copy()
-    P = np.eye(len(b)) - Q @ Q.T
-    diag = np.diag(P).tolist()
-    band = FLIP_BAND * float(b @ b)
-    for p in S:  # a row of S is a view: the scan flips it in place
-        _descend_row(Q, P, diag, b, p, max_sweeps, band)
+    flips = 1.0 - 2.0 * np.eye(S.shape[1])  # row j flips entry j
+    for p in S:  # a row of S is a view: the descent flips it in place
+        r = _pattern_residuals(Q, b, p[None])[0]
+        for _ in range(max_sweeps):
+            j, improved = 0, False
+            while j < len(p):
+                r_flip = _pattern_residuals(Q, b, p * flips[j:])
+                gain = np.flatnonzero(r_flip < r - FLIP_GAIN)
+                if not len(gain):
+                    break
+                r, j = r_flip[gain[0]], j + gain[0]
+                p[j], improved = -p[j], True
+                j += 1
+            if not improved:
+                break
     return S
-
-
-def _descend_row(Q: np.ndarray, P: np.ndarray, diag: list, b: np.ndarray, p: np.ndarray,
-                 max_sweeps: int, band: float) -> None:
-    """The scalar scan of _sign_flip_descent over one pattern p, in place."""
-    h = FLIP_GAIN
-    exact = None  # _pattern_residuals of the current pattern, once a decision needs it
-
-    def screen(s: float) -> tuple[float, float]:
-        # scores below lo take the flip and scores above hi reject it; a
-        # residual within the band of h certifies neither
-        if s <= h * h + band:
-            return -np.inf, np.inf
-        thr = h * h - 2.0 * h * sqrt(s)
-        return thr - band, thr + band
-
-    for _ in range(max_sweeps):
-        c = p * b
-        g = P @ c
-        gl, cl = g.tolist(), c.tolist()
-        lo, hi = screen(float(g @ g))
-        improved = False
-        for j in range(len(cl)):
-            cj = cl[j]
-            if cj == 0.0:
-                continue
-            delta = 4.0 * cj * (cj * diag[j] - gl[j])
-            if delta > hi:
-                continue
-            if delta >= lo:  # inside the band: the exact residuals decide
-                if exact is None:
-                    exact = float(_pattern_residuals(Q, b, p[None])[0])
-                if exact <= h:
-                    return  # r - h <= 0: no flip can pass
-                p[j] = -p[j]
-                flipped = float(_pattern_residuals(Q, b, p[None])[0])
-                if not flipped < exact - h:
-                    p[j] = -p[j]
-                    continue
-                exact = flipped
-            else:
-                p[j] = -p[j]
-                exact = None
-            g -= (2.0 * cj) * P[j]
-            gl = g.tolist()
-            lo, hi = screen(float(g @ g))
-            improved = True
-        if not improved:
-            return
 
 
 def _stall_threshold(eps: float, scale: float) -> float:
@@ -868,7 +786,8 @@ def _irls_restarts(P: PhaselessProblem, opts: IrlsOptions) -> SolverResult:
     random direction scaled to ||b||; a start's first pattern is sign(Ax),
     zeros mapping to +1.  A start whose sign-stage least-squares point is
     stalled goes through the descent.  Each polish run starts at the
-    least-squares point of its start's pattern.
+    least-squares point of its start's pattern.  The descent runs only here,
+    and each of its flips is decided by the exact residuals of both patterns.
 
     Each step is batched over the starts and equals running them one after
     another bit for bit: stacked products are _mv's and norms _row_norms',

@@ -55,6 +55,9 @@ def test_forward_errors():
         forward_phaseless(np.eye(2), np.ones(3))
     with pytest.raises(ParameterError):
         forward_phaseless(np.eye(2), np.ones(2), noise=("poisson", 1.0))
+    for kind in ("bounded", "gaussian"):
+        with pytest.raises(ParameterError):
+            forward_phaseless(np.eye(3), np.ones(3), noise=(kind, np.inf))
 
 
 def test_phase_distance_real():
