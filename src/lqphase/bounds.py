@@ -46,7 +46,6 @@ class BoundConstants:
     marginal: bool
     c1: float | None = None
     c2: float | None = None
-    theta_condition_ok: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -100,19 +99,11 @@ def constants_c1_c2(q: float, t: float, delta: float) -> BoundConstants:
 
 
 def constants_c3_c4(t: float, delta: float) -> tuple[float, float]:
-    """Specialized constants for the q = 1 model against the identity dictionary."""
-    t = _check_t(t)
-    if not delta >= 0.0:  # also rejects NaN
-        raise ParameterError(f"delta must be nonnegative, got {delta}")
-    tL = np.longdouble(t)
-    dL = np.longdouble(delta)
-    den = tL - (4.0 - tL) * dL
-    if den <= 0.0:
+    """Specialized constants for the q = 1 model: the c1, c2 of constants_c1_c2."""
+    c = constants_c1_c2(1.0, t, delta)
+    if not c.admissible:
         raise DomainError(f"delta {delta} is inadmissible at t={t} (needs delta < t/(4-t))")
-    t_tilde = np.longdouble(max(t, float(np.sqrt(tL))))
-    c3 = 2.0 * t_tilde * np.sqrt(1.0 + dL) / den
-    c4 = (4.0 * dL + 2.0 * np.sqrt(den * dL)) / den + 1.0
-    return float(c3), float(c4)
+    return c.c1, c.c2
 
 
 def admissibility_check(

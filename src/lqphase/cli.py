@@ -94,7 +94,7 @@ def _cmd_rip_estimate(args) -> int:
         report = sdrip_constants(P.A, P.frame, args.order, half_rule=half_rule)
     else:
         report = drip_constant(P.A, P.frame, args.order)
-    _emit(serialize.rip_report_to_dict(report), args.out)
+    _emit(dataclasses.asdict(report), args.out)
     return 0
 
 
@@ -103,7 +103,7 @@ def _cmd_nsp_falsify(args) -> int:
     witness = nsp_real_falsify(P.A, P.frame, args.k, args.q, budget=args.budget,
                                seed=args.seed, lambda_mode=args.lambda_mode)
     payload = {
-        "witness": None if witness is None else serialize.witness_to_dict(witness),
+        "witness": None if witness is None else dataclasses.asdict(witness),
         "budget": args.budget,
         "lambda_mode": args.lambda_mode,
         "seed": args.seed,
@@ -123,7 +123,7 @@ def _cmd_solve(args) -> int:
     else:
         config = serialize.load_json(args.config) if args.config else {"seed": args.seed or 0}
         result = solve_irls(P, IrlsOptions.from_dict(config))
-    _emit(serialize.solver_result_to_dict(result), args.out)
+    _emit(dataclasses.asdict(result), args.out)
     return 0
 
 

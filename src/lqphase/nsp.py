@@ -326,13 +326,16 @@ def nsp_real_falsify(
     coordinate ascent of the quasi-norm gap on the unit sphere of W, so their
     lack of a witness is evidence, not proof.  Cells are scanned in a fixed
     order, so the first returned witness is deterministic for a given seed.
-    None means the budget was exhausted without finding a violation.
+    None means the budget was exhausted without finding a violation.  k must
+    lie in [0, N]; at k = 0 the condition holds vacuously and None is exact.
     """
     A = np.asarray(A, dtype=float)
     q = _check_q(q)
     m, n = A.shape
     if budget < 1:
         raise ParameterError("budget must be >= 1")
+    if not 0 <= k <= F.N:
+        raise ParameterError(f"sparsity k must lie in [0, {F.N}], got {k}")
     lambdas = _lambda_list(m, k, lambda_mode)
     supports = combination_array(F.N, k)
     n_supports = len(supports)

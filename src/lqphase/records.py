@@ -203,9 +203,6 @@ class ExperimentConfig:
         if any(n > N for n in self.n_values for N in self.N_values):
             raise ConfigurationError("every n must be <= every N in the grid")
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
         names = {f.name for f in fields(cls)}

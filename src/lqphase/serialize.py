@@ -1,13 +1,14 @@
-"""JSON encoding/decoding for frames, problems and reports, and encoding of witnesses.
+"""JSON encoding/decoding for frames and problems; decoding of reports and results.
 
 Matrices inside frame payloads are flat row-major lists (shape is implied by
 n and N); measurement matrices are nested lists of rows.  Problems embed
 their frame so files are self-contained; frame_id is kept as a label.
+Reports, witnesses and solver results are written as json_text(asdict(...)).
 
-Every JSON file and CLI payload is written by json_text, which is strict
-JSON: a non-finite float is written as the string "inf", "-inf" or "nan",
-which float() reads back, never as the Infinity or NaN tokens that strict
-parsers reject.
+json_text writes every JSON file and CLI payload as strict JSON: numpy arrays
+and scalars become lists and Python scalars, and a non-finite float becomes
+the string "inf", "-inf" or "nan", which float() reads back, never the
+Infinity or NaN tokens that strict parsers reject.
 """
 
 from __future__ import annotations
@@ -20,15 +21,16 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, DomainError
 from .frames import FRAME_TOL, TightFrame, validate_frame
 from .measurement import PhaselessProblem
-from .nsp import NspWitness
 from .rip import RipReport
 from .signals import DictionarySparseSignal, SparseCoefficients
-from .solver import ORACLE_COUNTERS, SolverResult
-
-_ORACLE_DIAGNOSTICS = (*ORACLE_COUNTERS, "margin")
+from .solver import SolverResult
 
 
 def _strict(v):
+    if isinstance(v, np.ndarray):
+        return _strict(v.tolist())
+    if isinstance(v, np.generic):
+        return _strict(v.item())
     if isinstance(v, dict):
         return {k: _strict(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -39,8 +41,8 @@ def _strict(v):
 
 
 def json_text(obj) -> str:
-    """obj as strict JSON text, one-space indented, with every non-finite
-    float written as the string "inf", "-inf" or "nan"."""
+    """obj as strict JSON text, one-space indented: numpy arrays and scalars
+    become lists and Python scalars, non-finite floats "inf", "-inf" or "nan"."""
     return json.dumps(_strict(obj), indent=1, allow_nan=False)
 
 
@@ -115,33 +117,29 @@ def problem_to_dict(P: PhaselessProblem) -> dict:
     return out
 
 
+def _check_finite(name: str, v: np.ndarray, shape: tuple) -> None:
+    if v.shape != shape:
+        raise DimensionError(f"{name} is {v.shape}; need {shape}")
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"{name} must have finite entries")
+
+
 def problem_from_dict(data: dict) -> PhaselessProblem:
-    """Decode a problem, checking A, b and eps before any solver sees them."""
+    """Decode a problem, checking A, b, eps and the truth before any solver sees them."""
     try:
         frame = frame_from_dict(data["frame"])
         A = np.asarray(data["A"], dtype=float)
         b = np.asarray(data["b"], dtype=float)
     except KeyError as exc:
         raise ConfigurationError(f"problem payload missing key {exc}") from exc
-    if A.ndim != 2 or A.shape[1] != frame.n or b.shape != A.shape[:1]:
-        raise DimensionError(f"A is {A.shape} and b is {b.shape}; need (m, {frame.n}) and (m,)")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise DomainError("A and b must have finite entries")
+    _check_finite("A", A, (*A.shape[:1], frame.n))
+    _check_finite("b", b, A.shape[:1])
     truth = truth_from_dict(data["truth"]) if data.get("truth") else None
+    if truth is not None:
+        _check_finite("truth x", truth.x, (frame.n,))
+        _check_finite("truth z", truth.z.z, (frame.N,))
     return PhaselessProblem(A=A, frame=frame, b=b, eps=float(data.get("eps", 0.0)),
                             q=float(data.get("q", 1.0)), truth=truth)
-
-
-def rip_report_to_dict(r: RipReport) -> dict:
-    return {
-        "order": r.order,
-        "delta": r.delta,
-        "theta_minus": r.theta_minus,
-        "theta_plus": r.theta_plus,
-        "min_subset_size": r.min_subset_size,
-        "exhaustive": r.exhaustive,
-        "details": r.details,
-    }
 
 
 def rip_report_from_dict(data: dict) -> RipReport:
@@ -156,60 +154,26 @@ def rip_report_from_dict(data: dict) -> RipReport:
     )
 
 
-def witness_to_dict(w: NspWitness) -> dict:
-    return {
-        "Lambda": list(w.Lambda),
-        "u": [float(v) for v in w.u],
-        "v": [float(v) for v in w.v],
-        "q": w.q,
-        "k": w.k,
-        "lhs": w.lhs,
-        "rhs": w.rhs,
-        "violated": w.violated,
-    }
-
-
-def solver_result_to_dict(r: SolverResult) -> dict:
-    cert = None
-    if r.certificate is not None:
-        cert = {
-            "signs": list(r.certificate["signs"]),
-            "zero_set": None if r.certificate["zero_set"] is None else list(r.certificate["zero_set"]),
-            "minimum_norm_fallback": r.certificate["minimum_norm_fallback"],
-            **{k: r.certificate[k] for k in _ORACLE_DIAGNOSTICS if k in r.certificate},
-        }
-    return {
-        "x_hat": [float(v) for v in r.x_hat],
-        "objective": r.objective,
-        "feasibility": r.feasibility,
-        "method": r.method,
-        "certificate": cert,
-        "iterations": r.iterations,
-        "steps": r.steps,
-        "exits": dict(r.exits),
-        "feasible_classes": r.feasible_classes,
-        "tree_nodes": r.tree_nodes,
-    }
-
-
 def solver_result_from_dict(data: dict) -> SolverResult:
+    """Decode a solver result, checking that x_hat is a finite vector and that
+    objective and feasibility are finite; a counter the payload lacks reads 0."""
     cert = data.get("certificate")
-    if cert is not None:
+    if cert is not None:  # the counters and the margin pass through as read
         cert = {
+            **cert,
             "signs": tuple(float(s) for s in cert["signs"]),
             "zero_set": None if cert["zero_set"] is None else tuple(int(i) for i in cert["zero_set"]),
             "minimum_norm_fallback": bool(cert["minimum_norm_fallback"]),
-            **{k: cert[k] for k in _ORACLE_DIAGNOSTICS if k in cert},
         }
-    return SolverResult(
+    result = SolverResult(
         x_hat=np.asarray(data["x_hat"], dtype=float),
         objective=float(data["objective"]),
         feasibility=float(data["feasibility"]),
         method=str(data["method"]),
         certificate=cert,
-        iterations=int(data.get("iterations", 0)),
-        steps=int(data.get("steps", 0)),
         exits={str(k): int(v) for k, v in data.get("exits", {}).items()},
-        feasible_classes=int(data.get("feasible_classes", 0)),
-        tree_nodes=int(data.get("tree_nodes", 0)),
+        **{k: int(data.get(k, 0)) for k in ("iterations", "steps", "feasible_classes", "tree_nodes")},
     )
+    _check_finite("x_hat", result.x_hat, (result.x_hat.size,))
+    _check_finite("objective and feasibility", np.array([result.objective, result.feasibility]), (2,))
+    return result

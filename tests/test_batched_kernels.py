@@ -23,6 +23,7 @@ entry-by-entry loop row by row, and the sampled DRIP estimator, which dedupes
 its draws through int64 keys, a row-wise np.unique pass over the same kernel.
 """
 
+import dataclasses
 from itertools import combinations, product
 from math import comb
 
@@ -757,7 +758,7 @@ def test_oracle_certificate_survives_json():
     truth = sample_dictionary_sparse(F, 1, seed=2)
     A = np.random.default_rng(3).standard_normal((3, 4))
     res = solve_oracle_noiseless(build_problem(A, F, truth, q=1.0))
-    back = serialize.solver_result_from_dict(serialize.solver_result_to_dict(res))
+    back = serialize.solver_result_from_dict(dataclasses.asdict(res))
     assert back.certificate == res.certificate
     assert set(solver.ORACLE_COUNTERS) | {"margin"} <= set(back.certificate)
 

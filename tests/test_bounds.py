@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -98,8 +100,8 @@ def test_nan_defect_is_rejected(tmp_path, capsys):
     A = np.random.default_rng(3).standard_normal((5, 3))
     P = build_problem(A, F, truth, q=1.0)
     trial = {"problem": serialize.problem_to_dict(P),
-             "result": serialize.solver_result_to_dict(solve_oracle_noiseless(P)),
-             "rip": serialize.rip_report_to_dict(RipReport(order=1, delta=float("nan"))),
+             "result": dataclasses.asdict(solve_oracle_noiseless(P)),
+             "rip": dataclasses.asdict(RipReport(order=1, delta=float("nan"))),
              "t": 1.0}
     path = tmp_path / "trial.json"
     serialize.save_json(trial, str(path))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -9,8 +10,16 @@ from lqphase import serialize
 from lqphase.cli import build_parser, main
 from lqphase.frames import build_parseval_random, validate_frame
 from lqphase.measurement import build_problem, phase_distance
+from lqphase.nsp import nsp_real_falsify
 from lqphase.records import TrialRecord, emit_results, records_from_json
+from lqphase.rip import (
+    drip_constant,
+    drip_constant_sampled,
+    sdrip_constants,
+    sdrip_constants_sampled,
+)
 from lqphase.signals import sample_dictionary_sparse
+from lqphase.solver import solve_irls, solve_oracle_noiseless
 
 
 @pytest.fixture()
@@ -348,3 +357,84 @@ def test_json_output_is_strict(tmp_path, capsys):
     assert _strict_loads(path.read_text())[0]["delta"] == "inf"
     back = records_from_json(str(path))[0]
     assert back.delta == np.inf and np.isnan(back.lhs) and (back.rhs, back.reason) == (0.5, "nan")
+
+
+# each CLI payload against the library call it wraps, through
+# json_text(asdict(...)), so every dataclass field must reach the JSON
+LIBRARY_CALLS = [
+    (["solve", "--method", "oracle"], solve_oracle_noiseless),
+    (["solve", "--method", "irls"], solve_irls),
+    (["rip", "estimate", "--order", "2"], lambda P: drip_constant(P.A, P.frame, 2)),
+    (["rip", "estimate", "--order", "2", "--sdrip", "--half-rule", "floor"],
+     lambda P: sdrip_constants(P.A, P.frame, 2, half_rule="floor")),
+    (["rip", "estimate", "--order", "1", "--sampled", "--budget", "30", "--seed", "4"],
+     lambda P: drip_constant_sampled(P.A, P.frame, 1, budget=30, seed=4)),
+    (["rip", "estimate", "--order", "2", "--sampled", "--sdrip", "--budget", "30", "--seed", "4"],
+     lambda P: sdrip_constants_sampled(P.A, P.frame, 2, budget=30, seed=4)),
+]
+
+
+def _problem_with_m_rows(tmp_path, m):
+    F = build_parseval_random(3, 5, seed=9)
+    A = np.random.default_rng(1).standard_normal((m, 3))
+    P = build_problem(A, F, sample_dictionary_sparse(F, 1, seed=2), q=0.5)
+    path = tmp_path / f"problem{m}.json"
+    serialize.save_json(serialize.problem_to_dict(P), str(path))
+    return str(path), serialize.problem_from_dict(serialize.load_json(str(path)))
+
+
+@pytest.mark.parametrize("m", [2, 6])
+@pytest.mark.parametrize("argv, call", LIBRARY_CALLS, ids=[" ".join(a) for a, _ in LIBRARY_CALLS])
+def test_payload_carries_every_field_of_the_library_result(tmp_path, capsys, m, argv, call):
+    path, P = _problem_with_m_rows(tmp_path, m)
+    assert main([*argv, "--problem", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == json.loads(serialize.json_text(dataclasses.asdict(call(P))))
+
+
+def test_nsp_payload_carries_every_field_of_the_witness(tmp_path, capsys):
+    path, P = _problem_with_m_rows(tmp_path, 2)
+    assert main(["nsp", "falsify", "--problem", path, "--k", "1", "--q", "0.5",
+                 "--budget", "200"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    witness = nsp_real_falsify(P.A, P.frame, 1, 0.5, budget=200)
+    assert witness is not None and payload["witness"]["violated"] is True
+    assert payload["witness"] == json.loads(serialize.json_text(dataclasses.asdict(witness)))
+
+
+@pytest.mark.parametrize("k", [-1, 10])
+def test_nsp_falsify_rejects_sparsity_outside_zero_to_N(tmp_path, capsys, k):
+    path, _ = _problem_with_m_rows(tmp_path, 2)
+    assert main(["nsp", "falsify", "--problem", path, "--k", str(k), "--q", "1.0"]) == 1
+    assert "sparsity k must lie in [0, 5]" in capsys.readouterr().err
+
+
+def _trial(tmp_path, method="oracle", **edits):
+    """A bound verify trial on a 6 x 9 frame with m = 4, with edits applied to
+    its truth (key "x") and its result (the other keys)."""
+    F = build_parseval_random(6, 9, seed=4)
+    A = np.random.default_rng(5).standard_normal((4, 6))
+    P = build_problem(A, F, sample_dictionary_sparse(F, 1, seed=6), q=1.0)
+    result = solve_oracle_noiseless(P) if method == "oracle" else solve_irls(P)
+    trial = json.loads(serialize.json_text({
+        "problem": serialize.problem_to_dict(P), "result": dataclasses.asdict(result),
+        "rip": dataclasses.asdict(drip_constant(A, F, 1)), "t": 1.0}))
+    for key, value in edits.items():
+        (trial["problem"]["truth"] if key == "x" else trial["result"])[key] = value
+    path = tmp_path / "trial.json"
+    serialize.save_json(trial, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("method, edits, message", [
+    ("oracle", {"x": ["nan", 0.1, 0.2, 0.3, 0.4, 0.5]}, "truth x must have finite entries"),
+    ("oracle", {"x": [0.1, 0.2, 0.3]}, "truth x is (3,)"),
+    ("oracle", {"x_hat": ["nan", 0.1, 0.2, 0.3, 0.4, 0.5]}, "x_hat must have finite entries"),
+    ("irls", {"feasibility": "nan"}, "objective and feasibility must have finite entries"),
+])
+def test_bound_verify_rejects_a_non_finite_or_misshapen_trial(tmp_path, capsys, method, edits,
+                                                              message):
+    assert main(["bound", "verify", "--trial", _trial(tmp_path, method)]) == 0
+    capsys.readouterr()
+    assert main(["bound", "verify", "--trial", _trial(tmp_path, method, **edits)]) == 1
+    assert message in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ def test_invalid_configs_rejected():
                                            ("m_values", [0]), ("m_values", [3, -1]),
                                            ("k_values", [-1])])
 def test_dimensions_out_of_range_are_rejected_at_load(tmp_path, capsys, field, values):
-    data = small_config(**{field: values}).to_json_dict()
+    data = asdict(small_config(**{field: values}))
     with pytest.raises(ConfigurationError, match=field):
         ExperimentConfig.from_json_dict(data)
     _assert_both_modes_reject(tmp_path, capsys, data)
@@ -122,7 +123,7 @@ def _assert_both_modes_reject(tmp_path, capsys, data) -> None:
 ])
 def test_numbers_out_of_range_are_rejected_at_load(tmp_path, capsys, field, value):
     # jitter feeds the near_isometric ensemble, success_tol the transition rate
-    data = small_config(matrix_ensemble="near_isometric", **{field: value}).to_json_dict()
+    data = asdict(small_config(matrix_ensemble="near_isometric", **{field: value}))
     with pytest.raises(ConfigurationError, match=field):
         ExperimentConfig.from_json_dict(data)
     _assert_both_modes_reject(tmp_path, capsys, data)
@@ -130,7 +131,7 @@ def test_numbers_out_of_range_are_rejected_at_load(tmp_path, capsys, field, valu
 
 @pytest.mark.parametrize("dropped", [["q_values"], ["n_values", "m_values"]])
 def test_missing_config_keys_are_named_at_load(tmp_path, capsys, dropped):
-    data = small_config().to_json_dict()
+    data = asdict(small_config())
     for key in dropped:
         del data[key]
     message = f"missing config keys: {sorted(dropped)}"
@@ -235,7 +236,7 @@ def test_emit_guards(tmp_path):
 def test_config_json_round_trip(tmp_path):
     cfg = small_config(trials=2)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_json_dict()))
+    path.write_text(json.dumps(asdict(cfg)))
     back = ExperimentConfig.from_json_file(str(path))
     assert back == cfg
 
@@ -311,7 +312,7 @@ def test_irls_options_are_checked_at_load(options, error):
     # irls sweeps read solver_options, and so do transition cells above the
     # oracle guard, so a bad option fails at load instead of in a trial
     for solver in ("irls", "oracle"):
-        data = small_config(solver=solver, solver_options=options).to_json_dict()
+        data = asdict(small_config(solver=solver, solver_options=options))
         with pytest.raises(error):
             ExperimentConfig.from_json_dict(data)
 
@@ -319,7 +320,7 @@ def test_irls_options_are_checked_at_load(options, error):
 def test_solver_options_cannot_set_the_seed(tmp_path, capsys):
     # each trial solves with its own derived seed, which would overwrite this one
     for solver in ("irls", "oracle"):
-        data = small_config(solver=solver, solver_options={"restarts": 2, "seed": 7}).to_json_dict()
+        data = asdict(small_config(solver=solver, solver_options={"restarts": 2, "seed": 7}))
         with pytest.raises(ConfigurationError, match="'seed'"):
             ExperimentConfig.from_json_dict(data)
     _assert_both_modes_reject(tmp_path, capsys, data)
@@ -344,7 +345,7 @@ def test_transition_leaves_out_a_cell_with_k_above_N():
 
 @pytest.mark.parametrize("field, value", [("magnitude_law", "laplace"), ("half_rule", "round")])
 def test_sampling_rules_are_checked_at_load(field, value):
-    data = small_config(**{field: value}).to_json_dict()
+    data = asdict(small_config(**{field: value}))
     with pytest.raises(ConfigurationError, match=repr(value)):
         ExperimentConfig.from_json_dict(data)
 

@@ -14,6 +14,7 @@ what the full schedule took, and keep the hit rate against the certified
 oracle on a harder noiseless corpus.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -181,7 +182,7 @@ def test_exit_counts_add_up_to_the_runs(monkeypatch):
         assert sum(res.exits.values()) == sum(len(run["starts"]) for run in runs)
         assert len(runs[0]["starts"]) == 6
         back = serialize.solver_result_from_dict(
-            json.loads(serialize.json_text(serialize.solver_result_to_dict(res))))
+            json.loads(serialize.json_text(dataclasses.asdict(res))))
         assert back.exits == res.exits
     assert solve_oracle_noiseless(P).exits == {}
 

@@ -12,6 +12,7 @@ back to the restart pipeline, reporting no classes and no nodes, where the
 tree does not run or keeps no class or too many.
 """
 
+import dataclasses
 import json
 from itertools import product
 
@@ -157,7 +158,7 @@ def test_one_polish_run_per_kept_class(monkeypatch):
         # each run starts at its pattern's least-squares point
         assert np.allclose(starts[0] @ P.A.T, (S * P.b) @ (Q @ Q.T), rtol=0.0, atol=1e-12)
         back = serialize.solver_result_from_dict(
-            json.loads(serialize.json_text(serialize.solver_result_to_dict(res))))
+            json.loads(serialize.json_text(dataclasses.asdict(res))))
         assert (back.feasible_classes, back.tree_nodes) == (res.feasible_classes, res.tree_nodes)
     assert not {"feasible_classes", "tree_nodes"} & set(CSV_COLUMNS)
 

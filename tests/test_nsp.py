@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lqphase.errors import InvalidWitnessError, ResourceBudgetError
+from lqphase.errors import InvalidWitnessError, ParameterError, ResourceBudgetError
 from lqphase.frames import build_named_frame, build_parseval_random
 from lqphase.linalg import null_space
 from lqphase.measurement import build_problem, phase_distance
@@ -144,6 +144,17 @@ def test_falsify_all_subsets_guard():
     F = build_named_frame("identity", 3)
     with pytest.raises(ResourceBudgetError):
         nsp_real_falsify(A, F, k=1, q=1.0, budget=10, lambda_mode="all_subsets")
+
+
+@pytest.mark.parametrize("k", [-1, 6])
+def test_falsify_rejects_sparsity_outside_zero_to_N(k):
+    F = build_parseval_random(3, 5, seed=9)
+    A = np.random.default_rng(1).standard_normal((2, 3))
+    with pytest.raises(ParameterError, match=r"sparsity k must lie in \[0, 5\]"):
+        nsp_real_falsify(A, F, k=k, q=0.5, budget=10)
+    # the condition holds vacuously at k = 0, and at k = 1 this blind A fails it
+    assert nsp_real_falsify(A, F, k=0, q=0.5, budget=10) is None
+    assert nsp_real_falsify(A, F, k=1, q=0.5, budget=200).violated
 
 
 def test_dictionary_sparse_distance():

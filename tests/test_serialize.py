@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -121,7 +122,7 @@ def test_zero_and_negative_measurements_load_unchanged():
 def test_solver_result_carries_the_sign_tree_counters():
     res = SolverResult(x_hat=np.array([0.5, -1.0]), objective=1.5, feasibility=0.01,
                        method="irls", iterations=3, steps=9, feasible_classes=4, tree_nodes=700)
-    data = json.loads(serialize.json_text(serialize.solver_result_to_dict(res)))
+    data = json.loads(serialize.json_text(dataclasses.asdict(res)))
     assert (data["feasible_classes"], data["tree_nodes"]) == (4, 700)
     back = serialize.solver_result_from_dict(data)
     assert (back.feasible_classes, back.tree_nodes, back.steps) == (4, 700, 9)
@@ -129,3 +130,53 @@ def test_solver_result_carries_the_sign_tree_counters():
     del data["feasible_classes"], data["tree_nodes"]
     old = serialize.solver_result_from_dict(data)
     assert (old.feasible_classes, old.tree_nodes) == (0, 0)
+
+
+def test_json_text_converts_numpy_arrays_and_scalars():
+    obj = {"a": np.array([[1.5, np.inf], [-np.inf, np.nan]]), "i": np.arange(3),
+           "f": np.float64(0.25), "g": np.float64("-inf"), "k": np.int64(7),
+           "b": np.bool_(True), "t": (np.array([0.5]), np.bool_(False))}
+    plain = {"a": [[1.5, float("inf")], [float("-inf"), float("nan")]], "i": [0, 1, 2],
+             "f": 0.25, "g": float("-inf"), "k": 7, "b": True, "t": ([0.5], False)}
+    text = serialize.json_text(obj)
+    assert text == serialize.json_text(plain)
+    assert json.loads(text) == {"a": [[1.5, "inf"], ["-inf", "nan"]], "i": [0, 1, 2],
+                                "f": 0.25, "g": "-inf", "k": 7, "b": True, "t": [[0.5], False]}
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("x", [0.1, "nan", 0.2], DomainError),
+    ("x", [0.1, 0.2, "-inf"], DomainError),
+    ("x", [0.1, 0.2], DimensionError),                       # frame n = 3
+    ("x", [[0.1, 0.2, 0.3]], DimensionError),
+    ("z", [0.0, 1.0, 0.0, 0.0], DimensionError),             # frame N = 5
+    ("z", [0.0, "inf", 0.0, 0.0, 0.0], DomainError),
+])
+def test_problem_with_bad_truth_raises(field, value, error):
+    data = _payload()
+    data["truth"][field] = value
+    with pytest.raises(error, match=f"truth {field}"):
+        serialize.problem_from_dict(data)
+
+
+def _result_payload():
+    res = SolverResult(x_hat=np.array([0.5, -1.0, 0.25]), objective=1.75, feasibility=0.0,
+                       method="irls")
+    return json.loads(serialize.json_text(dataclasses.asdict(res)))
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("x_hat", [0.5, "nan", 0.25], DomainError),
+    ("x_hat", [0.5, "inf", 0.25], DomainError),
+    ("x_hat", [[0.5, -1.0, 0.25]], DimensionError),
+    ("x_hat", 0.5, DimensionError),
+    ("objective", "nan", DomainError),
+    ("feasibility", "nan", DomainError),
+    ("feasibility", "inf", DomainError),
+])
+def test_solver_result_with_bad_entries_raises(field, value, error):
+    data = _result_payload()
+    assert serialize.solver_result_from_dict(data).x_hat.shape == (3,)
+    data[field] = value
+    with pytest.raises(error):
+        serialize.solver_result_from_dict(data)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from itertools import combinations, product
 
@@ -274,7 +275,7 @@ def test_irls_steps_count_every_weighted_step(monkeypatch):
         assert res.steps == sum(rows) >= res.iterations >= 1
     assert len(rows) < res.steps  # one call advances every live restart
     back = serialize.solver_result_from_dict(
-        json.loads(json.dumps(serialize.solver_result_to_dict(res))))
+        json.loads(serialize.json_text(dataclasses.asdict(res))))
     assert (back.steps, back.iterations) == (res.steps, res.iterations)
     assert solve_oracle_noiseless(P).steps == 0
 
