@@ -18,9 +18,14 @@ the callers cut the support axis into chunks of at most STACK_ELEMS elements
 
 null_spaces is its counterpart for null spaces: one batched SVD per (C, p, n)
 stack and the same rank rule per slice.  null_space is its one-slice case
-(frames complete their rows with it); the real NSP falsifier takes the null
-spaces of its row subsets and of its (row subset, support) systems from it,
-a stack at a time, the latter with the cutoff relative to their unit scale.
+(frames complete their rows with it).  The real NSP falsifier takes two
+kinds of stack from it: the null spaces of row subsets and their
+complements, one stack per subset size as its scan reaches the size, and
+those of the (row subset, support) systems its sign screen leaves open, with
+the cutoff relative to the systems' unit scale.  Where the screen runs
+first, only the row subsets it leaves with an open cell get a null space.
+The screen's certificate is derived from the same RANK_RTOL, so a cell it
+certifies is one this rule would find of full rank.
 """
 
 from __future__ import annotations

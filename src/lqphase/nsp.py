@@ -4,22 +4,34 @@ Real case: recovery of every dictionary-k-sparse signal up to sign is
 equivalent to strict domination ||D^T(u+v)||_q^q < ||D^T(u-v)||_q^q for all
 admissible splittings, where u lies in the null space of a row subset of A,
 v in the null space of the complementary rows, and u+v is dictionary-sparse.
-The falsifier searches for witnesses of failure cell by cell, a cell being a
-row subset Lambda and a size-k support S; its splittings form a solution
-space W, the null space of K = (I - P_S)[U V], with P_S the projection onto
-col(D_S) and U, V null-space bases of the two row sets.  Cells are batched by
-row-subset layer, a chunk of consecutive row subsets of equal null-space
-dimensions at a time, and most are decided without decomposing K:
+Such a pair is exactly a phaseless ambiguity, |A(u+v)| = |A(u-v)|.  The
+falsifier searches for witnesses of failure cell by cell, a cell being a row
+subset Lambda and a size-k support S; its splittings form a solution space
+W, the null space of K = (I - P_S)[U V], with P_S the projection onto
+col(D_S) and U, V null-space bases of the two row sets.  Most cells are
+decided without U, V or K:
 
-- when dim U + dim V exceeds rank(I - P_S) = n - rank(D_S), K cannot have
-  full column rank, so the cell goes to the SVD;
-- otherwise a Gram determinant certifies full rank, hence W = {0}, for a
-  whole chunk at once (_full_rank_certified, whose docstring gives the
-  margin argument);
-- every cell not certified is decomposed by linalg.null_spaces, with the
-  rank cutoff relative to the unit scale of [U V], in pieces that double as
-  the scan reaches them, so a scan that stops at a witness decomposes fewer
-  than twice the cells it scanned.
+- the sign screen (_sign_screen) certifies W = {0} from A alone: with
+  sigma_Lambda the signs -1 on Lambda and +1 off it, A(u-v) =
+  diag(sigma_Lambda) A(u+v), so for A of full column rank W is {0} exactly
+  when M = H^T diag(sigma_Lambda) A Q_S has full column rank (H a basis of
+  col(A)^perp, Q_S one of col(D_S)).  The M of a whole layer of row
+  subsets (one size) comes from one product of its sign patterns with the
+  per-row tensors h_i (x) a_i^T Q_S, formed once per call, and the smallest
+  singular value of M bounds s_min(K) from below (the docstring gives the
+  margin argument).  The scan screens a layer when it reaches it, so a scan
+  that stops at a witness screens no later layer;
+- at the sizes where every row subset has dim U, dim V >= 1, and at k <= 1,
+  where a cell's screen costs a norm, a layer is screened first; at the
+  other sizes its row subsets' SVDs come first, and only the subsets they
+  leave with dim U, dim V >= 1 are screened;
+- row-subset null spaces are taken only for the row subsets that keep an
+  open cell and their complements, one stacked SVD per size in a layer and
+  at most one per subset in a call;
+- every open cell is decomposed by linalg.null_spaces, with the rank cutoff
+  relative to the unit scale of [U V], in pieces that double as the scan
+  reaches them, so a scan that stops at a witness decomposes fewer than
+  twice the cells it scanned.
 
 A cell with dim W <= 1 is decided exactly, by at most one evaluation of a
 witness; only cells with dim W >= 2 are searched, so there the absence of a
@@ -27,9 +39,10 @@ counterexample is evidence, not proof, and results always carry the search
 budget and mode.
 
 Bases of col(D_S) come from linalg.support_bases, the kernel the isometry
-constants use: the falsifier computes every support's projection once per
-call, before it scans the row subsets, and dictionary_sparse_distance takes
-them a chunk of supports at a time, for real and complex D alike.
+constants use: the falsifier computes every support's basis once per call,
+before it scans the row subsets, and shares it between the projections of K
+and the sign screen; dictionary_sparse_distance takes them a chunk of
+supports at a time, for real and complex D alike.
 
 Complex case: only witness evaluation is provided (block partitions of the
 rows with per-block unimodular constants); the combinatorics of a search are
@@ -39,14 +52,23 @@ out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, groupby
+from functools import cache, lru_cache
+from itertools import accumulate, combinations, groupby
 from math import comb
 
 import numpy as np
 
-from .errors import InvalidWitnessError, ParameterError, ResourceBudgetError
+from .errors import DimensionError, DomainError, InvalidWitnessError, ParameterError, ResourceBudgetError
 from .frames import TightFrame
-from .linalg import STACK_ELEMS, combination_array, combination_blocks, null_spaces, support_bases
+from .linalg import (
+    RANK_RTOL,
+    STACK_ELEMS,
+    combination_array,
+    combination_blocks,
+    null_spaces,
+    numerical_rank,
+    support_bases,
+)
 from .rip import SUPPORT_BUDGET
 from .signals import _check_q, lq_quasinorm
 
@@ -54,10 +76,11 @@ STRICTNESS_TOL = 1e-12
 MEMBERSHIP_RTOL = 1e-8
 NULLSPACE_TOL = 1e-9
 ALL_SUBSETS_MAX_M = 14
-# det(K^T K) that certifies a (row subset, support) system of full rank
-# without an SVD: it gives s_min(K) > 6e-4, far above the rank cutoff 1e-10
-# (see _full_rank_certified); derived from the cutoff, not tuned.
-FULL_RANK_TAU = 1e-6
+# Lower bound on s_min(K) that certifies a (row subset, support) system of
+# full rank without U, V or an SVD: 1e4 times the rank cutoff, which the
+# bound must clear by (1 + 2 sqrt 2) RANK_RTOL plus rounding (see
+# _sign_screen); derived from the cutoff, not tuned.
+SIGN_SCREEN_TAU = 1e4 * RANK_RTOL
 
 
 @dataclass(frozen=True)
@@ -219,31 +242,122 @@ def _search(gap, dim: int, restarts: int, entropy: tuple[int, int]):
             yield c
 
 
-def _full_rank_certified(B: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """(L, C) mask of the systems K = P_c B_l that certainly have full column
-    rank, for B (L, n, d) stacking [U V] (U, V with orthonormal columns) and
-    P (C, n, n) orthogonal projections.
+@lru_cache(maxsize=32)
+def _layer_signs(m: int, size: int) -> np.ndarray:
+    """The read-only (C(m, size), m) signs sigma_Lambda, -1 on Lambda and +1
+    off it, of the size-`size` row subsets in lexicographic order; cached
+    like combination_array."""
+    subsets = combination_array(m, size)
+    signs = np.ones((len(subsets), m))
+    np.put_along_axis(signs, subsets, -1.0, axis=1)
+    signs.flags.writeable = False
+    return signs
 
-    G = B^T P B = K^T K.  Every eigenvalue of G is at most ||B||^2 <= 2, so
-    s_max(K) <= sqrt(2), and det(G) >= FULL_RANK_TAU gives
-    s_min(K) >= sqrt(FULL_RANK_TAU / 2^(d-1)).  The trace gives more: the
-    columns of B are unit vectors and P is a contraction, so tr G <= d, and
-    by AM-GM the d - 1 largest eigenvalues multiply to at most
-    (d / (d-1))^(d-1) < e.  So det(G) >= FULL_RANK_TAU = 1e-6 gives
-    lambda_min(G) > 1e-6 / e and s_min(K) > 6e-4 for every d.  The Gram, the
-    LU of det and the SVD each err by O(d eps), so a certified slice has every
-    singular value far above the 1e-10 rank cutoff of null_spaces: the SVD
-    would find its null space {0}.  A slice that fails, or whose determinant
-    is NaN, is left to the SVD.
+
+def _min_eig_exceeds(G: np.ndarray, floor: float) -> np.ndarray:
+    """Whether the smallest eigenvalue of each Gram matrix G[:, :, ...]
+    (r x r, stacked over the trailing axes) exceeds floor > 0.
+
+    A sufficient test, exact at r = 1: det(G) ((r - 1) / tr G)^(r - 1) is a
+    lower bound on the smallest eigenvalue, since by AM-GM the other r - 1
+    multiply to at most (tr G / (r - 1))^(r - 1); it is within a factor 2 at
+    r = 2.  Closed-form determinants up to r = 3 keep the test elementwise
+    (a batched det or eigvalsh costs 0.3-1.4 us a slice).  Each product in
+    a determinant errs by O(eps ||G||^r), so the computed bound exceeds the
+    true one by O(eps ||G||).
     """
-    G = np.swapaxes(B, 1, 2)[:, None] @ (P @ B[:, None])
-    return np.linalg.det(G) >= FULL_RANK_TAU
+    r = len(G)
+    if r == 1:
+        return G[0, 0] > floor
+    if r == 2:
+        det = G[0, 0] * G[1, 1] - G[0, 1] ** 2
+    elif r == 3:
+        det = (G[0, 0] * (G[1, 1] * G[2, 2] - G[1, 2] ** 2)
+               - G[0, 1] * (G[0, 1] * G[2, 2] - G[1, 2] * G[0, 2])
+               + G[0, 2] * (G[0, 1] * G[1, 2] - G[1, 1] * G[0, 2]))
+    else:
+        det = np.linalg.det(np.moveaxis(G, (0, 1), (-2, -1)))
+    tr = sum(G[i, i] for i in range(r))
+    return det * (r - 1) ** (r - 1) > floor * tr ** (r - 1)
 
 
-def _systems(P: np.ndarray, chunk: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]],
+def _sign_screen(A: np.ndarray, bases: list[tuple[np.ndarray, np.ndarray]], n_supports: int):
+    """The certifier of a call: a function from the sign patterns signs
+    (L, m) of L row subsets to the (L, C) mask of the cells (Lambda, S) whose
+    system K = (I - P_S)[U V] certainly has full column rank, for the
+    support_bases groups bases of the C supports; None where it could
+    certify no cell.
+
+    Let A (m x n) have full column rank, m > n, H an orthonormal basis of
+    col(A)^perp, Q = Q_S (n x r) and M = H^T diag(sigma) A Q.  For unit (a, b),
+    u = Ua, v = Vb, x = u + v: A(u - v) = diag(sigma) A x, since the Lambda
+    rows annihilate u and the others v.
+
+    - ||u - v|| <= kappa ||x|| and ||x||^2 + ||u - v||^2 = 2, so
+      ||x|| >= s_B = sqrt(2 / (1 + kappa^2)), kappa = kappa(A).
+    - Write x = Qc + e, e = K(a, b).  H^T A(u - v) = 0 gives
+      Mc = -H^T diag(sigma) A e, so mu ||c|| <= ||A|| ||e||, mu = s_r(M).
+    - ||x|| <= ||c|| + ||e|| then gives s_min(K) >= mu s_B / (||A|| + mu).
+
+    So W = {0} wherever M has full column rank, which needs r <= m - n; a
+    rank-deficient A or m <= n gets no certificate.  A cell is certified
+    when its bound is at least SIGN_SCREEN_TAU, that is when
+    mu^2 >= mu2_min = (SIGN_SCREEN_TAU / (s_B - SIGN_SCREEN_TAU))^2.  The
+    per-row tensors h_i (x) a_i^T Q are formed once per call, so each call
+    of the certifier is one product of the sign patterns with them per stack
+    of supports, and _min_eig_exceeds tests mu^2 = lambda_min(M^T M)
+    against mu2_min.
+
+    Margin: the null bases U, V are exact only up to the singular values the
+    rank rule drops, ||A_Lambda U|| <= RANK_RTOL ||A||, and likewise for V.
+    That adds an error of norm at most 2 sqrt 2 RANK_RTOL ||A|| to
+    A(u - v) = diag(sigma) A x, and lowers the bound by at most
+    2 sqrt 2 RANK_RTOL.  The SVD of K keeps W = {0} while s_min(K) exceeds
+    RANK_RTOL, so a bound of SIGN_SCREEN_TAU = 1e4 RANK_RTOL clears both by
+    three orders of magnitude.  With A scaled to ||A|| = 1, ||M|| <= 1, so
+    the computed lower bound on mu^2 exceeds mu^2 by at most
+    O((m - n) r eps): where it clears mu2_min >= 1e-12, mu is at most 1e-3
+    below the threshold, and a singular M gets a bound of O((m - n) r eps),
+    far below mu2_min; the SVD of A and the products err by O(n eps), far
+    less.  A certified cell is one the SVD would find of full rank.
+    """
+    m, n = A.shape
+    bases = [(rows, Q) for rows, Q in bases if Q.shape[2] <= m - n]
+    if not bases:
+        return None
+    Ua, s, _ = np.linalg.svd(A)
+    if numerical_rank(s) < n:
+        return None
+    s_B = np.sqrt(2.0) * s[-1] / np.hypot(s[0], s[-1])
+    if s_B <= SIGN_SCREEN_TAU:
+        return None
+    H = Ua[:, n:].T[None, :, None, :]  # (1, m - n, 1, m): the rows h_i
+    An = A / s[0]  # ||An|| = 1, so the bound is mu s_B / (1 + mu)
+    # (r, m - n, c, m): the tensors h_i (x) a_i^T Q, rows i last
+    factors = [(rows, H * np.transpose(An @ Q, (2, 0, 1))[:, None]) for rows, Q in bases]
+    # mu s_B / (1 + mu) >= SIGN_SCREEN_TAU exactly when mu^2 >= mu2_min
+    mu2_min = (SIGN_SCREEN_TAU / (s_B - SIGN_SCREEN_TAU)) ** 2
+
+    def certify(signs: np.ndarray) -> np.ndarray:
+        L = len(signs)
+        certified = np.zeros((L, n_supports), dtype=bool)
+        for rows, T in factors if L else ():
+            r, p, c, _ = T.shape
+            per = max(1, STACK_ELEMS // (L * p * r))
+            for start in range(0, c, per):
+                block = rows[start:start + per]
+                M = (T[:, :, start:start + per].reshape(-1, m) @ signs.T).reshape(r, p, len(block), L)
+                G = np.einsum("ipcl,jpcl->ijcl", M, M)  # (r, r, c, L): M^T M
+                certified[:, block] = _min_eig_exceeds(G, mu2_min).T
+        return certified
+
+    return certify
+
+
+def _systems(P: np.ndarray, chunk: list[tuple[int, np.ndarray, np.ndarray]],
              cells: np.ndarray, n_supports: int) -> np.ndarray:
     """The stack of K = (I - P_S)[U V] for the flat (row subset, support)
-    indices cells of a chunk of (Lambda, U, V), with P[S] = I - P_S.
+    indices cells of a chunk of (index, U, V), with P[S] = I - P_S.
 
     A slice is P[S] @ U and P[S] @ V side by side, the same products (and
     bits) as in any other stack; P[S] @ hstack([U, V]) would not be
@@ -306,30 +420,43 @@ def nsp_real_falsify(
     rows and P_S the projection onto col(D_S).  W is the null space of
     K = (I - P_S)[U V], with the rank cutoff taken relative to the unit scale
     of [U V] (so K = 0 up to rounding, as when D_S spans R^n, has W = R^d).
-    Row-subset null spaces come one stacked SVD per subset size, each size
-    when the scan first needs it.  Cells are batched per chunk of consecutive
-    row subsets with the same (dim U, dim V) = (du, dv), d = du + dv, and
-    decided without an SVD where that is exact:
+    The scan takes the row subsets a layer (one size) at a time, and decides
+    a layer's cells in three stages:
 
-    - a cell with d > n - rank(D_S) = rank(I - P_S) >= rank(K) has
-      dim W >= 1 and goes straight to the SVD;
-    - every other cell goes through _full_rank_certified, one stacked Gram
-      and one batched determinant per chunk, and a certified cell has
-      dim W = 0 under the SVD's rank rule, so it is skipped as before;
-    - the rest are decomposed lazily, in pieces of consecutive cells in scan
-      order, each piece one more than the slices decomposed so far in the
-      call (1, 2, 4, ...), so a scan that stops at a witness has decomposed
-      fewer than twice the cells it needed.
+    - _sign_screen certifies W = {0}, under the SVD's rank rule, for every
+      cell whose bound on s_min(K) from the signs of Lambda, A's left null
+      space and D_S clears SIGN_SCREEN_TAU: one matrix product per stack of
+      supports for the whole layer, and no U, V or K.  It applies to A of
+      full column rank with m > n and to supports with rank(D_S) <= m - n;
+      every other cell stays open.  Where dim U, dim V >= 1 is not forced
+      (size s outside (m - n, n)) and k >= 2, the layer's SVDs come first
+      and only the row subsets with dim U, dim V >= 1 are screened;
+    - the row subsets of the layer with an open cell, and their complements,
+      get their null spaces in one stacked SVD per size, each subset at most
+      once per call;
+    - open cells in row subsets with dim U, dim V >= 1 are decomposed
+      lazily, batched over consecutive row subsets with the same
+      (dim U, dim V), in pieces of consecutive cells in scan order, each
+      piece one more than the slices decomposed so far in the call
+      (1, 2, 4, ...), so a scan that stops at a witness has decomposed fewer
+      than twice the cells it needed.
 
     A cell with dim W <= 1 is decided exactly, by at most one evaluation of a
     witness; only cells with dim W >= 2 are searched, by seeded restarts plus
     coordinate ascent of the quasi-norm gap on the unit sphere of W, so their
     lack of a witness is evidence, not proof.  Cells are scanned in a fixed
-    order, so the first returned witness is deterministic for a given seed.
-    None means the budget was exhausted without finding a violation.  k must
-    lie in [0, N]; at k = 0 the condition holds vacuously and None is exact.
+    order, the cell (Lambda, S) seeded by (seed, lambda * C + s + 1) for the
+    row subset index lambda and support index s among C, so the first
+    returned witness is deterministic for a given seed.  None means the
+    budget was exhausted without finding a violation.  A must be a finite
+    (m, F.n) array, and k must lie in [0, N]; at k = 0 the condition holds
+    vacuously and None is exact.
     """
     A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[1] != F.n:
+        raise DimensionError(f"A must have shape (m, {F.n}), got {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise DomainError("A must be finite")
     q = _check_q(q)
     m, n = A.shape
     if budget < 1:
@@ -339,48 +466,73 @@ def nsp_real_falsify(
     lambdas = _lambda_list(m, k, lambda_mode)
     supports = combination_array(F.N, k)
     n_supports = len(supports)
-    # projections onto col(D_S)^perp and their ranks; a support whose columns
-    # vanish keeps I
+    # bases of col(D_S), shared by the screen and the projections onto
+    # col(D_S)^perp; a support whose columns vanish keeps I
+    bases = support_bases(F.D, supports)
     P = np.repeat(np.eye(n)[None], n_supports, axis=0)
-    perp = np.full(n_supports, n)
-    for rows, Q in support_bases(F.D, supports):
+    for rows, Q in bases:
         P[rows] = np.eye(n) - Q @ np.swapaxes(Q, 1, 2)
-        perp[rows] = n - Q.shape[2]
-    # null spaces of the row subsets, a stack per size when the scan reaches it
-    layers: dict[int, list[np.ndarray]] = {}
+    # the sign screen's certifier, formed when a layer first needs it
+    screen = cache(lambda: _sign_screen(A, bases, n_supports))
+    taken: dict[int, dict[int, np.ndarray]] = {}
 
-    def layer(size: int) -> list[np.ndarray]:
-        if size not in layers:
-            blocks = combination_blocks(m, size, max(1, STACK_ELEMS // max(1, size * n)))
-            layers[size] = [W for block in blocks for W in null_spaces(A[block])]
-        return layers[size]
+    def null_bases(size: int, idx: list[int]) -> list[np.ndarray]:
+        """The null spaces of the size-`size` row subsets with lexicographic
+        indices idx, each taken at most once per call: those not yet taken
+        in one stacked SVD."""
+        have = taken.setdefault(size, {})
+        missing = [i for i in idx if i not in have]
+        if missing:
+            missing.sort()
+            subsets = combination_array(m, size)
+            if len(missing) < len(subsets):
+                subsets = subsets[missing]
+            per = max(1, STACK_ELEMS // max(1, size * n))
+            for start in range(0, len(missing), per):
+                have.update(zip(missing[start:start + per], null_spaces(A[subsets[start:start + per]])))
+        return [have[i] for i in idx]
+
+    def pairs(size: int, rows: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(U, V) for the size-`size` row subsets with indices rows.  The
+        complements of the size-s subsets, in lexicographic order, are the
+        size-(m - s) subsets in reverse lexicographic order."""
+        last = comb(m, size) - 1
+        return list(zip(null_bases(size, rows), null_bases(m - size, [last - i for i in rows])))
 
     restarts = max(1, budget // max(1, len(lambdas) * n_supports))
-    cell_index = 0
     decomposed = 0
-    for size, lams in groupby(lambdas, key=len):
-        # the complements of the size-s subsets, in lexicographic order, are
-        # the size-(m - s) subsets in reverse lexicographic order
-        trios = zip(lams, layer(size), reversed(layer(m - size)))
-        for (du, dv), run in groupby(trios, key=lambda t: (t[1].shape[1], t[2].shape[1])):
-            run = list(run)
-            if du == 0 or dv == 0:
-                cell_index += len(run) * n_supports
+    max_size = len(lambdas[-1])
+    # first: the index in lambdas of the layer's first row subset
+    for size, first in enumerate(accumulate((comb(m, s) for s in range(max_size)), initial=0)):
+        rows = list(range(comb(m, size)))
+        if k > 1 and not m - n < size < n:
+            # dim U, dim V >= 1 is not forced at this size, and its subsets'
+            # SVDs, which settle most of them, cost less than screening
+            # supports of rank >= 2
+            rows = [i for i, (U, V) in zip(rows, pairs(size, rows)) if U.shape[1] and V.shape[1]]
+            if not rows:
                 continue
-            screened = np.flatnonzero(du + dv <= perp)
-            P_screened = P[screened]
+        certify = screen()
+        if certify is None:
+            open_cells = np.ones((len(rows), n_supports), dtype=bool)
+        else:
+            open_cells = ~certify(_layer_signs(m, size)[rows])
+            keep = open_cells.any(axis=1)
+            rows = [i for i, kept in zip(rows, keep.tolist()) if kept]
+            if not rows:
+                continue
+            open_cells = open_cells[keep]
+        # (position in rows, U, V), in scan order
+        trios = [(j, U, V) for j, (U, V) in enumerate(pairs(size, rows))]
+        for (du, dv), run in groupby(trios, key=lambda t: (t[1].shape[1], t[2].shape[1])):
+            if du == 0 or dv == 0:
+                continue
+            run = list(run)
             per_chunk = max(1, STACK_ELEMS // max(1, n_supports * n * (du + dv)))
             for start in range(0, len(run), per_chunk):
                 chunk = run[start:start + per_chunk]
-                open_cells = np.ones((len(chunk), n_supports), dtype=bool)
-                if screened.size:
-                    B = np.concatenate([np.stack([U for _, U, _ in chunk]),
-                                        np.stack([V for _, _, V in chunk])], axis=2)
-                    open_cells[:, screened] = ~_full_rank_certified(B, P_screened)
                 # row subset * n_supports + support, in scan order
-                cells = np.flatnonzero(open_cells)
-                first = cell_index
-                cell_index += open_cells.size
+                cells = np.flatnonzero(open_cells[[j for j, _, _ in chunk]])
                 pos = 0
                 while pos < len(cells):
                     piece = cells[pos:pos + decomposed + 1]
@@ -388,12 +540,13 @@ def nsp_real_falsify(
                     decomposed += len(piece)
                     # (a, b) must satisfy (I - P_S)(Ua + Vb) = 0
                     Ws = null_spaces(_systems(P, chunk, piece, n_supports), scale=1.0)
-                    for j, W in zip(piece.tolist(), Ws):
+                    for c, W in zip(piece.tolist(), Ws):
                         if W.shape[1] == 0:
                             continue
-                        Lam, U, V = chunk[j // n_supports]
-                        entropy = (seed, first + j + 1)
-                        witness = _cell_witness(A, F, Lam, U, V, W, k, q, restarts, entropy)
+                        j, U, V = chunk[c // n_supports]
+                        l = first + rows[j]
+                        entropy = (seed, l * n_supports + c % n_supports + 1)
+                        witness = _cell_witness(A, F, lambdas[l], U, V, W, k, q, restarts, entropy)
                         if witness is not None:
                             return witness
     return None

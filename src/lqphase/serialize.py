@@ -93,12 +93,18 @@ def truth_to_dict(sig: DictionarySparseSignal) -> dict:
     }
 
 
-def truth_from_dict(data: dict) -> DictionarySparseSignal:
+def truth_from_dict(data: dict, N: int) -> DictionarySparseSignal:
+    """Decode a truth signal of a frame with N columns; its support must lie
+    in [0, N) and have at most k entries."""
     coeffs = SparseCoefficients(
         z=np.asarray(data["z"], dtype=float),
         support=tuple(int(i) for i in data["support"]),
         k=int(data["k"]),
     )
+    if any(not 0 <= i < N for i in coeffs.support):
+        raise DomainError(f"truth support {list(coeffs.support)} is not inside [0, {N})")
+    if len(coeffs.support) > coeffs.k:
+        raise DomainError(f"truth support has {len(coeffs.support)} entries, more than k = {coeffs.k}")
     return DictionarySparseSignal(x=np.asarray(data["x"], dtype=float), z=coeffs,
                                   frame_id=str(data.get("frame_id", "frame")))
 
@@ -134,7 +140,7 @@ def problem_from_dict(data: dict) -> PhaselessProblem:
         raise ConfigurationError(f"problem payload missing key {exc}") from exc
     _check_finite("A", A, (*A.shape[:1], frame.n))
     _check_finite("b", b, A.shape[:1])
-    truth = truth_from_dict(data["truth"]) if data.get("truth") else None
+    truth = truth_from_dict(data["truth"], frame.N) if data.get("truth") else None
     if truth is not None:
         _check_finite("truth x", truth.x, (frame.n,))
         _check_finite("truth z", truth.z.z, (frame.N,))
@@ -143,7 +149,8 @@ def problem_from_dict(data: dict) -> PhaselessProblem:
 
 
 def rip_report_from_dict(data: dict) -> RipReport:
-    return RipReport(
+    """Decode an isometry report, checking that delta and the thetas present are finite."""
+    report = RipReport(
         order=int(data["order"]),
         delta=float(data["delta"]),
         theta_minus=None if data.get("theta_minus") is None else float(data["theta_minus"]),
@@ -152,6 +159,9 @@ def rip_report_from_dict(data: dict) -> RipReport:
         exhaustive=bool(data.get("exhaustive", True)),
         details=dict(data.get("details", {})),
     )
+    values = [v for v in (report.delta, report.theta_minus, report.theta_plus) if v is not None]
+    _check_finite("delta and thetas of the rip report", np.array(values), (len(values),))
+    return report
 
 
 def solver_result_from_dict(data: dict) -> SolverResult:

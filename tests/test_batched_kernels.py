@@ -11,10 +11,11 @@ supports do not tie, and S-DRIP's delta must be DRIP's bit for bit.  The
 NSP falsifier, which now stacks its null spaces and decides each cell with
 a one-dimensional solution space by one evaluation,
 must return bit-identical witnesses, also on near-degenerate A, whose
-systems the full-rank screen cannot certify and leaves to the SVD; the screen
-must certify only systems of full rank, and the stacked null-space kernel
-must return the per-slice one's bases.  The chunked dictionary-sparse
-distance must agree with the per-support loop to rounding.
+systems the sign screen cannot certify and leaves to the SVD; the screen
+must certify only systems of full rank, the falsifier must take row-subset
+null spaces only where the screen leaves a cell open, and the stacked
+null-space kernel must return the per-slice one's bases.  The chunked
+dictionary-sparse distance must agree with the per-support loop to rounding.
 The batched IRLS restart pipeline, solve_irls's fallback where the sign tree
 does not run, must reproduce the restart loop bit for bit (point, objective,
 feasibility, winning iteration), the sign-flip descent, which scores the
@@ -997,8 +998,8 @@ def nsp_near_degenerate_corpus():
     and of its complement meet in a line within 1e-7 of a_0, so K = P_S [U V]
     is within 1e-7 of rank deficiency when a_0 is orthogonal to col(D_S): the
     second instance of each pair makes a_0 orthogonal to d_0 up to 1e-7.
-    Those systems are too close to deficiency for the full-rank screen, so
-    they reach the SVD, which finds them of full rank."""
+    Those systems are too close to deficiency for the sign screen, so they
+    reach the SVD, which finds them of full rank."""
     for seed in range(2):
         for (n, N), q in (((3, 5), 0.3), ((4, 6), 1.0), ((5, 7), 0.5)):
             rng = np.random.default_rng(500 + 10 * seed + n)
@@ -1012,93 +1013,144 @@ def nsp_near_degenerate_corpus():
                 yield A, F, 1, q, seed
 
 
-def test_nsp_falsifier_matches_reference_loop_on_near_degenerate_A(monkeypatch):
-    certify, null_spaces_ = nsp._full_rank_certified, nsp.null_spaces
-    count = {"rejected": 0, "decomposed": 0}
+def _splittable(A, Lam):
+    """Whether the row subset Lam and its complement both have a nonzero null space."""
+    comp = [i for i in range(len(A)) if i not in Lam]
+    return null_space(_rows(A, Lam)).shape[1] > 0 and null_space(_rows(A, comp)).shape[1] > 0
 
-    def certify_spy(B, P):
-        certified = certify(B, P)
-        count["rejected"] += int(np.count_nonzero(~certified))
-        return certified
+
+def test_nsp_falsifier_matches_reference_loop_on_near_degenerate_A(monkeypatch):
+    screen, null_spaces_ = nsp._sign_screen, nsp.null_spaces
+    count = {"left": 0, "decomposed": 0}
+
+    def screen_spy(A, bases, n_supports):
+        certify = screen(A, bases, n_supports)
+        assert certify is not None  # k = 1 and m = n + 1 on a generic A
+
+        def certify_spy(signs):
+            certified = certify(signs)
+            # open cells in row subsets with dim U, dim V >= 1, which reach the SVD
+            count["left"] += sum(int(np.count_nonzero(~row)) for sign, row in zip(signs, certified)
+                                 if _splittable(A, np.flatnonzero(sign < 0).tolist()))
+            return certified
+
+        return certify_spy
 
     def null_spaces_spy(Ms, scale=None):
         if scale is not None:  # the (Lambda, S) systems, not the row subsets
             count["decomposed"] += len(Ms)
         return null_spaces_(Ms, scale=scale)
 
-    monkeypatch.setattr(nsp, "_full_rank_certified", certify_spy)
+    monkeypatch.setattr(nsp, "_sign_screen", screen_spy)
     monkeypatch.setattr(nsp, "null_spaces", null_spaces_spy)
-    rejected_and_decomposed = 0
+    left_and_decomposed = 0
     for A, F, k, q, seed in nsp_near_degenerate_corpus():
         ref = loop_nsp_real_falsify(A, F, k, q, budget=100, seed=seed, lambda_mode="all_subsets")
         for elems in (nsp.STACK_ELEMS, 1):  # 1: one row subset per stack
             monkeypatch.setattr(nsp, "STACK_ELEMS", elems)
-            count.update(rejected=0, decomposed=0)
+            count.update(left=0, decomposed=0)
             got = nsp_real_falsify(A, F, k, q, budget=100, seed=seed, lambda_mode="all_subsets")
             if ref is None:
                 assert got is None
-                # every cell was scanned, so every slice the screen left was decomposed
-                assert count["decomposed"] >= count["rejected"]
-                rejected_and_decomposed += count["rejected"]
+                # every cell was scanned, so exactly the cells the screen left were decomposed
+                assert count["decomposed"] == count["left"]
+                left_and_decomposed += count["left"]
             else:
                 assert got.Lambda == ref.Lambda and got.q == ref.q and got.k == ref.k
                 assert got.u.tobytes() == ref.u.tobytes() and got.v.tobytes() == ref.v.tobytes()
                 assert (got.lhs, got.rhs, got.violated) == (ref.lhs, ref.rhs, ref.violated)
         monkeypatch.setattr(nsp, "STACK_ELEMS", STACK_ELEMS)
-    assert rejected_and_decomposed > 0
+    assert left_and_decomposed > 0
 
 
-def _orthonormal_pair_stack(rng, n, angles):
-    """(len(angles), n, 4) stacks of B = [U V], U and V with orthonormal
-    columns, whose first columns meet at the given angle: s_min(B)/s_max(B)
-    is tan(angle / 2)."""
-    Bs = []
-    for t in angles:
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        V = np.stack([np.cos(t) * Q[:, 0] + np.sin(t) * Q[:, 2], Q[:, 3]], axis=1)
-        Bs.append(np.concatenate([Q[:, :2], V], axis=1))
-    return np.stack(Bs)
+def sign_screen_corpus():
+    """(A, D, k, label) at n = 4, m = n + 1..n + 3, every k <= m - n + 1
+    (at k = m - n + 1 no cell can be certified): generic A and A scaled by
+    1e4; a last row 1e-3, 1e-6 or 1e-9 from the first; near-rank-deficient A
+    (a column within 1e-3 or 1e-8 of another); rank-deficient A (a repeated
+    column, or A = 0); a Parseval frame, one with duplicated columns and one
+    with a zero column.  At k = 1 the columns of a tilted dictionary lie
+    1e-1..1e-14 off the hyperplane a_0^perp, so mu = s_r(M) runs down to
+    rounding at Lambda = {0}."""
+    rng = np.random.default_rng(12)
+    n = 4
+    frames = (build_parseval_random(n, 6, 0).D, build_named_frame("duplicated_identity", n).D,
+              _zero_column_frame(n).D)
+    for extra in (1, 2, 3):
+        A = rng.standard_normal((n + extra, n))
+        a = A[0] / np.linalg.norm(A[0])
+        W = rng.standard_normal((n, 14))
+        W -= np.outer(a, a @ W)
+        tilted = W / np.linalg.norm(W, axis=0) + np.outer(a, np.logspace(-1, -14, 14))
+        yield A, tilted, 1, "tilted"
+        yield 1e4 * A, tilted, 1, "tilted, scaled by 1e4"
+        variants = [("generic", A), ("scaled by 1e4", 1e4 * A)]
+        for e in (3, 6, 9):
+            near = A.copy()
+            near[-1] = A[0] + 10.0**-e * rng.standard_normal(n)
+            variants.append((f"rows 1e-{e} apart", near))
+        for e in (3, 8):
+            near = A.copy()
+            near[:, -1] = A[:, 0] + 10.0**-e * rng.standard_normal(n + extra)
+            variants.append((f"columns 1e-{e} apart", near))
+        deficient = A.copy()
+        deficient[:, -1] = A[:, 0]
+        variants += [("rank-deficient", deficient), ("rank-deficient", 0.0 * A)]
+        for label, B in variants:
+            for D in frames:
+                for k in range(1, extra + 2):
+                    yield B, D, k, label
 
 
 def test_full_rank_screen_certifies_only_full_rank_systems():
-    """Every system K = P B the screen certifies has full column rank under the
-    rank rule of its SVD, on stacks whose s_min/s_max runs from 1e-2 down to
-    1e-14, with zero slices (P = 0, or D_S spanning R^n), rank-deficient
-    supports (duplicated frame columns) and duplicated rows of A."""
-    rng = np.random.default_rng(12)
-    n = 6
-    Ps = [np.zeros((1, n, n)), np.eye(n)[None]]
-    frames = ((build_parseval_random(n, 8, 0), 1), (build_parseval_random(n, 8, 1), 2),
-              (build_named_frame("duplicated_identity", n), 2), (build_parseval_random(n, 8, 2), n))
-    for F, k in frames:
-        supports = np.array(list(combinations(range(F.N), k))[:12])
-        for _, Q in support_bases(F.D, supports):
-            Ps.append(np.eye(n) - Q @ np.swapaxes(Q, 1, 2))
-    P = np.concatenate(Ps)
-    stacks = [_orthonormal_pair_stack(rng, n, np.concatenate([np.logspace(-1, -14, 53), [0.0]]))]
-    A = rng.standard_normal((n + 1, n))
-    A[3] = A[0]
-    A[5] = A[1] + 1e-9 * rng.standard_normal(n)
-    by_d = {}
-    for size in range(1, n + 1):
-        for L in combinations(range(n + 1), size):
-            comp = [i for i in range(n + 1) if i not in L]
-            B = np.concatenate([null_space(A[list(L)]), null_space(A[comp])], axis=1)
-            by_d.setdefault(B.shape[1], []).append(B)
-    stacks.extend(np.stack(Bs) for d, Bs in sorted(by_d.items()) if d)
-    certified_ratios, ratios = [], []
-    for B in stacks:
-        d = B.shape[2]
-        certified = nsp._full_rank_certified(B, P)
-        assert certified.shape == (len(B), len(P))
-        s = np.linalg.svd(P[None] @ B[:, None], compute_uv=False)
-        ratio = s[..., -1] / np.where(s[..., 0] > 0, s[..., 0], 1.0)
-        ratios.extend(ratio[s[..., 0] > 0].ravel())
-        certified_ratios.extend(ratio[certified])
-        assert np.all(numerical_rank(s, scale=1.0)[certified] == d)
-        assert np.all(numerical_rank(s)[certified] == d)
-    assert min(ratios) <= 1e-14 and max(ratios) >= 1e-2
-    assert len(certified_ratios) > 0 and min(certified_ratios) < 1e-2  # not vacuous
+    """The sign screen against the systems it stands for: every certified
+    cell's K = (I - P_S)[U V], from the null spaces the falsifier takes, has
+    s_min(K) >= SIGN_SCREEN_TAU up to rounding and so full column rank under
+    the rank rule of null_spaces; a rank-deficient A gets no certificate.
+    mu is computed apart from the screen, from the left null space of A, to
+    show the corpus has mu in every decade from 1e-1 down to 1e-14 and that
+    the screen certifies cells within two decades of its threshold."""
+    mus, certified_mus, certified_s_min = [], [], []
+    for A, D, k, label in sign_screen_corpus():
+        m, n = A.shape
+        lams = _lambda_list(m, m, "all_subsets")
+        signs = np.array([[-1.0 if i in Lam else 1.0 for i in range(m)] for Lam in lams])
+        assert np.array_equal(np.concatenate([nsp._layer_signs(m, size) for size in range(m + 1)]),
+                              signs)
+        supports = np.array(list(combinations(range(D.shape[1]), k)))
+        bases = support_bases(D, supports)
+        certify = nsp._sign_screen(A, bases, len(supports))
+        if label == "rank-deficient":
+            assert certify is None
+            continue
+        # None: no support of rank <= m - n, or A too ill-conditioned for any bound
+        certified = np.zeros((len(lams), len(supports)), dtype=bool) if certify is None else certify(signs)
+        assert certified.shape == (len(lams), len(supports))
+        P = np.repeat(np.eye(n)[None], len(supports), axis=0)
+        for rows, Q in bases:
+            P[rows] = np.eye(n) - Q @ np.swapaxes(Q, 1, 2)
+        for l in np.flatnonzero(certified.any(axis=1)):
+            comp = [i for i in range(m) if i not in lams[l]]
+            B = np.concatenate([null_space(_rows(A, lams[l])), null_space(_rows(A, comp))], axis=1)
+            if B.shape[1] == 0:
+                continue
+            Ks = P[certified[l]] @ B
+            assert all(W.shape[1] == 0 for W in null_spaces(Ks, scale=1.0))
+            assert all(W.shape[1] == 0 for W in null_spaces(Ks))
+            s_min = np.linalg.svd(Ks, compute_uv=False)[:, -1]
+            assert np.all(s_min >= 0.99 * nsp.SIGN_SCREEN_TAU)
+            certified_s_min.extend(s_min)
+        H = null_space(A.T)
+        for rows, Q in bases:
+            if Q.shape[2] <= m - n:
+                M = H.T @ (signs[:, None, :, None] * (A / np.linalg.norm(A, 2) @ Q)[None])
+                mu = np.linalg.svd(M, compute_uv=False)[..., -1]
+                mus.extend(mu.ravel())
+                certified_mus.extend(mu[certified[:, rows]])
+    mus = np.array(mus)
+    assert set(range(-14, 0)) <= set(np.floor(np.log10(mus[mus > 0])).astype(int).tolist())
+    # not vacuous: the screen certifies cells within two decades of its threshold
+    assert min(certified_mus) < 1e-5 and min(certified_s_min) < 100 * nsp.SIGN_SCREEN_TAU
 
 
 def test_nsp_falsifier_decomposes_only_the_systems_it_needs(monkeypatch):
@@ -1130,6 +1182,91 @@ def test_nsp_falsifier_decomposes_only_the_systems_it_needs(monkeypatch):
         assert w is not None
         assert 0 < sum(decomposed) <= 2 * scanned[-1] + 1
         assert scanned[-1] < len(_lambda_list(7, 2, "all_subsets")) * comb(8, 2) // 4
+
+
+
+def test_nsp_falsifier_takes_null_spaces_only_for_row_subsets_with_an_open_cell(monkeypatch):
+    """A generic k = 1 call at m = n + 1: the sign screen certifies every cell
+    but those of Lambda = {} and Lambda = [m] (M = H^T A Q_S = 0 there), so
+    the call decomposes no system and takes exactly two row-subset null
+    spaces.  A k = 2 call, which the screen leaves open at m = n + 1, takes
+    each row subset's null space at most once."""
+    null_spaces_ = nsp.null_spaces
+    row_subsets, systems = [], []
+
+    def null_spaces_spy(Ms, scale=None):
+        (row_subsets if scale is None else systems).extend(Ms)
+        return null_spaces_(Ms, scale=scale)
+
+    monkeypatch.setattr(nsp, "null_spaces", null_spaces_spy)
+    for n, N, seed in ((3, 5, 0), (4, 6, 1), (6, 8, 2)):
+        F = build_parseval_random(n, N, seed)
+        A = np.random.default_rng(40 + seed).standard_normal((n + 1, n))
+        for mode in ("card_at_most_k", "all_subsets"):
+            row_subsets.clear()
+            systems.clear()
+            assert nsp_real_falsify(A, F, 1, 0.5, seed=seed, lambda_mode=mode) is None
+            assert systems == []
+            assert [M.shape for M in row_subsets] == [(0, n), (n + 1, n)]
+            assert row_subsets[1].tobytes() == A.tobytes()
+        row_subsets.clear()
+        nsp_real_falsify(A, F, 2, 0.5, seed=seed, lambda_mode="all_subsets")
+        keys = [M.tobytes() for M in row_subsets]
+        assert len(keys) == len(set(keys)) > 2
+
+
+def test_nsp_falsifier_screens_a_layer_only_when_the_scan_reaches_it(monkeypatch):
+    """m = n + 2, k = 2 and a repeated row: the row subsets of size 2 that
+    keep both copies in their complement have dim U, dim V >= 1, and the
+    scan finds its witness among them, so it screens no larger row subset.
+    Without the repeat there is no witness, and the scan screens the sizes
+    3..5, where dim U, dim V >= 1 holds for every subset, and certifies
+    cells there."""
+    screen = nsp._sign_screen
+    sizes, certified = [], []
+
+    def screen_spy(A, bases, n_supports):
+        certify = screen(A, bases, n_supports)
+
+        def certify_spy(signs):
+            got = certify(signs)
+            sizes.extend(np.count_nonzero(signs < 0, axis=1).tolist())
+            certified.append(int(np.count_nonzero(got)))
+            return got
+
+        return certify_spy
+
+    monkeypatch.setattr(nsp, "_sign_screen", screen_spy)
+    F = build_parseval_random(6, 8, 600)
+    A = np.random.default_rng(5).standard_normal((8, 6))
+    assert nsp_real_falsify(A, F, 2, 0.5, lambda_mode="all_subsets") is None
+    assert set(sizes) == {3, 4, 5} and sum(certified) > 0
+    sizes.clear()
+    A[-1] = A[0]
+    w = nsp_real_falsify(A, F, 2, 0.5, lambda_mode="all_subsets")
+    assert w is not None and len(w.Lambda) == 2
+    assert set(sizes) == {2}
+
+
+def test_min_eig_exceeds_is_a_sufficient_test_of_the_smallest_eigenvalue():
+    """nsp._min_eig_exceeds against eigvalsh on Gram stacks of r = 1..4 whose
+    smallest eigenvalue is 0 or runs from 1e-16 to 1: a pass implies
+    lambda_min > floor up to rounding, the test is exact at r = 1 and loses
+    at most a factor 2 at r = 2, and a singular or zero Gram never passes."""
+    rng = np.random.default_rng(21)
+    floor = 1e-12
+    for r in (1, 2, 3, 4):
+        Q = np.linalg.qr(rng.standard_normal((300, r, r)))[0]
+        lam = rng.uniform(0.1, 1.0, (300, r))
+        lam[:, 0] = np.concatenate([np.zeros(20), 10.0 ** rng.uniform(-16, 0, 280)])
+        G = np.concatenate([np.einsum("bij,bj,bkj->bik", Q, lam, Q), np.zeros((1, r, r))])
+        passed = nsp._min_eig_exceeds(np.moveaxis(G, 0, -1), floor)
+        lam_min = np.linalg.eigvalsh(G)[:, 0]
+        assert np.all(lam_min[passed] > floor * (1 - 1e-3))
+        assert not passed[:20].any() and not passed[-1]
+        assert passed[lam_min > 2.01 * floor].all() if r <= 2 else passed.any()
+        if r == 1:
+            assert np.array_equal(passed, G[:, 0, 0] > floor)
 
 
 def loop_null_space(M):

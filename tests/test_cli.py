@@ -438,3 +438,21 @@ def test_bound_verify_rejects_a_non_finite_or_misshapen_trial(tmp_path, capsys, 
     capsys.readouterr()
     assert main(["bound", "verify", "--trial", _trial(tmp_path, method, **edits)]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part, key, value, message", [
+    ("rip", "delta", "nan", "delta and thetas of the rip report must have finite entries"),
+    ("rip", "theta_minus", "nan", "delta and thetas of the rip report must have finite entries"),
+    ("rip", "theta_plus", "inf", "delta and thetas of the rip report must have finite entries"),
+    ("truth", "support", [42], "truth support [42] is not inside [0, 9)"),
+    ("truth", "support", [-1], "truth support [-1] is not inside [0, 9)"),
+    ("truth", "support", [0, 3], "truth support has 2 entries, more than k = 1"),
+])
+def test_bound_verify_rejects_a_non_finite_rip_report_or_a_truth_support_off_the_frame(
+        tmp_path, capsys, part, key, value, message):
+    path = _trial(tmp_path)
+    trial = serialize.load_json(path)
+    (trial["rip"] if part == "rip" else trial["problem"]["truth"])[key] = value
+    serialize.save_json(trial, path)
+    assert main(["bound", "verify", "--trial", path]) == 1
+    assert message in capsys.readouterr().err

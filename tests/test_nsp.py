@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from lqphase.errors import InvalidWitnessError, ParameterError, ResourceBudgetError
+from lqphase.errors import (
+    DimensionError,
+    DomainError,
+    InvalidWitnessError,
+    ParameterError,
+    ResourceBudgetError,
+)
 from lqphase.frames import build_named_frame, build_parseval_random
 from lqphase.linalg import null_space
 from lqphase.measurement import build_problem, phase_distance
@@ -155,6 +161,29 @@ def test_falsify_rejects_sparsity_outside_zero_to_N(k):
     # the condition holds vacuously at k = 0, and at k = 1 this blind A fails it
     assert nsp_real_falsify(A, F, k=0, q=0.5, budget=10) is None
     assert nsp_real_falsify(A, F, k=1, q=0.5, budget=200).violated
+
+
+def _rows_with(value):
+    A = np.random.default_rng(2).standard_normal((5, 4))
+    A[1, 2] = value
+    return A
+
+
+@pytest.mark.parametrize("A, error, message", [
+    (np.ones((5, 3)), DimensionError, r"A must have shape \(m, 4\), got \(5, 3\)"),
+    (np.ones(4), DimensionError, r"A must have shape \(m, 4\), got \(4,\)"),
+    (_rows_with(np.nan), DomainError, "A must be finite"),
+    (_rows_with(-np.inf), DomainError, "A must be finite"),
+], ids=["5x3", "vector", "nan", "-inf"])
+def test_falsify_rejects_a_misshapen_or_non_finite_A_before_any_svd(monkeypatch, A, error, message):
+    F = build_parseval_random(4, 6, seed=2)
+
+    def svd(*args, **kwargs):
+        raise AssertionError("an SVD ran before the input checks")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    with pytest.raises(error, match=message):
+        nsp_real_falsify(A, F, k=1, q=1.0, budget=10, lambda_mode="all_subsets")
 
 
 def test_dictionary_sparse_distance():
