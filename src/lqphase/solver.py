@@ -14,43 +14,43 @@ Sign tree.  For b >= 0 the feasible set {x : || |Ax| - b || <= eps} is the
 union over sign patterns p of the pieces {x : ||Ax - p o b|| <= eps}, since
 ||a| - b_i| <= |a - p_i b_i| with equality at p_i = sign(a).  A piece is
 non-empty exactly when the pattern's least-squares residual
-||(I - Q Q^T)(p o b)|| (Q from A = QR) is at most eps.  A negative b_i, which
-noise can give, keeps the equality but not the inequality, so every feasible
-x still lies in the piece of its own pattern sign(Ax): the patterns with a
-non-empty piece cover the feasible set, though some may then hold no
-feasible point.  The residual of a prefix of the rows bounds that of every
-completion, so a tree over the rows that prunes on the partial residual
-lists exactly these patterns (sphere decoding over sign vectors: Fincke and
-Pohst; Agrell, Eriksson, Vardy and Zeger).  For a full-column-rank A with
-m >= n, _sign_tree starts from the 2^(n-1) patterns of n pivoted basis rows,
-adds one row per layer by a least-squares update that depends on A alone,
-prunes at the stalled threshold max(eps, 1e-7 ||b||) plus the rounding
-margin TREE_ROUNDING m kappa ||b||, and keeps a leaf only when its exact
-residual is within the threshold; one pattern per class {p, -p}.  One
-eps-continuation run (Daubechies, DeVore, Fornasier and Gunturk) per kept
-pattern then polishes its least-squares point, in one batch.
+||(I - Q Q^T)(p o b)|| (Q an orthonormal basis of A's column space) is at
+most eps.  A negative b_i, which noise can give, keeps the equality but not
+the inequality, so every feasible x still lies in the piece of its own
+pattern sign(Ax): the patterns with a non-empty piece cover the feasible
+set, though some may then hold no feasible point.  The residual of a prefix
+of the rows bounds that of every completion, so a tree over the rows that
+prunes on the partial residual lists exactly these patterns (sphere
+decoding over sign vectors: Fincke and Pohst; Agrell, Eriksson, Vardy and
+Zeger).  solve_irls takes one thin SVD A = U S V^T of numerical rank r, and
+for m >= n runs _sign_tree on U_r S_r, which has A's column space and so
+A's residuals at every rank.  The tree starts from the 2^(r-1) patterns of
+r pivoted basis rows, adds one row per layer by a least-squares update that
+depends on the matrix alone, prunes at the stalled threshold
+max(eps, 1e-7 ||b||) plus the rounding margin TREE_ROUNDING m kappa ||b||,
+and keeps a leaf only when its exact residual is within the threshold; one
+pattern per class {p, -p}.  One eps-continuation run (Daubechies, DeVore,
+Fornasier and Gunturk) per kept pattern then polishes its least-squares
+point, in one batch of at most TREE_MAX_CLASSES runs.
 
 Restart pipeline.  Where the tree does not run (m < n, where a full-row-rank
-A gives every pattern residual 0; a rank-deficient A; a tree of more than
-TREE_MAX_NODES nodes; a tree that keeps no pattern, when eps is below every
-pattern's residual and nothing is feasible; or one that keeps more than
-TREE_MAX_CLASSES, where polishing them all costs more than the restarts),
-_irls_restarts searches for patterns instead.  A sign stage of
-error-reduction alternating projections (Gerchberg-Saxton, Fienup),
-x <- A_pinv (p o b), p <- sign(Ax), takes each start to a fixed sign pattern
-or a two-pattern cycle.  A start whose least-squares point is stalled, its
-residual || |Ax| - b || above the threshold, goes through a 1-opt sign-flip
-descent, which serves only this pipeline and decides every flip by comparing
-exact least-squares residuals.  Last, one polish run per start.
+A gives every pattern residual 0; a tree of more than TREE_MAX_NODES nodes;
+or a tree that keeps no pattern, when eps is below every pattern's residual
+and nothing is feasible), _irls_restarts takes the patterns sign(Ax) of a
+spectral start and random ones instead.  A start whose least-squares point is
+stalled, its residual || |Ax| - b || above the threshold, goes through a
+1-opt sign-flip descent, which serves only this pipeline and decides every
+flip by comparing exact least-squares residuals.  Last, one polish run per
+start.
 
 A polish run stops as soon as it can no longer change the answer, which is
 the best iterate by (violation, objective): at its first iterate inside the
 noise band || |Ax| - b || <= eps, since no later iterate has a smaller
 violation (the discrepancy principle, Morozov), or once its sign pattern has
 held, or alternated between two patterns, at patterns whose least-squares
-residual ||(I - Q Q^T)(p o b)|| (Q from A = QR) exceeds the stalled
-threshold, since no iterate is feasible while they hold (the stall and cycle
-rules of _irls_converge, which give the argument).
+residual ||(I - Q Q^T)(p o b)|| exceeds the stalled threshold, since no
+iterate is feasible while they hold (the stall and cycle rules of
+_irls_converge, which give the argument).
 
 The oracle runs one zero-pattern search for every shape of A, with
 free = max(n - m, 0) analysis zeros per pattern; m >= n is the free = 0 case.
@@ -139,15 +139,14 @@ FLIP_GAIN = 1e-14
 # Nodes the sign tree may visit (basis patterns plus evaluated children); a
 # larger tree leaves the problem to the restart pipeline.
 TREE_MAX_NODES = 2**16
-# Sign classes one polish batch may take from the tree; more leave the
-# problem to the restart pipeline.  Many classes are kept only when m is near
-# n (at m = n all 2^(n-1)).  On square near-isometric A with n = 8, 10, 12 at
-# eps = 0.01 and 0.05 (2-CPU VM, one BLAS thread), polishing 128 classes took
-# 0.40-0.80 ms, below the pipeline on the same A (0.70-1.21 ms), and 256 took
-# 1.22-1.71 ms, above it.  At eps = 0 the pipeline was cheaper from 16-32
-# classes, but there every m > n instance kept one class.  Where more than
-# 128 were kept (84 instances, m = n to n + 3, eps = 0 to 0.1) the pipeline's
-# x_hat was feasible in all.
+# Sign classes one polish batch takes from the tree; of more, it takes those
+# whose least-squares points have the smallest objective.  Many classes are
+# kept only when m is near n (at m = n all 2^(n-1)).  On square near-isometric
+# A at eps = 0.01 and 0.05 (2-CPU VM, one BLAS thread, median of 8 A), a
+# solve_irls call took 1.3 ms at n = 8 (128 classes), 1.7 ms at n = 9 and
+# 2.8-4.0 ms at n = 12, against 2.1 and 3.4 ms for the restart pipeline.  A
+# batch whose runs never enter the noise band runs to max_iters: 0.3 s on a
+# square Gaussian A at n = 12, eps = 0.1.
 TREE_MAX_CLASSES = 2**7
 # The tree prunes at the stalled threshold plus
 # TREE_ROUNDING * m * kappa * ||b||, kappa = ||A||_F / sigma_min(A_I), which
@@ -165,7 +164,7 @@ class SolverResult:
     iterations: int = 0  # IRLS: the winning iterate's index within its polish run
     steps: int = 0  # IRLS: weighted steps over all polish runs
     exits: dict = field(default_factory=dict)  # IRLS: polish runs ended by each of EXIT_RULES
-    feasible_classes: int = 0  # IRLS: sign classes the tree kept and polished; 0 on the fallback
+    feasible_classes: int = 0  # IRLS: sign classes the tree kept; 0 on the fallback
     tree_nodes: int = 0  # IRLS: nodes the sign tree visited; 0 on the fallback
 
 
@@ -175,8 +174,8 @@ class IrlsOptions:
     eps0: float = 1.0
     decay: float = 0.7
     reg: float | None = None  # default 1e-3 * ||b||^2, decays with the smoothing
-    restarts: int = 10  # restart pipeline only (see solve_irls)
-    seed: int = 0  # restart pipeline only
+    restarts: int = 10  # starts of the restart pipeline: m < n or no tree (see solve_irls)
+    seed: int = 0  # of the restart pipeline's random starts
     tol: float = 1e-8
 
     @classmethod
@@ -355,12 +354,19 @@ def _zero_pattern_search(A: np.ndarray, A_pinv: np.ndarray, C: np.ndarray, D: np
     return j, x, obj, Z, (second - obj if second < np.inf else None)
 
 
+def _svd_factors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From one thin SVD A = U S V^T with numerical rank r: Q = U_r, an
+    orthonormal basis of A's column space, the r singular values kept, and
+    the pseudo-inverse V_r S_r^-1 U_r^T."""
+    u, sv, vh = np.linalg.svd(A, full_matrices=False)
+    r = numerical_rank(sv)
+    return u[:, :r], sv[:r], (vh[:r].T / sv[:r]) @ u[:, :r].T
+
+
 def _full_rank_pinv(A: np.ndarray) -> np.ndarray | None:
     """Pseudo-inverse of A, or None when its numerical rank is below min(m, n)."""
-    u, sv, vh = np.linalg.svd(A, full_matrices=False)
-    if numerical_rank(sv) < min(A.shape):
-        return None
-    return (vh.T / sv) @ u.T
+    _, sv, A_pinv = _svd_factors(A)
+    return A_pinv if len(sv) == min(A.shape) else None
 
 
 def solve_affine_lq_oracle(
@@ -508,7 +514,7 @@ def irls_surrogate(
 
 def _pattern_residuals(Q: np.ndarray, b: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Least-squares residual ||(I - Q Q^T)(p o b)|| = min_x ||A x - p o b|| of
-    every row p of S, where Q is the orthonormal factor of A's QR."""
+    every row p of S, where Q is an orthonormal basis of A's column space."""
     CV = S * b
     return _row_norms(CV - _mv(Q, _mv(Q.T, CV)))
 
@@ -516,8 +522,8 @@ def _pattern_residuals(Q: np.ndarray, b: np.ndarray, S: np.ndarray) -> np.ndarra
 def _sign_flip_descent(A: np.ndarray, b: np.ndarray, patterns: np.ndarray,
                        max_sweeps: int = 8, Q: np.ndarray | None = None) -> np.ndarray:
     """1-opt descent on the least-squares residual over sign patterns, for every
-    row of patterns (R, m); Q is A's orthonormal QR factor, computed when not
-    given.
+    row of patterns (R, m); Q is an orthonormal basis of A's column space, by
+    default A's QR factor.
 
     Escapes alternating fixed points whose sign pattern is locally wrong;
     deterministic (first improving flip wins within a sweep).  A sweep visits
@@ -558,7 +564,7 @@ def _stall_threshold(eps: float, scale: float) -> float:
 def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
                    lam0: float, Q: np.ndarray) -> tuple:
     """Polish every row of X (R, n), one least-squares point per pattern, by one
-    continuation run each, as one batched state; Q is A's orthonormal QR factor.
+    continuation run each, as one batched state, Q an orthonormal basis of col(A).
 
     Every row follows the same eps/lam schedule, so iteration t updates all
     live rows with one stacked weighted step.  A row leaves the batch at the
@@ -641,34 +647,6 @@ def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
     return best_x, best_v, best_o, best_t, steps, rule
 
 
-def _sign_stage(A: np.ndarray, A_pinv: np.ndarray, b: np.ndarray, S: np.ndarray,
-                max_iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Error-reduction alternating projections x <- A_pinv (p o b), p <- sign(A x)
-    from every row p of the sign patterns S (R, m), as one batched state.
-
-    A row stops once its new pattern equals its current one (a fixed pattern)
-    or the one two projections back (a two-pattern cycle), or after max_iters
-    projections.  With x the least-squares point of p and p' = sign(A x),
-    min_y ||A y - p' o b|| <= || |A x| - b || <= ||A x - p o b||, so the pattern
-    residual never increases along a row.  Returns each row's last projected
-    pattern and its least-squares point.
-    """
-    S_out, X_out = np.empty_like(S), np.empty((len(S), A.shape[1]))
-    live = np.arange(len(S))
-    S_old = np.zeros_like(S)  # the pattern before S; no pattern equals it at the start
-    for t in range(1, max_iters + 1):
-        X = _mv(A_pinv, S * b)
-        S_new = np.where(_mv(A, X) >= 0.0, 1.0, -1.0)
-        done = np.all(S_new == S, axis=1) | np.all(S_new == S_old, axis=1) | (t == max_iters)
-        out = live[done]
-        S_out[out], X_out[out] = S[done], X[done]
-        keep = ~done
-        live, S, S_old = live[keep], S_new[keep], S[keep]
-        if not len(live):
-            break
-    return S_out, X_out
-
-
 def _basis_rows(A: np.ndarray) -> list[int]:
     """n rows of a full-column-rank A (m, n), by Gram-Schmidt on the rows with
     pivoting: each step takes the row with the largest component orthogonal to
@@ -687,8 +665,8 @@ def _basis_rows(A: np.ndarray) -> list[int]:
 def _sign_tree(A: np.ndarray, b: np.ndarray, threshold: float,
                Q: np.ndarray) -> tuple[np.ndarray, int] | None:
     """Every sign pattern p, one per class {p, -p}, whose least-squares residual
-    _pattern_residuals(Q, b, p) is at most threshold, for a full-column-rank A
-    with m >= n; Q is A's orthonormal QR factor.
+    _pattern_residuals(Q, b, p) is at most threshold, for an A (m, n) of full
+    column rank n <= m, n = 0 included, Q an orthonormal basis of col(A).
 
     Returns the patterns (K, m), in the order the tree emits them, and the
     nodes visited, or None when the tree would visit more than TREE_MAX_NODES.
@@ -732,7 +710,7 @@ def _sign_tree(A: np.ndarray, b: np.ndarray, threshold: float,
     A_I = A[I]
     U, _ = np.linalg.qr(np.vstack([-np.linalg.solve(A_I.T, A[order[n:]].T), np.eye(m - n)]))
     U *= bt[:, None]
-    kappa = np.linalg.norm(A) / np.linalg.svd(A_I, compute_uv=False)[-1]
+    kappa = np.linalg.norm(A) / np.linalg.svd(A_I, compute_uv=False).min(initial=np.inf)
     cut2 = (threshold + TREE_ROUNDING * m * kappa * float(np.linalg.norm(b))) ** 2
     r2 = np.zeros(nodes)
     fixed = len(nz) > 0
@@ -777,37 +755,31 @@ def _polish(P: PhaselessProblem, X0: np.ndarray, opts: IrlsOptions, Q: np.ndarra
     )
 
 
-def _irls_restarts(P: PhaselessProblem, opts: IrlsOptions) -> SolverResult:
-    """The restart pipeline: sign stage, sign-flip descent and one polish
-    batch, one run per restart.  solve_irls falls back to it where the sign
-    tree does not run.
-
-    Restart 0 starts at the spectral direction, every later one at a fresh
-    random direction scaled to ||b||; a start's first pattern is sign(Ax),
-    zeros mapping to +1.  A start whose sign-stage least-squares point is
-    stalled goes through the descent.  Each polish run starts at the
-    least-squares point of its start's pattern.  The descent runs only here,
-    and each of its flips is decided by the exact residuals of both patterns.
+def _irls_restarts(P: PhaselessProblem, opts: IrlsOptions,
+                   factors: tuple | None = None) -> SolverResult:
+    """The restart pipeline, solve_irls's fallback where the sign tree does not
+    run: one polish run per restart, from the least-squares point
+    A_pinv (p o b) of its start's pattern p = sign(Ax) (zeros mapping to +1),
+    after sign-flip descent where that point is stalled.  Restart 0 starts at
+    the spectral direction, every later one at a fresh random direction
+    scaled to ||b||.  factors are A's _svd_factors, taken here when not given.
 
     Each step is batched over the starts and equals running them one after
     another bit for bit: stacked products are _mv's and norms _row_norms',
-    which run the same BLAS kernels per row as the 1-D calls.  One QR of A
-    serves the stall rule and the descent, one pseudo-inverse the sign stage
-    and the polish starts.
+    which run the same BLAS kernels per row as the 1-D calls.
     """
     A, b = P.A, P.b
     n = A.shape[1]
     scale = float(np.linalg.norm(b))
+    Q, _, A_pinv = factors or _svd_factors(A)
     _, V = np.linalg.eigh(A.T @ ((b**2)[:, None] * A))
     starts = [scale * V[:, -1]]
     for j in range(1, opts.restarts):  # fresh random directions break bad sign-pattern basins
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(opts.seed, j)))
         g = rng.standard_normal(n)
         starts.append(scale * g / np.linalg.norm(g))
-    Q, _ = np.linalg.qr(A)
-    A_pinv = np.linalg.pinv(A)
-    S0 = np.where(_mv(A, np.array(starts)) >= 0.0, 1.0, -1.0)
-    S, X0 = _sign_stage(A, A_pinv, b, S0, opts.max_iters)
+    S = np.where(_mv(A, np.array(starts)) >= 0.0, 1.0, -1.0)
+    X0 = _mv(A_pinv, S * b)
     stalled = np.flatnonzero(_row_norms(np.abs(_mv(A, X0)) - b) > _stall_threshold(P.eps, scale))
     S[stalled] = _sign_flip_descent(A, b, S[stalled], 8, Q)
     X0[stalled] = _mv(A_pinv, S[stalled] * b)
@@ -817,14 +789,15 @@ def _irls_restarts(P: PhaselessProblem, opts: IrlsOptions) -> SolverResult:
 def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverResult:
     """Reweighted least-squares polish of the sign patterns the sign tree keeps.
 
-    For a full-column-rank A with m >= n, _sign_tree lists one pattern per
-    class {p, -p} whose least-squares residual is at most the stalled
-    threshold max(eps, 1e-7 ||b||), and one polish run starts at each one's
-    least-squares point A_pinv (p o b).  The restart pipeline (_irls_restarts)
-    runs instead when m < n, when A is rank-deficient, when the tree would
-    visit more than TREE_MAX_NODES nodes, or when it keeps no pattern (eps
-    below every pattern's residual) or more than TREE_MAX_CLASSES; restarts
-    and seed act only there.
+    One thin SVD of A gives Q = U_r, A_pinv and U_r S_r (r the numerical
+    rank).  For m >= n, _sign_tree runs on U_r S_r, which has A's residuals,
+    and one polish run starts at each kept pattern's least-squares point
+    A_pinv (p o b); past TREE_MAX_CLASSES classes, at the TREE_MAX_CLASSES
+    points of smallest objective (a stable sort; emission order breaks ties).
+    The restart pipeline (_irls_restarts) runs instead when m < n, when the
+    tree would visit more than TREE_MAX_NODES nodes, or when it keeps no
+    pattern (eps below every pattern's residual); restarts and seed act only
+    there.
 
     Each polish run is the continuation: every outer iteration sets
     p = sign(Ax), then solves the strictly convex weighted problem, and the
@@ -836,25 +809,27 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
 
     `iterations` is the winning iterate's index within its polish run, `steps`
     the weighted steps of all polish runs, and `exits` counts the polish runs
-    that ended by each of EXIT_RULES; they add up to `feasible_classes` on
-    the tree path and to the restarts on the fallback, where
-    `feasible_classes` and `tree_nodes` read 0.
+    that ended by each of EXIT_RULES; they add up to the classes polished on
+    the tree path, min(`feasible_classes`, TREE_MAX_CLASSES), and to the
+    restarts on the fallback, where `feasible_classes` and `tree_nodes`
+    read 0.
     """
     opts = opts or IrlsOptions()
     opts.validate()
     _check_q(P.q)
-    A, b = P.A, P.b
+    A, b, D = P.A, P.b, P.frame.D
     m, n = A.shape
     scale = float(np.linalg.norm(b))
     if scale == 0.0:
         return SolverResult(x_hat=np.zeros(n), objective=0.0, feasibility=0.0,
                             method="irls", iterations=0, exits=dict.fromkeys(EXIT_RULES, 0))
-    A_pinv = _full_rank_pinv(A) if m >= n else None
-    if A_pinv is None:
-        return _irls_restarts(P, opts)
-    Q, _ = np.linalg.qr(A)
-    tree = _sign_tree(A, b, _stall_threshold(P.eps, scale), Q)
-    if tree is None or not 0 < len(tree[0]) <= TREE_MAX_CLASSES:
-        return _irls_restarts(P, opts)
+    factors = Q, sv, A_pinv = _svd_factors(A)
+    tree = _sign_tree(Q * sv, b, _stall_threshold(P.eps, scale), Q) if m >= n else None
+    if tree is None or not len(tree[0]):
+        return _irls_restarts(P, opts, factors)
     S, nodes = tree
-    return _polish(P, _mv(A_pinv, S * b), opts, Q, feasible_classes=len(S), tree_nodes=nodes)
+    X0 = _mv(A_pinv, S * b)
+    if len(S) > TREE_MAX_CLASSES:
+        objective = np.sum(np.abs(_mv(D.T, X0)) ** P.q, axis=1)
+        X0 = X0[np.sort(np.argsort(objective, kind="stable")[:TREE_MAX_CLASSES])]
+    return _polish(P, X0, opts, Q, feasible_classes=len(S), tree_nodes=nodes)

@@ -312,13 +312,15 @@ def loop_weighted_step(
 
 
 def loop_sign_flip_descent(A: np.ndarray, b: np.ndarray, p: np.ndarray,
-                           max_sweeps: int = 8) -> np.ndarray:
-    """1-opt descent on the least-squares residual over sign patterns.
+                           max_sweeps: int = 8, Qa: np.ndarray | None = None) -> np.ndarray:
+    """1-opt descent on the least-squares residual over sign patterns; Qa is an
+    orthonormal basis of A's column space, by default A's QR factor.
 
     Escapes alternating fixed points whose sign pattern is locally wrong;
     deterministic (first improving flip wins within a sweep).
     """
-    Qa, Ra = np.linalg.qr(A)
+    if Qa is None:
+        Qa, _ = np.linalg.qr(A)
 
     def resid(pattern: np.ndarray) -> float:
         cv = pattern * b
@@ -342,17 +344,17 @@ def loop_sign_flip_descent(A: np.ndarray, b: np.ndarray, p: np.ndarray,
 
 
 def loop_solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverResult:
-    """Sign stage, sign-flip descent and reweighted least-squares polish, one
-    start at a time.
+    """Sign-flip descent and reweighted least-squares polish, one start at a
+    time.
 
     Restart 0 starts at the spectral direction, every later one at a fresh
-    random direction scaled to ||b||.  The sign stage alternates
-    x = A_pinv (p o b) and p = sign(A x) until the pattern repeats the current
-    one or the one two projections back; a stalled least-squares point gets
-    one round of 1-opt sign-flip descent; the polish runs the continuation
-    from the pattern's least-squares point until an exit rule holds.  Among
-    all iterates of all runs the returned one minimizes (constraint
-    violation, objective) lexicographically.
+    random direction scaled to ||b||.  A start's pattern p = sign(A x) goes to
+    its least-squares point x = A_pinv (p o b); a stalled one gets one round
+    of 1-opt sign-flip descent; the polish runs the continuation from the
+    pattern's least-squares point until an exit rule holds.  A_pinv and the
+    basis Qa of A's column space come from A's thin SVD, cut at its numerical
+    rank r.  Among all iterates of all runs the returned one minimizes
+    (constraint violation, objective) lexicographically.
     """
     opts = opts or IrlsOptions()
     opts.validate()
@@ -366,8 +368,10 @@ def loop_solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> Sol
     lam0 = opts.reg if opts.reg is not None else 1e-3 * float(b @ b)
     _, V = np.linalg.eigh(A.T @ ((b**2)[:, None] * A))
     x_spec = scale * V[:, -1]
-    A_pinv = np.linalg.pinv(A)
-    Qa, _ = np.linalg.qr(A)
+    u, sv, vh = np.linalg.svd(A, full_matrices=False)
+    r = numerical_rank(sv)
+    A_pinv = (vh[:r].T / sv[:r]) @ u[:, :r].T
+    Qa = u[:, :r]
     threshold = max(P.eps, 1e-7 * scale)
 
     def sign(x: np.ndarray) -> np.ndarray:
@@ -376,16 +380,6 @@ def loop_solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> Sol
     def resid(pattern: np.ndarray) -> float:
         cv = pattern * b
         return float(np.linalg.norm(cv - Qa @ (Qa.T @ cv)))
-
-    def sign_stage(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p_old = None
-        for t in range(1, opts.max_iters + 1):
-            x = A_pinv @ (p * b)
-            p_new = sign(x)
-            if (np.array_equal(p_new, p) or (p_old is not None and np.array_equal(p_new, p_old))
-                    or t == opts.max_iters):
-                return p, x
-            p, p_old = p_new, p
 
     best_key: tuple[float, float] | None = None
     best_x = None
@@ -429,9 +423,10 @@ def loop_solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> Sol
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(opts.seed, j)))
             g = rng.standard_normal(n)
             x = scale * g / np.linalg.norm(g)
-        p, x = sign_stage(sign(x))
+        p = sign(x)
+        x = A_pinv @ (p * b)
         if np.linalg.norm(np.abs(A @ x) - b) > threshold:
-            p = loop_sign_flip_descent(A, b, p)
+            p = loop_sign_flip_descent(A, b, p, Qa=Qa)
             x = A_pinv @ (p * b)
         converge(x)
     assert best_x is not None
@@ -1378,7 +1373,7 @@ def test_irls_matches_reference_loop_bit_for_bit(opts, monkeypatch):
         # solve_irls, so the restart pipeline is called directly
         assert _irls_outcome(solver._irls_restarts, P, opts) == _irls_outcome(loop_solve_irls, P, opts)
     # the corpus reaches both paths: starts that go through the sign-flip
-    # descent and starts polished from the sign stage's pattern
+    # descent and starts polished from their own pattern
     assert 0 < sum(descended) < opts.restarts * len(problems)
 
 

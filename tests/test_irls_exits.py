@@ -131,7 +131,7 @@ def irls_sweep_trial(master_seed: int, cell: int, trial: int):
 
 # irls-sweep trials (cell, trial) at seed 1 whose restart pipeline once had
 # runs alternating between two infeasible patterns from the first steps on;
-# since the sign stage only (0, 2) still has one.  solve_irls polishes these
+# only (0, 2) still has one.  solve_irls polishes these
 # trials from the sign tree's feasible patterns, so the tests below call the
 # restart pipeline itself.
 CYCLING_TRIALS = ((0, 2), (2, 17), (2, 20), (3, 2))

@@ -7,9 +7,11 @@ classes and a class whose residual is exactly the threshold, on tall and
 square A with zero, negative and duplicated measurements and duplicated
 rows.  The brute force takes its residuals from _pattern_residuals, and those
 are checked against lstsq.  solve_irls must return a feasible x_hat on every
-irls-sweep trial at seeds 0 and 1, polish one run per kept class, and fall
-back to the restart pipeline, reporting no classes and no nodes, where the
-tree does not run or keeps no class or too many.
+irls-sweep trial at seeds 0 and 1, take one SVD of A and no QR or
+pseudo-inverse of it, run the tree at every rank of a tall or square A,
+polish one run per kept class, or the TREE_MAX_CLASSES of smallest
+least-squares objective, and fall back to the restart pipeline, reporting no
+classes and no nodes, where the tree does not run or keeps no class.
 """
 
 import dataclasses
@@ -25,6 +27,7 @@ from lqphase import serialize, solver
 from lqphase.frames import build_parseval_random
 from lqphase.measurement import PhaselessProblem
 from lqphase.records import CSV_COLUMNS
+from lqphase.signals import lq_quasinorm
 from lqphase.solver import IrlsOptions, solve_irls
 
 
@@ -137,7 +140,21 @@ def test_every_irls_sweep_trial_is_feasible():
     assert min(classes) >= 1
 
 
-def test_one_polish_run_per_kept_class(monkeypatch):
+def _spy_tree(monkeypatch) -> list:
+    """Record what every _sign_tree call returns."""
+    trees = []
+    tree = solver._sign_tree
+
+    def spy(*args):
+        trees.append(tree(*args))
+        return trees[-1]
+
+    monkeypatch.setattr(solver, "_sign_tree", spy)
+    return trees
+
+
+def _spy_starts(monkeypatch) -> list:
+    """Record the starts of every _irls_converge call."""
     starts = []
     converge = solver._irls_converge
 
@@ -146,6 +163,11 @@ def test_one_polish_run_per_kept_class(monkeypatch):
         return converge(P, X, *args)
 
     monkeypatch.setattr(solver, "_irls_converge", spy)
+    return starts
+
+
+def test_one_polish_run_per_kept_class(monkeypatch):
+    starts = _spy_starts(monkeypatch)
     for P in irls_corpus():
         if P.m < P.n:
             continue
@@ -181,11 +203,75 @@ def test_wide_A_falls_back_to_the_restart_pipeline():
         _assert_falls_back(P)
 
 
-def test_rank_deficient_A_falls_back():
-    P, opts = irls_sweep_trial(0, 0, 0)
-    A = P.A.copy()
-    A[:, 1] = A[:, 0]  # rank n - 1
-    _assert_falls_back(PhaselessProblem(A=A, frame=P.frame, b=P.b, eps=P.eps, q=P.q), opts)
+def test_rank_deficient_A_takes_the_tree(monkeypatch):
+    # U_r S_r from A's SVD has A's column space, so the tree over it keeps the
+    # classes of A's own least-squares residuals, here from lstsq
+    trees = _spy_tree(monkeypatch)
+    rng = np.random.default_rng(8)
+    m, n = 10, 5
+    F = build_parseval_random(n, n + 3, seed=3)
+    G = rng.standard_normal((m, n)) / np.sqrt(m)
+    rank_n_1 = G.copy()
+    rank_n_1[:, 1] = rank_n_1[:, 0]
+    rank_1 = np.outer(G[:, 0], rng.standard_normal(n))
+    for A in (rank_n_1, rank_1, np.zeros((m, n))):
+        b = np.abs(A @ rng.standard_normal(n) + 0.01 * rng.standard_normal(m) / np.sqrt(m))
+        # at A = 0 every residual is ||b||: above it, every class holds x = 0
+        eps = 0.05 if A.any() else 1.01 * float(np.linalg.norm(b))
+        P = PhaselessProblem(A=A, frame=F, b=b, eps=eps, q=0.5)
+        del trees[:]
+        res = solve_irls(P)
+        (kept, nodes), = trees
+        assert res.tree_nodes == nodes > 0 and res.feasible_classes == len(kept) > 0
+        assert res.feasibility <= eps * (1.0 + 1e-9)
+        S = solver._sign_patterns(m)
+        C = (S * b).T
+        resid = np.linalg.norm(A @ np.linalg.lstsq(A, C, rcond=None)[0] - C, axis=0)
+        threshold = solver._stall_threshold(eps, np.linalg.norm(b))
+        assert {_class(p, b) for p in kept} == \
+            {_class(p, b) for p, r in zip(S, resid) if r <= threshold}
+    # A = 0 with eps below ||b|| keeps no class and falls back
+    P = PhaselessProblem(A=np.zeros((m, n)), frame=F, b=b, eps=0.5 * np.linalg.norm(b), q=0.5)
+    _assert_falls_back(P)
+    assert not np.any(solve_irls(P).x_hat)
+
+
+def test_one_svd_and_no_qr_or_pseudo_inverse_of_A(monkeypatch):
+    svd, qr = np.linalg.svd, np.linalg.qr
+    calls = []
+
+    def of_A(M) -> bool:
+        return np.shape(M) == P.A.shape and np.array_equal(M, P.A)
+
+    def svd_spy(M, *args, **kwargs):
+        calls.append(of_A(M))
+        return svd(M, *args, **kwargs)
+
+    def qr_spy(M, *args, **kwargs):
+        assert not of_A(M), "QR of A"
+        return qr(M, *args, **kwargs)
+
+    def no_pinv(*args, **kwargs):
+        raise AssertionError("pseudo-inverse")
+
+    tall, opts = irls_sweep_trial(0, 0, 0)
+    wide = next(P for P in irls_corpus() if P.m < P.n)
+    overflow, _ = irls_sweep_trial(1, 2, 5)
+    # a tree problem, a wide one and one whose tree overflows its node budget
+    for P, nodes in ((tall, solver.TREE_MAX_NODES), (wide, solver.TREE_MAX_NODES),
+                     (overflow, 2**7 - 1)):
+        monkeypatch.setattr(solver, "TREE_MAX_NODES", nodes)
+        want = solve_irls(P, opts)
+        with monkeypatch.context() as spies:
+            spies.setattr(np.linalg, "svd", svd_spy)
+            spies.setattr(np.linalg, "qr", qr_spy)
+            spies.setattr(np.linalg, "pinv", no_pinv)
+            del calls[:]
+            res = solve_irls(P, opts)
+        assert calls.count(True) == 1
+        assert _same(res, want)
+        assert (res.feasible_classes > 0) == (P is tall)
+        assert res.feasibility <= P.eps * (1.0 + 1e-9) or P is wide
 
 
 def test_node_budget_overrun_falls_back(monkeypatch):
@@ -228,6 +314,40 @@ def test_zero_measurements_take_plus_one(zeros):
     _assert_tree_equals_brute(A, b, Q, threshold, S, resid)
 
 
+def test_wide_A_flips_nothing(monkeypatch):
+    # a full-row-rank A meets every pattern exactly, so for b > 0 no
+    # least-squares point is stalled and no flip gains
+    rng = np.random.default_rng(5)
+    for m, n in ((3, 5), (4, 6), (6, 8)):
+        A = rng.standard_normal((m, n)) / np.sqrt(m)
+        b = np.abs(rng.standard_normal(m)) + 0.1
+        S = np.where(rng.random((8, m)) < 0.5, 1.0, -1.0)
+        assert np.array_equal(solver._sign_flip_descent(A, b, S), S)
+    descended = []
+    descent = solver._sign_flip_descent
+
+    def spy(A, b, S, *args):
+        descended.append(len(S))
+        return descent(A, b, S, *args)
+
+    monkeypatch.setattr(solver, "_sign_flip_descent", spy)
+    wide = [P for P in irls_corpus() if P.m < P.n]
+    for P in wide:
+        solve_irls(P)  # no least-squares point is stalled: the descent never runs
+    assert len(wide) == 2 and sum(descended) == 0
+
+
+def _assert_polishes_the_lowest_objectives(P, kept, X, cap):
+    """X holds the least-squares points of the cap classes of kept whose
+    objectives are smallest, the earlier class winning a tie, in kept's order."""
+    X_ls = (np.linalg.pinv(P.A) @ (kept * P.b).T).T
+    objective = np.array([lq_quasinorm(P.frame.D.T @ x, P.q) for x in X_ls])
+    chosen = sorted(sorted(range(len(kept)), key=lambda i: objective[i])[:cap])
+    assert len(X) == cap < len(kept)
+    assert np.allclose(X, X_ls[chosen], rtol=0.0, atol=1e-12)
+    assert np.max(objective[chosen]) <= np.min(np.delete(objective, chosen))
+
+
 def test_noiseless_square_A_keeps_every_class(monkeypatch):
     rng = np.random.default_rng(4)
     F = build_parseval_random(5, 7, seed=1)
@@ -237,22 +357,29 @@ def test_noiseless_square_A_keeps_every_class(monkeypatch):
     res = solve_irls(P)
     assert res.feasible_classes == 2**4 == sum(res.exits.values())
     assert res.tree_nodes == 2**4 and res.feasibility <= 1e-7 * np.linalg.norm(b)
-    # more kept classes than one polish batch takes: the restart pipeline
+    # more kept classes than one polish batch takes: the batch takes those
+    # with the smallest least-squares objective
     monkeypatch.setattr(solver, "TREE_MAX_CLASSES", 2**4 - 1)
-    _assert_falls_back(P)
+    trees, starts = _spy_tree(monkeypatch), _spy_starts(monkeypatch)
+    res = solve_irls(P)
+    assert res.feasible_classes == 2**4 and sum(res.exits.values()) == 2**4 - 1
+    _assert_polishes_the_lowest_objectives(P, trees[0][0], starts[0], 2**4 - 1)
 
 
 @pytest.mark.parametrize("n", [8, 9])
-def test_square_A_polishes_up_to_the_class_cap(n):
+def test_square_A_polishes_up_to_the_class_cap(n, monkeypatch):
     # at m = n every one of the 2^(n-1) classes is kept: n = 8 gives 128,
-    # which one polish batch takes, and n = 9 gives 256, which goes to the
-    # restart pipeline
+    # which one polish batch takes, and n = 9 gives 256, of which the batch
+    # takes the 128 of smallest least-squares objective
     rng = np.random.default_rng(n)
     F = build_parseval_random(n, n + 4, seed=2)
     A = rng.standard_normal((n, n)) / np.sqrt(n)
     b = np.abs(A @ rng.standard_normal(n)) + 0.01 * rng.standard_normal(n) / np.sqrt(n)
     P = PhaselessProblem(A=A, frame=F, b=b, eps=0.01, q=0.5)
-    if 2 ** (n - 1) <= solver.TREE_MAX_CLASSES:
-        assert solve_irls(P).feasible_classes == 2 ** (n - 1)
-    else:
-        _assert_falls_back(P)
+    trees, starts = _spy_tree(monkeypatch), _spy_starts(monkeypatch)
+    res = solve_irls(P)
+    assert res.feasible_classes == 2 ** (n - 1) == len(trees[0][0])
+    assert sum(res.exits.values()) == min(2 ** (n - 1), solver.TREE_MAX_CLASSES)
+    assert res.feasibility <= P.eps * (1.0 + 1e-9)
+    if 2 ** (n - 1) > solver.TREE_MAX_CLASSES:
+        _assert_polishes_the_lowest_objectives(P, trees[0][0], starts[0], solver.TREE_MAX_CLASSES)
