@@ -11,6 +11,11 @@ W, the null space of K = (I - P_S)[U V], with P_S the projection onto
 col(D_S) and U, V null-space bases of the two row sets.  Most cells are
 decided without U, V or K:
 
+- the end layers (row subsets of sizes 0, 1, m - 1 and m) lose the subsets
+  whose rows, or whose complement's rows, certainly have full column rank
+  (_full_rank_subsets), from the one SVD of A that the sign screen also
+  uses: such a subset has U = {0} or V = {0} and feeds no cell, so it gets
+  no SVD of its own;
 - the sign screen (_sign_screen) certifies W = {0} from A alone: with
   sigma_Lambda the signs -1 on Lambda and +1 off it, A(u-v) =
   diag(sigma_Lambda) A(u+v), so for A of full column rank W is {0} exactly
@@ -22,16 +27,21 @@ decided without U, V or K:
   margin argument).  The scan screens a layer when it reaches it, so a scan
   that stops at a witness screens no later layer;
 - at the sizes where every row subset has dim U, dim V >= 1, and at k <= 1,
-  where a cell's screen costs a norm, a layer is screened first; at the
-  other sizes its row subsets' SVDs come first, and only the subsets they
-  leave with dim U, dim V >= 1 are screened;
-- row-subset null spaces are taken only for the row subsets that keep an
-  open cell and their complements, one stacked SVD per size in a layer and
-  at most one per subset in a call;
+  where a cell's screen costs a norm, a layer is screened first, and its
+  row subsets with an open cell get their null spaces in pieces in scan
+  order, each piece one more than the subsets the layer has taken so far
+  (1, 2, 4, ...); at the other sizes the layer's SVDs come first, since
+  they leave most subsets with dim U = 0 or dim V = 0, and only the
+  subsets with dim U, dim V >= 1 are screened;
+- a row subset and its complement get their null spaces at most once per
+  call;
 - every open cell is decomposed by linalg.null_spaces, with the rank cutoff
   relative to the unit scale of [U V], in pieces that double as the scan
   reaches them, so a scan that stops at a witness decomposes fewer than
-  twice the cells it scanned.
+  twice the cells it scanned;
+- the cells of a piece with dim W = 1 get their one evaluation of the gap
+  in one stacked product (_unit_gaps), and only those with a gap of at
+  least -STRICTNESS_TOL reach the witness check.
 
 A cell with dim W <= 1 is decided exactly, by at most one evaluation of a
 witness; only cells with dim W >= 2 are searched, so there the absence of a
@@ -40,9 +50,10 @@ budget and mode.
 
 Bases of col(D_S) come from linalg.support_bases, the kernel the isometry
 constants use: the falsifier computes every support's basis once per call,
-before it scans the row subsets, and shares it between the projections of K
-and the sign screen; dictionary_sparse_distance takes them a chunk of
-supports at a time, for real and complex D alike.
+before it scans the row subsets, and shares it between the projections of K,
+the sign screen and the membership check of its witnesses;
+dictionary_sparse_distance takes them a chunk of supports at a time, for
+real and complex D alike.
 
 Complex case: only witness evaluation is provided (block partitions of the
 rows with per-block unimodular constants); the combinatorics of a search are
@@ -79,7 +90,9 @@ ALL_SUBSETS_MAX_M = 14
 # Lower bound on s_min(K) that certifies a (row subset, support) system of
 # full rank without U, V or an SVD: 1e4 times the rank cutoff, which the
 # bound must clear by (1 + 2 sqrt 2) RANK_RTOL plus rounding (see
-# _sign_screen); derived from the cutoff, not tuned.
+# _sign_screen); derived from the cutoff, not tuned.  Times s_1(A), it is
+# also the bound on s_n(A_Lambda) that certifies a row subset of full column
+# rank (_full_rank_subsets).
 SIGN_SCREEN_TAU = 1e4 * RANK_RTOL
 
 
@@ -124,17 +137,29 @@ def dictionary_sparse_distance(x: np.ndarray, D: np.ndarray, k: int,
     """
     x = np.asarray(x)
     n, N = D.shape
-    if comb(N, k) > support_budget:
-        raise ResourceBudgetError(f"C({N},{k}) supports exceed the budget {support_budget}")
+    _check_support_budget(N, k, support_budget)
     best = float(np.linalg.norm(x)) if k <= N else np.inf
     if k == 0:
         return best
     for supports in combination_blocks(N, k, max(1, STACK_ELEMS // (n * k))):
-        for _, Q in support_bases(D, supports):
-            proj = np.einsum("cir,cr->ci", Q, np.einsum("cir,i->cr", Q.conj(), x))
-            best = min(best, float(np.min(np.linalg.norm(x - proj, axis=1))))
+        best = min(best, _support_distance(x, support_bases(D, supports)))
         if best == 0.0:
             break
+    return best
+
+
+def _check_support_budget(N: int, k: int, support_budget: int) -> None:
+    if comb(N, k) > support_budget:
+        raise ResourceBudgetError(f"C({N},{k}) supports exceed the budget {support_budget}")
+
+
+def _support_distance(x: np.ndarray, bases: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """The distance from x to the nearest col(D_S) among the support_bases
+    groups bases; inf when there is none."""
+    best = np.inf
+    for _, Q in bases:
+        proj = np.einsum("cir,cr->ci", Q, np.einsum("cir,i->cr", Q.conj(), x))
+        best = min(best, float(np.min(np.linalg.norm(x - proj, axis=1))))
     return best
 
 
@@ -147,6 +172,15 @@ def nsp_real_evaluate(A: np.ndarray, F: TightFrame, w: NspWitness) -> NspWitness
 
     violated means the strict inequality fails, i.e. lhs >= rhs - 1e-12.
     """
+    return _evaluate(A, F, w, None)
+
+
+def _evaluate(A: np.ndarray, F: TightFrame, w: NspWitness,
+              bases: list[tuple[np.ndarray, np.ndarray]] | None) -> NspWitness:
+    """nsp_real_evaluate, with the support_bases of all C(N, k) supports in
+    one stack when the caller holds them (the falsifier does): they are the
+    bases dictionary_sparse_distance computes whenever its supports fit one
+    chunk, so the check is the same."""
     A = np.asarray(A, dtype=float)
     m = A.shape[0]
     q = _check_q(w.q)
@@ -168,7 +202,11 @@ def nsp_real_evaluate(A: np.ndarray, F: TightFrame, w: NspWitness) -> NspWitness
     s = u + v
     ns = np.linalg.norm(s)
     if ns > 0:
-        dist = dictionary_sparse_distance(s, F.D, w.k)
+        if bases is None:
+            dist = dictionary_sparse_distance(s, F.D, w.k)
+        else:
+            _check_support_budget(F.N, w.k, SUPPORT_BUDGET)
+            dist = min(float(ns), _support_distance(s, bases))
         if dist > MEMBERSHIP_RTOL * ns:
             raise InvalidWitnessError(
                 f"u+v is not dictionary-{w.k}-sparse (relative distance {dist / ns:.2e})"
@@ -281,12 +319,50 @@ def _min_eig_exceeds(G: np.ndarray, floor: float) -> np.ndarray:
     return det * (r - 1) ** (r - 1) > floor * tr ** (r - 1)
 
 
-def _sign_screen(A: np.ndarray, bases: list[tuple[np.ndarray, np.ndarray]], n_supports: int):
+def _full_rank_subsets(svd: tuple[np.ndarray, np.ndarray, np.ndarray], n: int) -> dict[int, np.ndarray]:
+    """The row subsets of sizes m and m - 1 whose rows certainly have full
+    column rank n under the rank rule of null_spaces, as {size: mask} over
+    the subsets of each size in lexicographic order, from svd, the full SVD
+    of A (m x n); {} where A is not of full column rank.
+
+    Let A = U S V^T have full column rank, H = U[:, n:] an orthonormal basis
+    of col(A)^perp with rows H_i, and y = Ax.  H^T y = 0 gives
+    H_i y_i = -sum_{j != i} H_j y_j, so ||H_i|| |y_i| <= ||y_{-i}|| since
+    ||H|| = 1, and ||y||^2 = y_i^2 + ||y_{-i}||^2 >= s_n(A)^2 ||x||^2 then gives
+
+        s_n(A without row i) >= s_n(A) ||H_i|| / sqrt(1 + ||H_i||^2).
+
+    A subset is certified where this bound, or s_n(A) itself for the m rows,
+    is at least SIGN_SCREEN_TAU s_1(A).  A row whose removal drops the rank
+    (a row no other row repeats, at m = n + 1 with a repeated row) has
+    H_i = 0 and a bound of 0.
+
+    Margin: the computed H annihilates A only up to O(m eps ||A||), which
+    lowers the bound by as much, and the SVDs of A and of the subset err by
+    O(eps ||A||).  The rank rule keeps rank n while s_n(A_Lambda) exceeds
+    RANK_RTOL s_1(A_Lambda) <= RANK_RTOL s_1(A), so a bound of
+    SIGN_SCREEN_TAU s_1(A) = 1e4 RANK_RTOL s_1(A) clears it by four orders of
+    magnitude: a certified subset is one whose null_spaces basis is {0}.
+    That is U = {0} for the subset itself and V = {0} for the subset whose
+    complement it is, so that subset feeds no cell.
+    """
+    Ua, s, _ = svd
+    m = len(Ua)
+    if numerical_rank(s) < n:
+        return {}
+    floor = SIGN_SCREEN_TAU * s[0]
+    h = np.linalg.norm(Ua[:, n:], axis=1)
+    # the size-(m - 1) subsets in lexicographic order leave out rows m - 1, ..., 0
+    return {m: np.array([s[-1] >= floor]), m - 1: (s[-1] * h / np.sqrt(1.0 + h * h) >= floor)[::-1]}
+
+
+def _sign_screen(A: np.ndarray, svd: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 bases: list[tuple[np.ndarray, np.ndarray]], n_supports: int):
     """The certifier of a call: a function from the sign patterns signs
     (L, m) of L row subsets to the (L, C) mask of the cells (Lambda, S) whose
-    system K = (I - P_S)[U V] certainly has full column rank, for the
-    support_bases groups bases of the C supports; None where it could
-    certify no cell.
+    system K = (I - P_S)[U V] certainly has full column rank, for svd, the
+    full SVD of A, and the support_bases groups bases of the C supports;
+    None where it could certify no cell.
 
     Let A (m x n) have full column rank, m > n, H an orthonormal basis of
     col(A)^perp, Q = Q_S (n x r) and M = H^T diag(sigma) A Q.  For unit (a, b),
@@ -325,7 +401,7 @@ def _sign_screen(A: np.ndarray, bases: list[tuple[np.ndarray, np.ndarray]], n_su
     bases = [(rows, Q) for rows, Q in bases if Q.shape[2] <= m - n]
     if not bases:
         return None
-    Ua, s, _ = np.linalg.svd(A)
+    Ua, s, _ = svd
     if numerical_rank(s) < n:
         return None
     s_B = np.sqrt(2.0) * s[-1] / np.hypot(s[0], s[-1])
@@ -354,10 +430,10 @@ def _sign_screen(A: np.ndarray, bases: list[tuple[np.ndarray, np.ndarray]], n_su
     return certify
 
 
-def _systems(P: np.ndarray, chunk: list[tuple[int, np.ndarray, np.ndarray]],
+def _systems(P: np.ndarray, run: list[tuple[int, np.ndarray, np.ndarray]],
              cells: np.ndarray, n_supports: int) -> np.ndarray:
     """The stack of K = (I - P_S)[U V] for the flat (row subset, support)
-    indices cells of a chunk of (index, U, V), with P[S] = I - P_S.
+    indices cells of a run of (index, U, V), with P[S] = I - P_S.
 
     A slice is P[S] @ U and P[S] @ V side by side, the same products (and
     bits) as in any other stack; P[S] @ hstack([U, V]) would not be
@@ -366,17 +442,43 @@ def _systems(P: np.ndarray, chunk: list[tuple[int, np.ndarray, np.ndarray]],
     rows, cols = np.divmod(cells, n_supports)
     Ks = []
     for row in dict.fromkeys(rows.tolist()):
-        _, U, V = chunk[row]
+        _, U, V = run[row]
         Ps = P[cols[rows == row]]
         Ks.append(np.concatenate([Ps @ U, Ps @ V], axis=2))
     return np.concatenate(Ks)
 
 
+def _unit_gaps(D: np.ndarray, q: float,
+               systems: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
+    """gap(1) = ||D^T(u + v)||_q^q - ||D^T(u - v)||_q^q, u = UW_u, v = VW_v, for
+    the (U, V, W) of cells with dim W = 1 and one (dim U, dim V): one stacked
+    product, bit for bit the gap(np.ones(1)) of _cell_witness.
+
+    numpy's matmul makes one BLAS call per slice, chosen by the operands'
+    strides, so each slice repeats _cell_witness's products: U and V keep
+    the column-major layout of the null_spaces bases (an identity basis, a
+    subset with no rows, gives its operand exactly in either layout), and
+    D^T is broadcast.  Lp @ 1 is Lp up to the sign of a zero, which abs
+    removes, and the power and the row sums are elementwise and per row.
+    """
+    du = systems[0][0].shape[1]
+    Us = np.array([U.T for U, _, _ in systems]).swapaxes(1, 2)
+    Vs = np.array([V.T for _, V, _ in systems]).swapaxes(1, 2)
+    Ws = np.array([W for _, _, W in systems])
+    Mu = Us @ Ws[:, :du]
+    Mv = Vs @ Ws[:, du:]
+    Lp = D.T @ (Mu + Mv)
+    Lm = D.T @ (Mu - Mv)
+    return np.sum(np.abs(Lp[:, :, 0]) ** q, axis=1) - np.sum(np.abs(Lm[:, :, 0]) ** q, axis=1)
+
+
 def _cell_witness(A: np.ndarray, F: TightFrame, Lam: tuple[int, ...], U: np.ndarray,
                   V: np.ndarray, W: np.ndarray, k: int, q: float, restarts: int,
-                  entropy: tuple[int, int]) -> NspWitness | None:
+                  entropy: tuple[int, int],
+                  bases: list[tuple[np.ndarray, np.ndarray]]) -> NspWitness | None:
     """The first violated witness that _search reaches in the cell (Lam, S)
-    whose solution space W of (a, b) is nonzero, or None."""
+    whose solution space W of (a, b) is nonzero, or None; bases are the
+    support_bases of all C(N, k) supports, for the membership check."""
     du = U.shape[1]
     Mu = U @ W[:du, :]
     Mv = V @ W[du:, :]
@@ -397,7 +499,7 @@ def _cell_witness(A: np.ndarray, F: TightFrame, Lam: tuple[int, ...], U: np.ndar
         ns = np.linalg.norm(u + v)
         if ns > 1e-12:
             u, v = u / ns, v / ns
-        checked = nsp_real_evaluate(A, F, NspWitness(Lambda=Lam, u=u, v=v, q=q, k=k))
+        checked = _evaluate(A, F, NspWitness(Lambda=Lam, u=u, v=v, q=q, k=k), bases)
         if checked.violated:
             return checked
     return None
@@ -421,25 +523,32 @@ def nsp_real_falsify(
     K = (I - P_S)[U V], with the rank cutoff taken relative to the unit scale
     of [U V] (so K = 0 up to rounding, as when D_S spans R^n, has W = R^d).
     The scan takes the row subsets a layer (one size) at a time, and decides
-    a layer's cells in three stages:
+    a layer's cells in five stages:
 
+    - in the layers of sizes 0, 1, m - 1 and m, _full_rank_subsets drops,
+      from A's one SVD, the row subsets whose rows or complement rows
+      certainly have full column rank (U = {0} or V = {0}): no cell, no SVD;
     - _sign_screen certifies W = {0}, under the SVD's rank rule, for every
       cell whose bound on s_min(K) from the signs of Lambda, A's left null
       space and D_S clears SIGN_SCREEN_TAU: one matrix product per stack of
-      supports for the whole layer, and no U, V or K.  It applies to A of
-      full column rank with m > n and to supports with rank(D_S) <= m - n;
-      every other cell stays open.  Where dim U, dim V >= 1 is not forced
-      (size s outside (m - n, n)) and k >= 2, the layer's SVDs come first
-      and only the row subsets with dim U, dim V >= 1 are screened;
-    - the row subsets of the layer with an open cell, and their complements,
-      get their null spaces in one stacked SVD per size, each subset at most
-      once per call;
-    - open cells in row subsets with dim U, dim V >= 1 are decomposed
-      lazily, batched over consecutive row subsets with the same
+      supports, and no U, V or K.  It applies to A of full column rank with
+      m > n and to supports with rank(D_S) <= m - n; every other cell stays
+      open.  Where dim U, dim V >= 1 is not forced (size s outside
+      (m - n, n)) and k >= 2, the layer's SVDs come first and only the row
+      subsets with dim U, dim V >= 1 are screened;
+    - elsewhere the row subsets with an open cell, and their complements,
+      get their null spaces in pieces in scan order, each piece one more
+      than the subsets the layer has taken so far (1, 2, 4, ...); each
+      subset gets its null space at most once per call;
+    - a piece's open cells in row subsets with dim U, dim V >= 1 are
+      decomposed lazily, batched over consecutive row subsets with the same
       (dim U, dim V), in pieces of consecutive cells in scan order, each
       piece one more than the slices decomposed so far in the call
       (1, 2, 4, ...), so a scan that stops at a witness has decomposed fewer
-      than twice the cells it needed.
+      than twice the cells it needed;
+    - the decomposed cells with dim W = 1 get their gap at c = 1 in one
+      stacked product (_unit_gaps), and those below -STRICTNESS_TOL, which
+      _search would reject, are not searched.
 
     A cell with dim W <= 1 is decided exactly, by at most one evaluation of a
     witness; only cells with dim W >= 2 are searched, by seeded restarts plus
@@ -466,14 +575,19 @@ def nsp_real_falsify(
     lambdas = _lambda_list(m, k, lambda_mode)
     supports = combination_array(F.N, k)
     n_supports = len(supports)
-    # bases of col(D_S), shared by the screen and the projections onto
-    # col(D_S)^perp; a support whose columns vanish keeps I
+    # bases of col(D_S), shared by the screen, the projections onto
+    # col(D_S)^perp and the witness check; a support whose columns vanish
+    # keeps I
     bases = support_bases(F.D, supports)
     P = np.repeat(np.eye(n)[None], n_supports, axis=0)
     for rows, Q in bases:
         P[rows] = np.eye(n) - Q @ np.swapaxes(Q, 1, 2)
-    # the sign screen's certifier, formed when a layer first needs it
-    screen = cache(lambda: _sign_screen(A, bases, n_supports))
+    # A's SVD, the full-rank bound of the end layers and the sign screen's
+    # certifier, each formed when a layer first needs it; the bound needs
+    # m >= n and the screen m > n, so a wide A gets no SVD of its own
+    svd = cache(lambda: np.linalg.svd(A))
+    full_rank = cache(lambda: _full_rank_subsets(svd(), n))
+    screen = cache(lambda: _sign_screen(A, svd(), bases, n_supports))
     taken: dict[int, dict[int, np.ndarray]] = {}
 
     def null_bases(size: int, idx: list[int]) -> list[np.ndarray]:
@@ -499,56 +613,78 @@ def nsp_real_falsify(
         last = comb(m, size) - 1
         return list(zip(null_bases(size, rows), null_bases(m - size, [last - i for i in rows])))
 
+    def feeding(size: int) -> list[int]:
+        """The size-`size` row subsets that _full_rank_subsets leaves: those
+        it certifies give U = {0}, and their complements V = {0}."""
+        dead = np.zeros(comb(m, size), dtype=bool)
+        if m >= n and {size, m - size} & {m - 1, m}:
+            full = full_rank()
+            if size in full:
+                dead |= full[size]
+            if m - size in full:
+                dead |= full[m - size][::-1]
+        return np.flatnonzero(~dead).tolist()
+
+    def scan(trios: list[tuple[int, np.ndarray, np.ndarray]], cells_open: np.ndarray) -> NspWitness | None:
+        """Decide the open cells cells_open of trios, (index in lambdas, U, V)
+        of row subsets in scan order."""
+        nonlocal decomposed
+        done = 0
+        for (du, dv), run in groupby(trios, key=lambda t: (t[1].shape[1], t[2].shape[1])):
+            run = list(run)
+            # position in run * n_supports + support, in scan order
+            cells = np.flatnonzero(cells_open[done:done + len(run)])
+            done += len(run)
+            if du == 0 or dv == 0:
+                continue
+            most = max(1, STACK_ELEMS // (n * (du + dv)))
+            pos = 0
+            while pos < len(cells):
+                piece = cells[pos:pos + min(decomposed + 1, most)]
+                pos += len(piece)
+                decomposed += len(piece)
+                # (a, b) must satisfy (I - P_S)(Ua + Vb) = 0
+                Ws = null_spaces(_systems(P, run, piece, n_supports), scale=1.0)
+                lines = [t for t, W in enumerate(Ws) if W.shape[1] == 1]
+                below = np.zeros(len(Ws), dtype=bool)
+                if lines:
+                    systems = [run[piece[t] // n_supports][1:] + (Ws[t],) for t in lines]
+                    below[lines] = _unit_gaps(F.D, q, systems) < -STRICTNESS_TOL
+                for c, W, skip in zip(piece.tolist(), Ws, below.tolist()):
+                    if W.shape[1] == 0 or skip:
+                        continue
+                    l, U, V = run[c // n_supports]
+                    entropy = (seed, l * n_supports + c % n_supports + 1)
+                    witness = _cell_witness(A, F, lambdas[l], U, V, W, k, q, restarts, entropy, bases)
+                    if witness is not None:
+                        return witness
+        return None
+
     restarts = max(1, budget // max(1, len(lambdas) * n_supports))
     decomposed = 0
     max_size = len(lambdas[-1])
     # first: the index in lambdas of the layer's first row subset
     for size, first in enumerate(accumulate((comb(m, s) for s in range(max_size)), initial=0)):
-        rows = list(range(comb(m, size)))
+        rows = feeding(size)
         if k > 1 and not m - n < size < n:
-            # dim U, dim V >= 1 is not forced at this size, and its subsets'
-            # SVDs, which settle most of them, cost less than screening
-            # supports of rank >= 2
+            # dim U, dim V >= 1 is not forced at this size, and for k >= 2
+            # its subsets' SVDs, which settle most of them, cost less than
+            # screening supports of rank >= 2: the whole layer's come first
             rows = [i for i, (U, V) in zip(rows, pairs(size, rows)) if U.shape[1] and V.shape[1]]
-            if not rows:
-                continue
-        certify = screen()
-        if certify is None:
-            open_cells = np.ones((len(rows), n_supports), dtype=bool)
-        else:
-            open_cells = ~certify(_layer_signs(m, size)[rows])
-            keep = open_cells.any(axis=1)
-            rows = [i for i, kept in zip(rows, keep.tolist()) if kept]
-            if not rows:
-                continue
-            open_cells = open_cells[keep]
-        # (position in rows, U, V), in scan order
-        trios = [(j, U, V) for j, (U, V) in enumerate(pairs(size, rows))]
-        for (du, dv), run in groupby(trios, key=lambda t: (t[1].shape[1], t[2].shape[1])):
-            if du == 0 or dv == 0:
-                continue
-            run = list(run)
-            per_chunk = max(1, STACK_ELEMS // max(1, n_supports * n * (du + dv)))
-            for start in range(0, len(run), per_chunk):
-                chunk = run[start:start + per_chunk]
-                # row subset * n_supports + support, in scan order
-                cells = np.flatnonzero(open_cells[[j for j, _, _ in chunk]])
-                pos = 0
-                while pos < len(cells):
-                    piece = cells[pos:pos + decomposed + 1]
-                    pos += len(piece)
-                    decomposed += len(piece)
-                    # (a, b) must satisfy (I - P_S)(Ua + Vb) = 0
-                    Ws = null_spaces(_systems(P, chunk, piece, n_supports), scale=1.0)
-                    for c, W in zip(piece.tolist(), Ws):
-                        if W.shape[1] == 0:
-                            continue
-                        j, U, V = chunk[c // n_supports]
-                        l = first + rows[j]
-                        entropy = (seed, l * n_supports + c % n_supports + 1)
-                        witness = _cell_witness(A, F, lambdas[l], U, V, W, k, q, restarts, entropy)
-                        if witness is not None:
-                            return witness
+        certify = screen() if rows and m > n else None
+        layer_open = (np.ones((len(rows), n_supports), dtype=bool) if certify is None
+                      else ~certify(_layer_signs(m, size)[rows]))
+        keep = layer_open.any(axis=1)
+        rows = [i for i, kept in zip(rows, keep.tolist()) if kept]
+        layer_open = layer_open[keep]
+        taken_in_layer = 0
+        while taken_in_layer < len(rows):
+            piece = rows[taken_in_layer:2 * taken_in_layer + 1]
+            trios = [(first + i, U, V) for i, (U, V) in zip(piece, pairs(size, piece))]
+            witness = scan(trios, layer_open[taken_in_layer:taken_in_layer + len(piece)])
+            taken_in_layer += len(piece)
+            if witness is not None:
+                return witness
     return None
 
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from math import inf
-from numbers import Integral
+from numbers import Integral, Real
 
 from .errors import ConfigurationError, ParameterError
+from .frames import NAMED_FRAMES
 from .rip import SDRIP_MAX_M, SUPPORT_BUDGET, _min_subset_size
 from .serialize import json_text
 from .signals import MAGNITUDE_LAWS
@@ -124,6 +125,11 @@ def _is_int(v) -> bool:
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    """True for Python and numpy real numbers, but not for bools."""
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Grid definition for bound-verification and phase-transition sweeps."""
@@ -175,6 +181,14 @@ class ExperimentConfig:
         for name in ("support_budget", "oracle_max_m", "sdrip_max_m"):
             if not _is_int(getattr(self, name)) or getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be an integer >= 1")
+        # a string would fail the range checks below with a TypeError, and
+        # a bool would pass them as 0 or 1
+        for name in ("q_values", "t_values", "eps_values"):
+            if not all(_is_real(v) for v in getattr(self, name)):
+                raise ConfigurationError(f"every value of {name} must be a number")
+        for name in ("jitter", "success_tol"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be a number")
         if any(not (0.0 < q <= 1.0) for q in self.q_values):
             raise ConfigurationError("every q must lie in (0, 1]")
         if any(not (0.0 < t < 4.0 / 3.0) for t in self.t_values):
@@ -192,6 +206,9 @@ class ExperimentConfig:
         IrlsOptions.from_dict(self.solver_options)
         if "seed" in self.solver_options:
             raise ConfigurationError("solver_options cannot set 'seed': each trial derives its own")
+        kinds = ("random",) + NAMED_FRAMES
+        if self.frame_kind not in kinds:
+            raise ConfigurationError(f"unknown frame_kind {self.frame_kind!r}; choose from {kinds}")
         if self.matrix_ensemble not in ("gaussian", "orthonormal", "near_isometric"):
             raise ConfigurationError(f"unknown matrix ensemble {self.matrix_ensemble!r}")
         if self.magnitude_law not in MAGNITUDE_LAWS:

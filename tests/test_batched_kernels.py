@@ -11,9 +11,12 @@ supports do not tie, and S-DRIP's delta must be DRIP's bit for bit.  The
 NSP falsifier, which now stacks its null spaces and decides each cell with
 a one-dimensional solution space by one evaluation,
 must return bit-identical witnesses, also on near-degenerate A, whose
-systems the sign screen cannot certify and leaves to the SVD; the screen
-must certify only systems of full rank, the falsifier must take row-subset
-null spaces only where the screen leaves a cell open, and the stacked
+systems the sign screen cannot certify and leaves to the SVD, and at the
+benchmark's shape, where it takes row subsets in more than one piece; the
+screen must certify only systems of full rank, and the full-rank bound only
+row subsets whose null space is {0}; the falsifier must take row-subset null
+spaces only where a cell is open, in doubling pieces, the stacked gap of its
+one-dimensional cells must be the scalar gap bit for bit, and the stacked
 null-space kernel must return the per-slice one's bases.  The chunked
 dictionary-sparse distance must agree with the per-support loop to rounding.
 The batched IRLS restart pipeline, solve_irls's fallback where the sign tree
@@ -962,7 +965,7 @@ def test_nsp_falsifier_matches_reference_loop_on_the_wide_corpus(monkeypatch):
     dims, ended_without_witness = set(), 0
     for A, F, k, q, budget, seed, mode in nsp_wide_corpus():
         ref = loop_nsp_real_falsify(A, F, k, q, budget=budget, seed=seed, lambda_mode=mode)
-        for elems in (nsp.STACK_ELEMS, 1):  # 1: one row subset per stack
+        for elems in (nsp.STACK_ELEMS, 1):  # 1: one slice per stack
             monkeypatch.setattr(nsp, "STACK_ELEMS", elems)
             searched.clear()
             got = nsp_real_falsify(A, F, k, q, budget=budget, seed=seed, lambda_mode=mode)
@@ -985,6 +988,53 @@ def test_nsp_falsifier_matches_reference_loop_on_the_wide_corpus(monkeypatch):
                 dims.add(0)
     assert dims == {0, 1, 2}
     assert ended_without_witness > 0
+
+
+def _zero_columns_frame(n, N):
+    """Parseval frame [I_n, 0]: the last N - n columns vanish."""
+    D = np.hstack([np.eye(n), np.zeros((n, N - n))])
+    return TightFrame(n=n, N=N, D=D, D_perp=np.eye(N)[n:], label="zero_columns")
+
+
+def _assert_same_witness(got, ref):
+    if ref is None:
+        assert got is None
+        return
+    assert got.Lambda == ref.Lambda and got.q == ref.q and got.k == ref.k
+    assert got.u.tobytes() == ref.u.tobytes() and got.v.tobytes() == ref.v.tobytes()
+    assert (got.lhs, got.rhs, got.violated) == (ref.lhs, ref.rhs, ref.violated)
+
+
+def nsp_benchmark_shape_corpus():
+    """(A, F, q, seed) at nsp-certify's shape n = 6, N = 8, m = 7, k = 2, where
+    the scan takes its row subsets in more than one piece: two witnesses past
+    the layer's first row subset, and on the frame [I_6, 0] a scan with no
+    witness, which takes every piece of every layer and whose supports with
+    a vanishing column the sign screen certifies; then m = n + 2 with a
+    repeated row, whose witness lies in a layer the subsets' SVDs filter."""
+    for frame_seed, seed, q in ((1, 2, 0.5), (3, 4, 1.0)):
+        A = np.random.default_rng(700 + 10 * frame_seed + seed).standard_normal((7, 6))
+        yield A, build_parseval_random(6, 8, frame_seed), q, seed
+    yield np.random.default_rng(800).standard_normal((7, 6)), _zero_columns_frame(6, 8), 0.5, 0
+    A = np.random.default_rng(5).standard_normal((8, 6))
+    A[-1] = A[0]
+    yield A, build_parseval_random(6, 8, 600), 0.5, 0
+
+
+def test_nsp_falsifier_matches_reference_loop_at_the_benchmark_shape(monkeypatch):
+    past_first, ended = 0, 0
+    for A, F, q, seed in nsp_benchmark_shape_corpus():
+        ref = loop_nsp_real_falsify(A, F, 2, q, budget=100, seed=seed, lambda_mode="all_subsets")
+        for elems in (nsp.STACK_ELEMS, 1):  # 1: one slice per stack
+            monkeypatch.setattr(nsp, "STACK_ELEMS", elems)
+            got = nsp_real_falsify(A, F, 2, q, budget=100, seed=seed, lambda_mode="all_subsets")
+            _assert_same_witness(got, ref)
+        monkeypatch.setattr(nsp, "STACK_ELEMS", STACK_ELEMS)
+        if ref is None:
+            ended += 1
+        else:  # the layer of size 2 starts at (0, 1)
+            past_first += ref.Lambda > (0, 1) and len(ref.Lambda) == 2
+    assert past_first >= 2 and ended == 1
 
 
 def nsp_near_degenerate_corpus():
@@ -1018,8 +1068,8 @@ def test_nsp_falsifier_matches_reference_loop_on_near_degenerate_A(monkeypatch):
     screen, null_spaces_ = nsp._sign_screen, nsp.null_spaces
     count = {"left": 0, "decomposed": 0}
 
-    def screen_spy(A, bases, n_supports):
-        certify = screen(A, bases, n_supports)
+    def screen_spy(A, svd, bases, n_supports):
+        certify = screen(A, svd, bases, n_supports)
         assert certify is not None  # k = 1 and m = n + 1 on a generic A
 
         def certify_spy(signs):
@@ -1041,7 +1091,7 @@ def test_nsp_falsifier_matches_reference_loop_on_near_degenerate_A(monkeypatch):
     left_and_decomposed = 0
     for A, F, k, q, seed in nsp_near_degenerate_corpus():
         ref = loop_nsp_real_falsify(A, F, k, q, budget=100, seed=seed, lambda_mode="all_subsets")
-        for elems in (nsp.STACK_ELEMS, 1):  # 1: one row subset per stack
+        for elems in (nsp.STACK_ELEMS, 1):  # 1: one slice per stack
             monkeypatch.setattr(nsp, "STACK_ELEMS", elems)
             count.update(left=0, decomposed=0)
             got = nsp_real_falsify(A, F, k, q, budget=100, seed=seed, lambda_mode="all_subsets")
@@ -1114,7 +1164,7 @@ def test_full_rank_screen_certifies_only_full_rank_systems():
                               signs)
         supports = np.array(list(combinations(range(D.shape[1]), k)))
         bases = support_bases(D, supports)
-        certify = nsp._sign_screen(A, bases, len(supports))
+        certify = nsp._sign_screen(A, np.linalg.svd(A), bases, len(supports))
         if label == "rank-deficient":
             assert certify is None
             continue
@@ -1182,10 +1232,11 @@ def test_nsp_falsifier_decomposes_only_the_systems_it_needs(monkeypatch):
 
 def test_nsp_falsifier_takes_null_spaces_only_for_row_subsets_with_an_open_cell(monkeypatch):
     """A generic k = 1 call at m = n + 1: the sign screen certifies every cell
-    but those of Lambda = {} and Lambda = [m] (M = H^T A Q_S = 0 there), so
-    the call decomposes no system and takes exactly two row-subset null
-    spaces.  A k = 2 call, which the screen leaves open at m = n + 1, takes
-    each row subset's null space at most once."""
+    but those of Lambda = {} and Lambda = [m] (M = H^T A Q_S = 0 there), and
+    the full-rank bound drops those two, since A has full column rank, so the
+    call takes no null space at all.  A k = 2 call, which the screen leaves
+    open at m = n + 1, takes each row subset's null space at most once, and
+    none for the end layers (sizes 0, 1, n, n + 1), which feed no cell."""
     null_spaces_ = nsp.null_spaces
     row_subsets, systems = [], []
 
@@ -1201,13 +1252,153 @@ def test_nsp_falsifier_takes_null_spaces_only_for_row_subsets_with_an_open_cell(
             row_subsets.clear()
             systems.clear()
             assert nsp_real_falsify(A, F, 1, 0.5, seed=seed, lambda_mode=mode) is None
-            assert systems == []
-            assert [M.shape for M in row_subsets] == [(0, n), (n + 1, n)]
-            assert row_subsets[1].tobytes() == A.tobytes()
+            assert row_subsets == [] and systems == []
         row_subsets.clear()
         nsp_real_falsify(A, F, 2, 0.5, seed=seed, lambda_mode="all_subsets")
         keys = [M.tobytes() for M in row_subsets]
-        assert len(keys) == len(set(keys)) > 2
+        assert len(keys) == len(set(keys)) > 0
+        assert all(2 <= len(M) <= n - 1 for M in row_subsets)
+
+
+def test_nsp_falsifier_takes_row_subset_null_spaces_in_doubling_pieces(monkeypatch):
+    """At nsp-certify's shape (n = 6, N = 8, m = 7, k = 2) a call takes the
+    null spaces of fewer than twice the row subsets its scan reached, and of
+    their complements, in stacks of 1, 2, 4, ... subsets, and none for the
+    end layers.  Every witness here lies in the layer of size 2, whose
+    subsets all feed cells, so the scan reached the subsets up to the
+    witness's."""
+    null_spaces_ = nsp.null_spaces
+    stacks = []
+
+    def null_spaces_spy(Ms, scale=None):
+        if scale is None:  # the row subsets, not the (Lambda, S) systems
+            stacks.append(Ms.shape[:2])
+        return null_spaces_(Ms, scale=scale)
+
+    monkeypatch.setattr(nsp, "null_spaces", null_spaces_spy)
+    beyond_one_piece = 0
+    for seed in range(6):
+        stacks.clear()
+        F = build_parseval_random(6, 8, seed)
+        A = np.random.default_rng(60 + seed).standard_normal((7, 6))
+        w = nsp_real_falsify(A, F, 2, 0.5 if seed % 2 else 1.0, seed=seed, lambda_mode="all_subsets")
+        assert w is not None and len(w.Lambda) == 2
+        reached = list(combinations(range(7), 2)).index(w.Lambda) + 1
+        assert {p for _, p in stacks} == {2, 5}
+        counts = [count for count, p in stacks if p == 2]
+        assert counts == [count for count, p in stacks if p == 5]
+        assert counts == [2**i for i in range(len(counts))][:len(counts) - 1] + counts[-1:]
+        assert reached <= sum(counts) < 2 * reached
+        beyond_one_piece += len(counts) > 1
+    assert beyond_one_piece > 0
+
+
+def full_rank_corpus():
+    """(A, label) at n = 4 and 6, m = n..n + 3: generic A, A scaled by 1e4
+    and 1e-4, a repeated row (at m = n + 1 every other row has H_i = 0), rows
+    1e-6 and 1e-9 apart, a rank-deficient A (a repeated column, and A = 0),
+    and a wide A (m = n - 1), which gets no certificate."""
+    rng = np.random.default_rng(13)
+    for n in (4, 6):
+        yield rng.standard_normal((n - 1, n)), "wide"
+        for m in range(n, n + 4):
+            A = rng.standard_normal((m, n))
+            yield A, "generic"
+            yield 1e4 * A, "generic"
+            yield 1e-4 * A, "generic"
+            repeated = A.copy()
+            repeated[-1] = A[0]
+            yield repeated, "repeated row" if m > n else "rank-deficient"
+            for e in (6, 9):
+                near = A.copy()
+                near[-1] = A[0] + 10.0**-e * rng.standard_normal(n)
+                yield near, f"rows 1e-{e} apart"
+            deficient = A.copy()
+            deficient[:, -1] = A[:, 0]
+            yield deficient, "rank-deficient"
+            yield 0.0 * A, "rank-deficient"
+
+
+def test_full_rank_bound_drops_only_subsets_without_a_null_space():
+    """_full_rank_subsets against null_space, the rank rule the falsifier's
+    SVDs apply: a certified subset of size m or m - 1 has a zero null-space
+    basis; every such subset of a generic A is certified, none of a
+    rank-deficient or wide A; and near the threshold (rows 1e-6 apart) the
+    bound certifies some subsets and leaves others to the SVD."""
+    certified_near = left_near = 0
+    for A, label in full_rank_corpus():
+        m, n = A.shape
+        svd = np.linalg.svd(A)
+        full = nsp._full_rank_subsets(svd, n)
+        assert (full == {}) == (numerical_rank(svd[1]) < n)
+        if label in ("wide", "rank-deficient"):
+            assert full == {}
+        if not full:
+            continue
+        assert set(full) == {m, m - 1}
+        for size, mask in full.items():
+            subsets = list(combinations(range(m), size))
+            assert mask.shape == (len(subsets),)
+            for subset in np.array(subsets)[mask]:
+                assert null_space(A[subset]).shape == (n, 0)
+            if label == "generic" and (size == m or m > n):
+                assert mask.all()
+            if label == "repeated row" and m == n + 1 and size == m - 1:
+                # only leaving out one copy of the repeated row keeps rank n
+                assert mask.tolist() == [i in (0, m - 1) for i in range(m)][::-1]
+            if label == "rows 1e-6 apart" and size == m - 1:
+                certified_near += int(mask.sum())
+                left_near += int((~mask).sum())
+        if m == n:  # H is empty: no row can be left out
+            assert not full[m - 1].any()
+    assert certified_near > 0 and left_near > 0
+
+
+def test_unit_gaps_equal_the_scalar_gap_bit_for_bit(monkeypatch):
+    """Every batch of dim-W-1 cells that the falsifier passes to _unit_gaps,
+    against _cell_witness's own gap at c = 1, read through a _search that
+    records it: equal bit for bit, at q = 0.3, 0.5 and 1, N = 8 and 11, on
+    complete scans (the frame [I_6, 0]) and on a wide A, whose Lambda = {}
+    has the identity as U (an exact product in either layout).  Both
+    verdicts occur."""
+    unit_gaps = nsp._unit_gaps
+    batches = []
+
+    def unit_gaps_spy(D, q, systems):
+        gaps = unit_gaps(D, q, systems)
+        batches.append((D, q, systems, gaps))
+        return gaps
+
+    monkeypatch.setattr(nsp, "_unit_gaps", unit_gaps_spy)
+    calls = [(np.random.default_rng(800).standard_normal((7, 6)), _zero_columns_frame(6, 8), 2, 0.5),
+             (np.random.default_rng(801).standard_normal((7, 6)), _zero_columns_frame(6, 8), 2, 1.0)]
+    for seed, q in enumerate((0.3, 0.5, 1.0)):
+        calls.append((np.random.default_rng(61 + seed).standard_normal((7, 6)),
+                      build_parseval_random(6, 8 if seed < 2 else 11, seed), 2, q))
+    # m = n - 1, k = 1: Lambda = {} with a vanishing column as support has dim W = 1
+    calls.append((np.random.default_rng(70).standard_normal((5, 6)), _zero_columns_frame(6, 8), 1, 0.3))
+    for A, F, k, q in calls:
+        nsp_real_falsify(A, F, k, q, budget=100, lambda_mode="all_subsets")
+    monkeypatch.setattr(nsp, "_unit_gaps", unit_gaps)
+
+    recorded = []
+
+    def search_spy(gap, dim, restarts, entropy):
+        recorded.append(gap(np.ones(1)))
+        return iter(())
+
+    monkeypatch.setattr(nsp, "_search", search_spy)
+    cells = below = identity = 0
+    for D, q, systems, gaps in batches:
+        F = TightFrame(n=D.shape[0], N=D.shape[1], D=D, D_perp=np.zeros((0, D.shape[1])), label="")
+        for (U, V, W), g in zip(systems, gaps):
+            recorded.clear()
+            nsp._cell_witness(np.zeros((1, D.shape[0])), F, (), U, V, W, 2, q, 1, (0, 0), [])
+            assert np.float64(recorded[0]).tobytes() == g.tobytes()
+            cells += 1
+            below += bool(g < -STRICTNESS_TOL)
+            identity += np.array_equal(U, np.eye(len(U)))
+    assert cells > 1500 and 0 < below < cells and identity > 0
 
 
 def test_nsp_falsifier_screens_a_layer_only_when_the_scan_reaches_it(monkeypatch):
@@ -1220,8 +1411,8 @@ def test_nsp_falsifier_screens_a_layer_only_when_the_scan_reaches_it(monkeypatch
     screen = nsp._sign_screen
     sizes, certified = [], []
 
-    def screen_spy(A, bases, n_supports):
-        certify = screen(A, bases, n_supports)
+    def screen_spy(A, svd, bases, n_supports):
+        certify = screen(A, svd, bases, n_supports)
 
         def certify_spy(signs):
             got = certify(signs)

@@ -129,6 +129,29 @@ def test_numbers_out_of_range_are_rejected_at_load(tmp_path, capsys, field, valu
     _assert_both_modes_reject(tmp_path, capsys, data)
 
 
+@pytest.mark.parametrize("field, value", [
+    # a string failed the range checks with a TypeError, a bool ran as 0 or 1
+    ("q_values", ["0.5"]), ("q_values", [True]), ("q_values", [0.5, None]),
+    ("t_values", ["1.0"]), ("t_values", [False]), ("eps_values", [None]), ("eps_values", ["0"]),
+    ("jitter", "0.05"), ("jitter", True), ("jitter", None),
+    ("success_tol", "1e-6"), ("success_tol", True), ("success_tol", None),
+])
+def test_numbers_of_the_wrong_type_are_rejected_at_load(tmp_path, capsys, field, value):
+    data = asdict(small_config(**{field: value}))
+    with pytest.raises(ConfigurationError, match=field):
+        ExperimentConfig.from_json_dict(data)
+    _assert_both_modes_reject(tmp_path, capsys, data)
+
+
+@pytest.mark.parametrize("kind", ["mercedez", "no_such_frame"])
+def test_unknown_frame_kind_is_rejected_at_load(tmp_path, capsys, kind):
+    # it used to load, and every trial was skipped at run time
+    data = asdict(small_config(frame_kind=kind))
+    with pytest.raises(ConfigurationError, match="frame_kind"):
+        ExperimentConfig.from_json_dict(data)
+    _assert_both_modes_reject(tmp_path, capsys, data)
+
+
 @pytest.mark.parametrize("dropped", [["q_values"], ["n_values", "m_values"]])
 def test_missing_config_keys_are_named_at_load(tmp_path, capsys, dropped):
     data = asdict(small_config())
@@ -149,8 +172,7 @@ def test_guarded_cells_are_skipped_with_reason():
     assert all(r.status == "skipped" for r in recs)
 
 
-@pytest.mark.parametrize("kind, N", [("identity", 3), ("duplicated_identity", 3),
-                                     ("mercedes", 4), ("no_such_frame", 3)])
+@pytest.mark.parametrize("kind, N", [("identity", 3), ("duplicated_identity", 3), ("mercedes", 4)])
 def test_named_frame_with_wrong_N_is_skipped(kind, N):
     recs = run_bound_experiment(small_config(n_values=[2], N_values=[N], m_values=[3],
                                              frame_kind=kind, trials=1))
