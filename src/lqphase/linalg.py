@@ -23,9 +23,9 @@ kinds of stack from it: the null spaces of row subsets and their
 complements, in pieces of 1, 2, 4, ... subsets of a size as its scan
 reaches them, and those of the (row subset, support) systems its sign
 screen leaves open, with the cutoff relative to the systems' unit scale.
-Where the screen runs first, only the row subsets it leaves with an open
-cell get a null space, and at the sizes 0, 1, m - 1 and m a bound from A's
-SVD spares the subsets whose rows or complement rows have full column rank.
+Only the row subsets that the screen leaves with an open cell get a null
+space, and a bound from A's SVD, over every removal of at most m - n rows,
+spares the subsets whose rows or complement rows have full column rank.
 The screen's certificate and that bound are derived from the same
 RANK_RTOL, so a cell or subset they certify is one this rule would find of
 full rank.

@@ -11,11 +11,12 @@ W, the null space of K = (I - P_S)[U V], with P_S the projection onto
 col(D_S) and U, V null-space bases of the two row sets.  Most cells are
 decided without U, V or K:
 
-- the end layers (row subsets of sizes 0, 1, m - 1 and m) lose the subsets
-  whose rows, or whose complement's rows, certainly have full column rank
-  (_full_rank_subsets), from the one SVD of A that the sign screen also
-  uses: such a subset has U = {0} or V = {0} and feeds no cell, so it gets
-  no SVD of its own;
+- a full-rank bound from the one SVD of A that the sign screen also uses
+  (_full_rank_bound) drops the row subsets whose rows, or whose
+  complement's rows, certainly have full column rank: such a subset has
+  U = {0} or V = {0} and feeds no cell, so it gets no SVD of its own.  It
+  covers every removal of at most m - n rows, so for a generic A it drops
+  every row subset of size at most m - n or at least n;
 - the sign screen (_sign_screen) certifies W = {0} from A alone: with
   sigma_Lambda the signs -1 on Lambda and +1 off it, A(u-v) =
   diag(sigma_Lambda) A(u+v), so for A of full column rank W is {0} exactly
@@ -26,15 +27,9 @@ decided without U, V or K:
   singular value of M bounds s_min(K) from below (the docstring gives the
   margin argument).  The scan screens a layer when it reaches it, so a scan
   that stops at a witness screens no later layer;
-- at the sizes where every row subset has dim U, dim V >= 1, and at k <= 1,
-  where a cell's screen costs a norm, a layer is screened first, and its
-  row subsets with an open cell get their null spaces in pieces in scan
-  order, each piece one more than the subsets the layer has taken so far
-  (1, 2, 4, ...); at the other sizes the layer's SVDs come first, since
-  they leave most subsets with dim U = 0 or dim V = 0, and only the
-  subsets with dim U, dim V >= 1 are screened;
-- a row subset and its complement get their null spaces at most once per
-  call;
+- a layer's row subsets with an open cell, and their complements, get
+  their null spaces at most once per call, in pieces in scan order, each
+  piece one more than the subsets the layer has taken so far (1, 2, 4, ...);
 - every open cell is decomposed by linalg.null_spaces, with the rank cutoff
   relative to the unit scale of [U V], in pieces that double as the scan
   reaches them, so a scan that stops at a witness decomposes fewer than
@@ -74,6 +69,7 @@ from .frames import TightFrame
 from .linalg import (
     RANK_RTOL,
     STACK_ELEMS,
+    batch_sym_eig_bounds,
     combination_array,
     combination_blocks,
     null_spaces,
@@ -91,8 +87,8 @@ ALL_SUBSETS_MAX_M = 14
 # full rank without U, V or an SVD: 1e4 times the rank cutoff, which the
 # bound must clear by (1 + 2 sqrt 2) RANK_RTOL plus rounding (see
 # _sign_screen); derived from the cutoff, not tuned.  Times s_1(A), it is
-# also the bound on s_n(A_Lambda) that certifies a row subset of full column
-# rank (_full_rank_subsets).
+# also the bound on s_n(A without R) that certifies that the rows left
+# after removing a set R have full column rank (_full_rank_bound).
 SIGN_SCREEN_TAU = 1e4 * RANK_RTOL
 
 
@@ -262,11 +258,11 @@ def _search(gap, dim: int, restarts: int, entropy: tuple[int, int]):
 
     For dim = 1 the sphere is {1, -1}: c0/|c0| is +-1 exactly, every ascent
     candidate normalises back to its start, and gap(-c) equals gap(c) bit for
-    bit.  Every restart therefore reaches the same verdict, and one evaluation
-    decides the cell; the point is the sign of the first nonzero draw.
+    bit.  Every restart therefore reaches the same verdict, and the falsifier
+    passes a dim-1 cell only where _unit_gaps found gap(1) >= -STRICTNESS_TOL,
+    so one evaluation decides the cell; the point is the sign of the first
+    nonzero draw.
     """
-    if dim == 1 and gap(np.ones(1)) < -STRICTNESS_TOL:
-        return
     rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy))
     for _ in range(restarts):
         c0 = rng.standard_normal(dim)
@@ -319,41 +315,51 @@ def _min_eig_exceeds(G: np.ndarray, floor: float) -> np.ndarray:
     return det * (r - 1) ** (r - 1) > floor * tr ** (r - 1)
 
 
-def _full_rank_subsets(svd: tuple[np.ndarray, np.ndarray, np.ndarray], n: int) -> dict[int, np.ndarray]:
-    """The row subsets of sizes m and m - 1 whose rows certainly have full
-    column rank n under the rank rule of null_spaces, as {size: mask} over
-    the subsets of each size in lexicographic order, from svd, the full SVD
-    of A (m x n); {} where A is not of full column rank.
+def _full_rank_bound(svd: tuple[np.ndarray, np.ndarray, np.ndarray], n: int):
+    """The full-rank bound of a call, for svd, the full SVD of A (m x n,
+    m >= n): a function from r <= m - n to the mask, over the size-r row
+    sets R in lexicographic order, of those whose removal certainly leaves
+    rank n under the rank rule of null_spaces, formed once per r; None
+    where A is not of full column rank.
 
     Let A = U S V^T have full column rank, H = U[:, n:] an orthonormal basis
-    of col(A)^perp with rows H_i, and y = Ax.  H^T y = 0 gives
-    H_i y_i = -sum_{j != i} H_j y_j, so ||H_i|| |y_i| <= ||y_{-i}|| since
-    ||H|| = 1, and ||y||^2 = y_i^2 + ||y_{-i}||^2 >= s_n(A)^2 ||x||^2 then gives
+    of col(A)^perp, H_R its rows in R, sigma = s_min(H_R) (r <= m - n
+    singular values), and y = Ax.  H^T y = 0 gives H_R^T y_R =
+    -H_{-R}^T y_{-R}, so sigma ||y_R|| <= ||y_{-R}|| since ||H|| = 1, and
+    ||y||^2 = ||y_R||^2 + ||y_{-R}||^2 >= s_n(A)^2 ||x||^2 then gives
 
-        s_n(A without row i) >= s_n(A) ||H_i|| / sqrt(1 + ||H_i||^2).
+        s_n(A without R) >= s_n(A) sigma / sqrt(1 + sigma^2),
 
-    A subset is certified where this bound, or s_n(A) itself for the m rows,
-    is at least SIGN_SCREEN_TAU s_1(A).  A row whose removal drops the rank
-    (a row no other row repeats, at m = n + 1 with a repeated row) has
-    H_i = 0 and a bound of 0.
+    and s_n(A) itself at r = 0.  A set is certified where this bound is at
+    least SIGN_SCREEN_TAU s_1(A), tested in squares, sigma^2 the smallest
+    eigenvalue of H_R H_R^T.  A set whose removal drops the rank (one that
+    leaves n rows, two of them equal) has sigma = 0 and a bound of 0.
 
     Margin: the computed H annihilates A only up to O(m eps ||A||), which
-    lowers the bound by as much, and the SVDs of A and of the subset err by
-    O(eps ||A||).  The rank rule keeps rank n while s_n(A_Lambda) exceeds
-    RANK_RTOL s_1(A_Lambda) <= RANK_RTOL s_1(A), so a bound of
-    SIGN_SCREEN_TAU s_1(A) = 1e4 RANK_RTOL s_1(A) clears it by four orders of
-    magnitude: a certified subset is one whose null_spaces basis is {0}.
-    That is U = {0} for the subset itself and V = {0} for the subset whose
-    complement it is, so that subset feeds no cell.
+    lowers the bound by as much, the SVD of A errs by O(eps ||A||), and
+    sigma^2 by O(r eps), against the SIGN_SCREEN_TAU^2 = 1e-12 that a
+    certified sigma^2 exceeds.  The rank rule keeps rank n while
+    s_n(A without R) exceeds RANK_RTOL s_1(A without R) <= RANK_RTOL s_1(A),
+    so a bound of SIGN_SCREEN_TAU s_1(A) = 1e4 RANK_RTOL s_1(A) clears it by
+    four orders of magnitude: the rows left have a null_spaces basis {0}.
     """
     Ua, s, _ = svd
     m = len(Ua)
     if numerical_rank(s) < n:
-        return {}
-    floor = SIGN_SCREEN_TAU * s[0]
-    h = np.linalg.norm(Ua[:, n:], axis=1)
-    # the size-(m - 1) subsets in lexicographic order leave out rows m - 1, ..., 0
-    return {m: np.array([s[-1] >= floor]), m - 1: (s[-1] * h / np.sqrt(1.0 + h * h) >= floor)[::-1]}
+        return None
+    ratio2 = (s[-1] / s[0]) ** 2
+
+    @cache
+    def certified(r: int) -> np.ndarray:
+        if r == 0:
+            return np.array([ratio2 >= SIGN_SCREEN_TAU**2])
+        removed = combination_array(m, r)
+        per = max(1, STACK_ELEMS // (r * (m - n)))
+        stacks = (Ua[removed[start:start + per], n:] for start in range(0, len(removed), per))
+        sigma2 = np.concatenate([batch_sym_eig_bounds(H @ np.swapaxes(H, 1, 2))[0] for H in stacks])
+        return ratio2 * sigma2 / (1.0 + sigma2) >= SIGN_SCREEN_TAU**2
+
+    return certified
 
 
 def _sign_screen(A: np.ndarray, svd: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -523,23 +529,21 @@ def nsp_real_falsify(
     K = (I - P_S)[U V], with the rank cutoff taken relative to the unit scale
     of [U V] (so K = 0 up to rounding, as when D_S spans R^n, has W = R^d).
     The scan takes the row subsets a layer (one size) at a time, and decides
-    a layer's cells in five stages:
+    every layer's cells in the same five stages:
 
-    - in the layers of sizes 0, 1, m - 1 and m, _full_rank_subsets drops,
-      from A's one SVD, the row subsets whose rows or complement rows
-      certainly have full column rank (U = {0} or V = {0}): no cell, no SVD;
+    - _full_rank_bound drops, from A's one SVD, the row subsets of size
+      >= n or <= m - n whose rows or complement rows certainly have full
+      column rank (U = {0} or V = {0}): no cell, no SVD;
     - _sign_screen certifies W = {0}, under the SVD's rank rule, for every
       cell whose bound on s_min(K) from the signs of Lambda, A's left null
       space and D_S clears SIGN_SCREEN_TAU: one matrix product per stack of
       supports, and no U, V or K.  It applies to A of full column rank with
       m > n and to supports with rank(D_S) <= m - n; every other cell stays
-      open.  Where dim U, dim V >= 1 is not forced (size s outside
-      (m - n, n)) and k >= 2, the layer's SVDs come first and only the row
-      subsets with dim U, dim V >= 1 are screened;
-    - elsewhere the row subsets with an open cell, and their complements,
-      get their null spaces in pieces in scan order, each piece one more
-      than the subsets the layer has taken so far (1, 2, 4, ...); each
-      subset gets its null space at most once per call;
+      open;
+    - the row subsets with an open cell, and their complements, get their
+      null spaces in pieces in scan order, each piece one more than the
+      subsets the layer has taken so far (1, 2, 4, ...); each subset gets
+      its null space at most once per call;
     - a piece's open cells in row subsets with dim U, dim V >= 1 are
       decomposed lazily, batched over consecutive row subsets with the same
       (dim U, dim V), in pieces of consecutive cells in scan order, each
@@ -582,11 +586,11 @@ def nsp_real_falsify(
     P = np.repeat(np.eye(n)[None], n_supports, axis=0)
     for rows, Q in bases:
         P[rows] = np.eye(n) - Q @ np.swapaxes(Q, 1, 2)
-    # A's SVD, the full-rank bound of the end layers and the sign screen's
-    # certifier, each formed when a layer first needs it; the bound needs
-    # m >= n and the screen m > n, so a wide A gets no SVD of its own
+    # A's SVD, the full-rank bound and the sign screen's certifier, each
+    # formed when a layer first needs it; the bound needs m >= n and the
+    # screen m > n, so a wide A gets no SVD of its own
     svd = cache(lambda: np.linalg.svd(A))
-    full_rank = cache(lambda: _full_rank_subsets(svd(), n))
+    full_rank = cache(lambda: _full_rank_bound(svd(), n))
     screen = cache(lambda: _sign_screen(A, svd(), bases, n_supports))
     taken: dict[int, dict[int, np.ndarray]] = {}
 
@@ -614,15 +618,15 @@ def nsp_real_falsify(
         return list(zip(null_bases(size, rows), null_bases(m - size, [last - i for i in rows])))
 
     def feeding(size: int) -> list[int]:
-        """The size-`size` row subsets that _full_rank_subsets leaves: those
-        it certifies give U = {0}, and their complements V = {0}."""
+        """The size-`size` row subsets that _full_rank_bound leaves: a subset
+        of size >= n whose complement's removal it certifies has U = {0}, and
+        one of size <= m - n whose own removal it certifies has V = {0}."""
         dead = np.zeros(comb(m, size), dtype=bool)
-        if m >= n and {size, m - size} & {m - 1, m}:
-            full = full_rank()
-            if size in full:
-                dead |= full[size]
-            if m - size in full:
-                dead |= full[m - size][::-1]
+        certified = full_rank() if size >= n or size <= m - n else None
+        if certified and size >= n:
+            dead |= certified(m - size)[::-1]
+        if certified and size <= m - n:
+            dead |= certified(size)
         return np.flatnonzero(~dead).tolist()
 
     def scan(trios: list[tuple[int, np.ndarray, np.ndarray]], cells_open: np.ndarray) -> NspWitness | None:
@@ -666,11 +670,6 @@ def nsp_real_falsify(
     # first: the index in lambdas of the layer's first row subset
     for size, first in enumerate(accumulate((comb(m, s) for s in range(max_size)), initial=0)):
         rows = feeding(size)
-        if k > 1 and not m - n < size < n:
-            # dim U, dim V >= 1 is not forced at this size, and for k >= 2
-            # its subsets' SVDs, which settle most of them, cost less than
-            # screening supports of rank >= 2: the whole layer's come first
-            rows = [i for i, (U, V) in zip(rows, pairs(size, rows)) if U.shape[1] and V.shape[1]]
         certify = screen() if rows and m > n else None
         layer_open = (np.ones((len(rows), n_supports), dtype=bool) if certify is None
                       else ~certify(_layer_signs(m, size)[rows]))

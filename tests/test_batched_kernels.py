@@ -11,11 +11,13 @@ supports do not tie, and S-DRIP's delta must be DRIP's bit for bit.  The
 NSP falsifier, which now stacks its null spaces and decides each cell with
 a one-dimensional solution space by one evaluation,
 must return bit-identical witnesses, also on near-degenerate A, whose
-systems the sign screen cannot certify and leaves to the SVD, and at the
-benchmark's shape, where it takes row subsets in more than one piece; the
-screen must certify only systems of full rank, and the full-rank bound only
-row subsets whose null space is {0}; the falsifier must take row-subset null
-spaces only where a cell is open, in doubling pieces, the stacked gap of its
+systems the sign screen cannot certify and leaves to the SVD, at the
+benchmark's shape, where it takes row subsets in more than one piece, and at
+m = n + 2..n + 4 on near-degenerate and rank-deficient A; the screen must
+certify only systems of full rank, and the full-rank bound, at every number
+of removed rows up to m - n, only removals that leave a null space {0}; the
+falsifier must take row-subset null spaces only where a cell is open, in
+doubling pieces, and none that the bound settles, the stacked gap of its
 one-dimensional cells must be the scalar gap bit for bit, and the stacked
 null-space kernel must return the per-slice one's bases.  The chunked
 dictionary-sparse distance must agree with the per-support loop to rounding.
@@ -1011,7 +1013,7 @@ def nsp_benchmark_shape_corpus():
     the layer's first row subset, and on the frame [I_6, 0] a scan with no
     witness, which takes every piece of every layer and whose supports with
     a vanishing column the sign screen certifies; then m = n + 2 with a
-    repeated row, whose witness lies in a layer the subsets' SVDs filter."""
+    repeated row, whose witness lies in a layer the full-rank bound filters."""
     for frame_seed, seed, q in ((1, 2, 0.5), (3, 4, 1.0)):
         A = np.random.default_rng(700 + 10 * frame_seed + seed).standard_normal((7, 6))
         yield A, build_parseval_random(6, 8, frame_seed), q, seed
@@ -1294,14 +1296,14 @@ def test_nsp_falsifier_takes_row_subset_null_spaces_in_doubling_pieces(monkeypat
 
 
 def full_rank_corpus():
-    """(A, label) at n = 4 and 6, m = n..n + 3: generic A, A scaled by 1e4
-    and 1e-4, a repeated row (at m = n + 1 every other row has H_i = 0), rows
-    1e-6 and 1e-9 apart, a rank-deficient A (a repeated column, and A = 0),
-    and a wide A (m = n - 1), which gets no certificate."""
+    """(A, label) at n = 4 and 6, m = n..n + 4: generic A, A scaled by 1e4
+    and 1e-4, a repeated row, rows 1e-6 and 1e-9 apart, a rank-deficient A
+    (a repeated column, and A = 0), and a wide A (m = n - 1), which gets no
+    certificate."""
     rng = np.random.default_rng(13)
     for n in (4, 6):
         yield rng.standard_normal((n - 1, n)), "wide"
-        for m in range(n, n + 4):
+        for m in range(n, n + 5):
             A = rng.standard_normal((m, n))
             yield A, "generic"
             yield 1e4 * A, "generic"
@@ -1320,38 +1322,95 @@ def full_rank_corpus():
 
 
 def test_full_rank_bound_drops_only_subsets_without_a_null_space():
-    """_full_rank_subsets against null_space, the rank rule the falsifier's
-    SVDs apply: a certified subset of size m or m - 1 has a zero null-space
-    basis; every such subset of a generic A is certified, none of a
-    rank-deficient or wide A; and near the threshold (rows 1e-6 apart) the
-    bound certifies some subsets and leaves others to the SVD."""
+    """_full_rank_bound against null_space, the rank rule the falsifier's
+    SVDs apply, at every removal size r <= m - n: the rows left after a
+    certified removal have a zero null-space basis; every removal from a
+    generic A is certified, none from a rank-deficient or wide A; a repeated
+    row loses exactly the removals that leave n rows with both copies among
+    them; and near the threshold (rows 1e-6 apart) the bound certifies some
+    removals and leaves others to the SVD."""
     certified_near = left_near = 0
     for A, label in full_rank_corpus():
         m, n = A.shape
         svd = np.linalg.svd(A)
-        full = nsp._full_rank_subsets(svd, n)
-        assert (full == {}) == (numerical_rank(svd[1]) < n)
+        certified = nsp._full_rank_bound(svd, n)
+        assert (certified is None) == (numerical_rank(svd[1]) < n)
         if label in ("wide", "rank-deficient"):
-            assert full == {}
-        if not full:
+            assert certified is None
+        if certified is None:
             continue
-        assert set(full) == {m, m - 1}
-        for size, mask in full.items():
-            subsets = list(combinations(range(m), size))
-            assert mask.shape == (len(subsets),)
-            for subset in np.array(subsets)[mask]:
-                assert null_space(A[subset]).shape == (n, 0)
-            if label == "generic" and (size == m or m > n):
+        for r in range(m - n + 1):
+            removals = np.array(list(combinations(range(m), r)), dtype=np.intp).reshape(comb(m, r), r)
+            mask = certified(r)
+            assert mask.shape == (len(removals),) and certified(r) is mask  # formed once per size
+            for R in removals[mask]:
+                assert null_space(np.delete(A, R, axis=0)).shape == (n, 0)
+            if label == "generic":
                 assert mask.all()
-            if label == "repeated row" and m == n + 1 and size == m - 1:
-                # only leaving out one copy of the repeated row keeps rank n
-                assert mask.tolist() == [i in (0, m - 1) for i in range(m)][::-1]
-            if label == "rows 1e-6 apart" and size == m - 1:
+            if label == "repeated row":
+                both_left = [r == m - n and not {0, m - 1} & set(R.tolist()) for R in removals]
+                assert mask.tolist() == [not both for both in both_left]
+            if label == "rows 1e-6 apart":
                 certified_near += int(mask.sum())
                 left_near += int((~mask).sum())
-        if m == n:  # H is empty: no row can be left out
-            assert not full[m - 1].any()
     assert certified_near > 0 and left_near > 0
+
+
+def nsp_tall_corpus():
+    """(A, F, k, q, seed, mode) at n = 4, N = 6, m = n + 2..n + 4 (a layer
+    schedule by size used to differ there): a repeated row, a last row 1e-7
+    from the first, a rank-deficient A (a repeated column), k = 1..3 and both
+    lambda modes."""
+    for m in (6, 7, 8):
+        rng = np.random.default_rng(900 + m)
+        A = rng.standard_normal((m, 4))
+        repeated, near, deficient = A.copy(), A.copy(), A.copy()
+        repeated[-1] = A[0]
+        near[-1] = A[0] + 1e-7 * rng.standard_normal(4)
+        deficient[:, -1] = A[:, 0]
+        for i, B in enumerate((repeated, near, deficient)):
+            for k in (1, 2, 3):
+                for mode in ("card_at_most_k", "all_subsets"):
+                    yield B, _frame(4, 6, m + i), k, 0.5 if (m + k) % 2 else 1.0, i, mode
+
+
+def test_nsp_falsifier_takes_no_null_space_the_full_rank_bound_settles(monkeypatch):
+    """At m = n + 2, n + 3 and n + 4 on a generic A, every row subset of size
+    at most m - n or at least n has full column rank or a complement that
+    has, and the falsifier takes no null space of one, at every k, also on
+    scans that reach every layer; only the sizes strictly between are
+    taken, and at k = 3 some are.  On near-degenerate and rank-deficient
+    A at those shapes, its witnesses are the reference loop's bit for bit,
+    in one stack and one slice per stack."""
+    sizes = []
+    null_spaces_ = nsp.null_spaces
+
+    def null_spaces_spy(Ms, scale=None):
+        if scale is None:  # the row subsets, not the (Lambda, S) systems
+            sizes.extend([Ms.shape[1]] * len(Ms))
+        return null_spaces_(Ms, scale=scale)
+
+    monkeypatch.setattr(nsp, "null_spaces", null_spaces_spy)
+    complete = taken = 0
+    for n, N in ((4, 6), (6, 8)):
+        for m in range(n + 2, n + 5):
+            A = np.random.default_rng(950 + m).standard_normal((m, n))
+            sizes.clear()
+            for k in (1, 2, 3):
+                w = nsp_real_falsify(A, build_parseval_random(n, N, m), k, 0.5, lambda_mode="all_subsets")
+                complete += w is None
+            assert all(m - n < size < n for size in sizes)
+            taken += len(sizes)
+    assert taken > 0 and complete > 0
+    witnesses = 0
+    for A, F, k, q, seed, mode in nsp_tall_corpus():
+        ref = loop_nsp_real_falsify(A, F, k, q, budget=100, seed=seed, lambda_mode=mode)
+        for elems in (nsp.STACK_ELEMS, 1):  # 1: one slice per stack
+            monkeypatch.setattr(nsp, "STACK_ELEMS", elems)
+            _assert_same_witness(nsp_real_falsify(A, F, k, q, budget=100, seed=seed, lambda_mode=mode), ref)
+        monkeypatch.setattr(nsp, "STACK_ELEMS", STACK_ELEMS)
+        witnesses += ref is not None
+    assert witnesses > 0
 
 
 def test_unit_gaps_equal_the_scalar_gap_bit_for_bit(monkeypatch):
