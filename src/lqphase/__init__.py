@@ -22,7 +22,6 @@ from .frames import (
     validate_frame,
 )
 from .harness import (
-    TransitionCell,
     run_bound_experiment,
     selfcheck_lemmas,
     transition_sweep,
@@ -46,7 +45,7 @@ from .nsp import (
     nsp_real_evaluate,
     nsp_real_falsify,
 )
-from .records import ExperimentConfig, TrialRecord, emit_results
+from .records import ExperimentConfig, TransitionCell, TrialRecord, emit_results
 from .rip import (
     RipReport,
     drip_constant,

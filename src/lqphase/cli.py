@@ -20,10 +20,9 @@ from .harness import (
     run_bound_experiment,
     selfcheck_lemmas,
     transition_sweep,
-    transition_to_csv,
 )
 from .nsp import nsp_real_falsify
-from .records import ExperimentConfig, emit_results
+from .records import ExperimentConfig, emit_results, transition_to_csv
 from .rip import (
     drip_constant,
     drip_constant_sampled,
@@ -155,8 +154,7 @@ def _cmd_experiment_transition(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     cells, not_run = transition_sweep(cfg, max_seconds=args.max_seconds)
     out = args.out or "transition_results.csv"
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(transition_to_csv(cells))
+    serialize.write_text(out, transition_to_csv(cells))
     if not_run:
         why = "; ".join(dict.fromkeys(not_run.values()))
         total = len(cells) + len(not_run)

@@ -17,7 +17,7 @@ m <= oracle_max_m and IRLS above it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import product
 from math import comb, inf
 
@@ -38,42 +38,10 @@ from .lemmas import (
     tail_power_bound_check,
 )
 from .measurement import PhaselessProblem, build_problem, phase_distance
-from .records import ExperimentConfig, TrialRecord
+from .records import ExperimentConfig, TransitionCell, TrialRecord
 from .rip import drip_constant, drip_order_for_t, sdrip_constants
 from .signals import lq_quasinorm, sample_dictionary_sparse
 from .solver import IrlsOptions, SolverResult, solve_irls, solve_oracle_noiseless
-
-
-@dataclass(frozen=True)
-class TransitionCell:
-    cell_index: int
-    n: int
-    N: int
-    m: int
-    k: int
-    q: float
-    trials: int
-    successes: int
-    # exception type of each trial whose solver raised (counted as no success);
-    # not a CSV column
-    errors: tuple[str, ...] = ()
-
-    @property
-    def rate(self) -> float:
-        return self.successes / self.trials
-
-
-TRANSITION_HEADER = "cell_index,n,N,m,k,q,trials,successes,rate"
-
-
-def transition_to_csv(cells: list[TransitionCell]) -> str:
-    lines = [TRANSITION_HEADER]
-    for c in cells:
-        lines.append(
-            f"{c.cell_index},{c.n},{c.N},{c.m},{c.k},{format(c.q, '.17g')},"
-            f"{c.trials},{c.successes},{format(c.rate, '.17g')}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def derive_trial_seeds(master_seed: int, cell_index: int, trial_index: int) -> tuple[int, int, int, int]:

@@ -18,17 +18,10 @@ the callers cut the support axis into chunks of at most STACK_ELEMS elements
 
 null_spaces is its counterpart for null spaces: one batched SVD per (C, p, n)
 stack and the same rank rule per slice.  null_space is its one-slice case
-(frames complete their rows with it).  The real NSP falsifier takes two
-kinds of stack from it: the null spaces of row subsets and their
-complements, in pieces of 1, 2, 4, ... subsets of a size as its scan
-reaches them, and those of the (row subset, support) systems its sign
-screen leaves open, with the cutoff relative to the systems' unit scale.
-Only the row subsets that the screen leaves with an open cell get a null
-space, and a bound from A's SVD, over every removal of at most m - n rows,
-spares the subsets whose rows or complement rows have full column rank.
-The screen's certificate and that bound are derived from the same
-RANK_RTOL, so a cell or subset they certify is one this rule would find of
-full rank.
+(frames complete their rows with it).  The real NSP falsifier takes from
+it the null spaces of row subsets and of (row subset, support) systems; the
+nsp module describes its schedule, and why a cell or subset its bounds
+certify is one this rule would find of full rank.
 """
 
 from __future__ import annotations

@@ -16,12 +16,20 @@ from .frames import TightFrame
 from .signals import DictionarySparseSignal
 
 
+def _check_finite(name: str, v: np.ndarray, shape: tuple) -> None:
+    if v.shape != shape:
+        raise DimensionError(f"{name} is {v.shape}; need {shape}")
+    if not np.isfinite(v).all():
+        raise DomainError(f"{name} must have finite entries")
+
+
 @dataclass(frozen=True)
 class PhaselessProblem:
     """One magnitude-only recovery instance.
 
     eps is the declared noise bound used in the fidelity constraint
-    || |Ax| - b ||_2 <= eps; truth is kept for experiments only.
+    || |Ax| - b ||_2 <= eps; truth is kept for experiments only.  A (m, n)
+    and b (m,) must be finite, so that no solver takes an SVD of inf or NaN.
     """
 
     A: np.ndarray
@@ -32,6 +40,8 @@ class PhaselessProblem:
     truth: DictionarySparseSignal | None = None
 
     def __post_init__(self):
+        _check_finite("A", self.A, (*self.A.shape[:1], self.frame.n))
+        _check_finite("b", self.b, self.A.shape[:1])
         # a NaN eps would switch the fidelity constraint off in every solver
         if not (np.isfinite(self.eps) and self.eps >= 0.0):
             raise DomainError(f"eps must be finite and nonnegative, got {self.eps}")

@@ -9,34 +9,11 @@ falsifier searches for witnesses of failure cell by cell, a cell being a row
 subset Lambda and a size-k support S; its splittings form a solution space
 W, the null space of K = (I - P_S)[U V], with P_S the projection onto
 col(D_S) and U, V null-space bases of the two row sets.  Most cells are
-decided without U, V or K:
-
-- a full-rank bound from the one SVD of A that the sign screen also uses
-  (_full_rank_bound) drops the row subsets whose rows, or whose
-  complement's rows, certainly have full column rank: such a subset has
-  U = {0} or V = {0} and feeds no cell, so it gets no SVD of its own.  It
-  covers every removal of at most m - n rows, so for a generic A it drops
-  every row subset of size at most m - n or at least n;
-- the sign screen (_sign_screen) certifies W = {0} from A alone: with
-  sigma_Lambda the signs -1 on Lambda and +1 off it, A(u-v) =
-  diag(sigma_Lambda) A(u+v), so for A of full column rank W is {0} exactly
-  when M = H^T diag(sigma_Lambda) A Q_S has full column rank (H a basis of
-  col(A)^perp, Q_S one of col(D_S)).  The M of a whole layer of row
-  subsets (one size) comes from one product of its sign patterns with the
-  per-row tensors h_i (x) a_i^T Q_S, formed once per call, and the smallest
-  singular value of M bounds s_min(K) from below (the docstring gives the
-  margin argument).  The scan screens a layer when it reaches it, so a scan
-  that stops at a witness screens no later layer;
-- a layer's row subsets with an open cell, and their complements, get
-  their null spaces at most once per call, in pieces in scan order, each
-  piece one more than the subsets the layer has taken so far (1, 2, 4, ...);
-- every open cell is decomposed by linalg.null_spaces, with the rank cutoff
-  relative to the unit scale of [U V], in pieces that double as the scan
-  reaches them, so a scan that stops at a witness decomposes fewer than
-  twice the cells it scanned;
-- the cells of a piece with dim W = 1 get their one evaluation of the gap
-  in one stacked product (_unit_gaps), and only those with a gap of at
-  least -STRICTNESS_TOL reach the witness check.
+decided without U, V or K.  nsp_real_falsify lists the five stages of its
+scan; _full_rank_bound and _sign_screen derive the two bounds that come from
+A's one SVD, formed only when A has full column rank, which each call tests
+once.  The screen rests on A(u - v) = diag(sigma_Lambda) A(u + v), with
+sigma_Lambda the signs -1 on Lambda and +1 off it.
 
 A cell with dim W <= 1 is decided exactly, by at most one evaluation of a
 witness; only cells with dim W >= 2 are searched, so there the absence of a
@@ -299,6 +276,13 @@ def _min_eig_exceeds(G: np.ndarray, floor: float) -> np.ndarray:
     (a batched det or eigvalsh costs 0.3-1.4 us a slice).  Each product in
     a determinant errs by O(eps ||G||^r), so the computed bound exceeds the
     true one by O(eps ||G||).
+
+    Measured alternatives (2-CPU VM): linalg.batch_sym_eig_bounds in its
+    place gave the same certificates at the same speed for r <= 2, and at
+    r = 3 a 13x slower screen (85 -> 1,112 ms over 24 calls at (n, m, k) =
+    (6, 9, 3) and (5, 9, 3)) for 198 more certified cells of 705,256.  A
+    trigonometric 3 x 3 closed form would be unsound: where the two smallest
+    eigenvalues coincide, its lambda_min errs by about sqrt(eps) ||G||.
     """
     r = len(G)
     if r == 1:
@@ -315,18 +299,18 @@ def _min_eig_exceeds(G: np.ndarray, floor: float) -> np.ndarray:
     return det * (r - 1) ** (r - 1) > floor * tr ** (r - 1)
 
 
-def _full_rank_bound(svd: tuple[np.ndarray, np.ndarray, np.ndarray], n: int):
-    """The full-rank bound of a call, for svd, the full SVD of A (m x n,
-    m >= n): a function from r <= m - n to the mask, over the size-r row
-    sets R in lexicographic order, of those whose removal certainly leaves
-    rank n under the rank rule of null_spaces, formed once per r; None
-    where A is not of full column rank.
+def _full_rank_bound(H: np.ndarray, s: np.ndarray):
+    """The full-rank bound of a call, for H = U[:, n:] and s of the full SVD
+    A = U S V^T of an A (m x n, m >= n) of full column rank: a function from
+    r <= m - n to the mask, over the size-r row sets R in lexicographic
+    order, of those whose removal certainly leaves rank n under the rank
+    rule of null_spaces, formed once per r.
 
-    Let A = U S V^T have full column rank, H = U[:, n:] an orthonormal basis
-    of col(A)^perp, H_R its rows in R, sigma = s_min(H_R) (r <= m - n
-    singular values), and y = Ax.  H^T y = 0 gives H_R^T y_R =
-    -H_{-R}^T y_{-R}, so sigma ||y_R|| <= ||y_{-R}|| since ||H|| = 1, and
-    ||y||^2 = ||y_R||^2 + ||y_{-R}||^2 >= s_n(A)^2 ||x||^2 then gives
+    H is an orthonormal basis of col(A)^perp; let H_R be its rows in R,
+    sigma = s_min(H_R) (r <= m - n singular values), and y = Ax.  H^T y = 0
+    gives H_R^T y_R = -H_{-R}^T y_{-R}, so sigma ||y_R|| <= ||y_{-R}|| since
+    ||H|| = 1, and ||y||^2 = ||y_R||^2 + ||y_{-R}||^2 >= s_n(A)^2 ||x||^2
+    then gives
 
         s_n(A without R) >= s_n(A) sigma / sqrt(1 + sigma^2),
 
@@ -343,10 +327,7 @@ def _full_rank_bound(svd: tuple[np.ndarray, np.ndarray, np.ndarray], n: int):
     so a bound of SIGN_SCREEN_TAU s_1(A) = 1e4 RANK_RTOL s_1(A) clears it by
     four orders of magnitude: the rows left have a null_spaces basis {0}.
     """
-    Ua, s, _ = svd
-    m = len(Ua)
-    if numerical_rank(s) < n:
-        return None
+    m, n = len(H), len(s)
     ratio2 = (s[-1] / s[0]) ** 2
 
     @cache
@@ -355,20 +336,21 @@ def _full_rank_bound(svd: tuple[np.ndarray, np.ndarray, np.ndarray], n: int):
             return np.array([ratio2 >= SIGN_SCREEN_TAU**2])
         removed = combination_array(m, r)
         per = max(1, STACK_ELEMS // (r * (m - n)))
-        stacks = (Ua[removed[start:start + per], n:] for start in range(0, len(removed), per))
+        stacks = (H[removed[start:start + per]] for start in range(0, len(removed), per))
         sigma2 = np.concatenate([batch_sym_eig_bounds(H @ np.swapaxes(H, 1, 2))[0] for H in stacks])
         return ratio2 * sigma2 / (1.0 + sigma2) >= SIGN_SCREEN_TAU**2
 
     return certified
 
 
-def _sign_screen(A: np.ndarray, svd: tuple[np.ndarray, np.ndarray, np.ndarray],
+def _sign_screen(A: np.ndarray, H: np.ndarray, s: np.ndarray,
                  bases: list[tuple[np.ndarray, np.ndarray]], n_supports: int):
     """The certifier of a call: a function from the sign patterns signs
     (L, m) of L row subsets to the (L, C) mask of the cells (Lambda, S) whose
-    system K = (I - P_S)[U V] certainly has full column rank, for svd, the
-    full SVD of A, and the support_bases groups bases of the C supports;
-    None where it could certify no cell.
+    system K = (I - P_S)[U V] certainly has full column rank, for H = U[:, n:]
+    and s of the full SVD A = U S V^T of an A of full column rank, and the
+    support_bases groups bases of the C supports; None where it could
+    certify no cell.
 
     Let A (m x n) have full column rank, m > n, H an orthonormal basis of
     col(A)^perp, Q = Q_S (n x r) and M = H^T diag(sigma) A Q.  For unit (a, b),
@@ -381,9 +363,9 @@ def _sign_screen(A: np.ndarray, svd: tuple[np.ndarray, np.ndarray, np.ndarray],
       Mc = -H^T diag(sigma) A e, so mu ||c|| <= ||A|| ||e||, mu = s_r(M).
     - ||x|| <= ||c|| + ||e|| then gives s_min(K) >= mu s_B / (||A|| + mu).
 
-    So W = {0} wherever M has full column rank, which needs r <= m - n; a
-    rank-deficient A or m <= n gets no certificate.  A cell is certified
-    when its bound is at least SIGN_SCREEN_TAU, that is when
+    So W = {0} wherever M has full column rank, which needs r <= m - n, so
+    m <= n gets no certificate.  A cell is certified when its bound is at
+    least SIGN_SCREEN_TAU, that is when
     mu^2 >= mu2_min = (SIGN_SCREEN_TAU / (s_B - SIGN_SCREEN_TAU))^2.  The
     per-row tensors h_i (x) a_i^T Q are formed once per call, so each call
     of the certifier is one product of the sign patterns with them per stack
@@ -407,13 +389,10 @@ def _sign_screen(A: np.ndarray, svd: tuple[np.ndarray, np.ndarray, np.ndarray],
     bases = [(rows, Q) for rows, Q in bases if Q.shape[2] <= m - n]
     if not bases:
         return None
-    Ua, s, _ = svd
-    if numerical_rank(s) < n:
-        return None
     s_B = np.sqrt(2.0) * s[-1] / np.hypot(s[0], s[-1])
     if s_B <= SIGN_SCREEN_TAU:
         return None
-    H = Ua[:, n:].T[None, :, None, :]  # (1, m - n, 1, m): the rows h_i
+    H = H.T[None, :, None, :]  # (1, m - n, 1, m): the rows h_i
     An = A / s[0]  # ||An|| = 1, so the bound is mu s_B / (1 + mu)
     # (r, m - n, c, m): the tensors h_i (x) a_i^T Q, rows i last
     factors = [(rows, H * np.transpose(An @ Q, (2, 0, 1))[:, None]) for rows, Q in bases]
@@ -531,9 +510,10 @@ def nsp_real_falsify(
     The scan takes the row subsets a layer (one size) at a time, and decides
     every layer's cells in the same five stages:
 
-    - _full_rank_bound drops, from A's one SVD, the row subsets of size
-      >= n or <= m - n whose rows or complement rows certainly have full
-      column rank (U = {0} or V = {0}): no cell, no SVD;
+    - _full_rank_bound drops, from A's one SVD (whose rank the call tests
+      once), the row subsets of size >= n or <= m - n whose rows or
+      complement rows certainly have full column rank (U = {0} or V = {0}):
+      no cell, no SVD;
     - _sign_screen certifies W = {0}, under the SVD's rank rule, for every
       cell whose bound on s_min(K) from the signs of Lambda, A's left null
       space and D_S clears SIGN_SCREEN_TAU: one matrix product per stack of
@@ -586,12 +566,17 @@ def nsp_real_falsify(
     P = np.repeat(np.eye(n)[None], n_supports, axis=0)
     for rows, Q in bases:
         P[rows] = np.eye(n) - Q @ np.swapaxes(Q, 1, 2)
-    # A's SVD, the full-rank bound and the sign screen's certifier, each
-    # formed when a layer first needs it; the bound needs m >= n and the
-    # screen m > n, so a wide A gets no SVD of its own
-    svd = cache(lambda: np.linalg.svd(A))
-    full_rank = cache(lambda: _full_rank_bound(svd(), n))
-    screen = cache(lambda: _sign_screen(A, svd(), bases, n_supports))
+    # H = U[:, n:] and s of A's SVD where A has full column rank (else None),
+    # the full-rank bound and the sign screen's certifier, each formed when
+    # a layer first needs it; the bound needs m >= n and the screen m > n, so
+    # a wide A gets no SVD of its own
+    @cache
+    def factors():
+        Ua, s, _ = np.linalg.svd(A)
+        return (Ua[:, n:], s) if numerical_rank(s) == n else None
+
+    full_rank = cache(lambda: factors() and _full_rank_bound(*factors()))
+    screen = cache(lambda: factors() and _sign_screen(A, *factors(), bases, n_supports))
     taken: dict[int, dict[int, np.ndarray]] = {}
 
     def null_bases(size: int, idx: list[int]) -> list[np.ndarray]:
@@ -641,6 +626,11 @@ def nsp_real_falsify(
             done += len(run)
             if du == 0 or dv == 0:
                 continue
+            # Measured on a 2-CPU VM: without the call-wide doubling of the
+            # pieces, nsp-certify ran at parity, but the falsifier took
+            # 26-40% longer at N = 10-12 (45-220 supports per row subset);
+            # without _unit_gaps or the shared support bases, k = 2
+            # nsp-certify passes took 94-141 ms against 59-90 ms.
             most = max(1, STACK_ELEMS // (n * (du + dv)))
             pos = 0
             while pos < len(cells):

@@ -1,7 +1,9 @@
-"""Experiment configuration and trial records, with CSV/JSON emission.
+"""Experiment configuration, trial records and transition cells, with CSV/JSON
+emission.
 
-The CSV schema is fixed: CSV_COLUMNS is the golden-tested column list, pinned
-by ``test_emit_csv_golden_header_and_format``.  Output is byte-identical for
+The CSV schemas are fixed: CSV_COLUMNS is the golden-tested column list, pinned
+by ``test_emit_csv_golden_header_and_format``, and TRANSITION_COLUMNS that of
+transition sweeps.  csv_text writes both, so output is byte-identical for
 identical (config, seed) regardless of machine, and floats are serialized with
 17 significant digits.
 
@@ -13,7 +15,6 @@ already carries.
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from math import inf
 from numbers import Integral, Real
@@ -21,7 +22,7 @@ from numbers import Integral, Real
 from .errors import ConfigurationError, ParameterError
 from .frames import NAMED_FRAMES
 from .rip import SDRIP_MAX_M, SUPPORT_BUDGET, _min_subset_size
-from .serialize import json_text
+from .serialize import json_text, load_json, write_text
 from .signals import MAGNITUDE_LAWS
 from .solver import ORACLE_MAX_M, IrlsOptions
 
@@ -34,6 +35,8 @@ CSV_COLUMNS = (
 )
 
 CSV_HEADER = ",".join(CSV_COLUMNS)
+
+TRANSITION_COLUMNS = ("cell_index", "n", "N", "m", "k", "q", "trials", "successes", "rate")
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,25 @@ class TrialRecord:
     wall_time_s: float | None = None
 
 
+@dataclass(frozen=True)
+class TransitionCell:
+    cell_index: int
+    n: int
+    N: int
+    m: int
+    k: int
+    q: float
+    trials: int
+    successes: int
+    # exception type of each trial whose solver raised (counted as no success);
+    # not a CSV column
+    errors: tuple[str, ...] = ()
+
+    @property
+    def rate(self) -> float:
+        return self.successes / self.trials
+
+
 def _fmt_cell(v) -> str:
     if v is None:
         return ""
@@ -84,12 +106,20 @@ def _fmt_cell(v) -> str:
     return str(v).replace(",", ";")
 
 
-def records_to_csv(records: list[TrialRecord]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        d = asdict(r)
-        lines.append(",".join(_fmt_cell(d[c]) for c in CSV_COLUMNS))
+def csv_text(rows: list, columns: tuple[str, ...]) -> str:
+    """A header line of columns, then one line per row of the row's attributes
+    named by columns."""
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt_cell(getattr(row, c)) for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def records_to_csv(records: list[TrialRecord]) -> str:
+    return csv_text(records, CSV_COLUMNS)
+
+
+def transition_to_csv(cells: list[TransitionCell]) -> str:
+    return csv_text(cells, TRANSITION_COLUMNS)
 
 
 def emit_results(records: list[TrialRecord], format: str, path: str) -> str:
@@ -102,17 +132,11 @@ def emit_results(records: list[TrialRecord], format: str, path: str) -> str:
         payload = json_text([asdict(r) for r in records])
     else:
         raise ParameterError(f"format must be 'csv' or 'json', got {format!r}")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
-    return path
+    return write_text(path, payload)
 
 
 def records_from_json(path: str) -> list[TrialRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = load_json(path)
     names = {f.name for f in fields(TrialRecord)}
     floats = {f.name for f in fields(TrialRecord) if "float" in f.type}
     # json_text writes a non-finite float as "inf", "-inf" or "nan"
@@ -236,5 +260,4 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(load_json(path))

@@ -43,7 +43,7 @@ from math import comb, ceil, floor
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ResourceBudgetError
+from .errors import DimensionError, DomainError, ParameterError, ResourceBudgetError
 from .frames import TightFrame
 from .linalg import STACK_ELEMS, batch_sym_eig_bounds, combination_array, support_bases
 
@@ -115,11 +115,13 @@ def _uniform_subsets(rng: np.random.Generator, count: int, n: int, k: int) -> np
 
 
 def _check_problem(A: np.ndarray, F: TightFrame, order: int, budget: int = 1) -> np.ndarray:
-    """A as a float array, once it matches the frame, order lies in [1, N]
-    and the number of draws is at least 1."""
+    """A as a float array, once it is finite and matches the frame, order
+    lies in [1, N] and the number of draws is at least 1."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != F.n:
         raise DimensionError(f"A has shape {A.shape}; frame dimension is {F.n}")
+    if not np.isfinite(A).all():
+        raise DomainError("A must be finite")
     if not (1 <= order <= F.N):
         raise ParameterError(f"order must lie in [1, {F.N}], got {order}")
     if budget < 1:

@@ -1,4 +1,5 @@
-"""JSON encoding/decoding for frames and problems; decoding of reports and results.
+"""Every file read (load_json) and write (write_text) of the package; JSON
+encoding/decoding for frames and problems; decoding of reports and results.
 
 Matrices inside frame payloads are flat row-major lists (shape is implied by
 n and N); measurement matrices are nested lists of rows.  Problems embed
@@ -18,9 +19,9 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DomainError
+from .errors import ConfigurationError, DomainError
 from .frames import FRAME_TOL, TightFrame, validate_frame
-from .measurement import PhaselessProblem
+from .measurement import PhaselessProblem, _check_finite
 from .rip import RipReport
 from .signals import DictionarySparseSignal, SparseCoefficients
 from .solver import SolverResult
@@ -46,13 +47,22 @@ def json_text(obj) -> str:
     return json.dumps(_strict(obj), indent=1, allow_nan=False)
 
 
-def save_json(obj: dict, path: str) -> str:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json_text(obj) + "\n")
+def write_text(path: str, text: str) -> str:
+    """Write text to path in UTF-8 with "\n" line ends; returns path.  An
+    OSError names the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
     return path
 
 
-def load_json(path: str) -> dict:
+def save_json(obj: dict, path: str) -> str:
+    return write_text(path, json_text(obj) + "\n")
+
+
+def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -123,23 +133,15 @@ def problem_to_dict(P: PhaselessProblem) -> dict:
     return out
 
 
-def _check_finite(name: str, v: np.ndarray, shape: tuple) -> None:
-    if v.shape != shape:
-        raise DimensionError(f"{name} is {v.shape}; need {shape}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError(f"{name} must have finite entries")
-
-
 def problem_from_dict(data: dict) -> PhaselessProblem:
-    """Decode a problem, checking A, b, eps and the truth before any solver sees them."""
+    """Decode a problem, checking A, b, eps and the truth before any solver
+    sees them (PhaselessProblem checks A, b and eps)."""
     try:
         frame = frame_from_dict(data["frame"])
         A = np.asarray(data["A"], dtype=float)
         b = np.asarray(data["b"], dtype=float)
     except KeyError as exc:
         raise ConfigurationError(f"problem payload missing key {exc}") from exc
-    _check_finite("A", A, (*A.shape[:1], frame.n))
-    _check_finite("b", b, A.shape[:1])
     truth = truth_from_dict(data["truth"], frame.N) if data.get("truth") else None
     if truth is not None:
         _check_finite("truth x", truth.x, (frame.n,))

@@ -97,6 +97,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DegenerateProblemError,
+    DomainError,
     InfeasibleProblemError,
     ParameterError,
     ResourceBudgetError,
@@ -380,6 +381,8 @@ def solve_affine_lq_oracle(
 
     Returns (minimizer, objective, zero_set); zero_set is None when the
     winner is the minimum-norm fallback or the affine set is a single point.
+    A and c must be finite: the SVD of an A with an inf entry may never
+    return, and a non-finite c would read as infeasible.
     """
     _check_q(q)
     A = np.asarray(A, dtype=float)
@@ -387,6 +390,8 @@ def solve_affine_lq_oracle(
     m, n = A.shape
     if c.shape != (m,):
         raise ParameterError(f"c must have length {m}, got {c.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(c).all()):
+        raise DomainError("A and c must be finite")
     A_pinv = _full_rank_pinv(A)
     if A_pinv is None:
         raise DegenerateProblemError(f"A must have full rank {min(m, n)}")

@@ -1070,8 +1070,8 @@ def test_nsp_falsifier_matches_reference_loop_on_near_degenerate_A(monkeypatch):
     screen, null_spaces_ = nsp._sign_screen, nsp.null_spaces
     count = {"left": 0, "decomposed": 0}
 
-    def screen_spy(A, svd, bases, n_supports):
-        certify = screen(A, svd, bases, n_supports)
+    def screen_spy(A, H, s, bases, n_supports):
+        certify = screen(A, H, s, bases, n_supports)
         assert certify is not None  # k = 1 and m = n + 1 on a generic A
 
         def certify_spy(signs):
@@ -1166,10 +1166,11 @@ def test_full_rank_screen_certifies_only_full_rank_systems():
                               signs)
         supports = np.array(list(combinations(range(D.shape[1]), k)))
         bases = support_bases(D, supports)
-        certify = nsp._sign_screen(A, np.linalg.svd(A), bases, len(supports))
-        if label == "rank-deficient":
-            assert certify is None
+        Ua, s, _ = np.linalg.svd(A)
+        if label == "rank-deficient":  # nsp_real_falsify forms no screen
+            assert numerical_rank(s) < n
             continue
+        certify = nsp._sign_screen(A, Ua[:, n:], s, bases, len(supports))
         # None: no support of rank <= m - n, or A too ill-conditioned for any bound
         certified = np.zeros((len(lams), len(supports)), dtype=bool) if certify is None else certify(signs)
         assert certified.shape == (len(lams), len(supports))
@@ -1325,20 +1326,21 @@ def test_full_rank_bound_drops_only_subsets_without_a_null_space():
     """_full_rank_bound against null_space, the rank rule the falsifier's
     SVDs apply, at every removal size r <= m - n: the rows left after a
     certified removal have a zero null-space basis; every removal from a
-    generic A is certified, none from a rank-deficient or wide A; a repeated
+    generic A is certified, and a rank-deficient or wide A gets no bound from
+    the falsifier (test_nsp_falsifier_decides_the_rank_of_A_once); a repeated
     row loses exactly the removals that leave n rows with both copies among
     them; and near the threshold (rows 1e-6 apart) the bound certifies some
     removals and leaves others to the SVD."""
     certified_near = left_near = 0
     for A, label in full_rank_corpus():
         m, n = A.shape
-        svd = np.linalg.svd(A)
-        certified = nsp._full_rank_bound(svd, n)
-        assert (certified is None) == (numerical_rank(svd[1]) < n)
+        Ua, s, _ = np.linalg.svd(A)
+        # nsp_real_falsify forms the bound only for A of full column rank
         if label in ("wide", "rank-deficient"):
-            assert certified is None
-        if certified is None:
+            assert numerical_rank(s) < n
+        if numerical_rank(s) < n:
             continue
+        certified = nsp._full_rank_bound(Ua[:, n:], s)
         for r in range(m - n + 1):
             removals = np.array(list(combinations(range(m), r)), dtype=np.intp).reshape(comb(m, r), r)
             mask = certified(r)
@@ -1354,6 +1356,38 @@ def test_full_rank_bound_drops_only_subsets_without_a_null_space():
                 certified_near += int(mask.sum())
                 left_near += int((~mask).sum())
     assert certified_near > 0 and left_near > 0
+
+
+def test_nsp_falsifier_decides_the_rank_of_A_once(monkeypatch):
+    """The falsifier tests A's rank once per call, on the singular values of
+    its one SVD, and hands the full-rank bound and the sign screen only an A
+    of full column rank: on full_rank_corpus, a tall or square A of full
+    column rank gets one rank test and one bound, a rank-deficient one a rank
+    test and neither bound nor screen, and a wide A gets no SVD at all."""
+    calls = dict.fromkeys(("numerical_rank", "_full_rank_bound", "_sign_screen"), 0)
+
+    def counted(name):
+        original = getattr(nsp, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(nsp, name, counted(name))
+    screened = 0
+    for seed, (A, label) in enumerate(full_rank_corpus()):
+        m, n = A.shape
+        calls.update(dict.fromkeys(calls, 0))
+        nsp_real_falsify(A, _frame(n, n + 2, seed), 2, 1.0, budget=10, lambda_mode="all_subsets")
+        full = m >= n and numerical_rank(np.linalg.svd(A, compute_uv=False)) == n
+        assert calls["numerical_rank"] == (m >= n)
+        assert calls["_full_rank_bound"] == full
+        assert calls["_sign_screen"] <= (full and m > n)
+        screened += calls["_sign_screen"]
+    assert screened > 0
 
 
 def nsp_tall_corpus():
@@ -1470,8 +1504,8 @@ def test_nsp_falsifier_screens_a_layer_only_when_the_scan_reaches_it(monkeypatch
     screen = nsp._sign_screen
     sizes, certified = [], []
 
-    def screen_spy(A, svd, bases, n_supports):
-        certify = screen(A, svd, bases, n_supports)
+    def screen_spy(A, H, s, bases, n_supports):
+        certify = screen(A, H, s, bases, n_supports)
 
         def certify_spy(signs):
             got = certify(signs)

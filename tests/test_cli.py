@@ -129,6 +129,22 @@ def test_experiment_transition_cli(tmp_path):
     assert lines[0].startswith("cell_index,") and len(lines) == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["frame", "gen", "--n", "2", "--N", "3"],
+    ["experiment", "bound"],
+    ["experiment", "bound", "--format", "json"],
+    ["experiment", "transition"],
+], ids=["frame gen", "bound csv", "bound json", "transition"])
+def test_every_file_write_exits_3_naming_the_path(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_values": [3], "N_values": [4], "m_values": [5],
+                                    "k_values": [1], "q_values": [1.0]}))
+    out = tmp_path / "no" / "dir" / "out"
+    config = ["--config", str(cfg_path)] if command[0] == "experiment" else []
+    assert main([*command, *config, "--out", str(out)]) == 3
+    assert f"i/o error: cannot write {out}: " in capsys.readouterr().err
+
+
 def test_experiment_transition_reports_cells_cut_by_the_deadline(tmp_path, capsys):
     cfg = {
         "n_values": [3], "N_values": [4], "m_values": [5], "k_values": [0, 1],

@@ -13,7 +13,6 @@ from lqphase.harness import (
     sample_measurement_matrix,
     selfcheck_lemmas,
     transition_sweep,
-    transition_to_csv,
 )
 from lqphase.records import (
     CSV_HEADER,
@@ -22,6 +21,7 @@ from lqphase.records import (
     emit_results,
     records_from_json,
     records_to_csv,
+    transition_to_csv,
 )
 
 

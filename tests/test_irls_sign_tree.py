@@ -11,7 +11,8 @@ irls-sweep trial at seeds 0 and 1, take one SVD of A and no QR or
 pseudo-inverse of it, run the tree at every rank of a tall or square A,
 polish one run per kept class, or the TREE_MAX_CLASSES of smallest
 least-squares objective, and fall back to the restart pipeline, reporting no
-classes and no nodes, where the tree does not run or keeps no class.
+classes and no nodes, where the tree does not run or keeps no class; there,
+the sign-flip descent must keep tall problems feasible.
 """
 
 import dataclasses
@@ -25,9 +26,9 @@ from test_irls_exits import irls_sweep_trial
 
 from lqphase import serialize, solver
 from lqphase.frames import build_parseval_random
-from lqphase.measurement import PhaselessProblem
+from lqphase.measurement import PhaselessProblem, build_problem
 from lqphase.records import CSV_COLUMNS
-from lqphase.signals import lq_quasinorm
+from lqphase.signals import lq_quasinorm, sample_dictionary_sparse
 from lqphase.solver import IrlsOptions, solve_irls
 
 
@@ -335,6 +336,29 @@ def test_wide_A_flips_nothing(monkeypatch):
     for P in wide:
         solve_irls(P)  # no least-squares point is stalled: the descent never runs
     assert len(wide) == 2 and sum(descended) == 0
+
+
+def restart_corpus():
+    """120 noisy tall problems: n = 4..9, m drawn from n + 1..3n - 1,
+    eps = 0.01 or 0.05, a 2-sparse truth on a Parseval frame with N = n + 2."""
+    for i in range(120):
+        rng = np.random.default_rng(i)
+        n = 4 + i % 6
+        m = int(rng.integers(n + 1, 3 * n))
+        eps = (0.01, 0.05)[(i // 6) % 2]
+        F = build_parseval_random(n, n + 2, i)
+        A = rng.standard_normal((m, n)) / np.sqrt(m)
+        yield build_problem(A, F, sample_dictionary_sparse(F, 2, i), 0.5, noise=("bounded", eps), seed=i)
+
+
+def test_sign_flip_descent_makes_tall_fallbacks_feasible(monkeypatch):
+    # on a tall A the restart pipeline's starts are often stalled, and the
+    # descent is what finds them a feasible pattern: 119 of 120 feasible
+    # with it, 74 with it replaced by the identity
+    monkeypatch.setattr(solver, "TREE_MAX_NODES", 0)  # below the basis patterns
+    results = [(P, solve_irls(P)) for P in restart_corpus()]
+    assert all(r.feasible_classes == r.tree_nodes == 0 for _, r in results)  # the fallback ran
+    assert sum(r.feasibility <= P.eps for P, r in results) >= 119
 
 
 def _assert_polishes_the_lowest_objectives(P, kept, X, cap):

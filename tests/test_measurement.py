@@ -121,3 +121,34 @@ def test_a_problem_with_bad_eps_cannot_be_made(eps):
     with pytest.raises(DomainError, match="eps"):
         PhaselessProblem(A=P.A, frame=F, b=P.b, eps=eps, q=0.5)
     assert replace(P, eps=-0.0).eps == 0.0
+
+
+def _entry(shape, value):
+    v = np.random.default_rng(1).standard_normal(shape)
+    v.flat[2] = value
+    return v
+
+
+@pytest.mark.parametrize("A, b, error, message", [
+    (_entry((6, 3), np.inf), np.ones(6), DomainError, "A must have finite entries"),
+    (_entry((6, 3), np.nan), np.ones(6), DomainError, "A must have finite entries"),
+    (np.ones((6, 3)), _entry(6, -np.inf), DomainError, "b must have finite entries"),
+    (np.ones((6, 3)), _entry(6, np.nan), DomainError, "b must have finite entries"),
+    (np.ones((6, 3)), np.ones(5), DimensionError, r"b is \(5,\); need \(6,\)"),
+    (np.ones((6, 4)), np.ones(6), DimensionError, r"A is \(6, 4\); need \(6, 3\)"),
+    (np.ones(3), np.ones(1), DimensionError, r"A is \(3,\); need \(3, 3\)"),
+], ids=["A inf", "A nan", "b -inf", "b nan", "short b", "wide A", "vector A"])
+def test_a_problem_with_non_finite_or_misshapen_data_cannot_be_made(monkeypatch, A, b, error, message):
+    # the SVD of a 6 x 3 A with an inf entry need not return, and every
+    # solver takes one, so no solver may see such a problem
+    F = build_parseval_random(3, 5, 0)
+
+    def svd(*args, **kwargs):
+        raise AssertionError("an SVD ran before the input checks")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    with pytest.raises(error, match=message):
+        PhaselessProblem(A=A, frame=F, b=b, eps=0.0, q=0.5)
+    if message == "A must have finite entries":  # b = |A x0| would be non-finite too
+        with pytest.raises(error, match=message):
+            build_problem(A, F, sample_dictionary_sparse(F, 1, 0), q=0.5)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lqphase import rip
-from lqphase.errors import ParameterError, ResourceBudgetError
+from lqphase.errors import DomainError, ParameterError, ResourceBudgetError
 from lqphase.frames import TightFrame, build_named_frame, build_parseval_random
 from lqphase.linalg import batch_sym_eig_bounds, null_space, support_bases
 from lqphase.rip import (
@@ -347,3 +347,25 @@ def test_sdrip_sampled_rejects_an_order_or_budget_out_of_range(order, budget):
     A = np.random.default_rng(1).standard_normal((5, 3))
     with pytest.raises(ParameterError, match=r"^(order|budget) must"):
         sdrip_constants_sampled(A, F, order, budget=budget)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("estimate", [
+    lambda A, F: drip_constant(A, F, 2),
+    lambda A, F: sdrip_constants(A, F, 2),
+    lambda A, F: drip_constant_sampled(A, F, 2, budget=5),
+    lambda A, F: sdrip_constants_sampled(A, F, 2, budget=5),
+], ids=["drip", "sdrip", "drip sampled", "sdrip sampled"])
+def test_isometry_constants_reject_a_non_finite_A_before_any_svd(monkeypatch, estimate, value):
+    # before the check, NaN raised "every evaluated support has vanishing
+    # frame columns" and inf gave delta = inf and theta = NaN
+    F = build_parseval_random(3, 5, seed=1)
+    A = np.random.default_rng(1).standard_normal((6, 3))
+    A[4, 1] = value
+
+    def svd(*args, **kwargs):
+        raise AssertionError("an SVD ran before the input checks")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    with pytest.raises(DomainError, match="A must be finite"):
+        estimate(A, F)

@@ -180,3 +180,10 @@ def test_solver_result_with_bad_entries_raises(field, value, error):
     data[field] = value
     with pytest.raises(error):
         serialize.solver_result_from_dict(data)
+
+
+def test_write_text_writes_utf8_with_lf_line_ends(tmp_path):
+    path = tmp_path / "x.txt"
+    assert serialize.write_text(str(path), "a\nß\n") == str(path)
+    assert path.read_bytes() == "a\nß\n".encode("utf-8")
+    assert serialize.load_json(str(serialize.save_json({"v": 1}, str(tmp_path / "v.json")))) == {"v": 1}

@@ -9,6 +9,7 @@ from lqphase import serialize, solver
 from lqphase.errors import (
     ConfigurationError,
     DegenerateProblemError,
+    DomainError,
     InfeasibleProblemError,
     ParameterError,
     ResourceBudgetError,
@@ -305,3 +306,23 @@ def test_irls_options_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigurationError):
         IrlsOptions.from_dict([("restarts", 3)])
     assert IrlsOptions.from_dict({"restarts": 3, "reg": 0.0}) == IrlsOptions(restarts=3, reg=0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", ["A", "c"])
+def test_affine_oracle_rejects_a_non_finite_A_or_c_before_any_svd(monkeypatch, entry, value):
+    # before the check, a non-finite c raised "c is not in the range of A"
+    F = build_parseval_random(4, 6, seed=2)
+    A = np.random.default_rng(2).standard_normal((3, 4))
+    c = np.ones(3)
+    if entry == "A":
+        A[1, 2] = value
+    else:
+        c[1] = value
+
+    def svd(*args, **kwargs):
+        raise AssertionError("an SVD ran before the input checks")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    with pytest.raises(DomainError, match="A and c must be finite"):
+        solve_affine_lq_oracle(A, c, F, 0.5)
