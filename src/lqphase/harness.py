@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 from itertools import product
-from math import comb, inf
+from math import inf
 
 import numpy as np
 
@@ -126,8 +126,6 @@ def _run_bound_trial(cfg: ExperimentConfig, cell: dict, trial: int) -> TrialReco
     order = drip_order_for_t(t, k)
     if order > N:
         return _skipped(cell, trial, fseed, f"order ceil(t*k)={order} exceeds N={N}")
-    if comb(N, order) > cfg.support_budget:
-        return _skipped(cell, trial, fseed, "support enumeration budget exceeded")
     if cfg.solver == "oracle" and eps > 0.0:
         return _skipped(cell, trial, fseed, "certified oracle handles eps=0 only; use irls")
     if cfg.solver == "oracle" and m > cfg.oracle_max_m:

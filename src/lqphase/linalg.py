@@ -3,7 +3,10 @@
 The enumeration kernels take the k-subsets of range(N) as index arrays, in
 the lexicographic order of itertools.combinations: all of them at once from
 combination_array, which caches the read-only array, or a chunk at a time
-from combination_blocks.
+from combination_blocks.  check_budget (C(N, k) items within a budget) and
+check_matrix (a raw A of shape (m, n) with finite entries) are the only
+copies of their rules; every entry point runs them before it allocates or
+factors anything.
 Rank decisions use a relative singular-value cutoff (1e-10 times the largest
 singular value, or times a scale the caller knows), matching the
 frame-validation tolerance.
@@ -32,6 +35,8 @@ from math import comb
 
 import numpy as np
 
+from .errors import DimensionError, DomainError, ResourceBudgetError
+
 RANK_RTOL = 1e-10
 # Float64 elements per array in the batched enumeration kernels (512 KiB):
 # the pattern axis is cut into chunks of at most this many elements per
@@ -40,17 +45,33 @@ RANK_RTOL = 1e-10
 STACK_ELEMS = 2**16
 
 
-def numerical_rank(s: np.ndarray, rtol: float = RANK_RTOL, scale: float | None = None):
+def check_budget(N: int, k: int, budget: int, what: str) -> None:
+    """Raise ResourceBudgetError when the C(N, k) items `what` exceed budget."""
+    if (count := comb(N, k)) > budget:
+        raise ResourceBudgetError(f"C({N},{k}) = {count} {what} exceed the budget {budget}")
+
+
+def check_matrix(A, n: int) -> np.ndarray:
+    """A as a float array, once it is an (m, n) matrix with finite entries."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[1] != n:
+        raise DimensionError(f"A must have shape (m, {n}), got {A.shape}")
+    if not np.isfinite(A).all():
+        raise DomainError("A must be finite")
+    return A
+
+
+def numerical_rank(s: np.ndarray, scale: float | None = None):
     """Rank from singular values sorted in descending order along the last
     axis: an int for one array, an int array for a stack of them.
 
-    The cutoff is rtol times scale, by default the largest singular value; a
-    caller whose matrices have a known unit scale passes scale=1.0, so that a
-    matrix of rounding residue has rank 0.  The rank is 0 when there are no
-    singular values or the largest is 0."""
+    The cutoff is RANK_RTOL times scale, by default the largest singular
+    value; a caller whose matrices have a known unit scale passes scale=1.0,
+    so that a matrix of rounding residue has rank 0.  The rank is 0 when
+    there are no singular values or the largest is 0."""
     if s.shape[-1] == 0:
         return 0 if s.ndim == 1 else np.zeros(s.shape[:-1], dtype=np.intp)
-    ranks = np.count_nonzero(s > rtol * (s[..., :1] if scale is None else scale), axis=-1)
+    ranks = np.count_nonzero(s > RANK_RTOL * (s[..., :1] if scale is None else scale), axis=-1)
     return int(ranks) if s.ndim == 1 else ranks
 
 

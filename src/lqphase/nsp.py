@@ -41,12 +41,14 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InvalidWitnessError, ParameterError, ResourceBudgetError
+from .errors import InvalidWitnessError, ParameterError, ResourceBudgetError
 from .frames import TightFrame
 from .linalg import (
     RANK_RTOL,
     STACK_ELEMS,
     batch_sym_eig_bounds,
+    check_budget,
+    check_matrix,
     combination_array,
     combination_blocks,
     null_spaces,
@@ -110,7 +112,7 @@ def dictionary_sparse_distance(x: np.ndarray, D: np.ndarray, k: int,
     """
     x = np.asarray(x)
     n, N = D.shape
-    _check_support_budget(N, k, support_budget)
+    check_budget(N, k, support_budget, "supports")
     best = float(np.linalg.norm(x)) if k <= N else np.inf
     if k == 0:
         return best
@@ -119,11 +121,6 @@ def dictionary_sparse_distance(x: np.ndarray, D: np.ndarray, k: int,
         if best == 0.0:
             break
     return best
-
-
-def _check_support_budget(N: int, k: int, support_budget: int) -> None:
-    if comb(N, k) > support_budget:
-        raise ResourceBudgetError(f"C({N},{k}) supports exceed the budget {support_budget}")
 
 
 def _support_distance(x: np.ndarray, bases: list[tuple[np.ndarray, np.ndarray]]) -> float:
@@ -145,7 +142,7 @@ def nsp_real_evaluate(A: np.ndarray, F: TightFrame, w: NspWitness) -> NspWitness
 
     violated means the strict inequality fails, i.e. lhs >= rhs - 1e-12.
     """
-    return _evaluate(A, F, w, None)
+    return _evaluate(check_matrix(A, F.n), F, w, None)
 
 
 def _evaluate(A: np.ndarray, F: TightFrame, w: NspWitness,
@@ -178,7 +175,6 @@ def _evaluate(A: np.ndarray, F: TightFrame, w: NspWitness,
         if bases is None:
             dist = dictionary_sparse_distance(s, F.D, w.k)
         else:
-            _check_support_budget(F.N, w.k, SUPPORT_BUDGET)
             dist = min(float(ns), _support_distance(s, bases))
         if dist > MEMBERSHIP_RTOL * ns:
             raise InvalidWitnessError(
@@ -194,23 +190,19 @@ def _lambda_list(m: int, k: int, mode: str) -> list[tuple[int, ...]]:
         max_size = min(k, m)
     elif mode == "all_subsets":
         if m > ALL_SUBSETS_MAX_M:
-            raise ResourceBudgetError(
-                f"m={m} exceeds the all-subsets guard ({ALL_SUBSETS_MAX_M})"
-            )
+            raise ResourceBudgetError(f"m={m} exceeds the all-subsets guard ({ALL_SUBSETS_MAX_M})")
         max_size = m
     else:
         raise ParameterError(f"lambda_mode must be 'card_at_most_k' or 'all_subsets', got {mode!r}")
-    lams: list[tuple[int, ...]] = []
-    for size in range(0, max_size + 1):
-        lams.extend(combinations(range(m), size))
-    return lams
+    return [lam for size in range(max_size + 1) for lam in combinations(range(m), size)]
 
 
-def _coordinate_ascent(f, c0: np.ndarray, max_sweeps: int = 40) -> tuple[np.ndarray, float]:
+def _coordinate_ascent(f, c0: np.ndarray) -> tuple[np.ndarray, float]:
     c = c0 / np.linalg.norm(c0)
     fc = f(c)
     step = 0.5
     dim = c.size
+    max_sweeps = 40
     for _ in range(max_sweeps):
         improved = False
         for i in range(dim):
@@ -543,19 +535,17 @@ def nsp_real_falsify(
     returned witness is deterministic for a given seed.  None means the
     budget was exhausted without finding a violation.  A must be a finite
     (m, F.n) array, and k must lie in [0, N]; at k = 0 the condition holds
-    vacuously and None is exact.
+    vacuously and None is exact.  Past the module's SUPPORT_BUDGET (read at
+    each call) of C(N, k) supports, it raises ResourceBudgetError first.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[1] != F.n:
-        raise DimensionError(f"A must have shape (m, {F.n}), got {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise DomainError("A must be finite")
+    A = check_matrix(A, F.n)
     q = _check_q(q)
     m, n = A.shape
     if budget < 1:
         raise ParameterError("budget must be >= 1")
     if not 0 <= k <= F.N:
         raise ParameterError(f"sparsity k must lie in [0, {F.N}], got {k}")
+    check_budget(F.N, k, SUPPORT_BUDGET, "supports")
     lambdas = _lambda_list(m, k, lambda_mode)
     supports = combination_array(F.N, k)
     n_supports = len(supports)

@@ -43,9 +43,16 @@ from math import comb, ceil, floor
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError, ResourceBudgetError
+from .errors import ParameterError, ResourceBudgetError
 from .frames import TightFrame
-from .linalg import STACK_ELEMS, batch_sym_eig_bounds, combination_array, support_bases
+from .linalg import (
+    STACK_ELEMS,
+    batch_sym_eig_bounds,
+    check_budget,
+    check_matrix,
+    combination_array,
+    support_bases,
+)
 
 SUPPORT_BUDGET = 10**6
 SDRIP_MAX_M = 14
@@ -115,13 +122,8 @@ def _uniform_subsets(rng: np.random.Generator, count: int, n: int, k: int) -> np
 
 
 def _check_problem(A: np.ndarray, F: TightFrame, order: int, budget: int = 1) -> np.ndarray:
-    """A as a float array, once it is finite and matches the frame, order
-    lies in [1, N] and the number of draws is at least 1."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[1] != F.n:
-        raise DimensionError(f"A has shape {A.shape}; frame dimension is {F.n}")
-    if not np.isfinite(A).all():
-        raise DomainError("A must be finite")
+    """check_matrix's A, once order lies in [1, N] and there is at least one draw."""
+    A = check_matrix(A, F.n)
     if not (1 <= order <= F.N):
         raise ParameterError(f"order must lie in [1, {F.N}], got {order}")
     if budget < 1:
@@ -148,12 +150,7 @@ def drip_constant(
     where lambda are the extreme quotients on col(D_S).
     """
     A = _check_problem(A, F, order)
-    n_supports = comb(F.N, order)
-    if n_supports > support_budget:
-        raise ResourceBudgetError(
-            f"C({F.N},{order}) = {n_supports} supports exceed the budget {support_budget}; "
-            "use the sampled estimator"
-        )
+    check_budget(F.N, order, support_budget, "supports")
     return _drip(A, F, order, combination_array(F.N, order), exhaustive=True, details={})
 
 
@@ -234,18 +231,14 @@ def sdrip_constants(
         raise ResourceBudgetError(
             f"m={m} exceeds the exhaustive subset guard ({max_m}); use the sampled estimator"
         )
-    n_supports = comb(F.N, order)
-    if n_supports > support_budget:
-        raise ResourceBudgetError(
-            f"C({F.N},{order}) = {n_supports} supports exceed the budget {support_budget}"
-        )
+    check_budget(F.N, order, support_budget, "supports")
     h = _min_subset_size(m, half_rule)
     masks = np.zeros((comb(m, h), m))
     np.put_along_axis(masks, combination_array(m, h), 1.0, axis=1)
     lo, hi, dev = _extremes(A, F.D, combination_array(F.N, order), masks)
     return _report(lo, hi, dev, order, h, exhaustive=True, details={
         "half_rule": half_rule, "n_subsets": sum(comb(m, s) for s in range(h, m + 1)),
-        "n_supports": n_supports})
+        "n_supports": comb(F.N, order)})
 
 
 def sdrip_constants_sampled(

@@ -64,7 +64,10 @@ def save_json(obj: dict, path: str) -> str:
 
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
 
 
 def frame_to_dict(F: TightFrame) -> dict:

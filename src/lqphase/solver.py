@@ -89,7 +89,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from math import comb, isfinite, sqrt
+from math import isfinite, sqrt
 from numbers import Integral, Real
 
 import numpy as np
@@ -103,7 +103,7 @@ from .errors import (
     ResourceBudgetError,
 )
 from .frames import TightFrame
-from .linalg import STACK_ELEMS, combination_blocks, numerical_rank
+from .linalg import STACK_ELEMS, check_budget, check_matrix, combination_blocks, numerical_rank
 from .measurement import PhaselessProblem
 from .rip import SUPPORT_BUDGET
 from .signals import _check_q, lq_quasinorm
@@ -381,33 +381,27 @@ def solve_affine_lq_oracle(
 
     Returns (minimizer, objective, zero_set); zero_set is None when the
     winner is the minimum-norm fallback or the affine set is a single point.
-    A and c must be finite: the SVD of an A with an inf entry may never
-    return, and a non-finite c would read as infeasible.
+    An (m, F.n) A and a length-m c must be finite: the SVD of an A with an
+    inf entry may never return, and a non-finite c would read as infeasible.
     """
     _check_q(q)
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(c).all()):
+        raise DomainError("A and c must be finite")
+    A = check_matrix(A, F.n)
     m, n = A.shape
     if c.shape != (m,):
         raise ParameterError(f"c must have length {m}, got {c.shape}")
-    if not (np.isfinite(A).all() and np.isfinite(c).all()):
-        raise DomainError("A and c must be finite")
+    check_budget(F.N, max(n - m, 0), support_budget, "zero patterns")
     A_pinv = _full_rank_pinv(A)
     if A_pinv is None:
         raise DegenerateProblemError(f"A must have full rank {min(m, n)}")
-    _check_budget(F.N, max(n - m, 0), support_budget)
     found = _zero_pattern_search(A, A_pinv, c[:, None], F.D, q, _new_counts())
     if found is None:
         raise InfeasibleProblemError("c is not in the range of A")
     _, x, obj, Z, _ = found
     return x, obj, Z
-
-
-def _check_budget(N: int, free: int, support_budget: int) -> None:
-    if comb(N, free) > support_budget:
-        raise ResourceBudgetError(
-            f"C({N},{free}) zero patterns exceed the budget {support_budget}"
-        )
 
 
 def _new_counts() -> dict:
@@ -443,13 +437,13 @@ def solve_oracle_noiseless(
     if m > max_m:
         raise ResourceBudgetError(f"m={m} exceeds the sign enumeration guard ({max_m})")
     _check_q(P.q)
+    check_budget(F.N, max(n - m, 0), support_budget, "zero patterns")
     signs = _sign_patterns(m)
     counts = _new_counts()
     counts["sign_patterns"] = len(signs)
     A_pinv = _full_rank_pinv(A)
     found = None  # a rank-deficient A leaves every sign pattern degenerate
     if A_pinv is not None:
-        _check_budget(F.N, max(n - m, 0), support_budget)
         found = _zero_pattern_search(A, A_pinv, (signs * b).T, F.D, P.q, counts)
     if found is None:
         raise InfeasibleProblemError("no sign pattern admits a solution; measurements corrupted?")

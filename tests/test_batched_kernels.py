@@ -47,7 +47,6 @@ from lqphase.errors import (
 )
 from lqphase.frames import TightFrame, build_named_frame, build_parseval_random
 from lqphase.linalg import (
-    RANK_RTOL,
     STACK_ELEMS,
     null_space,
     null_spaces,
@@ -185,7 +184,7 @@ def loop_sym_eig_bounds(M):
 def loop_support_basis(D, S):
     Ds = D[:, list(S)]
     u, s, _ = np.linalg.svd(Ds, full_matrices=False)
-    r = numerical_rank(s, RANK_RTOL)
+    r = numerical_rank(s)
     if r == 0:
         return None
     return u[:, :r]
@@ -208,13 +207,13 @@ def loop_drip_constant(A, F, order):
     return (*best, devs)
 
 
-def loop_column_space(M, rtol=RANK_RTOL):
+def loop_column_space(M):
     """Orthonormal basis (columns) of the column space of M."""
     M = np.asarray(M)
     if M.shape[1] == 0:
         return np.zeros((M.shape[0], 0), dtype=M.dtype)
     u, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = numerical_rank(s, rtol)
+    r = numerical_rank(s)
     return u[:, :r]
 
 

@@ -6,7 +6,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from lqphase import serialize
+from lqphase import nsp, serialize
 from lqphase.cli import build_parser, main
 from lqphase.frames import build_parseval_random, validate_frame
 from lqphase.measurement import build_problem, phase_distance
@@ -74,6 +74,26 @@ def test_nsp_falsify_reports_budget(tmp_path, problem_file):
     payload = json.loads(out.read_text())
     assert payload["witness"] is None
     assert payload["budget"] == 100 and payload["lambda_mode"] == "card_at_most_k"
+
+
+def test_nsp_falsify_past_the_support_budget_is_a_resource_error(capsys, monkeypatch, problem_file):
+    # C(5, 1) = 5 supports against a budget of 4; the falsifier had no guard
+    path, _, _ = problem_file
+    monkeypatch.setattr(nsp, "SUPPORT_BUDGET", 4)
+    assert main(["nsp", "falsify", "--problem", str(path), "--k", "1", "--q", "1.0"]) == 2
+    assert capsys.readouterr().err == "resource error: C(5,1) = 5 supports exceed the budget 4\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["experiment", "bound", "--config"], ["experiment", "transition", "--config"],
+    ["solve", "--problem"], ["bound", "verify", "--trial"],
+])
+def test_a_json_file_that_does_not_parse_is_named(tmp_path, capsys, command):
+    # the message used to be json's alone, with no path
+    path = tmp_path / "truncated.json"
+    path.write_text('{"n_values": [4], ')
+    assert main(command + [str(path), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot parse {path}: ")
 
 
 def test_bound_check_and_verify(tmp_path, problem_file):

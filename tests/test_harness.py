@@ -172,6 +172,13 @@ def test_guarded_cells_are_skipped_with_reason():
     assert all(r.status == "skipped" for r in recs)
 
 
+def test_a_cell_past_the_support_budget_is_skipped_with_the_guards_message():
+    # C(6, 1) = 6 supports of order 1 against a budget of 1
+    recs = run_bound_experiment(small_config(support_budget=1))
+    assert [r.status for r in recs] == ["skipped"] * 3
+    assert all(r.reason == "ResourceBudgetError: C(6,1) = 6 supports exceed the budget 1" for r in recs)
+
+
 @pytest.mark.parametrize("kind, N", [("identity", 3), ("duplicated_identity", 3), ("mercedes", 4)])
 def test_named_frame_with_wrong_N_is_skipped(kind, N):
     recs = run_bound_experiment(small_config(n_values=[2], N_values=[N], m_values=[3],

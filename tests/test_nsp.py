@@ -169,12 +169,16 @@ def _rows_with(value):
     return A
 
 
-@pytest.mark.parametrize("A, error, message", [
+BAD_A = [
     (np.ones((5, 3)), DimensionError, r"A must have shape \(m, 4\), got \(5, 3\)"),
     (np.ones(4), DimensionError, r"A must have shape \(m, 4\), got \(4,\)"),
     (_rows_with(np.nan), DomainError, "A must be finite"),
     (_rows_with(-np.inf), DomainError, "A must be finite"),
-], ids=["5x3", "vector", "nan", "-inf"])
+]
+BAD_A_IDS = ["5x3", "vector", "nan", "-inf"]
+
+
+@pytest.mark.parametrize("A, error, message", BAD_A, ids=BAD_A_IDS)
 def test_falsify_rejects_a_misshapen_or_non_finite_A_before_any_svd(monkeypatch, A, error, message):
     F = build_parseval_random(4, 6, seed=2)
 
@@ -184,6 +188,16 @@ def test_falsify_rejects_a_misshapen_or_non_finite_A_before_any_svd(monkeypatch,
     monkeypatch.setattr(np.linalg, "svd", svd)
     with pytest.raises(error, match=message):
         nsp_real_falsify(A, F, k=1, q=1.0, budget=10, lambda_mode="all_subsets")
+
+
+@pytest.mark.parametrize("A, error, message", BAD_A, ids=BAD_A_IDS)
+def test_evaluate_rejects_a_misshapen_or_non_finite_A(A, error, message):
+    # a NaN A used to pass the null-space checks (NaN > tol is false) and
+    # give a verdict; a 1-D A raised an IndexError
+    F = build_parseval_random(4, 6, seed=2)
+    d = F.D[:, 0]
+    with pytest.raises(error, match=message):
+        nsp_real_evaluate(A, F, NspWitness(Lambda=(0,), u=2 * d, v=-d, q=1.0, k=1))
 
 
 def test_dictionary_sparse_distance():

@@ -9,6 +9,7 @@ from lqphase import serialize, solver
 from lqphase.errors import (
     ConfigurationError,
     DegenerateProblemError,
+    DimensionError,
     DomainError,
     InfeasibleProblemError,
     ParameterError,
@@ -325,4 +326,18 @@ def test_affine_oracle_rejects_a_non_finite_A_or_c_before_any_svd(monkeypatch, e
 
     monkeypatch.setattr(np.linalg, "svd", svd)
     with pytest.raises(DomainError, match="A and c must be finite"):
+        solve_affine_lq_oracle(A, c, F, 0.5)
+
+
+@pytest.mark.parametrize("A, c", [(np.ones((2, 3)), np.ones(2)), (np.ones(4), np.ones(1))],
+                         ids=["2 x 3 A at n = 4", "1-D A"])
+def test_affine_oracle_rejects_an_A_of_the_wrong_shape_before_any_svd(monkeypatch, A, c):
+    # the 2 x 3 A used to fail in a matmul after its SVD, the 1-D A in an unpacking
+    F = build_parseval_random(4, 6, seed=2)
+
+    def svd(*args, **kwargs):
+        raise AssertionError("an SVD ran before the input checks")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    with pytest.raises(DimensionError, match=r"A must have shape \(m, 4\), got"):
         solve_affine_lq_oracle(A, c, F, 0.5)
