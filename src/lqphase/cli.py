@@ -121,7 +121,7 @@ def _cmd_solve(args) -> int:
         result = solve_oracle_noiseless(P)
     else:
         config = serialize.load_json(args.config) if args.config else {"seed": args.seed or 0}
-        result = solve_irls(P, IrlsOptions.from_dict(config))
+        result = solve_irls(P, serialize.from_dict(IrlsOptions, config, "irls options"))
     _emit(dataclasses.asdict(result), args.out)
     return 0
 

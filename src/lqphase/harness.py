@@ -40,6 +40,7 @@ from .lemmas import (
 from .measurement import PhaselessProblem, build_problem, phase_distance
 from .records import ExperimentConfig, TransitionCell, TrialRecord
 from .rip import drip_constant, drip_order_for_t, sdrip_constants
+from .serialize import from_dict
 from .signals import lq_quasinorm, sample_dictionary_sparse
 from .solver import IrlsOptions, SolverResult, solve_irls, solve_oracle_noiseless
 
@@ -109,7 +110,7 @@ def _solve(cfg: ExperimentConfig, problem: PhaselessProblem, oracle: bool, seed:
     if oracle:
         return solve_oracle_noiseless(problem, max_m=cfg.oracle_max_m,
                                       support_budget=cfg.support_budget)
-    return solve_irls(problem, IrlsOptions.from_dict({**cfg.solver_options, "seed": seed}))
+    return solve_irls(problem, from_dict(IrlsOptions, {**cfg.solver_options, "seed": seed}, "irls options"))
 
 
 def _skipped(cell: dict, trial: int, seed: int, reason: str) -> TrialRecord:

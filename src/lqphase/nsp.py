@@ -676,6 +676,8 @@ def nsp_complex_evaluate(A: np.ndarray, D: np.ndarray, w: ComplexNspWitness, q: 
     """
     A = np.asarray(A, dtype=complex)
     D = np.asarray(D, dtype=complex)
+    for part in (A.real, A.imag):  # check_matrix casts to float, which drops A.imag
+        check_matrix(part, D.shape[0])
     q = _check_q(q)
     m = A.shape[0]
     p = len(w.Omega)

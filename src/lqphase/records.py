@@ -15,14 +15,14 @@ already carries.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from math import inf
 from numbers import Integral, Real
 
 from .errors import ConfigurationError, ParameterError
 from .frames import NAMED_FRAMES
 from .rip import SDRIP_MAX_M, SUPPORT_BUDGET, _min_subset_size
-from .serialize import json_text, load_json, write_text
+from .serialize import from_dict, json_text, load_json, write_text
 from .signals import MAGNITUDE_LAWS
 from .solver import ORACLE_MAX_M, IrlsOptions
 
@@ -136,12 +136,7 @@ def emit_results(records: list[TrialRecord], format: str, path: str) -> str:
 
 
 def records_from_json(path: str) -> list[TrialRecord]:
-    raw = load_json(path)
-    names = {f.name for f in fields(TrialRecord)}
-    floats = {f.name for f in fields(TrialRecord) if "float" in f.type}
-    # json_text writes a non-finite float as "inf", "-inf" or "nan"
-    return [TrialRecord(**{k: float(v) if k in floats and isinstance(v, str) else v
-                           for k, v in item.items() if k in names}) for item in raw]
+    return [from_dict(TrialRecord, item, "trial record") for item in load_json(path)]
 
 
 def _is_int(v) -> bool:
@@ -227,7 +222,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown solver {self.solver!r}")
         # IRLS reads these options in irls sweeps and in transition cells
         # above the oracle guard, with each trial's derived seed
-        IrlsOptions.from_dict(self.solver_options)
+        from_dict(IrlsOptions, self.solver_options, "irls options").validate()
         if "seed" in self.solver_options:
             raise ConfigurationError("solver_options cannot set 'seed': each trial derives its own")
         kinds = ("random",) + NAMED_FRAMES
@@ -246,15 +241,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        missing = {f.name for f in fields(cls)
-                   if f.default is MISSING and f.default_factory is MISSING} - set(data)
-        if missing:
-            raise ConfigurationError(f"missing config keys: {sorted(missing)}")
-        cfg = cls(**data)
+        cfg = from_dict(cls, data, "config")
         cfg.validate()
         return cfg
 

@@ -1,10 +1,11 @@
 """Every file read (load_json) and write (write_text) of the package; JSON
-encoding/decoding for frames and problems; decoding of reports and results.
+encoding/decoding for frames and problems; from_dict, the one decoder of
+every flat dataclass payload (trial records, reports, results, options, configs).
 
 Matrices inside frame payloads are flat row-major lists (shape is implied by
 n and N); measurement matrices are nested lists of rows.  Problems embed
 their frame so files are self-contained; frame_id is kept as a label.
-Reports, witnesses and solver results are written as json_text(asdict(...)).
+Other dataclasses are written as json_text(asdict(...)).
 
 json_text writes every JSON file and CLI payload as strict JSON: numpy arrays
 and scalars become lists and Python scalars, and a non-finite float becomes
@@ -15,6 +16,7 @@ Infinity or NaN tokens that strict parsers reject.
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields, replace
 from math import isfinite
 
 import numpy as np
@@ -70,6 +72,28 @@ def load_json(path: str):
             raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
 
 
+def from_dict(cls, data, what: str):
+    """The dataclass cls from a flat payload of its fields.  A non-mapping, an
+    unknown key or a missing field without a default raises ConfigurationError
+    naming what.  A float or float | None field reads "inf", "-inf" and "nan"
+    as floats, an np.ndarray field becomes a float array, and every other value
+    is taken as read, for the caller to check.  Annotations are strings, as
+    every module has ``from __future__ import annotations``."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{what} must be a mapping, got {type(data).__name__}")
+    specs = {f.name: f for f in fields(cls)}
+    unknown = set(data) - set(specs)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [k for k, f in specs.items() if k not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigurationError(f"missing {what} keys: {sorted(missing)}")
+    return cls(**{k: np.asarray(v, dtype=float) if specs[k].type == "np.ndarray"
+                  else float(v) if specs[k].type in ("float", "float | None") and v in ("inf", "-inf", "nan")
+                  else v for k, v in data.items()})
+
+
 def frame_to_dict(F: TightFrame) -> dict:
     return {
         "n": F.n,
@@ -109,17 +133,17 @@ def truth_to_dict(sig: DictionarySparseSignal) -> dict:
 def truth_from_dict(data: dict, N: int) -> DictionarySparseSignal:
     """Decode a truth signal of a frame with N columns; its support must lie
     in [0, N) and have at most k entries."""
-    coeffs = SparseCoefficients(
-        z=np.asarray(data["z"], dtype=float),
-        support=tuple(int(i) for i in data["support"]),
-        k=int(data["k"]),
-    )
+    try:
+        coeffs = SparseCoefficients(z=np.asarray(data["z"], dtype=float),
+                                    support=tuple(int(i) for i in data["support"]), k=int(data["k"]))
+        x = np.asarray(data["x"], dtype=float)
+    except KeyError as exc:
+        raise ConfigurationError(f"truth payload missing key {exc}") from exc
     if any(not 0 <= i < N for i in coeffs.support):
         raise DomainError(f"truth support {list(coeffs.support)} is not inside [0, {N})")
     if len(coeffs.support) > coeffs.k:
         raise DomainError(f"truth support has {len(coeffs.support)} entries, more than k = {coeffs.k}")
-    return DictionarySparseSignal(x=np.asarray(data["x"], dtype=float), z=coeffs,
-                                  frame_id=str(data.get("frame_id", "frame")))
+    return DictionarySparseSignal(x=x, z=coeffs, frame_id=str(data.get("frame_id", "frame")))
 
 
 def problem_to_dict(P: PhaselessProblem) -> dict:
@@ -155,40 +179,21 @@ def problem_from_dict(data: dict) -> PhaselessProblem:
 
 def rip_report_from_dict(data: dict) -> RipReport:
     """Decode an isometry report, checking that delta and the thetas present are finite."""
-    report = RipReport(
-        order=int(data["order"]),
-        delta=float(data["delta"]),
-        theta_minus=None if data.get("theta_minus") is None else float(data["theta_minus"]),
-        theta_plus=None if data.get("theta_plus") is None else float(data["theta_plus"]),
-        min_subset_size=None if data.get("min_subset_size") is None else int(data["min_subset_size"]),
-        exhaustive=bool(data.get("exhaustive", True)),
-        details=dict(data.get("details", {})),
-    )
-    values = [v for v in (report.delta, report.theta_minus, report.theta_plus) if v is not None]
-    _check_finite("delta and thetas of the rip report", np.array(values), (len(values),))
-    return report
+    report = from_dict(RipReport, data, "rip report")
+    names = [k for k in ("delta", "theta_minus", "theta_plus") if getattr(report, k) is not None]
+    values = np.array([getattr(report, k) for k in names], dtype=float)
+    _check_finite("delta and thetas of the rip report", values, (len(names),))
+    return replace(report, **dict(zip(names, values.tolist())))
 
 
 def solver_result_from_dict(data: dict) -> SolverResult:
     """Decode a solver result, checking that x_hat is a finite vector and that
     objective and feasibility are finite; a counter the payload lacks reads 0."""
-    cert = data.get("certificate")
-    if cert is not None:  # the counters and the margin pass through as read
-        cert = {
-            **cert,
-            "signs": tuple(float(s) for s in cert["signs"]),
-            "zero_set": None if cert["zero_set"] is None else tuple(int(i) for i in cert["zero_set"]),
-            "minimum_norm_fallback": bool(cert["minimum_norm_fallback"]),
-        }
-    result = SolverResult(
-        x_hat=np.asarray(data["x_hat"], dtype=float),
-        objective=float(data["objective"]),
-        feasibility=float(data["feasibility"]),
-        method=str(data["method"]),
-        certificate=cert,
-        exits={str(k): int(v) for k, v in data.get("exits", {}).items()},
-        **{k: int(data.get(k, 0)) for k in ("iterations", "steps", "feasible_classes", "tree_nodes")},
-    )
+    result = from_dict(SolverResult, data, "solver result")
     _check_finite("x_hat", result.x_hat, (result.x_hat.size,))
-    _check_finite("objective and feasibility", np.array([result.objective, result.feasibility]), (2,))
-    return result
+    scores = np.array([result.objective, result.feasibility], dtype=float)
+    _check_finite("objective and feasibility", scores, (2,))
+    if (cert := result.certificate) is not None:  # the counters and the margin pass through as read
+        cert = {**cert, "signs": tuple(cert["signs"]),
+                "zero_set": None if cert["zero_set"] is None else tuple(cert["zero_set"])}
+    return replace(result, objective=float(scores[0]), feasibility=float(scores[1]), certificate=cert)

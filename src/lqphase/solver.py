@@ -87,7 +87,7 @@ that candidate's own batched-versus-scalar discrepancy plus 1e-12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isfinite, sqrt
 from numbers import Integral, Real
@@ -95,7 +95,6 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
     DegenerateProblemError,
     DomainError,
     InfeasibleProblemError,
@@ -178,20 +177,6 @@ class IrlsOptions:
     restarts: int = 10  # starts of the restart pipeline: m < n or no tree (see solve_irls)
     seed: int = 0  # of the restart pipeline's random starts
     tol: float = 1e-8
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IrlsOptions":
-        """Validated options from a mapping of field names, such as a config's
-        solver_options: an unknown key raises ConfigurationError, a bad value
-        ParameterError."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"irls options must be a mapping, got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigurationError(f"unknown irls options: {sorted(unknown)}")
-        opts = cls(**data)
-        opts.validate()
-        return opts
 
     def validate(self) -> None:
         for name in ("max_iters", "restarts", "seed", "eps0", "decay", "tol", "reg"):

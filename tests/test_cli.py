@@ -492,3 +492,19 @@ def test_bound_verify_rejects_a_non_finite_rip_report_or_a_truth_support_off_the
     serialize.save_json(trial, path)
     assert main(["bound", "verify", "--trial", path]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part, edit, message", [
+    ("result", lambda d: d.pop("x_hat"), "missing solver result keys: ['x_hat']"),
+    ("rip", lambda d: d.update(detla=0.5), "unknown rip report keys: ['detla']"),
+    ("truth", lambda d: d.pop("z"), "truth payload missing key 'z'"),
+    # a check the decoders kept: delta is read as a float
+    ("rip", lambda d: d.update(delta="abc"), "could not convert string to float: 'abc'"),
+], ids=["result-without-x_hat", "rip-with-unknown-key", "truth-without-z", "non-numeric-delta"])
+def test_bound_verify_names_a_missing_or_unknown_key(tmp_path, capsys, part, edit, message):
+    path = _trial(tmp_path)
+    trial = serialize.load_json(path)
+    edit(trial["problem"]["truth"] if part == "truth" else trial[part])
+    serialize.save_json(trial, path)
+    assert main(["bound", "verify", "--trial", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,6 +1,7 @@
 """src/lqphase imports only the standard library and numpy, its one runtime
 dependency in pyproject.toml; the test extras (scipy, hypothesis, pytest)
-stay out of the package."""
+stay out of the package.  Only serialize opens files (the builtin open) and
+reads dataclass fields (dataclasses.fields, in its one payload decoder)."""
 
 import ast
 import sys
@@ -32,3 +33,31 @@ def test_package_imports_only_the_standard_library_and_numpy():
     assert "numpy" in found["linalg.py"]  # the walk reads the real modules
     outside = {name: sorted(imports - ALLOWED) for name, imports in found.items() if imports - ALLOWED}
     assert outside == {}
+
+
+def _io_calls(text: str) -> set[str]:
+    """The calls in a module's source of the builtin open and of
+    dataclasses.fields, under the names they are written with."""
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in ("open", "fields"):
+                found.add(func.id)
+            elif (isinstance(func, ast.Attribute) and func.attr == "fields"
+                  and isinstance(func.value, ast.Name) and func.value.id == "dataclasses"):
+                found.add("dataclasses.fields")
+    return found
+
+
+def test_io_call_walker_sees_open_and_both_spellings_of_fields():
+    text = "def f(cls):\n    with open('x') as fh:\n        return fields(cls), dataclasses.fields(cls)\n"
+    assert _io_calls(text) == {"open", "fields", "dataclasses.fields"}
+    assert _io_calls("path.open()\nnp.fields = 1\n") == set()
+
+
+def test_only_serialize_opens_files_or_reads_dataclass_fields():
+    found = {path.name: _io_calls(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert found.pop("serialize.py") == {"open", "fields"}  # the walk reads the real modules
+    assert {name: sorted(calls) for name, calls in found.items() if calls} == {}

@@ -230,6 +230,22 @@ def test_complex_evaluate_antipodal_blocks():
     assert out.violated
 
 
+@pytest.mark.parametrize("A, error, message", [
+    (np.full((2, 2), np.nan), DomainError, "A must be finite"),
+    (np.array([[1.0, 1.0], [1.0, complex(0.0, np.inf)]]), DomainError, "A must be finite"),
+    (np.ones((2, 3), dtype=complex), DimensionError, r"A must have shape \(m, 2\), got \(2, 3\)"),
+    (np.ones(2, dtype=complex), DimensionError, r"A must have shape \(m, 2\), got \(2,\)"),
+], ids=["nan", "imaginary-inf", "2x3", "vector"])
+def test_complex_evaluate_rejects_a_misshapen_or_non_finite_A(A, error, message):
+    # a NaN A used to pass every block's annihilation check (NaN > tol is
+    # false) and give violated=True
+    phi1 = np.array([1.0 + 0.0j, 0.0 + 1.0j])
+    w = ComplexNspWitness(Omega=((0,), (1,)), phis=(phi1, -phi1),
+                          ds=np.array([1.0, -1.0]), pair=(0, 1), k=2)
+    with pytest.raises(error, match=message):
+        nsp_complex_evaluate(A, np.eye(2, dtype=complex), w, q=0.5)
+
+
 def test_complex_evaluate_scaling_invariance():
     phi1 = np.array([1.0 + 0.0j, 0.0 + 1.0j])
     a = _conjugate_orthogonal_row(phi1)

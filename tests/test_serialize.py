@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqphase import serialize
-from lqphase.errors import DimensionError, DomainError
+from lqphase.errors import ConfigurationError, DimensionError, DomainError
 from lqphase.frames import build_named_frame, build_parseval_random
 from lqphase.measurement import PhaselessProblem, build_problem
+from lqphase.records import ExperimentConfig, TrialRecord, emit_results, records_from_json
+from lqphase.rip import RipReport, sdrip_constants
 from lqphase.signals import sample_dictionary_sparse
-from lqphase.solver import SolverResult
+from lqphase.solver import IrlsOptions, SolverResult, solve_oracle_noiseless
 
 
 def _payload():
@@ -159,6 +161,14 @@ def test_problem_with_bad_truth_raises(field, value, error):
         serialize.problem_from_dict(data)
 
 
+def test_problem_with_a_truth_key_missing_names_it():
+    data = _payload()
+    del data["truth"]["z"]
+    with pytest.raises(ConfigurationError) as info:
+        serialize.problem_from_dict(data)
+    assert str(info.value) == "truth payload missing key 'z'"
+
+
 def _result_payload():
     res = SolverResult(x_hat=np.array([0.5, -1.0, 0.25]), objective=1.75, feasibility=0.0,
                        method="irls")
@@ -187,3 +197,91 @@ def test_write_text_writes_utf8_with_lf_line_ends(tmp_path):
     assert serialize.write_text(str(path), "a\nß\n") == str(path)
     assert path.read_bytes() == "a\nß\n".encode("utf-8")
     assert serialize.load_json(str(serialize.save_json({"v": 1}, str(tmp_path / "v.json")))) == {"v": 1}
+
+
+def _oracle_instance():
+    F = build_parseval_random(4, 6, seed=9)
+    A = np.random.default_rng(1).standard_normal((3, 4))
+    return build_problem(A, F, sample_dictionary_sparse(F, 1, seed=2), q=0.5)
+
+
+P_WIDE = _oracle_instance()  # m = 3 < n = 4: the oracle's certificate has a zero set
+
+
+def _decoded(cls, what):
+    return lambda data: serialize.from_dict(cls, data, what)
+
+
+# (original, decoder): reports and solver results go through their module
+# decoders, which call from_dict and then check values
+ROUND_TRIPS = [
+    (TrialRecord(cell_index=2, trial_index=1, n=4, N=6, m=3, k=1, q=0.5, status="ok",
+                 reason="nan", delta=float("inf"), delta_order=1, theta_minus=float("-inf"),
+                 theta_window_ok=False, objective=1.25, lhs=float("nan"), rhs=0.5,
+                 solver_iterations=7, bound_status="pass", wall_time_s=0.01),
+     _decoded(TrialRecord, "trial record")),
+    (sdrip_constants(P_WIDE.A, P_WIDE.frame, 2), serialize.rip_report_from_dict),
+    (solve_oracle_noiseless(P_WIDE), serialize.solver_result_from_dict),
+    (IrlsOptions(max_iters=40, reg=0.0, restarts=3, seed=5, tol=1e-6),
+     _decoded(IrlsOptions, "irls options")),
+    (ExperimentConfig(n_values=[4], N_values=[6], m_values=[3, 8], k_values=[1], q_values=[0.5],
+                      trials=2, solver="irls", solver_options={"restarts": 2}, jitter=0.1),
+     _decoded(ExperimentConfig, "config")),
+]
+
+
+def _same(a, b) -> bool:
+    """a and b are equal and of one type; NaN equals NaN, arrays compare bytes."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, float) and np.isnan(a):
+        return isinstance(b, float) and np.isnan(b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("obj, decode", ROUND_TRIPS, ids=[type(o).__name__ for o, _ in ROUND_TRIPS])
+def test_from_dict_reads_back_what_json_text_writes_field_for_field(obj, decode):
+    back = decode(json.loads(serialize.json_text(dataclasses.asdict(obj))))
+    assert type(back) is type(obj)
+    for f in dataclasses.fields(obj):
+        assert _same(getattr(obj, f.name), getattr(back, f.name)), f.name
+
+
+def test_round_trips_cover_details_a_certificate_and_non_finite_floats():
+    record, report, result = (obj for obj, _ in ROUND_TRIPS[:3])
+    assert np.isinf(record.delta) and np.isnan(record.lhs)
+    assert isinstance(report, RipReport) and report.details and report.theta_minus is not None
+    assert result.method == "oracle" and isinstance(result.certificate["zero_set"], tuple)
+
+
+@pytest.mark.parametrize("data, message", [
+    ([("order", 1)], "rip report must be a mapping, got list"),
+    ({"order": 1, "delta": 0.5, "detla": 0.5}, "unknown rip report keys: ['detla']"),
+    ({"details": {}}, "missing rip report keys: ['delta', 'order']"),
+], ids=["list", "unknown-key", "missing-fields"])
+def test_from_dict_rejects_a_non_mapping_an_unknown_key_or_a_missing_field(data, message):
+    with pytest.raises(ConfigurationError) as info:
+        serialize.from_dict(RipReport, data, "rip report")
+    assert str(info.value) == message
+
+
+def test_from_dict_converts_only_the_non_finite_spellings_in_float_fields():
+    report = serialize.from_dict(RipReport, {"order": 1, "delta": "inf", "theta_minus": "-inf",
+                                             "theta_plus": "abc", "details": {"d": "nan"}},
+                                 "rip report")
+    assert (report.delta, report.theta_minus) == (np.inf, -np.inf)
+    assert (report.theta_plus, report.details) == ("abc", {"d": "nan"})  # for the caller to check
+    record = serialize.from_dict(TrialRecord, {"reason": "inf", "method": "nan"}, "trial record")
+    assert (record.reason, record.method) == ("inf", "nan")
+
+
+def test_records_from_json_reads_non_finite_floats_and_rejects_unknown_keys(tmp_path):
+    path = str(tmp_path / "records.json")
+    emit_results([TrialRecord(delta=float("inf"), lhs=float("nan"), rhs=0.5)], "json", path)
+    back = records_from_json(path)[0]
+    assert back.delta == np.inf and np.isnan(back.lhs) and back.rhs == 0.5
+    data = serialize.load_json(path)
+    data[0]["lsh"] = 1.0
+    serialize.save_json(data, path)
+    with pytest.raises(ConfigurationError, match=r"unknown trial record keys: \['lsh'\]"):
+        records_from_json(path)

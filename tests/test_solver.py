@@ -298,15 +298,16 @@ def test_irls_options_reject_bad_values(bad):
     with pytest.raises(ParameterError):
         IrlsOptions(**bad).validate()
     with pytest.raises(ParameterError):
-        IrlsOptions.from_dict(bad)
+        serialize.from_dict(IrlsOptions, bad, "irls options").validate()
 
 
 def test_irls_options_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigurationError, match="restart"):
-        IrlsOptions.from_dict({"restart": 3})
+        serialize.from_dict(IrlsOptions, {"restart": 3}, "irls options")
     with pytest.raises(ConfigurationError):
-        IrlsOptions.from_dict([("restarts", 3)])
-    assert IrlsOptions.from_dict({"restarts": 3, "reg": 0.0}) == IrlsOptions(restarts=3, reg=0.0)
+        serialize.from_dict(IrlsOptions, [("restarts", 3)], "irls options")
+    opts = serialize.from_dict(IrlsOptions, {"restarts": 3, "reg": 0.0}, "irls options")
+    assert opts == IrlsOptions(restarts=3, reg=0.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
