@@ -13,11 +13,16 @@ frame-validation tolerance.
 
 support_bases is the package's only kernel for an orthonormal basis of
 col(D_S): one batched SVD per stack of supports, slices grouped by numerical
-rank.  The isometry constants (rip: DRIP, S-DRIP, their sampled variants and
-the DRIP witness) and the null-space diagnostics (nsp: the real falsifier's
-projections and dictionary_sparse_distance) all take their bases from it;
-the callers cut the support axis into chunks of at most STACK_ELEMS elements
-(in rip, its one kernel does).
+rank.  The null-space diagnostics (nsp: the real falsifier's projections and
+dictionary_sparse_distance) take every basis from it.  The isometry
+constants (rip: DRIP, S-DRIP, their sampled variants and the DRIP witness)
+take from it only the supports of order >= 3 and the ill-conditioned ones;
+at order <= 2 their kernel forms A Q in closed form, without a basis.  The
+callers cut the support axis into chunks of at most STACK_ELEMS elements
+(in rip, its one kernel does).  sym_eig_bounds is the one closed form for
+the extreme eigenvalues of a symmetric 1 x 1 or 2 x 2 matrix;
+batch_sym_eig_bounds applies it to stacks of matrices, rip's closed form to
+the entries directly.
 
 null_spaces is its counterpart for null spaces: one batched SVD per (C, p, n)
 stack and the same rank rule per slice.  null_space is its one-slice case
@@ -112,21 +117,29 @@ def support_bases(D: np.ndarray, supports: np.ndarray) -> list[tuple[np.ndarray,
     return groups
 
 
+def sym_eig_bounds(*entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) eigenvalues of symmetric 1 x 1 or 2 x 2 matrices given
+    entrywise, as arrays of one shape: (a,) for [[a]], (a, b, c) for
+    [[a, c], [c, b]].  The package's one closed form for them."""
+    if len(entries) == 1:
+        return entries[0].copy(), entries[0].copy()
+    a, b, c = entries
+    tr = a + b
+    root = np.sqrt((a - b) ** 2 + 4.0 * c ** 2)
+    return 0.5 * (tr - root), 0.5 * (tr + root)
+
+
 def batch_sym_eig_bounds(Ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) eigenvalues of a stack of (B, d, d) symmetric matrices.
 
-    Closed forms for d <= 2 run 1.6-18x faster than eigvalsh on the support
-    and subset stacks of the isometry enumerations (B = 36-1001).
+    sym_eig_bounds' closed forms for d <= 2 run 1.6-18x faster than eigvalsh
+    on the support and subset stacks of the isometry enumerations (B = 36-1001).
     """
     d = Ms.shape[-1]
     if d == 1:
-        v = Ms[:, 0, 0]
-        return v.copy(), v.copy()
+        return sym_eig_bounds(Ms[:, 0, 0])
     if d == 2:
-        tr = Ms[:, 0, 0] + Ms[:, 1, 1]
-        disc = (Ms[:, 0, 0] - Ms[:, 1, 1]) ** 2 + 4.0 * Ms[:, 0, 1] ** 2
-        root = np.sqrt(np.maximum(disc, 0.0))
-        return 0.5 * (tr - root), 0.5 * (tr + root)
+        return sym_eig_bounds(Ms[:, 0, 0], Ms[:, 1, 1], Ms[:, 0, 1])
     w = np.linalg.eigvalsh(Ms)
     return w[:, 0], w[:, -1]
 

@@ -20,12 +20,12 @@ witness; only cells with dim W >= 2 are searched, so there the absence of a
 counterexample is evidence, not proof, and results always carry the search
 budget and mode.
 
-Bases of col(D_S) come from linalg.support_bases, the kernel the isometry
-constants use: the falsifier computes every support's basis once per call,
-before it scans the row subsets, and shares it between the projections of K,
-the sign screen and the membership check of its witnesses;
-dictionary_sparse_distance takes them a chunk of supports at a time, for
-real and complex D alike.
+Bases of col(D_S) come from linalg.support_bases, which the isometry
+constants also use, for supports of order >= 3 and ill-conditioned ones:
+the falsifier computes every support's basis once per call, before it scans
+the row subsets, and shares it between the projections of K, the sign
+screen and the membership check of its witnesses; dictionary_sparse_distance
+takes them a chunk of supports at a time, for real and complex D alike.
 
 Complex case: only witness evaluation is provided (block partitions of the
 rows with per-block unimodular constants); the combinatorics of a search are

@@ -21,24 +21,32 @@ of size >= h, and reads delta off I = [m].  The sampled estimator draws a
 support with one size-h subset and evaluates the same two layers.
 
 One kernel, _extremes, computes every constant.  It takes a stack of
-supports and a possibly empty layer of 0/1 row masks, cuts the supports into
-chunks of at most STACK_ELEMS elements per array, and takes each chunk's
-bases from linalg.support_bases, which runs one batched SVD of the (C, n, k)
-column stack and groups the slices by numerical rank.  Per group it
-evaluates I = [m] as B^T B and the mask layer through masked sums of the
-row Grams outer(B_i, B_i), each with one batched eigen-bounds call.  DRIP
-and its sampled estimator are the kernel with an empty layer, S-DRIP and
-its sampled estimator the kernel with the size-h layer; so S-DRIP's delta is
-DRIP's, bit for bit.  Unlike the oracle's objectives, the isometry
-constants carry no tie rule: a batched eigenvalue agrees with the
-per-support one to rounding, so the batched values are the constants.  All
-four entry points return a RipReport; a DRIP report names the first maximal
-support, in lexicographic order, in details["witness_support"].
+supports and a possibly empty layer of 0/1 row masks and cuts the supports
+into chunks of at most STACK_ELEMS elements per array.  At order <= 2 it
+forms no basis for a support whose columns do not vanish and whose
+D_S^T D_S is well conditioned: the Gram-Schmidt columns of A Q come in
+closed form from P = A D and the frame Gram D^T D, taken once per call, the
+Gram of every row set I holds the sums over I of their products, so one row
+sum evaluates I = [m] and one product with the masks the layer, and
+linalg.sym_eig_bounds gives the extremes of each 2 x 2 Gram from its three
+entries.  The other supports, and every support of order >= 3, take their
+bases from linalg.support_bases, one batched SVD of the (C, n, k) column
+stack grouped by numerical rank, and evaluate I = [m] as B^T B and the mask
+layer through masked sums of the row Grams outer(B_i, B_i), each with one
+batched eigen-bounds call.  DRIP and its sampled estimator are the kernel
+with an empty layer, S-DRIP and its sampled estimator the kernel with the
+size-h layer; so S-DRIP's delta is DRIP's, bit for bit.  Unlike the
+oracle's objectives, the isometry constants carry no tie rule: a batched
+eigenvalue agrees with the per-support one to rounding, so the batched
+values are the constants.  All four entry points return a RipReport; a
+DRIP report names the first maximal support, in lexicographic order, in
+details["witness_support"].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb, ceil, floor
 
 import numpy as np
@@ -52,6 +60,7 @@ from .linalg import (
     check_matrix,
     combination_array,
     support_bases,
+    sym_eig_bounds,
 )
 
 SUPPORT_BUDGET = 10**6
@@ -81,6 +90,44 @@ def drip_order_for_t(t: float, k: int) -> int:
     return int(ceil(tk))
 
 
+# The closed form of _extremes takes an order-2 support when
+# tr(M)^2 / det(M) < _CLOSED_FORM_COND for M = D_S^T D_S.  As
+# cond(M) <= tr(M)^2 / det(M) <= 4 cond(M), that admits every support with
+# cond(M) < 2500 (the frames of the benchmark peak near 344) and none above
+# 1e4; the others, and a support with a vanishing column, take the SVD path.
+_CLOSED_FORM_COND = 1e4
+
+
+def _gram_schmidt_columns(X: np.ndarray, G: np.ndarray, n: int,
+                          supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of a (c, k) stack of supports, k <= 2, take the closed form, as a
+    boolean mask, and the columns of A Q for those, as one (k, rows, m) array.
+
+    Q is the Gram-Schmidt basis of col(D_S): q0 = d_i / sqrt(a), and at order
+    2 q1 = r / ||r||, with r = d_j - (g/a) d_i, a = ||d_i||^2 and g = d_i^T d_j
+    read off G = D^T D.  With P = A D, A q0 = P_i / sqrt(a) and
+    A q1 = (P_j - (g/a) P_i) / ||r||, so no basis is formed.  Row i of X is
+    d_i followed by P_i, so one update forms r and A r.  ||r|| is taken from r
+    itself, as sqrt(det(M) / a) loses up to cond(M) ulps to cancellation.
+    """
+    i, norms2 = supports[:, 0], G.diagonal()
+    a = norms2[i]
+    if supports.shape[1] == 1:
+        ok = a > 0.0
+        return ok, (X[i[ok], n:] / np.sqrt(a[ok])[:, None])[None]
+    j = supports[:, 1]
+    b, g = norms2[j], G[i, j]
+    ok = (a + b) ** 2 < _CLOSED_FORM_COND * (a * b - g * g)
+    if not ok.all():
+        i, j, a, g = i[ok], j[ok], a[ok], g[ok]
+    Xi = X[i]
+    Y = X[j] - (g / a)[:, None] * Xi  # rows r and A r
+    B = np.empty((2, len(i), X.shape[1] - n))
+    np.divide(Xi[:, n:], np.sqrt(a)[:, None], out=B[0])
+    np.divide(Y[:, n:], np.sqrt(np.einsum("cn,cn->c", Y[:, :n], Y[:, :n]))[:, None], out=B[1])
+    return ok, B
+
+
 def _extremes(A: np.ndarray, D: np.ndarray, supports: np.ndarray,
               masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extreme quotients ||A_I y||^2 / ||y||^2 over col(D_S) for each row S
@@ -91,27 +138,53 @@ def _extremes(A: np.ndarray, D: np.ndarray, supports: np.ndarray,
     the largest quotient over all of them and the DRIP deviation
     max(hi - 1, 1 - lo) on I = [m] alone, each of length C, NaN where the
     columns of D_S vanish.
+
+    The supports _gram_schmidt_columns admits take the closed form, the
+    others support_bases (module docstring).
     """
     (C, k), (m, n), M = supports.shape, A.shape, masks.shape[-2]
     lo, hi, dev = np.full((3, C), np.nan)
+
+    def record(rows, full, layer):
+        low, high = full
+        dev[rows] = np.fmax(high - 1.0, 1.0 - low)
+        if M:
+            low = np.minimum(low, layer[0].min(axis=1))
+            high = np.maximum(high, layer[1].max(axis=1))
+        lo[rows], hi[rows] = low, high
+
     # float64 elements per support in a chunk's largest arrays: the column
-    # stack and B, and with a layer the row Grams and their masked sums
+    # stack and B, and with a layer the row Grams and their masked sums (the
+    # closed form's (3, c, m) and (3, c, M) entry stacks are smaller)
     step = max(1, STACK_ELEMS // (k * max(n, m, (m + M) * k if M else 0)))
+    if k <= 2:
+        X, G = np.concatenate((D.T, D.T @ A.T), axis=1), D.T @ D
     for start in range(0, C, step):
-        for rows, Q in support_bases(D, supports[start:start + step]):
-            rows = start + rows
+        chunk = supports[start:start + step]
+        rest = np.arange(len(chunk))  # the chunk's supports on the SVD path
+        if k <= 2:
+            ok, B = _gram_schmidt_columns(X, G, n, chunk)
+            rows, rest = start + np.flatnonzero(ok), np.flatnonzero(~ok)
+            # the Gram entries (B0 B0, B1 B1, B0 B1) of every row, stacked (e, c, m)
+            V = B * B if k == 1 else np.concatenate([B * B, B[:1] * B[1:]])
+            layer = None
+            if M:
+                layer = sym_eig_bounds(*(
+                    (V.reshape(-1, m) @ masks.T).reshape(len(V), len(rows), M) if masks.ndim == 2
+                    else np.einsum("ecm,cjm->ecj", V, masks[rows])))
+            record(rows, sym_eig_bounds(*V.sum(axis=2)), layer)
+        if not len(rest):
+            continue
+        for rows, Q in support_bases(D, chunk[rest]):
+            rows = start + rest[rows]
             B = A @ Q  # (c, m, d)
-            low, high = batch_sym_eig_bounds(np.swapaxes(B, 1, 2) @ B)
-            dev[rows] = np.fmax(high - 1.0, 1.0 - low)
+            layer = None
             if M:  # row i adds outer(B_i, B_i) to the Gram of every I holding it
                 c, _, d = B.shape
                 row_grams = np.einsum("cip,ciq->cipq", B, B).reshape(c, m, d * d)
-                layer = masks if masks.ndim == 2 else masks[rows]
-                layer_lo, layer_hi = (v.reshape(c, M) for v in
-                                      batch_sym_eig_bounds((layer @ row_grams).reshape(-1, d, d)))
-                low = np.minimum(low, layer_lo.min(axis=1))
-                high = np.maximum(high, layer_hi.max(axis=1))
-            lo[rows], hi[rows] = low, high
+                layer = [v.reshape(c, M) for v in batch_sym_eig_bounds(
+                    ((masks if masks.ndim == 2 else masks[rows]) @ row_grams).reshape(-1, d, d))]
+            record(rows, batch_sym_eig_bounds(np.swapaxes(B, 1, 2) @ B), layer)
     return lo, hi, dev
 
 
@@ -132,10 +205,13 @@ def _check_problem(A: np.ndarray, F: TightFrame, order: int, budget: int = 1) ->
 
 
 def _first_max(dev: np.ndarray) -> int:
-    """Index of the first largest DRIP deviation, in support order."""
-    if np.all(np.isnan(dev)):
+    """Index of the first largest DRIP deviation, in support order.  A
+    deviation max(hi - 1, 1 - lo) is >= 0, so NaN (a vanishing support) is
+    ranked last as -1."""
+    i = int(np.argmax(np.where(dev >= 0.0, dev, -1.0)))
+    if not dev[i] >= 0.0:
         raise ParameterError("every evaluated support has vanishing frame columns")
-    return int(np.nanargmax(dev))
+    return i
 
 
 def drip_constant(
@@ -190,6 +266,17 @@ def drip_constant_sampled(
     return _drip(A, F, order, visited, exhaustive=False, details={"budget": budget, "seed": seed})
 
 
+@lru_cache(maxsize=16)
+def _subset_masks(m: int, h: int) -> np.ndarray:
+    """The size-h subsets of range(m) in lexicographic order, as one
+    read-only (C(m, h), m) array of 0/1 row masks, cached like
+    combination_array."""
+    masks = np.zeros((comb(m, h), m))
+    np.put_along_axis(masks, combination_array(m, h), 1.0, axis=1)
+    masks.flags.writeable = False
+    return masks
+
+
 def _min_subset_size(m: int, half_rule: str) -> int:
     """Smallest row-subset size |I| of the half-subset constants."""
     if half_rule == "ceil":
@@ -203,7 +290,7 @@ def _report(lo: np.ndarray, hi: np.ndarray, dev: np.ndarray, order: int, h: int,
             exhaustive: bool, details: dict) -> RipReport:
     """An S-DRIP report from the kernel's per-support extremes."""
     return RipReport(order=order, delta=float(dev[_first_max(dev)]),
-                     theta_minus=float(np.nanmin(lo)), theta_plus=float(np.nanmax(hi)),
+                     theta_minus=float(np.fmin.reduce(lo)), theta_plus=float(np.fmax.reduce(hi)),
                      min_subset_size=h, exhaustive=exhaustive, details=details)
 
 
@@ -233,9 +320,7 @@ def sdrip_constants(
         )
     check_budget(F.N, order, support_budget, "supports")
     h = _min_subset_size(m, half_rule)
-    masks = np.zeros((comb(m, h), m))
-    np.put_along_axis(masks, combination_array(m, h), 1.0, axis=1)
-    lo, hi, dev = _extremes(A, F.D, combination_array(F.N, order), masks)
+    lo, hi, dev = _extremes(A, F.D, combination_array(F.N, order), _subset_masks(m, h))
     return _report(lo, hi, dev, order, h, exhaustive=True, details={
         "half_rule": half_rule, "n_subsets": sum(comb(m, s) for s in range(h, m + 1)),
         "n_supports": comb(F.N, order)})

@@ -76,8 +76,9 @@ def from_dict(cls, data, what: str):
     """The dataclass cls from a flat payload of its fields.  A non-mapping, an
     unknown key or a missing field without a default raises ConfigurationError
     naming what.  A float or float | None field reads "inf", "-inf" and "nan"
-    as floats, an np.ndarray field becomes a float array, and every other value
-    is taken as read, for the caller to check.  Annotations are strings, as
+    as floats, an np.ndarray field becomes a float array (a JSON object in it
+    raises ConfigurationError naming the field), and every other value is
+    taken as read, for the caller to check.  Annotations are strings, as
     every module has ``from __future__ import annotations``."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{what} must be a mapping, got {type(data).__name__}")
@@ -89,9 +90,27 @@ def from_dict(cls, data, what: str):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigurationError(f"missing {what} keys: {sorted(missing)}")
-    return cls(**{k: np.asarray(v, dtype=float) if specs[k].type == "np.ndarray"
+    return cls(**{k: _float_array(v, f"{what} {k}") if specs[k].type == "np.ndarray"
                   else float(v) if specs[k].type in ("float", "float | None") and v in ("inf", "-inf", "nan")
                   else v for k, v in data.items()})
+
+
+def _float_array(v, name: str) -> np.ndarray:
+    """v as a float array; a value float() cannot take, such as a JSON
+    object, raises ConfigurationError naming it."""
+    try:
+        return np.asarray(v, dtype=float)
+    except TypeError as exc:
+        raise ConfigurationError(f"{name} must hold numbers only: {exc}") from exc
+
+
+def _numbers(obj, names: list[str], what: str) -> dict:
+    """The named fields of obj as floats.  A JSON object, list or null raises
+    ConfigurationError naming its field; float() reads a string or rejects it."""
+    for name in names:
+        if not isinstance(v := getattr(obj, name), (int, float, str)):
+            raise ConfigurationError(f"{what} {name} must be a number, got {type(v).__name__}")
+    return {name: float(getattr(obj, name)) for name in names}
 
 
 def frame_to_dict(F: TightFrame) -> dict:
@@ -180,10 +199,10 @@ def problem_from_dict(data: dict) -> PhaselessProblem:
 def rip_report_from_dict(data: dict) -> RipReport:
     """Decode an isometry report, checking that delta and the thetas present are finite."""
     report = from_dict(RipReport, data, "rip report")
-    names = [k for k in ("delta", "theta_minus", "theta_plus") if getattr(report, k) is not None]
-    values = np.array([getattr(report, k) for k in names], dtype=float)
-    _check_finite("delta and thetas of the rip report", values, (len(names),))
-    return replace(report, **dict(zip(names, values.tolist())))
+    names = ["delta"] + [k for k in ("theta_minus", "theta_plus") if getattr(report, k) is not None]
+    values = _numbers(report, names, "rip report")
+    _check_finite("delta and thetas of the rip report", np.array(list(values.values())), (len(names),))
+    return replace(report, **values)
 
 
 def solver_result_from_dict(data: dict) -> SolverResult:
@@ -191,9 +210,16 @@ def solver_result_from_dict(data: dict) -> SolverResult:
     objective and feasibility are finite; a counter the payload lacks reads 0."""
     result = from_dict(SolverResult, data, "solver result")
     _check_finite("x_hat", result.x_hat, (result.x_hat.size,))
-    scores = np.array([result.objective, result.feasibility], dtype=float)
-    _check_finite("objective and feasibility", scores, (2,))
+    scores = _numbers(result, ["objective", "feasibility"], "solver result")
+    _check_finite("objective and feasibility", np.array(list(scores.values())), (2,))
     if (cert := result.certificate) is not None:  # the counters and the margin pass through as read
-        cert = {**cert, "signs": tuple(cert["signs"]),
-                "zero_set": None if cert["zero_set"] is None else tuple(cert["zero_set"])}
-    return replace(result, objective=float(scores[0]), feasibility=float(scores[1]), certificate=cert)
+        if not isinstance(cert, dict):
+            raise ConfigurationError(f"solver certificate must be a mapping, got {type(cert).__name__}")
+        if missing := sorted({"signs", "zero_set"} - set(cert)):
+            raise ConfigurationError(f"missing solver certificate keys: {missing}")
+        try:
+            cert = {**cert, "signs": tuple(cert["signs"]),
+                    "zero_set": None if cert["zero_set"] is None else tuple(cert["zero_set"])}
+        except TypeError as exc:
+            raise ConfigurationError(f"solver certificate signs and zero_set must be lists: {exc}") from exc
+    return replace(result, **scores, certificate=cert)

@@ -7,7 +7,11 @@ support's deviation.  The oracle must reproduce them bit for bit (point,
 objective, signs, zero set, fallback flag); the isometry constant, which
 rip's one kernel computes for DRIP, S-DRIP and both samplers, must agree
 to 1e-12 relative, with the same witness support wherever the top two
-supports do not tie, and S-DRIP's delta must be DRIP's bit for bit.  The
+supports do not tie, and S-DRIP's delta must be DRIP's bit for bit.  Its
+closed form at order <= 2 must agree with an independent np.longdouble
+referee (delta and theta_plus to 1e-12 relative, theta_minus to 1e-14
+absolute), leave the ill-conditioned supports to the SVD path bit for bit
+and give the same deviations, bit for bit, in chunks of one support.  The
 NSP falsifier, which now stacks its null spaces and decides each cell with
 a one-dimensional solution space by one evaluation,
 must return bit-identical witnesses, also on near-degenerate A, whose
@@ -901,6 +905,126 @@ def test_sdrip_delta_is_the_drip_constant_bit_for_bit():
                _zero_column_frame(3), order) for order in (1, 2, 3)]
     for A, F, order in cases:
         assert sdrip_constants(A, F, order).delta == drip_constant(A, F, order).delta
+
+
+# ---------------------------------------------------------------- closed-form isometry kernel
+
+
+def loop_longdouble_extremes(A, D, S, rows):
+    """Referee for _extremes: the extreme quotients ||A_I y||^2 / ||y||^2 over
+    col(D_S) for I = rows, as the roots of the 2 x 2 generalised problem
+    det(G - lambda M) = 0, with G = (A_I D_S)^T A_I D_S and M = D_S^T D_S,
+    in np.longdouble; a vanishing column is dropped, and so is the second of
+    two parallel ones.  None where every column vanishes."""
+    AL, DL = A.astype(np.longdouble), D.astype(np.longdouble)
+    cols = [DL[:, c] for c in S if np.any(D[:, c] != 0.0)]
+    if not cols:
+        return None
+    if len(cols) == 2 and cols[0] @ cols[0] * (cols[1] @ cols[1]) == (cols[0] @ cols[1]) ** 2:
+        cols = cols[:1]
+    P = [AL[rows] @ c for c in cols]
+    if len(cols) == 1:
+        v = P[0] @ P[0] / (cols[0] @ cols[0])
+        return v, v
+    (m00, m01), m11 = (cols[0] @ cols[0], cols[0] @ cols[1]), cols[1] @ cols[1]
+    (g00, g01), g11 = (P[0] @ P[0], P[0] @ P[1]), P[1] @ P[1]
+    qa = m00 * m11 - m01 * m01
+    qb = g00 * m11 + g11 * m00 - 2 * g01 * m01
+    qc = g00 * g11 - g01 * g01
+    big = (qb + np.sqrt(max(qb * qb - 4 * qa * qc, 0))) / (2 * qa)
+    return qc / (qa * big), big
+
+
+def closed_form_corpus():
+    """(A, D): tilted, non-Parseval D with near-parallel column pairs whose
+    cond(D_S^T D_S) lies below 2500 (closed form) or above 1e4 (SVD path),
+    a duplicated or a zero column, and two Parseval frames.  The SVD path's
+    own error grows with the condition: near 1e6 its theta_minus was 1.05e-14
+    off the referee, so the corpus stops at 2e5."""
+    rng = np.random.default_rng(29)
+    for case in range(6):
+        n, N, m = 4, 8, 5 + case % 3
+        D = rng.standard_normal((n, N)) * rng.uniform(0.2, 3.0, N)
+        for c, cond in ((0, 30.0), (2, (8e2, 2e3)[case % 2]), (4, (3e4, 2e5)[case % 2])):
+            u = rng.standard_normal(n)
+            u -= (u @ D[:, c]) / (D[:, c] @ D[:, c]) * D[:, c]
+            # [d, s d + e u] with |e u| = 2 |s d| / sqrt(cond)
+            s = rng.uniform(0.5, 2.0)
+            D[:, c + 1] = s * D[:, c] + u / np.linalg.norm(u) * s * np.linalg.norm(D[:, c]) * 2 / np.sqrt(cond)
+        D[:, 7] = D[:, 6] if case % 2 else 0.0
+        yield rng.standard_normal((m, n)) / np.sqrt(m), D
+    for F in (build_parseval_random(4, 8, seed=5), build_named_frame("duplicated_identity", 4)):
+        yield rng.standard_normal((6, 4)) / np.sqrt(6), F.D
+
+
+def _layers(m, C, rng):
+    """No layer, the shared size-ceil(m/2) layer, and three random nonempty
+    row masks per support."""
+    per_support = rng.integers(0, 2, (C, 3, m)).astype(float)
+    per_support[:, :, 0] = 1.0
+    return [np.zeros((0, m)), rip._subset_masks(m, (m + 1) // 2), per_support]
+
+
+def closed_form_cases():
+    rng = np.random.default_rng(7)
+    for A, D in closed_form_corpus():
+        for k in (1, 2):
+            supports = np.array(list(combinations(range(D.shape[1]), k)))
+            for masks in _layers(A.shape[0], len(supports), rng):
+                yield A, D, supports, masks
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+def test_isometry_kernel_matches_a_longdouble_referee():
+    for A, D, supports, masks in closed_form_cases():
+        lo, hi, dev = rip._extremes(A, D, supports, masks)
+        for c, S in enumerate(supports):
+            full = loop_longdouble_extremes(A, D, S, np.arange(A.shape[0]))
+            if full is None:
+                assert np.isnan([lo[c], hi[c], dev[c]]).all()
+                continue
+            assert dev[c] == pytest.approx(max(full[1] - 1, 1 - full[0]), rel=1e-12)
+            layer = masks if masks.ndim == 2 else masks[c]
+            bounds = [full] + [loop_longdouble_extremes(A, D, S, np.flatnonzero(I)) for I in layer]
+            assert hi[c] == pytest.approx(max(b[1] for b in bounds), rel=1e-12)
+            if len(layer):  # theta_minus is the least lo over the supports
+                assert lo[c] == pytest.approx(min(b[0] for b in bounds), abs=1e-14)
+
+
+def test_ill_conditioned_supports_take_the_svd_path_bit_for_bit(monkeypatch):
+    taken = []
+
+    def spy(D, supports):
+        taken.extend(map(tuple, supports.tolist()))
+        return support_bases(D, supports)
+
+    monkeypatch.setattr(rip, "support_bases", spy)
+    for A, D, supports, masks in closed_form_cases():
+        taken.clear()
+        got = rip._extremes(A, D, supports, masks)
+        slow = np.array([tuple(S) in taken for S in supports.tolist()])
+        with monkeypatch.context() as svd_only:
+            svd_only.setattr(rip, "_CLOSED_FORM_COND", 0.0)
+            ref = rip._extremes(A, D, supports, masks)
+        for got_v, ref_v in zip(got, ref):
+            np.testing.assert_array_equal(got_v[slow], ref_v[slow])
+        M = np.einsum("ic,id->cd", D, D)
+        cond = np.array([np.linalg.cond(M[np.ix_(S, S)]) if np.all(np.diag(M)[S] > 0) else np.inf
+                         for S in supports])
+        assert np.all(slow[cond > 1e4]) and not np.any(slow[cond < 2500])
+    assert taken  # the corpus reaches the SVD path
+
+
+def test_closed_form_chunked_equals_unchunked(monkeypatch):
+    cases = list(closed_form_cases())
+    whole = [rip._extremes(*case) for case in cases]
+    monkeypatch.setattr(rip, "STACK_ELEMS", 1)  # one support per chunk
+    for case, ref in zip(cases, whole):
+        lo, hi, dev = rip._extremes(*case)
+        np.testing.assert_array_equal(dev, ref[2])  # row sums, as in S-DRIP's delta
+        np.testing.assert_allclose(lo, ref[0], rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(hi, ref[1], rtol=1e-14)
 
 
 # ---------------------------------------------------------------- null-space diagnostics

@@ -500,11 +500,36 @@ def test_bound_verify_rejects_a_non_finite_rip_report_or_a_truth_support_off_the
     ("truth", lambda d: d.pop("z"), "truth payload missing key 'z'"),
     # a check the decoders kept: delta is read as a float
     ("rip", lambda d: d.update(delta="abc"), "could not convert string to float: 'abc'"),
-], ids=["result-without-x_hat", "rip-with-unknown-key", "truth-without-z", "non-numeric-delta"])
+    ("result", lambda d: d["certificate"].pop("signs"), "missing solver certificate keys: ['signs']"),
+    ("result", lambda d: d["certificate"].update(signs=5),
+     "solver certificate signs and zero_set must be lists: 'int' object is not iterable"),
+], ids=["result-without-x_hat", "rip-with-unknown-key", "truth-without-z", "non-numeric-delta",
+        "certificate-without-signs", "certificate-signs-not-a-list"])
 def test_bound_verify_names_a_missing_or_unknown_key(tmp_path, capsys, part, edit, message):
     path = _trial(tmp_path)
     trial = serialize.load_json(path)
     edit(trial["problem"]["truth"] if part == "truth" else trial[part])
+    serialize.save_json(trial, path)
+    assert main(["bound", "verify", "--trial", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("part, key, value, message", [
+    ("rip", "delta", {"a": 1}, "rip report delta must be a number, got dict"),
+    ("rip", "delta", [0.5], "rip report delta must be a number, got list"),
+    ("rip", "theta_minus", {"a": 1}, "rip report theta_minus must be a number, got dict"),
+    ("rip", "theta_plus", {"a": 1}, "rip report theta_plus must be a number, got dict"),
+    ("result", "objective", {"a": 1}, "solver result objective must be a number, got dict"),
+    ("result", "feasibility", {"a": 1}, "solver result feasibility must be a number, got dict"),
+    ("result", "x_hat", {"a": 1}, "solver result x_hat must hold numbers only: "
+     "float() argument must be a string or a real number, not 'dict'"),
+], ids=["delta-object", "delta-list", "theta_minus-object", "theta_plus-object", "objective-object",
+        "feasibility-object", "x_hat-object"])
+def test_bound_verify_names_a_field_that_is_not_a_number(tmp_path, capsys, part, key, value, message):
+    # a JSON object here used to end the CLI with a TypeError traceback
+    path = _trial(tmp_path)
+    trial = serialize.load_json(path)
+    trial[part][key] = value
     serialize.save_json(trial, path)
     assert main(["bound", "verify", "--trial", path]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -52,7 +52,8 @@ def test_every_enumeration_refuses_past_its_budget_before_it_enumerates(monkeypa
         raise AssertionError("an enumeration started before the budget check")
 
     for module in (rip, nsp, solver):
-        for kernel in ("combination_array", "combination_blocks", "support_bases"):
+        for kernel in ("combination_array", "combination_blocks", "support_bases",
+                       "_gram_schmidt_columns"):
             if hasattr(module, kernel):
                 monkeypatch.setattr(module, kernel, refuse)
     with pytest.raises(ResourceBudgetError, match=rf"^C\(7,2\) = 21 {what} exceed the budget 20$"):

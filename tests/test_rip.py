@@ -8,7 +8,7 @@ import pytest
 from lqphase import rip
 from lqphase.errors import DomainError, ParameterError, ResourceBudgetError
 from lqphase.frames import TightFrame, build_named_frame, build_parseval_random
-from lqphase.linalg import batch_sym_eig_bounds, null_space, support_bases
+from lqphase.linalg import batch_sym_eig_bounds, null_space, support_bases, sym_eig_bounds
 from lqphase.rip import (
     drip_constant,
     drip_constant_sampled,
@@ -91,18 +91,25 @@ def test_drip_reports_name_their_details_in_cli_order():
 
 
 def test_drip_takes_support_bases_only_inside_the_kernel(monkeypatch):
-    callers = []
+    # order <= 2 takes the closed-form columns, and order 3 and parallel frame
+    # columns take support_bases; both are called from _extremes alone
+    calls = []
 
-    def spy(D, supports):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return support_bases(D, supports)
+    def spy(kernel):
+        def call(*args):
+            calls.append((kernel.__name__, sys._getframe(1).f_code.co_name))
+            return kernel(*args)
+        return call
 
-    monkeypatch.setattr(rip, "support_bases", spy)
-    F = build_parseval_random(4, 7, seed=1)
+    monkeypatch.setattr(rip, "support_bases", spy(support_bases))
+    monkeypatch.setattr(rip, "_gram_schmidt_columns", spy(rip._gram_schmidt_columns))
     A = np.random.default_rng(3).standard_normal((6, 4))
-    drip_constant(A, F, 2)
-    drip_constant_sampled(A, F, 2, budget=10)
-    assert callers and set(callers) == {"_extremes"}
+    for F in (build_parseval_random(4, 7, seed=1), build_named_frame("duplicated_identity", 4)):
+        for order in (2, 3):
+            drip_constant(A, F, order)
+            drip_constant_sampled(A, F, order, budget=10)
+    assert {kernel for kernel, _ in calls} == {"support_bases", "_gram_schmidt_columns"}
+    assert {caller for _, caller in calls} == {"_extremes"}
 
 
 def test_monotone_in_order():
@@ -285,16 +292,21 @@ def test_sdrip_matches_brute_force_over_every_layer(m, half_rule):
 
 @pytest.mark.parametrize("half_rule,h", [("ceil", 4), ("floor", 3)])
 def test_sdrip_evaluates_the_size_h_layer_and_the_full_rows_only(monkeypatch, half_rule, h):
+    # a Gram is evaluated by sym_eig_bounds on its entries (the closed form)
+    # or by batch_sym_eig_bounds on the matrix (the SVD path)
     counted = []
 
-    def counting(Ms):
-        counted.append(len(Ms))
-        return batch_sym_eig_bounds(Ms)
+    def counting(kernel, size):
+        def call(*args):
+            counted.append(size(*args))
+            return kernel(*args)
+        return call
 
-    monkeypatch.setattr(rip, "batch_sym_eig_bounds", counting)
+    monkeypatch.setattr(rip, "batch_sym_eig_bounds", counting(batch_sym_eig_bounds, len))
+    monkeypatch.setattr(rip, "sym_eig_bounds", counting(sym_eig_bounds, lambda *entries: entries[0].size))
     F = _zero_column_frame(3, 6, seed=2)  # order 1: five of the six supports are usable
     A = np.random.default_rng(8).standard_normal((7, 3))
-    for order, usable in ((1, 5), (2, 15)):
+    for order, usable in ((1, 5), (2, 15)):  # order 2: the five with the zero column take the SVD path
         counted.clear()
         sdrip_constants(A, F, order, half_rule=half_rule)
         assert sum(counted) == usable * (comb(7, h) + 1)
