@@ -38,7 +38,7 @@ from .lemmas import (
     tail_power_bound_check,
 )
 from .measurement import PhaselessProblem, build_problem, phase_distance
-from .records import ExperimentConfig, TransitionCell, TrialRecord
+from .records import MATRIX_ENSEMBLES, ExperimentConfig, TransitionCell, TrialRecord
 from .rip import drip_constant, drip_order_for_t, sdrip_constants
 from .serialize import from_dict
 from .signals import lq_quasinorm, sample_dictionary_sparse
@@ -53,6 +53,8 @@ def derive_trial_seeds(master_seed: int, cell_index: int, trial_index: int) -> t
 
 def sample_measurement_matrix(ensemble: str, m: int, n: int, jitter: float, seed: int) -> np.ndarray:
     """Measurement ensembles; Gaussian entries are N(0, 1/m) so ||Ax|| ~ ||x||."""
+    if ensemble not in MATRIX_ENSEMBLES:
+        raise ConfigurationError(f"unknown matrix ensemble {ensemble!r}")
     rng = np.random.default_rng(seed)
     if ensemble == "gaussian":
         return rng.standard_normal((m, n)) / np.sqrt(m)
@@ -63,9 +65,7 @@ def sample_measurement_matrix(ensemble: str, m: int, n: int, jitter: float, seed
     Q = Q * np.sign(np.diag(R))
     if ensemble == "orthonormal":
         return Q
-    if ensemble == "near_isometric":
-        return Q + jitter * rng.standard_normal((m, n)) / np.sqrt(m)
-    raise ConfigurationError(f"unknown matrix ensemble {ensemble!r}")
+    return Q + jitter * rng.standard_normal((m, n)) / np.sqrt(m)  # near_isometric
 
 
 def _grid(cfg: ExperimentConfig, axes: tuple[str, ...]) -> list[dict]:

@@ -19,10 +19,10 @@ constants (rip: DRIP, S-DRIP, their sampled variants and the DRIP witness)
 take from it only the supports of order >= 3 and the ill-conditioned ones;
 at order <= 2 their kernel forms A Q in closed form, without a basis.  The
 callers cut the support axis into chunks of at most STACK_ELEMS elements
-(in rip, its one kernel does).  sym_eig_bounds is the one closed form for
-the extreme eigenvalues of a symmetric 1 x 1 or 2 x 2 matrix;
-batch_sym_eig_bounds applies it to stacks of matrices, rip's closed form to
-the entries directly.
+(in rip, its one kernel does).  sym_eig_bounds, the package's one
+eigenvalue kernel, takes symmetric matrices by their upper-triangle entries,
+so rip's Grams over row sets and nsp's full-rank bound form no matrix;
+subset_masks are the size-h row masks of S-DRIP and the NSP sign screen.
 
 null_spaces is its counterpart for null spaces: one batched SVD per (C, p, n)
 stack and the same rank rule per slice.  null_space is its one-slice case
@@ -117,31 +117,45 @@ def support_bases(D: np.ndarray, supports: np.ndarray) -> list[tuple[np.ndarray,
     return groups
 
 
-def sym_eig_bounds(*entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) eigenvalues of symmetric 1 x 1 or 2 x 2 matrices given
-    entrywise, as arrays of one shape: (a,) for [[a]], (a, b, c) for
-    [[a, c], [c, b]].  The package's one closed form for them."""
-    if len(entries) == 1:
-        return entries[0].copy(), entries[0].copy()
-    a, b, c = entries
-    tr = a + b
-    root = np.sqrt((a - b) ** 2 + 4.0 * c ** 2)
-    return 0.5 * (tr - root), 0.5 * (tr + root)
+@lru_cache(maxsize=8)
+def triu_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(d), read-only and cached: a call costs about 10 us,
+    as much as a whole order-2 Gram step of rip."""
+    pairs = np.triu_indices(d)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
-def batch_sym_eig_bounds(Ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) eigenvalues of a stack of (B, d, d) symmetric matrices.
-
-    sym_eig_bounds' closed forms for d <= 2 run 1.6-18x faster than eigvalsh
-    on the support and subset stacks of the isometry enumerations (B = 36-1001).
-    """
-    d = Ms.shape[-1]
+def sym_eig_bounds(d: int, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) eigenvalues of symmetric d x d matrices given by their
+    upper-triangle entries, stacked on axis 0 in triu_pairs(d) order: (a,)
+    for [[a]], (a, c, b) for [[a, c], [c, b]].  The closed forms at d <= 2
+    run 1.6-18x faster than LAPACK's symmetric eigensolver on the isometry
+    enumerations' stacks (36-1001 matrices); d >= 3 assemble the matrices."""
     if d == 1:
-        return sym_eig_bounds(Ms[:, 0, 0])
+        return entries[0].copy(), entries[0].copy()
     if d == 2:
-        return sym_eig_bounds(Ms[:, 0, 0], Ms[:, 1, 1], Ms[:, 0, 1])
-    w = np.linalg.eigvalsh(Ms)
-    return w[:, 0], w[:, -1]
+        a, c, b = entries
+        tr = a + b
+        root = np.sqrt((a - b) ** 2 + 4.0 * c ** 2)
+        return 0.5 * (tr - root), 0.5 * (tr + root)
+    p, q = triu_pairs(d)
+    M = np.empty(entries.shape[1:] + (d, d))
+    M[..., p, q] = M[..., q, p] = np.moveaxis(entries, 0, -1)
+    w = np.linalg.eigvalsh(M)
+    return w[..., 0], w[..., -1]
+
+
+@lru_cache(maxsize=32)
+def subset_masks(m: int, h: int) -> np.ndarray:
+    """The size-h subsets of range(m) in lexicographic order, as one
+    read-only (C(m, h), m) array of 0/1 row masks, cached like
+    combination_array."""
+    masks = np.zeros((comb(m, h), m))
+    np.put_along_axis(masks, combination_array(m, h), 1.0, axis=1)
+    masks.flags.writeable = False
+    return masks
 
 
 @lru_cache(maxsize=16)

@@ -26,6 +26,8 @@ the falsifier computes every support's basis once per call, before it scans
 the row subsets, and shares it between the projections of K, the sign
 screen and the membership check of its witnesses; dictionary_sparse_distance
 takes them a chunk of supports at a time, for real and complex D alike.
+The full-rank bound shares the isometry constants' eigenvalue kernel,
+linalg.sym_eig_bounds, and a layer's signs are 1 - 2 linalg.subset_masks.
 
 Complex case: only witness evaluation is provided (block partitions of the
 rows with per-block unimodular constants); the combinatorics of a search are
@@ -35,7 +37,7 @@ out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate, combinations, groupby
 from math import comb
 
@@ -46,14 +48,16 @@ from .frames import TightFrame
 from .linalg import (
     RANK_RTOL,
     STACK_ELEMS,
-    batch_sym_eig_bounds,
     check_budget,
     check_matrix,
     combination_array,
     combination_blocks,
     null_spaces,
     numerical_rank,
+    subset_masks,
     support_bases,
+    sym_eig_bounds,
+    triu_pairs,
 )
 from .rip import SUPPORT_BUDGET
 from .signals import _check_q, lq_quasinorm
@@ -133,10 +137,6 @@ def _support_distance(x: np.ndarray, bases: list[tuple[np.ndarray, np.ndarray]])
     return best
 
 
-def _rows(A: np.ndarray, idx) -> np.ndarray:
-    return A[list(idx), :] if len(idx) else A[:0, :]
-
-
 def nsp_real_evaluate(A: np.ndarray, F: TightFrame, w: NspWitness) -> NspWitness:
     """Validate a witness and decide whether it violates strict domination.
 
@@ -165,9 +165,9 @@ def _evaluate(A: np.ndarray, F: TightFrame, w: NspWitness,
         raise InvalidWitnessError("u must be nonzero")
     if np.linalg.norm(v) <= NULLSPACE_TOL * max(1.0, scale):
         raise InvalidWitnessError("v must be nonzero")
-    if np.linalg.norm(_rows(A, Lam) @ u) > NULLSPACE_TOL * max(1.0, np.linalg.norm(u)):
+    if np.linalg.norm(A[list(Lam)] @ u) > NULLSPACE_TOL * max(1.0, np.linalg.norm(u)):
         raise InvalidWitnessError("u is not in the null space of the Lambda rows")
-    if np.linalg.norm(_rows(A, comp) @ v) > NULLSPACE_TOL * max(1.0, np.linalg.norm(v)):
+    if np.linalg.norm(A[list(comp)] @ v) > NULLSPACE_TOL * max(1.0, np.linalg.norm(v)):
         raise InvalidWitnessError("v is not in the null space of the complement rows")
     s = u + v
     ns = np.linalg.norm(s)
@@ -245,18 +245,6 @@ def _search(gap, dim: int, restarts: int, entropy: tuple[int, int]):
             yield c
 
 
-@lru_cache(maxsize=32)
-def _layer_signs(m: int, size: int) -> np.ndarray:
-    """The read-only (C(m, size), m) signs sigma_Lambda, -1 on Lambda and +1
-    off it, of the size-`size` row subsets in lexicographic order; cached
-    like combination_array."""
-    subsets = combination_array(m, size)
-    signs = np.ones((len(subsets), m))
-    np.put_along_axis(signs, subsets, -1.0, axis=1)
-    signs.flags.writeable = False
-    return signs
-
-
 def _min_eig_exceeds(G: np.ndarray, floor: float) -> np.ndarray:
     """Whether the smallest eigenvalue of each Gram matrix G[:, :, ...]
     (r x r, stacked over the trailing axes) exceeds floor > 0.
@@ -265,16 +253,18 @@ def _min_eig_exceeds(G: np.ndarray, floor: float) -> np.ndarray:
     lower bound on the smallest eigenvalue, since by AM-GM the other r - 1
     multiply to at most (tr G / (r - 1))^(r - 1); it is within a factor 2 at
     r = 2.  Closed-form determinants up to r = 3 keep the test elementwise
-    (a batched det or eigvalsh costs 0.3-1.4 us a slice).  Each product in
-    a determinant errs by O(eps ||G||^r), so the computed bound exceeds the
-    true one by O(eps ||G||).
+    (a batched det or symmetric eigensolve costs 0.3-1.4 us a slice).  Each
+    product in a determinant errs by O(eps ||G||^r), so the computed bound
+    exceeds the true one by O(eps ||G||).
 
-    Measured alternatives (2-CPU VM): linalg.batch_sym_eig_bounds in its
-    place gave the same certificates at the same speed for r <= 2, and at
-    r = 3 a 13x slower screen (85 -> 1,112 ms over 24 calls at (n, m, k) =
-    (6, 9, 3) and (5, 9, 3)) for 198 more certified cells of 705,256.  A
-    trigonometric 3 x 3 closed form would be unsound: where the two smallest
-    eigenvalues coincide, its lambda_min errs by about sqrt(eps) ||G||.
+    Measured alternatives (2-CPU VM): linalg.sym_eig_bounds in its place
+    gave the same certificates at the same speed for r <= 2, where it takes
+    its closed forms, and at r = 3, where it assembles the matrices for
+    LAPACK's eigensolver, a 13x slower screen (85 -> 1,112 ms over 24 calls
+    at (n, m, k) = (6, 9, 3) and (5, 9, 3)) for 198 more certified cells of
+    705,256.  A trigonometric 3 x 3 closed form would be unsound: where the
+    two smallest eigenvalues coincide, its lambda_min errs by about
+    sqrt(eps) ||G||.
     """
     r = len(G)
     if r == 1:
@@ -308,28 +298,31 @@ def _full_rank_bound(H: np.ndarray, s: np.ndarray):
 
     and s_n(A) itself at r = 0.  A set is certified where this bound is at
     least SIGN_SCREEN_TAU s_1(A), tested in squares, sigma^2 the smallest
-    eigenvalue of H_R H_R^T.  A set whose removal drops the rank (one that
-    leaves n rows, two of them equal) has sigma = 0 and a bound of 0.
+    eigenvalue of H_R H_R^T, the block HH[R, R] of HH = H H^T, from which
+    sym_eig_bounds reads its entries.  A set whose removal drops the rank
+    (one that leaves n rows, two of them equal) has sigma = 0 and a bound
+    of 0.
 
     Margin: the computed H annihilates A only up to O(m eps ||A||), which
     lowers the bound by as much, the SVD of A errs by O(eps ||A||), and
-    sigma^2 by O(r eps), against the SIGN_SCREEN_TAU^2 = 1e-12 that a
-    certified sigma^2 exceeds.  The rank rule keeps rank n while
-    s_n(A without R) exceeds RANK_RTOL s_1(A without R) <= RANK_RTOL s_1(A),
-    so a bound of SIGN_SCREEN_TAU s_1(A) = 1e4 RANK_RTOL s_1(A) clears it by
-    four orders of magnitude: the rows left have a null_spaces basis {0}.
+    sigma^2 by O(r (m - n) eps), as each entry of HH, an inner product of
+    two rows of norm <= 1, errs by O((m - n) eps), far below the
+    SIGN_SCREEN_TAU^2 = 1e-12 that a certified sigma^2 exceeds.  The rank
+    rule keeps rank n while s_n(A without R) exceeds
+    RANK_RTOL s_1(A without R) <= RANK_RTOL s_1(A), so a bound of
+    SIGN_SCREEN_TAU s_1(A) = 1e4 RANK_RTOL s_1(A) clears it by four orders
+    of magnitude: the rows left have a null_spaces basis {0}.
     """
     m, n = len(H), len(s)
     ratio2 = (s[-1] / s[0]) ** 2
+    HH = H @ H.T  # H_R H_R^T is HH[R, R]
 
     @cache
     def certified(r: int) -> np.ndarray:
         if r == 0:
             return np.array([ratio2 >= SIGN_SCREEN_TAU**2])
-        removed = combination_array(m, r)
-        per = max(1, STACK_ELEMS // (r * (m - n)))
-        stacks = (H[removed[start:start + per]] for start in range(0, len(removed), per))
-        sigma2 = np.concatenate([batch_sym_eig_bounds(H @ np.swapaxes(H, 1, 2))[0] for H in stacks])
+        removed, (p, q) = combination_array(m, r).T, triu_pairs(r)
+        sigma2 = sym_eig_bounds(r, HH[removed[p], removed[q]])[0]
         return ratio2 * sigma2 / (1.0 + sigma2) >= SIGN_SCREEN_TAU**2
 
     return certified
@@ -652,7 +645,7 @@ def nsp_real_falsify(
         rows = feeding(size)
         certify = screen() if rows and m > n else None
         layer_open = (np.ones((len(rows), n_supports), dtype=bool) if certify is None
-                      else ~certify(_layer_signs(m, size)[rows]))
+                      else ~certify(1.0 - 2.0 * subset_masks(m, size)[rows]))
         keep = layer_open.any(axis=1)
         rows = [i for i, kept in zip(rows, keep.tolist()) if kept]
         layer_open = layer_open[keep]
@@ -699,7 +692,7 @@ def nsp_complex_evaluate(A: np.ndarray, D: np.ndarray, w: ComplexNspWitness, q: 
     for i, (block, phi) in enumerate(zip(w.Omega, phis)):
         if np.linalg.norm(phi) <= 1e-12:
             raise InvalidWitnessError(f"phi_{i} must be nonzero")
-        if np.linalg.norm(_rows(A, block) @ phi) > NULLSPACE_TOL * max(1.0, np.linalg.norm(phi)):
+        if np.linalg.norm(A[list(block)] @ phi) > NULLSPACE_TOL * max(1.0, np.linalg.norm(phi)):
             raise InvalidWitnessError(f"phi_{i} is not annihilated by its block rows")
     ratios = [(phis[0] - phis[j]) / (ds[0] - ds[j]) for j in range(1, p)]
     scale = max(float(np.linalg.norm(r)) for r in ratios)

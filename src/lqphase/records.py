@@ -38,6 +38,8 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 
 TRANSITION_COLUMNS = ("cell_index", "n", "N", "m", "k", "q", "trials", "successes", "rate")
 
+MATRIX_ENSEMBLES = ("gaussian", "orthonormal", "near_isometric")
+
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -165,7 +167,7 @@ class ExperimentConfig:
     solver: str = "oracle"
     solver_options: dict = field(default_factory=dict)
     frame_kind: str = "random"  # random | identity | duplicated_identity | mercedes
-    matrix_ensemble: str = "gaussian"  # gaussian | orthonormal | near_isometric
+    matrix_ensemble: str = "gaussian"  # one of MATRIX_ENSEMBLES
     jitter: float = 0.05
     magnitude_law: str = "gaussian"
     compute_sdrip: bool = False
@@ -228,7 +230,7 @@ class ExperimentConfig:
         kinds = ("random",) + NAMED_FRAMES
         if self.frame_kind not in kinds:
             raise ConfigurationError(f"unknown frame_kind {self.frame_kind!r}; choose from {kinds}")
-        if self.matrix_ensemble not in ("gaussian", "orthonormal", "near_isometric"):
+        if self.matrix_ensemble not in MATRIX_ENSEMBLES:
             raise ConfigurationError(f"unknown matrix ensemble {self.matrix_ensemble!r}")
         if self.magnitude_law not in MAGNITUDE_LAWS:
             raise ConfigurationError(f"unknown magnitude law {self.magnitude_law!r}")

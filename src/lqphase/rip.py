@@ -22,20 +22,20 @@ support with one size-h subset and evaluates the same two layers.
 
 One kernel, _extremes, computes every constant.  It takes a stack of
 supports and a possibly empty layer of 0/1 row masks and cuts the supports
-into chunks of at most STACK_ELEMS elements per array.  At order <= 2 it
-forms no basis for a support whose columns do not vanish and whose
-D_S^T D_S is well conditioned: the Gram-Schmidt columns of A Q come in
-closed form from P = A D and the frame Gram D^T D, taken once per call, the
-Gram of every row set I holds the sums over I of their products, so one row
-sum evaluates I = [m] and one product with the masks the layer, and
-linalg.sym_eig_bounds gives the extremes of each 2 x 2 Gram from its three
-entries.  The other supports, and every support of order >= 3, take their
-bases from linalg.support_bases, one batched SVD of the (C, n, k) column
-stack grouped by numerical rank, and evaluate I = [m] as B^T B and the mask
-layer through masked sums of the row Grams outer(B_i, B_i), each with one
-batched eigen-bounds call.  DRIP and its sampled estimator are the kernel
-with an empty layer, S-DRIP and its sampled estimator the kernel with the
-size-h layer; so S-DRIP's delta is DRIP's, bit for bit.  Unlike the
+into chunks of at most STACK_ELEMS elements per array.  Each support's
+columns B = A Q (d of them, d the rank of D_S) come from one of two
+sources.  At order <= 2, a support whose columns do not vanish and whose
+D_S^T D_S is well conditioned forms no basis: its Gram-Schmidt columns come
+in closed form from P = A D and the frame Gram D^T D, taken once per call.
+The other supports, and every support of order >= 3, take their bases from
+linalg.support_bases, one batched SVD of the (C, n, k) column stack grouped
+by numerical rank.  One Gram step serves both: the Gram of a row set I
+holds the sums over I of the row products B_p B_q, taken over the upper
+triangle (p, q), so one row sum evaluates I = [m], one product with the
+masks the layer, and linalg.sym_eig_bounds gives the extremes from those
+entries, in closed form at d <= 2.  DRIP and its sampled estimator are the
+kernel with an empty layer, S-DRIP and its sampled estimator the kernel
+with the size-h layer; so S-DRIP's delta is DRIP's, bit for bit.  Unlike the
 oracle's objectives, the isometry constants carry no tie rule: a batched
 eigenvalue agrees with the per-support one to rounding, so the batched
 values are the constants.  All four entry points return a RipReport; a
@@ -46,7 +46,6 @@ details["witness_support"].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb, ceil, floor
 
 import numpy as np
@@ -55,12 +54,13 @@ from .errors import ParameterError, ResourceBudgetError
 from .frames import TightFrame
 from .linalg import (
     STACK_ELEMS,
-    batch_sym_eig_bounds,
     check_budget,
     check_matrix,
     combination_array,
+    subset_masks,
     support_bases,
     sym_eig_bounds,
+    triu_pairs,
 )
 
 SUPPORT_BUDGET = 10**6
@@ -139,52 +139,41 @@ def _extremes(A: np.ndarray, D: np.ndarray, supports: np.ndarray,
     max(hi - 1, 1 - lo) on I = [m] alone, each of length C, NaN where the
     columns of D_S vanish.
 
-    The supports _gram_schmidt_columns admits take the closed form, the
-    others support_bases (module docstring).
+    The supports _gram_schmidt_columns admits take their columns from it,
+    the others from support_bases, and both the same Gram step (module
+    docstring).
     """
     (C, k), (m, n), M = supports.shape, A.shape, masks.shape[-2]
     lo, hi, dev = np.full((3, C), np.nan)
-
-    def record(rows, full, layer):
-        low, high = full
-        dev[rows] = np.fmax(high - 1.0, 1.0 - low)
-        if M:
-            low = np.minimum(low, layer[0].min(axis=1))
-            high = np.maximum(high, layer[1].max(axis=1))
-        lo[rows], hi[rows] = low, high
-
     # float64 elements per support in a chunk's largest arrays: the column
-    # stack and B, and with a layer the row Grams and their masked sums (the
-    # closed form's (3, c, m) and (3, c, M) entry stacks are smaller)
+    # stack and B, and with a layer the (e, c, m) and (e, c, M) entry stacks,
+    # e = d(d + 1) / 2 <= k^2
     step = max(1, STACK_ELEMS // (k * max(n, m, (m + M) * k if M else 0)))
     if k <= 2:
         X, G = np.concatenate((D.T, D.T @ A.T), axis=1), D.T @ D
     for start in range(0, C, step):
         chunk = supports[start:start + step]
-        rest = np.arange(len(chunk))  # the chunk's supports on the SVD path
+        sources, rest = [], np.arange(len(chunk))  # rest: the supports on the SVD path
         if k <= 2:
             ok, B = _gram_schmidt_columns(X, G, n, chunk)
-            rows, rest = start + np.flatnonzero(ok), np.flatnonzero(~ok)
-            # the Gram entries (B0 B0, B1 B1, B0 B1) of every row, stacked (e, c, m)
-            V = B * B if k == 1 else np.concatenate([B * B, B[:1] * B[1:]])
-            layer = None
-            if M:
-                layer = sym_eig_bounds(*(
-                    (V.reshape(-1, m) @ masks.T).reshape(len(V), len(rows), M) if masks.ndim == 2
-                    else np.einsum("ecm,cjm->ecj", V, masks[rows])))
-            record(rows, sym_eig_bounds(*V.sum(axis=2)), layer)
-        if not len(rest):
-            continue
-        for rows, Q in support_bases(D, chunk[rest]):
-            rows = start + rest[rows]
-            B = A @ Q  # (c, m, d)
-            layer = None
-            if M:  # row i adds outer(B_i, B_i) to the Gram of every I holding it
-                c, _, d = B.shape
-                row_grams = np.einsum("cip,ciq->cipq", B, B).reshape(c, m, d * d)
-                layer = [v.reshape(c, M) for v in batch_sym_eig_bounds(
-                    ((masks if masks.ndim == 2 else masks[rows]) @ row_grams).reshape(-1, d, d))]
-            record(rows, batch_sym_eig_bounds(np.swapaxes(B, 1, 2) @ B), layer)
+            sources.append((np.flatnonzero(ok), B))
+            rest = np.flatnonzero(~ok)
+        if len(rest):
+            sources += [(rest[rows], np.moveaxis(A @ Q, 2, 0))
+                        for rows, Q in support_bases(D, chunk[rest])]
+        for rows, B in sources:  # B: the (d, c, m) columns of A Q
+            p, q = triu_pairs(len(B))
+            V = B[p] * B[q]  # per row, the upper-triangle entries of its Gram, (e, c, m)
+            rows = start + rows
+            low, high = sym_eig_bounds(len(B), V.sum(axis=2))
+            dev[rows] = np.fmax(high - 1.0, 1.0 - low)
+            if M:  # the Gram of I sums the entries of the rows in I
+                layer = ((V.reshape(-1, m) @ masks.T).reshape(len(V), len(rows), M) if masks.ndim == 2
+                         else np.einsum("ecm,cjm->ecj", V, masks[rows]))
+                layer_lo, layer_hi = sym_eig_bounds(len(B), layer)
+                low = np.minimum(low, layer_lo.min(axis=1))
+                high = np.maximum(high, layer_hi.max(axis=1))
+            lo[rows], hi[rows] = low, high
     return lo, hi, dev
 
 
@@ -266,17 +255,6 @@ def drip_constant_sampled(
     return _drip(A, F, order, visited, exhaustive=False, details={"budget": budget, "seed": seed})
 
 
-@lru_cache(maxsize=16)
-def _subset_masks(m: int, h: int) -> np.ndarray:
-    """The size-h subsets of range(m) in lexicographic order, as one
-    read-only (C(m, h), m) array of 0/1 row masks, cached like
-    combination_array."""
-    masks = np.zeros((comb(m, h), m))
-    np.put_along_axis(masks, combination_array(m, h), 1.0, axis=1)
-    masks.flags.writeable = False
-    return masks
-
-
 def _min_subset_size(m: int, half_rule: str) -> int:
     """Smallest row-subset size |I| of the half-subset constants."""
     if half_rule == "ceil":
@@ -320,7 +298,7 @@ def sdrip_constants(
         )
     check_budget(F.N, order, support_budget, "supports")
     h = _min_subset_size(m, half_rule)
-    lo, hi, dev = _extremes(A, F.D, combination_array(F.N, order), _subset_masks(m, h))
+    lo, hi, dev = _extremes(A, F.D, combination_array(F.N, order), subset_masks(m, h))
     return _report(lo, hi, dev, order, h, exhaustive=True, details={
         "half_rule": half_rule, "n_subsets": sum(comb(m, s) for s in range(h, m + 1)),
         "n_supports": comb(F.N, order)})

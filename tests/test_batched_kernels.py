@@ -55,7 +55,9 @@ from lqphase.linalg import (
     null_space,
     null_spaces,
     numerical_rank,
+    subset_masks,
     support_bases,
+    sym_eig_bounds,
 )
 from lqphase.measurement import PhaselessProblem, build_problem
 from lqphase.nsp import (
@@ -63,7 +65,6 @@ from lqphase.nsp import (
     NspWitness,
     _coordinate_ascent,
     _lambda_list,
-    _rows,
     dictionary_sparse_distance,
     nsp_real_evaluate,
     nsp_real_falsify,
@@ -248,7 +249,7 @@ def loop_nsp_real_falsify(A, F, k, q, budget=10**4, seed=0, lambda_mode="card_at
 
     def nullsp(T):
         if T not in null_cache:
-            null_cache[T] = null_space(_rows(A, T))
+            null_cache[T] = null_space(A[list(T)])
         return null_cache[T]
 
     restarts = max(1, budget // max(1, len(lambdas) * len(supports)))
@@ -962,7 +963,7 @@ def _layers(m, C, rng):
     row masks per support."""
     per_support = rng.integers(0, 2, (C, 3, m)).astype(float)
     per_support[:, :, 0] = 1.0
-    return [np.zeros((0, m)), rip._subset_masks(m, (m + 1) // 2), per_support]
+    return [np.zeros((0, m)), subset_masks(m, (m + 1) // 2), per_support]
 
 
 def closed_form_cases():
@@ -1025,6 +1026,34 @@ def test_closed_form_chunked_equals_unchunked(monkeypatch):
         np.testing.assert_array_equal(dev, ref[2])  # row sums, as in S-DRIP's delta
         np.testing.assert_allclose(lo, ref[0], rtol=1e-14, atol=1e-16)
         np.testing.assert_allclose(hi, ref[1], rtol=1e-14)
+
+
+def test_sym_eig_bounds_matches_eigvalsh_on_stacked_entries():
+    """linalg.sym_eig_bounds on (e, c, M) upper-triangle entries, in
+    np.triu_indices order, against eigvalsh of the full matrices at d = 1..4:
+    Grams, indefinite matrices and a repeated eigenvalue (closed forms at
+    d <= 2, assembled matrices above)."""
+    rng = np.random.default_rng(11)
+    c, M = 5, 3
+    for d in range(1, 5):
+        X = rng.standard_normal((c, M, d, d + 2))
+        Y = X[..., :d]
+        p, q = np.triu_indices(d)
+        for G in (X @ np.swapaxes(X, -1, -2), Y + np.swapaxes(Y, -1, -2),
+                  np.broadcast_to(2.0 * np.eye(d), (c, M, d, d))):
+            entries = np.moveaxis(G[..., p, q], -1, 0)
+            kept = entries.copy()
+            lo, hi = sym_eig_bounds(d, entries)
+            w = np.linalg.eigvalsh(G)
+            tol = 1e-13 * np.abs(G).max()
+            assert lo.shape == hi.shape == (c, M)
+            np.testing.assert_allclose(lo, w[..., 0], rtol=0, atol=tol)
+            np.testing.assert_allclose(hi, w[..., -1], rtol=0, atol=tol)
+            np.testing.assert_array_equal(entries, kept)
+            # a 2-D stack of entries, as the NSP full-rank bound passes
+            lo2, hi2 = sym_eig_bounds(d, entries[:, :, 0])
+            np.testing.assert_array_equal(lo2, lo[:, 0])
+            np.testing.assert_array_equal(hi2, hi[:, 0])
 
 
 # ---------------------------------------------------------------- null-space diagnostics
@@ -1106,8 +1135,8 @@ def test_nsp_falsifier_matches_reference_loop_on_the_wide_corpus(monkeypatch):
         ended_without_witness += sum(dim == 1 and restarts >= 2 and points
                                      for dim, restarts, points in searched[:-1 if got else None])
         if got is None:  # every cell was scanned: some had dim U, dim V >= 1 but dim W = 0
-            pairs = [(null_space(_rows(A, L)).shape[1], null_space(_rows(A, [i for i in range(len(A))
-                                                                              if i not in L])).shape[1])
+            pairs = [(null_space(A[list(L)]).shape[1], null_space(A[[i for i in range(len(A))
+                                                                      if i not in L]]).shape[1])
                      for L in _lambda_list(len(A), k, mode)]
             if sum(du > 0 and dv > 0 for du, dv in pairs) * comb(F.N, k) > len(searched):
                 dims.add(0)
@@ -1186,7 +1215,7 @@ def nsp_near_degenerate_corpus():
 def _splittable(A, Lam):
     """Whether the row subset Lam and its complement both have a nonzero null space."""
     comp = [i for i in range(len(A)) if i not in Lam]
-    return null_space(_rows(A, Lam)).shape[1] > 0 and null_space(_rows(A, comp)).shape[1] > 0
+    return null_space(A[list(Lam)]).shape[1] > 0 and null_space(A[comp]).shape[1] > 0
 
 
 def test_nsp_falsifier_matches_reference_loop_on_near_degenerate_A(monkeypatch):
@@ -1285,7 +1314,7 @@ def test_full_rank_screen_certifies_only_full_rank_systems():
         m, n = A.shape
         lams = _lambda_list(m, m, "all_subsets")
         signs = np.array([[-1.0 if i in Lam else 1.0 for i in range(m)] for Lam in lams])
-        assert np.array_equal(np.concatenate([nsp._layer_signs(m, size) for size in range(m + 1)]),
+        assert np.array_equal(1.0 - 2.0 * np.concatenate([subset_masks(m, size) for size in range(m + 1)]),
                               signs)
         supports = np.array(list(combinations(range(D.shape[1]), k)))
         bases = support_bases(D, supports)
@@ -1302,7 +1331,7 @@ def test_full_rank_screen_certifies_only_full_rank_systems():
             P[rows] = np.eye(n) - Q @ np.swapaxes(Q, 1, 2)
         for l in np.flatnonzero(certified.any(axis=1)):
             comp = [i for i in range(m) if i not in lams[l]]
-            B = np.concatenate([null_space(_rows(A, lams[l])), null_space(_rows(A, comp))], axis=1)
+            B = np.concatenate([null_space(A[list(lams[l])]), null_space(A[comp])], axis=1)
             if B.shape[1] == 0:
                 continue
             Ks = P[certified[l]] @ B

@@ -214,6 +214,13 @@ def test_matrix_ensembles():
         sample_measurement_matrix("laplace", 6, 3, 0.0, seed=1)
 
 
+@pytest.mark.parametrize("m,n", [(3, 6), (6, 3)])
+def test_unknown_matrix_ensemble_is_named_at_every_shape(m, n):
+    # the name is checked before the m >= n rule of the orthonormal ensembles
+    with pytest.raises(ConfigurationError, match="^unknown matrix ensemble 'foo'$"):
+        sample_measurement_matrix("foo", m, n, 0.0, seed=1)
+
+
 def test_emit_csv_golden_header_and_format(tmp_path):
     recs = run_bound_experiment(small_config(trials=1))
     out = tmp_path / "r.csv"

@@ -8,7 +8,7 @@ import pytest
 from lqphase import rip
 from lqphase.errors import DomainError, ParameterError, ResourceBudgetError
 from lqphase.frames import TightFrame, build_named_frame, build_parseval_random
-from lqphase.linalg import batch_sym_eig_bounds, null_space, support_bases, sym_eig_bounds
+from lqphase.linalg import null_space, support_bases, sym_eig_bounds
 from lqphase.rip import (
     drip_constant,
     drip_constant_sampled,
@@ -279,7 +279,7 @@ def test_sdrip_matches_brute_force_over_every_layer(m, half_rule):
                 np.outer(rng.standard_normal(m), rng.standard_normal(3))]  # rank one
     for F in frames:
         for A in matrices:
-            for k in (1, 2):
+            for k in (1, 2, 3):  # k = 3: Grams of d = 3 assembled from their entries
                 rep = sdrip_constants(A, F, k, half_rule=half_rule)
                 lo, hi = brute_subset_extremes(A, F, k, rep.min_subset_size)
                 lo_full, hi_full = brute_subset_extremes(A, F, k, m)
@@ -292,18 +292,15 @@ def test_sdrip_matches_brute_force_over_every_layer(m, half_rule):
 
 @pytest.mark.parametrize("half_rule,h", [("ceil", 4), ("floor", 3)])
 def test_sdrip_evaluates_the_size_h_layer_and_the_full_rows_only(monkeypatch, half_rule, h):
-    # a Gram is evaluated by sym_eig_bounds on its entries (the closed form)
-    # or by batch_sym_eig_bounds on the matrix (the SVD path)
+    # every Gram, from the closed form or the SVD path, is evaluated by
+    # sym_eig_bounds on its (e, ...) entries
     counted = []
 
-    def counting(kernel, size):
-        def call(*args):
-            counted.append(size(*args))
-            return kernel(*args)
-        return call
+    def counting(d, entries):
+        counted.append(entries[0].size)
+        return sym_eig_bounds(d, entries)
 
-    monkeypatch.setattr(rip, "batch_sym_eig_bounds", counting(batch_sym_eig_bounds, len))
-    monkeypatch.setattr(rip, "sym_eig_bounds", counting(sym_eig_bounds, lambda *entries: entries[0].size))
+    monkeypatch.setattr(rip, "sym_eig_bounds", counting)
     F = _zero_column_frame(3, 6, seed=2)  # order 1: five of the six supports are usable
     A = np.random.default_rng(8).standard_normal((7, 3))
     for order, usable in ((1, 5), (2, 15)):  # order 2: the five with the zero column take the SVD path
