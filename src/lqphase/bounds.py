@@ -165,8 +165,11 @@ def verify_recovery_bound(
     The defect fed into the constants is the exhaustively computed one at
     order ceil(t*k); when half-subset extremes are present in the report, the
     implied bound max(1-theta_minus, theta_plus-1) is recorded alongside.
-    Inadmissible instances yield bound_status = "not_applicable".  An
-    admissible trial whose uncertified x_hat lies outside the constraint set,
+    Inadmissible instances yield bound_status = "not_applicable".  So does a
+    sampled report (rip.exhaustive False): its delta is only a lower bound on
+    the exact one, so it can show inadmissibility but never admissibility,
+    and admissible reads None where it would read True.  An admissible trial
+    whose uncertified x_hat lies outside the constraint set,
     || |A x_hat| - b || > eps + FEAS_RTOL max(1, ||b||), fails, and its reason
     names the violation.
     """
@@ -191,7 +194,11 @@ def verify_recovery_bound(
         else:
             theta_window = False
     reason = ""
-    if consts.admissible:
+    admissible = consts.admissible
+    if admissible and not rip.exhaustive:
+        admissible = None
+        reason = "sampled delta is a lower bound on the exact one; no verdict"
+    if admissible:
         rhs = bound_rhs(consts, P.eps, sigma, k)
         status = "pass" if lhs <= rhs + BOUND_TOL else "fail"
         if result.method != "oracle":
@@ -215,7 +222,7 @@ def verify_recovery_bound(
         delta=rip.delta, delta_order=rip.order,
         theta_minus=rip.theta_minus, theta_plus=rip.theta_plus,
         delta_theta_bound=delta_theta, theta_window_ok=theta_window,
-        admissible=consts.admissible, marginal=consts.marginal,
+        admissible=admissible, marginal=consts.marginal,
         sigma_k=sigma, method=result.method, objective=result.objective,
         feasibility=result.feasibility, solver_iterations=result.iterations,
         lhs=lhs, rhs=rhs, bound_status=status,

@@ -54,19 +54,29 @@ _irls_converge, which give the argument).
 
 The oracle runs one zero-pattern search for every shape of A, with
 free = max(n - m, 0) analysis zeros per pattern; m >= n is the free = 0 case.
-A batched pass selects candidates.  The least-squares points A_pinv @ C of
-all right-hand sides come from one product and are screened by their
-residual in FEAS_BAND bands around FEAS_RTOL ||c||: all pass for a
-full-row-rank A, and for m > n the screen drops inconsistent sign patterns.
-M_Z = [A; D_Z^T] does not depend on the sign pattern, so each chunk of zero
-patterns is solved against every sign in one stacked np.linalg.solve, and
-feasibility (to FEAS_RTOL max(1, ||c||)) and finiteness are screened on the
-(zero pattern, sign) arrays.  An exact pass decides: every candidate that can
-reach the minimum is re-solved with scalar calls (np.linalg.solve of the
-stacked system, lstsq for the least-squares point, which counts only when
-||A x - c|| <= FEAS_RTOL ||c||, and lq_quasinorm), in (sign, zero set) order
-with the 1e-15 and 1e-12 tie rules.  So the certified point, objective, signs
-and zero set never depend on the batched arithmetic.
+One SVD of A decides its numerical rank r (below min(m, n) raises
+DegenerateProblemError) and gives A_pinv and, for m < n, an orthonormal basis
+N of A's null space: the null-space method for equality-constrained least
+squares (Golub and Van Loan, Matrix Computations, sec. 6.2).  A batched pass
+selects candidates.  The least-squares points X_ls = A_pinv C of all
+right-hand sides come from one product and are screened by their residual in
+FEAS_BAND bands around FEAS_RTOL ||c||: all pass for a full-row-rank A, and
+for m > n the screen drops inconsistent sign patterns.  Every point of
+{Ax = c} is x_ls + N y, and A N = 0 gives it the residual of x_ls, so
+feasibility (to FEAS_RTOL max(1, ||c||)) is screened once per sign.  With
+G = D^T N and Y_ls = D^T X_ls, zero set Z leaves the free x free system
+G_Z y = -(Y_ls)_Z, whose matrix does not depend on the sign pattern: each
+chunk of zero sets takes one stacked inverse of its G_Z, then every sign's
+D^T x = Y_ls + G y and ||x||^2 = ||x_ls||^2 + ||y||^2 (x_ls is orthogonal to
+N), with no n x n matrix and no residual per (zero set, sign).  A
+near-singular G_Z cannot give a small objective: its y is large, and for a
+Parseval frame sum_i |d_i^T x|^q >= ||x||^q, since every |d_i^T x| <= ||x||
+and sum_i |d_i^T x|^2 = ||x||^2.  An exact pass decides: every candidate
+that can reach the minimum is re-solved with scalar calls (np.linalg.solve
+of the stacked system M_Z = [A; D_Z^T], lstsq for the least-squares point,
+which counts only when ||A x - c|| <= FEAS_RTOL ||c||, and lq_quasinorm), in
+(sign, zero set) order with the 1e-15 and 1e-12 tie rules.  So the certified
+point, objective, signs and zero set never depend on the batched arithmetic.
 
 Re-check window.  Batched and scalar solutions x of one system are assumed
 to differ by at most delta = RECHECK_RHO * ||x||.  Frame columns have norm at
@@ -79,10 +89,13 @@ analysis zero the bound is delta^q: about 1e-9 ||x|| at q = 1, 3e-5 ||x||^q
 at q = 0.5 and 0.13 ||x||^q at q = 0.1.  That is the rounding residue the
 scalar objective itself carries at its zeros, which is why the window widens
 as q falls.  Inside the exact pass a sign or zero set whose lower bound
-V - E cannot beat the running best by the tie tolerance is skipped.  If a
-system is conditioned beyond RECHECK_RHO's assumption and its candidate is
-left out, the certified objective exceeds the excluded one by less than
-that candidate's own batched-versus-scalar discrepancy plus 1e-12.
+V - E cannot beat the running best by the tie tolerance is skipped.  So is
+a sign's lstsq once one of its zero sets is feasible and the least-squares
+point's own lower bound cannot beat that by 1e-12: the minimum-norm fallback
+could not win.  If a system is conditioned beyond RECHECK_RHO's assumption
+and its candidate is left out, the certified objective exceeds the excluded
+one by less than that candidate's own batched-versus-scalar discrepancy plus
+1e-12.
 """
 
 from __future__ import annotations
@@ -102,7 +115,14 @@ from .errors import (
     ResourceBudgetError,
 )
 from .frames import TightFrame
-from .linalg import STACK_ELEMS, check_budget, check_matrix, combination_blocks, numerical_rank
+from .linalg import (
+    RANK_RTOL,
+    STACK_ELEMS,
+    check_budget,
+    check_matrix,
+    combination_blocks,
+    numerical_rank,
+)
 from .measurement import PhaselessProblem
 from .rip import SUPPORT_BUDGET
 from .signals import _check_q, lq_quasinorm
@@ -110,9 +130,13 @@ from .signals import _check_q, lq_quasinorm
 ORACLE_MAX_M = 10
 FEAS_RTOL = 1e-8
 # Relative accuracy assumed of every solved system, batched or scalar:
-# ||x_batched - x_scalar|| <= RECHECK_RHO * ||x||.  LU and least squares are
-# backward stable, so this holds while cond(M_Z) * n * eps stays below it,
-# i.e. for condition numbers up to about 1e5.
+# ||x_batched - x_scalar|| <= RECHECK_RHO * ||x||.  The scalar LU of M_Z, the
+# least-squares solves and the batched inverse of G_Z are each accurate to
+# about cond * n * eps relative, and cond(G_Z) <= cond(M_Z), G_Z being a block
+# of M_Z [V_r, N] = [[U_r S_r, 0], [D_Z^T V_r, G_Z]]; so this holds while
+# cond(M_Z) * n * eps stays below it, i.e. for condition numbers up to about
+# 1e5.  On the test suite's oracle corpus the two differ by at most
+# 0.003 * RECHECK_RHO * ||x||.
 RECHECK_RHO = 2.0**-30
 # Absolute slack of the re-check window; covers the 1e-12 minimum-norm tie
 # rule and the 1e-15 zero-pattern and sign tie rules with room to spare.
@@ -123,8 +147,11 @@ TIE_SLACK = 1e-11
 FEAS_BAND = 2.0**10
 # Enumeration counters of the oracle certificate: sign patterns enumerated;
 # least-squares points screened out by their residual band (0 for a
-# full-row-rank A); zero patterns solved and found singular (each M_Z serves
-# every sign); candidates re-solved exactly.
+# full-row-rank A); zero patterns solved and found singular (each G_Z serves
+# every sign; singular as _null_space_block decides, which is where
+# np.linalg.matrix_rank finds M_Z singular); candidates re-solved exactly,
+# zero sets and lstsq calls.  Skipping the lstsq that cannot win halved the
+# last: 433 -> 217 over the 216 oracle-sweep trials at seeds 0 and 1.
 ORACLE_COUNTERS = ("sign_patterns", "screened_out", "zero_patterns",
                    "singular_systems", "rechecked")
 # An IRLS run ends by the first of these rules that holds (see _irls_converge).
@@ -194,14 +221,18 @@ class IrlsOptions:
             raise ParameterError(f"reg must be finite and nonnegative, got {self.reg}")
 
 
-def _objectives(D: np.ndarray, X: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Objectives V = sum_i |d_i^T x|^q of the columns x of X (..., n, K), and the
-    bound E on |V - scalar objective| derived in the module docstring."""
-    Y = np.abs(D.T @ X)
-    delta = RECHECK_RHO * np.linalg.norm(X, axis=-2, keepdims=True)
+def _objectives(Y: np.ndarray, sq_norms: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Objectives V = sum_i |y_i|^q over the analysis coefficients, axis -2, of
+    Y (..., N, K), and the bound E on |V - scalar objective| derived in the
+    module docstring for points x of squared norms sq_norms (..., K).  Both
+    sums are products with a ones vector: np.sum over a middle axis of these
+    small stacks takes about three times as long."""
+    Y = np.abs(Y)
+    delta = RECHECK_RHO * np.sqrt(sq_norms)[..., None, :]
+    ones = np.ones(Y.shape[-2])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slope = q * np.maximum(Y - delta, 0.0) ** (q - 1.0) * delta
-        return np.sum(Y**q, axis=-2), np.sum(np.fmin(delta**q, slope), axis=-2)
+        slope = np.maximum(Y - delta, 0.0) ** (q - 1.0) * (q * delta)
+        return ones @ Y**q, ones @ np.fmin(delta**q, slope)
 
 
 def _exact_affine(
@@ -211,14 +242,16 @@ def _exact_affine(
     q: float,
     zero_sets: np.ndarray,
     lower: np.ndarray,
+    ls_lower: float,
     counts: dict,
 ) -> tuple[np.ndarray | None, float, tuple[int, ...] | None]:
     """The scalar zero-pattern enumeration for one right-hand side, over the given
     zero sets in order, with its 1e-15 and 1e-12 tie rules.  A zero set whose lower
     bound cannot beat the running best by the tie tolerance is skipped: it could
-    not have replaced the best.  The minimum-norm least-squares point is feasible
-    when ||A x - c|| <= FEAS_RTOL ||c||.  Returns (None, inf, None) when no point
-    is feasible."""
+    not have replaced the best.  So is the minimum-norm least-squares point, with
+    lower bound ls_lower, once a zero set is feasible; it is feasible when
+    ||A x - c|| <= FEAS_RTOL ||c||.  Returns (None, inf, None) when no point is
+    feasible."""
     free = zero_sets.shape[1]
     best_x = None
     best_obj = np.inf
@@ -241,6 +274,8 @@ def _exact_affine(
         obj = lq_quasinorm(D.T @ x, q)
         if obj < best_obj - 1e-15:
             best_x, best_obj, best_Z = x, obj, tuple(Z)
+    if best_x is not None and ls_lower >= best_obj - 1e-12:
+        return best_x, best_obj, best_Z
     # minimum-norm fallback guards rank-degenerate cells; zero-pattern
     # candidates win ties so the certificate stays informative
     counts["rechecked"] += 1
@@ -252,25 +287,59 @@ def _exact_affine(
     return best_x, best_obj, best_Z
 
 
-def _zero_pattern_search(A: np.ndarray, A_pinv: np.ndarray, C: np.ndarray, D: np.ndarray,
-                         q: float, counts: dict) -> tuple | None:
-    """Certified minimum over the affine sets {Ax = C[:, j]} of an A of full rank
-    min(m, n) with pseudo-inverse A_pinv.
+def _null_space_block(G: np.ndarray, Y_ls: np.ndarray, sq_ls: np.ndarray,
+                      Zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points x = x_ls + N y with D_Z^T x = 0 for a block of zero sets Zs
+    (z, free) and every least-squares point at once, from G = D^T N (N an
+    orthonormal basis of A's null space), Y_ls = D^T X_ls (N, K) and the
+    squared norms sq_ls (K,) of X_ls.
 
-    Returns (j, x, objective, zero_set, margin) of the winning column, or None
-    when no column is feasible: columns are taken in order and a later one wins
-    only by more than 1e-15.  margin is the gap to the second-best feasible
-    column (exact where that column was re-checked, batched otherwise), None
-    when there is no second one.
+    Each Z solves G_Z y = -(Y_ls)_Z.  Returns D^T x = Y_ls + G y (z, N, K)
+    and ||x||^2 = ||x_ls||^2 + ||y||^2 (z, K), both NaN where LU met an exact
+    zero pivot, and the singular systems (z,): those, and each G_Z whose
+    inverse exceeds 1 / RANK_RTOL in Frobenius norm.  The scale is absolute:
+    the rows d_i^T N of G_Z have norm at most ||d_i|| <= 1.
+    """
+    GZ = G[Zs]
+    try:
+        G_inv = np.linalg.inv(GZ)
+    except np.linalg.LinAlgError:
+        # slogdet runs the same LU and reports its zero pivot as sign 0
+        failed = np.linalg.slogdet(GZ)[0] == 0.0
+        GZ[failed] = np.eye(G.shape[1])
+        G_inv = np.linalg.inv(GZ)
+        G_inv[failed] = np.nan
+    singular = ~(np.einsum("zij,zij->z", G_inv, G_inv) <= RANK_RTOL**-2)
+    Y = G_inv @ Y_ls[Zs]  # -y
+    return Y_ls - G @ Y, sq_ls + np.einsum("zfk,zfk->zk", Y, Y), singular
+
+
+def _zero_pattern_search(A: np.ndarray, C: np.ndarray, D: np.ndarray, q: float,
+                         counts: dict) -> tuple | None:
+    """Certified minimum over the affine sets {Ax = C[:, j]}.
+
+    One SVD of A gives its numerical rank r, its pseudo-inverse and an
+    orthonormal basis of its null space; r below min(m, n) raises
+    DegenerateProblemError.  Returns (j, x, objective, zero_set, margin) of the
+    winning column, or None when no column is feasible: columns are taken in
+    order and a later one wins only by more than 1e-15.  margin is the gap to
+    the second-best feasible column (exact where that column was re-checked,
+    batched otherwise), None when there is no second one.
     """
     m, n = A.shape
     N = D.shape[1]
     K = C.shape[1]
-    free = max(n - m, 0)
+    u, sv, vh = np.linalg.svd(A, full_matrices=m < n)  # the null basis only when m < n
+    r = numerical_rank(sv)
+    if r < min(m, n):
+        raise DegenerateProblemError(f"A has rank {r}; the oracle needs full rank {min(m, n)}")
+    free = n - r
     # least-squares points, screened by their residual relative to ||c||; a
     # full-row-rank A passes every one, and only sure ones give a bound
-    X_ls = A_pinv @ C
-    v_ls, e_ls = _objectives(D, X_ls, q)
+    X_ls = ((vh[:r].T / sv) @ u[:, :r].T) @ C
+    Y_ls = D.T @ X_ls
+    sq_ls = np.sum(X_ls * X_ls, axis=0)
+    v_ls, e_ls = _objectives(Y_ls, sq_ls, q)
     tol = FEAS_RTOL * np.linalg.norm(C, axis=0)
     resid = np.linalg.norm(A @ X_ls - C, axis=0)
     maybe_ls = resid <= tol * FEAS_BAND
@@ -281,42 +350,32 @@ def _zero_pattern_search(A: np.ndarray, A_pinv: np.ndarray, C: np.ndarray, D: np
     kept_zsets: list[np.ndarray] = []
     kept_lower: list[np.ndarray] = []
     if free:
+        # A N = 0: every x = x_ls + N y has its least-squares point's residual
         c_scale = max(1.0, float(np.linalg.norm(C[:, 0])))
-        rhs = np.concatenate([C, np.zeros((free, K))])
-        eye = np.eye(n)
+        sure = resid <= FEAS_RTOL * c_scale / FEAS_BAND
+        maybe = resid <= FEAS_RTOL * c_scale * FEAS_BAND
+        G = D.T @ vh[r:].T
         for Zs in combination_blocks(N, free, max(1, STACK_ELEMS // (N * K))):
             counts["zero_patterns"] += len(Zs)
-            M = np.empty((len(Zs), n, n))
-            M[:, :m] = A
-            M[:, m:] = D.T[Zs]
-            try:
-                X = np.linalg.solve(M, rhs)
-                singular = np.zeros(len(Zs), dtype=bool)
-            except np.linalg.LinAlgError:
-                # the scalar solve fails on exactly these slices: slogdet runs
-                # the same LU factorization and reports its zero pivot as sign 0
-                singular = np.linalg.slogdet(M)[0] == 0.0
-                M[singular] = eye
-                X = np.linalg.solve(M, rhs)
+            DX, sq, singular = _null_space_block(G, Y_ls, sq_ls, Zs)
             counts["singular_systems"] += int(singular.sum())
-            resid = np.linalg.norm(A @ X - C, axis=1)
-            V, E = _objectives(D, X, q)
-            ok = np.isfinite(V) & np.isfinite(E) & ~singular[:, None]
-            sure = ok & (resid <= FEAS_RTOL * c_scale / FEAS_BAND)
-            maybe = ok & (resid <= FEAS_RTOL * c_scale * FEAS_BAND)
-            if sure.any():
-                ref = min(ref, float(np.min((V + E)[sure])) + TIE_SLACK)
-                np.minimum(col_best, np.where(sure, V, np.inf).min(axis=0), out=col_best)
-            zi, cols = np.nonzero(maybe & (V - E <= ref))
+            V, E = _objectives(DX, sq, q)
+            lo, hi = V - E, V + E
+            ok = np.isfinite(hi)  # V, E >= 0: hi is finite when both are
+            if (sure_ok := ok & sure).any():
+                ref = min(ref, float(hi[sure_ok].min()) + TIE_SLACK)
+                np.minimum(col_best, np.where(sure_ok, V, np.inf).min(axis=0), out=col_best)
+            zi, cols = np.nonzero(ok & maybe & (lo <= ref))
             kept_cols.append(cols)
             kept_zsets.append(Zs[zi])
-            kept_lower.append((V - E)[zi, cols])
+            kept_lower.append(lo[zi, cols])
     cols = np.concatenate(kept_cols) if kept_cols else np.zeros(0, dtype=np.intp)
     zsets = np.concatenate(kept_zsets) if kept_zsets else np.zeros((0, free), dtype=np.intp)
     lower = np.concatenate(kept_lower) if kept_lower else np.zeros(0)
     inside = lower <= ref
     cols, zsets, lower = cols[inside], zsets[inside], lower[inside]
-    col_lower = np.where(maybe_ls, v_ls - e_ls, np.inf)
+    ls_lower = np.where(maybe_ls, v_ls - e_ls, np.inf)
+    col_lower = ls_lower.copy()
     np.minimum.at(col_lower, cols, lower)
     candidates = np.flatnonzero(col_lower <= ref)
 
@@ -328,7 +387,7 @@ def _zero_pattern_search(A: np.ndarray, A_pinv: np.ndarray, C: np.ndarray, D: np
             continue
         rows = np.flatnonzero(cols == j)  # zero sets of a column stay in order
         c = np.ascontiguousarray(C[:, j])
-        x, obj, Z = _exact_affine(A, c, D, q, zsets[rows], lower[rows], counts)
+        x, obj, Z = _exact_affine(A, c, D, q, zsets[rows], lower[rows], float(ls_lower[j]), counts)
         exact[j] = obj
         if x is not None and (best is None or obj < best[2] - 1e-15):
             best = (j, x, obj, Z)
@@ -349,12 +408,6 @@ def _svd_factors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u[:, :r], sv[:r], (vh[:r].T / sv[:r]) @ u[:, :r].T
 
 
-def _full_rank_pinv(A: np.ndarray) -> np.ndarray | None:
-    """Pseudo-inverse of A, or None when its numerical rank is below min(m, n)."""
-    _, sv, A_pinv = _svd_factors(A)
-    return A_pinv if len(sv) == min(A.shape) else None
-
-
 def solve_affine_lq_oracle(
     A: np.ndarray,
     c: np.ndarray,
@@ -368,6 +421,7 @@ def solve_affine_lq_oracle(
     winner is the minimum-norm fallback or the affine set is a single point.
     An (m, F.n) A and a length-m c must be finite: the SVD of an A with an
     inf entry may never return, and a non-finite c would read as infeasible.
+    An A of numerical rank below min(m, n) raises DegenerateProblemError.
     """
     _check_q(q)
     A = np.asarray(A, dtype=float)
@@ -379,10 +433,7 @@ def solve_affine_lq_oracle(
     if c.shape != (m,):
         raise ParameterError(f"c must have length {m}, got {c.shape}")
     check_budget(F.N, max(n - m, 0), support_budget, "zero patterns")
-    A_pinv = _full_rank_pinv(A)
-    if A_pinv is None:
-        raise DegenerateProblemError(f"A must have full rank {min(m, n)}")
-    found = _zero_pattern_search(A, A_pinv, c[:, None], F.D, q, _new_counts())
+    found = _zero_pattern_search(A, c[:, None], F.D, q, _new_counts())
     if found is None:
         raise InfeasibleProblemError("c is not in the range of A")
     _, x, obj, Z, _ = found
@@ -413,7 +464,9 @@ def solve_oracle_noiseless(
     Sign patterns fix the first component to +1 (global sign ambiguity); one
     zero-pattern search takes them all as right-hand sides, for every shape
     of A.  The certificate carries the winning signs and zero set, the
-    enumeration counters and the margin to the second-best sign pattern.
+    enumeration counters and the margin to the second-best sign pattern.  An
+    A of numerical rank below min(m, n) raises DegenerateProblemError, and
+    InfeasibleProblemError means that no sign pattern admits a solution.
     """
     if P.eps > 1e-12:
         raise ParameterError("the certified oracle only handles the noiseless model (eps = 0)")
@@ -426,10 +479,7 @@ def solve_oracle_noiseless(
     signs = _sign_patterns(m)
     counts = _new_counts()
     counts["sign_patterns"] = len(signs)
-    A_pinv = _full_rank_pinv(A)
-    found = None  # a rank-deficient A leaves every sign pattern degenerate
-    if A_pinv is not None:
-        found = _zero_pattern_search(A, A_pinv, (signs * b).T, F.D, P.q, counts)
+    found = _zero_pattern_search(A, (signs * b).T, F.D, P.q, counts)
     if found is None:
         raise InfeasibleProblemError("no sign pattern admits a solution; measurements corrupted?")
     j, x, obj, Z, margin = found

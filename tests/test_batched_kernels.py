@@ -4,7 +4,10 @@ The reference loops below are the scalar implementations the kernels
 replaced, kept verbatim apart from what they return: the oracle loop its
 certified tuple, the DRIP loop its constant, witness support, side and every
 support's deviation.  The oracle must reproduce them bit for bit (point,
-objective, signs, zero set, fallback flag); the isometry constant, which
+objective, signs, zero set, fallback flag), also on a wider corpus of named
+frames and duplicated rows, while its null-space block stays within
+RECHECK_RHO of the stacked n x n solve and finds a system singular exactly
+where np.linalg.matrix_rank does; the isometry constant, which
 rip's one kernel computes for DRIP, S-DRIP and both samplers, must agree
 to 1e-12 relative, with the same witness support wherever the top two
 supports do not tie, and S-DRIP's delta must be DRIP's bit for bit.  Its
@@ -52,6 +55,7 @@ from lqphase.errors import (
 from lqphase.frames import TightFrame, build_named_frame, build_parseval_random
 from lqphase.linalg import (
     STACK_ELEMS,
+    combination_array,
     null_space,
     null_spaces,
     numerical_rank,
@@ -74,6 +78,7 @@ from lqphase.rip import drip_constant, drip_constant_sampled, sdrip_constants
 from lqphase.signals import _check_q, lq_quasinorm, sample_dictionary_sparse
 from lqphase.solver import (
     FEAS_RTOL,
+    RECHECK_RHO,
     STALL_STEPS,
     IrlsOptions,
     SolverResult,
@@ -144,6 +149,8 @@ def loop_oracle_noiseless(P, max_m=10, support_budget=10**6):
     m, n = A.shape
     if m > max_m:
         raise ResourceBudgetError(f"m={m} exceeds the sign enumeration guard ({max_m})")
+    if numerical_rank(np.linalg.svd(A, compute_uv=False)) < min(m, n):
+        raise DegenerateProblemError(f"A must have full rank {min(m, n)}")
 
     screen = None
     if m > n:
@@ -502,7 +509,7 @@ def oracle_corpus(q):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except InfeasibleProblemError as exc:
+    except (InfeasibleProblemError, DegenerateProblemError) as exc:
         return type(exc)
 
 
@@ -565,7 +572,7 @@ def test_oracle_rank_deficient_A_matches_loop(q):
             A[:, -1] = A[:, 0]  # duplicated column: rank < n for the tall matrices
         P = build_problem(A, F, truth, q=q)
         assert_bit_identical(_batched(P), _outcome(loop_oracle_noiseless, P))
-        assert _batched(P) is InfeasibleProblemError
+        assert _batched(P) is DegenerateProblemError
 
 
 @pytest.mark.parametrize("m", [2, 4, 5, 7])
@@ -730,8 +737,105 @@ def test_oracle_counters_add_up_underdetermined():
     assert cert["sign_patterns"] == 1 and cert["screened_out"] == 0
     assert cert["zero_patterns"] == len(Zs) == 15
     assert cert["singular_systems"] == singular > 0
-    # at least the winning zero set and the minimum-norm fallback
+    # at least the winning zero set and one of its ties (columns i and i + 3
+    # are equal); at most every nonsingular zero set and the minimum-norm point
     assert 2 <= cert["rechecked"] <= len(Zs) - singular + 1
+
+
+def test_null_space_block_stays_within_recheck_rho_of_the_stacked_solve():
+    # the re-check window assumes every batched point within RECHECK_RHO ||x||
+    # of the scalar one; on the wide problems of the oracle corpus each
+    # analysis coefficient and the norm of the null-space point stay within
+    # that of the stacked n x n solve of M_Z = [A; D_Z^T], and a system counts
+    # as singular exactly where np.linalg.matrix_rank finds M_Z singular
+    singular_seen = 0
+    for P in oracle_corpus(1.0):
+        A, D = P.A, P.frame.D
+        m, n = A.shape
+        if m >= n:
+            continue
+        C = (solver._sign_patterns(m) * P.b).T
+        X_ls = np.linalg.pinv(A) @ C
+        Zs = combination_array(D.shape[1], n - m)
+        DX, sq, singular = solver._null_space_block(
+            D.T @ np.linalg.svd(A)[2][m:].T, D.T @ X_ls, np.sum(X_ls * X_ls, axis=0), Zs)
+        M = np.concatenate([np.broadcast_to(A, (len(Zs), m, n)), D.T[Zs]], axis=1)
+        np.testing.assert_array_equal(singular, np.linalg.matrix_rank(M) < n)
+        assert np.all(singular[np.isnan(sq).any(axis=1)])  # NaN where LU met a zero pivot
+        singular_seen += int(singular.sum())
+        X = np.linalg.solve(M[~singular], np.concatenate([C, np.zeros((n - m, C.shape[1]))]))
+        norms = np.linalg.norm(X, axis=1)
+        assert np.all(np.abs(DX[~singular] - D.T @ X) <= RECHECK_RHO * norms[:, None])
+        assert np.all(np.abs(np.sqrt(sq[~singular]) - norms) <= RECHECK_RHO * norms)
+    assert singular_seen > 0
+
+
+def wide_oracle_corpus():
+    """Noiseless problems on the three named frames and on random Parseval
+    frames of N = n + 1, 2n and 2n + 1, at every m from 1 to n + 1 and q in
+    {0.1, 0.3, 0.5, 1}: per cell a Gaussian A and, for m > 1, one with a
+    duplicated row (rank-deficient unless m = n + 1), with truths of one or
+    two nonzero analysis coefficients."""
+    frames = [build_named_frame("mercedes")]
+    for n in (2, 3, 4, 5):
+        frames += [build_named_frame("identity", n), build_named_frame("duplicated_identity", n)]
+        frames += [build_parseval_random(n, N, 40 + N) for N in (n + 1, 2 * n, 2 * n + 1)]
+    rng = np.random.default_rng(41)
+    for i, F in enumerate(frames):
+        for m in range(1, F.n + 2):
+            for q in (0.1, 0.3, 0.5, 1.0):
+                truth = sample_dictionary_sparse(F, 1 + (m + i) % 2, int(rng.integers(2**31)))
+                A = rng.standard_normal((m, F.n))
+                yield build_problem(A, F, truth, q=q)
+                if m > 1:
+                    A = A.copy()
+                    A[-1] = A[0]
+                    yield build_problem(A, F, truth, q=q)
+
+
+def test_oracle_matches_reference_loop_on_the_wide_corpus():
+    outcomes = {}
+    for P in wide_oracle_corpus():
+        got, ref = _batched(P), _outcome(loop_oracle_noiseless, P)
+        assert_bit_identical(got, ref)
+        key = ref if isinstance(ref, type) else np.sign(P.A.shape[0] - P.A.shape[1])
+        outcomes[key] = outcomes.get(key, 0) + 1
+    assert set(outcomes) == {-1, 0, 1, DegenerateProblemError}
+
+
+def test_oracle_takes_one_svd_and_lstsq_only_where_the_fallback_can_win(monkeypatch):
+    calls = {"svd": 0, "lstsq": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    for P in oracle_corpus(0.3):
+        calls.update(svd=0, lstsq=0)
+        res = solve_oracle_noiseless(P)
+        assert calls["svd"] == 1
+        if P.A.shape[0] < P.A.shape[1]:
+            # every re-checked sign has a feasible zero set whose objective the
+            # least-squares lower bound v_ls - e_ls cannot beat by 1e-12
+            assert calls["lstsq"] == 0
+        else:  # no zero sets: the least-squares point is the only candidate
+            assert calls["lstsq"] == res.certificate["rechecked"] > 0
+    # a dictionary [e_0, 0] misses A's null space e_1, so every zero-pattern
+    # system is singular and only the minimum-norm point is feasible
+    D = np.array([[1.0, 0.0], [0.0, 0.0]])
+    F = TightFrame(n=2, N=2, D=D, D_perp=np.zeros((0, 2)), label="degenerate")
+    P = PhaselessProblem(A=np.array([[1.0, 0.0]]), frame=F, b=np.array([3.0]), eps=0.0, q=0.5)
+    calls.update(svd=0, lstsq=0)
+    res = solve_oracle_noiseless(P)
+    assert calls == {"svd": 1, "lstsq": 1}
+    assert res.certificate["minimum_norm_fallback"] and res.certificate["singular_systems"] == 2
+    assert_bit_identical(_batched(P), _outcome(loop_oracle_noiseless, P))
 
 
 def test_oracle_margin_is_the_second_best_sign_objective():
