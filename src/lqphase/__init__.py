@@ -38,22 +38,9 @@ from .measurement import (
     forward_phaseless,
     phase_distance,
 )
-from .nsp import (
-    ComplexNspWitness,
-    NspWitness,
-    nsp_complex_evaluate,
-    nsp_real_evaluate,
-    nsp_real_falsify,
-)
+from .nsp import NspWitness, nsp_real_evaluate, nsp_real_falsify
 from .records import ExperimentConfig, TransitionCell, TrialRecord, emit_results
-from .rip import (
-    RipReport,
-    drip_constant,
-    drip_constant_sampled,
-    drip_order_for_t,
-    sdrip_constants,
-    sdrip_constants_sampled,
-)
+from .rip import RipReport, drip_constant, drip_order_for_t, sdrip_constants
 from .signals import (
     DictionarySparseSignal,
     SparseCoefficients,

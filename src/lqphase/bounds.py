@@ -15,7 +15,10 @@ At q = 1 these specialize to c3 = 2*max(t,sqrt(t))*sqrt(1+delta)/(t-(4-t)delta)
 and c4 = (4*delta + 2*sqrt((t-(4-t)delta)*delta))/(t-(4-t)delta) + 1.
 
 Evaluation happens in extended precision and results within 1e-6 of the
-admissibility boundary are flagged as numerically marginal.
+admissibility boundary are flagged as numerically marginal.  The delta of
+verify_recovery_bound is rip's exact one, a maximum over every support: a
+maximum over sampled supports would only bound it from below, and so could
+never certify admissibility.
 """
 
 from __future__ import annotations
@@ -165,11 +168,8 @@ def verify_recovery_bound(
     The defect fed into the constants is the exhaustively computed one at
     order ceil(t*k); when half-subset extremes are present in the report, the
     implied bound max(1-theta_minus, theta_plus-1) is recorded alongside.
-    Inadmissible instances yield bound_status = "not_applicable".  So does a
-    sampled report (rip.exhaustive False): its delta is only a lower bound on
-    the exact one, so it can show inadmissibility but never admissibility,
-    and admissible reads None where it would read True.  An admissible trial
-    whose uncertified x_hat lies outside the constraint set,
+    Inadmissible instances yield bound_status = "not_applicable".  An
+    admissible trial whose uncertified x_hat lies outside the constraint set,
     || |A x_hat| - b || > eps + FEAS_RTOL max(1, ||b||), fails, and its reason
     names the violation.
     """
@@ -184,7 +184,7 @@ def verify_recovery_bound(
         )
     consts = constants_c1_c2(P.q, t, rip.delta)
     sigma = best_k_term_error(P.frame.D.T @ P.truth.x, k, P.q)
-    lhs = phase_distance(result.x_hat, P.truth.x, field="real")
+    lhs = phase_distance(result.x_hat, P.truth.x)
     delta_theta = None
     theta_window = None
     if rip.theta_minus is not None and rip.theta_plus is not None:
@@ -194,11 +194,7 @@ def verify_recovery_bound(
         else:
             theta_window = False
     reason = ""
-    admissible = consts.admissible
-    if admissible and not rip.exhaustive:
-        admissible = None
-        reason = "sampled delta is a lower bound on the exact one; no verdict"
-    if admissible:
+    if consts.admissible:
         rhs = bound_rhs(consts, P.eps, sigma, k)
         status = "pass" if lhs <= rhs + BOUND_TOL else "fail"
         if result.method != "oracle":
@@ -222,7 +218,7 @@ def verify_recovery_bound(
         delta=rip.delta, delta_order=rip.order,
         theta_minus=rip.theta_minus, theta_plus=rip.theta_plus,
         delta_theta_bound=delta_theta, theta_window_ok=theta_window,
-        admissible=admissible, marginal=consts.marginal,
+        admissible=consts.admissible, marginal=consts.marginal,
         sigma_k=sigma, method=result.method, objective=result.objective,
         feasibility=result.feasibility, solver_iterations=result.iterations,
         lhs=lhs, rhs=rhs, bound_status=status,

@@ -2,6 +2,8 @@
 
 Subcommands: frame gen, rip estimate, nsp falsify, solve, bound check,
 bound verify, experiment bound, experiment transition, selfcheck lemmas.
+rip estimate enumerates every support: it reports the exact DRIP constant,
+or with --sdrip the exact half-subset extremes.
 Exit codes: 0 success, 1 usage/config error, 2 resource/budget error,
 3 I/O error.
 """
@@ -23,12 +25,7 @@ from .harness import (
 )
 from .nsp import nsp_real_falsify
 from .records import ExperimentConfig, emit_results, transition_to_csv
-from .rip import (
-    drip_constant,
-    drip_constant_sampled,
-    sdrip_constants,
-    sdrip_constants_sampled,
-)
+from .rip import drip_constant, sdrip_constants
 from .solver import IrlsOptions, solve_irls, solve_oracle_noiseless
 
 
@@ -76,21 +73,11 @@ def _cmd_frame_gen(args) -> int:
 
 
 def _cmd_rip_estimate(args) -> int:
-    if not args.sampled:
-        _reject(args, "without --sampled", "--budget", "--seed")
     if not args.sdrip:
         _reject(args, "without --sdrip", "--half-rule")
-    budget = 10**4 if args.budget is None else args.budget
-    seed = args.seed or 0
-    half_rule = args.half_rule or "ceil"
     P = serialize.problem_from_dict(serialize.load_json(args.problem))
-    if args.sampled and args.sdrip:
-        report = sdrip_constants_sampled(P.A, P.frame, args.order, budget=budget, seed=seed,
-                                         half_rule=half_rule)
-    elif args.sampled:
-        report = drip_constant_sampled(P.A, P.frame, args.order, budget=budget, seed=seed)
-    elif args.sdrip:
-        report = sdrip_constants(P.A, P.frame, args.order, half_rule=half_rule)
+    if args.sdrip:
+        report = sdrip_constants(P.A, P.frame, args.order, half_rule=args.half_rule or "ceil")
     else:
         report = drip_constant(P.A, P.frame, args.order)
     _emit(dataclasses.asdict(report), args.out)
@@ -190,13 +177,10 @@ def build_parser() -> _Parser:
     est.add_argument("--problem", required=True)
     est.add_argument("--order", type=int, required=True)
     est.add_argument("--sdrip", action="store_true")
-    est.add_argument("--sampled", action="store_true")
-    # --budget and --seed default to 10**4 and 0 with --sampled, --half-rule to
-    # ceil with --sdrip; None lets the modes that do not read them reject them
-    est.add_argument("--budget", type=int, default=None)
+    # ceil with --sdrip; None lets DRIP, which does not read it, reject it
     est.add_argument("--half-rule", choices=("ceil", "floor"), default=None)
-    _add_shared(est, "--seed", "--out")
-    est.set_defaults(func=_cmd_rip_estimate, seed=None)
+    _add_shared(est, "--out")
+    est.set_defaults(func=_cmd_rip_estimate)
 
     nsp = sub.add_parser("nsp").add_subparsers(dest="action", required=True)
     fal = nsp.add_parser("falsify")

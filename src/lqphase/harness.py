@@ -198,7 +198,7 @@ def _run_transition_cell(cfg: ExperimentConfig, cell: dict) -> TransitionCell | 
             errors.append(type(exc).__name__)
             continue
         x = problem.truth.x
-        if phase_distance(result.x_hat, x, field="real") <= cfg.success_tol * np.linalg.norm(x) + 1e-15:
+        if phase_distance(result.x_hat, x) <= cfg.success_tol * np.linalg.norm(x) + 1e-15:
             successes += 1
     return TransitionCell(**cell, trials=cfg.trials, successes=successes, errors=tuple(errors))
 

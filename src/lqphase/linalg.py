@@ -15,9 +15,9 @@ support_bases is the package's only kernel for an orthonormal basis of
 col(D_S): one batched SVD per stack of supports, slices grouped by numerical
 rank.  The null-space diagnostics (nsp: the real falsifier's projections and
 dictionary_sparse_distance) take every basis from it.  The isometry
-constants (rip: DRIP, S-DRIP, their sampled variants and the DRIP witness)
-take from it only the supports of order >= 3 and the ill-conditioned ones;
-at order <= 2 their kernel forms A Q in closed form, without a basis.  The
+constants (rip: DRIP, S-DRIP and the DRIP witness) take from it only the
+supports of order >= 3 and the ill-conditioned ones; at order <= 2 their
+kernel forms A Q in closed form, without a basis.  The
 callers cut the support axis into chunks of at most STACK_ELEMS elements
 (in rip, its one kernel does).  sym_eig_bounds, the package's one
 eigenvalue kernel, takes symmetric matrices by their upper-triangle entries,
@@ -89,9 +89,9 @@ def null_spaces(Ms: np.ndarray, scale: float | None = None) -> list[np.ndarray]:
     Ms = np.asarray(Ms)
     C, p, n = Ms.shape
     if p == 0:
-        return [np.eye(n, dtype=complex if np.iscomplexobj(Ms) else float) for _ in range(C)]
+        return [np.eye(n) for _ in range(C)]
     _, s, vh = np.linalg.svd(Ms)
-    return [vh_i[r:].conj().T for vh_i, r in zip(vh, numerical_rank(s, scale=scale).tolist())]
+    return [vh_i[r:].T for vh_i, r in zip(vh, numerical_rank(s, scale=scale).tolist())]
 
 
 def null_space(M: np.ndarray) -> np.ndarray:
@@ -102,7 +102,7 @@ def null_space(M: np.ndarray) -> np.ndarray:
 def support_bases(D: np.ndarray, supports: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Orthonormal bases of col(D_S) for a (C, k) stack of supports, by rank.
 
-    One batched SVD of the (C, n, k) column stack, real or complex; returns
+    One batched SVD of the (C, n, k) column stack; returns
     (rows, Q) per numerical rank r >= 1, with Q the (len(rows), n, r) bases of
     those rows.  Supports whose columns vanish (and empty supports) appear in
     no group.

@@ -100,21 +100,15 @@ def forward_phaseless(
 
 
 def phase_distance(x_hat: np.ndarray, x0: np.ndarray, field: str = "real") -> float:
-    """Distance modulo the global phase: sign in the real case, unimodular otherwise."""
+    """Distance modulo the global sign, min(||x_hat - x0||, ||x_hat + x0||).
+    field names the scalars; only "real" is supported."""
+    if field != "real":
+        raise ParameterError(f"field must be 'real', got {field!r}")
     x_hat = np.asarray(x_hat)
     x0 = np.asarray(x0)
     if x_hat.shape != x0.shape:
         raise DimensionError(f"shape mismatch {x_hat.shape} vs {x0.shape}")
-    if field == "real":
-        return float(min(np.linalg.norm(x_hat - x0), np.linalg.norm(x_hat + x0)))
-    if field == "complex":
-        # min over |c|=1 of ||x_hat - c x0||; the optimal phase aligns the
-        # inner product, and the residual form avoids the cancellation of
-        # sqrt(||x_hat||^2 + ||x0||^2 - 2|<x_hat, x0>|) near zero distance
-        inner = np.vdot(x0, x_hat)
-        c = inner / abs(inner) if abs(inner) > 0.0 else 1.0
-        return float(np.linalg.norm(x_hat - c * x0))
-    raise ParameterError(f"field must be 'real' or 'complex', got {field!r}")
+    return float(min(np.linalg.norm(x_hat - x0), np.linalg.norm(x_hat + x0)))
 
 
 def build_problem(
@@ -134,4 +128,5 @@ def build_problem(
         eps = eps_realized
     else:
         eps = 0.0
-    return PhaselessProblem(A=np.asarray(A, dtype=float), frame=F, b=b, eps=eps, q=float(q), truth=truth)
+    # a copy, so that editing the caller's A afterwards cannot break b = |A x0|
+    return PhaselessProblem(A=np.array(A, dtype=float), frame=F, b=b, eps=eps, q=float(q), truth=truth)

@@ -25,13 +25,13 @@ constants also use, for supports of order >= 3 and ill-conditioned ones:
 the falsifier computes every support's basis once per call, before it scans
 the row subsets, and shares it between the projections of K, the sign
 screen and the membership check of its witnesses; dictionary_sparse_distance
-takes them a chunk of supports at a time, for real and complex D alike.
+takes them a chunk of supports at a time.
 The full-rank bound shares the isometry constants' eigenvalue kernel,
 linalg.sym_eig_bounds, and a layer's signs are 1 - 2 linalg.subset_masks.
 
-Complex case: only witness evaluation is provided (block partitions of the
-rows with per-block unimodular constants); the combinatorics of a search are
-out of scope.
+The complex case, H = C (block partitions of the rows with per-block
+unimodular constants), is out of scope: the witness type, the evaluator
+and the falsifier are all real.
 """
 
 from __future__ import annotations
@@ -93,20 +93,6 @@ class NspWitness:
     violated: bool | None = None
 
 
-@dataclass(frozen=True)
-class ComplexNspWitness:
-    """Candidate violation of the complex partition condition (0-based pair)."""
-
-    Omega: tuple[tuple[int, ...], ...]
-    phis: tuple[np.ndarray, ...]
-    ds: np.ndarray
-    pair: tuple[int, int]
-    k: int
-    lhs: float | None = None
-    rhs: float | None = None
-    violated: bool | None = None
-
-
 def dictionary_sparse_distance(x: np.ndarray, D: np.ndarray, k: int,
                                support_budget: int = SUPPORT_BUDGET) -> float:
     """Distance from x to the set of dictionary-k-sparse vectors, by
@@ -132,7 +118,7 @@ def _support_distance(x: np.ndarray, bases: list[tuple[np.ndarray, np.ndarray]])
     groups bases; inf when there is none."""
     best = np.inf
     for _, Q in bases:
-        proj = np.einsum("cir,cr->ci", Q, np.einsum("cir,i->cr", Q.conj(), x))
+        proj = np.einsum("cir,cr->ci", Q, np.einsum("cir,i->cr", Q, x))
         best = min(best, float(np.min(np.linalg.norm(x - proj, axis=1))))
     return best
 
@@ -658,59 +644,3 @@ def nsp_real_falsify(
             if witness is not None:
                 return witness
     return None
-
-
-def nsp_complex_evaluate(A: np.ndarray, D: np.ndarray, w: ComplexNspWitness, q: float) -> ComplexNspWitness:
-    """Validate a complex partition witness and compare the designated pair.
-
-    All blocks must annihilate their vectors, the unimodular constants must
-    be pairwise distinct, and the block-difference ratios must agree and be
-    dictionary-k-sparse.  violated means lhs >= rhs - 1e-12 for the pair.
-    """
-    A = np.asarray(A, dtype=complex)
-    D = np.asarray(D, dtype=complex)
-    for part in (A.real, A.imag):  # check_matrix casts to float, which drops A.imag
-        check_matrix(part, D.shape[0])
-    q = _check_q(q)
-    m = A.shape[0]
-    p = len(w.Omega)
-    if p < 2:
-        raise InvalidWitnessError("a partition witness needs at least two blocks")
-    if len(w.phis) != p or len(w.ds) != p:
-        raise InvalidWitnessError("phis and ds must have one entry per block")
-    flat = sorted(i for block in w.Omega for i in block)
-    if flat != list(range(m)):
-        raise InvalidWitnessError("Omega is not a partition of the row indices")
-    ds = np.asarray(w.ds, dtype=complex)
-    if np.max(np.abs(np.abs(ds) - 1.0)) > 1e-9:
-        raise InvalidWitnessError("constants must be unimodular")
-    for i in range(p):
-        for j in range(i + 1, p):
-            if abs(ds[i] - ds[j]) <= 1e-9:
-                raise InvalidWitnessError(f"constants {i} and {j} are not distinct")
-    phis = [np.asarray(phi, dtype=complex) for phi in w.phis]
-    for i, (block, phi) in enumerate(zip(w.Omega, phis)):
-        if np.linalg.norm(phi) <= 1e-12:
-            raise InvalidWitnessError(f"phi_{i} must be nonzero")
-        if np.linalg.norm(A[list(block)] @ phi) > NULLSPACE_TOL * max(1.0, np.linalg.norm(phi)):
-            raise InvalidWitnessError(f"phi_{i} is not annihilated by its block rows")
-    ratios = [(phis[0] - phis[j]) / (ds[0] - ds[j]) for j in range(1, p)]
-    scale = max(float(np.linalg.norm(r)) for r in ratios)
-    if scale <= 1e-12:
-        raise InvalidWitnessError("common ratio vanishes; witness requires a nonzero ratio")
-    for j in range(1, len(ratios)):
-        if np.linalg.norm(ratios[j] - ratios[0]) > 1e-9 * max(1.0, scale):
-            raise InvalidWitnessError("block ratios are inconsistent")
-    dist = dictionary_sparse_distance(ratios[0], D, w.k)
-    if dist > MEMBERSHIP_RTOL * np.linalg.norm(ratios[0]):
-        raise InvalidWitnessError(
-            f"common ratio is not dictionary-{w.k}-sparse (relative distance "
-            f"{dist / np.linalg.norm(ratios[0]):.2e})"
-        )
-    i, j = w.pair
-    if not (0 <= i < p and 0 <= j < p and i != j):
-        raise InvalidWitnessError(f"pair {w.pair} is not a valid distinct index pair")
-    Dh = D.conj().T
-    lhs = float(np.sum(np.abs(Dh @ (phis[i] - phis[j])) ** q))
-    rhs = float(np.sum(np.abs(Dh @ (ds[j] * phis[i] - ds[i] * phis[j])) ** q))
-    return replace(w, lhs=lhs, rhs=rhs, violated=bool(lhs >= rhs - STRICTNESS_TOL))

@@ -11,6 +11,11 @@ TrialRecord fields outside CSV_COLUMNS are JSON-only: ``wall_time_s`` because
 timings would break byte-stable output, and ``theta_window_ok`` because it is
 derived from ``q``, ``t``, ``theta_minus`` and ``theta_plus``, which the CSV
 already carries.
+
+A transition cell's success count is certified only up to the oracle guard:
+cells with m <= oracle_max_m are solved by the certified oracle, and cells
+above it by IRLS, which carries no certificate.  TRANSITION_COLUMNS name no
+solver, so the config's oracle_max_m tells the two apart.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Exact and sampled isometry constants of A against dictionary-sparse vectors.
+"""Exact isometry constants of A against dictionary-sparse vectors.
 
 For a support S the admissible directions are the nonzero elements of
 col(D_S); the extreme Rayleigh quotients of ||A_I y||^2 / ||y||^2 over that
@@ -17,8 +17,12 @@ col(D_S) can only grow as rows are added.  Every subset with more than h
 rows contains one with exactly h, so theta_minus is attained on a size-h
 subset, and theta_plus on I = [m].  sdrip_constants therefore evaluates
 I = [m] and the C(m, h) size-h subsets per support instead of all subsets
-of size >= h, and reads delta off I = [m].  The sampled estimator draws a
-support with one size-h subset and evaluates the same two layers.
+of size >= h, and reads delta off I = [m].
+
+Both constants are maxima over every support, so both entry points
+enumerate all C(N, order) of them: a maximum over a sample of supports is
+only a lower bound, which could show a delta inadmissible but never
+admissible (Candes-Eldar-Needell-Randall, ACHA 2011).
 
 One kernel, _extremes, computes every constant.  It takes a stack of
 supports and a possibly empty layer of 0/1 row masks and cuts the supports
@@ -33,14 +37,13 @@ by numerical rank.  One Gram step serves both: the Gram of a row set I
 holds the sums over I of the row products B_p B_q, taken over the upper
 triangle (p, q), so one row sum evaluates I = [m], one product with the
 masks the layer, and linalg.sym_eig_bounds gives the extremes from those
-entries, in closed form at d <= 2.  DRIP and its sampled estimator are the
-kernel with an empty layer, S-DRIP and its sampled estimator the kernel
-with the size-h layer; so S-DRIP's delta is DRIP's, bit for bit.  Unlike the
-oracle's objectives, the isometry constants carry no tie rule: a batched
-eigenvalue agrees with the per-support one to rounding, so the batched
-values are the constants.  All four entry points return a RipReport; a
-DRIP report names the first maximal support, in lexicographic order, in
-details["witness_support"].
+entries, in closed form at d <= 2.  DRIP is the kernel with an empty layer,
+S-DRIP the kernel with the size-h layer; so S-DRIP's delta is DRIP's, bit
+for bit.  Unlike the oracle's objectives, the isometry constants carry no
+tie rule: a batched eigenvalue agrees with the per-support one to rounding,
+so the batched values are the constants.  Both entry points return a
+RipReport; a DRIP report names the first maximal support, in lexicographic
+order, in details["witness_support"].
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ class RipReport:
     theta_minus: float | None = None
     theta_plus: float | None = None
     min_subset_size: int | None = None
-    exhaustive: bool = True
     details: dict = field(default_factory=dict)
 
 
@@ -133,11 +135,10 @@ def _extremes(A: np.ndarray, D: np.ndarray, supports: np.ndarray,
     """Extreme quotients ||A_I y||^2 / ||y||^2 over col(D_S) for each row S
     of a (C, k) stack of supports.
 
-    I ranges over [m] and a layer of 0/1 row masks, shared (M, m) or one set
-    per support (C, M, m), possibly empty (M = 0).  Returns the smallest and
-    the largest quotient over all of them and the DRIP deviation
-    max(hi - 1, 1 - lo) on I = [m] alone, each of length C, NaN where the
-    columns of D_S vanish.
+    I ranges over [m] and a layer of (M, m) 0/1 row masks, possibly empty
+    (M = 0).  Returns the smallest and the largest quotient over all of them
+    and the DRIP deviation max(hi - 1, 1 - lo) on I = [m] alone, each of
+    length C, NaN where the columns of D_S vanish.
 
     The supports _gram_schmidt_columns admits take their columns from it,
     the others from support_bases, and both the same Gram step (module
@@ -168,8 +169,7 @@ def _extremes(A: np.ndarray, D: np.ndarray, supports: np.ndarray,
             low, high = sym_eig_bounds(len(B), V.sum(axis=2))
             dev[rows] = np.fmax(high - 1.0, 1.0 - low)
             if M:  # the Gram of I sums the entries of the rows in I
-                layer = ((V.reshape(-1, m) @ masks.T).reshape(len(V), len(rows), M) if masks.ndim == 2
-                         else np.einsum("ecm,cjm->ecj", V, masks[rows]))
+                layer = (V.reshape(-1, m) @ masks.T).reshape(len(V), len(rows), M)
                 layer_lo, layer_hi = sym_eig_bounds(len(B), layer)
                 low = np.minimum(low, layer_lo.min(axis=1))
                 high = np.maximum(high, layer_hi.max(axis=1))
@@ -177,19 +177,11 @@ def _extremes(A: np.ndarray, D: np.ndarray, supports: np.ndarray,
     return lo, hi, dev
 
 
-def _uniform_subsets(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
-    """`count` uniform k-subsets of range(n) as sorted rows: the positions of
-    the k smallest of n i.i.d. uniforms."""
-    return np.sort(np.argsort(rng.random((count, n)), axis=1)[:, :k], axis=1)
-
-
-def _check_problem(A: np.ndarray, F: TightFrame, order: int, budget: int = 1) -> np.ndarray:
-    """check_matrix's A, once order lies in [1, N] and there is at least one draw."""
+def _check_problem(A: np.ndarray, F: TightFrame, order: int) -> np.ndarray:
+    """check_matrix's A, once order lies in [1, N]."""
     A = check_matrix(A, F.n)
     if not (1 <= order <= F.N):
         raise ParameterError(f"order must lie in [1, {F.N}], got {order}")
-    if budget < 1:
-        raise ParameterError("budget must be >= 1")
     return A
 
 
@@ -216,43 +208,11 @@ def drip_constant(
     """
     A = _check_problem(A, F, order)
     check_budget(F.N, order, support_budget, "supports")
-    return _drip(A, F, order, combination_array(F.N, order), exhaustive=True, details={})
-
-
-def _drip(A: np.ndarray, F: TightFrame, order: int, supports: np.ndarray,
-          exhaustive: bool, details: dict) -> RipReport:
-    """The DRIP report of a stack of supports: the largest deviation, and the
-    first support that attains it as details["witness_support"]."""
+    supports = combination_array(F.N, order)
     *_, dev = _extremes(A, F.D, supports, np.zeros((0, A.shape[0])))
     i = _first_max(dev)
-    return RipReport(order=order, delta=float(dev[i]), exhaustive=exhaustive,
-                     details={**details, "witness_support": supports[i].tolist()})
-
-
-def drip_constant_sampled(
-    A: np.ndarray,
-    F: TightFrame,
-    order: int,
-    budget: int = 10**5,
-    seed: int = 0,
-) -> RipReport:
-    """Sampled lower bound on the isometry defect.
-
-    Draws `budget` uniform supports and computes the exact extremes of every
-    distinct one, so the returned value never exceeds the exhaustive constant
-    and equals it once every support has been drawn.
-    """
-    A = _check_problem(A, F, order, budget)
-    draws = _uniform_subsets(np.random.default_rng(seed), budget, F.N, order)
-    # distinct supports in lexicographic order (the witness is the first
-    # maximal one), through their base-N keys while those fit in int64; the
-    # row-wise unique sorts structured rows and is about 10x slower
-    if F.N**order <= 2**63:
-        _, first = np.unique(draws @ F.N ** np.arange(order - 1, -1, -1), return_index=True)
-        visited = draws[first]
-    else:
-        visited = np.unique(draws, axis=0)
-    return _drip(A, F, order, visited, exhaustive=False, details={"budget": budget, "seed": seed})
+    return RipReport(order=order, delta=float(dev[i]),
+                     details={"witness_support": supports[i].tolist()})
 
 
 def _min_subset_size(m: int, half_rule: str) -> int:
@@ -262,14 +222,6 @@ def _min_subset_size(m: int, half_rule: str) -> int:
     if half_rule == "floor":
         return max(1, floor(m / 2))
     raise ParameterError(f"half_rule must be 'ceil' or 'floor', got {half_rule!r}")
-
-
-def _report(lo: np.ndarray, hi: np.ndarray, dev: np.ndarray, order: int, h: int,
-            exhaustive: bool, details: dict) -> RipReport:
-    """An S-DRIP report from the kernel's per-support extremes."""
-    return RipReport(order=order, delta=float(dev[_first_max(dev)]),
-                     theta_minus=float(np.fmin.reduce(lo)), theta_plus=float(np.fmax.reduce(hi)),
-                     min_subset_size=h, exhaustive=exhaustive, details=details)
 
 
 def sdrip_constants(
@@ -293,41 +245,12 @@ def sdrip_constants(
     A = _check_problem(A, F, order)
     m = A.shape[0]
     if m > max_m:
-        raise ResourceBudgetError(
-            f"m={m} exceeds the exhaustive subset guard ({max_m}); use the sampled estimator"
-        )
+        raise ResourceBudgetError(f"m={m} exceeds the exhaustive subset guard ({max_m})")
     check_budget(F.N, order, support_budget, "supports")
     h = _min_subset_size(m, half_rule)
     lo, hi, dev = _extremes(A, F.D, combination_array(F.N, order), subset_masks(m, h))
-    return _report(lo, hi, dev, order, h, exhaustive=True, details={
-        "half_rule": half_rule, "n_subsets": sum(comb(m, s) for s in range(h, m + 1)),
-        "n_supports": comb(F.N, order)})
-
-
-def sdrip_constants_sampled(
-    A: np.ndarray,
-    F: TightFrame,
-    order: int,
-    budget: int = 10**4,
-    seed: int = 0,
-    half_rule: str = "ceil",
-) -> RipReport:
-    """One-sided sampled bounds: reported theta_minus is an upper bound on the
-    true minimum, theta_plus and delta lower bounds on the true maxima.
-
-    Each of the `budget` draws is a uniform support S with a uniform row
-    subset of size h = min_subset_size, and evaluates the two layers that
-    attain the exhaustive constants: that subset (theta_minus) and I = [m]
-    (theta_plus and delta).  Once every support has been drawn, theta_plus
-    and delta therefore equal the exhaustive ones.
-    """
-    A = _check_problem(A, F, order, budget)
-    m = A.shape[0]
-    h = _min_subset_size(m, half_rule)
-    rng = np.random.default_rng(seed)
-    supports = _uniform_subsets(rng, budget, F.N, order)
-    masks = np.zeros((budget, 1, m))  # per draw: its size-h subset
-    np.put_along_axis(masks[:, 0], _uniform_subsets(rng, budget, m, h), 1.0, axis=1)
-    lo, hi, dev = _extremes(A, F.D, supports, masks)
-    return _report(lo, hi, dev, order, h, exhaustive=False,
-                   details={"half_rule": half_rule, "budget": budget, "seed": seed})
+    details = {"half_rule": half_rule, "n_subsets": sum(comb(m, s) for s in range(h, m + 1)),
+               "n_supports": comb(F.N, order)}
+    return RipReport(order=order, delta=float(dev[_first_max(dev)]),
+                     theta_minus=float(np.fmin.reduce(lo)), theta_plus=float(np.fmax.reduce(hi)),
+                     min_subset_size=h, details=details)

@@ -529,23 +529,6 @@ def irls_weighted_step(
     return X_new if np.ndim(x) == 2 else X_new[0]
 
 
-def irls_surrogate(
-    A: np.ndarray,
-    D: np.ndarray,
-    p: np.ndarray,
-    b: np.ndarray,
-    x: np.ndarray,
-    q: float,
-    eps_s: float,
-    lam: float,
-) -> float:
-    """Smoothed objective majorized by the weighted step; nonincreasing under
-    irls_weighted_step for fixed (p, eps_s, lam)."""
-    resid = p * (A @ x) - b
-    smooth = np.sum(((D.T @ x) ** 2 + eps_s**2) ** (q / 2.0))
-    return float(resid @ resid + lam * (2.0 / q) * smooth)
-
-
 def _pattern_residuals(Q: np.ndarray, b: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Least-squares residual ||(I - Q Q^T)(p o b)|| = min_x ||A x - p o b|| of
     every row p of S, where Q is an orthonormal basis of A's column space."""

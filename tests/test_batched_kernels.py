@@ -30,10 +30,9 @@ null-space kernel must return the per-slice one's bases.  The chunked
 dictionary-sparse distance must agree with the per-support loop to rounding.
 The batched IRLS restart pipeline, solve_irls's fallback where the sign tree
 does not run, must reproduce the restart loop bit for bit (point, objective,
-feasibility, winning iteration), the sign-flip descent, which scores the
+feasibility, winning iteration), and the sign-flip descent, which scores the
 remaining flips of a row as one stack of exact residuals, the scalar
-entry-by-entry loop row by row, and the sampled DRIP estimator, which dedupes
-its draws through int64 keys, a row-wise np.unique pass over the same kernel.
+entry-by-entry loop row by row.
 """
 
 import dataclasses
@@ -74,7 +73,7 @@ from lqphase.nsp import (
     nsp_real_falsify,
 )
 from lqphase.harness import sample_measurement_matrix
-from lqphase.rip import drip_constant, drip_constant_sampled, sdrip_constants
+from lqphase.rip import drip_constant, sdrip_constants
 from lqphase.signals import _check_q, lq_quasinorm, sample_dictionary_sparse
 from lqphase.solver import (
     FEAS_RTOL,
@@ -237,7 +236,7 @@ def loop_dictionary_sparse_distance(x, D, k, support_budget=10**6):
     best = np.inf
     for S in combinations(range(N), k):
         Q = loop_column_space(D[:, list(S)])
-        resid = x - Q @ (Q.conj().T @ x)
+        resid = x - Q @ (Q.T @ x)
         best = min(best, float(np.linalg.norm(resid)))
         if best == 0.0:
             break
@@ -454,34 +453,6 @@ def loop_solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> Sol
         method="irls",
         iterations=best_iters,
     )
-
-
-def loop_drip_constant_sampled(
-    A: np.ndarray,
-    F: TightFrame,
-    order: int,
-    budget: int = 10**5,
-    seed: int = 0,
-) -> tuple[float, tuple[int, ...]]:
-    """Sampled lower bound on the isometry defect, with its witness support.
-
-    Draws `budget` random supports and computes the extremes of every
-    visited support exactly, so the gap to the exhaustive constant vanishes
-    once all supports have been seen.  The returned value never exceeds the
-    exhaustive one.
-    """
-    A = rip._check_problem(A, F, order, budget)
-    rng = np.random.default_rng(seed)
-    # vectorized uniform k-subsets: order statistics of i.i.d. uniforms
-    draws = np.argsort(rng.random((budget, F.N)), axis=1)[:, :order]
-    draws.sort(axis=1)
-    visited = np.unique(draws, axis=0)
-    lo, hi, _ = rip._extremes(A, F.D, visited, np.zeros((0, A.shape[0])))
-    dev = np.fmax(hi - 1.0, 1.0 - lo)
-    if np.all(np.isnan(dev)):
-        raise ParameterError("sampling never hit a support with nonvanishing frame columns")
-    i = int(np.nanargmax(dev))
-    return float(dev[i]), tuple(visited[i].tolist())
 
 
 # ---------------------------------------------------------------- corpus
@@ -949,23 +920,6 @@ def test_drip_chunked_equals_unchunked(monkeypatch):
         assert got.details == report.details
 
 
-def test_sampled_refine_matches_reference_loop_on_visited_supports():
-    for A, F, order in list(drip_corpus())[:40]:
-        report = drip_constant_sampled(A, F, order, budget=30, seed=order)
-        rng = np.random.default_rng(order)
-        draws = np.argsort(rng.random((30, F.N)), axis=1)[:, :order]
-        draws.sort(axis=1)
-        G = A.T @ A
-        devs = []
-        for row in np.unique(draws, axis=0):
-            Q = loop_support_basis(F.D, tuple(row))
-            if Q is not None:
-                lo, hi = loop_sym_eig_bounds(Q.T @ G @ Q)
-                devs.append(max(hi - 1.0, 1.0 - lo))
-        assert report.delta == pytest.approx(max(devs), rel=1e-12, abs=1e-15)
-        assert tuple(report.details["witness_support"]) in {tuple(r) for r in draws}
-
-
 def test_sdrip_chunked_equals_unchunked(monkeypatch):
     F = build_parseval_random(4, 8, seed=3)
     A = np.random.default_rng(5).standard_normal((6, 4)) / np.sqrt(6)
@@ -1062,12 +1016,11 @@ def closed_form_corpus():
         yield rng.standard_normal((6, 4)) / np.sqrt(6), F.D
 
 
-def _layers(m, C, rng):
-    """No layer, the shared size-ceil(m/2) layer, and three random nonempty
-    row masks per support."""
-    per_support = rng.integers(0, 2, (C, 3, m)).astype(float)
-    per_support[:, :, 0] = 1.0
-    return [np.zeros((0, m)), subset_masks(m, (m + 1) // 2), per_support]
+def _layers(m, rng):
+    """No layer, the size-ceil(m/2) layer, and three random nonempty row masks."""
+    random = rng.integers(0, 2, (3, m)).astype(float)
+    random[:, 0] = 1.0
+    return [np.zeros((0, m)), subset_masks(m, (m + 1) // 2), random]
 
 
 def closed_form_cases():
@@ -1075,7 +1028,7 @@ def closed_form_cases():
     for A, D in closed_form_corpus():
         for k in (1, 2):
             supports = np.array(list(combinations(range(D.shape[1]), k)))
-            for masks in _layers(A.shape[0], len(supports), rng):
+            for masks in _layers(A.shape[0], rng):
                 yield A, D, supports, masks
 
 
@@ -1090,10 +1043,9 @@ def test_isometry_kernel_matches_a_longdouble_referee():
                 assert np.isnan([lo[c], hi[c], dev[c]]).all()
                 continue
             assert dev[c] == pytest.approx(max(full[1] - 1, 1 - full[0]), rel=1e-12)
-            layer = masks if masks.ndim == 2 else masks[c]
-            bounds = [full] + [loop_longdouble_extremes(A, D, S, np.flatnonzero(I)) for I in layer]
+            bounds = [full] + [loop_longdouble_extremes(A, D, S, np.flatnonzero(I)) for I in masks]
             assert hi[c] == pytest.approx(max(b[1] for b in bounds), rel=1e-12)
-            if len(layer):  # theta_minus is the least lo over the supports
+            if len(masks):  # theta_minus is the least lo over the supports
                 assert lo[c] == pytest.approx(min(b[0] for b in bounds), abs=1e-14)
 
 
@@ -1808,10 +1760,10 @@ def loop_null_space(M):
     M = np.asarray(M)
     n = M.shape[1]
     if M.shape[0] == 0:
-        return np.eye(n, dtype=float if not np.iscomplexobj(M) else complex)
+        return np.eye(n)
     _, s, vh = np.linalg.svd(M)
     r = numerical_rank(s)
-    return vh[r:].conj().T
+    return vh[r:].T
 
 
 def test_null_spaces_match_the_per_slice_kernel_bit_for_bit():
@@ -1820,37 +1772,32 @@ def test_null_spaces_match_the_per_slice_kernel_bit_for_bit():
         full = rng.standard_normal((3, p, n))
         low = rng.standard_normal((3, p, 1)) @ rng.standard_normal((3, 1, n))  # rank 1
         tiny = 1e-13 * rng.standard_normal((1, p, n)) + low[:1]  # rank 1 by the relative cutoff
-        stack = np.concatenate([full, np.zeros((2, p, n)), low, tiny])[rng.permutation(9)]
-        for Ms in (stack, stack * np.exp(1j * rng.uniform(0, 6, 9))[:, None, None]):
-            got = null_spaces(Ms)
-            assert len(got) == len(Ms)
-            for M, W in zip(Ms, got):
-                ref = loop_null_space(M)
-                assert W.shape == ref.shape and W.dtype == ref.dtype
-                assert W.tobytes() == ref.tobytes() and W.strides == ref.strides
-                assert null_space(M).tobytes() == ref.tobytes()
-                assert np.linalg.norm(M @ W) <= 1e-9 * max(1.0, np.linalg.norm(M))
-            assert {W.shape[1] for W in got} == {n - min(p, n), n - 1, n}
-    for Ms in (np.zeros((4, 0, 3)), np.zeros((1, 0, 2), dtype=complex)):
-        for W in null_spaces(Ms):
-            assert W.tobytes() == loop_null_space(Ms[0]).tobytes() and W.dtype == Ms.dtype
+        Ms = np.concatenate([full, np.zeros((2, p, n)), low, tiny])[rng.permutation(9)]
+        got = null_spaces(Ms)
+        assert len(got) == len(Ms)
+        for M, W in zip(Ms, got):
+            ref = loop_null_space(M)
+            assert W.shape == ref.shape and W.dtype == ref.dtype
+            assert W.tobytes() == ref.tobytes() and W.strides == ref.strides
+            assert null_space(M).tobytes() == ref.tobytes()
+            assert np.linalg.norm(M @ W) <= 1e-9 * max(1.0, np.linalg.norm(M))
+        assert {W.shape[1] for W in got} == {n - min(p, n), n - 1, n}
+    for W in null_spaces(np.zeros((4, 0, 3))):
+        assert W.tobytes() == loop_null_space(np.zeros((0, 3))).tobytes() and W.dtype == float
 
 
 def test_dictionary_sparse_distance_matches_reference_loop(monkeypatch):
     rng = np.random.default_rng(8)
     Fr = build_parseval_random(4, 7, seed=1)
-    Qc, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     dictionaries = [Fr.D, build_named_frame("duplicated_identity", 3).D,
-                    _zero_column_frame(4).D, np.ascontiguousarray(Qc[:3, :]), np.zeros((2, 3))]
+                    _zero_column_frame(4).D, np.zeros((2, 3))]
     for elems in (nsp.STACK_ELEMS, 1):  # 1: one support per chunk
         monkeypatch.setattr(nsp, "STACK_ELEMS", elems)
         for D in dictionaries:
             n, N = D.shape
             for k in range(N + 2):
                 S = rng.choice(N, size=min(k, N), replace=False)
-                noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                for x in (noise if D.dtype == complex else noise.real,
-                          D[:, S] @ rng.standard_normal(len(S))):
+                for x in (rng.standard_normal(n), D[:, S] @ rng.standard_normal(len(S))):
                     ref = loop_dictionary_sparse_distance(x, D, k)
                     got = dictionary_sparse_distance(x, D, k)
                     assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
@@ -1979,20 +1926,3 @@ def test_sign_flip_descent_of_an_empty_stack():
     A = np.random.default_rng(2).standard_normal((6, 3))
     got = solver._sign_flip_descent(A, np.ones(6), np.zeros((0, 6)))
     assert got.shape == (0, 6)
-
-
-# ---------------------------------------------------------------- sampled DRIP
-
-
-@pytest.mark.parametrize("N, order, budget", [
-    (12, 3, 20000), (9, 1, 50), (14, 5, 3000), (6, 6, 10),
-    (32, 12, 300),  # base-N keys up to 2^60
-    (40, 12, 300),  # 40^12 > 2^63: row-wise unique
-])
-def test_sampled_drip_matches_row_wise_unique(N, order, budget):
-    F = build_parseval_random(4, N, seed=N)
-    A = np.random.default_rng(order).standard_normal((7, 4)) / np.sqrt(7)
-    report = drip_constant_sampled(A, F, order, budget=budget, seed=budget)
-    ref, support = loop_drip_constant_sampled(A, F, order, budget=budget, seed=budget)
-    assert report.delta == ref
-    assert tuple(report.details["witness_support"]) == support

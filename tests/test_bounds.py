@@ -16,8 +16,7 @@ from lqphase.cli import main
 from lqphase.errors import ConfigurationError, DomainError, ParameterError
 from lqphase.frames import build_parseval_random
 from lqphase.measurement import build_problem
-from lqphase.harness import sample_measurement_matrix
-from lqphase.rip import RipReport, drip_constant, drip_constant_sampled, drip_order_for_t
+from lqphase.rip import RipReport, drip_constant, drip_order_for_t
 from lqphase.signals import sample_dictionary_sparse
 from lqphase.solver import SolverResult, solve_oracle_noiseless
 
@@ -208,7 +207,7 @@ def _oracle_trial(seed, t=1.0, q=1.0, n=4, N=4, m=8):
     P = build_problem(A, F, truth, q=q)
     order = drip_order_for_t(t, 1)
     delta = drip_constant(A, F, order).delta
-    rip = RipReport(order=order, delta=delta, exhaustive=True)
+    rip = RipReport(order=order, delta=delta)
     result = solve_oracle_noiseless(P)
     return P, result, rip
 
@@ -224,29 +223,9 @@ def test_verify_recovery_bound_pass():
 
 def test_verify_recovery_bound_not_applicable():
     P, result, _ = _oracle_trial(4)
-    rip = RipReport(order=1, delta=0.9, exhaustive=True)
+    rip = RipReport(order=1, delta=0.9)
     rec = verify_recovery_bound(P, result, rip, 1.0)
     assert rec.bound_status == "not_applicable" and rec.rhs is None
-
-
-@pytest.mark.parametrize("seed", [2, 7])
-def test_a_sampled_delta_reaches_no_verdict(seed):
-    # a sampled delta is only a lower bound on the exact one: at these seeds
-    # two sampled supports give an admissible delta (0.257, 0.109) where the
-    # exact one (0.485, 0.656) is not admissible
-    F = build_parseval_random(4, 12, seed)
-    A = sample_measurement_matrix("gaussian", 10, 4, 0.0, seed)
-    P = build_problem(A, F, sample_dictionary_sparse(F, 1, seed), q=1.0)
-    result = solve_oracle_noiseless(P)
-    sampled = drip_constant_sampled(A, F, 1, budget=2, seed=seed)
-    assert constants_c1_c2(1.0, 1.0, sampled.delta).admissible
-    assert not constants_c1_c2(1.0, 1.0, drip_constant(A, F, 1).delta).admissible
-    rec = verify_recovery_bound(P, result, sampled, 1.0)
-    assert rec.bound_status == "not_applicable" and rec.rhs is None
-    assert rec.admissible is None and "lower bound" in rec.reason
-    # an inadmissible sampled delta is certain: the exact one is at least as large
-    rec = verify_recovery_bound(P, result, dataclasses.replace(sampled, delta=0.9), 1.0)
-    assert rec.admissible is False and rec.bound_status == "not_applicable"
 
 
 def test_verify_recovery_bound_guards():

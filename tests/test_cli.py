@@ -12,12 +12,7 @@ from lqphase.frames import build_parseval_random, validate_frame
 from lqphase.measurement import build_problem, phase_distance
 from lqphase.nsp import nsp_real_falsify
 from lqphase.records import TrialRecord, emit_results, records_from_json
-from lqphase.rip import (
-    drip_constant,
-    drip_constant_sampled,
-    sdrip_constants,
-    sdrip_constants_sampled,
-)
+from lqphase.rip import drip_constant, sdrip_constants
 from lqphase.signals import sample_dictionary_sparse
 from lqphase.solver import solve_irls, solve_oracle_noiseless
 
@@ -51,10 +46,10 @@ def test_rip_estimate_and_sdrip(tmp_path, problem_file):
     assert main(["rip", "estimate", "--problem", str(path), "--order", "2",
                  "--sdrip", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["exhaustive"] and rep["theta_minus"] <= rep["theta_plus"]
+    assert "exhaustive" not in rep and rep["theta_minus"] <= rep["theta_plus"]
     assert main(["rip", "estimate", "--problem", str(path), "--order", "1",
-                 "--sampled", "--budget", "500", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["exhaustive"] is False
+                 "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["details"]["witness_support"]) == 1
 
 
 def test_solve_oracle(tmp_path, problem_file):
@@ -213,7 +208,7 @@ def test_experiment_transition_reports_trials_whose_solver_raised(tmp_path, caps
 SHARED_FLAGS = {"--seed": "4", "--max-seconds": "1.5", "--out": "o.json"}
 SUBCOMMANDS = [
     (["frame", "gen", "--n", "2", "--N", "3"], {"--seed", "--out"}),
-    (["rip", "estimate", "--problem", "p.json", "--order", "1"], {"--seed", "--out"}),
+    (["rip", "estimate", "--problem", "p.json", "--order", "1"], {"--out"}),
     (["nsp", "falsify", "--problem", "p.json", "--k", "1", "--q", "1"], {"--seed", "--out"}),
     (["solve", "--problem", "p.json"], {"--seed", "--out"}),
     (["bound", "check", "--q", "1", "--t", "1", "--delta", "0.1"], {"--out"}),
@@ -256,11 +251,7 @@ def test_experiments_reject_threads_and_a_bad_deadline(tmp_path, capsys, mode, e
 
 
 IGNORED_FLAGS = [
-    (["rip", "estimate", "--order", "1"], ["--budget", "5"]),
-    (["rip", "estimate", "--order", "1"], ["--seed", "9"]),
-    (["rip", "estimate", "--order", "1", "--sdrip"], ["--seed", "0"]),
     (["rip", "estimate", "--order", "1"], ["--half-rule", "floor"]),
-    (["rip", "estimate", "--order", "1", "--sampled"], ["--half-rule", "ceil"]),
     (["solve", "--method", "oracle"], ["--seed", "5"]),
     (["solve", "--method", "oracle"], ["--config", "c.json"]),
     (["solve", "--method", "irls", "--config", "c.json"], ["--seed", "5"]),
@@ -279,15 +270,35 @@ def test_flags_a_mode_does_not_read_are_usage_errors(tmp_path, problem_file, cap
     assert not out.exists()
 
 
+SAMPLER_FLAGS = [
+    (["rip", "estimate", "--order", "1"], ["--sampled"]),
+    (["rip", "estimate", "--order", "1"], ["--budget", "5"]),
+    (["rip", "estimate", "--order", "1"], ["--seed", "9"]),
+    (["rip", "estimate", "--order", "1", "--sdrip"], ["--seed", "0"]),
+    (["rip", "estimate", "--order", "1", "--sdrip"], ["--sampled", "--half-rule", "ceil"]),
+]
+
+
+@pytest.mark.parametrize("argv,flag", SAMPLER_FLAGS,
+                         ids=[" ".join(argv + flag[:1]) for argv, flag in SAMPLER_FLAGS])
+def test_rip_estimate_has_no_sampled_mode(tmp_path, problem_file, capsys, argv, flag):
+    # every isometry constant is exact, so the sampler's flags are unknown
+    path, _, _ = problem_file
+    out = tmp_path / "o.json"
+    assert main(argv + flag + ["--problem", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lqphase") and f"unrecognized arguments: {flag[0]}" in err
+    assert not out.exists()
+
+
 def test_flags_a_mode_reads_keep_their_defaults(tmp_path, problem_file):
     path, _, _ = problem_file
     out = tmp_path / "o.json"
     rip = ["rip", "estimate", "--problem", str(path), "--order", "1", "--out", str(out)]
-    assert main(rip + ["--sampled", "--sdrip", "--budget", "50", "--seed", "9",
-                       "--half-rule", "floor"]) == 0
-    assert main(rip + ["--sampled"]) == 0
-    assert json.loads(out.read_text())["details"]["budget"] == 10**4
-    assert json.loads(out.read_text())["details"]["seed"] == 0
+    assert main(rip + ["--sdrip", "--half-rule", "floor"]) == 0
+    assert json.loads(out.read_text())["details"]["half_rule"] == "floor"
+    assert main(rip + ["--sdrip"]) == 0
+    assert json.loads(out.read_text())["details"]["half_rule"] == "ceil"
     solve = ["solve", "--problem", str(path), "--method", "irls", "--out", str(out)]
     assert main(solve + ["--seed", "5"]) == 0
     assert main(solve) == 0
@@ -403,10 +414,6 @@ LIBRARY_CALLS = [
     (["rip", "estimate", "--order", "2"], lambda P: drip_constant(P.A, P.frame, 2)),
     (["rip", "estimate", "--order", "2", "--sdrip", "--half-rule", "floor"],
      lambda P: sdrip_constants(P.A, P.frame, 2, half_rule="floor")),
-    (["rip", "estimate", "--order", "1", "--sampled", "--budget", "30", "--seed", "4"],
-     lambda P: drip_constant_sampled(P.A, P.frame, 1, budget=30, seed=4)),
-    (["rip", "estimate", "--order", "2", "--sampled", "--sdrip", "--budget", "30", "--seed", "4"],
-     lambda P: sdrip_constants_sampled(P.A, P.frame, 2, budget=30, seed=4)),
 ]
 
 
@@ -497,21 +504,23 @@ def test_bound_verify_rejects_a_non_finite_rip_report_or_a_truth_support_off_the
 @pytest.mark.parametrize("part, edit, message", [
     ("result", lambda d: d.pop("x_hat"), "missing solver result keys: ['x_hat']"),
     ("rip", lambda d: d.update(detla=0.5), "unknown rip report keys: ['detla']"),
+    # every report is exact now; one from the deleted sampler reaches no verdict
+    ("rip", lambda d: d.update(exhaustive=False), "unknown rip report keys: ['exhaustive']"),
     ("truth", lambda d: d.pop("z"), "truth payload missing key 'z'"),
     # a check the decoders kept: delta is read as a float
     ("rip", lambda d: d.update(delta="abc"), "could not convert string to float: 'abc'"),
     ("result", lambda d: d["certificate"].pop("signs"), "missing solver certificate keys: ['signs']"),
     ("result", lambda d: d["certificate"].update(signs=5),
      "solver certificate signs and zero_set must be lists: 'int' object is not iterable"),
-], ids=["result-without-x_hat", "rip-with-unknown-key", "truth-without-z", "non-numeric-delta",
-        "certificate-without-signs", "certificate-signs-not-a-list"])
+], ids=["result-without-x_hat", "rip-with-unknown-key", "rip-of-a-sampled-report", "truth-without-z",
+        "non-numeric-delta", "certificate-without-signs", "certificate-signs-not-a-list"])
 def test_bound_verify_names_a_missing_or_unknown_key(tmp_path, capsys, part, edit, message):
     path = _trial(tmp_path)
     trial = serialize.load_json(path)
     edit(trial["problem"]["truth"] if part == "truth" else trial[part])
     serialize.save_json(trial, path)
     assert main(["bound", "verify", "--trial", path]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr() == ("", f"error: {message}\n")  # and no record on stdout
 
 
 @pytest.mark.parametrize("part, key, value, message", [

@@ -1,10 +1,13 @@
 """src/lqphase imports only the standard library and numpy, its one runtime
 dependency in pyproject.toml; the test extras (scipy, hypothesis, pytest)
 stay out of the package.  Only serialize opens files (the builtin open) and
-reads dataclass fields (dataclasses.fields, in its one payload decoder)."""
+reads dataclass fields (dataclasses.fields, in its one payload decoder).
+Every private module-level function or class is used somewhere in the
+package, so code that nothing needs cannot linger."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lqphase"
@@ -61,3 +64,40 @@ def test_only_serialize_opens_files_or_reads_dataclass_fields():
              for path in sorted(SRC.glob("*.py"))}
     assert found.pop("serialize.py") == {"open", "fields"}  # the walk reads the real modules
     assert {name: sorted(calls) for name, calls in found.items() if calls} == {}
+
+
+def _orphans(modules: dict[str, str]) -> list[str]:
+    """The private (single-underscore) module-level functions and classes of
+    the given module sources that no name, attribute or import refers to
+    outside their own definition."""
+    private, refs = [], Counter()
+    for text in modules.values():
+        for top in ast.parse(text).body:
+            own = getattr(top, "name", None)
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_")
+                    and not own.startswith("__")):
+                private.append(own)
+            for node in ast.walk(top):
+                ref = (node.id if isinstance(node, ast.Name) else
+                       node.attr if isinstance(node, ast.Attribute) else
+                       node.name if isinstance(node, ast.alias) else None)
+                if ref is not None and ref != own:
+                    refs[ref] += 1
+    return sorted(name for name in private if not refs[name])
+
+
+def test_orphan_walker_sees_calls_attributes_and_imports():
+    modules = {
+        "a": "def _called():\n    pass\ndef _recursive():\n    _recursive()\n"
+             "class _Unused:\n    pass\ndef __dunder__():\n    pass\n"
+             "def f():\n    return _called()\n",
+        "b": "from .a import _imported\nimport m\nm._attribute\n",
+        "c": "def _imported():\n    pass\ndef _attribute():\n    pass\n",
+    }
+    assert _orphans(modules) == ["_Unused", "_recursive"]
+
+
+def test_every_private_definition_is_used_in_the_package():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert "_extremes" in modules["rip.py"]  # the walk reads the real modules
+    assert _orphans(modules) == []

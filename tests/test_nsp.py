@@ -12,10 +12,8 @@ from lqphase.frames import build_named_frame, build_parseval_random
 from lqphase.linalg import null_space
 from lqphase.measurement import build_problem, phase_distance
 from lqphase.nsp import (
-    ComplexNspWitness,
     NspWitness,
     dictionary_sparse_distance,
-    nsp_complex_evaluate,
     nsp_real_evaluate,
     nsp_real_falsify,
 )
@@ -207,83 +205,3 @@ def test_dictionary_sparse_distance():
     rng = np.random.default_rng(4)
     y = rng.standard_normal(3)
     assert dictionary_sparse_distance(y, F.D, 3) < 1e-12  # k = n spans everything
-
-
-def _conjugate_orthogonal_row(phi):
-    # a with <a, phi> = conj(a) . phi = 0
-    return np.conj(np.array([phi[1], -phi[0]]))
-
-
-def test_complex_evaluate_antipodal_blocks():
-    phi1 = np.array([1.0 + 0.0j, 0.0 + 1.0j])
-    phi2 = -phi1
-    a = _conjugate_orthogonal_row(phi1)
-    A = np.stack([a.conj(), a.conj()])  # rows are a_i^*
-    assert np.abs(A @ phi1).max() < 1e-12
-    D = np.eye(2, dtype=complex)
-    w = ComplexNspWitness(Omega=((0,), (1,)), phis=(phi1, phi2),
-                          ds=np.array([1.0, -1.0]), pair=(0, 1), k=2)
-    out = nsp_complex_evaluate(A, D, w, q=0.5)
-    # lhs = ||2 phi1||_q^q ; rhs = ||d2 phi1 - d1 phi2|| = 0
-    assert out.lhs == pytest.approx(np.sum(np.abs(2 * phi1) ** 0.5))
-    assert out.rhs == pytest.approx(0.0, abs=1e-12)
-    assert out.violated
-
-
-@pytest.mark.parametrize("A, error, message", [
-    (np.full((2, 2), np.nan), DomainError, "A must be finite"),
-    (np.array([[1.0, 1.0], [1.0, complex(0.0, np.inf)]]), DomainError, "A must be finite"),
-    (np.ones((2, 3), dtype=complex), DimensionError, r"A must have shape \(m, 2\), got \(2, 3\)"),
-    (np.ones(2, dtype=complex), DimensionError, r"A must have shape \(m, 2\), got \(2,\)"),
-], ids=["nan", "imaginary-inf", "2x3", "vector"])
-def test_complex_evaluate_rejects_a_misshapen_or_non_finite_A(A, error, message):
-    # a NaN A used to pass every block's annihilation check (NaN > tol is
-    # false) and give violated=True
-    phi1 = np.array([1.0 + 0.0j, 0.0 + 1.0j])
-    w = ComplexNspWitness(Omega=((0,), (1,)), phis=(phi1, -phi1),
-                          ds=np.array([1.0, -1.0]), pair=(0, 1), k=2)
-    with pytest.raises(error, match=message):
-        nsp_complex_evaluate(A, np.eye(2, dtype=complex), w, q=0.5)
-
-
-def test_complex_evaluate_scaling_invariance():
-    phi1 = np.array([1.0 + 0.0j, 0.0 + 1.0j])
-    a = _conjugate_orthogonal_row(phi1)
-    A = np.stack([a.conj(), a.conj()])
-    D = np.eye(2, dtype=complex)
-    results = []
-    for c in (1.0, 0.25, 8.0):
-        w = ComplexNspWitness(Omega=((0,), (1,)), phis=(c * phi1, -c * phi1),
-                              ds=np.array([1.0, -1.0]), pair=(0, 1), k=2)
-        results.append(nsp_complex_evaluate(A, D, w, q=0.7).violated)
-    assert results == [True, True, True]
-
-
-def test_complex_evaluate_rejects_zero_ratio():
-    phi = np.array([1.0 + 0.0j, 0.0 + 1.0j])
-    a = _conjugate_orthogonal_row(phi)
-    A = np.stack([a.conj(), a.conj()])
-    D = np.eye(2, dtype=complex)
-    w = ComplexNspWitness(Omega=((0,), (1,)), phis=(phi, phi),
-                          ds=np.array([1.0, 1j]), pair=(0, 1), k=1)
-    with pytest.raises(InvalidWitnessError, match="ratio"):
-        nsp_complex_evaluate(A, D, w, q=1.0)
-
-
-def test_complex_evaluate_rejects_bad_constants_and_partition():
-    phi = np.array([1.0 + 0.0j, 0.0 + 1.0j])
-    a = _conjugate_orthogonal_row(phi)
-    A = np.stack([a.conj(), a.conj()])
-    D = np.eye(2, dtype=complex)
-    with pytest.raises(InvalidWitnessError, match="distinct"):
-        nsp_complex_evaluate(A, D, ComplexNspWitness(
-            Omega=((0,), (1,)), phis=(phi, -phi), ds=np.array([1.0, 1.0]),
-            pair=(0, 1), k=2), q=1.0)
-    with pytest.raises(InvalidWitnessError, match="unimodular"):
-        nsp_complex_evaluate(A, D, ComplexNspWitness(
-            Omega=((0,), (1,)), phis=(phi, -phi), ds=np.array([2.0, -1.0]),
-            pair=(0, 1), k=2), q=1.0)
-    with pytest.raises(InvalidWitnessError, match="partition"):
-        nsp_complex_evaluate(A, D, ComplexNspWitness(
-            Omega=((0,), (0,)), phis=(phi, -phi), ds=np.array([1.0, -1.0]),
-            pair=(0, 1), k=2), q=1.0)

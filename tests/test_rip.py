@@ -9,13 +9,7 @@ from lqphase import rip
 from lqphase.errors import DomainError, ParameterError, ResourceBudgetError
 from lqphase.frames import TightFrame, build_named_frame, build_parseval_random
 from lqphase.linalg import null_space, support_bases, sym_eig_bounds
-from lqphase.rip import (
-    drip_constant,
-    drip_constant_sampled,
-    drip_order_for_t,
-    sdrip_constants,
-    sdrip_constants_sampled,
-)
+from lqphase.rip import drip_constant, drip_order_for_t, sdrip_constants
 
 
 def brute_subset_extremes(A, F, k, min_size):
@@ -69,25 +63,18 @@ def test_witness_attains_the_quotient():
         F = build_parseval_random(4, 7, seed=seed)
         A = rng.standard_normal((6, 4)) / np.sqrt(6)
         for order in (1, 2, 3):
-            for rep in (drip_constant(A, F, order),
-                        drip_constant_sampled(A, F, order, budget=20, seed=seed)):
-                S = rep.details["witness_support"]
-                assert len(S) == order and S == sorted(S)
-                assert support_deviation(A, F, S) == pytest.approx(rep.delta, rel=1e-9)
+            rep = drip_constant(A, F, order)
+            S = rep.details["witness_support"]
+            assert len(S) == order and S == sorted(S)
+            assert support_deviation(A, F, S) == pytest.approx(rep.delta, rel=1e-9)
 
 
 def test_drip_reports_name_their_details_in_cli_order():
     F = build_parseval_random(3, 6, seed=2)
     A = np.random.default_rng(2).standard_normal((5, 3))
     rep = drip_constant(A, F, 2)
-    assert (rep.order, rep.exhaustive, rep.theta_minus, rep.theta_plus,
-            rep.min_subset_size) == (2, True, None, None, None)
+    assert (rep.order, rep.theta_minus, rep.theta_plus, rep.min_subset_size) == (2, None, None, None)
     assert list(rep.details) == ["witness_support"]
-    rep = drip_constant_sampled(A, F, 2, budget=9, seed=4)
-    assert (rep.order, rep.exhaustive, rep.theta_minus, rep.theta_plus,
-            rep.min_subset_size) == (2, False, None, None, None)
-    assert list(rep.details) == ["budget", "seed", "witness_support"]
-    assert (rep.details["budget"], rep.details["seed"]) == (9, 4)
 
 
 def test_drip_takes_support_bases_only_inside_the_kernel(monkeypatch):
@@ -107,7 +94,6 @@ def test_drip_takes_support_bases_only_inside_the_kernel(monkeypatch):
     for F in (build_parseval_random(4, 7, seed=1), build_named_frame("duplicated_identity", 4)):
         for order in (2, 3):
             drip_constant(A, F, order)
-            drip_constant_sampled(A, F, order, budget=10)
     assert {kernel for kernel, _ in calls} == {"support_bases", "_gram_schmidt_columns"}
     assert {caller for _, caller in calls} == {"_extremes"}
 
@@ -129,17 +115,6 @@ def test_rank_deficient_supports_are_restricted():
     d1 = drip_constant(A, F, 1).delta
     d2 = drip_constant(A, F, 2).delta
     assert np.isfinite(d1) and np.isfinite(d2) and d1 <= d2 + 1e-12
-
-
-def test_sampled_never_exceeds_exhaustive():
-    rng = np.random.default_rng(7)
-    for trial in range(5):
-        F = build_parseval_random(4, 8, seed=trial + 50)
-        A = rng.standard_normal((6, 4)) / np.sqrt(6)
-        exact = drip_constant(A, F, 2).delta
-        refined = drip_constant_sampled(A, F, 2, budget=10**4, seed=trial).delta
-        assert refined <= exact + 1e-12
-        assert exact - refined < 1e-6  # all supports visited, then solved exactly
 
 
 def test_isometry_consequence_on_coefficients():
@@ -164,7 +139,6 @@ def test_sdrip_identity_example():
     assert rep.theta_minus == pytest.approx(0.0, abs=1e-12)  # subset {1} kills e_0
     assert rep.theta_plus == pytest.approx(1.0, abs=1e-12)
     assert rep.min_subset_size == 1
-    assert rep.exhaustive
 
 
 def test_sdrip_matches_brute_force_oracle():
@@ -224,22 +198,6 @@ def test_sdrip_estimators_reject_an_unknown_half_rule(half_rule):
     A = np.random.default_rng(6).standard_normal((5, 2))
     with pytest.raises(ParameterError):
         sdrip_constants(A, F, 1, half_rule=half_rule)
-    with pytest.raises(ParameterError):
-        sdrip_constants_sampled(A, F, 1, budget=10, half_rule=half_rule)
-    for rule in ("ceil", "floor"):  # both estimators share the smallest subset size
-        assert (sdrip_constants_sampled(A, F, 1, budget=10, half_rule=rule).min_subset_size
-                == sdrip_constants(A, F, 1, half_rule=rule).min_subset_size)
-
-
-def test_sdrip_sampled_bounds_are_one_sided():
-    rng = np.random.default_rng(31)
-    F = build_parseval_random(3, 6, seed=4)
-    A = rng.standard_normal((6, 3)) / np.sqrt(6)
-    full = sdrip_constants(A, F, 2)
-    sampled = sdrip_constants_sampled(A, F, 2, budget=500, seed=0)
-    assert not sampled.exhaustive
-    assert sampled.theta_minus >= full.theta_minus - 1e-12
-    assert sampled.theta_plus <= full.theta_plus + 1e-12
 
 
 def test_order_for_t():
@@ -309,30 +267,6 @@ def test_sdrip_evaluates_the_size_h_layer_and_the_full_rows_only(monkeypatch, ha
         assert sum(counted) == usable * (comb(7, h) + 1)
 
 
-def test_sdrip_sampled_reaches_the_exhaustive_maxima_once_every_support_is_drawn():
-    # 60 draws visit all C(5, 2) supports at each seed; a draw that evaluated
-    # a random subset size would reach I = [6] on only a quarter of them
-    F = build_parseval_random(3, 5, seed=3)
-    A = np.random.default_rng(4).standard_normal((6, 3)) / np.sqrt(6)
-    full = sdrip_constants(A, F, 2)
-    for seed in range(4):
-        sampled = sdrip_constants_sampled(A, F, 2, budget=60, seed=seed)
-        assert sampled.theta_plus == pytest.approx(full.theta_plus, abs=1e-12)
-        assert sampled.delta == pytest.approx(full.delta, abs=1e-12)
-        assert sampled.theta_minus >= full.theta_minus - 1e-12
-
-
-def test_sdrip_sampled_chunked_equals_unchunked(monkeypatch):
-    F = _zero_column_frame(3, 7, seed=5)
-    A = np.random.default_rng(9).standard_normal((6, 3)) / np.sqrt(6)
-    whole = [sdrip_constants_sampled(A, F, k, budget=40, seed=k) for k in (1, 2, 3)]
-    monkeypatch.setattr(rip, "STACK_ELEMS", 1)  # one draw per chunk
-    for k, rep in zip((1, 2, 3), whole):
-        got = sdrip_constants_sampled(A, F, k, budget=40, seed=k)
-        assert (got.theta_minus, got.theta_plus, got.delta) == pytest.approx(
-            (rep.theta_minus, rep.theta_plus, rep.delta), rel=1e-14, abs=1e-15)
-
-
 @pytest.mark.parametrize("estimate", [drip_constant, sdrip_constants])
 @pytest.mark.parametrize("order", [0, 7])
 def test_exhaustive_constants_reject_an_order_out_of_range(estimate, order):
@@ -342,29 +276,11 @@ def test_exhaustive_constants_reject_an_order_out_of_range(estimate, order):
         estimate(A, F, order)
 
 
-@pytest.mark.parametrize("order,budget", [(0, 10), (7, 10), (2, 0), (2, -3)])
-def test_drip_sampled_rejects_an_order_or_budget_out_of_range(order, budget):
-    F = build_parseval_random(3, 6, seed=1)
-    A = np.random.default_rng(1).standard_normal((5, 3))
-    with pytest.raises(ParameterError, match=r"^(order|budget) must"):
-        drip_constant_sampled(A, F, order, budget=budget)
-
-
-@pytest.mark.parametrize("order,budget", [(0, 10), (7, 10), (2, 0), (2, -3)])
-def test_sdrip_sampled_rejects_an_order_or_budget_out_of_range(order, budget):
-    F = build_parseval_random(3, 6, seed=1)
-    A = np.random.default_rng(1).standard_normal((5, 3))
-    with pytest.raises(ParameterError, match=r"^(order|budget) must"):
-        sdrip_constants_sampled(A, F, order, budget=budget)
-
-
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("estimate", [
     lambda A, F: drip_constant(A, F, 2),
     lambda A, F: sdrip_constants(A, F, 2),
-    lambda A, F: drip_constant_sampled(A, F, 2, budget=5),
-    lambda A, F: sdrip_constants_sampled(A, F, 2, budget=5),
-], ids=["drip", "sdrip", "drip sampled", "sdrip sampled"])
+], ids=["drip", "sdrip"])
 def test_isometry_constants_reject_a_non_finite_A_before_any_svd(monkeypatch, estimate, value):
     # before the check, NaN raised "every evaluated support has vanishing
     # frame columns" and inf gave delta = inf and theta = NaN

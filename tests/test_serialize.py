@@ -258,7 +258,9 @@ def test_round_trips_cover_details_a_certificate_and_non_finite_floats():
     ([("order", 1)], "rip report must be a mapping, got list"),
     ({"order": 1, "delta": 0.5, "detla": 0.5}, "unknown rip report keys: ['detla']"),
     ({"details": {}}, "missing rip report keys: ['delta', 'order']"),
-], ids=["list", "unknown-key", "missing-fields"])
+    # every report is exact now, so the flag of the deleted sampler is unknown
+    ({"order": 1, "delta": 0.5, "exhaustive": False}, "unknown rip report keys: ['exhaustive']"),
+], ids=["list", "unknown-key", "missing-fields", "sampled-report"])
 def test_from_dict_rejects_a_non_mapping_an_unknown_key_or_a_missing_field(data, message):
     with pytest.raises(ConfigurationError) as info:
         serialize.from_dict(RipReport, data, "rip report")

@@ -20,7 +20,6 @@ from lqphase.measurement import PhaselessProblem, build_problem, phase_distance
 from lqphase.signals import lq_quasinorm, sample_dictionary_sparse
 from lqphase.solver import (
     IrlsOptions,
-    irls_surrogate,
     irls_weighted_step,
     solve_affine_lq_oracle,
     solve_irls,
@@ -206,6 +205,14 @@ def test_irls_zero_measurements():
     P = PhaselessProblem(A=np.eye(3), frame=F, b=np.zeros(3), eps=0.0, q=0.5)
     res = solve_irls(P)
     assert np.all(res.x_hat == 0.0) and res.iterations == 0
+
+
+def irls_surrogate(A, D, p, b, x, q, eps_s, lam):
+    """Smoothed objective majorized by the weighted step; nonincreasing under
+    irls_weighted_step for fixed (p, eps_s, lam)."""
+    resid = p * (A @ x) - b
+    smooth = np.sum(((D.T @ x) ** 2 + eps_s**2) ** (q / 2.0))
+    return float(resid @ resid + lam * (2.0 / q) * smooth)
 
 
 def test_irls_inner_step_monotone_surrogate():
