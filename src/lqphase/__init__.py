@@ -49,7 +49,6 @@ from .signals import (
     sample_dictionary_sparse,
 )
 from .solver import (
-    IrlsOptions,
     SolverResult,
     solve_affine_lq_oracle,
     solve_irls,

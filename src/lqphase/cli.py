@@ -3,7 +3,8 @@
 Subcommands: frame gen, rip estimate, nsp falsify, solve, bound check,
 bound verify, experiment bound, experiment transition, selfcheck lemmas.
 rip estimate enumerates every support: it reports the exact DRIP constant,
-or with --sdrip the exact half-subset extremes.
+or with --sdrip the exact half-subset extremes.  solve --method irls takes
+one parameter, --seed; the oracle takes none.
 Exit codes: 0 success, 1 usage/config error, 2 resource/budget error,
 3 I/O error.
 """
@@ -26,7 +27,7 @@ from .harness import (
 from .nsp import nsp_real_falsify
 from .records import ExperimentConfig, emit_results, transition_to_csv
 from .rip import drip_constant, sdrip_constants
-from .solver import IrlsOptions, solve_irls, solve_oracle_noiseless
+from .solver import solve_irls, solve_oracle_noiseless
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,15 +101,9 @@ def _cmd_nsp_falsify(args) -> int:
 
 def _cmd_solve(args) -> int:
     if args.method == "oracle":
-        _reject(args, "with --method oracle", "--seed", "--config")
-    elif args.config:
-        _reject(args, "with --config", "--seed")
+        _reject(args, "with --method oracle", "--seed")
     P = serialize.problem_from_dict(serialize.load_json(args.problem))
-    if args.method == "oracle":
-        result = solve_oracle_noiseless(P)
-    else:
-        config = serialize.load_json(args.config) if args.config else {"seed": args.seed or 0}
-        result = solve_irls(P, serialize.from_dict(IrlsOptions, config, "irls options"))
+    result = solve_oracle_noiseless(P) if args.method == "oracle" else solve_irls(P, args.seed or 0)
     _emit(dataclasses.asdict(result), args.out)
     return 0
 
@@ -120,7 +115,7 @@ def _cmd_bound_check(args) -> int:
 
 
 def _cmd_bound_verify(args) -> int:
-    trial = serialize.load_json(args.trial)
+    trial = serialize.require_mapping(serialize.load_json(args.trial), "trial payload")
     P = serialize.problem_from_dict(trial["problem"])
     result = serialize.solver_result_from_dict(trial["result"])
     rip = serialize.rip_report_from_dict(trial["rip"])
@@ -196,9 +191,8 @@ def build_parser() -> _Parser:
     solve_p = sub.add_parser("solve")
     solve_p.add_argument("--problem", required=True)
     solve_p.add_argument("--method", choices=("oracle", "irls"), default="oracle")
-    solve_p.add_argument("--config", default=None)
     _add_shared(solve_p, "--seed", "--out")
-    solve_p.set_defaults(func=_cmd_solve, seed=None)  # 0 for irls without --config
+    solve_p.set_defaults(func=_cmd_solve, seed=None)  # 0 for irls; None lets oracle reject it
 
     bound = sub.add_parser("bound").add_subparsers(dest="action", required=True)
     check = bound.add_parser("check")

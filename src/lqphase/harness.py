@@ -40,9 +40,8 @@ from .lemmas import (
 from .measurement import PhaselessProblem, build_problem, phase_distance
 from .records import MATRIX_ENSEMBLES, ExperimentConfig, TransitionCell, TrialRecord
 from .rip import drip_constant, drip_order_for_t, sdrip_constants
-from .serialize import from_dict
 from .signals import lq_quasinorm, sample_dictionary_sparse
-from .solver import IrlsOptions, SolverResult, solve_irls, solve_oracle_noiseless
+from .solver import SolverResult, solve_irls, solve_oracle_noiseless
 
 
 def derive_trial_seeds(master_seed: int, cell_index: int, trial_index: int) -> tuple[int, int, int, int]:
@@ -110,7 +109,7 @@ def _solve(cfg: ExperimentConfig, problem: PhaselessProblem, oracle: bool, seed:
     if oracle:
         return solve_oracle_noiseless(problem, max_m=cfg.oracle_max_m,
                                       support_budget=cfg.support_budget)
-    return solve_irls(problem, from_dict(IrlsOptions, {**cfg.solver_options, "seed": seed}, "irls options"))
+    return solve_irls(problem, seed)
 
 
 def _skipped(cell: dict, trial: int, seed: int, reason: str) -> TrialRecord:
@@ -174,7 +173,7 @@ def run_bound_experiment(
 ) -> list[TrialRecord]:
     """One record per (cell, trial); guarded cells, and trials that would start
     after max_seconds, are skipped with a reason.  threads accepts only the
-    benchmark's threads=1 and goes with its revision (ROADMAP item 2)."""
+    benchmark's threads=1 and goes with its revision (ROADMAP item 6)."""
     if threads != 1:
         raise ParameterError(f"sweeps run serially; threads must be 1, got {threads}")
     cfg.validate()

@@ -26,8 +26,9 @@ the falsifier computes every support's basis once per call, before it scans
 the row subsets, and shares it between the projections of K, the sign
 screen and the membership check of its witnesses; dictionary_sparse_distance
 takes them a chunk of supports at a time.
-The full-rank bound shares the isometry constants' eigenvalue kernel,
-linalg.sym_eig_bounds, and a layer's signs are 1 - 2 linalg.subset_masks.
+The full-rank bound, and the sign screen up to rank 2, share the isometry
+constants' eigenvalue kernel, linalg.sym_eig_bounds, and a layer's signs are
+1 - 2 linalg.subset_masks.
 
 The complex case, H = C (block partitions of the rows with per-block
 unimodular constants), is out of scope: the witness type, the evaluator
@@ -235,29 +236,28 @@ def _min_eig_exceeds(G: np.ndarray, floor: float) -> np.ndarray:
     """Whether the smallest eigenvalue of each Gram matrix G[:, :, ...]
     (r x r, stacked over the trailing axes) exceeds floor > 0.
 
-    A sufficient test, exact at r = 1: det(G) ((r - 1) / tr G)^(r - 1) is a
-    lower bound on the smallest eigenvalue, since by AM-GM the other r - 1
-    multiply to at most (tr G / (r - 1))^(r - 1); it is within a factor 2 at
-    r = 2.  Closed-form determinants up to r = 3 keep the test elementwise
-    (a batched det or symmetric eigensolve costs 0.3-1.4 us a slice).  Each
-    product in a determinant errs by O(eps ||G||^r), so the computed bound
-    exceeds the true one by O(eps ||G||).
+    Exact for r <= 2, by linalg.sym_eig_bounds's closed forms.  For r >= 3 a
+    sufficient test: det(G) ((r - 1) / tr G)^(r - 1) is a lower bound on the
+    smallest eigenvalue, since by AM-GM the other r - 1 multiply to at most
+    (tr G / (r - 1))^(r - 1).  A closed-form determinant at r = 3 keeps the
+    test elementwise (a batched det or symmetric eigensolve costs 0.3-1.4 us
+    a slice).  Each product in a determinant errs by O(eps ||G||^r), so the
+    computed bound exceeds the true one by O(eps ||G||), as the closed-form
+    lambda_min at r <= 2 may.
 
-    Measured alternatives (2-CPU VM): linalg.sym_eig_bounds in its place
-    gave the same certificates at the same speed for r <= 2, where it takes
-    its closed forms, and at r = 3, where it assembles the matrices for
-    LAPACK's eigensolver, a 13x slower screen (85 -> 1,112 ms over 24 calls
-    at (n, m, k) = (6, 9, 3) and (5, 9, 3)) for 198 more certified cells of
-    705,256.  A trigonometric 3 x 3 closed form would be unsound: where the
-    two smallest eigenvalues coincide, its lambda_min errs by about
+    Measured alternatives (2-CPU VM): sym_eig_bounds at r = 3, where it
+    assembles the matrices for LAPACK's eigensolver, is a 13x slower screen
+    (85 -> 1,112 ms over 24 calls at (n, m, k) = (6, 9, 3) and (5, 9, 3)) for
+    198 more certified cells of 705,256.  At r = 2 the AM-GM bound, which
+    loses up to a factor 2, gives the same nsp-certify records and witnesses
+    as the exact test.  A trigonometric 3 x 3 closed form would be unsound:
+    where the two smallest eigenvalues coincide, its lambda_min errs by about
     sqrt(eps) ||G||.
     """
     r = len(G)
-    if r == 1:
-        return G[0, 0] > floor
-    if r == 2:
-        det = G[0, 0] * G[1, 1] - G[0, 1] ** 2
-    elif r == 3:
+    if r <= 2:
+        return sym_eig_bounds(r, G[triu_pairs(r)])[0] > floor
+    if r == 3:
         det = (G[0, 0] * (G[1, 1] * G[2, 2] - G[1, 2] ** 2)
                - G[0, 1] * (G[0, 1] * G[2, 2] - G[1, 2] * G[0, 2])
                + G[0, 2] * (G[0, 1] * G[1, 2] - G[1, 1] * G[0, 2]))

@@ -16,6 +16,8 @@ A transition cell's success count is certified only up to the oracle guard:
 cells with m <= oracle_max_m are solved by the certified oracle, and cells
 above it by IRLS, which carries no certificate.  TRANSITION_COLUMNS name no
 solver, so the config's oracle_max_m tells the two apart.
+
+A config sets no solver option: IRLS runs one schedule, seeded per trial.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .frames import NAMED_FRAMES
 from .rip import SDRIP_MAX_M, SUPPORT_BUDGET, _min_subset_size
 from .serialize import from_dict, json_text, load_json, write_text
 from .signals import MAGNITUDE_LAWS
-from .solver import ORACLE_MAX_M, IrlsOptions
+from .solver import ORACLE_MAX_M
 
 CSV_COLUMNS = (
     "cell_index", "trial_index", "n", "N", "m", "k", "q", "t", "eps", "seed",
@@ -38,8 +40,6 @@ CSV_COLUMNS = (
     "method", "objective", "feasibility", "solver_iterations",
     "lhs", "rhs", "bound_status",
 )
-
-CSV_HEADER = ",".join(CSV_COLUMNS)
 
 TRANSITION_COLUMNS = ("cell_index", "n", "N", "m", "k", "q", "trials", "successes", "rate")
 
@@ -170,7 +170,6 @@ class ExperimentConfig:
     trials: int = 1
     master_seed: int = 0
     solver: str = "oracle"
-    solver_options: dict = field(default_factory=dict)
     frame_kind: str = "random"  # random | identity | duplicated_identity | mercedes
     matrix_ensemble: str = "gaussian"  # one of MATRIX_ENSEMBLES
     jitter: float = 0.05
@@ -227,11 +226,6 @@ class ExperimentConfig:
             raise ConfigurationError("success_tol must be finite and > 0")
         if self.solver not in ("oracle", "irls"):
             raise ConfigurationError(f"unknown solver {self.solver!r}")
-        # IRLS reads these options in irls sweeps and in transition cells
-        # above the oracle guard, with each trial's derived seed
-        from_dict(IrlsOptions, self.solver_options, "irls options").validate()
-        if "seed" in self.solver_options:
-            raise ConfigurationError("solver_options cannot set 'seed': each trial derives its own")
         kinds = ("random",) + NAMED_FRAMES
         if self.frame_kind not in kinds:
             raise ConfigurationError(f"unknown frame_kind {self.frame_kind!r}; choose from {kinds}")

@@ -1,6 +1,7 @@
 """Every file read (load_json) and write (write_text) of the package; JSON
 encoding/decoding for frames and problems; from_dict, the one decoder of
-every flat dataclass payload (trial records, reports, results, options, configs).
+every flat dataclass payload (trial records, reports, results, configs).
+require_mapping rejects a payload that is not a JSON object, naming it.
 
 Matrices inside frame payloads are flat row-major lists (shape is implied by
 n and N); measurement matrices are nested lists of rows.  Problems embed
@@ -72,6 +73,14 @@ def load_json(path: str):
             raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
 
 
+def require_mapping(data, what: str) -> dict:
+    """data, if it is a JSON object; anything else raises ConfigurationError
+    naming what."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{what} must be a mapping, got {type(data).__name__}")
+    return data
+
+
 def from_dict(cls, data, what: str):
     """The dataclass cls from a flat payload of its fields.  A non-mapping, an
     unknown key or a missing field without a default raises ConfigurationError
@@ -80,8 +89,7 @@ def from_dict(cls, data, what: str):
     raises ConfigurationError naming the field), and every other value is
     taken as read, for the caller to check.  Annotations are strings, as
     every module has ``from __future__ import annotations``."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{what} must be a mapping, got {type(data).__name__}")
+    require_mapping(data, what)
     specs = {f.name: f for f in fields(cls)}
     unknown = set(data) - set(specs)
     if unknown:
@@ -124,6 +132,7 @@ def frame_to_dict(F: TightFrame) -> dict:
 
 
 def frame_from_dict(data: dict) -> TightFrame:
+    require_mapping(data, "frame payload")
     try:
         n, N = int(data["n"]), int(data["N"])
         D = np.asarray(data["D"], dtype=float).reshape(n, N)
@@ -152,6 +161,7 @@ def truth_to_dict(sig: DictionarySparseSignal) -> dict:
 def truth_from_dict(data: dict, N: int) -> DictionarySparseSignal:
     """Decode a truth signal of a frame with N columns; its support must lie
     in [0, N) and have at most k entries."""
+    require_mapping(data, "truth payload")
     try:
         coeffs = SparseCoefficients(z=np.asarray(data["z"], dtype=float),
                                     support=tuple(int(i) for i in data["support"]), k=int(data["k"]))
@@ -182,6 +192,7 @@ def problem_to_dict(P: PhaselessProblem) -> dict:
 def problem_from_dict(data: dict) -> PhaselessProblem:
     """Decode a problem, checking A, b, eps and the truth before any solver
     sees them (PhaselessProblem checks A, b and eps)."""
+    require_mapping(data, "problem payload")
     try:
         frame = frame_from_dict(data["frame"])
         A = np.asarray(data["A"], dtype=float)

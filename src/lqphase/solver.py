@@ -37,11 +37,11 @@ Restart pipeline.  Where the tree does not run (m < n, where a full-row-rank
 A gives every pattern residual 0; a tree of more than TREE_MAX_NODES nodes;
 or a tree that keeps no pattern, when eps is below every pattern's residual
 and nothing is feasible), _irls_restarts takes the patterns sign(Ax) of a
-spectral start and random ones instead.  A start whose least-squares point is
-stalled, its residual || |Ax| - b || above the threshold, goes through a
-1-opt sign-flip descent, which serves only this pipeline and decides every
-flip by comparing exact least-squares residuals.  Last, one polish run per
-start.
+spectral start and of IRLS_RESTARTS - 1 random ones drawn from solve_irls's
+seed, its only parameter.  A start whose least-squares point is stalled, its
+residual || |Ax| - b || above the threshold, goes through a 1-opt sign-flip
+descent, which serves only this pipeline and decides every flip by comparing
+exact least-squares residuals.  Last, one polish run per start.
 
 A polish run stops as soon as it can no longer change the answer, which is
 the best iterate by (violation, objective): at its first iterate inside the
@@ -102,8 +102,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isfinite, sqrt
-from numbers import Integral, Real
+from math import sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -154,6 +154,16 @@ FEAS_BAND = 2.0**10
 # last: 433 -> 217 over the 216 oracle-sweep trials at seeds 0 and 1.
 ORACLE_COUNTERS = ("sign_patterns", "screened_out", "zero_patterns",
                    "singular_systems", "rechecked")
+# The one IRLS schedule (see _irls_converge): smoothing from IRLS_EPS0 down by
+# IRLS_DECAY a step to IRLS_TOL, lam0 = IRLS_REG ||b||^2 > 0, which keeps every
+# weighted step positive definite, at most IRLS_MAX_ITERS steps a run, and
+# IRLS_RESTARTS starts in the restart pipeline.
+IRLS_MAX_ITERS = 500
+IRLS_EPS0 = 1.0
+IRLS_DECAY = 0.7
+IRLS_TOL = 1e-8
+IRLS_RESTARTS = 10
+IRLS_REG = 1e-3
 # An IRLS run ends by the first of these rules that holds (see _irls_converge).
 EXIT_RULES = ("discrepancy", "stall", "cycle", "converged", "max_iters")
 # Steps a sign pattern must hold before the stall rule tests its residual; a
@@ -161,8 +171,10 @@ EXIT_RULES = ("discrepancy", "stall", "cycle", "converged", "max_iters")
 # tests its residuals.
 STALL_STEPS = 3
 # The sign-flip descent of the restart pipeline takes a flip when it lowers
-# the pattern's exact least-squares residual by more than FLIP_GAIN.
+# the pattern's exact least-squares residual by more than FLIP_GAIN, and
+# stops a row after FLIP_MAX_SWEEPS sweeps.
 FLIP_GAIN = 1e-14
+FLIP_MAX_SWEEPS = 8
 # Nodes the sign tree may visit (basis patterns plus evaluated children); a
 # larger tree leaves the problem to the restart pipeline.
 TREE_MAX_NODES = 2**16
@@ -193,32 +205,6 @@ class SolverResult:
     exits: dict = field(default_factory=dict)  # IRLS: polish runs ended by each of EXIT_RULES
     feasible_classes: int = 0  # IRLS: sign classes the tree kept; 0 on the fallback
     tree_nodes: int = 0  # IRLS: nodes the sign tree visited; 0 on the fallback
-
-
-@dataclass(frozen=True)
-class IrlsOptions:
-    max_iters: int = 500
-    eps0: float = 1.0
-    decay: float = 0.7
-    reg: float | None = None  # default 1e-3 * ||b||^2, decays with the smoothing
-    restarts: int = 10  # starts of the restart pipeline: m < n or no tree (see solve_irls)
-    seed: int = 0  # of the restart pipeline's random starts
-    tol: float = 1e-8
-
-    def validate(self) -> None:
-        for name in ("max_iters", "restarts", "seed", "eps0", "decay", "tol", "reg"):
-            v = getattr(self, name)
-            kind = Integral if name in ("max_iters", "restarts", "seed") else Real
-            if isinstance(v, bool) or not (isinstance(v, kind) or (name == "reg" and v is None)):
-                raise ParameterError(f"{name} must be {kind.__name__.lower()}, got {v!r}")
-        if min(self.max_iters, self.restarts) < 1 or self.seed < 0:
-            raise ParameterError("max_iters and restarts must be positive, seed nonnegative")
-        if not all(isfinite(v) and v > 0.0 for v in (self.eps0, self.tol)):
-            raise ParameterError("eps0 and tol must be positive and finite")
-        if not (0.0 < self.decay < 1.0):
-            raise ParameterError("decay must lie in (0, 1)")
-        if self.reg is not None and not (isfinite(self.reg) and self.reg >= 0.0):
-            raise ParameterError(f"reg must be finite and nonnegative, got {self.reg}")
 
 
 def _objectives(Y: np.ndarray, sq_norms: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -537,7 +523,7 @@ def _pattern_residuals(Q: np.ndarray, b: np.ndarray, S: np.ndarray) -> np.ndarra
 
 
 def _sign_flip_descent(A: np.ndarray, b: np.ndarray, patterns: np.ndarray,
-                       max_sweeps: int = 8, Q: np.ndarray | None = None) -> np.ndarray:
+                       Q: np.ndarray | None = None) -> np.ndarray:
     """1-opt descent on the least-squares residual over sign patterns, for every
     row of patterns (R, m); Q is an orthonormal basis of A's column space, by
     default A's QR factor.
@@ -546,7 +532,7 @@ def _sign_flip_descent(A: np.ndarray, b: np.ndarray, patterns: np.ndarray,
     deterministic (first improving flip wins within a sweep).  A sweep visits
     the entries in order and takes every flip j with r_j < r - FLIP_GAIN, where
     r and r_j are the _pattern_residuals of the current and the flipped
-    pattern; a row stops after a sweep without a flip or after max_sweeps
+    pattern; a row stops after a sweep without a flip or after FLIP_MAX_SWEEPS
     sweeps.  Each step scores every remaining flip of the row with one
     _pattern_residuals call on the stacked flipped patterns, takes the first
     that passes and resumes after it, so the decisions are those of the
@@ -558,7 +544,7 @@ def _sign_flip_descent(A: np.ndarray, b: np.ndarray, patterns: np.ndarray,
     flips = 1.0 - 2.0 * np.eye(S.shape[1])  # row j flips entry j
     for p in S:  # a row of S is a view: the descent flips it in place
         r = _pattern_residuals(Q, b, p[None])[0]
-        for _ in range(max_sweeps):
+        for _ in range(FLIP_MAX_SWEEPS):
             j, improved = 0, False
             while j < len(p):
                 r_flip = _pattern_residuals(Q, b, p * flips[j:])
@@ -578,12 +564,11 @@ def _stall_threshold(eps: float, scale: float) -> float:
     return max(eps, 1e-7 * scale)
 
 
-def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
-                   lam0: float, Q: np.ndarray) -> tuple:
+def _irls_converge(P: PhaselessProblem, X: np.ndarray, Q: np.ndarray) -> tuple:
     """Polish every row of X (R, n), one least-squares point per pattern, by one
     continuation run each, as one batched state, Q an orthonormal basis of col(A).
 
-    Every row follows the same eps/lam schedule, so iteration t updates all
+    Every row follows the one eps/lam schedule, so iteration t updates all
     live rows with one stacked weighted step.  A row leaves the batch at the
     first step where one of its exit rules holds, tested in this order:
 
@@ -609,22 +594,23 @@ def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
     """
     A, b, D, q = P.A, P.b, P.frame.D, P.q
     threshold = _stall_threshold(P.eps, float(np.linalg.norm(b)))
+    lam0 = IRLS_REG * float(b @ b)
     best_x = np.empty_like(X)
     best_v = np.empty(len(X))
     best_o = np.empty(len(X))
     best_t = np.zeros(len(X), dtype=int)
-    steps = np.full(len(X), opts.max_iters)
+    steps = np.full(len(X), IRLS_MAX_ITERS)
     rule = np.full(len(X), EXIT_RULES.index("max_iters"))
     held = np.zeros(len(X), dtype=int)  # steps the current sign pattern has held
     cycled = np.zeros(len(X), dtype=int)  # steps with S_t = S_(t-2) != S_(t-1)
     live = np.arange(len(X))
     S = np.where(_mv(A, X) >= 0.0, 1.0, -1.0)
     S_old = np.zeros_like(S)  # the pattern before S; no pattern equals it at the start
-    eps_s = opts.eps0
-    for t in range(opts.max_iters):
+    eps_s = IRLS_EPS0
+    for t in range(IRLS_MAX_ITERS):
         # lam * w stays O(lam0) at analysis zeros and vanishes elsewhere,
         # so the data term is asymptotically unbiased
-        lam = lam0 * (eps_s / opts.eps0) ** (2.0 - q)
+        lam = lam0 * (eps_s / IRLS_EPS0) ** (2.0 - q)
         X_new = irls_weighted_step(A, D, S, b, X, q, eps_s, lam)
         AX = _mv(A, X_new)
         S_new = np.where(AX >= 0.0, 1.0, -1.0)
@@ -650,8 +636,8 @@ def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
                              _pattern_residuals(Q, b, S[check]))
             ended[check[low > threshold]] = EXIT_RULES.index("cycle")
         # convergence counts only once the continuation has reached its floor
-        if eps_s <= opts.tol * (1.0 + 1e-9):
-            ended[(ended < 0) & (_row_norms(X_new - X) <= opts.tol)] = EXIT_RULES.index("converged")
+        if eps_s <= IRLS_TOL * (1.0 + 1e-9):
+            ended[(ended < 0) & (_row_norms(X_new - X) <= IRLS_TOL)] = EXIT_RULES.index("converged")
         done = ended >= 0
         out = live[done]
         steps[out], rule[out] = t + 1, ended[done]
@@ -660,7 +646,7 @@ def _irls_converge(P: PhaselessProblem, X: np.ndarray, opts: IrlsOptions,
         held, cycled = held[keep], cycled[keep]
         if not len(live):
             break
-        eps_s = max(eps_s * opts.decay, opts.tol)
+        eps_s = max(eps_s * IRLS_DECAY, IRLS_TOL)
     return best_x, best_v, best_o, best_t, steps, rule
 
 
@@ -750,13 +736,12 @@ def _sign_tree(A: np.ndarray, b: np.ndarray, threshold: float,
     return S[_pattern_residuals(Q, b, S) <= threshold], nodes
 
 
-def _polish(P: PhaselessProblem, X0: np.ndarray, opts: IrlsOptions, Q: np.ndarray,
+def _polish(P: PhaselessProblem, X0: np.ndarray, Q: np.ndarray,
             feasible_classes: int = 0, tree_nodes: int = 0) -> SolverResult:
     """One _irls_converge batch from the starts X0 (R, n); the winner minimizes
     (violation, objective, start index) over every iterate of every run."""
     A, b, D = P.A, P.b, P.frame.D
-    lam0 = opts.reg if opts.reg is not None else 1e-3 * float(b @ b)
-    best_x, best_v, best_o, best_t, steps, rules = _irls_converge(P, X0, opts, lam0, Q)
+    best_x, best_v, best_o, best_t, steps, rules = _irls_converge(P, X0, Q)
     w = int(np.lexsort((np.arange(len(X0)), best_o, best_v))[0])
     x_hat = best_x[w].copy()
     return SolverResult(
@@ -772,14 +757,14 @@ def _polish(P: PhaselessProblem, X0: np.ndarray, opts: IrlsOptions, Q: np.ndarra
     )
 
 
-def _irls_restarts(P: PhaselessProblem, opts: IrlsOptions,
-                   factors: tuple | None = None) -> SolverResult:
+def _irls_restarts(P: PhaselessProblem, seed: int, factors: tuple | None = None) -> SolverResult:
     """The restart pipeline, solve_irls's fallback where the sign tree does not
     run: one polish run per restart, from the least-squares point
     A_pinv (p o b) of its start's pattern p = sign(Ax) (zeros mapping to +1),
     after sign-flip descent where that point is stalled.  Restart 0 starts at
     the spectral direction, every later one at a fresh random direction
-    scaled to ||b||.  factors are A's _svd_factors, taken here when not given.
+    scaled to ||b|| and drawn from (seed, restart index).  factors are A's
+    _svd_factors, taken here when not given.
 
     Each step is batched over the starts and equals running them one after
     another bit for bit: stacked products are _mv's and norms _row_norms',
@@ -791,19 +776,19 @@ def _irls_restarts(P: PhaselessProblem, opts: IrlsOptions,
     Q, _, A_pinv = factors or _svd_factors(A)
     _, V = np.linalg.eigh(A.T @ ((b**2)[:, None] * A))
     starts = [scale * V[:, -1]]
-    for j in range(1, opts.restarts):  # fresh random directions break bad sign-pattern basins
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(opts.seed, j)))
+    for j in range(1, IRLS_RESTARTS):  # fresh random directions break bad sign-pattern basins
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, j)))
         g = rng.standard_normal(n)
         starts.append(scale * g / np.linalg.norm(g))
     S = np.where(_mv(A, np.array(starts)) >= 0.0, 1.0, -1.0)
     X0 = _mv(A_pinv, S * b)
     stalled = np.flatnonzero(_row_norms(np.abs(_mv(A, X0)) - b) > _stall_threshold(P.eps, scale))
-    S[stalled] = _sign_flip_descent(A, b, S[stalled], 8, Q)
+    S[stalled] = _sign_flip_descent(A, b, S[stalled], Q)
     X0[stalled] = _mv(A_pinv, S[stalled] * b)
-    return _polish(P, X0, opts, Q)
+    return _polish(P, X0, Q)
 
 
-def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverResult:
+def solve_irls(P: PhaselessProblem, seed: int = 0) -> SolverResult:
     """Reweighted least-squares polish of the sign patterns the sign tree keeps.
 
     One thin SVD of A gives Q = U_r, A_pinv and U_r S_r (r the numerical
@@ -813,13 +798,14 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
     points of smallest objective (a stable sort; emission order breaks ties).
     The restart pipeline (_irls_restarts) runs instead when m < n, when the
     tree would visit more than TREE_MAX_NODES nodes, or when it keeps no
-    pattern (eps below every pattern's residual); restarts and seed act only
-    there.
+    pattern (eps below every pattern's residual); seed, which draws its
+    random starts, acts only there and must be a non-negative integer.
 
     Each polish run is the continuation: every outer iteration sets
     p = sign(Ax), then solves the strictly convex weighted problem, and the
     smoothing and the regularization decay geometrically together so the
-    fixed point approaches a stationary point of the unsmoothed objective.
+    fixed point approaches a stationary point of the unsmoothed objective;
+    the schedule is the IRLS_* constants.
     Among all iterates of all runs the returned one minimizes (constraint
     violation, objective) lexicographically, the lowest pattern rank (the
     tree's emission order, or the restart index) winning a tie.
@@ -831,8 +817,8 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
     restarts on the fallback, where `feasible_classes` and `tree_nodes`
     read 0.
     """
-    opts = opts or IrlsOptions()
-    opts.validate()
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     _check_q(P.q)
     A, b, D = P.A, P.b, P.frame.D
     m, n = A.shape
@@ -843,10 +829,10 @@ def solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverRe
     factors = Q, sv, A_pinv = _svd_factors(A)
     tree = _sign_tree(Q * sv, b, _stall_threshold(P.eps, scale), Q) if m >= n else None
     if tree is None or not len(tree[0]):
-        return _irls_restarts(P, opts, factors)
+        return _irls_restarts(P, seed, factors)
     S, nodes = tree
     X0 = _mv(A_pinv, S * b)
     if len(S) > TREE_MAX_CLASSES:
         objective = np.sum(np.abs(_mv(D.T, X0)) ** P.q, axis=1)
         X0 = X0[np.sort(np.argsort(objective, kind="stable")[:TREE_MAX_CLASSES])]
-    return _polish(P, X0, opts, Q, feasible_classes=len(S), tree_nodes=nodes)
+    return _polish(P, X0, Q, feasible_classes=len(S), tree_nodes=nodes)

@@ -79,7 +79,6 @@ from lqphase.solver import (
     FEAS_RTOL,
     RECHECK_RHO,
     STALL_STEPS,
-    IrlsOptions,
     SolverResult,
     solve_affine_lq_oracle,
     solve_oracle_noiseless,
@@ -358,7 +357,7 @@ def loop_sign_flip_descent(A: np.ndarray, b: np.ndarray, p: np.ndarray,
     return p
 
 
-def loop_solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> SolverResult:
+def loop_solve_irls(P: PhaselessProblem, seed: int = 0) -> SolverResult:
     """Sign-flip descent and reweighted least-squares polish, one start at a
     time.
 
@@ -369,10 +368,10 @@ def loop_solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> Sol
     pattern's least-squares point until an exit rule holds.  A_pinv and the
     basis Qa of A's column space come from A's thin SVD, cut at its numerical
     rank r.  Among all iterates of all runs the returned one minimizes
-    (constraint violation, objective) lexicographically.
+    (constraint violation, objective) lexicographically.  The schedule is
+    read from solver's IRLS_* constants at call time, so a test can change
+    it for both implementations.
     """
-    opts = opts or IrlsOptions()
-    opts.validate()
     _check_q(P.q)
     A, b, D = P.A, P.b, P.frame.D
     n = A.shape[1]
@@ -380,7 +379,7 @@ def loop_solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> Sol
     if scale == 0.0:
         return SolverResult(x_hat=np.zeros(n), objective=0.0, feasibility=0.0,
                             method="irls", iterations=0)
-    lam0 = opts.reg if opts.reg is not None else 1e-3 * float(b @ b)
+    lam0 = solver.IRLS_REG * float(b @ b)
     _, V = np.linalg.eigh(A.T @ ((b**2)[:, None] * A))
     x_spec = scale * V[:, -1]
     u, sv, vh = np.linalg.svd(A, full_matrices=False)
@@ -402,13 +401,13 @@ def loop_solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> Sol
 
     def converge(x: np.ndarray) -> None:
         nonlocal best_key, best_x, best_iters
-        eps_s = opts.eps0
+        eps_s = solver.IRLS_EPS0
         p, p_old = sign(x), None
         held = cycled = 0
-        for t in range(opts.max_iters):
+        for t in range(solver.IRLS_MAX_ITERS):
             # lam * w stays O(lam0) at analysis zeros and vanishes elsewhere,
             # so the data term is asymptotically unbiased
-            lam = lam0 * (eps_s / opts.eps0) ** (2.0 - P.q)
+            lam = lam0 * (eps_s / solver.IRLS_EPS0) ** (2.0 - P.q)
             x_new = loop_weighted_step(A, D, p, b, x, P.q, eps_s, lam)
             p_new = sign(x_new)
             feas = float(np.linalg.norm(np.abs(A @ x_new) - b))
@@ -426,22 +425,22 @@ def loop_solve_irls(P: PhaselessProblem, opts: IrlsOptions | None = None) -> Sol
             if cycled == 2 * STALL_STEPS and min(resid(p_new), resid(p)) > threshold:
                 return
             # convergence counts only once the continuation has reached its floor
-            if eps_s <= opts.tol * (1.0 + 1e-9) and np.linalg.norm(x_new - x) <= opts.tol:
+            if eps_s <= solver.IRLS_TOL * (1.0 + 1e-9) and np.linalg.norm(x_new - x) <= solver.IRLS_TOL:
                 return
             x, p, p_old = x_new, p_new, p
-            eps_s = max(eps_s * opts.decay, opts.tol)
+            eps_s = max(eps_s * solver.IRLS_DECAY, solver.IRLS_TOL)
 
-    for j in range(opts.restarts):
+    for j in range(solver.IRLS_RESTARTS):
         if j == 0:
             x = x_spec
         else:  # a fresh random direction; breaks bad sign-pattern basins
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(opts.seed, j)))
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, j)))
             g = rng.standard_normal(n)
             x = scale * g / np.linalg.norm(g)
         p = sign(x)
         x = A_pinv @ (p * b)
         if np.linalg.norm(np.abs(A @ x) - b) > threshold:
-            p = loop_sign_flip_descent(A, b, p, Qa=Qa)
+            p = loop_sign_flip_descent(A, b, p, solver.FLIP_MAX_SWEEPS, Qa)
             x = A_pinv @ (p * b)
         converge(x)
     assert best_x is not None
@@ -1738,8 +1737,9 @@ def test_nsp_falsifier_screens_a_layer_only_when_the_scan_reaches_it(monkeypatch
 def test_min_eig_exceeds_is_a_sufficient_test_of_the_smallest_eigenvalue():
     """nsp._min_eig_exceeds against eigvalsh on Gram stacks of r = 1..4 whose
     smallest eigenvalue is 0 or runs from 1e-16 to 1: a pass implies
-    lambda_min > floor up to rounding, the test is exact at r = 1 and loses
-    at most a factor 2 at r = 2, and a singular or zero Gram never passes."""
+    lambda_min > floor up to rounding, the test is exact at r <= 2, and a
+    singular or zero Gram never passes.  Two equal eigenvalues of 1.5 floor
+    pass at r = 2, where the AM-GM determinant bound gives 0.75 floor."""
     rng = np.random.default_rng(21)
     floor = 1e-12
     for r in (1, 2, 3, 4):
@@ -1751,9 +1751,11 @@ def test_min_eig_exceeds_is_a_sufficient_test_of_the_smallest_eigenvalue():
         lam_min = np.linalg.eigvalsh(G)[:, 0]
         assert np.all(lam_min[passed] > floor * (1 - 1e-3))
         assert not passed[:20].any() and not passed[-1]
-        assert passed[lam_min > 2.01 * floor].all() if r <= 2 else passed.any()
+        assert passed[lam_min > floor * (1 + 1e-3)].all() if r <= 2 else passed.any()
         if r == 1:
             assert np.array_equal(passed, G[:, 0, 0] > floor)
+    equal = 1.5 * floor * np.eye(2)[:, :, None]
+    assert nsp._min_eig_exceeds(equal, floor).all()
 
 
 def loop_null_space(M):
@@ -1825,27 +1827,30 @@ def irls_corpus():
         yield build_problem(A, F, truth, 0.5 + 0.5 * seed)
 
 
-def _irls_outcome(solve, P, opts):
+def _irls_outcome(solve, P, seed):
     try:
-        res = solve(P, opts)
+        res = solve(P, seed)
     except np.linalg.LinAlgError as exc:
         return type(exc)
     return res.x_hat.tobytes(), res.objective, res.feasibility, res.iterations
 
 
-@pytest.mark.parametrize("opts", [
-    IrlsOptions(seed=3),
-    IrlsOptions(restarts=1),
-    IrlsOptions(max_iters=5, seed=4),  # every run stops at the iteration cap
-    IrlsOptions(max_iters=55, restarts=4, seed=5),  # most runs pass their exit test first
-    IrlsOptions(reg=0.02, restarts=4, seed=6),
+# (seed, schedule constants of solver that differ from the IRLS schedule)
+@pytest.mark.parametrize("seed, schedule", [
+    (3, {}),
+    (0, dict(IRLS_RESTARTS=1)),
+    (4, dict(IRLS_MAX_ITERS=5)),  # every run stops at the iteration cap
+    (5, dict(IRLS_MAX_ITERS=55, IRLS_RESTARTS=4)),  # most runs pass their exit test first
+    (6, dict(IRLS_REG=0.02, IRLS_RESTARTS=4)),
     # lam * w below rounding: iterates repeat exactly, so keys tie within a run
-    IrlsOptions(reg=1e-18, restarts=4, seed=7),
+    (7, dict(IRLS_REG=1e-18, IRLS_RESTARTS=4)),
     # the start's last bits reach the first weights, so polish starts must be
     # the 1-D least-squares points A_pinv @ (p * b)
-    IrlsOptions(eps0=1e-2, seed=9),
+    (9, dict(IRLS_EPS0=1e-2)),
 ], ids=["default", "one-restart", "cap-5", "cap-55", "reg", "tiny-reg", "small-eps0"])
-def test_irls_matches_reference_loop_bit_for_bit(opts, monkeypatch):
+def test_irls_matches_reference_loop_bit_for_bit(seed, schedule, monkeypatch):
+    for name, value in schedule.items():
+        monkeypatch.setattr(solver, name, value)
     descended = []
     descent = solver._sign_flip_descent
 
@@ -1858,14 +1863,15 @@ def test_irls_matches_reference_loop_bit_for_bit(opts, monkeypatch):
     for P in problems:
         # every corpus problem but the wide ones takes the sign tree in
         # solve_irls, so the restart pipeline is called directly
-        assert _irls_outcome(solver._irls_restarts, P, opts) == _irls_outcome(loop_solve_irls, P, opts)
+        assert _irls_outcome(solver._irls_restarts, P, seed) == _irls_outcome(loop_solve_irls, P, seed)
     # the corpus reaches both paths: starts that go through the sign-flip
     # descent and starts polished from their own pattern
-    assert 0 < sum(descended) < opts.restarts * len(problems)
+    assert 0 < sum(descended) < solver.IRLS_RESTARTS * len(problems)
 
 
 @pytest.mark.parametrize("max_sweeps", [1, 8])
-def test_sign_flip_descent_matches_scalar_loop_row_by_row(max_sweeps):
+def test_sign_flip_descent_matches_scalar_loop_row_by_row(max_sweeps, monkeypatch):
+    monkeypatch.setattr(solver, "FLIP_MAX_SWEEPS", max_sweeps)
     rng = np.random.default_rng(11)
     for m, n in ((16, 8), (24, 8), (5, 3)):
         A = rng.standard_normal((m, n)) / np.sqrt(m)
@@ -1873,7 +1879,7 @@ def test_sign_flip_descent_matches_scalar_loop_row_by_row(max_sweeps):
         b = np.abs(A @ x)
         exact = np.where(A @ x >= 0.0, 1.0, -1.0)  # zero residual: never improves
         patterns = np.vstack([exact, -exact, np.where(rng.random((6, m)) < 0.5, 1.0, -1.0)])
-        got = solver._sign_flip_descent(A, b, patterns, max_sweeps)
+        got = solver._sign_flip_descent(A, b, patterns)
         assert got.tobytes() != patterns.tobytes()
         assert np.array_equal(got[:2], patterns[:2])
         for row, p in zip(got, patterns):
@@ -1915,9 +1921,10 @@ def descent_tie_corpus():
 
 
 @pytest.mark.parametrize("max_sweeps", [0, 1, 2, 3, 8])
-def test_sign_flip_descent_matches_scalar_loop_on_ties(max_sweeps):
+def test_sign_flip_descent_matches_scalar_loop_on_ties(max_sweeps, monkeypatch):
+    monkeypatch.setattr(solver, "FLIP_MAX_SWEEPS", max_sweeps)
     for A, b, patterns in descent_tie_corpus():
-        got = solver._sign_flip_descent(A, b, patterns, max_sweeps)
+        got = solver._sign_flip_descent(A, b, patterns)
         for row, p in zip(got, patterns):
             assert row.tobytes() == loop_sign_flip_descent(A, b, p, max_sweeps).tobytes()
 

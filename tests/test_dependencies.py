@@ -3,7 +3,8 @@ dependency in pyproject.toml; the test extras (scipy, hypothesis, pytest)
 stay out of the package.  Only serialize opens files (the builtin open) and
 reads dataclass fields (dataclasses.fields, in its one payload decoder).
 Every private module-level function or class is used somewhere in the
-package, so code that nothing needs cannot linger."""
+package, and every module-level UPPER_CASE constant is read somewhere in it
+outside its own assignment, so code that nothing needs cannot linger."""
 
 import ast
 import sys
@@ -66,24 +67,46 @@ def test_only_serialize_opens_files_or_reads_dataclass_fields():
     assert {name: sorted(calls) for name, calls in found.items() if calls} == {}
 
 
-def _orphans(modules: dict[str, str]) -> list[str]:
-    """The private (single-underscore) module-level functions and classes of
-    the given module sources that no name, attribute or import refers to
-    outside their own definition."""
-    private, refs = [], Counter()
+def _private_definitions(top: ast.stmt) -> list[str]:
+    """The private (single-underscore) function or class a module-level
+    statement defines."""
+    own = getattr(top, "name", "")
+    if (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_")
+            and not own.startswith("__")):
+        return [own]
+    return []
+
+
+def _constants(top: ast.stmt) -> list[str]:
+    """The UPPER_CASE names a module-level assignment binds."""
+    targets = (top.targets if isinstance(top, ast.Assign) else
+               [top.target] if isinstance(top, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and node.id.isupper()]
+
+
+def _unread(modules: dict[str, str], defines) -> list[str]:
+    """The names that defines(top) gives for the module-level statements of
+    the given module sources and that no name, attribute or import outside
+    that statement reads."""
+    defined, refs = [], Counter()
     for text in modules.values():
         for top in ast.parse(text).body:
-            own = getattr(top, "name", None)
-            if (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_")
-                    and not own.startswith("__")):
-                private.append(own)
+            own = defines(top)
+            defined += own
             for node in ast.walk(top):
-                ref = (node.id if isinstance(node, ast.Name) else
-                       node.attr if isinstance(node, ast.Attribute) else
+                ref = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else
+                       node.attr if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) else
                        node.name if isinstance(node, ast.alias) else None)
-                if ref is not None and ref != own:
+                if ref is not None and ref not in own:
                     refs[ref] += 1
-    return sorted(name for name in private if not refs[name])
+    return sorted(name for name in defined if not refs[name])
+
+
+def _orphans(modules: dict[str, str]) -> list[str]:
+    """The private module-level functions and classes that nothing refers to
+    outside their own definition."""
+    return _unread(modules, _private_definitions)
 
 
 def test_orphan_walker_sees_calls_attributes_and_imports():
@@ -101,3 +124,21 @@ def test_every_private_definition_is_used_in_the_package():
     modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert "_extremes" in modules["rip.py"]  # the walk reads the real modules
     assert _orphans(modules) == []
+
+
+def test_constant_walker_counts_reads_only():
+    modules = {
+        "a": "READ = 1\nUNREAD = 2\nDERIVED = READ + 1\n"
+             "lower = 4\nANNOTATED: int = 5\nPAIR_A, PAIR_B = 6, 7\n"
+             "def f():\n    return PAIR_A\n",
+        "b": "from .a import DERIVED\nimport c\nc.ATTR\nc.STORED = 8\n",
+        "c": "ATTR = 9\nSTORED = 10\n",
+    }
+    assert _unread(modules, _constants) == ["ANNOTATED", "PAIR_B", "STORED", "UNREAD"]
+
+
+def test_every_module_constant_is_read_in_the_package():
+    # a constant that only tests or the benchmark read is not part of the package
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert "ORACLE_MAX_M" in modules["solver.py"]  # the walk reads the real modules
+    assert _unread(modules, _constants) == []

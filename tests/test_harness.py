@@ -15,7 +15,7 @@ from lqphase.harness import (
     transition_sweep,
 )
 from lqphase.records import (
-    CSV_HEADER,
+    CSV_COLUMNS,
     ExperimentConfig,
     TrialRecord,
     emit_results,
@@ -188,8 +188,7 @@ def test_named_frame_with_wrong_N_is_skipped(kind, N):
 
 
 def test_noisy_cells_use_irls_and_record_realized_noise():
-    cfg = small_config(solver="irls", eps_values=[0.05], trials=2,
-                       solver_options={"restarts": 6, "max_iters": 200})
+    cfg = small_config(solver="irls", eps_values=[0.05], trials=2)
     recs = run_bound_experiment(cfg)
     assert all(r.status == "ok" for r in recs)
     assert all(r.method == "irls" for r in recs)
@@ -227,7 +226,7 @@ def test_emit_csv_golden_header_and_format(tmp_path):
     emit_results(recs, "csv", str(out))
     text = out.read_text()
     lines = text.split("\n")
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[0] == ("cell_index,trial_index,n,N,m,k,q,t,eps,seed,status,reason,"
                         "delta,delta_order,theta_minus,theta_plus,delta_theta_bound,"
                         "admissible,marginal,sigma_k,eps_realized,method,objective,"
@@ -235,7 +234,7 @@ def test_emit_csv_golden_header_and_format(tmp_path):
     assert text.endswith("\n") and "\r" not in text
     # 17 significant digits round-trip: parsing the delta cell reproduces it
     row = lines[1].split(",")
-    delta_col = CSV_HEADER.split(",").index("delta")
+    delta_col = CSV_COLUMNS.index("delta")
     assert float(row[delta_col]) == recs[0].delta
 
 
@@ -250,7 +249,7 @@ def test_emit_json_round_trip(tmp_path):
 def test_theta_window_ok_is_json_only(tmp_path):
     recs = run_bound_experiment(small_config(compute_sdrip=True, trials=2))
     assert all(isinstance(r.theta_window_ok, bool) for r in recs)
-    assert "theta_window_ok" not in CSV_HEADER.split(",")
+    assert "theta_window_ok" not in CSV_COLUMNS
     out = tmp_path / "r.json"
     emit_results(recs, "json", str(out))
     raw = json.loads(out.read_text())
@@ -338,28 +337,33 @@ def test_transition_counts_trials_whose_solver_raised():
         "cell_index,n,N,m,k,q,trials,successes,rate", "0,4,6,2,1,1,3,0,0", "1,4,6,5,1,1,3,3,1"]
 
 
-@pytest.mark.parametrize("options, error", [
-    ({"restart": 3}, ConfigurationError),
-    ({"tol": float("nan")}, ParameterError),
-    ({"reg": -1.0}, ParameterError),
-    ({"max_iters": 2.5}, ParameterError),
-])
-def test_irls_options_are_checked_at_load(options, error):
-    # irls sweeps read solver_options, and so do transition cells above the
-    # oracle guard, so a bad option fails at load instead of in a trial
-    for solver in ("irls", "oracle"):
-        data = asdict(small_config(solver=solver, solver_options=options))
-        with pytest.raises(error):
-            ExperimentConfig.from_json_dict(data)
-
-
-def test_solver_options_cannot_set_the_seed(tmp_path, capsys):
-    # each trial solves with its own derived seed, which would overwrite this one
-    for solver in ("irls", "oracle"):
-        data = asdict(small_config(solver=solver, solver_options={"restarts": 2, "seed": 7}))
-        with pytest.raises(ConfigurationError, match="'seed'"):
-            ExperimentConfig.from_json_dict(data)
-    _assert_both_modes_reject(tmp_path, capsys, data)
+@pytest.mark.parametrize("options", [
+    {"reg": 0.0},
+    {"restarts": 2, "seed": 7},
+    {"restart": 3},
+    {"tol": float("nan")},
+    {"reg": -1.0},
+    {"max_iters": 2.5},
+], ids=["reg-0", "seed", "unknown-option", "nan-tol", "negative-reg", "fractional-max_iters"])
+def test_a_config_with_solver_options_fails_at_load(tmp_path, capsys, monkeypatch, options):
+    # IRLS runs one schedule, so the config has no solver_options; {"reg": 0}
+    # used to pass validation and then stop an irls sweep at its m < n cell
+    # with a singular weighted step, writing no CSV
+    calls = []
+    monkeypatch.setattr(harness, "_instance", lambda *args: calls.append(args))
+    data = {**asdict(small_config(solver="irls", m_values=[2, 8], eps_values=[0.01])),
+            "solver_options": options}
+    with pytest.raises(ConfigurationError) as info:
+        ExperimentConfig.from_json_dict(data)
+    assert str(info.value) == "unknown config keys: ['solver_options']"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    for mode in ("bound", "transition"):
+        out = tmp_path / f"{mode}.csv"
+        assert main(["experiment", mode, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: ['solver_options']\n"
+        assert not out.exists()
+    assert calls == []
 
 
 def test_bound_sweep_skips_a_cell_with_k_above_N():

@@ -27,13 +27,13 @@ from lqphase.measurement import build_problem
 from lqphase.signals import sample_dictionary_sparse
 from lqphase.solver import (
     EXIT_RULES,
+    IRLS_MAX_ITERS,
     STALL_STEPS,
-    IrlsOptions,
     solve_irls,
     solve_oracle_noiseless,
 )
 
-# Weighted steps over irls_corpus() at default options when every run went
+# Weighted steps over irls_corpus() at the IRLS schedule when every run went
 # through the whole continuation schedule.
 FULL_SCHEDULE_STEPS = 9375
 
@@ -83,7 +83,7 @@ def test_exits_follow_their_rules(monkeypatch):
         # the tree path's runs start at feasible patterns and do not stall;
         # the restart pipeline's do
         solve_irls(P)
-        solver._irls_restarts(P, IrlsOptions())
+        solver._irls_restarts(P, 0)
     seen = dict.fromkeys(EXIT_RULES, 0)
     for run in runs:
         P = run["P"]
@@ -103,7 +103,7 @@ def test_exits_follow_their_rules(monkeypatch):
                 x_ls = np.linalg.lstsq(P.A, p * P.b, rcond=None)[0]
                 assert np.linalg.norm(P.A @ x_ls - p * P.b) > threshold
             elif name == "max_iters":
-                assert steps[r] == IrlsOptions().max_iters
+                assert steps[r] == IRLS_MAX_ITERS
     assert seen["discrepancy"] and seen["stall"]  # the corpus reaches both rules
 
 
@@ -117,7 +117,7 @@ def _lstsq_residual(P, p) -> float:
 
 
 def irls_sweep_trial(master_seed: int, cell: int, trial: int):
-    """The problem and options of an irls-sweep trial (n = 8, N = 12, k = 2,
+    """The problem and IRLS seed of an irls-sweep trial (n = 8, N = 12, k = 2,
     eps = 0.01, near-isometric A with jitter 0.05; cells (m, q) = (16, 0.5),
     (16, 1), (24, 0.5), (24, 1)), from the harness's seed derivation."""
     m, q = [(16, 0.5), (16, 1.0), (24, 0.5), (24, 1.0)][cell]
@@ -126,7 +126,7 @@ def irls_sweep_trial(master_seed: int, cell: int, trial: int):
     truth = sample_dictionary_sparse(F, 2, sseed)
     A = sample_measurement_matrix("near_isometric", m, 8, 0.05, mseed)
     P = build_problem(A, F, truth, q, noise=("bounded", 0.01), seed=xseed)
-    return P, IrlsOptions(seed=xseed)
+    return P, xseed
 
 
 # irls-sweep trials (cell, trial) at seed 1 whose restart pipeline once had
@@ -159,7 +159,7 @@ def test_cycle_exits_follow_their_rule(monkeypatch):
                 early = _pattern(P, path[-2 * STALL_STEPS - 3])
                 assert not (pats[1] == early != pats[0])
             assert min(_lstsq_residual(P, pats[-1]), _lstsq_residual(P, pats[-2])) > threshold
-            assert steps[r] < IrlsOptions().max_iters
+            assert steps[r] < IRLS_MAX_ITERS
     assert cycles == 1  # the runs that otherwise reach the 500-step cap
 
 
@@ -175,9 +175,10 @@ def test_cycling_trial_ends_before_the_cap():
 
 def test_exit_counts_add_up_to_the_runs(monkeypatch):
     runs = _spy_runs(monkeypatch)
+    monkeypatch.setattr(solver, "IRLS_RESTARTS", 6)
     for P in irls_corpus():
         del runs[:]
-        res = solver._irls_restarts(P, IrlsOptions(restarts=6))
+        res = solver._irls_restarts(P, 0)
         assert set(res.exits) == set(EXIT_RULES)
         assert sum(res.exits.values()) == sum(len(run["starts"]) for run in runs)
         assert len(runs[0]["starts"]) == 6
@@ -210,6 +211,6 @@ def test_harder_corpus_keeps_its_oracle_hits():
     hits = 0
     for trial, P in harder_corpus():
         oracle = solve_oracle_noiseless(P).objective
-        irls = solve_irls(P, IrlsOptions(seed=trial)).objective
+        irls = solve_irls(P, trial).objective
         hits += abs(irls - oracle) <= 1e-6 * oracle
     assert hits >= 157, f"only {hits}/200 reached the oracle objective"

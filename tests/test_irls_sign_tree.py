@@ -29,7 +29,7 @@ from lqphase.frames import build_parseval_random
 from lqphase.measurement import PhaselessProblem, build_problem
 from lqphase.records import CSV_COLUMNS
 from lqphase.signals import lq_quasinorm, sample_dictionary_sparse
-from lqphase.solver import IrlsOptions, solve_irls
+from lqphase.solver import solve_irls
 
 
 def _class(p, b) -> tuple:
@@ -132,8 +132,8 @@ def test_every_irls_sweep_trial_is_feasible():
     # and (1, 16) and seed 1 (0, 15)
     infeasible, classes = [], []
     for seed, cell, trial in product((0, 1), range(4), range(26)):
-        P, opts = irls_sweep_trial(seed, cell, trial)
-        res = solve_irls(P, opts)
+        P, irls_seed = irls_sweep_trial(seed, cell, trial)
+        res = solve_irls(P, irls_seed)
         if res.feasibility > P.eps:
             infeasible.append((seed, cell, trial))
         classes.append(getattr(res, "feasible_classes", 0))
@@ -191,10 +191,10 @@ def _same(a, b) -> bool:
         (b.x_hat.tobytes(), b.objective, b.feasibility, b.iterations, b.steps, b.exits)
 
 
-def _assert_falls_back(P, opts=IrlsOptions()):
-    res = solve_irls(P, opts)
+def _assert_falls_back(P, seed=0):
+    res = solve_irls(P, seed)
     assert (res.feasible_classes, res.tree_nodes) == (0, 0)
-    assert _same(res, solver._irls_restarts(P, opts))
+    assert _same(res, solver._irls_restarts(P, seed))
 
 
 def test_wide_A_falls_back_to_the_restart_pipeline():
@@ -255,20 +255,20 @@ def test_one_svd_and_no_qr_or_pseudo_inverse_of_A(monkeypatch):
     def no_pinv(*args, **kwargs):
         raise AssertionError("pseudo-inverse")
 
-    tall, opts = irls_sweep_trial(0, 0, 0)
+    tall, seed = irls_sweep_trial(0, 0, 0)
     wide = next(P for P in irls_corpus() if P.m < P.n)
     overflow, _ = irls_sweep_trial(1, 2, 5)
     # a tree problem, a wide one and one whose tree overflows its node budget
     for P, nodes in ((tall, solver.TREE_MAX_NODES), (wide, solver.TREE_MAX_NODES),
                      (overflow, 2**7 - 1)):
         monkeypatch.setattr(solver, "TREE_MAX_NODES", nodes)
-        want = solve_irls(P, opts)
+        want = solve_irls(P, seed)
         with monkeypatch.context() as spies:
             spies.setattr(np.linalg, "svd", svd_spy)
             spies.setattr(np.linalg, "qr", qr_spy)
             spies.setattr(np.linalg, "pinv", no_pinv)
             del calls[:]
-            res = solve_irls(P, opts)
+            res = solve_irls(P, seed)
         assert calls.count(True) == 1
         assert _same(res, want)
         assert (res.feasible_classes > 0) == (P is tall)
@@ -276,26 +276,26 @@ def test_one_svd_and_no_qr_or_pseudo_inverse_of_A(monkeypatch):
 
 
 def test_node_budget_overrun_falls_back(monkeypatch):
-    P, opts = irls_sweep_trial(1, 2, 5)
+    P, seed = irls_sweep_trial(1, 2, 5)
     Q, _ = np.linalg.qr(P.A)
     threshold = solver._stall_threshold(P.eps, np.linalg.norm(P.b))
     _, nodes = solver._sign_tree(P.A, P.b, threshold, Q)
     for budget in (2**7 - 1, nodes - 1):  # the basis patterns alone; the last layer
         monkeypatch.setattr(solver, "TREE_MAX_NODES", budget)
         assert solver._sign_tree(P.A, P.b, threshold, Q) is None
-        _assert_falls_back(P, opts)
+        _assert_falls_back(P, seed)
     monkeypatch.setattr(solver, "TREE_MAX_NODES", nodes)
     assert solver._sign_tree(P.A, P.b, threshold, Q)[1] == nodes
 
 
 def test_no_kept_class_falls_back():
     # eps far below every pattern's residual: no x meets the constraint
-    P, opts = irls_sweep_trial(0, 3, 1)
+    P, seed = irls_sweep_trial(0, 3, 1)
     tight = PhaselessProblem(A=P.A, frame=P.frame, b=P.b, eps=1e-6, q=P.q)
     Q, _ = np.linalg.qr(P.A)
     kept, nodes = solver._sign_tree(P.A, P.b, solver._stall_threshold(1e-6, np.linalg.norm(P.b)), Q)
     assert len(kept) == 0 and nodes > 0
-    _assert_falls_back(tight, opts)
+    _assert_falls_back(tight, seed)
 
 
 @pytest.mark.parametrize("zeros", [[0], [0, 1, 2], list(range(8))])

@@ -13,7 +13,7 @@ from lqphase.measurement import PhaselessProblem, build_problem
 from lqphase.records import ExperimentConfig, TrialRecord, emit_results, records_from_json
 from lqphase.rip import RipReport, sdrip_constants
 from lqphase.signals import sample_dictionary_sparse
-from lqphase.solver import IrlsOptions, SolverResult, solve_oracle_noiseless
+from lqphase.solver import SolverResult, solve_oracle_noiseless
 
 
 def _payload():
@@ -222,10 +222,8 @@ ROUND_TRIPS = [
      _decoded(TrialRecord, "trial record")),
     (sdrip_constants(P_WIDE.A, P_WIDE.frame, 2), serialize.rip_report_from_dict),
     (solve_oracle_noiseless(P_WIDE), serialize.solver_result_from_dict),
-    (IrlsOptions(max_iters=40, reg=0.0, restarts=3, seed=5, tol=1e-6),
-     _decoded(IrlsOptions, "irls options")),
     (ExperimentConfig(n_values=[4], N_values=[6], m_values=[3, 8], k_values=[1], q_values=[0.5],
-                      trials=2, solver="irls", solver_options={"restarts": 2}, jitter=0.1),
+                      trials=2, solver="irls", jitter=0.1),
      _decoded(ExperimentConfig, "config")),
 ]
 

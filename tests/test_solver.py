@@ -7,7 +7,6 @@ import pytest
 
 from lqphase import serialize, solver
 from lqphase.errors import (
-    ConfigurationError,
     DegenerateProblemError,
     DimensionError,
     DomainError,
@@ -19,7 +18,6 @@ from lqphase.frames import build_named_frame, build_parseval_random
 from lqphase.measurement import PhaselessProblem, build_problem, phase_distance
 from lqphase.signals import lq_quasinorm, sample_dictionary_sparse
 from lqphase.solver import (
-    IrlsOptions,
     irls_weighted_step,
     solve_affine_lq_oracle,
     solve_irls,
@@ -233,9 +231,10 @@ def test_irls_inner_step_monotone_surrogate():
         prev = cur
 
 
-def test_irls_matches_oracle_objective():
+def test_irls_matches_oracle_objective(monkeypatch):
     # noiseless m=8, n=4, N=6, k=1: 20 restarts reach the oracle objective
     # within 1e-6 in at least 90% of seeded trials
+    monkeypatch.setattr(solver, "IRLS_RESTARTS", 20)
     hits = 0
     trials = 100
     for trial in range(trials):
@@ -245,7 +244,7 @@ def test_irls_matches_oracle_objective():
         A = np.random.default_rng(7000 + trial).standard_normal((8, 4)) / np.sqrt(8)
         P = build_problem(A, F, truth, q=q)
         oracle = solve_oracle_noiseless(P)
-        irls = solve_irls(P, IrlsOptions(restarts=20, seed=trial))
+        irls = solve_irls(P, trial)
         if abs(irls.objective - oracle.objective) < 1e-6:
             hits += 1
     assert hits >= 0.9 * trials, f"only {hits}/{trials} matched the oracle"
@@ -256,7 +255,7 @@ def test_irls_feasibility_tracking_noiseless():
     truth = sample_dictionary_sparse(F, 1, seed=13)
     A = np.random.default_rng(14).standard_normal((8, 4)) / np.sqrt(8)
     P = build_problem(A, F, truth, q=1.0)
-    res = solve_irls(P, IrlsOptions(restarts=10, seed=0))
+    res = solve_irls(P, 0)
     assert res.feasibility <= 1e-6 * np.linalg.norm(P.b)
     assert res.iterations >= 1
 
@@ -272,6 +271,7 @@ def test_irls_steps_count_every_weighted_step(monkeypatch):
         return step(A, D, p, b, x, *args)
 
     monkeypatch.setattr(solver, "irls_weighted_step", counting)
+    monkeypatch.setattr(solver, "IRLS_RESTARTS", 6)
     F = build_parseval_random(4, 6, seed=12)
     truth = sample_dictionary_sparse(F, 1, seed=13)
     A = np.random.default_rng(14).standard_normal((8, 4)) / np.sqrt(8)
@@ -280,7 +280,7 @@ def test_irls_steps_count_every_weighted_step(monkeypatch):
     # the batching
     for solve in (solve_irls, solver._irls_restarts):
         del rows[:]
-        res = solve(P, IrlsOptions(restarts=6, seed=2))
+        res = solve(P, 2)
         assert res.steps == sum(rows) >= res.iterations >= 1
     assert len(rows) < res.steps  # one call advances every live restart
     back = serialize.solver_result_from_dict(
@@ -289,32 +289,14 @@ def test_irls_steps_count_every_weighted_step(monkeypatch):
     assert solve_oracle_noiseless(P).steps == 0
 
 
-def test_irls_options_validation():
-    with pytest.raises(ParameterError):
-        IrlsOptions(decay=1.5).validate()
-    with pytest.raises(ParameterError):
-        IrlsOptions(max_iters=0).validate()
-
-
-@pytest.mark.parametrize("bad", [
-    dict(tol=float("nan")), dict(tol=float("inf")), dict(eps0=float("nan")),
-    dict(eps0=float("inf")), dict(reg=-1e-3), dict(reg=float("nan")), dict(reg=float("inf")),
-    dict(max_iters=2.5), dict(restarts=3.0), dict(seed=-1), dict(tol="1e-8"),
-], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
-def test_irls_options_reject_bad_values(bad):
-    with pytest.raises(ParameterError):
-        IrlsOptions(**bad).validate()
-    with pytest.raises(ParameterError):
-        serialize.from_dict(IrlsOptions, bad, "irls options").validate()
-
-
-def test_irls_options_from_dict_rejects_unknown_keys():
-    with pytest.raises(ConfigurationError, match="restart"):
-        serialize.from_dict(IrlsOptions, {"restart": 3}, "irls options")
-    with pytest.raises(ConfigurationError):
-        serialize.from_dict(IrlsOptions, [("restarts", 3)], "irls options")
-    opts = serialize.from_dict(IrlsOptions, {"restarts": 3, "reg": 0.0}, "irls options")
-    assert opts == IrlsOptions(restarts=3, reg=0.0)
+@pytest.mark.parametrize("seed", [True, 2.5, -1], ids=str)
+def test_solve_irls_rejects_a_bad_seed(seed):
+    # the seed is IRLS's only parameter: it draws the restart pipeline's starts
+    F = build_parseval_random(4, 6, seed=12)
+    A = np.random.default_rng(14).standard_normal((3, 4))
+    P = build_problem(A, F, sample_dictionary_sparse(F, 1, seed=13), q=1.0)
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+        solve_irls(P, seed)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
