@@ -17,7 +17,7 @@ import sys
 
 from . import serialize
 from .bounds import constants_c1_c2, verify_recovery_bound
-from .errors import ResourceBudgetError
+from .errors import ConfigurationError, ResourceBudgetError
 from .frames import build_parseval_random
 from .harness import (
     run_bound_experiment,
@@ -25,7 +25,7 @@ from .harness import (
     transition_sweep,
 )
 from .nsp import nsp_real_falsify
-from .records import ExperimentConfig, emit_results, transition_to_csv
+from .records import ExperimentConfig, _is_real, emit_results, transition_to_csv
 from .rip import drip_constant, sdrip_constants
 from .solver import solve_irls, solve_oracle_noiseless
 
@@ -116,10 +116,12 @@ def _cmd_bound_check(args) -> int:
 
 def _cmd_bound_verify(args) -> int:
     trial = serialize.require_mapping(serialize.load_json(args.trial), "trial payload")
+    if not _is_real(t := trial["t"]):  # a bool would read as 0 or 1
+        raise ConfigurationError(f"trial t must be a number, got {type(t).__name__}")
     P = serialize.problem_from_dict(trial["problem"])
     result = serialize.solver_result_from_dict(trial["result"])
     rip = serialize.rip_report_from_dict(trial["rip"])
-    record = verify_recovery_bound(P, result, rip, float(trial["t"]))
+    record = verify_recovery_bound(P, result, rip, float(t))
     _emit(dataclasses.asdict(record), args.out)
     return 0
 

@@ -10,7 +10,8 @@ Both sweeps share one pipeline: `_grid` enumerates the cells, `_instance`
 builds a trial's problem (frame, truth, A, b) from its seeds and raises
 ConfigurationError for a cell that cannot exist, and `_solve` dispatches to
 the certified oracle or to IRLS.  A bound trial runs the oracle when the
-config's solver is "oracle"; a transition cell runs it up to the oracle guard
+config's solver is "oracle", and S-DRIP in place of DRIP when compute_sdrip
+is set; a transition cell runs the oracle up to the oracle guard
 m <= oracle_max_m and IRLS above it.
 """
 
@@ -133,10 +134,9 @@ def _run_bound_trial(cfg: ExperimentConfig, cell: dict, trial: int) -> TrialReco
     try:
         problem = _instance(cfg, cell, seeds)
         A, frame = problem.A, problem.frame
-        if cfg.compute_sdrip and m <= cfg.sdrip_max_m:
+        if cfg.compute_sdrip:
             rip = sdrip_constants(A, frame, order, half_rule=cfg.half_rule,
-                                  support_budget=cfg.support_budget,
-                                  max_m=cfg.sdrip_max_m)
+                                  support_budget=cfg.support_budget)
         else:
             rip = drip_constant(A, frame, order, support_budget=cfg.support_budget)
         result = _solve(cfg, problem, cfg.solver == "oracle", seeds[3])
@@ -173,7 +173,7 @@ def run_bound_experiment(
 ) -> list[TrialRecord]:
     """One record per (cell, trial); guarded cells, and trials that would start
     after max_seconds, are skipped with a reason.  threads accepts only the
-    benchmark's threads=1 and goes with its revision (ROADMAP item 6)."""
+    benchmark's threads=1 and goes with its revision (ROADMAP item 8)."""
     if threads != 1:
         raise ParameterError(f"sweeps run serially; threads must be 1, got {threads}")
     cfg.validate()

@@ -3,10 +3,10 @@
 The enumeration kernels take the k-subsets of range(N) as index arrays, in
 the lexicographic order of itertools.combinations: all of them at once from
 combination_array, which caches the read-only array, or a chunk at a time
-from combination_blocks.  check_budget (C(N, k) items within a budget) and
-check_matrix (a raw A of shape (m, n) with finite entries) are the only
-copies of their rules; every entry point runs them before it allocates or
-factors anything.
+from combination_blocks.  check_budget (per x C(N, k) work items within a
+budget) and check_matrix (a raw A of shape (m, n) with finite entries) are
+the only copies of their rules; every entry point runs them before it
+allocates or factors anything.
 Rank decisions use a relative singular-value cutoff (1e-10 times the largest
 singular value, or times a scale the caller knows), matching the
 frame-validation tolerance.
@@ -50,10 +50,11 @@ RANK_RTOL = 1e-10
 STACK_ELEMS = 2**16
 
 
-def check_budget(N: int, k: int, budget: int, what: str) -> None:
-    """Raise ResourceBudgetError when the C(N, k) items `what` exceed budget."""
-    if (count := comb(N, k)) > budget:
-        raise ResourceBudgetError(f"C({N},{k}) = {count} {what} exceed the budget {budget}")
+def check_budget(N: int, k: int, budget: int, what: str, per: int = 1) -> None:
+    """Raise ResourceBudgetError when per * C(N, k) work items `what` exceed budget."""
+    if (count := per * comb(N, k)) > budget:
+        head = f"C({N},{k})" if per == 1 else f"{per} x C({N},{k})"
+        raise ResourceBudgetError(f"{head} = {count} {what} exceed the budget {budget}")
 
 
 def check_matrix(A, n: int) -> np.ndarray:
@@ -133,8 +134,8 @@ def sym_eig_bounds(d: int, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     for [[a]], (a, c, b) for [[a, c], [c, b]].  The closed forms at d <= 2
     run 1.6-18x faster than LAPACK's symmetric eigensolver on the isometry
     enumerations' stacks (36-1001 matrices); d >= 3 assemble the matrices."""
-    if d == 1:
-        return entries[0].copy(), entries[0].copy()
+    if d == 1:  # both bounds are the view entries[0], not copies: every caller only reads them
+        return entries[0], entries[0]
     if d == 2:
         a, c, b = entries
         tr = a + b

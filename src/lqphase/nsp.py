@@ -44,7 +44,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import InvalidWitnessError, ParameterError, ResourceBudgetError
+from .errors import InvalidWitnessError, ParameterError
 from .frames import TightFrame
 from .linalg import (
     RANK_RTOL,
@@ -66,7 +66,6 @@ from .signals import _check_q, lq_quasinorm
 STRICTNESS_TOL = 1e-12
 MEMBERSHIP_RTOL = 1e-8
 NULLSPACE_TOL = 1e-9
-ALL_SUBSETS_MAX_M = 14
 # Lower bound on s_min(K) that certifies a (row subset, support) system of
 # full rank without U, V or an SVD: 1e4 times the rank cutoff, which the
 # bound must clear by (1 + 2 sqrt 2) RANK_RTOL plus rounding (see
@@ -172,16 +171,14 @@ def _evaluate(A: np.ndarray, F: TightFrame, w: NspWitness,
     return replace(w, Lambda=Lam, lhs=lhs, rhs=rhs, violated=bool(lhs >= rhs - STRICTNESS_TOL))
 
 
-def _lambda_list(m: int, k: int, mode: str) -> list[tuple[int, ...]]:
-    if mode == "card_at_most_k":
-        max_size = min(k, m)
-    elif mode == "all_subsets":
-        if m > ALL_SUBSETS_MAX_M:
-            raise ResourceBudgetError(f"m={m} exceeds the all-subsets guard ({ALL_SUBSETS_MAX_M})")
-        max_size = m
-    else:
+def _lambda_sizes(m: int, k: int, mode: str) -> range:
+    if mode not in ("card_at_most_k", "all_subsets"):
         raise ParameterError(f"lambda_mode must be 'card_at_most_k' or 'all_subsets', got {mode!r}")
-    return [lam for size in range(max_size + 1) for lam in combinations(range(m), size)]
+    return range((m if mode == "all_subsets" else min(k, m)) + 1)
+
+
+def _lambda_list(m: int, k: int, mode: str) -> list[tuple[int, ...]]:
+    return [lam for size in _lambda_sizes(m, k, mode) for lam in combinations(range(m), size)]
 
 
 def _coordinate_ascent(f, c0: np.ndarray) -> tuple[np.ndarray, float]:
@@ -255,8 +252,8 @@ def _min_eig_exceeds(G: np.ndarray, floor: float) -> np.ndarray:
     sqrt(eps) ||G||.
     """
     r = len(G)
-    if r <= 2:
-        return sym_eig_bounds(r, G[triu_pairs(r)])[0] > floor
+    if r <= 2:  # at r = 1 the entries are the view G[0], so nothing is copied
+        return sym_eig_bounds(r, G[0] if r == 1 else G[triu_pairs(r)])[0] > floor
     if r == 3:
         det = (G[0, 0] * (G[1, 1] * G[2, 2] - G[1, 2] ** 2)
                - G[0, 1] * (G[0, 1] * G[2, 2] - G[1, 2] * G[0, 2])
@@ -515,7 +512,8 @@ def nsp_real_falsify(
     budget was exhausted without finding a violation.  A must be a finite
     (m, F.n) array, and k must lie in [0, N]; at k = 0 the condition holds
     vacuously and None is exact.  Past the module's SUPPORT_BUDGET (read at
-    each call) of C(N, k) supports, it raises ResourceBudgetError first.
+    each call) of (row subset, support) cells, it raises ResourceBudgetError
+    before it lists a row subset.
     """
     A = check_matrix(A, F.n)
     q = _check_q(q)
@@ -524,7 +522,8 @@ def nsp_real_falsify(
         raise ParameterError("budget must be >= 1")
     if not 0 <= k <= F.N:
         raise ParameterError(f"sparsity k must lie in [0, {F.N}], got {k}")
-    check_budget(F.N, k, SUPPORT_BUDGET, "supports")
+    sizes = _lambda_sizes(m, k, lambda_mode)
+    check_budget(F.N, k, SUPPORT_BUDGET, "(row subset, support) cells", per=sum(comb(m, s) for s in sizes))
     lambdas = _lambda_list(m, k, lambda_mode)
     supports = combination_array(F.N, k)
     n_supports = len(supports)
@@ -625,9 +624,8 @@ def nsp_real_falsify(
 
     restarts = max(1, budget // max(1, len(lambdas) * n_supports))
     decomposed = 0
-    max_size = len(lambdas[-1])
     # first: the index in lambdas of the layer's first row subset
-    for size, first in enumerate(accumulate((comb(m, s) for s in range(max_size)), initial=0)):
+    for size, first in enumerate(accumulate((comb(m, s) for s in sizes[:-1]), initial=0)):
         rows = feeding(size)
         certify = screen() if rows and m > n else None
         layer_open = (np.ones((len(rows), n_supports), dtype=bool) if certify is None

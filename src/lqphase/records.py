@@ -28,7 +28,7 @@ from numbers import Integral, Real
 
 from .errors import ConfigurationError, ParameterError
 from .frames import NAMED_FRAMES
-from .rip import SDRIP_MAX_M, SUPPORT_BUDGET, _min_subset_size
+from .rip import SUPPORT_BUDGET, _min_subset_size
 from .serialize import from_dict, json_text, load_json, write_text
 from .signals import MAGNITUDE_LAWS
 from .solver import ORACLE_MAX_M
@@ -178,7 +178,6 @@ class ExperimentConfig:
     half_rule: str = "ceil"
     support_budget: int = SUPPORT_BUDGET
     oracle_max_m: int = ORACLE_MAX_M
-    sdrip_max_m: int = SDRIP_MAX_M
     success_tol: float = 1e-6
     version: int = 1
 
@@ -203,7 +202,7 @@ class ExperimentConfig:
         if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ConfigurationError("master_seed must be an integer >= 0")
         # a NaN guard would switch its guard off: every comparison with it is false
-        for name in ("support_budget", "oracle_max_m", "sdrip_max_m"):
+        for name in ("support_budget", "oracle_max_m"):
             if not _is_int(getattr(self, name)) or getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be an integer >= 1")
         # a string would fail the range checks below with a TypeError, and

@@ -22,7 +22,9 @@ of size >= h, and reads delta off I = [m].
 Both constants are maxima over every support, so both entry points
 enumerate all C(N, order) of them: a maximum over a sample of supports is
 only a lower bound, which could show a delta inadmissible but never
-admissible (Candes-Eldar-Needell-Randall, ACHA 2011).
+admissible (Candes-Eldar-Needell-Randall, ACHA 2011).  Each counts its work
+with linalg.check_budget before it allocates: C(N, order) supports, or
+(C(m, h) + 1) x C(N, order) (row set, support) pairs for S-DRIP.
 
 One kernel, _extremes, computes every constant.  It takes a stack of
 supports and a possibly empty layer of 0/1 row masks and cuts the supports
@@ -53,7 +55,7 @@ from math import comb, ceil, floor
 
 import numpy as np
 
-from .errors import ParameterError, ResourceBudgetError
+from .errors import ParameterError
 from .frames import TightFrame
 from .linalg import (
     STACK_ELEMS,
@@ -67,7 +69,6 @@ from .linalg import (
 )
 
 SUPPORT_BUDGET = 10**6
-SDRIP_MAX_M = 14
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,6 @@ def sdrip_constants(
     order: int,
     half_rule: str = "ceil",
     support_budget: int = SUPPORT_BUDGET,
-    max_m: int = SDRIP_MAX_M,
 ) -> RipReport:
     """Exhaustive half-subset isometry extremes (theta_minus, theta_plus).
 
@@ -244,10 +244,8 @@ def sdrip_constants(
     """
     A = _check_problem(A, F, order)
     m = A.shape[0]
-    if m > max_m:
-        raise ResourceBudgetError(f"m={m} exceeds the exhaustive subset guard ({max_m})")
-    check_budget(F.N, order, support_budget, "supports")
     h = _min_subset_size(m, half_rule)
+    check_budget(F.N, order, support_budget, "(row set, support) pairs", per=comb(m, h) + 1)
     lo, hi, dev = _extremes(A, F.D, combination_array(F.N, order), subset_masks(m, h))
     details = {"half_rule": half_rule, "n_subsets": sum(comb(m, s) for s in range(h, m + 1)),
                "n_supports": comb(F.N, order)}

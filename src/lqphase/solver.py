@@ -127,7 +127,7 @@ from .measurement import PhaselessProblem
 from .rip import SUPPORT_BUDGET
 from .signals import _check_q, lq_quasinorm
 
-ORACLE_MAX_M = 10
+ORACLE_MAX_M = 10  # the one m guard left: bench/workloads.py pins it (ROADMAP item 8)
 FEAS_RTOL = 1e-8
 # Relative accuracy assumed of every solved system, batched or scalar:
 # ||x_batched - x_scalar|| <= RECHECK_RHO * ||x||.  The scalar LU of M_Z, the
@@ -453,6 +453,8 @@ def solve_oracle_noiseless(
     enumeration counters and the margin to the second-best sign pattern.  An
     A of numerical rank below min(m, n) raises DegenerateProblemError, and
     InfeasibleProblemError means that no sign pattern admits a solution.
+    Past max_m rows, or 2^(m-1) x C(N, max(n - m, 0)) (sign, zero set) pairs
+    past support_budget, it raises ResourceBudgetError before it enumerates.
     """
     if P.eps > 1e-12:
         raise ParameterError("the certified oracle only handles the noiseless model (eps = 0)")
@@ -461,7 +463,7 @@ def solve_oracle_noiseless(
     if m > max_m:
         raise ResourceBudgetError(f"m={m} exceeds the sign enumeration guard ({max_m})")
     _check_q(P.q)
-    check_budget(F.N, max(n - m, 0), support_budget, "zero patterns")
+    check_budget(F.N, max(n - m, 0), support_budget, "(sign, zero set) pairs", per=2 ** (m - 1))
     signs = _sign_patterns(m)
     counts = _new_counts()
     counts["sign_patterns"] = len(signs)

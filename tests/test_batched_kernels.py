@@ -1105,6 +1105,8 @@ def test_sym_eig_bounds_matches_eigvalsh_on_stacked_entries():
             np.testing.assert_allclose(lo, w[..., 0], rtol=0, atol=tol)
             np.testing.assert_allclose(hi, w[..., -1], rtol=0, atol=tol)
             np.testing.assert_array_equal(entries, kept)
+            # at d = 1 both bounds are the entries themselves, not copies
+            assert d > 1 or (np.shares_memory(lo, entries) and np.shares_memory(hi, entries))
             # a 2-D stack of entries, as the NSP full-rank bound passes
             lo2, hi2 = sym_eig_bounds(d, entries[:, :, 0])
             np.testing.assert_array_equal(lo2, lo[:, 0])

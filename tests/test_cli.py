@@ -52,6 +52,20 @@ def test_rip_estimate_and_sdrip(tmp_path, problem_file):
     assert len(json.loads(out.read_text())["details"]["witness_support"]) == 1
 
 
+def test_rip_estimate_sdrip_takes_fifteen_rows(tmp_path):
+    # m = 15 was refused by an m guard; its C(15, 8) + 1 = 6,436 row sets for
+    # each of the 5 supports fit the work budget
+    F = build_parseval_random(3, 5, seed=9)
+    A = np.random.default_rng(1).standard_normal((15, 3)) / np.sqrt(15)
+    path, out = tmp_path / "problem.json", tmp_path / "rip.json"
+    serialize.save_json(serialize.problem_to_dict(
+        build_problem(A, F, sample_dictionary_sparse(F, 1, seed=2), q=1.0)), str(path))
+    assert main(["rip", "estimate", "--problem", str(path), "--order", "1",
+                 "--sdrip", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["min_subset_size"] == 8 and rep["theta_minus"] <= rep["theta_plus"]
+
+
 def test_solve_oracle(tmp_path, problem_file):
     path, P, truth = problem_file
     out = tmp_path / "sol.json"
@@ -72,11 +86,13 @@ def test_nsp_falsify_reports_budget(tmp_path, problem_file):
 
 
 def test_nsp_falsify_past_the_support_budget_is_a_resource_error(capsys, monkeypatch, problem_file):
-    # C(5, 1) = 5 supports against a budget of 4; the falsifier had no guard
+    # the 1 + 6 row subsets of size <= k = 1 of m = 6 rows times C(5, 1) = 5
+    # supports give 35 cells against a budget of 34; the falsifier had no guard
     path, _, _ = problem_file
-    monkeypatch.setattr(nsp, "SUPPORT_BUDGET", 4)
+    monkeypatch.setattr(nsp, "SUPPORT_BUDGET", 34)
     assert main(["nsp", "falsify", "--problem", str(path), "--k", "1", "--q", "1.0"]) == 2
-    assert capsys.readouterr().err == "resource error: C(5,1) = 5 supports exceed the budget 4\n"
+    assert capsys.readouterr().err == (
+        "resource error: 7 x C(5,1) = 35 (row subset, support) cells exceed the budget 34\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -220,9 +236,11 @@ def test_experiment_transition_reports_cells_that_cannot_be_built(tmp_path, caps
 
 
 def test_experiment_transition_reports_trials_whose_solver_raised(tmp_path, capsys):
+    # the oracle's 2 x C(6, 2) = 30 (sign, zero set) pairs at m = 2 exceed the
+    # budget of 16; the 2^4 = 16 sign patterns at m = 5 do not
     cfg = {
         "n_values": [4], "N_values": [6], "m_values": [2, 5], "k_values": [1],
-        "q_values": [1.0], "trials": 3, "support_budget": 1,
+        "q_values": [1.0], "trials": 3, "support_budget": 16,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -568,3 +586,17 @@ def test_bound_verify_names_a_field_that_is_not_a_number(tmp_path, capsys, part,
     serialize.save_json(trial, path)
     assert main(["bound", "verify", "--trial", path]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("t", [[1.0], {"a": 1}, None, True, False, "1.0"],
+                         ids=["list", "object", "null", "true", "false", "string"])
+def test_bound_verify_rejects_a_t_that_is_not_a_number(tmp_path, capsys, t):
+    # a list, an object or null ended in a TypeError traceback, and true read as t = 1
+    path = _trial(tmp_path)
+    trial = serialize.load_json(path)
+    trial["t"] = t
+    serialize.save_json(trial, path)
+    out = tmp_path / "record.json"
+    assert main(["bound", "verify", "--trial", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: trial t must be a number, got {type(t).__name__}\n"
+    assert not out.exists()

@@ -4,7 +4,10 @@ stay out of the package.  Only serialize opens files (the builtin open) and
 reads dataclass fields (dataclasses.fields, in its one payload decoder).
 Every private module-level function or class is used somewhere in the
 package, and every module-level UPPER_CASE constant is read somewhere in it
-outside its own assignment, so code that nothing needs cannot linger."""
+outside its own assignment, so code that nothing needs cannot linger.  The
+enumerating modules raise ResourceBudgetError only through
+linalg.check_budget, apart from the oracle's m guard, so every enumeration is
+bounded by one rule: its work."""
 
 import ast
 import sys
@@ -142,3 +145,32 @@ def test_every_module_constant_is_read_in_the_package():
     modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert "ORACLE_MAX_M" in modules["solver.py"]  # the walk reads the real modules
     assert _unread(modules, _constants) == []
+
+
+def _budget_raises(text: str) -> list[str]:
+    """The module-level functions of a module's source, one entry per raise
+    of ResourceBudgetError (bare or as an attribute) in their bodies."""
+    found = []
+    for top in ast.parse(text).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                if name == "ResourceBudgetError":
+                    found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_budget_raise_walker_sees_calls_attributes_and_nested_functions():
+    text = ("def f():\n    raise ResourceBudgetError('x')\n"
+            "def g():\n    def inner():\n        raise errors.ResourceBudgetError\n"
+            "def h():\n    check_budget(1, 1, 0, 'x')\n    raise ParameterError('y')\n")
+    assert _budget_raises(text) == ["f", "g"]
+
+
+def test_enumerations_raise_budget_errors_only_through_check_budget():
+    # the one exception is the oracle's m guard, which the benchmark's
+    # workloads pin through oracle_max_m and max_m (ROADMAP item 8)
+    found = {name: _budget_raises((SRC / name).read_text(encoding="utf-8"))
+             for name in ("rip.py", "nsp.py", "solver.py")}
+    assert found == {"rip.py": [], "nsp.py": [], "solver.py": ["solve_oracle_noiseless"]}

@@ -1,7 +1,8 @@
-"""The input guards of linalg: every enumeration entry point refuses a
-C(N, k) past its budget before it enumerates, and check_matrix is the one
-rule for a raw A."""
+"""The input guards of linalg: every enumeration entry point counts its work,
+per x C(N, k) items, and refuses it past its budget before it enumerates, and
+check_matrix is the one rule for a raw A."""
 
+import re
 from math import comb
 
 import numpy as np
@@ -18,7 +19,9 @@ from lqphase.signals import sample_dictionary_sparse
 from lqphase.solver import solve_affine_lq_oracle, solve_oracle_noiseless
 
 # n = 4, N = 7, m = 2, k = 2: C(7, 2) = 21 supports, and as many zero
-# patterns for the oracles, whose m = 2 leaves n - m = 2 free coordinates
+# patterns for the oracles, whose m = 2 leaves n - m = 2 free coordinates.
+# Per support or zero set, S-DRIP takes C(2, 1) + 1 = 3 row sets, the
+# falsifier the 4 row subsets of size <= k and the oracle 2^(m-1) = 2 signs.
 F = build_parseval_random(4, 7, seed=3)
 A = np.random.default_rng(3).standard_normal((2, 4))
 TRUTH = sample_dictionary_sparse(F, 2, seed=3)
@@ -31,22 +34,26 @@ def _falsify(budget, monkeypatch):
 
 
 ENTRY_POINTS = {
-    "drip": (lambda budget, _: drip_constant(A, F, 2, support_budget=budget), "supports"),
-    "sdrip": (lambda budget, _: sdrip_constants(A, F, 2, support_budget=budget), "supports"),
+    "drip": (lambda budget, _: drip_constant(A, F, 2, support_budget=budget), 1, "supports"),
+    "sdrip": (lambda budget, _: sdrip_constants(A, F, 2, support_budget=budget), 3,
+              "(row set, support) pairs"),
     "distance": (lambda budget, _: dictionary_sparse_distance(TRUTH.x, F.D, 2, support_budget=budget),
-                 "supports"),
-    "falsify": (_falsify, "supports"),
-    "oracle": (lambda budget, _: solve_oracle_noiseless(P, support_budget=budget), "zero patterns"),
+                 1, "supports"),
+    "falsify": (_falsify, 4, "(row subset, support) cells"),
+    "oracle": (lambda budget, _: solve_oracle_noiseless(P, support_budget=budget), 2,
+               "(sign, zero set) pairs"),
     "affine oracle": (lambda budget, _: solve_affine_lq_oracle(A, P.A @ TRUTH.x, F, 1.0,
                                                                 support_budget=budget),
-                      "zero patterns"),
+                      1, "zero patterns"),
 }
 
 
 @pytest.mark.parametrize("name", list(ENTRY_POINTS))
 def test_every_enumeration_refuses_past_its_budget_before_it_enumerates(monkeypatch, name):
     # the falsifier used to take every support's SVD first and had no guard
-    call, what = ENTRY_POINTS[name]
+    call, per, what = ENTRY_POINTS[name]
+    count = per * comb(7, 2)
+    head = "C(7,2)" if per == 1 else f"{per} x C(7,2)"
 
     def refuse(*args, **kwargs):
         raise AssertionError("an enumeration started before the budget check")
@@ -56,10 +63,18 @@ def test_every_enumeration_refuses_past_its_budget_before_it_enumerates(monkeypa
                        "_gram_schmidt_columns"):
             if hasattr(module, kernel):
                 monkeypatch.setattr(module, kernel, refuse)
-    with pytest.raises(ResourceBudgetError, match=rf"^C\(7,2\) = 21 {what} exceed the budget 20$"):
-        call(comb(7, 2) - 1, monkeypatch)
+    message = f"{head} = {count} {what} exceed the budget {count - 1}"
+    with pytest.raises(ResourceBudgetError, match=f"^{re.escape(message)}$"):
+        call(count - 1, monkeypatch)
     monkeypatch.undo()
-    call(comb(7, 2), monkeypatch)  # the budget itself is allowed
+    call(count, monkeypatch)  # the budget itself is allowed
+
+
+def test_check_budget_counts_per_items_for_each_k_subset():
+    check_budget(7, 2, 63, "(row set, support) pairs", per=3)
+    with pytest.raises(ResourceBudgetError, match=r"^3 x C\(7,2\) = 63 \(row set, support\) pairs "
+                       r"exceed the budget 62$"):
+        check_budget(7, 2, 62, "(row set, support) pairs", per=3)
 
 
 def test_check_budget_counts_the_k_subsets():

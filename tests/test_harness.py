@@ -1,5 +1,6 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from math import comb
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ def _assert_both_modes_reject(tmp_path, capsys, data) -> None:
     ("trials", 1.5), ("trials", True), ("n_values", [3.5]), ("N_values", [6.0]),
     ("m_values", [True]), ("k_values", [1.0]), ("master_seed", -1), ("master_seed", 0.5),
     # a NaN guard would let every cell through
-    *[(guard, value) for guard in ("oracle_max_m", "sdrip_max_m", "support_budget")
+    *[(guard, value) for guard in ("oracle_max_m", "support_budget")
       for value in (float("nan"), -3, 0.5, True)],
 ])
 def test_numbers_out_of_range_are_rejected_at_load(tmp_path, capsys, field, value):
@@ -259,6 +260,33 @@ def test_theta_window_ok_is_json_only(tmp_path):
     assert [r.theta_window_ok for r in reloaded] == [r.theta_window_ok for r in recs]
 
 
+def test_sdrip_runs_past_fourteen_rows_within_the_work_budget():
+    # m = 15 used to fall back to DRIP without a word; the S-DRIP work is
+    # C(15, 8) + 1 = 6,436 row sets for each of the C(6, 1) = 6 supports
+    cfg = small_config(solver="irls", eps_values=[0.01], m_values=[15], compute_sdrip=True, trials=1)
+    pairs = (comb(15, 8) + 1) * 6
+    [rec] = run_bound_experiment(cfg)
+    assert rec.status == "ok" and 0.0 <= rec.theta_minus <= rec.theta_plus
+    [rec] = run_bound_experiment(replace(cfg, support_budget=pairs - 1))
+    assert (rec.status, rec.reason) == ("skipped", f"ResourceBudgetError: 6436 x C(6,1) = {pairs} "
+                                                   f"(row set, support) pairs exceed the budget {pairs - 1}")
+
+
+def test_a_config_with_sdrip_max_m_fails_at_load(tmp_path, capsys):
+    # S-DRIP has no m guard, only the work budget, so the key is unknown
+    data = {**asdict(small_config(compute_sdrip=True)), "sdrip_max_m": 14}
+    with pytest.raises(ConfigurationError) as info:
+        ExperimentConfig.from_json_dict(data)
+    assert str(info.value) == "unknown config keys: ['sdrip_max_m']"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    for mode in ("bound", "transition"):
+        out = tmp_path / f"{mode}.csv"
+        assert main(["experiment", mode, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: ['sdrip_max_m']\n"
+        assert not out.exists()
+
+
 def test_emit_guards(tmp_path):
     with pytest.raises(ParameterError):
         emit_results([], "csv", str(tmp_path / "x.csv"))
@@ -326,10 +354,11 @@ def test_transition_leaves_out_cells_that_cannot_be_built():
 
 
 def test_transition_counts_trials_whose_solver_raised():
-    # m = 2 < n = 4 needs C(6, 2) zero patterns, over the support budget of 1,
-    # so every trial of cell 0 raises; the overdetermined cell 1 needs none
+    # m = 2 < n = 4 needs 2 x C(6, 2) = 30 (sign, zero set) pairs, over the
+    # budget of 16, so every trial of cell 0 raises; the overdetermined cell 1
+    # needs its 2^4 = 16 sign patterns alone, which the budget allows
     cfg = ExperimentConfig(n_values=[4], N_values=[6], m_values=[2, 5], k_values=[1],
-                           q_values=[1.0], trials=3, support_budget=1)
+                           q_values=[1.0], trials=3, support_budget=16)
     cells = transition_sweep(cfg)[0]
     assert [c.errors for c in cells] == [("ResourceBudgetError",) * 3, ()]
     assert [c.successes for c in cells] == [0, 3]
@@ -392,7 +421,7 @@ def test_sampling_rules_are_checked_at_load(field, value):
 
 def test_transition_reports_left_out_cells_beside_solver_errors():
     # N = 5 cells are left out (a duplicated_identity frame at n = 4 has N = 8);
-    # the m = 2 trials raise ResourceBudgetError (C(8, 2) zero patterns > 1)
+    # the m = 2 trials raise ResourceBudgetError (2 x C(8, 2) (sign, zero set) pairs > 1)
     cfg = ExperimentConfig(n_values=[4], N_values=[8, 5], m_values=[2, 5], k_values=[1],
                            q_values=[1.0], trials=3, frame_kind="duplicated_identity",
                            support_budget=1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lqphase import nsp
 from lqphase.errors import (
     DimensionError,
     DomainError,
@@ -143,11 +144,18 @@ def test_falsify_finds_witness_when_the_support_spans_the_space():
     assert nsp_real_evaluate(A, F, w).violated
 
 
-def test_falsify_all_subsets_guard():
+def test_falsify_all_subsets_guard(monkeypatch):
+    # all 2^15 row subsets of m = 15 rows times C(3, 1) = 3 supports
     A = np.random.default_rng(0).standard_normal((15, 3))
     F = build_named_frame("identity", 3)
-    with pytest.raises(ResourceBudgetError):
+    cells = 2**15 * 3
+    assert cells == 98_304
+    monkeypatch.setattr(nsp, "SUPPORT_BUDGET", cells - 1)
+    with pytest.raises(ResourceBudgetError, match=rf"^32768 x C\(3,1\) = {cells} \(row subset, support\) "
+                       rf"cells exceed the budget {cells - 1}$"):
         nsp_real_falsify(A, F, k=1, q=1.0, budget=10, lambda_mode="all_subsets")
+    monkeypatch.setattr(nsp, "SUPPORT_BUDGET", cells)  # the budget itself is allowed
+    nsp_real_falsify(A, F, k=1, q=1.0, budget=10, lambda_mode="all_subsets")
 
 
 @pytest.mark.parametrize("k", [-1, 6])

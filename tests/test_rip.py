@@ -215,9 +215,15 @@ def test_budget_guards():
     A = np.random.default_rng(0).standard_normal((4, 8))
     with pytest.raises(ResourceBudgetError):
         drip_constant(A, F, 15, support_budget=1000)
+    # m = 16 rows: C(16, 8) + 1 = 12,871 row sets for each of the 30 supports
     A_big = np.random.default_rng(1).standard_normal((16, 8))
-    with pytest.raises(ResourceBudgetError):
-        sdrip_constants(A_big, F, 1)
+    pairs = (comb(16, 8) + 1) * 30
+    assert pairs == 386_130
+    with pytest.raises(ResourceBudgetError, match=rf"^12871 x C\(30,1\) = {pairs} \(row set, support\) "
+                       rf"pairs exceed the budget {pairs - 1}$"):
+        sdrip_constants(A_big, F, 1, support_budget=pairs - 1)
+    report = sdrip_constants(A_big, F, 1, support_budget=pairs)  # the budget itself is allowed
+    assert report.theta_minus <= report.theta_plus
 
 
 def _zero_column_frame(n, N, seed):
