@@ -9,11 +9,11 @@ falsifier searches for witnesses of failure cell by cell, a cell being a row
 subset Lambda and a size-k support S; its splittings form a solution space
 W, the null space of K = (I - P_S)[U V], with P_S the projection onto
 col(D_S) and U, V null-space bases of the two row sets.  Most cells are
-decided without U, V or K.  nsp_real_falsify lists the five stages of its
-scan; _full_rank_bound and _sign_screen derive the two bounds that come from
-A's one SVD, formed only when A has full column rank, which each call tests
-once.  The screen rests on A(u - v) = diag(sigma_Lambda) A(u + v), with
-sigma_Lambda the signs -1 on Lambda and +1 off it.
+decided without U, V or K.  nsp_real_falsify lists the five stages of a
+call: the bounds of _full_rank_bound and _sign_screen, from A's one SVD and
+only for A of full column rank, run once over every row subset, and the
+scan of the cells they leave stays lazy.  The screen rests on
+A(u - v) = diag(sigma_Lambda) A(u + v), sigma_Lambda -1 on Lambda and +1 off it.
 
 A cell with dim W <= 1 is decided exactly, by at most one evaluation of a
 witness; only cells with dim W >= 2 are searched, so there the absence of a
@@ -27,8 +27,8 @@ the row subsets, and shares it between the projections of K, the sign
 screen and the membership check of its witnesses; dictionary_sparse_distance
 takes them a chunk of supports at a time.
 The full-rank bound, and the sign screen up to rank 2, share the isometry
-constants' eigenvalue kernel, linalg.sym_eig_bounds, and a layer's signs are
-1 - 2 linalg.subset_masks.
+constants' eigenvalue kernel, linalg.sym_eig_bounds; the row subsets and
+their signs, 1 - 2 linalg.subset_masks, are cached read-only tables.
 
 The complex case, H = C (block partitions of the rows with per-block
 unimodular constants), is out of scope: the witness type, the evaluator
@@ -38,9 +38,10 @@ and the falsifier are all real.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate, combinations, groupby
 from math import comb
+from numbers import Integral
 
 import numpy as np
 
@@ -177,8 +178,17 @@ def _lambda_sizes(m: int, k: int, mode: str) -> range:
     return range((m if mode == "all_subsets" else min(k, m)) + 1)
 
 
-def _lambda_list(m: int, k: int, mode: str) -> list[tuple[int, ...]]:
-    return [lam for size in _lambda_sizes(m, k, mode) for lam in combinations(range(m), size)]
+@lru_cache(maxsize=16)
+def _lambda_list(m: int, k: int, mode: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(lam for size in _lambda_sizes(m, k, mode) for lam in combinations(range(m), size))
+
+
+@lru_cache(maxsize=16)
+def _lambda_signs(m: int, k: int, mode: str) -> np.ndarray:
+    """The signs sigma_Lambda of _lambda_list(m, k, mode); both tables are cached and read-only."""
+    signs = 1.0 - 2.0 * np.concatenate([subset_masks(m, size) for size in _lambda_sizes(m, k, mode)])
+    signs.flags.writeable = False
+    return signs
 
 
 def _coordinate_ascent(f, c0: np.ndarray) -> tuple[np.ndarray, float]:
@@ -299,14 +309,14 @@ def _full_rank_bound(H: np.ndarray, s: np.ndarray):
     m, n = len(H), len(s)
     ratio2 = (s[-1] / s[0]) ** 2
     HH = H @ H.T  # H_R H_R^T is HH[R, R]
+    masks = {0: np.array([ratio2 >= SIGN_SCREEN_TAU**2])}
 
-    @cache
     def certified(r: int) -> np.ndarray:
-        if r == 0:
-            return np.array([ratio2 >= SIGN_SCREEN_TAU**2])
-        removed, (p, q) = combination_array(m, r).T, triu_pairs(r)
-        sigma2 = sym_eig_bounds(r, HH[removed[p], removed[q]])[0]
-        return ratio2 * sigma2 / (1.0 + sigma2) >= SIGN_SCREEN_TAU**2
+        if r not in masks:
+            removed, (p, q) = combination_array(m, r).T, triu_pairs(r)
+            sigma2 = sym_eig_bounds(r, HH[removed[p], removed[q]])[0]
+            masks[r] = ratio2 * sigma2 / (1.0 + sigma2) >= SIGN_SCREEN_TAU**2
+        return masks[r]
 
     return certified
 
@@ -475,8 +485,8 @@ def nsp_real_falsify(
     rows and P_S the projection onto col(D_S).  W is the null space of
     K = (I - P_S)[U V], with the rank cutoff taken relative to the unit scale
     of [U V] (so K = 0 up to rounding, as when D_S spans R^n, has W = R^d).
-    The scan takes the row subsets a layer (one size) at a time, and decides
-    every layer's cells in the same five stages:
+    A call decides its cells in five stages; the first two run once over
+    every row subset of the mode, the last three lazily, in scan order:
 
     - _full_rank_bound drops, from A's one SVD (whose rank the call tests
       once), the row subsets of size >= n or <= m - n whose rows or
@@ -484,20 +494,20 @@ def nsp_real_falsify(
       no cell, no SVD;
     - _sign_screen certifies W = {0}, under the SVD's rank rule, for every
       cell whose bound on s_min(K) from the signs of Lambda, A's left null
-      space and D_S clears SIGN_SCREEN_TAU: one matrix product per stack of
-      supports, and no U, V or K.  It applies to A of full column rank with
-      m > n and to supports with rank(D_S) <= m - n; every other cell stays
-      open;
+      space and D_S clears SIGN_SCREEN_TAU: one call of its certifier on
+      every row subset left, and no U, V or K.  It applies to A of full
+      column rank with m > n and to supports with rank(D_S) <= m - n; every
+      other cell stays open;
     - the row subsets with an open cell, and their complements, get their
-      null spaces in pieces in scan order, each piece one more than the
-      subsets the layer has taken so far (1, 2, 4, ...); each subset gets
-      its null space at most once per call;
+      null spaces one size at a time, in pieces in scan order, each piece
+      one more than the subsets of that size taken so far (1, 2, 4, ...);
+      each subset gets its null space at most once per call;
     - a piece's open cells in row subsets with dim U, dim V >= 1 are
       decomposed lazily, batched over consecutive row subsets with the same
       (dim U, dim V), in pieces of consecutive cells in scan order, each
       piece one more than the slices decomposed so far in the call
       (1, 2, 4, ...), so a scan that stops at a witness has decomposed fewer
-      than twice the cells it needed;
+      than twice the cells it needed (I - P_S is formed for the first);
     - the decomposed cells with dim W = 1 get their gap at c = 1 in one
       stacked product (_unit_gaps), and those below -STRICTNESS_TOL, which
       _search would reject, are not searched.
@@ -509,42 +519,49 @@ def nsp_real_falsify(
     order, the cell (Lambda, S) seeded by (seed, lambda * C + s + 1) for the
     row subset index lambda and support index s among C, so the first
     returned witness is deterministic for a given seed.  None means the
-    budget was exhausted without finding a violation.  A must be a finite
-    (m, F.n) array, and k must lie in [0, N]; at k = 0 the condition holds
-    vacuously and None is exact.  Past the module's SUPPORT_BUDGET (read at
-    each call) of (row subset, support) cells, it raises ResourceBudgetError
-    before it lists a row subset.
+    budget was exhausted without finding a violation.  budget (>= 1) and
+    seed (>= 0) must be integers and not bools, A a finite (m, F.n) array,
+    and k must lie in [0, N]; at k = 0 the condition holds vacuously and
+    None is exact.  Past the module's SUPPORT_BUDGET (read at each call) of
+    (row subset, support) cells, it raises ResourceBudgetError before it
+    lists a row subset.
     """
+    for name, value, least in (("budget", budget, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     A = check_matrix(A, F.n)
     q = _check_q(q)
     m, n = A.shape
-    if budget < 1:
-        raise ParameterError("budget must be >= 1")
     if not 0 <= k <= F.N:
         raise ParameterError(f"sparsity k must lie in [0, {F.N}], got {k}")
     sizes = _lambda_sizes(m, k, lambda_mode)
-    check_budget(F.N, k, SUPPORT_BUDGET, "(row subset, support) cells", per=sum(comb(m, s) for s in sizes))
-    lambdas = _lambda_list(m, k, lambda_mode)
+    first = list(accumulate((comb(m, s) for s in sizes), initial=0))  # each size's first index in lambdas
+    check_budget(F.N, k, SUPPORT_BUDGET, "(row subset, support) cells", per=first[-1])
+    lambdas = _lambda_list(m, sizes[-1], lambda_mode)  # the same table for every k with these sizes
     supports = combination_array(F.N, k)
     n_supports = len(supports)
-    # bases of col(D_S), shared by the screen, the projections onto
-    # col(D_S)^perp and the witness check; a support whose columns vanish
-    # keeps I
+    # bases of col(D_S), shared by the screen, the projections I - P_S and the witness check
     bases = support_bases(F.D, supports)
-    P = np.repeat(np.eye(n)[None], n_supports, axis=0)
-    for rows, Q in bases:
-        P[rows] = np.eye(n) - Q @ np.swapaxes(Q, 1, 2)
-    # H = U[:, n:] and s of A's SVD where A has full column rank (else None),
-    # the full-rank bound and the sign screen's certifier, each formed when
-    # a layer first needs it; the bound needs m >= n and the screen m > n, so
-    # a wide A gets no SVD of its own
-    @cache
-    def factors():
+    # H = U[:, n:] and s of A's SVD if A has full column rank; a wide A gets no SVD of its own
+    factors = None
+    if m >= n:
         Ua, s, _ = np.linalg.svd(A)
-        return (Ua[:, n:], s) if numerical_rank(s) == n else None
-
-    full_rank = cache(lambda: factors() and _full_rank_bound(*factors()))
-    screen = cache(lambda: factors() and _sign_screen(A, *factors(), bases, n_supports))
+        factors = (Ua[:, n:], s) if numerical_rank(s) == n else None
+    # drop the subsets the full-rank bound gives U = {0} (size >= n) or V = {0} (size <= m - n)
+    feeds = np.ones(len(lambdas), dtype=bool)
+    if factors is not None:
+        certified = _full_rank_bound(*factors)
+        for size in sizes[n:]:
+            feeds[first[size]:first[size + 1]] &= ~certified(m - size)[::-1]
+        for size in sizes[:m - n + 1]:
+            feeds[first[size]:first[size + 1]] &= ~certified(size)
+    rows = np.flatnonzero(feeds)
+    certify = _sign_screen(A, *factors, bases, n_supports) if len(rows) and m > n and factors else None
+    open_cells = np.ones((len(rows), n_supports), dtype=bool)
+    if certify is not None:
+        open_cells = ~certify(_lambda_signs(m, sizes[-1], lambda_mode)[rows])
+        keep = open_cells.any(axis=1)
+        rows, open_cells = rows[keep], open_cells[keep]
     taken: dict[int, dict[int, np.ndarray]] = {}
 
     def null_bases(size: int, idx: list[int]) -> list[np.ndarray]:
@@ -570,22 +587,10 @@ def nsp_real_falsify(
         last = comb(m, size) - 1
         return list(zip(null_bases(size, rows), null_bases(m - size, [last - i for i in rows])))
 
-    def feeding(size: int) -> list[int]:
-        """The size-`size` row subsets that _full_rank_bound leaves: a subset
-        of size >= n whose complement's removal it certifies has U = {0}, and
-        one of size <= m - n whose own removal it certifies has V = {0}."""
-        dead = np.zeros(comb(m, size), dtype=bool)
-        certified = full_rank() if size >= n or size <= m - n else None
-        if certified and size >= n:
-            dead |= certified(m - size)[::-1]
-        if certified and size <= m - n:
-            dead |= certified(size)
-        return np.flatnonzero(~dead).tolist()
-
     def scan(trios: list[tuple[int, np.ndarray, np.ndarray]], cells_open: np.ndarray) -> NspWitness | None:
         """Decide the open cells cells_open of trios, (index in lambdas, U, V)
         of row subsets in scan order."""
-        nonlocal decomposed
+        nonlocal decomposed, P
         done = 0
         for (du, dv), run in groupby(trios, key=lambda t: (t[1].shape[1], t[2].shape[1])):
             run = list(run)
@@ -594,6 +599,10 @@ def nsp_real_falsify(
             done += len(run)
             if du == 0 or dv == 0:
                 continue
+            if P is None:  # P[S] = I - P_S; a support whose columns vanish keeps I
+                P = np.repeat(np.eye(n)[None], n_supports, axis=0)
+                for idx, Q in bases:
+                    P[idx] = np.eye(n) - Q @ np.swapaxes(Q, 1, 2)
             # Measured on a 2-CPU VM: without the call-wide doubling of the
             # pieces, nsp-certify ran at parity, but the falsifier took
             # 26-40% longer at N = 10-12 (45-220 supports per row subset);
@@ -623,21 +632,16 @@ def nsp_real_falsify(
         return None
 
     restarts = max(1, budget // max(1, len(lambdas) * n_supports))
-    decomposed = 0
-    # first: the index in lambdas of the layer's first row subset
-    for size, first in enumerate(accumulate((comb(m, s) for s in sizes[:-1]), initial=0)):
-        rows = feeding(size)
-        certify = screen() if rows and m > n else None
-        layer_open = (np.ones((len(rows), n_supports), dtype=bool) if certify is None
-                      else ~certify(1.0 - 2.0 * subset_masks(m, size)[rows]))
-        keep = layer_open.any(axis=1)
-        rows = [i for i, kept in zip(rows, keep.tolist()) if kept]
-        layer_open = layer_open[keep]
+    decomposed, P = 0, None
+    cut = np.searchsorted(rows, first).tolist()  # cut[size]: the size's first position in rows
+    for size in (s for s in sizes if cut[s] < cut[s + 1]):
+        layer = (rows[cut[size]:cut[size + 1]] - first[size]).tolist()
         taken_in_layer = 0
-        while taken_in_layer < len(rows):
-            piece = rows[taken_in_layer:2 * taken_in_layer + 1]
-            trios = [(first + i, U, V) for i, (U, V) in zip(piece, pairs(size, piece))]
-            witness = scan(trios, layer_open[taken_in_layer:taken_in_layer + len(piece)])
+        while taken_in_layer < len(layer):
+            piece = layer[taken_in_layer:2 * taken_in_layer + 1]
+            trios = [(first[size] + i, U, V) for i, (U, V) in zip(piece, pairs(size, piece))]
+            at = cut[size] + taken_in_layer
+            witness = scan(trios, open_cells[at:at + len(piece)])
             taken_in_layer += len(piece)
             if witness is not None:
                 return witness

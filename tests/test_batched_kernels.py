@@ -1703,37 +1703,91 @@ def test_unit_gaps_equal_the_scalar_gap_bit_for_bit(monkeypatch):
     assert cells > 1500 and 0 < below < cells and identity > 0
 
 
-def test_nsp_falsifier_screens_a_layer_only_when_the_scan_reaches_it(monkeypatch):
-    """m = n + 2, k = 2 and a repeated row: the row subsets of size 2 that
-    keep both copies in their complement have dim U, dim V >= 1, and the
-    scan finds its witness among them, so it screens no larger row subset.
-    Without the repeat there is no witness, and the scan screens the sizes
-    3..5, where dim U, dim V >= 1 holds for every subset, and certifies
-    cells there."""
+def _left_by_the_full_rank_bound(A, k, mode):
+    """The row subsets of _lambda_list that _full_rank_bound leaves, taken
+    one size at a time from the bound's per-size masks."""
+    m, n = A.shape
+    Ua, s, _ = np.linalg.svd(A)
+    certified = nsp._full_rank_bound(Ua[:, n:], s)
+    left = []
+    for size in range(min(k, m) + 1 if mode == "card_at_most_k" else m + 1):
+        dead = np.zeros(comb(m, size), dtype=bool)
+        if size >= n:
+            dead |= certified(m - size)[::-1]
+        if size <= m - n:
+            dead |= certified(size)
+        left += [Lam for Lam, d in zip(combinations(range(m), size), dead.tolist()) if not d]
+    return left
+
+
+def test_nsp_falsifier_screens_every_row_subset_in_one_certifier_call(monkeypatch):
+    """A call builds the sign screen at most once and calls its certifier
+    once, on the signs of exactly the row subsets the full-rank bound leaves,
+    in scan order, and that mask equals the certifier called one size at a
+    time on the same subsets, bit for bit.  Cases: nsp-certify's shape
+    (m = n + 1) at k = 1, and at k = 2, where no support has rank <= m - n
+    and the screen has no certifier, and in card_at_most_k mode at k = 1,
+    where the bound leaves no row subset and no screen is built; m = n + 2
+    at k = 2 with and without a repeated row; and a wide A.  With
+    the repeat the scan's witness lies in the size-2 layer, as the reference
+    loop's does; without it there is none, and the certifier certifies
+    cells."""
     screen = nsp._sign_screen
-    sizes, certified = [], []
+    built, calls = [], []
 
     def screen_spy(A, H, s, bases, n_supports):
         certify = screen(A, H, s, bases, n_supports)
+        built.append(certify)
 
         def certify_spy(signs):
             got = certify(signs)
-            sizes.extend(np.count_nonzero(signs < 0, axis=1).tolist())
-            certified.append(int(np.count_nonzero(got)))
+            calls.append((signs.copy(), got.copy()))
             return got
 
-        return certify_spy
+        return None if certify is None else certify_spy
 
     monkeypatch.setattr(nsp, "_sign_screen", screen_spy)
-    F = build_parseval_random(6, 8, 600)
-    A = np.random.default_rng(5).standard_normal((8, 6))
-    assert nsp_real_falsify(A, F, 2, 0.5, lambda_mode="all_subsets") is None
-    assert set(sizes) == {3, 4, 5} and sum(certified) > 0
-    sizes.clear()
-    A[-1] = A[0]
-    w = nsp_real_falsify(A, F, 2, 0.5, lambda_mode="all_subsets")
+    A8 = np.random.default_rng(5).standard_normal((8, 6))
+    repeated = A8.copy()
+    repeated[-1] = repeated[0]
+    cases = [(np.random.default_rng(60).standard_normal((7, 6)), 1, "all_subsets"),
+             (np.random.default_rng(61).standard_normal((7, 6)), 1, "card_at_most_k"),
+             (np.random.default_rng(62).standard_normal((7, 6)), 2, "all_subsets"),
+             (A8, 2, "all_subsets"), (repeated, 2, "all_subsets")]
+    witnesses = {}
+    for A, k, mode in cases:
+        F = build_parseval_random(A.shape[1], 8, 600)
+        built.clear()
+        calls.clear()
+        witnesses[id(A)] = w = nsp_real_falsify(A, F, k, 0.5, lambda_mode=mode)
+        m, n = A.shape
+        left = _left_by_the_full_rank_bound(A, k, mode)
+        generic = [Lam for Lam in _lambda_list(m, k, mode) if m - n < len(Lam) < n]
+        assert left == generic or A is repeated
+        if not left:
+            assert mode == "card_at_most_k" and built == [] and calls == []
+            continue
+        assert len(built) == 1 and len(calls) == (built[0] is not None)
+        if built[0] is None:
+            assert m == n + 1 and k == 2
+            continue
+        signs, got = calls[0]
+        assert signs.tolist() == [[-1.0 if i in Lam else 1.0 for i in range(m)] for Lam in left]
+        sizes = np.count_nonzero(signs < 0, axis=1)
+        for size in np.unique(sizes):
+            layer = built[0](signs[sizes == size])
+            assert layer.dtype == got.dtype and np.array_equal(layer, got[sizes == size])
+        if A is A8:
+            assert w is None and set(sizes.tolist()) == {3, 4, 5} and got.any()
+    w = witnesses[id(repeated)]
     assert w is not None and len(w.Lambda) == 2
-    assert set(sizes) == {2}
+    _assert_same_witness(w, loop_nsp_real_falsify(repeated, build_parseval_random(6, 8, 600), 2, 0.5,
+                                                  lambda_mode="all_subsets"))
+    built.clear()
+    calls.clear()
+    wide = np.random.default_rng(63).standard_normal((5, 6))
+    nsp_real_falsify(wide, build_parseval_random(6, 8, 600), 1, 0.5, lambda_mode="all_subsets")
+    assert built == [] and calls == []
 
 
 def test_min_eig_exceeds_is_a_sufficient_test_of_the_smallest_eigenvalue():

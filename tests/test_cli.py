@@ -496,6 +496,20 @@ def test_nsp_falsify_rejects_sparsity_outside_zero_to_N(tmp_path, capsys, k):
     assert "sparsity k must lie in [0, 5]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--budget", "0")])
+def test_nsp_falsify_rejects_a_bad_seed_or_budget(tmp_path, capsys, k, flag, value):
+    # m = n + 1: at k = 1 the screen settles every cell, and seed -1 used to
+    # exit 0 and write "seed": -1; at k = 2 it failed in numpy, naming no argument
+    path, _ = _problem_with_m_rows(tmp_path, 4)
+    out = tmp_path / "nsp.json"
+    assert main(["nsp", "falsify", "--problem", path, "--k", str(k), "--q", "1.0",
+                 flag, value, "--out", str(out)]) == 1
+    name, least = flag[2:], 0 if flag == "--seed" else 1
+    assert capsys.readouterr().err == f"error: {name} must be an integer >= {least}, got {value}\n"
+    assert not out.exists()
+
+
 def _trial(tmp_path, method="oracle", **edits):
     """A bound verify trial on a 6 x 9 frame with m = 4, with edits applied to
     its truth (key "x") and its result (the other keys)."""

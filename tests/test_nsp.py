@@ -169,6 +169,25 @@ def test_falsify_rejects_sparsity_outside_zero_to_N(k):
     assert nsp_real_falsify(A, F, k=1, q=0.5, budget=200).violated
 
 
+@pytest.mark.parametrize("name, value, least", [
+    ("budget", 1e4, 1), ("budget", 2.5, 1), ("budget", True, 1), ("budget", np.nan, 1), ("budget", 0, 1),
+    ("seed", -1, 0), ("seed", True, 0), ("seed", 0.5, 0),
+])
+def test_falsify_rejects_a_bad_budget_or_seed_before_any_svd(monkeypatch, name, value, least):
+    # budget 1e4 used to die in the search with a TypeError, 2.5, True and NaN
+    # ran, and seed -1 passed wherever the screen settled every cell (as at
+    # k = 1 here, m = n + 1) and failed in numpy elsewhere
+    F = build_parseval_random(4, 6, seed=2)
+    A = np.random.default_rng(2).standard_normal((5, 4))
+
+    def svd(*args, **kwargs):
+        raise AssertionError("an SVD ran before the input checks")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    with pytest.raises(ParameterError, match=rf"^{name} must be an integer >= {least}, got {value!r}$"):
+        nsp_real_falsify(A, F, k=1, q=1.0, lambda_mode="all_subsets", **{name: value})
+
+
 def _rows_with(value):
     A = np.random.default_rng(2).standard_normal((5, 4))
     A[1, 2] = value
