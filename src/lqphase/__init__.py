@@ -12,7 +12,6 @@ from .bounds import (
     admissibility_check,
     bound_rhs,
     constants_c1_c2,
-    constants_c3_c4,
     verify_recovery_bound,
 )
 from .frames import (
@@ -50,7 +49,6 @@ from .signals import (
 )
 from .solver import (
     SolverResult,
-    solve_affine_lq_oracle,
     solve_irls,
     solve_oracle_noiseless,
 )

@@ -12,7 +12,9 @@ with
     c2   = (1 + 2^(1/q-1)) * (2^(1/q) * delta + sqrt(den * delta)) / den + 1
 
 At q = 1 these specialize to c3 = 2*max(t,sqrt(t))*sqrt(1+delta)/(t-(4-t)delta)
-and c4 = (4*delta + 2*sqrt((t-(4-t)delta)*delta))/(t-(4-t)delta) + 1.
+and c4 = (4*delta + 2*sqrt((t-(4-t)delta)*delta))/(t-(4-t)delta) + 1, the
+c1 and c2 that constants_c1_c2 returns at q = 1; no separate function
+computes them.
 
 Evaluation happens in extended precision and results within 1e-6 of the
 admissibility boundary are flagged as numerically marginal.  The delta of
@@ -99,14 +101,6 @@ def constants_c1_c2(q: float, t: float, delta: float) -> BoundConstants:
     return BoundConstants(q=q, t=t, t_tilde=t_tilde, delta=float(delta),
                           denominator=float(den), admissible=True, marginal=marginal,
                           c1=float(c1), c2=float(c2))
-
-
-def constants_c3_c4(t: float, delta: float) -> tuple[float, float]:
-    """Specialized constants for the q = 1 model: the c1, c2 of constants_c1_c2."""
-    c = constants_c1_c2(1.0, t, delta)
-    if not c.admissible:
-        raise DomainError(f"delta {delta} is inadmissible at t={t} (needs delta < t/(4-t))")
-    return c.c1, c.c2
 
 
 def admissibility_check(

@@ -45,12 +45,14 @@ exact least-squares residuals.  Last, one polish run per start.
 
 A polish run stops as soon as it can no longer change the answer, which is
 the best iterate by (violation, objective): at its first iterate inside the
-noise band || |Ax| - b || <= eps, since no later iterate has a smaller
-violation (the discrepancy principle, Morozov), or once its sign pattern has
-held, or alternated between two patterns, at patterns whose least-squares
-residual ||(I - Q Q^T)(p o b)|| exceeds the stalled threshold, since no
-iterate is feasible while they hold (the stall and cycle rules of
-_irls_converge, which give the argument).
+noise band || |Ax| - b || <= eps + FEAS_RTOL ||b||, since no later iterate
+has a smaller violation (the discrepancy principle, Morozov), or once its
+sign pattern has held, or alternated between two patterns, at patterns whose
+least-squares residual ||(I - Q Q^T)(p o b)|| exceeds the stalled threshold
+and the band, since no iterate is feasible while they hold (the stall and
+cycle rules of _irls_converge, which give the argument).  The band's
+FEAS_RTOL ||b||, the oracle's feasibility tolerance, lets the objective, not
+rounding residue, rank the feasible iterates at eps = 0.
 
 The oracle runs one zero-pattern search for every shape of A, with
 free = max(n - m, 0) analysis zeros per pattern; m >= n is the free = 0 case.
@@ -61,9 +63,10 @@ squares (Golub and Van Loan, Matrix Computations, sec. 6.2).  A batched pass
 selects candidates.  The least-squares points X_ls = A_pinv C of all
 right-hand sides come from one product and are screened by their residual in
 FEAS_BAND bands around FEAS_RTOL ||c||: all pass for a full-row-rank A, and
-for m > n the screen drops inconsistent sign patterns.  Every point of
-{Ax = c} is x_ls + N y, and A N = 0 gives it the residual of x_ls, so
-feasibility (to FEAS_RTOL max(1, ||c||)) is screened once per sign.  With
+for m > n the screen drops inconsistent sign patterns.  The oracle has one
+feasibility rule, ||A x - c|| <= FEAS_RTOL ||c||.  Every point of {Ax = c}
+is x_ls + N y, and A N = 0 gives it the residual of x_ls, so that one screen
+decides every zero set of a sign too.  With
 G = D^T N and Y_ls = D^T X_ls, zero set Z leaves the free x free system
 G_Z y = -(Y_ls)_Z, whose matrix does not depend on the sign pattern: each
 chunk of zero sets takes one stacked inverse of its G_Z, then every sign's
@@ -73,8 +76,8 @@ near-singular G_Z cannot give a small objective: its y is large, and for a
 Parseval frame sum_i |d_i^T x|^q >= ||x||^q, since every |d_i^T x| <= ||x||
 and sum_i |d_i^T x|^2 = ||x||^2.  An exact pass decides: every candidate
 that can reach the minimum is re-solved with scalar calls (np.linalg.solve
-of the stacked system M_Z = [A; D_Z^T], lstsq for the least-squares point,
-which counts only when ||A x - c|| <= FEAS_RTOL ||c||, and lq_quasinorm), in
+of the stacked system M_Z = [A; D_Z^T] and lstsq for the least-squares point,
+each counting only under the same FEAS_RTOL ||c|| rule, and lq_quasinorm), in
 (sign, zero set) order with the 1e-15 and 1e-12 tie rules.  So the certified
 point, objective, signs and zero set never depend on the batched arithmetic.
 
@@ -109,17 +112,14 @@ import numpy as np
 
 from .errors import (
     DegenerateProblemError,
-    DomainError,
     InfeasibleProblemError,
     ParameterError,
     ResourceBudgetError,
 )
-from .frames import TightFrame
 from .linalg import (
     RANK_RTOL,
     STACK_ELEMS,
     check_budget,
-    check_matrix,
     combination_blocks,
     numerical_rank,
 )
@@ -232,18 +232,19 @@ def _exact_affine(
     counts: dict,
 ) -> tuple[np.ndarray | None, float, tuple[int, ...] | None]:
     """The scalar zero-pattern enumeration for one right-hand side, over the given
-    zero sets in order, with its 1e-15 and 1e-12 tie rules.  A zero set whose lower
-    bound cannot beat the running best by the tie tolerance is skipped: it could
-    not have replaced the best.  So is the minimum-norm least-squares point, with
-    lower bound ls_lower, once a zero set is feasible; it is feasible when
-    ||A x - c|| <= FEAS_RTOL ||c||.  Returns (None, inf, None) when no point is
-    feasible."""
+    zero sets in order, with its 1e-15 and 1e-12 tie rules.  A point x, of a
+    zero set or the minimum-norm least-squares point, is feasible when
+    ||A x - c|| <= FEAS_RTOL ||c||.  A zero set whose lower bound cannot beat
+    the running best by the tie tolerance is skipped: it could not have
+    replaced the best.  So is the minimum-norm point, with lower bound
+    ls_lower, once a zero set is feasible.  Returns (None, inf, None) when no
+    point is feasible."""
     free = zero_sets.shape[1]
     best_x = None
     best_obj = np.inf
     best_Z: tuple[int, ...] | None = None
     rhs = np.concatenate([c, np.zeros(free)])
-    c_scale = max(1.0, float(np.linalg.norm(c)))
+    tol = FEAS_RTOL * float(np.linalg.norm(c))
     for Z, lb in zip(zero_sets.tolist(), lower.tolist()):
         if lb >= best_obj - 1e-15:
             continue
@@ -255,7 +256,7 @@ def _exact_affine(
             continue
         if not np.all(np.isfinite(x)):
             continue
-        if np.linalg.norm(A @ x - c) > FEAS_RTOL * c_scale:
+        if np.linalg.norm(A @ x - c) > tol:
             continue
         obj = lq_quasinorm(D.T @ x, q)
         if obj < best_obj - 1e-15:
@@ -266,7 +267,7 @@ def _exact_affine(
     # candidates win ties so the certificate stays informative
     counts["rechecked"] += 1
     x_mn, *_ = np.linalg.lstsq(A, c, rcond=None)
-    if np.linalg.norm(A @ x_mn - c) <= FEAS_RTOL * np.linalg.norm(c):
+    if np.linalg.norm(A @ x_mn - c) <= tol:
         mn_obj = lq_quasinorm(D.T @ x_mn, q)
         if best_x is None or mn_obj < best_obj - 1e-12:
             best_x, best_obj, best_Z = x_mn, mn_obj, None
@@ -306,8 +307,10 @@ def _zero_pattern_search(A: np.ndarray, C: np.ndarray, D: np.ndarray, q: float,
 
     One SVD of A gives its numerical rank r, its pseudo-inverse and an
     orthonormal basis of its null space; r below min(m, n) raises
-    DegenerateProblemError.  Returns (j, x, objective, zero_set, margin) of the
-    winning column, or None when no column is feasible: columns are taken in
+    DegenerateProblemError.  A point x of column j is feasible when
+    ||A x - c_j|| <= FEAS_RTOL ||c_j||, the one rule for every candidate.
+    Returns (j, x, objective, zero_set, margin) of the winning column, or None
+    when no column is feasible: columns are taken in
     order and a later one wins only by more than 1e-15.  margin is the gap to
     the second-best feasible column (exact where that column was re-checked,
     batched otherwise), None when there is no second one.
@@ -321,25 +324,23 @@ def _zero_pattern_search(A: np.ndarray, C: np.ndarray, D: np.ndarray, q: float,
         raise DegenerateProblemError(f"A has rank {r}; the oracle needs full rank {min(m, n)}")
     free = n - r
     # least-squares points, screened by their residual relative to ||c||; a
-    # full-row-rank A passes every one, and only sure ones give a bound
+    # full-row-rank A passes every one, and only sure ones give a bound.
+    # A N = 0: every x = x_ls + N y of a column has its least-squares point's
+    # residual, so the one sure/maybe pair serves its zero sets too
     X_ls = ((vh[:r].T / sv) @ u[:, :r].T) @ C
     Y_ls = D.T @ X_ls
     sq_ls = np.sum(X_ls * X_ls, axis=0)
     v_ls, e_ls = _objectives(Y_ls, sq_ls, q)
     tol = FEAS_RTOL * np.linalg.norm(C, axis=0)
     resid = np.linalg.norm(A @ X_ls - C, axis=0)
-    maybe_ls = resid <= tol * FEAS_BAND
-    counts["screened_out"] += K - int(maybe_ls.sum())
-    col_best = np.where(resid <= tol / FEAS_BAND, v_ls, np.inf)
+    sure, maybe = resid <= tol / FEAS_BAND, resid <= tol * FEAS_BAND
+    counts["screened_out"] += K - int(maybe.sum())
+    col_best = np.where(sure, v_ls, np.inf)
     ref = float(np.min(col_best + e_ls)) + TIE_SLACK  # no exact winner lies above this
     kept_cols: list[np.ndarray] = []
     kept_zsets: list[np.ndarray] = []
     kept_lower: list[np.ndarray] = []
     if free:
-        # A N = 0: every x = x_ls + N y has its least-squares point's residual
-        c_scale = max(1.0, float(np.linalg.norm(C[:, 0])))
-        sure = resid <= FEAS_RTOL * c_scale / FEAS_BAND
-        maybe = resid <= FEAS_RTOL * c_scale * FEAS_BAND
         G = D.T @ vh[r:].T
         for Zs in combination_blocks(N, free, max(1, STACK_ELEMS // (N * K))):
             counts["zero_patterns"] += len(Zs)
@@ -360,7 +361,7 @@ def _zero_pattern_search(A: np.ndarray, C: np.ndarray, D: np.ndarray, q: float,
     lower = np.concatenate(kept_lower) if kept_lower else np.zeros(0)
     inside = lower <= ref
     cols, zsets, lower = cols[inside], zsets[inside], lower[inside]
-    ls_lower = np.where(maybe_ls, v_ls - e_ls, np.inf)
+    ls_lower = np.where(maybe, v_ls - e_ls, np.inf)
     col_lower = ls_lower.copy()
     np.minimum.at(col_lower, cols, lower)
     candidates = np.flatnonzero(col_lower <= ref)
@@ -394,38 +395,6 @@ def _svd_factors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u[:, :r], sv[:r], (vh[:r].T / sv[:r]) @ u[:, :r].T
 
 
-def solve_affine_lq_oracle(
-    A: np.ndarray,
-    c: np.ndarray,
-    F: TightFrame,
-    q: float,
-    support_budget: int = SUPPORT_BUDGET,
-) -> tuple[np.ndarray, float, tuple[int, ...] | None]:
-    """Global minimum of the analysis quasi-norm over the affine set {Ax = c}.
-
-    Returns (minimizer, objective, zero_set); zero_set is None when the
-    winner is the minimum-norm fallback or the affine set is a single point.
-    An (m, F.n) A and a length-m c must be finite: the SVD of an A with an
-    inf entry may never return, and a non-finite c would read as infeasible.
-    An A of numerical rank below min(m, n) raises DegenerateProblemError.
-    """
-    _check_q(q)
-    A = np.asarray(A, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if not (np.isfinite(A).all() and np.isfinite(c).all()):
-        raise DomainError("A and c must be finite")
-    A = check_matrix(A, F.n)
-    m, n = A.shape
-    if c.shape != (m,):
-        raise ParameterError(f"c must have length {m}, got {c.shape}")
-    check_budget(F.N, max(n - m, 0), support_budget, "zero patterns")
-    found = _zero_pattern_search(A, c[:, None], F.D, q, _new_counts())
-    if found is None:
-        raise InfeasibleProblemError("c is not in the range of A")
-    _, x, obj, Z, _ = found
-    return x, obj, Z
-
-
 def _new_counts() -> dict:
     return dict.fromkeys(ORACLE_COUNTERS, 0)
 
@@ -450,15 +419,18 @@ def solve_oracle_noiseless(
     Sign patterns fix the first component to +1 (global sign ambiguity); one
     zero-pattern search takes them all as right-hand sides, for every shape
     of A.  The certificate carries the winning signs and zero set, the
-    enumeration counters and the margin to the second-best sign pattern.  An
-    A of numerical rank below min(m, n) raises DegenerateProblemError, and
-    InfeasibleProblemError means that no sign pattern admits a solution.
-    Past max_m rows, or 2^(m-1) x C(N, max(n - m, 0)) (sign, zero set) pairs
-    past support_budget, it raises ResourceBudgetError before it enumerates.
+    enumeration counters and the margin to the second-best sign pattern.  It
+    certifies ||A x - p o b|| <= FEAS_RTOL ||b||, so an eps above that
+    tolerance raises ParameterError.  An A of numerical rank below min(m, n)
+    raises DegenerateProblemError, and InfeasibleProblemError means that no
+    sign pattern admits a solution.  Past max_m rows, or
+    2^(m-1) x C(N, max(n - m, 0)) (sign, zero set) pairs past support_budget,
+    it raises ResourceBudgetError before it enumerates.
     """
-    if P.eps > 1e-12:
-        raise ParameterError("the certified oracle only handles the noiseless model (eps = 0)")
     A, b, F = P.A, P.b, P.frame
+    if P.eps > FEAS_RTOL * np.linalg.norm(b):
+        raise ParameterError(f"the certified oracle only handles the noiseless model: eps = {P.eps:.6g} "
+                             f"exceeds FEAS_RTOL ||b|| = {FEAS_RTOL * np.linalg.norm(b):.6g}")
     m, n = A.shape
     if m > max_m:
         raise ResourceBudgetError(f"m={m} exceeds the sign enumeration guard ({max_m})")
@@ -574,28 +546,33 @@ def _irls_converge(P: PhaselessProblem, X: np.ndarray, Q: np.ndarray) -> tuple:
     live rows with one stacked weighted step.  A row leaves the batch at the
     first step where one of its exit rules holds, tested in this order:
 
-    - discrepancy: the iterate lies inside the noise band (violation 0), so
-      no later iterate can beat it on the first key of (violation, objective);
+    - discrepancy: the iterate lies inside the noise band
+      || |A x| - b || <= eps + FEAS_RTOL ||b|| (violation 0), so no later
+      iterate can beat it on the first key of (violation, objective);
     - stall: the sign pattern p = sign(A x) has held for STALL_STEPS steps and
       its least-squares residual ||(I - Q Q^T)(p o b)|| exceeds the stalled
-      threshold max(eps, 1e-7 ||b||).  Every x with that pattern has
-      || |A x| - b || = ||A x - p o b||, which is at least that residual, so
-      no iterate is feasible while the pattern holds;
+      threshold max(eps, 1e-7 ||b||) and the noise band.  Every x with that
+      pattern has || |A x| - b || = ||A x - p o b||, which is at least that
+      residual, so no iterate is feasible while the pattern holds;
     - cycle: the pattern has equalled the one two steps back and differed
       from the one just before (S_t = S_(t-2) != S_(t-1)) for 2 STALL_STEPS
       steps, and the smaller least-squares residual of the two patterns
-      exceeds the stalled threshold.  Each iterate's violation is at least
-      its own pattern's residual, so the stall rule's argument holds for both;
+      exceeds the stalled threshold and the band.  Each iterate's
+      || |A x| - b || is at least its own pattern's residual, so the stall
+      rule's argument holds for both;
     - converged: the continuation has reached its floor and the step moved x
       by at most tol;
     - max_iters: the iteration cap.
 
+    The violation is max(0, || |A x| - b || - eps - FEAS_RTOL ||b||).
     Returns, per row: the best iterate by (violation, objective), the earliest
     one winning a tie, with that key and its 1-based iteration; the number of
     weighted steps taken; and its exit rule, an index into EXIT_RULES.
     """
     A, b, D, q = P.A, P.b, P.frame.D, P.q
-    threshold = _stall_threshold(P.eps, float(np.linalg.norm(b)))
+    scale = float(np.linalg.norm(b))
+    band = P.eps + FEAS_RTOL * scale
+    threshold = max(_stall_threshold(P.eps, scale), band)
     lam0 = IRLS_REG * float(b @ b)
     best_x = np.empty_like(X)
     best_v = np.empty(len(X))
@@ -616,7 +593,7 @@ def _irls_converge(P: PhaselessProblem, X: np.ndarray, Q: np.ndarray) -> tuple:
         X_new = irls_weighted_step(A, D, S, b, X, q, eps_s, lam)
         AX = _mv(A, X_new)
         S_new = np.where(AX >= 0.0, 1.0, -1.0)
-        excess = _row_norms(np.abs(AX) - b) - P.eps
+        excess = _row_norms(np.abs(AX) - b) - band
         v = np.where(excess > 0.0, excess, 0.0)  # the violation, max(0, excess)
         o = np.sum(np.abs(_mv(D.T, X_new)) ** q, axis=1)
         bv, bo = best_v[live], best_o[live]

@@ -10,7 +10,7 @@ from math import ceil
 
 import numpy as np
 
-from lqphase.bounds import bound_rhs, constants_c1_c2, constants_c3_c4
+from lqphase.bounds import bound_rhs, constants_c1_c2
 from lqphase.frames import build_parseval_random
 from lqphase.harness import run_bound_experiment, sample_measurement_matrix
 from lqphase.lemmas import (
@@ -268,6 +268,8 @@ def test_criterion_7_bound_verification():
 
 
 def test_criterion_8_constant_formulas():
+    # at q = 1, c1 and c2 against the bounds docstring's closed forms c3, c4,
+    # evaluated here in float64
     start = time.perf_counter()
     ok = True
     ts = np.linspace(0.05, 4.0 / 3.0 - 1e-3, 50)
@@ -276,7 +278,9 @@ def test_criterion_8_constant_formulas():
         prev = (-np.inf, -np.inf)
         for d in deltas:
             c = constants_c1_c2(1.0, float(t), float(d))
-            c3, c4 = constants_c3_c4(float(t), float(d))
+            den = t - (4.0 - t) * d
+            c3 = 2.0 * max(t, np.sqrt(t)) * np.sqrt(1.0 + d) / den
+            c4 = (4.0 * d + 2.0 * np.sqrt(den * d)) / den + 1.0
             ok &= abs(c.c1 - c3) <= 1e-12 * max(1.0, abs(c3))
             ok &= abs(c.c2 - c4) <= 1e-12 * max(1.0, abs(c4))
             ok &= c.c1 >= prev[0] - 1e-12 and c.c2 >= prev[1] - 1e-12

@@ -3,8 +3,10 @@
 The reference loops below are the scalar implementations the kernels
 replaced, kept verbatim apart from what they return: the oracle loop its
 certified tuple, the DRIP loop its constant, witness support, side and every
-support's deviation.  The oracle must reproduce them bit for bit (point,
-objective, signs, zero set, fallback flag), also on a wider corpus of named
+support's deviation; and apart from the oracle loop's feasibility rule, now
+the oracle's one rule ||A x - c|| <= FEAS_RTOL ||c||.  The oracle must
+reproduce them bit for bit (point, objective, signs, zero set, fallback
+flag), also on a wider corpus of named
 frames and duplicated rows, while its null-space block stays within
 RECHECK_RHO of the stacked n x n solve and finds a system singular exactly
 where np.linalg.matrix_rank does; the isometry constant, which
@@ -80,7 +82,6 @@ from lqphase.solver import (
     RECHECK_RHO,
     STALL_STEPS,
     SolverResult,
-    solve_affine_lq_oracle,
     solve_oracle_noiseless,
 )
 
@@ -98,7 +99,7 @@ def loop_affine_lq_oracle(A, c, F, q, support_budget=10**6):
 
     if m > n:
         x_ls, *_ = np.linalg.lstsq(A, c, rcond=None)
-        if np.linalg.norm(A @ x_ls - c) > FEAS_RTOL * max(1.0, np.linalg.norm(c)):
+        if np.linalg.norm(A @ x_ls - c) > FEAS_RTOL * np.linalg.norm(c):
             raise InfeasibleProblemError("c is not in the range of the tall matrix A")
         if rank < n:
             raise DegenerateProblemError("tall system is rank-deficient")
@@ -119,7 +120,7 @@ def loop_affine_lq_oracle(A, c, F, q, support_budget=10**6):
     best_obj = np.inf
     best_Z = None
     rhs = np.concatenate([c, np.zeros(free)])
-    c_scale = max(1.0, float(np.linalg.norm(c)))
+    tol = FEAS_RTOL * np.linalg.norm(c)
     for Z in combinations(range(F.N), free):
         M = np.vstack([A, F.D[:, list(Z)].T])
         try:
@@ -128,7 +129,7 @@ def loop_affine_lq_oracle(A, c, F, q, support_budget=10**6):
             continue
         if not np.all(np.isfinite(x)):
             continue
-        if np.linalg.norm(A @ x - c) > FEAS_RTOL * c_scale:
+        if np.linalg.norm(A @ x - c) > tol:
             continue
         obj = lq_quasinorm(F.D.T @ x, q)
         if obj < best_obj - 1e-15:
@@ -368,9 +369,10 @@ def loop_solve_irls(P: PhaselessProblem, seed: int = 0) -> SolverResult:
     pattern's least-squares point until an exit rule holds.  A_pinv and the
     basis Qa of A's column space come from A's thin SVD, cut at its numerical
     rank r.  Among all iterates of all runs the returned one minimizes
-    (constraint violation, objective) lexicographically.  The schedule is
-    read from solver's IRLS_* constants at call time, so a test can change
-    it for both implementations.
+    (constraint violation, objective) lexicographically, the violation
+    counting from the noise band eps + FEAS_RTOL ||b||, which the stall and
+    cycle rules' threshold covers.  The schedule is read from solver's IRLS_*
+    constants at call time, so a test can change it for both implementations.
     """
     _check_q(P.q)
     A, b, D = P.A, P.b, P.frame.D
@@ -387,6 +389,8 @@ def loop_solve_irls(P: PhaselessProblem, seed: int = 0) -> SolverResult:
     A_pinv = (vh[:r].T / sv[:r]) @ u[:, :r].T
     Qa = u[:, :r]
     threshold = max(P.eps, 1e-7 * scale)
+    band = P.eps + FEAS_RTOL * scale
+    stalled = max(threshold, band)
 
     def sign(x: np.ndarray) -> np.ndarray:
         return np.where(A @ x >= 0.0, 1.0, -1.0)
@@ -411,7 +415,7 @@ def loop_solve_irls(P: PhaselessProblem, seed: int = 0) -> SolverResult:
             x_new = loop_weighted_step(A, D, p, b, x, P.q, eps_s, lam)
             p_new = sign(x_new)
             feas = float(np.linalg.norm(np.abs(A @ x_new) - b))
-            key = (max(0.0, feas - P.eps), lq_quasinorm(D.T @ x_new, P.q))
+            key = (max(0.0, feas - band), lq_quasinorm(D.T @ x_new, P.q))
             if best_key is None or key < best_key:
                 best_key, best_x, best_iters = key, x_new, t + 1
             same = np.array_equal(p_new, p)
@@ -420,9 +424,9 @@ def loop_solve_irls(P: PhaselessProblem, seed: int = 0) -> SolverResult:
             cycled = cycled + 1 if not same and back else 0
             if key[0] == 0.0:  # discrepancy
                 return
-            if held == STALL_STEPS and resid(p_new) > threshold:
+            if held == STALL_STEPS and resid(p_new) > stalled:
                 return
-            if cycled == 2 * STALL_STEPS and min(resid(p_new), resid(p)) > threshold:
+            if cycled == 2 * STALL_STEPS and min(resid(p_new), resid(p)) > stalled:
                 return
             # convergence counts only once the continuation has reached its floor
             if eps_s <= solver.IRLS_TOL * (1.0 + 1e-9) and np.linalg.norm(x_new - x) <= solver.IRLS_TOL:
@@ -483,6 +487,17 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def affine_search(A, c, F, q):
+    """The oracle's zero-pattern search on the one right-hand side c, as
+    (x, objective, zero_set); raises InfeasibleProblemError when no point of
+    {Ax = c} is feasible."""
+    found = solver._zero_pattern_search(A, c[:, None], F.D, q, solver._new_counts())
+    if found is None:
+        raise InfeasibleProblemError("c is not in the range of A")
+    _, x, obj, Z, _ = found
+    return x, obj, Z
+
+
 def _batched(P):
     res = _outcome(solve_oracle_noiseless, P)
     if isinstance(res, type):
@@ -518,6 +533,8 @@ def test_oracle_matches_reference_loop_bit_for_bit(q):
 
 @pytest.mark.parametrize("q", [0.3, 1.0])
 def test_affine_oracle_matches_reference_loop(q):
+    # the oracle's search on one right-hand side c, also on c that are no
+    # sign pattern of a magnitude vector
     rng = np.random.default_rng(3)
     for n, N in ((3, 5), (4, 8), (5, 8)):
         for trial in range(6):
@@ -525,7 +542,7 @@ def test_affine_oracle_matches_reference_loop(q):
             for m in range(1, n + 2):
                 A = rng.standard_normal((m, n))
                 c = A @ rng.standard_normal(n) if m > n else rng.standard_normal(m)
-                got = _outcome(solve_affine_lq_oracle, A, c, F, q)
+                got = _outcome(affine_search, A, c, F, q)
                 ref = _outcome(loop_affine_lq_oracle, A, c, F, q)
                 assert got[0].tobytes() == ref[0].tobytes() and got[1:] == ref[1:]
 
@@ -585,50 +602,36 @@ def test_one_search_matches_reference_loops_for_every_shape(instance):
         return
     flipped = np.where(np.arange(len(b)) % 2, -b, b)  # one sign pattern's right-hand side
     for c in (A @ x1, flipped):
-        got = _outcome(solve_affine_lq_oracle, A, c, F, q)
-        x_ls, *_ = np.linalg.lstsq(A, c, rcond=None)
-        if np.linalg.norm(A @ x_ls - c) > FEAS_RTOL * np.linalg.norm(c):
-            # c outside the range of a tall A is refused relative to ||c||; the
-            # reference loop's max(1, ||c||) scale accepted it when ||c|| < 1
-            assert got is InfeasibleProblemError
-            continue
-        ref = _outcome(loop_affine_lq_oracle, A, c, F, q)
-        assert (got is ref) if isinstance(ref, type) else (
-            got[0].tobytes() == ref[0].tobytes() and got[1:] == ref[1:])
+        assert_bit_identical(_outcome(affine_search, A, c, F, q),
+                             _outcome(loop_affine_lq_oracle, A, c, F, q))
 
 
 def test_tall_A_and_c_outside_its_range():
-    # the two departures from the reference loop: a rank-deficient tall A now
-    # fails the rank check first, and a c outside the range of a full-rank tall
-    # A is refused relative to ||c|| where the loop's max(1, ||c||) accepted it
+    # m > n at eps = 0, with b scaled by 1e-12: feasibility is relative to
+    # ||b||, so the scaled problem has the scaled solution, and a b that no
+    # |A x| meets is refused however small it is; a rank-deficient tall A
+    # fails the rank check first
     F = build_parseval_random(3, 5, seed=1)
     A = np.random.default_rng(2).standard_normal((5, 3))
-    c = np.random.default_rng(3).standard_normal(5)
-    with pytest.raises(InfeasibleProblemError):
-        loop_affine_lq_oracle(A, c, F, 1.0)
-    with pytest.raises(InfeasibleProblemError):
-        solve_affine_lq_oracle(A, c, F, 1.0)
-    tiny = 1e-12 * c
-    x_loop, *_ = loop_affine_lq_oracle(A, tiny, F, 1.0)
-    assert np.linalg.norm(A @ x_loop - tiny) > 0.1 * np.linalg.norm(tiny)
-    with pytest.raises(InfeasibleProblemError):
-        solve_affine_lq_oracle(A, tiny, F, 1.0)
+    truth = sample_dictionary_sparse(F, 1, seed=4)
+    P = build_problem(A, F, truth, q=1.0)
+    tiny = PhaselessProblem(A=A, frame=F, b=1e-12 * P.b, eps=0.0, q=1.0)
+    got = solve_oracle_noiseless(tiny)
+    assert_bit_identical(_batched(tiny), _outcome(loop_oracle_noiseless, tiny))
+    assert got.feasibility <= FEAS_RTOL * np.linalg.norm(tiny.b)
+    assert np.linalg.norm(np.abs(got.x_hat) - 1e-12 * np.abs(truth.x)) <= 1e-8 * 1e-12
+    assert got.objective == pytest.approx(1e-12 * solve_oracle_noiseless(P).objective, rel=1e-8)
+    off = 1e-12 * (np.abs(np.random.default_rng(3).standard_normal(5)) + 1.0)
+    outside = PhaselessProblem(A=A, frame=F, b=off, eps=0.0, q=1.0)
+    for signs in product((1.0, -1.0), repeat=5):
+        c = np.array(signs) * off
+        x_ls, *_ = np.linalg.lstsq(A, c, rcond=None)
+        assert np.linalg.norm(A @ x_ls - c) > 0.1 * np.linalg.norm(c)
+    assert _batched(outside) is _outcome(loop_oracle_noiseless, outside) is InfeasibleProblemError
+    A = A.copy()
     A[:, 2] = A[:, 0]
-    with pytest.raises(InfeasibleProblemError):
-        loop_affine_lq_oracle(A, c, F, 1.0)
-    with pytest.raises(DegenerateProblemError):
-        solve_affine_lq_oracle(A, c, F, 1.0)
-
-
-def test_tall_oracle_never_calls_the_affine_oracle(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("solve_affine_lq_oracle called")
-
-    corpus = [P for P in oracle_corpus(0.5) if P.A.shape[0] > P.A.shape[1]]
-    refs = [_outcome(loop_oracle_noiseless, P) for P in corpus]
-    monkeypatch.setattr(solver, "solve_affine_lq_oracle", refuse)
-    for P, ref in zip(corpus, refs):
-        assert_bit_identical(_batched(P), ref)
+    degenerate = PhaselessProblem(A=A, frame=F, b=np.abs(A @ truth.x), eps=0.0, q=1.0)
+    assert _batched(degenerate) is DegenerateProblemError
 
 
 def test_ill_conditioned_wide_A_refuses_an_infeasible_least_squares_point():
@@ -648,12 +651,12 @@ def test_ill_conditioned_wide_A_refuses_an_infeasible_least_squares_point():
         F = build_parseval_random(4, 6, seed)
         if loop_affine_lq_oracle(A, c, F, 1.0)[2] is not None:
             continue
-        got = _outcome(solve_affine_lq_oracle, A, c, F, 1.0)
+        got = _outcome(affine_search, A, c, F, 1.0)
         if got is InfeasibleProblemError:
             outcomes.add("infeasible")
         else:
             assert got[2] is not None
-            assert np.linalg.norm(A @ got[0] - c) <= FEAS_RTOL * max(1.0, np.linalg.norm(c))
+            assert np.linalg.norm(A @ got[0] - c) <= FEAS_RTOL * np.linalg.norm(c)
             outcomes.add("zero set")
     assert outcomes == {"infeasible", "zero set"}
 
@@ -852,8 +855,6 @@ def test_oracle_budget_raises_before_enumeration(monkeypatch):
     P = PhaselessProblem(A=A, frame=F, b=np.abs(A @ np.ones(6)), eps=0.0, q=1.0)
     with pytest.raises(ResourceBudgetError):
         solve_oracle_noiseless(P, support_budget=comb(12, 4) - 1)
-    with pytest.raises(ResourceBudgetError):
-        solve_affine_lq_oracle(A, P.b, F, 1.0, support_budget=comb(12, 4) - 1)
 
 
 def test_oracle_l1_equals_linear_programs_over_sign_patterns():

@@ -9,7 +9,6 @@ from lqphase.bounds import (
     admissibility_check,
     bound_rhs,
     constants_c1_c2,
-    constants_c3_c4,
     verify_recovery_bound,
 )
 from lqphase.cli import main
@@ -19,6 +18,15 @@ from lqphase.measurement import build_problem
 from lqphase.rip import RipReport, drip_constant, drip_order_for_t
 from lqphase.signals import sample_dictionary_sparse
 from lqphase.solver import SolverResult, solve_oracle_noiseless
+
+
+def c3_c4_closed_form(t, delta):
+    """The q = 1 constants c3, c4 as the bounds docstring states them,
+    evaluated in float64 apart from constants_c1_c2."""
+    den = t - (4.0 - t) * delta
+    c3 = 2.0 * max(t, np.sqrt(t)) * np.sqrt(1.0 + delta) / den
+    c4 = (4.0 * delta + 2.0 * np.sqrt(den * delta)) / den + 1.0
+    return c3, c4
 
 
 def sympy_constants(q, t, delta):
@@ -91,7 +99,7 @@ def test_nan_defect_is_rejected(tmp_path, capsys):
     with pytest.raises(ParameterError, match="delta"):
         constants_c1_c2(0.5, 1.0, float("nan"))
     with pytest.raises(ParameterError, match="delta"):
-        constants_c3_c4(1.0, float("nan"))
+        constants_c1_c2(1.0, 1.0, float("nan"))  # the q = 1 constants c3, c4
     assert main(["bound", "check", "--q", "0.5", "--t", "1.0", "--delta", "nan"]) == 1
     assert capsys.readouterr().err.startswith("error: delta")
     # a trial whose report carries delta = NaN is an error, not a failed bound
@@ -110,25 +118,26 @@ def test_nan_defect_is_rejected(tmp_path, capsys):
 
 
 def test_specialization_q_one_equals_c3_c4():
-    c3, c4 = constants_c3_c4(1.0, 0.0)
-    assert (c3, c4) == (2.0, 1.0)
+    c = constants_c1_c2(1.0, 1.0, 0.0)
+    assert (c.c1, c.c2) == (2.0, 1.0) == c3_c4_closed_form(1.0, 0.0)
     rng = np.random.default_rng(0)
     for _ in range(50):
         t = float(rng.uniform(0.05, 4.0 / 3.0 - 1e-6))
         delta = float(rng.uniform(0.0, t / (4.0 - t) * 0.999))
         c = constants_c1_c2(1.0, t, delta)
-        c3, c4 = constants_c3_c4(t, delta)
-        assert c.c1 == pytest.approx(c3, abs=1e-12)
-        assert c.c2 == pytest.approx(c4, abs=1e-12)
+        c3, c4 = c3_c4_closed_form(t, delta)
+        assert c.c1 == pytest.approx(c3, rel=1e-12)
+        assert c.c2 == pytest.approx(c4, rel=1e-12)
 
 
 def test_c3_c4_frozen_point():
     # denominator 1.2 - 2.8*0.2 = 0.64
-    c3, c4 = constants_c3_c4(1.2, 0.2)
-    assert np.isfinite(c3) and np.isfinite(c4) and c3 > 0 and c4 >= 1
-    assert c3 == pytest.approx(2 * 1.2 * np.sqrt(1.2) / 0.64, abs=1e-12)
-    with pytest.raises(DomainError):
-        constants_c3_c4(1.0, 0.4)  # threshold 1/3
+    c = constants_c1_c2(1.0, 1.2, 0.2)
+    assert c.admissible and c.c1 > 0 and c.c2 >= 1
+    assert c.c1 == pytest.approx(2 * 1.2 * np.sqrt(1.2) / 0.64, abs=1e-12)
+    assert c.c2 == pytest.approx((0.8 + 2 * np.sqrt(0.64 * 0.2)) / 0.64 + 1, abs=1e-12)
+    at_threshold = constants_c1_c2(1.0, 1.0, 0.4)  # threshold 1/3
+    assert not at_threshold.admissible and at_threshold.c1 is None and at_threshold.c2 is None
 
 
 def test_admissibility_window():

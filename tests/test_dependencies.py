@@ -3,8 +3,10 @@ dependency in pyproject.toml; the test extras (scipy, hypothesis, pytest)
 stay out of the package.  Only serialize opens files (the builtin open) and
 reads dataclass fields (dataclasses.fields, in its one payload decoder).
 Every private module-level function or class is used somewhere in the
-package, and every module-level UPPER_CASE constant is read somewhere in it
-outside its own assignment, so code that nothing needs cannot linger.  The
+package, every module-level UPPER_CASE constant is read somewhere in it
+outside its own assignment, and every function the package's __init__
+exports is used in the package outside its own definition or in the
+benchmark's sources, so code that nothing needs cannot linger.  The
 enumerating modules raise ResourceBudgetError only through
 linalg.check_budget, apart from the oracle's m guard, so every enumeration is
 bounded by one rule: its work."""
@@ -15,6 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lqphase"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -145,6 +148,42 @@ def test_every_module_constant_is_read_in_the_package():
     modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert "ORACLE_MAX_M" in modules["solver.py"]  # the walk reads the real modules
     assert _unread(modules, _constants) == []
+
+
+def _unused_exports(init: str, modules: dict[str, str], bench: dict[str, str]) -> list[str]:
+    """The module-level functions that __init__ imports from the given
+    package modules and that nothing in those modules, outside the function's
+    own definition, or in the bench sources refers to."""
+    exported = set()
+    for node in ast.parse(init).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            functions = {top.name for top in ast.parse(modules[f"{node.module}.py"]).body
+                         if isinstance(top, ast.FunctionDef)}
+            exported |= {alias.name for alias in node.names} & functions
+    return _unread({**modules, **bench}, lambda top: [top.name] if (
+        isinstance(top, ast.FunctionDef) and top.name in exported) else [])
+
+
+def test_export_walker_counts_package_and_bench_references():
+    modules = {
+        "a.py": "def used():\n    pass\ndef recursive():\n    recursive()\n"
+                "def unused():\n    pass\ndef benched():\n    pass\nclass Kept:\n    pass\n",
+        "b.py": "from .a import used\n",
+    }
+    init = "from .a import used, recursive, unused, benched, Kept\nfrom .b import used as again\n"
+    bench = {"run.py": "import lqphase\nlqphase.benched()\n"}
+    assert _unused_exports(init, modules, bench) == ["recursive", "unused"]
+
+
+def test_every_exported_function_is_used_in_the_package_or_the_benchmark():
+    # a function that only tests call is not part of the package
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))
+               if path.name != "__init__.py"}
+    bench = {path.name: path.read_text(encoding="utf-8") for path in sorted(BENCH.glob("*.py"))
+             if not path.name.startswith("test_")}
+    init = (SRC / "__init__.py").read_text(encoding="utf-8")
+    assert "solve_irls" in init and "workloads.py" in bench  # the walk reads the real files
+    assert _unused_exports(init, modules, bench) == []
 
 
 def _budget_raises(text: str) -> list[str]:

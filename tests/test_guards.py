@@ -16,10 +16,10 @@ from lqphase.measurement import build_problem
 from lqphase.nsp import dictionary_sparse_distance, nsp_real_falsify
 from lqphase.rip import drip_constant, sdrip_constants
 from lqphase.signals import sample_dictionary_sparse
-from lqphase.solver import solve_affine_lq_oracle, solve_oracle_noiseless
+from lqphase.solver import solve_oracle_noiseless
 
 # n = 4, N = 7, m = 2, k = 2: C(7, 2) = 21 supports, and as many zero
-# patterns for the oracles, whose m = 2 leaves n - m = 2 free coordinates.
+# patterns for the oracle, whose m = 2 leaves n - m = 2 free coordinates.
 # Per support or zero set, S-DRIP takes C(2, 1) + 1 = 3 row sets, the
 # falsifier the 4 row subsets of size <= k and the oracle 2^(m-1) = 2 signs.
 F = build_parseval_random(4, 7, seed=3)
@@ -42,9 +42,6 @@ ENTRY_POINTS = {
     "falsify": (_falsify, 4, "(row subset, support) cells"),
     "oracle": (lambda budget, _: solve_oracle_noiseless(P, support_budget=budget), 2,
                "(sign, zero set) pairs"),
-    "affine oracle": (lambda budget, _: solve_affine_lq_oracle(A, P.A @ TRUTH.x, F, 1.0,
-                                                                support_budget=budget),
-                      1, "zero patterns"),
 }
 
 

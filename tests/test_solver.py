@@ -8,8 +8,6 @@ import pytest
 from lqphase import serialize, solver
 from lqphase.errors import (
     DegenerateProblemError,
-    DimensionError,
-    DomainError,
     InfeasibleProblemError,
     ParameterError,
     ResourceBudgetError,
@@ -18,8 +16,8 @@ from lqphase.frames import build_named_frame, build_parseval_random
 from lqphase.measurement import PhaselessProblem, build_problem, phase_distance
 from lqphase.signals import lq_quasinorm, sample_dictionary_sparse
 from lqphase.solver import (
+    FEAS_RTOL,
     irls_weighted_step,
-    solve_affine_lq_oracle,
     solve_irls,
     solve_oracle_noiseless,
 )
@@ -54,23 +52,41 @@ def zero_pattern_l1(A, c, N):
     return best
 
 
+def _noiseless(A, F, b, q):
+    return PhaselessProblem(A=A, frame=F, b=np.asarray(b, dtype=float), eps=0.0, q=q)
+
+
+def _per_sign_minimum(referee, A, b):
+    """The referee's minimum over the 2^(m-1) sign patterns of b, first sign +1."""
+    return min(referee(A, np.array((1.0,) + tail) * b)
+               for tail in product((1.0, -1.0), repeat=len(b) - 1))
+
+
+# The affine oracle: for every sign pattern p the oracle minimizes over the
+# affine set {Ax = p o b}; these tests check that search through
+# solve_oracle_noiseless.
+
 def test_affine_oracle_square_system():
+    # m = n: each sign's affine set is the one point A^-1 (p o b)
     rng = np.random.default_rng(0)
     F = build_parseval_random(3, 5, seed=1)
     A = rng.standard_normal((3, 3))
-    c = rng.standard_normal(3)
+    b = np.abs(rng.standard_normal(3))
     for q in (0.3, 1.0):
-        x, obj, Z = solve_affine_lq_oracle(A, c, F, q)
-        assert np.linalg.norm(x - np.linalg.solve(A, c)) < 1e-10
-        assert Z is None
+        res = solve_oracle_noiseless(_noiseless(A, F, b, q))
+        signs = np.array(res.certificate["signs"])
+        assert np.linalg.norm(res.x_hat - np.linalg.solve(A, signs * b)) < 1e-10
+        assert res.certificate["zero_set"] is None
+        best = _per_sign_minimum(lambda A, c: lq_quasinorm(F.D.T @ np.linalg.solve(A, c), q), A, b)
+        assert res.objective == pytest.approx(best, rel=1e-12)
 
 
 def test_affine_oracle_symmetric_pair():
     F = build_named_frame("identity", 2)
-    x, obj, Z = solve_affine_lq_oracle(np.array([[1.0, 1.0]]), np.array([1.0]), F, 1.0)
-    assert obj == pytest.approx(1.0)
-    assert sorted(np.round(np.abs(x), 9)) == pytest.approx([0.0, 1.0])
-    assert Z is not None and len(Z) == 1
+    res = solve_oracle_noiseless(_noiseless(np.array([[1.0, 1.0]]), F, [1.0], 1.0))
+    assert res.objective == pytest.approx(1.0)
+    assert sorted(np.round(np.abs(res.x_hat), 9)) == pytest.approx([0.0, 1.0])
+    assert len(res.certificate["zero_set"]) == 1
 
 
 def test_affine_oracle_matches_breakpoint_l1():
@@ -78,9 +94,9 @@ def test_affine_oracle_matches_breakpoint_l1():
     F = build_named_frame("identity", 3)
     for _ in range(100):
         A = rng.standard_normal((2, 3))
-        c = rng.standard_normal(2)
-        _, obj, _ = solve_affine_lq_oracle(A, c, F, 1.0)
-        assert obj == pytest.approx(l1_min_breakpoints(A, c), abs=1e-8)
+        b = np.abs(rng.standard_normal(2))
+        obj = solve_oracle_noiseless(_noiseless(A, F, b, 1.0)).objective
+        assert obj == pytest.approx(_per_sign_minimum(l1_min_breakpoints, A, b), abs=1e-8)
 
 
 def test_affine_oracle_matches_fresh_zero_pattern_enumeration():
@@ -88,22 +104,24 @@ def test_affine_oracle_matches_fresh_zero_pattern_enumeration():
     F = build_named_frame("identity", 4)
     for _ in range(100):
         A = rng.standard_normal((2, 4))
-        c = rng.standard_normal(2)
-        _, obj, _ = solve_affine_lq_oracle(A, c, F, 1.0)
-        assert obj == pytest.approx(zero_pattern_l1(A, c, 4), abs=1e-8)
+        b = np.abs(rng.standard_normal(2))
+        obj = solve_oracle_noiseless(_noiseless(A, F, b, 1.0)).objective
+        referee = _per_sign_minimum(lambda A, c: zero_pattern_l1(A, c, 4), A, b)
+        assert obj == pytest.approx(referee, abs=1e-8)
 
 
 def test_affine_oracle_error_paths():
     F = build_named_frame("identity", 3)
     with pytest.raises(DegenerateProblemError):
-        solve_affine_lq_oracle(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
-                               np.array([1.0, 2.0]), F, 1.0)
+        solve_oracle_noiseless(_noiseless(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), F,
+                                          [1.0, 2.0], 1.0))
     A_tall = np.vstack([np.eye(3), np.ones(3)])
     with pytest.raises(InfeasibleProblemError):
-        solve_affine_lq_oracle(A_tall, np.array([1.0, 0.0, 0.0, 100.0]), F, 1.0)
-    # consistent tall system: unique point
-    x, obj, Z = solve_affine_lq_oracle(A_tall, np.array([1.0, 0.0, 0.0, 1.0]), F, 1.0)
-    assert np.allclose(x, [1.0, 0.0, 0.0], atol=1e-10) and Z is None
+        solve_oracle_noiseless(_noiseless(A_tall, F, [1.0, 0.0, 0.0, 100.0], 1.0))
+    # consistent tall system: one point up to the global sign
+    res = solve_oracle_noiseless(_noiseless(A_tall, F, [1.0, 0.0, 0.0, 1.0], 1.0))
+    assert np.allclose(res.x_hat, [1.0, 0.0, 0.0], atol=1e-10)
+    assert res.certificate["zero_set"] is None
 
 
 def _truth(F, z_vals):
@@ -187,6 +205,25 @@ def test_oracle_rejects_noise_and_big_m():
     P2 = PhaselessProblem(A=A_big, frame=F, b=np.abs(A_big @ np.ones(2)), eps=0.0, q=1.0)
     with pytest.raises(ResourceBudgetError):
         solve_oracle_noiseless(P2)
+
+
+def test_oracle_noise_test_is_relative_to_b():
+    # the oracle's feasibility tolerance is FEAS_RTOL ||b||, and so is its
+    # noise test: noise ten times a tiny b is noise, and noise far below the
+    # tolerance of a large b is not
+    F = build_named_frame("identity", 2)
+    A = np.random.default_rng(8).standard_normal((3, 2))
+    b = np.abs(A @ np.array([1.0, -2.0]))
+    tiny = 1e-14 * b / np.linalg.norm(b)
+    with pytest.raises(ParameterError, match="noiseless"):
+        solve_oracle_noiseless(PhaselessProblem(A=A, frame=F, b=tiny, eps=1e-13, q=1.0))
+    large = 1e6 * b / np.linalg.norm(b)
+    res = solve_oracle_noiseless(PhaselessProblem(A=A, frame=F, b=large, eps=1e-10, q=1.0))
+    assert res.feasibility <= FEAS_RTOL * np.linalg.norm(large)
+    edge = FEAS_RTOL * float(np.linalg.norm(b))
+    solve_oracle_noiseless(PhaselessProblem(A=A, frame=F, b=b, eps=edge, q=1.0))
+    with pytest.raises(ParameterError, match="noiseless"):
+        solve_oracle_noiseless(PhaselessProblem(A=A, frame=F, b=b, eps=2.0 * edge, q=1.0))
 
 
 def test_oracle_corrupted_measurements_infeasible():
@@ -297,37 +334,3 @@ def test_solve_irls_rejects_a_bad_seed(seed):
     P = build_problem(A, F, sample_dictionary_sparse(F, 1, seed=13), q=1.0)
     with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
         solve_irls(P, seed)
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("entry", ["A", "c"])
-def test_affine_oracle_rejects_a_non_finite_A_or_c_before_any_svd(monkeypatch, entry, value):
-    # before the check, a non-finite c raised "c is not in the range of A"
-    F = build_parseval_random(4, 6, seed=2)
-    A = np.random.default_rng(2).standard_normal((3, 4))
-    c = np.ones(3)
-    if entry == "A":
-        A[1, 2] = value
-    else:
-        c[1] = value
-
-    def svd(*args, **kwargs):
-        raise AssertionError("an SVD ran before the input checks")
-
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    with pytest.raises(DomainError, match="A and c must be finite"):
-        solve_affine_lq_oracle(A, c, F, 0.5)
-
-
-@pytest.mark.parametrize("A, c", [(np.ones((2, 3)), np.ones(2)), (np.ones(4), np.ones(1))],
-                         ids=["2 x 3 A at n = 4", "1-D A"])
-def test_affine_oracle_rejects_an_A_of_the_wrong_shape_before_any_svd(monkeypatch, A, c):
-    # the 2 x 3 A used to fail in a matmul after its SVD, the 1-D A in an unpacking
-    F = build_parseval_random(4, 6, seed=2)
-
-    def svd(*args, **kwargs):
-        raise AssertionError("an SVD ran before the input checks")
-
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    with pytest.raises(DimensionError, match=r"A must have shape \(m, 4\), got"):
-        solve_affine_lq_oracle(A, c, F, 0.5)
