@@ -1,13 +1,11 @@
 """Tight (Parseval) frames used as redundant dictionaries.
 
 A frame here is an n x N real matrix D with orthonormal rows (DD^T = I_n),
-together with the (N-n) x N matrix D_perp whose rows complete the rows of D
-to an orthonormal basis of R^N.  Consequently, for every z in R^N,
-
-    ||z||^2 = ||Dz||^2 + ||D_perp z||^2,
-
-and for every f in R^n, ||D^T f|| = ||f||.  Only Parseval frames are
-constructed; general frame bounds are out of scope.
+and nothing else: n and N are read off D's shape.  The package uses D only
+through Dz and D^T f, and these identities follow from DD^T = I_n alone:
+for every f in R^n, ||D^T f|| = ||f||; for every z in R^N, ||Dz|| <= ||z||,
+with equality exactly when z lies in D's row space (z = D^T D z).  Only
+Parseval frames are constructed; general frame bounds are out of scope.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .linalg import null_space
 
 FRAME_TOL = 1e-10
 
@@ -26,36 +23,33 @@ NAMED_FRAMES = ("identity", "mercedes", "duplicated_identity")
 
 @dataclass(frozen=True)
 class TightFrame:
-    """Parseval frame D (n x N) together with its orthonormal complement."""
+    """Parseval frame D (n x N)."""
 
-    n: int
-    N: int
     D: np.ndarray
-    D_perp: np.ndarray
     label: str = field(default="frame")
+
+    @property
+    def n(self) -> int:
+        return self.D.shape[0]
+
+    @property
+    def N(self) -> int:
+        return self.D.shape[1]
 
 
 @dataclass(frozen=True)
 class FrameValidation:
     parseval_deviation: float
-    stack_deviation: float
     passed: bool
 
 
-def _complete_rows(D: np.ndarray) -> np.ndarray:
-    # rows of D_perp span the orthogonal complement of the row space of D
-    perp = null_space(D).T
-    return np.ascontiguousarray(perp)
-
-
 def _as_frame(D: np.ndarray, label: str) -> TightFrame:
-    n, N = D.shape
-    F = TightFrame(n=n, N=N, D=D, D_perp=_complete_rows(D), label=label)
+    F = TightFrame(D=D, label=label)
     report = validate_frame(F)
     if not report.passed:
         raise ConfigurationError(
             f"constructed frame is not Parseval within {FRAME_TOL:g} "
-            f"(deviations {report.parseval_deviation:.3e}, {report.stack_deviation:.3e})"
+            f"(deviation {report.parseval_deviation:.3e})"
         )
     return F
 
@@ -71,11 +65,8 @@ def build_parseval_random(n: int, N: int, seed: int) -> TightFrame:
     G = rng.standard_normal((N, N))
     Q, R = np.linalg.qr(G)
     # sign fix makes the distribution Haar and the output reproducible
-    Q = Q * np.sign(np.diag(R))
-    D = np.ascontiguousarray(Q[:, :n].T)
-    D_perp = np.ascontiguousarray(Q[:, n:].T)
-    return TightFrame(n=n, N=N, D=D, D_perp=D_perp,
-                      label=f"random(n={n},N={N},seed={seed})")
+    D = np.ascontiguousarray((Q[:, :n] * np.sign(np.diag(R)[:n])).T)
+    return TightFrame(D=D, label=f"random(n={n},N={N},seed={seed})")
 
 
 def build_named_frame(name: str, n: int | None = None) -> TightFrame:
@@ -101,14 +92,7 @@ def build_named_frame(name: str, n: int | None = None) -> TightFrame:
 
 
 def validate_frame(F: TightFrame) -> FrameValidation:
-    """Report the worst entrywise deviations from the Parseval identities."""
+    """Report the worst entrywise deviation from DD^T = I_n."""
     dd = F.D @ F.D.T - np.eye(F.n)
     parseval_dev = float(np.max(np.abs(dd))) if dd.size else 0.0
-    stacked = np.vstack([F.D, F.D_perp])
-    st = stacked @ stacked.T - np.eye(F.N)
-    stack_dev = float(np.max(np.abs(st))) if st.size else 0.0
-    return FrameValidation(
-        parseval_deviation=parseval_dev,
-        stack_deviation=stack_dev,
-        passed=(parseval_dev < FRAME_TOL and stack_dev < FRAME_TOL),
-    )
+    return FrameValidation(parseval_deviation=parseval_dev, passed=parseval_dev < FRAME_TOL)

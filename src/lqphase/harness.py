@@ -52,7 +52,9 @@ def derive_trial_seeds(master_seed: int, cell_index: int, trial_index: int) -> t
 
 
 def sample_measurement_matrix(ensemble: str, m: int, n: int, jitter: float, seed: int) -> np.ndarray:
-    """Measurement ensembles; Gaussian entries are N(0, 1/m) so ||Ax|| ~ ||x||."""
+    """Measurement ensembles.  gaussian: entries N(0, 1/m), so ||Ax|| ~ ||x||.
+    near_isometric (m >= n): a Haar-random matrix with orthonormal columns
+    plus jitter times a gaussian draw; at jitter 0 it is that matrix."""
     if ensemble not in MATRIX_ENSEMBLES:
         raise ConfigurationError(f"unknown matrix ensemble {ensemble!r}")
     rng = np.random.default_rng(seed)
@@ -63,9 +65,7 @@ def sample_measurement_matrix(ensemble: str, m: int, n: int, jitter: float, seed
     G = rng.standard_normal((m, n))
     Q, R = np.linalg.qr(G)
     Q = Q * np.sign(np.diag(R))
-    if ensemble == "orthonormal":
-        return Q
-    return Q + jitter * rng.standard_normal((m, n)) / np.sqrt(m)  # near_isometric
+    return Q + jitter * rng.standard_normal((m, n)) / np.sqrt(m)
 
 
 def _grid(cfg: ExperimentConfig, axes: tuple[str, ...]) -> list[dict]:

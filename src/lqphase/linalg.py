@@ -25,11 +25,11 @@ so rip's Grams over row sets and nsp's full-rank bound form no matrix;
 subset_masks are the size-h row masks of S-DRIP and the NSP sign screen.
 
 null_spaces is its counterpart for null spaces: one batched SVD per (C, p, n)
-stack and the same rank rule per slice.  null_space is its one-slice case
-(frames complete their rows with it).  The real NSP falsifier takes from
-it the null spaces of row subsets and of (row subset, support) systems; the
-nsp module describes its schedule, and why a cell or subset its bounds
-certify is one this rule would find of full rank.
+stack and the same rank rule per slice; a single matrix M is the stack
+M[None].  The real NSP falsifier takes from it the null spaces of row
+subsets and of (row subset, support) systems; the nsp module describes its
+schedule, and why a cell or subset its bounds certify is one this rule
+would find of full rank.
 """
 
 from __future__ import annotations
@@ -93,11 +93,6 @@ def null_spaces(Ms: np.ndarray, scale: float | None = None) -> list[np.ndarray]:
         return [np.eye(n) for _ in range(C)]
     _, s, vh = np.linalg.svd(Ms)
     return [vh_i[r:].T for vh_i, r in zip(vh, numerical_rank(s, scale=scale).tolist())]
-
-
-def null_space(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of {z : Mz = 0} for a dense p x n matrix."""
-    return null_spaces(np.asarray(M)[None])[0]
 
 
 def support_bases(D: np.ndarray, supports: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

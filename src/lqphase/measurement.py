@@ -1,8 +1,9 @@
 """Magnitude-only forward model and phase-invariant error metrics.
 
-Measurements are b = |A x0| + e.  Noise is injected additively on the
-magnitudes; with noise, entries of b may be negative and solvers must not
-assume otherwise.
+Measurements are b = |A x0| + e.  Noise is "none" (e = 0) or
+("bounded", eps): e is drawn uniformly from the l2 ball of radius eps, and
+eps is the problem's declared bound.  It is added on the magnitudes, so
+entries of b may be negative and solvers must not assume otherwise.
 """
 
 from __future__ import annotations
@@ -55,15 +56,16 @@ class PhaselessProblem:
         return self.A.shape[1]
 
 
-def _parse_noise(noise) -> tuple[str, float]:
+def _parse_noise(noise) -> float:
+    """The declared noise bound: 0 for "none", eps for ("bounded", eps)."""
     if noise == "none" or noise is None:
-        return "none", 0.0
+        return 0.0
     if isinstance(noise, (tuple, list)) and len(noise) == 2:
         kind, level = noise
         level = float(level)
-        if kind in ("gaussian", "bounded") and 0.0 <= level < np.inf:
-            return kind, level
-    raise ParameterError(f"noise must be 'none', ('gaussian', sigma) or ('bounded', eps); got {noise!r}")
+        if kind == "bounded" and 0.0 <= level < np.inf:
+            return level
+    raise ParameterError(f"noise must be 'none' or ('bounded', eps); got {noise!r}")
 
 
 def forward_phaseless(
@@ -81,20 +83,17 @@ def forward_phaseless(
     x0 = np.asarray(x0, dtype=float)
     if A.ndim != 2 or x0.shape != (A.shape[1],):
         raise DimensionError(f"A is {A.shape}, x0 is {x0.shape}; need x0 of length {A.shape[1]}")
-    kind, level = _parse_noise(noise)
+    level = _parse_noise(noise)
     m = A.shape[0]
     clean = np.abs(A @ x0)
-    if kind == "none" or level == 0.0:
+    if level == 0.0:
         e = np.zeros(m)
     else:
         rng = np.random.default_rng(seed)
-        if kind == "gaussian":
-            e = level * rng.standard_normal(m)
-        else:  # bounded: uniform in the l2 ball
-            direction = rng.standard_normal(m)
-            direction /= np.linalg.norm(direction)
-            radius = level * rng.uniform() ** (1.0 / m)
-            e = radius * direction
+        direction = rng.standard_normal(m)
+        direction /= np.linalg.norm(direction)
+        radius = level * rng.uniform() ** (1.0 / m)
+        e = radius * direction
     b = clean + e
     return b, e, float(np.linalg.norm(e))
 
@@ -120,13 +119,7 @@ def build_problem(
     seed: int | None = None,
 ) -> PhaselessProblem:
     """Simulate measurements of truth.x and package them as a problem instance."""
-    b, _, eps_realized = forward_phaseless(A, truth.x, noise=noise, seed=seed)
-    kind, level = _parse_noise(noise)
-    if kind == "bounded":
-        eps = level
-    elif kind == "gaussian":
-        eps = eps_realized
-    else:
-        eps = 0.0
+    b, _, _ = forward_phaseless(A, truth.x, noise=noise, seed=seed)
     # a copy, so that editing the caller's A afterwards cannot break b = |A x0|
-    return PhaselessProblem(A=np.array(A, dtype=float), frame=F, b=b, eps=eps, q=float(q), truth=truth)
+    return PhaselessProblem(A=np.array(A, dtype=float), frame=F, b=b, eps=_parse_noise(noise),
+                            q=float(q), truth=truth)

@@ -43,7 +43,9 @@ CSV_COLUMNS = (
 
 TRANSITION_COLUMNS = ("cell_index", "n", "N", "m", "k", "q", "trials", "successes", "rate")
 
-MATRIX_ENSEMBLES = ("gaussian", "orthonormal", "near_isometric")
+# the measurement ensembles of harness.sample_measurement_matrix; a matrix with
+# orthonormal columns is near_isometric at jitter 0
+MATRIX_ENSEMBLES = ("gaussian", "near_isometric")
 
 
 @dataclass(frozen=True)
@@ -182,13 +184,15 @@ class ExperimentConfig:
     version: int = 1
 
     def validate(self) -> None:
-        if self.version != 1:
-            raise ConfigurationError(f"unsupported config version {self.version}")
+        # a bool would pass as 1
+        if not _is_int(self.version) or self.version != 1:
+            raise ConfigurationError(f"unsupported config version {self.version!r}")
+        # a scalar would fail below with a TypeError
         for name in ("n_values", "N_values", "m_values", "k_values",
                      "q_values", "t_values", "eps_values"):
             vals = getattr(self, name)
-            if not vals:
-                raise ConfigurationError(f"{name} must be nonempty")
+            if not isinstance(vals, list) or not vals:
+                raise ConfigurationError(f"{name} must be a nonempty list, got {vals!r}")
         for name in ("n_values", "N_values", "m_values", "k_values"):
             if not all(_is_int(v) for v in getattr(self, name)):
                 raise ConfigurationError(f"every value of {name} must be an integer")
@@ -213,6 +217,13 @@ class ExperimentConfig:
         for name in ("jitter", "success_tol"):
             if not _is_real(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be a number")
+        # the string "false" would switch S-DRIP on
+        if not isinstance(self.compute_sdrip, bool):
+            raise ConfigurationError(f"compute_sdrip must be true or false, got {self.compute_sdrip!r}")
+        # a list would fail the name lookups below with a TypeError
+        for name in ("solver", "frame_kind", "matrix_ensemble", "magnitude_law", "half_rule"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigurationError(f"{name} must be a string, got {getattr(self, name)!r}")
         if any(not (0.0 < q <= 1.0) for q in self.q_values):
             raise ConfigurationError("every q must lie in (0, 1]")
         if any(not (0.0 < t < 4.0 / 3.0) for t in self.t_values):

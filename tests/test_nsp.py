@@ -10,7 +10,7 @@ from lqphase.errors import (
     ResourceBudgetError,
 )
 from lqphase.frames import build_named_frame, build_parseval_random
-from lqphase.linalg import null_space
+from lqphase.linalg import null_spaces
 from lqphase.measurement import build_problem, phase_distance
 from lqphase.nsp import (
     NspWitness,
@@ -134,7 +134,7 @@ def test_falsify_finds_witness_when_the_support_spans_the_space():
     # scale of [U V] instead.
     F = build_parseval_random(3, 5, 0)
     A = np.random.default_rng(10).standard_normal((3, 3))
-    u, v = null_space(A[:1])[:, 0], -null_space(A[1:])[:, 0]
+    u, v = null_spaces(A[None, :1])[0][:, 0], -null_spaces(A[None, 1:])[0][:, 0]
     known = nsp_real_evaluate(A, F, NspWitness(Lambda=(0,), u=u, v=v, q=1.0, k=3))
     assert known.violated
     assert known.lhs == pytest.approx(2.7883, abs=1e-4)

@@ -8,7 +8,7 @@ import pytest
 from lqphase import rip
 from lqphase.errors import DomainError, ParameterError, ResourceBudgetError
 from lqphase.frames import TightFrame, build_named_frame, build_parseval_random
-from lqphase.linalg import null_space, support_bases, sym_eig_bounds
+from lqphase.linalg import support_bases, sym_eig_bounds
 from lqphase.rip import drip_constant, drip_order_for_t, sdrip_constants
 
 
@@ -118,7 +118,9 @@ def test_rank_deficient_supports_are_restricted():
 
 
 def test_isometry_consequence_on_coefficients():
-    # (1-delta)||z||^2 <= ||ADz||^2 + ||D_perp z||^2 <= (1+delta)||z||^2
+    # (1-delta)||Dz||^2 <= ||ADz||^2 <= (1+delta)||Dz||^2 <= (1+delta)||z||^2, as DD^T = I
+    # gives ||Dz|| <= ||z||; adding the energy ||z||^2 - ||Dz||^2 that D loses keeps
+    # (1-delta)||z||^2 <= ||ADz||^2 + ||z||^2 - ||Dz||^2 <= (1+delta)||z||^2
     F = build_parseval_random(3, 6, seed=9)
     A = np.random.default_rng(2).standard_normal((7, 3)) / np.sqrt(7)
     k = 2
@@ -128,8 +130,11 @@ def test_isometry_consequence_on_coefficients():
         z = np.zeros(6)
         S = rng.choice(6, size=k, replace=False)
         z[S] = rng.standard_normal(k)
-        nz = z @ z
-        mid = np.linalg.norm(A @ (F.D @ z)) ** 2 + np.linalg.norm(F.D_perp @ z) ** 2
+        nz, nx = z @ z, np.linalg.norm(F.D @ z) ** 2
+        assert nx <= nz + 1e-12
+        ax = np.linalg.norm(A @ (F.D @ z)) ** 2
+        assert (1 - delta) * nx - 1e-9 <= ax <= (1 + delta) * nx + 1e-9
+        mid = ax + nz - nx
         assert (1 - delta) * nz - 1e-9 <= mid <= (1 + delta) * nz + 1e-9
 
 
@@ -229,7 +234,7 @@ def test_budget_guards():
 def _zero_column_frame(n, N, seed):
     """A random Parseval frame with one extra, vanishing column."""
     D = np.hstack([build_parseval_random(n, N - 1, seed).D, np.zeros((n, 1))])
-    return TightFrame(n=n, N=N, D=D, D_perp=null_space(D).T)
+    return TightFrame(D=D)
 
 
 @pytest.mark.parametrize("half_rule", ["ceil", "floor"])

@@ -101,7 +101,7 @@ def test_problem_json_round_trip_is_bit_for_bit(P):
     for name in ("A", "b", "eps", "q"):
         assert _bits(getattr(Q, name)) == _bits(getattr(P, name)), name
     assert _bits(Q.frame.D) == _bits(P.frame.D)
-    assert _bits(Q.frame.D_perp) == _bits(P.frame.D_perp)
+    assert (Q.frame.n, Q.frame.N, Q.frame.label) == (P.frame.n, P.frame.N, P.frame.label)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -109,7 +109,31 @@ def test_problem_json_round_trip_is_bit_for_bit(P):
 def test_frame_json_round_trip_is_bit_for_bit(F):
     G = serialize.frame_from_dict(json.loads(json.dumps(serialize.frame_to_dict(F))))
     assert (G.n, G.N, G.label) == (F.n, F.N, F.label)
-    assert _bits(G.D) == _bits(F.D) and _bits(G.D_perp) == _bits(F.D_perp)
+    assert _bits(G.D) == _bits(F.D)
+
+
+def test_frame_payload_keys_and_an_old_D_perp_is_ignored():
+    F = build_parseval_random(3, 5, seed=9)
+    data = json.loads(json.dumps(serialize.frame_to_dict(F)))
+    assert sorted(data) == ["D", "N", "label", "n"]
+    # payloads written before frames lost their complement carry "D_perp": any
+    # value loads, to the same frame
+    for perp in ([0.0] * 10, [], "junk"):
+        G = serialize.frame_from_dict({**data, "D_perp": perp})
+        assert _bits(G.D) == _bits(F.D) and (G.n, G.N, G.label) == (F.n, F.N, F.label)
+    problem = _payload()
+    old = json.loads(json.dumps(problem))
+    old["frame"]["D_perp"] = [0.5] * 2 * 5
+    P, Q = serialize.problem_from_dict(problem), serialize.problem_from_dict(old)
+    assert _bits(P.frame.D) == _bits(Q.frame.D) and _bits(P.A) == _bits(Q.A)
+    assert serialize.problem_to_dict(Q) == problem
+
+
+@pytest.mark.parametrize("change", [{"n": 2}, {"N": 6}, {"D": [0.0] * 15}, {"D": [1.0] * 14}])
+def test_frame_payload_that_disagrees_with_its_shape_or_DDT_is_rejected(change):
+    data = {**serialize.frame_to_dict(build_parseval_random(3, 5, seed=9)), **change}
+    with pytest.raises(ConfigurationError, match="frame payload"):
+        serialize.frame_from_dict(data)
 
 
 def test_zero_and_negative_measurements_load_unchanged():

@@ -112,14 +112,15 @@ def test_sample_identity_frame_single_atom():
 
 
 def test_sample_energy_never_exceeds_coefficients():
-    # ||Dz||^2 = ||z||^2 - ||D_perp z||^2 <= ||z||^2
+    # DD^T = I: ||x|| = ||Dz|| <= ||z||, with equality when z = D^T x lies in D's row space
     F = build_named_frame("duplicated_identity", 3)
     for seed in range(30):
         sig = sample_dictionary_sparse(F, 2, seed=seed)
         nz = np.linalg.norm(sig.z.z)
         assert np.linalg.norm(sig.x) <= nz + 1e-12
-        split = np.linalg.norm(F.D @ sig.z.z) ** 2 + np.linalg.norm(F.D_perp @ sig.z.z) ** 2
-        assert split == pytest.approx(nz**2, rel=1e-12)
+        row = F.D.T @ sig.x
+        assert np.linalg.norm(F.D @ row) == pytest.approx(np.linalg.norm(row), rel=1e-12)
+        assert np.linalg.norm(row) == pytest.approx(np.linalg.norm(sig.x), rel=1e-12)
 
 
 def test_sample_is_deterministic_and_validates():
