@@ -163,9 +163,9 @@ def verify_recovery_bound(
     order ceil(t*k); when half-subset extremes are present in the report, the
     implied bound max(1-theta_minus, theta_plus-1) is recorded alongside.
     Inadmissible instances yield bound_status = "not_applicable".  An
-    admissible trial whose uncertified x_hat lies outside the constraint set,
-    || |A x_hat| - b || > eps + FEAS_RTOL max(1, ||b||), fails, and its reason
-    names the violation.
+    admissible trial passes when lhs <= rhs + BOUND_TOL ||x0|| (rhs is 0 at
+    sigma_k = eps = 0), and fails, its reason naming the violation, when its
+    uncertified x_hat lies outside IRLS's band eps + FEAS_RTOL ||b||.
     """
     if P.truth is None:
         raise ConfigurationError("bound verification needs the ground-truth signal")
@@ -190,17 +190,17 @@ def verify_recovery_bound(
     reason = ""
     if consts.admissible:
         rhs = bound_rhs(consts, P.eps, sigma, k)
-        status = "pass" if lhs <= rhs + BOUND_TOL else "fail"
+        status = "pass" if lhs <= rhs + BOUND_TOL * float(np.linalg.norm(P.truth.x)) else "fail"
         if result.method != "oracle":
             # the oracle certifies feasibility itself; an uncertified x_hat
             # outside the constraint set is no solution of the model, whatever
             # its error, and without an optimality certificate a violation of
             # the bound indicts the solver, not the bound
-            limit = P.eps + FEAS_RTOL * max(1.0, float(np.linalg.norm(P.b)))
+            limit = P.eps + FEAS_RTOL * float(np.linalg.norm(P.b))
             if result.feasibility > limit:
                 status = "fail"
                 reason = (f"infeasible x_hat: || |A x_hat| - b || = {result.feasibility:.6g} "
-                          f"exceeds eps + FEAS_RTOL max(1, ||b||) = {limit:.6g}")
+                          f"exceeds eps + FEAS_RTOL ||b|| = {limit:.6g}")
             elif status == "fail":
                 reason = "uncertified solver; violation indicates suboptimality"
     else:

@@ -44,6 +44,8 @@ from .rip import drip_constant, drip_order_for_t, sdrip_constants
 from .signals import lq_quasinorm, sample_dictionary_sparse
 from .solver import SolverResult, solve_irls, solve_oracle_noiseless
 
+SUCCESS_RTOL = 1e-6  # a transition trial succeeds within SUCCESS_RTOL ||x|| of x
+
 
 def derive_trial_seeds(master_seed: int, cell_index: int, trial_index: int) -> tuple[int, int, int, int]:
     """Four component seeds (frame, signal, matrix, solver/noise) per trial."""
@@ -197,7 +199,7 @@ def _run_transition_cell(cfg: ExperimentConfig, cell: dict) -> TransitionCell | 
             errors.append(type(exc).__name__)
             continue
         x = problem.truth.x
-        if phase_distance(result.x_hat, x) <= cfg.success_tol * np.linalg.norm(x) + 1e-15:
+        if phase_distance(result.x_hat, x) <= SUCCESS_RTOL * np.linalg.norm(x) + 1e-15:
             successes += 1
     return TransitionCell(**cell, trials=cfg.trials, successes=successes, errors=tuple(errors))
 

@@ -4,7 +4,9 @@ These back the property-test suite: subset-sum identities over all
 fixed-size subsets, a constructive convex decomposition of a vector into
 k-sparse atoms with a weighted-energy bound, and a head/tail power
 inequality checker.  Checkers return both sides so failures are
-diagnosable.
+diagnosable.  The subset enumeration counts its work, C(k, l) subsets of
+l^2 terms, through linalg.check_budget against SUPPORT_BUDGET, read at each
+call, and refuses it past that before it enumerates.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from math import comb
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ResourceBudgetError
+from .errors import DomainError, ParameterError
+from .linalg import check_budget
+from .rip import SUPPORT_BUDGET
 from .signals import lq_quasinorm, _check_q
 
-MAX_SUBSET_K = 12
+DECOMPOSITION_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,10 +65,9 @@ def subset_sum_identities(k: int, l: int, v) -> SubsetSumIdentities:
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    if k > MAX_SUBSET_K:
-        raise ResourceBudgetError(f"k={k} exceeds the subset enumeration guard ({MAX_SUBSET_K})")
     if not (1 <= l <= k):
         raise ParameterError(f"need 1 <= l <= k, got l={l}, k={k}")
+    check_budget(k, l, SUPPORT_BUDGET, "subset-sum terms", per=l * l)
     vals = [int(x) if float(x).is_integer() else float(x) for x in np.asarray(v).ravel()]
     if len(vals) != k:
         raise ParameterError(f"v must have length k={k}, got {len(vals)}")
@@ -80,7 +83,7 @@ def subset_sum_identities(k: int, l: int, v) -> SubsetSumIdentities:
     return SubsetSumIdentities(lhs1=lhs1, rhs1=rhs1, lhs2=lhs2, rhs2=rhs2)
 
 
-def _membership_checks(x: np.ndarray, k: int, alpha: float, q: float, tol: float) -> int:
+def _membership_checks(x: np.ndarray, k: int, alpha: float, q: float) -> int:
     support = np.flatnonzero(x != 0.0)
     r = support.size
     if k < 1:
@@ -89,11 +92,11 @@ def _membership_checks(x: np.ndarray, k: int, alpha: float, q: float, tol: float
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if r < k:
         raise DomainError(f"membership failed: ||x||_0 = {r} < k = {k}")
-    if lq_quasinorm(x, q) > k * alpha**q * (1.0 + tol):
+    if lq_quasinorm(x, q) > k * alpha**q * (1.0 + DECOMPOSITION_RTOL):
         raise DomainError(
             f"membership failed: ||x||_q^q = {lq_quasinorm(x, q):.6g} exceeds k*alpha^q = {k * alpha**q:.6g}"
         )
-    if np.max(np.abs(x)) > alpha * (1.0 + tol):
+    if np.max(np.abs(x)) > alpha * (1.0 + DECOMPOSITION_RTOL):
         raise DomainError(
             f"membership failed: ||x||_inf = {np.max(np.abs(x)):.6g} exceeds alpha = {alpha:.6g}"
         )
@@ -105,7 +108,6 @@ def sparse_convex_decomposition(
     k: int,
     alpha: float,
     q: float,
-    tol: float = 1e-12,
 ) -> ConvexDecomposition:
     """Write x as a convex combination of k-sparse atoms.
 
@@ -126,7 +128,7 @@ def sparse_convex_decomposition(
     """
     _check_q(q)
     x = np.asarray(x, dtype=float)
-    r = _membership_checks(x, k, alpha, q, tol)
+    r = _membership_checks(x, k, alpha, q)
     support = np.flatnonzero(x != 0.0)
 
     if r <= k:

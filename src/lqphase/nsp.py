@@ -25,7 +25,8 @@ constants also use, for supports of order >= 3 and ill-conditioned ones:
 the falsifier computes every support's basis once per call, before it scans
 the row subsets, and shares it between the projections of K, the sign
 screen and the membership check of its witnesses; dictionary_sparse_distance
-takes them a chunk of supports at a time.
+takes them a chunk of supports at a time.  Both read SUPPORT_BUDGET at each
+call.
 The full-rank bound, and the sign screen up to rank 2, share the isometry
 constants' eigenvalue kernel, linalg.sym_eig_bounds; the row subsets and
 their signs, 1 - 2 linalg.subset_masks, are cached read-only tables.
@@ -94,8 +95,7 @@ class NspWitness:
     violated: bool | None = None
 
 
-def dictionary_sparse_distance(x: np.ndarray, D: np.ndarray, k: int,
-                               support_budget: int = SUPPORT_BUDGET) -> float:
+def dictionary_sparse_distance(x: np.ndarray, D: np.ndarray, k: int) -> float:
     """Distance from x to the set of dictionary-k-sparse vectors, by
     exhaustive support search; inf when k > N (there is no support).
 
@@ -103,7 +103,7 @@ def dictionary_sparse_distance(x: np.ndarray, D: np.ndarray, k: int,
     """
     x = np.asarray(x)
     n, N = D.shape
-    check_budget(N, k, support_budget, "supports")
+    check_budget(N, k, SUPPORT_BUDGET, "supports")
     best = float(np.linalg.norm(x)) if k <= N else np.inf
     if k == 0:
         return best

@@ -38,10 +38,11 @@ A gives every pattern residual 0; a tree of more than TREE_MAX_NODES nodes;
 or a tree that keeps no pattern, when eps is below every pattern's residual
 and nothing is feasible), _irls_restarts takes the patterns sign(Ax) of a
 spectral start and of IRLS_RESTARTS - 1 random ones drawn from solve_irls's
-seed, its only parameter.  A start whose least-squares point is stalled, its
-residual || |Ax| - b || above the threshold, goes through a 1-opt sign-flip
-descent, which serves only this pipeline and decides every flip by comparing
-exact least-squares residuals.  Last, one polish run per start.
+seed, its only parameter, on solve_irls's SVD of A.  A start whose
+least-squares point is stalled, its residual || |Ax| - b || above the
+threshold, goes through a 1-opt sign-flip descent, which serves only this
+pipeline and takes a flip when it lowers the exact least-squares residual by
+more than FLIP_GAIN ||b||.  Last, one polish run per start.
 
 A polish run stops as soon as it can no longer change the answer, which is
 the best iterate by (violation, objective): at its first iterate inside the
@@ -171,7 +172,7 @@ EXIT_RULES = ("discrepancy", "stall", "cycle", "converged", "max_iters")
 # tests its residuals.
 STALL_STEPS = 3
 # The sign-flip descent of the restart pipeline takes a flip when it lowers
-# the pattern's exact least-squares residual by more than FLIP_GAIN, and
+# the pattern's exact least-squares residual by more than FLIP_GAIN ||b||, and
 # stops a row after FLIP_MAX_SWEEPS sweeps.
 FLIP_GAIN = 1e-14
 FLIP_MAX_SWEEPS = 8
@@ -470,23 +471,19 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
 def irls_weighted_step(
     A: np.ndarray,
     D: np.ndarray,
-    p: np.ndarray,
+    S: np.ndarray,
     b: np.ndarray,
-    x: np.ndarray,
+    X: np.ndarray,
     q: float,
     eps_s: float,
     lam: float,
 ) -> np.ndarray:
-    """One reweighted least-squares update for fixed signs and smoothing.
-
-    Takes one iterate x (n,) with signs p (m,), or a stack x (R, n) with signs
-    p (R, m); each row of a stack is updated exactly as it would be alone.
-    """
-    X, S = np.atleast_2d(x), np.atleast_2d(p)
+    """One reweighted least-squares update for fixed signs and smoothing, of
+    each row of X (R, n) with the signs in that row of S (R, m), exactly as
+    it would be updated alone."""
     W = (_mv(D.T, X) ** 2 + eps_s**2) ** (q / 2.0 - 1.0)
     H = A.T @ A + lam * (D * W[:, None, :]) @ D.T
-    X_new = np.linalg.solve(H, _mv(A.T, S * b)[:, :, None])[..., 0]
-    return X_new if np.ndim(x) == 2 else X_new[0]
+    return np.linalg.solve(H, _mv(A.T, S * b)[:, :, None])[..., 0]
 
 
 def _pattern_residuals(Q: np.ndarray, b: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -496,24 +493,22 @@ def _pattern_residuals(Q: np.ndarray, b: np.ndarray, S: np.ndarray) -> np.ndarra
     return _row_norms(CV - _mv(Q, _mv(Q.T, CV)))
 
 
-def _sign_flip_descent(A: np.ndarray, b: np.ndarray, patterns: np.ndarray,
-                       Q: np.ndarray | None = None) -> np.ndarray:
+def _sign_flip_descent(Q: np.ndarray, b: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     """1-opt descent on the least-squares residual over sign patterns, for every
-    row of patterns (R, m); Q is an orthonormal basis of A's column space, by
-    default A's QR factor.
+    row of patterns (R, m); Q is an orthonormal basis of A's column space.
 
     Escapes alternating fixed points whose sign pattern is locally wrong;
     deterministic (first improving flip wins within a sweep).  A sweep visits
-    the entries in order and takes every flip j with r_j < r - FLIP_GAIN, where
-    r and r_j are the _pattern_residuals of the current and the flipped
-    pattern; a row stops after a sweep without a flip or after FLIP_MAX_SWEEPS
-    sweeps.  Each step scores every remaining flip of the row with one
-    _pattern_residuals call on the stacked flipped patterns, takes the first
-    that passes and resumes after it, so the decisions are those of the
-    entry-by-entry loop, made from the same exact residuals.
+    the entries in order and takes every flip j with r_j < r - FLIP_GAIN ||b||
+    (relative, as rounding is), where r and r_j are the _pattern_residuals of
+    the current and the flipped pattern; a row stops after a sweep without a
+    flip or after FLIP_MAX_SWEEPS sweeps.  Each step scores every remaining
+    flip of the row with one _pattern_residuals call on the stacked flipped
+    patterns, takes the first that passes and resumes after it, so the
+    decisions are those of the entry-by-entry loop, made from the same exact
+    residuals.
     """
-    if Q is None:
-        Q, _ = np.linalg.qr(A)
+    min_gain = FLIP_GAIN * float(np.linalg.norm(b))
     S = patterns.copy()
     flips = 1.0 - 2.0 * np.eye(S.shape[1])  # row j flips entry j
     for p in S:  # a row of S is a view: the descent flips it in place
@@ -522,7 +517,7 @@ def _sign_flip_descent(A: np.ndarray, b: np.ndarray, patterns: np.ndarray,
             j, improved = 0, False
             while j < len(p):
                 r_flip = _pattern_residuals(Q, b, p * flips[j:])
-                gain = np.flatnonzero(r_flip < r - FLIP_GAIN)
+                gain = np.flatnonzero(r_flip < r - min_gain)
                 if not len(gain):
                     break
                 r, j = r_flip[gain[0]], j + gain[0]
@@ -736,14 +731,14 @@ def _polish(P: PhaselessProblem, X0: np.ndarray, Q: np.ndarray,
     )
 
 
-def _irls_restarts(P: PhaselessProblem, seed: int, factors: tuple | None = None) -> SolverResult:
+def _irls_restarts(P: PhaselessProblem, seed: int, factors: tuple) -> SolverResult:
     """The restart pipeline, solve_irls's fallback where the sign tree does not
     run: one polish run per restart, from the least-squares point
     A_pinv (p o b) of its start's pattern p = sign(Ax) (zeros mapping to +1),
     after sign-flip descent where that point is stalled.  Restart 0 starts at
     the spectral direction, every later one at a fresh random direction
     scaled to ||b|| and drawn from (seed, restart index).  factors are A's
-    _svd_factors, taken here when not given.
+    _svd_factors, the one SVD solve_irls takes.
 
     Each step is batched over the starts and equals running them one after
     another bit for bit: stacked products are _mv's and norms _row_norms',
@@ -752,7 +747,7 @@ def _irls_restarts(P: PhaselessProblem, seed: int, factors: tuple | None = None)
     A, b = P.A, P.b
     n = A.shape[1]
     scale = float(np.linalg.norm(b))
-    Q, _, A_pinv = factors or _svd_factors(A)
+    Q, _, A_pinv = factors
     _, V = np.linalg.eigh(A.T @ ((b**2)[:, None] * A))
     starts = [scale * V[:, -1]]
     for j in range(1, IRLS_RESTARTS):  # fresh random directions break bad sign-pattern basins
@@ -762,7 +757,7 @@ def _irls_restarts(P: PhaselessProblem, seed: int, factors: tuple | None = None)
     S = np.where(_mv(A, np.array(starts)) >= 0.0, 1.0, -1.0)
     X0 = _mv(A_pinv, S * b)
     stalled = np.flatnonzero(_row_norms(np.abs(_mv(A, X0)) - b) > _stall_threshold(P.eps, scale))
-    S[stalled] = _sign_flip_descent(A, b, S[stalled], Q)
+    S[stalled] = _sign_flip_descent(Q, b, S[stalled])
     X0[stalled] = _mv(A_pinv, S[stalled] * b)
     return _polish(P, X0, Q)
 

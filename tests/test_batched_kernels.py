@@ -325,16 +325,16 @@ def loop_weighted_step(
     return np.linalg.solve(H, A.T @ (p * b))
 
 
-def loop_sign_flip_descent(A: np.ndarray, b: np.ndarray, p: np.ndarray,
-                           max_sweeps: int = 8, Qa: np.ndarray | None = None) -> np.ndarray:
+def loop_sign_flip_descent(Qa: np.ndarray, b: np.ndarray, p: np.ndarray,
+                           max_sweeps: int) -> np.ndarray:
     """1-opt descent on the least-squares residual over sign patterns; Qa is an
-    orthonormal basis of A's column space, by default A's QR factor.
+    orthonormal basis of A's column space.
 
     Escapes alternating fixed points whose sign pattern is locally wrong;
-    deterministic (first improving flip wins within a sweep).
+    deterministic (first improving flip wins within a sweep).  A flip counts
+    when it lowers the residual by more than FLIP_GAIN ||b||.
     """
-    if Qa is None:
-        Qa, _ = np.linalg.qr(A)
+    min_gain = solver.FLIP_GAIN * np.linalg.norm(b)
 
     def resid(pattern: np.ndarray) -> float:
         cv = pattern * b
@@ -344,10 +344,10 @@ def loop_sign_flip_descent(A: np.ndarray, b: np.ndarray, p: np.ndarray,
     p = p.copy()
     for _ in range(max_sweeps):
         improved = False
-        for i in range(A.shape[0]):
+        for i in range(len(p)):
             p[i] = -p[i]
             r = resid(p)
-            if r < best - 1e-14:
+            if r < best - min_gain:
                 best = r
                 improved = True
             else:
@@ -443,7 +443,7 @@ def loop_solve_irls(P: PhaselessProblem, seed: int = 0) -> SolverResult:
         p = sign(x)
         x = A_pinv @ (p * b)
         if np.linalg.norm(np.abs(A @ x) - b) > threshold:
-            p = loop_sign_flip_descent(A, b, p, solver.FLIP_MAX_SWEEPS, Qa)
+            p = loop_sign_flip_descent(Qa, b, p, solver.FLIP_MAX_SWEEPS)
             x = A_pinv @ (p * b)
         converge(x)
     assert best_x is not None
@@ -1863,6 +1863,11 @@ def test_dictionary_sparse_distance_matches_reference_loop(monkeypatch):
 # ---------------------------------------------------------------- IRLS
 
 
+def irls_restarts(P: PhaselessProblem, seed: int) -> SolverResult:
+    """The restart pipeline on P, with the SVD of A that solve_irls takes."""
+    return solver._irls_restarts(P, seed, solver._svd_factors(P.A))
+
+
 def irls_corpus():
     """Problems shaped like the irls-sweep workload (n = 8, N = 12, m in {16, 24},
     q in {0.5, 1}, eps = 0.01, near-isometric A), and wide Gaussian ones at eps = 0."""
@@ -1905,16 +1910,16 @@ def test_irls_matches_reference_loop_bit_for_bit(seed, schedule, monkeypatch):
     descended = []
     descent = solver._sign_flip_descent
 
-    def counting(A, b, S, *args):
+    def counting(Q, b, S):
         descended.append(len(S))
-        return descent(A, b, S, *args)
+        return descent(Q, b, S)
 
     monkeypatch.setattr(solver, "_sign_flip_descent", counting)
     problems = list(irls_corpus())
     for P in problems:
         # every corpus problem but the wide ones takes the sign tree in
         # solve_irls, so the restart pipeline is called directly
-        assert _irls_outcome(solver._irls_restarts, P, seed) == _irls_outcome(loop_solve_irls, P, seed)
+        assert _irls_outcome(irls_restarts, P, seed) == _irls_outcome(loop_solve_irls, P, seed)
     # the corpus reaches both paths: starts that go through the sign-flip
     # descent and starts polished from their own pattern
     assert 0 < sum(descended) < solver.IRLS_RESTARTS * len(problems)
@@ -1930,11 +1935,12 @@ def test_sign_flip_descent_matches_scalar_loop_row_by_row(max_sweeps, monkeypatc
         b = np.abs(A @ x)
         exact = np.where(A @ x >= 0.0, 1.0, -1.0)  # zero residual: never improves
         patterns = np.vstack([exact, -exact, np.where(rng.random((6, m)) < 0.5, 1.0, -1.0)])
-        got = solver._sign_flip_descent(A, b, patterns)
+        Q = solver._svd_factors(A)[0]
+        got = solver._sign_flip_descent(Q, b, patterns)
         assert got.tobytes() != patterns.tobytes()
         assert np.array_equal(got[:2], patterns[:2])
         for row, p in zip(got, patterns):
-            assert row.tobytes() == loop_sign_flip_descent(A, b, p, max_sweeps).tobytes()
+            assert row.tobytes() == loop_sign_flip_descent(Q, b, p, max_sweeps).tobytes()
 
 
 def descent_tie_corpus():
@@ -1943,8 +1949,8 @@ def descent_tie_corpus():
     feasible patterns and their negations, and random patterns; tall A with
     m = 3..24.  Square and wide A (n = m and m + 2, m = 2..12), the restart
     pipeline's m <= n traffic, give every pattern a residual of rounding size,
-    so with b of either sign at ||b|| = 1 and 1e3 flips are decided by
-    rounding-level gains."""
+    so with b of either sign at ||b|| = 1 and 1e3 every comparison is of
+    rounding residue, which the gain FLIP_GAIN ||b|| never lets decide a flip."""
     rng = np.random.default_rng(23)
     for m in range(3, 25):
         n = max(1, m // 3)
@@ -1975,12 +1981,13 @@ def descent_tie_corpus():
 def test_sign_flip_descent_matches_scalar_loop_on_ties(max_sweeps, monkeypatch):
     monkeypatch.setattr(solver, "FLIP_MAX_SWEEPS", max_sweeps)
     for A, b, patterns in descent_tie_corpus():
-        got = solver._sign_flip_descent(A, b, patterns)
+        Q = solver._svd_factors(A)[0]
+        got = solver._sign_flip_descent(Q, b, patterns)
         for row, p in zip(got, patterns):
-            assert row.tobytes() == loop_sign_flip_descent(A, b, p, max_sweeps).tobytes()
+            assert row.tobytes() == loop_sign_flip_descent(Q, b, p, max_sweeps).tobytes()
 
 
 def test_sign_flip_descent_of_an_empty_stack():
-    A = np.random.default_rng(2).standard_normal((6, 3))
-    got = solver._sign_flip_descent(A, np.ones(6), np.zeros((0, 6)))
+    Q = solver._svd_factors(np.random.default_rng(2).standard_normal((6, 3)))[0]
+    got = solver._sign_flip_descent(Q, np.ones(6), np.zeros((0, 6)))
     assert got.shape == (0, 6)

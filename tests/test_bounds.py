@@ -13,11 +13,11 @@ from lqphase.bounds import (
 )
 from lqphase.cli import main
 from lqphase.errors import ConfigurationError, DomainError, ParameterError
-from lqphase.frames import build_parseval_random
+from lqphase.frames import build_named_frame, build_parseval_random
 from lqphase.measurement import build_problem
 from lqphase.rip import RipReport, drip_constant, drip_order_for_t
 from lqphase.signals import sample_dictionary_sparse
-from lqphase.solver import SolverResult, solve_oracle_noiseless
+from lqphase.solver import FEAS_RTOL, SolverResult, solve_oracle_noiseless
 
 
 def c3_c4_closed_form(t, delta):
@@ -275,3 +275,55 @@ def test_infeasible_uncertified_x_hat_fails_the_bound():
     assert verify_recovery_bound(P, inside, rip, 1.0).bound_status == "pass"
     # the certified oracle's records are left as they were
     assert verify_recovery_bound(P, replace(result, method="oracle"), rip, 1.0).bound_status == "pass"
+
+
+def _identity_trial(scale):
+    """The identity frame at n = 4 and A (7 x 4) with orthonormal columns, so
+    delta = 0, with a 1-sparse truth, so sigma_k = 0: noiseless, rhs is 0.
+    x0, and with it b, is scale times that of scale 1."""
+    F = build_named_frame("identity", 4)
+    truth = sample_dictionary_sparse(F, 1, seed=1)
+    truth = dataclasses.replace(truth, x=scale * truth.x,
+                                z=dataclasses.replace(truth.z, z=scale * truth.z.z))
+    Q, R = np.linalg.qr(np.random.default_rng(1).standard_normal((7, 4)))
+    A = Q * np.sign(np.diag(R))
+    rip = RipReport(order=1, delta=drip_constant(A, F, 1).delta)
+    return build_problem(A, F, truth, q=1.0), rip
+
+
+def test_bound_verdict_does_not_depend_on_the_data_scale():
+    # an absolute slack passed x_hat = x0 + 0.3 at scale 1e-12 (lhs 6e-13 <=
+    # rhs + 1e-9 with rhs 0) and failed x0 (1 + 1e-12) at 1e8
+    for scale in (1.0, 1e-12, 1e8):
+        P, rip = _identity_trial(scale)
+        x0 = P.truth.x
+
+        def verdict(x_hat):
+            result = SolverResult(x_hat=x_hat, objective=0.0, feasibility=0.0, method="oracle")
+            return verify_recovery_bound(P, result, rip, 1.0)
+
+        assert rip.delta == pytest.approx(0.0, abs=1e-12)
+        off = verdict(x0 + scale * 0.3)  # 0.3 scale in each of 4 entries: 0.6 scale away
+        assert (off.rhs, off.bound_status) == (0.0, "fail")
+        assert off.lhs == pytest.approx(0.6 * scale)
+        assert verdict(x0).bound_status == "pass"
+        assert verdict(x0 * (1.0 + 1e-12)).bound_status == "pass"  # a rounding-level error
+
+
+def test_uncertified_x_hat_must_lie_in_the_irls_noise_band():
+    # the limit is the band IRLS stops at, eps + FEAS_RTOL ||b||; with a
+    # floor max(1, ||b||), a point FEAS_RTOL / 2 off passed whenever ||b|| < 1
+    for scale in (1e-3, 1e3):
+        P, rip = _identity_trial(scale)
+        band = FEAS_RTOL * float(np.linalg.norm(P.b))
+        result = SolverResult(x_hat=P.truth.x, objective=0.0, feasibility=0.0, method="irls")
+
+        def verdict(feasibility):
+            return verify_recovery_bound(P, dataclasses.replace(result, feasibility=feasibility), rip, 1.0)
+
+        assert verdict(0.5 * band).bound_status == "pass"
+        outside = verdict(2.0 * band)
+        assert outside.bound_status == "fail"
+        assert outside.reason == (f"infeasible x_hat: || |A x_hat| - b || = {2.0 * band:.6g} "
+                                  f"exceeds eps + FEAS_RTOL ||b|| = {band:.6g}")
+        assert verdict(0.5 * FEAS_RTOL).bound_status == ("fail" if band < FEAS_RTOL else "pass")

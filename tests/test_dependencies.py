@@ -9,7 +9,10 @@ exports is used in the package outside its own definition or in the
 benchmark's sources, so code that nothing needs cannot linger.  The
 enumerating modules raise ResourceBudgetError only through
 linalg.check_budget, apart from the oracle's m guard, so every enumeration is
-bounded by one rule: its work."""
+bounded by one rule: its work.  Every option is one a caller sets: each
+optional parameter of a module-level function is passed by some call in the
+package or the benchmark's sources, and each default of a private function
+is relied on by some call in the package, so no knob serves only tests."""
 
 import ast
 import sys
@@ -211,5 +214,88 @@ def test_enumerations_raise_budget_errors_only_through_check_budget():
     # the one exception is the oracle's m guard, which the benchmark's
     # workloads pin through oracle_max_m and max_m (ROADMAP item 8)
     found = {name: _budget_raises((SRC / name).read_text(encoding="utf-8"))
-             for name in ("rip.py", "nsp.py", "solver.py")}
-    assert found == {"rip.py": [], "nsp.py": [], "solver.py": ["solve_oracle_noiseless"]}
+             for name in ("lemmas.py", "rip.py", "nsp.py", "solver.py")}
+    assert found == {"lemmas.py": [], "rip.py": [], "nsp.py": [],
+                     "solver.py": ["solve_oracle_noiseless"]}
+
+
+def _signatures(modules: dict[str, str]) -> dict[str, tuple[list[str], list[str]]]:
+    """Each module-level function's positional parameters and its optional
+    ones (positional or keyword-only, with a default), by name."""
+    found = {}
+    for text in modules.values():
+        for top in ast.parse(text).body:
+            if isinstance(top, ast.FunctionDef):
+                a = top.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                optional = positional[len(positional) - len(a.defaults):] if a.defaults else []
+                optional += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                found[top.name] = (positional, optional)
+    return found
+
+
+def _calls(texts, signatures) -> dict[str, list[set[str]]]:
+    """For each function of signatures, the set of its optional parameters
+    that each call in texts passes, the function named as a bare name or an
+    attribute; a *args or **kwargs argument passes every one."""
+    found = {name: [] for name in signatures}
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in signatures:
+                continue
+            positional, optional = signatures[name]
+            if (any(isinstance(arg, ast.Starred) for arg in node.args)
+                    or any(kw.arg is None for kw in node.keywords)):
+                found[name].append(set(optional))
+            else:
+                passed = set(positional[:len(node.args)]) | {kw.arg for kw in node.keywords}
+                found[name].append(passed & set(optional))
+    return found
+
+
+def _test_only_options(modules: dict[str, str], bench: dict[str, str],
+                       exempt: set[str] = frozenset()) -> list[str]:
+    """The optional parameters, as function.parameter, that no call in the
+    modules or in bench passes, and those of a private function that every
+    call in the modules passes; functions named in exempt are skipped."""
+    signatures = {name: sig for name, sig in _signatures(modules).items()
+                  if sig[1] and name not in exempt}
+    package = _calls(modules.values(), signatures)
+    everywhere = _calls([*modules.values(), *bench.values()], signatures)
+    found = []
+    for name, (_, optional) in signatures.items():
+        for p in optional:
+            if not any(p in passed for passed in everywhere[name]):
+                found.append(f"{name}.{p}")
+            elif name.startswith("_") and all(p in passed for passed in package[name]):
+                found.append(f"{name}.{p}")
+    return sorted(found)
+
+
+def test_option_walker_sees_positional_keyword_and_starred_calls():
+    modules = {
+        "a.py": "def f(x, y=1, *, z=2):\n    pass\n"
+                "def _g(x, y=None):\n    pass\n"
+                "def _h(x, y=0):\n    pass\n"
+                "def unused(x=0):\n    pass\n"
+                "def entry(argv=None):\n    pass\n",
+        "b.py": "from . import a\na.f(1, 2)\n_g(1, y=3)\n_h(1)\n_h(1, 2)\n_h(*args)\n",
+    }
+    bench = {"run.py": "f(0, z=5)\n"}
+    # f.y and f.z are passed, _g's default is never relied on, _h's is
+    assert _test_only_options(modules, bench, exempt={"entry"}) == ["_g.y", "unused.x"]
+    assert _test_only_options(modules, {}) == ["_g.y", "entry.argv", "f.z", "unused.x"]
+
+
+def test_every_option_is_one_a_caller_sets():
+    # cli.main(argv) is the console script's entry point, which passes no
+    # argv; argv is there so that tests can drive the command line
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    bench = {path.name: path.read_text(encoding="utf-8") for path in sorted(BENCH.glob("*.py"))
+             if not path.name.startswith("test_")}
+    assert "def main(argv" in modules["cli.py"]  # the walk reads the real files
+    assert _test_only_options(modules, bench, exempt={"main"}) == []

@@ -8,9 +8,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from lqphase import nsp, rip, solver
+from lqphase import lemmas, nsp, rip, solver
 from lqphase.errors import DimensionError, DomainError, ResourceBudgetError
 from lqphase.frames import build_parseval_random
+from lqphase.lemmas import subset_sum_identities
 from lqphase.linalg import check_budget, check_matrix
 from lqphase.measurement import build_problem
 from lqphase.nsp import dictionary_sparse_distance, nsp_real_falsify
@@ -21,7 +22,8 @@ from lqphase.solver import solve_oracle_noiseless
 # n = 4, N = 7, m = 2, k = 2: C(7, 2) = 21 supports, and as many zero
 # patterns for the oracle, whose m = 2 leaves n - m = 2 free coordinates.
 # Per support or zero set, S-DRIP takes C(2, 1) + 1 = 3 row sets, the
-# falsifier the 4 row subsets of size <= k and the oracle 2^(m-1) = 2 signs.
+# falsifier the 4 row subsets of size <= k and the oracle 2^(m-1) = 2 signs;
+# the subset sums over the C(7, 2) pairs of 7 values take 2^2 terms a pair.
 F = build_parseval_random(4, 7, seed=3)
 A = np.random.default_rng(3).standard_normal((2, 4))
 TRUTH = sample_dictionary_sparse(F, 2, seed=3)
@@ -33,15 +35,25 @@ def _falsify(budget, monkeypatch):
     return nsp_real_falsify(A, F, 2, 0.5, budget=50)
 
 
+def _distance(budget, monkeypatch):
+    monkeypatch.setattr(nsp, "SUPPORT_BUDGET", budget)
+    return dictionary_sparse_distance(TRUTH.x, F.D, 2)
+
+
+def _subset_sums(budget, monkeypatch):
+    monkeypatch.setattr(lemmas, "SUPPORT_BUDGET", budget)
+    return subset_sum_identities(7, 2, list(range(7)))
+
+
 ENTRY_POINTS = {
     "drip": (lambda budget, _: drip_constant(A, F, 2, support_budget=budget), 1, "supports"),
     "sdrip": (lambda budget, _: sdrip_constants(A, F, 2, support_budget=budget), 3,
               "(row set, support) pairs"),
-    "distance": (lambda budget, _: dictionary_sparse_distance(TRUTH.x, F.D, 2, support_budget=budget),
-                 1, "supports"),
+    "distance": (_distance, 1, "supports"),
     "falsify": (_falsify, 4, "(row subset, support) cells"),
     "oracle": (lambda budget, _: solve_oracle_noiseless(P, support_budget=budget), 2,
                "(sign, zero set) pairs"),
+    "subset_sums": (_subset_sums, 4, "subset-sum terms"),
 }
 
 
@@ -55,9 +67,9 @@ def test_every_enumeration_refuses_past_its_budget_before_it_enumerates(monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("an enumeration started before the budget check")
 
-    for module in (rip, nsp, solver):
+    for module in (rip, nsp, solver, lemmas):
         for kernel in ("combination_array", "combination_blocks", "support_bases",
-                       "_gram_schmidt_columns"):
+                       "_gram_schmidt_columns", "combinations"):
             if hasattr(module, kernel):
                 monkeypatch.setattr(module, kernel, refuse)
     message = f"{head} = {count} {what} exceed the budget {count - 1}"

@@ -112,6 +112,9 @@ def _assert_both_modes_reject(tmp_path, capsys, data) -> None:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# success_tol is no longer a field (the success test is harness.SUCCESS_RTOL):
+# a config that still carries it fails at load as an unknown key, at the
+# values it used to be refused for as well
 @pytest.mark.parametrize("field, value", [
     ("jitter", float("nan")), ("jitter", float("inf")), ("jitter", -0.1),
     ("success_tol", -1.0), ("success_tol", 0.0), ("success_tol", float("nan")),
@@ -123,8 +126,8 @@ def _assert_both_modes_reject(tmp_path, capsys, data) -> None:
       for value in (float("nan"), -3, 0.5, True)],
 ])
 def test_numbers_out_of_range_are_rejected_at_load(tmp_path, capsys, field, value):
-    # jitter feeds the near_isometric ensemble, success_tol the transition rate
-    data = asdict(small_config(matrix_ensemble="near_isometric", **{field: value}))
+    # jitter feeds the near_isometric ensemble
+    data = {**asdict(small_config(matrix_ensemble="near_isometric")), field: value}
     with pytest.raises(ConfigurationError, match=field):
         ExperimentConfig.from_json_dict(data)
     _assert_both_modes_reject(tmp_path, capsys, data)
@@ -135,10 +138,10 @@ def test_numbers_out_of_range_are_rejected_at_load(tmp_path, capsys, field, valu
     ("q_values", ["0.5"]), ("q_values", [True]), ("q_values", [0.5, None]),
     ("t_values", ["1.0"]), ("t_values", [False]), ("eps_values", [None]), ("eps_values", ["0"]),
     ("jitter", "0.05"), ("jitter", True), ("jitter", None),
-    ("success_tol", "1e-6"), ("success_tol", True), ("success_tol", None),
+    ("success_tol", "1e-6"), ("success_tol", True), ("success_tol", None),  # an unknown key
 ])
 def test_numbers_of_the_wrong_type_are_rejected_at_load(tmp_path, capsys, field, value):
-    data = asdict(small_config(**{field: value}))
+    data = {**asdict(small_config()), field: value}
     with pytest.raises(ConfigurationError, match=field):
         ExperimentConfig.from_json_dict(data)
     _assert_both_modes_reject(tmp_path, capsys, data)

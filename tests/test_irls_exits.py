@@ -18,7 +18,7 @@ import dataclasses
 import json
 
 import numpy as np
-from test_batched_kernels import irls_corpus
+from test_batched_kernels import irls_corpus, irls_restarts
 
 from lqphase import serialize, solver
 from lqphase.frames import build_parseval_random
@@ -85,7 +85,7 @@ def test_exits_follow_their_rules(monkeypatch):
         # the tree path's runs start at feasible patterns and do not stall;
         # the restart pipeline's do
         solve_irls(P)
-        solver._irls_restarts(P, 0)
+        irls_restarts(P, 0)
     seen = dict.fromkeys(EXIT_RULES, 0)
     for run in runs:
         P = run["P"]
@@ -142,7 +142,7 @@ CYCLING_TRIALS = ((0, 2), (2, 17), (2, 20), (3, 2))
 def test_cycle_exits_follow_their_rule(monkeypatch):
     runs = _spy_runs(monkeypatch)
     for cell, trial in CYCLING_TRIALS:
-        solver._irls_restarts(*irls_sweep_trial(1, cell, trial))
+        irls_restarts(*irls_sweep_trial(1, cell, trial))
     cycles = 0
     for run in runs:
         P = run["P"]
@@ -169,7 +169,7 @@ def test_cycling_trial_ends_before_the_cap():
     # seed 1, cell 0, trial 2 of irls-sweep: a run alternates between two
     # infeasible patterns from step 1 on and, without the cycle rule, takes
     # the whole 500-step schedule
-    res = solver._irls_restarts(*irls_sweep_trial(1, 0, 2))
+    res = irls_restarts(*irls_sweep_trial(1, 0, 2))
     assert res.exits["max_iters"] == 0
     assert res.exits["cycle"] >= 1
     assert res.feasibility <= 0.01 * (1.0 + 1e-9)
@@ -180,7 +180,7 @@ def test_exit_counts_add_up_to_the_runs(monkeypatch):
     monkeypatch.setattr(solver, "IRLS_RESTARTS", 6)
     for P in irls_corpus():
         del runs[:]
-        res = solver._irls_restarts(P, 0)
+        res = irls_restarts(P, 0)
         assert set(res.exits) == set(EXIT_RULES)
         assert sum(res.exits.values()) == sum(len(run["starts"]) for run in runs)
         assert len(runs[0]["starts"]) == 6
@@ -234,4 +234,4 @@ def test_noiseless_tree_path_ranks_feasible_iterates_by_objective():
         assert res.feasibility <= FEAS_RTOL * np.linalg.norm(P.b)
         oracle = solve_oracle_noiseless(P).objective
         assert abs(res.objective - oracle) <= 1e-6 * oracle
-        assert res.objective <= solver._irls_restarts(P, 0).objective * (1.0 + 1e-6)
+        assert res.objective <= irls_restarts(P, 0).objective * (1.0 + 1e-6)

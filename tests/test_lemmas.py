@@ -55,8 +55,9 @@ def test_subset_sums_guards():
         subset_sum_identities(3, 0, [1, 2, 3])
     with pytest.raises(ParameterError):
         subset_sum_identities(3, 4, [1, 2, 3])
-    with pytest.raises(ResourceBudgetError):
-        subset_sum_identities(13, 2, list(range(13)))
+    # C(40, 20) subsets of 400 terms each: refused before it enumerates
+    with pytest.raises(ResourceBudgetError, match=r"^400 x C\(40,20\) = \d+ subset-sum terms exceed"):
+        subset_sum_identities(40, 20, list(range(40)))
 
 
 def _check_decomposition(x, k, alpha, q, dec):

@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from test_batched_kernels import irls_restarts
 
 from lqphase import serialize, solver
 from lqphase.errors import (
@@ -262,7 +263,7 @@ def test_irls_inner_step_monotone_surrogate():
     x = rng.standard_normal(4)
     prev = irls_surrogate(A, F.D, p, b, x, q, eps_s, lam)
     for _ in range(25):
-        x = irls_weighted_step(A, F.D, p, b, x, q, eps_s, lam)
+        x = irls_weighted_step(A, F.D, p[None], b, x[None], q, eps_s, lam)[0]
         cur = irls_surrogate(A, F.D, p, b, x, q, eps_s, lam)
         assert cur <= prev + 1e-10
         prev = cur
@@ -303,9 +304,9 @@ def test_irls_steps_count_every_weighted_step(monkeypatch):
     rows = []
     step = solver.irls_weighted_step
 
-    def counting(A, D, p, b, x, *args):
-        rows.append(len(np.atleast_2d(x)))
-        return step(A, D, p, b, x, *args)
+    def counting(A, D, S, b, X, *args):
+        rows.append(len(X))
+        return step(A, D, S, b, X, *args)
 
     monkeypatch.setattr(solver, "irls_weighted_step", counting)
     monkeypatch.setattr(solver, "IRLS_RESTARTS", 6)
@@ -315,7 +316,7 @@ def test_irls_steps_count_every_weighted_step(monkeypatch):
     P = build_problem(A, F, truth, q=0.5)
     # the sign tree keeps one pattern here, so the restart pipeline shows
     # the batching
-    for solve in (solve_irls, solver._irls_restarts):
+    for solve in (solve_irls, irls_restarts):
         del rows[:]
         res = solve(P, 2)
         assert res.steps == sum(rows) >= res.iterations >= 1
